@@ -1,19 +1,19 @@
-//! Executor operator throughput: reference row engine vs vectorized
-//! batch pipeline, plus intra-query parallel scaling and bulk-load
+//! Executor operator throughput: reference row engine vs the
+//! vectorized evaluator, plus intra-query parallel scaling and bulk-load
 //! throughput.
 //!
 //! The workloads mirror what training actually executes — `COUNT(*)`
 //! joins (the paper's JOB-style queries) — plus a full-output join where
 //! both engines must materialise every column, and a plain scan. Each
-//! case runs through `execute_rows` (row-at-a-time reference) and
-//! `execute` (batch pipeline) so the speedup is directly visible in one
-//! report.
+//! case runs through `execute_rows` (row-at-a-time reference, `row`) and
+//! `execute` at one thread (`t1`) so the speedup is directly visible in
+//! one report.
 //!
-//! `parallel_scaling` times the morsel-driven evaluator at 1/2/4/8
-//! threads on join-heavy queries, asserting result identity against the
-//! serial engine before any timing. On single-CPU containers the
-//! medians stay flat (there is nothing to scale onto) — the numbers are
-//! only meaningful on multi-core hosts.
+//! `parallel_scaling` times the same evaluator at 2/4/8 threads on the
+//! join-heavy cases (their one-thread base is `executor/*/t1`),
+//! asserting result identity against one thread before any timing. On
+//! single-CPU containers the medians stay flat (there is nothing to
+//! scale onto) — the numbers are only meaningful on multi-core hosts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hfqo_exec::{execute, execute_rows, ExecConfig};
@@ -68,7 +68,7 @@ fn bench_executor(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_function("seq_scan_20k/batch", |b| {
+        group.bench_function("seq_scan_20k/t1", |b| {
             b.iter(|| {
                 execute(&db.db, &single, &plan, budget)
                     .expect("fits")
@@ -80,7 +80,7 @@ fn bench_executor(c: &mut Criterion) {
 
     // Hash-join-heavy counting query (the training workload shape):
     // 20k ⋈ 20k ⋈ 20k chain under COUNT(*). Early projection lets the
-    // batch engine carry only join keys.
+    // evaluator carry only join keys.
     {
         let graph = with_count(db.query(Shape::Chain, 3, 1, 0));
         let plan = PhysicalPlan::new(count(join(
@@ -97,7 +97,7 @@ fn bench_executor(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_function("hash_join_chain3_count/batch", |b| {
+        group.bench_function("hash_join_chain3_count/t1", |b| {
             b.iter(|| {
                 execute(&db.db, &graph, &plan, budget)
                     .expect("fits")
@@ -119,7 +119,7 @@ fn bench_executor(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_function(format!("{}_20k_x_20k_count/batch", algo.name()), |b| {
+        group.bench_function(format!("{}_20k_x_20k_count/t1", algo.name()), |b| {
             b.iter(|| {
                 execute(&db.db, &graph2, &plan, budget)
                     .expect("fits")
@@ -142,7 +142,7 @@ fn bench_executor(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_function("hash_join_20k_full_output/batch", |b| {
+        group.bench_function("hash_join_20k_full_output/t1", |b| {
             b.iter(|| {
                 execute(&db.db, &graph, &plan, budget)
                     .expect("fits")
@@ -158,9 +158,9 @@ fn bench_executor(c: &mut Criterion) {
 /// Predicate-kernel throughput across the selectivity range: a 20k-row
 /// table filtered at 1%/10%/50%/90% through an int column (plain
 /// storage) and a text column (dictionary + run-length encoded), each
-/// through the row engine, the batch pipeline's selection-vector
-/// kernels, and the 4-thread parallel evaluator. Result identity (and
-/// the expected survivor count) is asserted before any timing.
+/// through the row engine and the evaluator's selection-vector kernels
+/// at one and four threads. Result identity (and the expected survivor
+/// count) is asserted before any timing.
 fn bench_filter_selectivity(c: &mut Criterion) {
     use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableSchema};
     use hfqo_query::{BoundColumn, Lit, QueryGraph, Relation, Selection};
@@ -234,8 +234,8 @@ fn bench_filter_selectivity(c: &mut Criterion) {
             ),
         ];
         for (col, graph) in &cases {
-            // Identity gate: all three engines agree, and the predicate
-            // passes exactly pct% of the table.
+            // Identity gate: the row engine and both team sizes agree,
+            // and the predicate passes exactly pct% of the table.
             let batch = execute(&db, graph, &plan, budget).expect("fits");
             let row = execute_rows(&db, graph, &plan, budget).expect("fits");
             assert_eq!(
@@ -260,10 +260,10 @@ fn bench_filter_selectivity(c: &mut Criterion) {
                         .len()
                 })
             });
-            group.bench_function(format!("{col}_{pct}pct/batch"), |b| {
+            group.bench_function(format!("{col}_{pct}pct/t1"), |b| {
                 b.iter(|| execute(&db, graph, &plan, budget).expect("fits").rows.len())
             });
-            group.bench_function(format!("{col}_{pct}pct/parallel4"), |b| {
+            group.bench_function(format!("{col}_{pct}pct/t4"), |b| {
                 b.iter(|| {
                     execute(&db, graph, &plan, budget.threads(4))
                         .expect("fits")
@@ -278,8 +278,8 @@ fn bench_filter_selectivity(c: &mut Criterion) {
 
 /// Morsel-driven parallel scaling on join-heavy queries. Before timing
 /// anything, every (plan, threads) pair is executed once and checked
-/// bit-identical to the serial result — a scaling number for a wrong
-/// answer is worthless.
+/// bit-identical to the one-thread result — a scaling number for a
+/// wrong answer is worthless.
 fn bench_parallel_scaling(c: &mut Criterion) {
     let db = SynthDb::build(SynthConfig {
         tables: 3,
@@ -315,7 +315,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
 
     for (name, graph, plan) in &cases {
         let serial = execute(&db.db, graph, plan, budget).expect("fits");
-        for threads in [1usize, 2, 4, 8] {
+        for threads in [2usize, 4, 8] {
             let cfg = budget.threads(threads);
             // Result identity gate: same rows in the same order, same
             // work total, at every thread count.

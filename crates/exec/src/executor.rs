@@ -1,15 +1,15 @@
 //! The plan executor facade.
 //!
-//! [`execute`] runs a validated physical plan through the vectorized
-//! batch pipeline (see [`crate::operator`]) and materialises the final
-//! batches into rows for the caller. The reference row engine remains
-//! available as [`crate::rowexec::execute_rows`] with the same signature
-//! and identical results and work totals.
+//! [`execute`] runs a validated physical plan through the evaluator
+//! (see [`crate::parallel`]) and materialises its output into rows for
+//! the caller. The reference row engine remains available as
+//! [`crate::rowexec::execute_rows`] with the same signature and
+//! identical results and work totals.
 
 use crate::error::ExecError;
-use crate::operator::{aggregate_inputs, all_columns, build_pipeline, ColSet};
 use crate::ops::agg::agg_output_type;
-use crate::ops::Budget;
+use crate::parallel::evaluate;
+use crate::projection::{aggregate_inputs, all_columns, ColSet};
 use crate::row::{Layout, Row};
 use hfqo_catalog::{Catalog, ColumnType};
 use hfqo_query::{BoundColumn, PhysicalPlan, PlanNode, QueryGraph};
@@ -24,16 +24,17 @@ pub struct ExecConfig {
     /// before the execution aborts. This is the "timeout" that makes
     /// catastrophic plans cheap to observe instead of hour-long runs.
     pub work_budget: u64,
-    /// Worker threads for intra-query parallelism. `1` (the default)
-    /// runs the serial pull pipeline; `> 1` dispatches to the
-    /// morsel-driven parallel evaluator ([`crate::parallel`]), whose
-    /// results and work totals are identical to the serial path at any
-    /// thread count. Worker teams are capped at the machine's available
-    /// parallelism — oversubscribing cores only adds scheduling
-    /// overhead.
+    /// Worker threads for intra-query parallelism. There is one
+    /// evaluator ([`crate::parallel`]) with the row oracle
+    /// ([`crate::rowexec`]) beside it: every stage runs on a team of up
+    /// to `threads` workers, and `1` (the default) is the same code
+    /// running inline on the calling thread. Results, row order and
+    /// work totals are identical at any thread count. Worker teams are
+    /// capped at the machine's available parallelism — oversubscribing
+    /// cores only adds scheduling overhead.
     pub threads: usize,
-    /// Rows per morsel claimed by parallel workers. Only read when
-    /// `threads > 1`; any positive value yields identical results.
+    /// Rows per morsel — the unit of work a stage's workers claim. Any
+    /// positive value yields identical results.
     pub morsel_rows: usize,
 }
 
@@ -237,14 +238,15 @@ pub struct ExecOutcome {
     pub stats: ExecStats,
 }
 
-/// Executes a physical plan against a database with the vectorized batch
-/// engine.
+/// Executes a physical plan against a database with the vectorized
+/// evaluator.
 ///
 /// The plan is validated first; execution then either completes within
 /// the work budget or aborts with [`ExecError::BudgetExceeded`]. Results
 /// (row multisets) and work totals are identical to the reference row
-/// engine ([`crate::rowexec::execute_rows`]); only per-batch abort
-/// granularity and hash-group emission order may differ.
+/// engine ([`crate::rowexec::execute_rows`]); only the `work_done`
+/// overshoot reported on abort and hash-group emission order may
+/// differ.
 pub fn execute(
     db: &hfqo_storage::Database,
     graph: &QueryGraph,
@@ -258,22 +260,10 @@ pub fn execute(
         PlanNode::Aggregate { .. } => aggregate_inputs(graph),
         _ => all_columns(graph, db),
     };
-    let (rows, work) = if config.threads > 1 {
-        crate::parallel::execute_materialized(db, graph, &plan.root, &required, config)?
-    } else {
-        let mut budget = Budget::new(config.work_budget);
-        let mut op = build_pipeline(db, graph, &plan.root, &required)?;
-        op.open(&mut budget)?;
-        let mut rows: Vec<Row> = Vec::new();
-        while let Some(batch) = op.next_batch(&mut budget)? {
-            batch.export_rows(&mut rows);
-        }
-        op.close();
-        (rows, budget.work)
-    };
+    let (out, work) = evaluate(db, graph, &plan.root, &required, config)?;
 
     Ok(ExecOutcome {
-        rows,
+        rows: out.into_rows(),
         layout: Layout::for_node(&plan.root, graph, db.catalog()),
         schema: OutputSchema::for_plan(graph, db.catalog(), plan),
         stats: ExecStats {
@@ -285,7 +275,7 @@ pub fn execute(
 
 /// Executes `plan` for its side observations only: returns the output
 /// row count and the work performed, materialising nothing. The
-/// pipeline carries zero columns beyond what joins and aggregates need
+/// evaluator carries zero columns beyond what joins and aggregates need
 /// internally, and work charges are column-independent, so the work
 /// total is identical to a full [`execute`]. Validates the plan like
 /// [`execute`].
@@ -308,19 +298,12 @@ pub(crate) fn count_rows_unvalidated(
     plan: &PhysicalPlan,
     config: ExecConfig,
 ) -> Result<(usize, u64), ExecError> {
-    let mut budget = Budget::new(config.work_budget);
     let required = match &plan.root {
         PlanNode::Aggregate { .. } => aggregate_inputs(graph),
         _ => ColSet::new(),
     };
-    let mut op = build_pipeline(db, graph, &plan.root, &required)?;
-    op.open(&mut budget)?;
-    let mut rows = 0usize;
-    while let Some(batch) = op.next_batch(&mut budget)? {
-        rows += batch.rows();
-    }
-    op.close();
-    Ok((rows, budget.work))
+    let (out, work) = evaluate(db, graph, &plan.root, &required, config)?;
+    Ok((out.rows, work))
 }
 
 #[cfg(test)]
@@ -518,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_engine_matches_row_engine_exactly() {
+    fn evaluator_matches_row_engine_exactly() {
         let (db, graph) = setup();
         for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::Merge] {
             let plan = PhysicalPlan::new(PlanNode::Join {
@@ -527,16 +510,16 @@ mod tests {
                 left: Box::new(scan_node(0)),
                 right: Box::new(scan_node(1)),
             });
-            let batch = execute(&db, &graph, &plan, ExecConfig::default()).unwrap();
+            let vect = execute(&db, &graph, &plan, ExecConfig::default()).unwrap();
             let rows = execute_rows(&db, &graph, &plan, ExecConfig::default()).unwrap();
-            let mut b = batch.rows.clone();
+            let mut b = vect.rows.clone();
             let mut r = rows.rows.clone();
             b.sort();
             r.sort();
             assert_eq!(b, r, "{algo:?} multiset");
-            assert_eq!(batch.stats.work, rows.stats.work, "{algo:?} work");
-            assert_eq!(batch.layout, rows.layout);
-            assert_eq!(batch.schema, rows.schema);
+            assert_eq!(vect.stats.work, rows.stats.work, "{algo:?} work");
+            assert_eq!(vect.layout, rows.layout);
+            assert_eq!(vect.schema, rows.schema);
         }
     }
 
@@ -635,8 +618,8 @@ mod tests {
             rs.sort();
             assert_eq!(bs, rs, "{algo:?}");
             assert_eq!(out.stats.work, rows.stats.work, "{algo:?}");
-            // As does the parallel evaluator, in exact row order —
-            // NULL build/probe keys must stay unmatched there too.
+            // As does a team of four, in exact row order — NULL
+            // build/probe keys must stay unmatched when partitioned too.
             let cfg = ExecConfig::default().threads(4).morsel_rows(1);
             let par = execute(&db, &graph, &plan, cfg).unwrap();
             assert_eq!(par.rows, out.rows, "{algo:?} parallel");
@@ -645,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_skip_null_inputs_in_batch_engine() {
+    fn aggregates_skip_null_inputs() {
         let (db, graph) = null_setup();
         let plan = PhysicalPlan::new(PlanNode::Aggregate {
             algo: AggAlgo::Hash,
@@ -723,23 +706,60 @@ mod tests {
         assert!(matches!(err, ExecError::BadAggregate(_)));
     }
 
+    /// The one evaluator behind both facades, against the row oracle:
+    /// `execute_for_stats` sees the same `(rows, work)` as `execute` and
+    /// `execute_rows` at every team size and morsel geometry, and a
+    /// budget aborts one iff it aborts all.
     #[test]
-    fn stats_only_execution_matches_full_execution() {
+    fn stats_and_full_execution_match_row_oracle_at_every_team_size() {
         let (db, graph) = setup();
-        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::Merge] {
-            let plan = PhysicalPlan::new(PlanNode::Join {
-                algo,
-                conds: vec![0],
-                left: Box::new(scan_node(0)),
-                right: Box::new(scan_node(1)),
-            });
-            let full = execute(&db, &graph, &plan, ExecConfig::default()).unwrap();
-            let (rows, work) =
-                execute_for_stats(&db, &graph, &plan, ExecConfig::default()).unwrap();
-            // Work charges are column-independent: the zero-column
-            // pipeline must observe the identical totals.
-            assert_eq!(rows, full.rows.len(), "{algo:?}");
-            assert_eq!(work, full.stats.work, "{algo:?}");
+        let join = |algo| PlanNode::Join {
+            algo,
+            conds: vec![0],
+            left: Box::new(scan_node(0)),
+            right: Box::new(scan_node(1)),
+        };
+        let mut plans: Vec<PhysicalPlan> = [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::Merge]
+            .into_iter()
+            .map(|algo| PhysicalPlan::new(join(algo)))
+            .collect();
+        plans.push(PhysicalPlan::new(PlanNode::Aggregate {
+            algo: AggAlgo::Sort,
+            input: Box::new(join(JoinAlgo::Hash)),
+        }));
+        for plan in &plans {
+            let oracle = execute_rows(&db, &graph, plan, ExecConfig::default()).unwrap();
+            let exact = oracle.stats.work;
+            for threads in [1, 2, 4] {
+                for morsel in [1, 64, 4096] {
+                    let tag = format!("{:?} t={threads} m={morsel}", plan.root);
+                    let cfg = ExecConfig::default().threads(threads).morsel_rows(morsel);
+                    let full = execute(&db, &graph, plan, cfg).unwrap();
+                    let (rows, work) = execute_for_stats(&db, &graph, plan, cfg).unwrap();
+                    // Work charges are column-independent: the
+                    // zero-column run must observe the identical totals.
+                    assert_eq!((rows, work), (oracle.rows.len(), exact), "{tag}");
+                    assert_eq!((full.rows.len(), full.stats.work), (rows, work), "{tag}");
+                    for budget in [0, 50, 300, exact - 1, exact, exact + 1] {
+                        let cfg = ExecConfig {
+                            work_budget: budget,
+                            ..cfg
+                        };
+                        let aborts = execute_rows(&db, &graph, plan, cfg).is_err();
+                        assert_eq!(aborts, budget < exact, "{tag} b={budget}");
+                        for err in [
+                            execute(&db, &graph, plan, cfg).err(),
+                            execute_for_stats(&db, &graph, plan, cfg).err(),
+                        ] {
+                            assert_eq!(err.is_some(), aborts, "{tag} b={budget}");
+                            assert!(
+                                matches!(err, None | Some(ExecError::BudgetExceeded { .. })),
+                                "{tag} b={budget}"
+                            );
+                        }
+                    }
+                }
+            }
         }
         // Stats-only execution still validates.
         let incomplete = PhysicalPlan::new(scan_node(0));
@@ -794,9 +814,9 @@ mod tests {
                 for morsel in [1, 7, 64, 4096] {
                     let cfg = ExecConfig::default().threads(threads).morsel_rows(morsel);
                     let par = execute(&db, &graph, &plan, cfg).unwrap();
-                    // Exact row ORDER, not just the multiset: the
-                    // parallel evaluator reassembles morsel outputs in
-                    // order, so the full result must match bitwise.
+                    // Exact row ORDER, not just the multiset: stages
+                    // reassemble morsel outputs in order, so the full
+                    // result must match bitwise.
                     assert_eq!(par.rows, serial.rows, "{algo:?} t={threads} m={morsel}");
                     assert_eq!(
                         par.stats.work, serial.stats.work,
@@ -902,8 +922,8 @@ mod tests {
             execute(&db, &graph, &cross, ExecConfig::with_budget(300)),
             Err(ExecError::BudgetExceeded { budget: 300, .. })
         ));
-        // The parallel evaluator charges the same totals, so it aborts
-        // exactly when the serial engine does.
+        // A team of four charges the same totals, so it aborts exactly
+        // when the inline team of one does.
         let err =
             execute(&db, &graph, &cross, ExecConfig::with_budget(300).threads(4)).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { budget: 300, .. }));

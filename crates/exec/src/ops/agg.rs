@@ -1,20 +1,16 @@
-//! Vectorized aggregation.
+//! Aggregate accumulators and slot resolution.
 //!
-//! [`AggOp`] drains its input pipeline batch-by-batch, folding rows into
-//! per-group accumulators, then emits the result as batches of *group
-//! keys followed by aggregate values*. The accumulator type `Acc` is
-//! shared with the reference row engine so both engines agree on
-//! aggregate semantics to the bit.
+//! The accumulator type `Acc` is shared by the evaluator's aggregation
+//! stage ([`crate::parallel`]) and the reference row engine, so both
+//! agree on aggregate semantics to the bit. Output rows are *group keys
+//! followed by aggregate values*.
 
-use crate::batch::{Batch, BatchBuilder, Projection};
 use crate::error::ExecError;
-use crate::operator::Operator;
-use crate::ops::Budget;
+use crate::projection::Projection;
 use hfqo_catalog::{Catalog, ColumnType};
-use hfqo_query::{AggAlgo, QueryError, QueryGraph};
+use hfqo_query::{QueryError, QueryGraph};
 use hfqo_sql::AggFunc;
 use hfqo_storage::Value;
-use std::collections::HashMap;
 
 /// One aggregate accumulator.
 #[derive(Debug, Clone)]
@@ -115,7 +111,6 @@ pub(crate) fn agg_output_type(func: AggFunc, input: Option<ColumnType>) -> Colum
 /// The graph's aggregation resolved against an input projection: where
 /// the `GROUP BY` keys and aggregate inputs live in the input's slots,
 /// and the output column types (keys first, then aggregate values).
-/// Shared by [`AggOp`] and the parallel aggregation stage.
 pub(crate) struct AggSpec {
     pub(crate) key_slots: Vec<usize>,
     pub(crate) agg_slots: Vec<Option<usize>>,
@@ -172,116 +167,5 @@ impl AggSpec {
     /// A fresh accumulator row, one per aggregate expression.
     pub(crate) fn new_accs(&self) -> Vec<Acc> {
         self.agg_funcs.iter().map(|&f| Acc::new(f)).collect()
-    }
-}
-
-/// Vectorized hash/sort aggregation at the plan root.
-pub struct AggOp<'a> {
-    algo: AggAlgo,
-    input: Box<dyn Operator + 'a>,
-    spec: AggSpec,
-    builder: BatchBuilder,
-    drained: bool,
-}
-
-impl<'a> AggOp<'a> {
-    /// Builds the aggregation over a child pipeline whose projection must
-    /// carry every `GROUP BY` key and aggregate input column.
-    pub fn new(
-        graph: &QueryGraph,
-        catalog: &Catalog,
-        algo: AggAlgo,
-        input: Box<dyn Operator + 'a>,
-    ) -> Result<Self, ExecError> {
-        let proj = input
-            .projection()
-            .ok_or_else(|| QueryError::InvalidPlan("aggregate over aggregate output".into()))?;
-        let spec = AggSpec::resolve(graph, catalog, proj)?;
-        let builder = BatchBuilder::new(spec.out_types.clone());
-        Ok(Self {
-            algo,
-            input,
-            spec,
-            builder,
-            drained: false,
-        })
-    }
-
-    /// Drains the input and materialises the grouped result into the
-    /// output queue. Charges match the row engine: (for sort aggregation)
-    /// one unit per input row for the sort, one unit per input row for
-    /// grouping, one per output row.
-    fn drain_and_aggregate(&mut self, budget: &mut Budget) -> Result<(), ExecError> {
-        let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-        let mut input_rows = 0u64;
-        while let Some(batch) = self.input.next_batch(budget)? {
-            for row in 0..batch.rows() {
-                budget.charge(1)?;
-                input_rows += 1;
-                let key: Vec<Value> = self
-                    .spec
-                    .key_slots
-                    .iter()
-                    .map(|&s| batch.value_at(s, row))
-                    .collect();
-                let accs = groups.entry(key).or_insert_with(|| self.spec.new_accs());
-                for (acc, slot) in accs.iter_mut().zip(&self.spec.agg_slots) {
-                    let v = slot.map(|s| batch.value_at(s, row));
-                    acc.update(v.as_ref())?;
-                }
-            }
-        }
-        if self.algo == AggAlgo::Sort {
-            // The sort's cost (the row engine charges it up front; the
-            // batch engine knows the input size only after draining —
-            // identical totals either way).
-            budget.charge(input_rows)?;
-        }
-        // An aggregate over zero rows with no GROUP BY still yields one
-        // row (SQL semantics: COUNT(*) = 0).
-        if groups.is_empty() && self.spec.key_slots.is_empty() {
-            groups.insert(Vec::new(), self.spec.new_accs());
-        }
-        let mut out_rows: Vec<Vec<Value>> = groups
-            .into_iter()
-            .map(|(mut key, accs)| {
-                key.extend(accs.into_iter().map(Acc::finish));
-                key
-            })
-            .collect();
-        if self.algo == AggAlgo::Sort {
-            out_rows.sort();
-        }
-        for row in &out_rows {
-            budget.charge(1)?;
-            self.builder.current_mut().push_values(row);
-            self.builder.spill_if_full();
-        }
-        self.builder.flush();
-        Ok(())
-    }
-}
-
-impl Operator for AggOp<'_> {
-    fn projection(&self) -> Option<&Projection> {
-        // Aggregate output columns are computed, not projected.
-        None
-    }
-
-    fn open(&mut self, budget: &mut Budget) -> Result<(), ExecError> {
-        debug_assert!(!self.drained, "pipelines are single-use");
-        self.input.open(budget)
-    }
-
-    fn next_batch(&mut self, budget: &mut Budget) -> Result<Option<Batch>, ExecError> {
-        if !self.drained {
-            self.drain_and_aggregate(budget)?;
-            self.drained = true;
-        }
-        Ok(self.builder.pop())
-    }
-
-    fn close(&mut self) {
-        self.input.close();
     }
 }

@@ -1,18 +1,18 @@
-//! Vectorized physical operators.
+//! Building blocks shared by the evaluator and the row oracle.
 //!
-//! Each operator implements [`crate::operator::Operator`]: it pulls
-//! columnar [`crate::batch::Batch`]es from its children and produces
-//! capacity-bounded output batches, charging every unit of work (row
-//! visits, comparisons, emitted rows) against the shared [`Budget`].
-//! Charge *totals* are identical to the reference row engine's
-//! ([`crate::rowexec`]) — the equivalence suite asserts it — so budget
-//! semantics, catastrophic-plan aborts, and reward shaping are unchanged
-//! by vectorization; only the per-batch abort granularity differs.
+//! Comparison kernels, join-condition and index-probe resolution, scan
+//! and aggregate specs, and the serial [`Budget`]. The evaluator's
+//! stages ([`crate::parallel`]) and the reference row engine
+//! ([`crate::rowexec`]) both build on these, so the two cannot drift:
+//! every unit of work (row visits, comparisons, emitted rows) is charged
+//! by the same rules and charge *totals* are identical — the equivalence
+//! suite asserts it — so budget semantics, catastrophic-plan aborts, and
+//! reward shaping do not depend on the engine.
 
-pub mod agg;
+pub(crate) mod agg;
 pub(crate) mod filter;
-pub mod join;
-pub mod scan;
+pub(crate) mod join;
+pub(crate) mod scan;
 
 use crate::error::ExecError;
 use hfqo_sql::CompareOp;
@@ -70,7 +70,7 @@ pub(crate) struct SlotCond {
 
 /// Resolves plan-level join-condition indices to input slots, flipping
 /// edges whose endpoints sit on opposite inputs. Generic over the slot
-/// resolver so the batch engine (`Projection::slot`) and the reference
+/// resolver so the evaluator (`Projection::slot`) and the reference
 /// row engine (`Layout::slot`) share one implementation — the engines
 /// must resolve conditions identically for the equivalence contract to
 /// hold.
@@ -184,7 +184,8 @@ pub(crate) fn index_row_ids(
     Ok(row_ids)
 }
 
-/// Work-budget accountant shared by all operators.
+/// Serial work-budget accountant (the row engine's; the evaluator
+/// charges the same totals through its shared atomic counter).
 #[derive(Debug)]
 pub struct Budget {
     /// Work performed so far (row visits, comparisons, emitted rows).
@@ -210,20 +211,6 @@ impl Budget {
             })
         } else {
             Ok(())
-        }
-    }
-
-    /// Bulk-charges `n` single-unit rows with the same trip point and
-    /// the same `work_done` at abort as calling [`Budget::charge`]`(1)`
-    /// `n` times — vectorized operators charge whole windows without
-    /// changing the exhaustion state the per-row engine would report.
-    #[inline]
-    pub fn charge_rows(&mut self, n: u64) -> Result<(), ExecError> {
-        let headroom = self.limit.saturating_sub(self.work);
-        if n > headroom {
-            self.charge(headroom + 1)
-        } else {
-            self.charge(n)
         }
     }
 }

@@ -1,25 +1,21 @@
-//! Vectorized sequential and index scans.
+//! Scan resolution: sequential and index scans.
 //!
-//! The scan is the only operator that reads storage. It visits rows in
+//! The scan is the only stage that reads storage. It visits rows in
 //! windows, evaluates the relation's selection predicates with typed
 //! kernels compiled once per scan (see `crate::ops::filter`) into a
 //! selection vector of passing row ids, and bulk-gathers only the
-//! *projected* columns of those rows into the output batch, column by
-//! column.
+//! *projected* columns of those rows, column by column.
 //!
 //! The resolution work — binding selections to table columns, probing
 //! indexes, mapping projection slots to storage columns — lives in
-//! `ScanSpec` so the serial pull pipeline ([`ScanOp`]) and the
-//! morsel-driven parallel scan ([`crate::parallel`]) share one
-//! definition of what a scan *visits* and *emits*.
+//! `ScanSpec`: the single definition of what a scan *visits* and
+//! *emits*, which the evaluator's morsel workers ([`crate::parallel`])
+//! run window by window.
 
-use crate::batch::{Batch, Projection, BATCH_CAPACITY};
 use crate::error::ExecError;
-use crate::operator::Operator;
 use crate::ops::filter::Pred;
-use crate::ops::Budget;
+use crate::projection::Projection;
 use crate::row::lit_to_value;
-use hfqo_catalog::ColumnType;
 use hfqo_query::{AccessPath, QueryGraph, RelId};
 use hfqo_storage::{ColumnVector, Database, Table};
 
@@ -32,13 +28,11 @@ enum Source {
 }
 
 /// A fully-resolved scan: the table, the projected storage columns, the
-/// residual filters, and the visit order. Engine-agnostic — both the
-/// serial operator and the parallel morsel workers evaluate it.
+/// residual filters, and the visit order.
 pub(crate) struct ScanSpec<'a> {
     table: &'a Table,
     /// Table column index per output slot.
-    pub(crate) col_idx: Vec<usize>,
-    pub(crate) out_types: Vec<ColumnType>,
+    col_idx: Vec<usize>,
     /// Predicates evaluated during the scan (for index scans: the
     /// residual predicates, the driving one being consumed by the
     /// probe), compiled once against the table's column encodings (see
@@ -61,7 +55,6 @@ impl<'a> ScanSpec<'a> {
     ) -> Result<Self, ExecError> {
         let table_id = graph.relation(rel).table;
         let table = db.table(table_id)?;
-        let out_types = projection.column_types(graph, db.catalog());
         let col_idx = projection
             .columns()
             .iter()
@@ -98,7 +91,6 @@ impl<'a> ScanSpec<'a> {
         Ok(Self {
             table,
             col_idx,
-            out_types,
             filters,
             source,
         })
@@ -123,8 +115,8 @@ impl<'a> ScanSpec<'a> {
     /// Appends to `sel` the table row ids of visits `from .. from + n`
     /// that pass every filter, in visit order: the first predicate's
     /// kernel fills the selection vector over the whole window, the
-    /// rest intersect it ([`Pred::refine`]). Both engines call this —
-    /// it is the single definition of which rows a scan emits.
+    /// rest intersect it ([`Pred::refine`]). This is the single
+    /// definition of which rows a scan emits.
     pub(crate) fn filter_visits(&self, from: usize, n: usize, sel: &mut Vec<u32>) {
         let cols = self.table.columns();
         match &self.source {
@@ -158,103 +150,5 @@ impl<'a> ScanSpec<'a> {
     pub(crate) fn projected_columns(&self) -> impl Iterator<Item = &ColumnVector> {
         let cols = self.table.columns();
         self.col_idx.iter().map(move |&c| &cols[c])
-    }
-
-    fn release(&mut self) {
-        if let Source::Index(rids) = &mut self.source {
-            rids.clear();
-        }
-    }
-}
-
-/// Vectorized scan of one relation.
-pub struct ScanOp<'a> {
-    spec: ScanSpec<'a>,
-    projection: Projection,
-    cursor: usize,
-    row_buf: Vec<u32>,
-}
-
-impl<'a> ScanOp<'a> {
-    /// Builds a scan of `rel` via `path`, producing `projection`.
-    pub fn new(
-        db: &'a Database,
-        graph: &QueryGraph,
-        rel: RelId,
-        path: &AccessPath,
-        projection: Projection,
-    ) -> Result<Self, ExecError> {
-        let spec = ScanSpec::new(db, graph, rel, path, &projection)?;
-        Ok(Self {
-            spec,
-            projection,
-            cursor: 0,
-            row_buf: Vec::with_capacity(BATCH_CAPACITY),
-        })
-    }
-}
-
-impl Operator for ScanOp<'_> {
-    fn projection(&self) -> Option<&Projection> {
-        Some(&self.projection)
-    }
-
-    fn open(&mut self, _budget: &mut Budget) -> Result<(), ExecError> {
-        debug_assert_eq!(self.cursor, 0, "pipelines are single-use");
-        Ok(())
-    }
-
-    fn next_batch(&mut self, budget: &mut Budget) -> Result<Option<Batch>, ExecError> {
-        let total = self.spec.visit_count();
-        // Unfiltered sequential scans emit exactly the rows they visit:
-        // skip the row-id gather and copy each column's contiguous range
-        // (a memcpy for fixed-width data) — the hot path of full-table
-        // scans.
-        if self.spec.is_plain_seq() {
-            let n = (total - self.cursor).min(BATCH_CAPACITY);
-            if n == 0 {
-                return Ok(None);
-            }
-            budget.charge(n as u64)?; // visited
-            budget.charge(n as u64)?; // emitted
-            let mut batch = Batch::new(&self.spec.out_types);
-            if self.spec.col_idx.is_empty() {
-                batch.push_empty_rows(n);
-            } else {
-                batch.append_range_from(self.spec.projected_columns(), self.cursor, n);
-            }
-            self.cursor += n;
-            return Ok(Some(batch));
-        }
-
-        // Filtered scans visit whole windows at a time: the predicate
-        // kernels fill the selection vector per window, and the loop
-        // keeps visiting until a batch worth of survivors (or the end).
-        // Every visited row is charged, pass or fail, exactly as in the
-        // row engine.
-        self.row_buf.clear();
-        while self.cursor < total && self.row_buf.len() < BATCH_CAPACITY {
-            let n = (total - self.cursor).min(BATCH_CAPACITY);
-            budget.charge_rows(n as u64)?;
-            self.spec.filter_visits(self.cursor, n, &mut self.row_buf);
-            self.cursor += n;
-        }
-        if self.row_buf.is_empty() {
-            return Ok(None);
-        }
-        // Emitted rows are work, exactly as in the row engine.
-        budget.charge(self.row_buf.len() as u64)?;
-        let mut batch = Batch::new(&self.spec.out_types);
-        if self.spec.col_idx.is_empty() {
-            batch.push_empty_rows(self.row_buf.len());
-        } else {
-            batch.append_selected_from(self.spec.projected_columns(), &self.row_buf);
-        }
-        Ok(Some(batch))
-    }
-
-    fn close(&mut self) {
-        self.row_buf = Vec::new();
-        self.spec.release();
     }
 }

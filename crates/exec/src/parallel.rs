@@ -1,59 +1,62 @@
-//! Morsel-driven parallel plan evaluation.
+//! The plan evaluator: morsel-driven, stage by stage.
 //!
-//! When [`ExecConfig::threads`] exceeds 1, [`crate::execute`] dispatches
-//! here instead of pulling the serial operator pipeline. The plan tree
-//! is evaluated stage by stage — scans, join builds and probes, and
-//! aggregation each fan out over a team of `threads` workers pulling
-//! fixed-size **morsels** (row ranges) from a shared atomic dispenser —
-//! and every stage's output is reassembled in morsel order before the
-//! next stage starts.
+//! Every vectorized execution — [`crate::execute`],
+//! [`crate::execute_for_stats`], the [`crate::TrueCardinality`] oracle —
+//! runs here. The plan tree is evaluated stage by stage — scans, join
+//! builds and probes, and aggregation each fan out over a team of up to
+//! [`ExecConfig::threads`] workers pulling fixed-size **morsels** (row
+//! ranges) from a shared atomic dispenser — and every stage's output is
+//! reassembled in morsel order before the next stage starts. A team of
+//! one runs inline on the calling thread (no spawn), so `threads = 1`
+//! is the same code, not a second engine; it also needs no hash
+//! partitioning, so it builds one join table and folds one group map.
 //!
 //! ## Determinism contract
 //!
-//! The parallel evaluator is *bit-identical* to the serial engine at any
-//! thread count and any morsel size, which the equivalence suite
-//! asserts. Three mechanisms make that hold:
+//! Results are *bit-identical* at any thread count and any morsel size —
+//! row order, float `SUM`/`AVG` bits and `ExecStats::work` — and
+//! multiset- and work-identical to the row oracle
+//! ([`crate::rowexec`]), which the equivalence suite asserts. Three
+//! mechanisms make that hold:
 //!
 //! * **Order-preserving reassembly.** Workers tag each morsel's output
 //!   with the morsel index; the stage concatenates them in index order,
-//!   so the row stream entering the next stage equals the serial
-//!   engine's. Join candidate lists are likewise merged in build-row
-//!   order, so probes emit matches in the serial order.
+//!   so the row stream entering the next stage does not depend on which
+//!   worker produced what. Join candidate lists are likewise kept in
+//!   build-row order, so probes emit matches in one fixed order.
 //! * **Partitioned state instead of shared state.** Hash-join builds and
 //!   grouped aggregation split their keys across partitions by a
 //!   deterministic hash (`DefaultHasher` with its fixed default keys).
 //!   Each partition is built and folded by exactly one worker, with
 //!   partition-local row lists that preserve global input order — a
-//!   group's accumulator folds its rows in the same order as the serial
-//!   engine, so even float `SUM`/`AVG` bits match. No worker ever
-//!   writes state another worker reads.
+//!   group's accumulator folds its rows in input order at every team
+//!   size, so even float `SUM`/`AVG` bits match. No worker ever writes
+//!   state another worker reads.
 //! * **Charge-total equality.** Workers accumulate work charges locally
 //!   and flush them to one shared atomic counter (every
 //!   `FLUSH_EVERY` units and at worker exit), so the final total
-//!   equals the serial engine's charge total exactly: `u64` addition is
+//!   equals the row oracle's charge total exactly: `u64` addition is
 //!   commutative, and the per-row/per-candidate charge rules are the
-//!   same code paths. A plan aborts with `BudgetExceeded` under the
-//!   parallel evaluator iff it aborts under the serial one; only the
-//!   `work_done` overshoot reported on abort may differ.
+//!   same at every team size. A plan aborts with `BudgetExceeded` here
+//!   iff it aborts under the row oracle; only the `work_done` overshoot
+//!   reported on abort may differ.
 //!
-//! Sort-merge joins sort their two sides concurrently (same stable sort,
-//! same comparator as the serial engine) but advance the merge cursors
-//! serially — the merge loop is inherently sequential and its charge
-//! pattern (one unit per cursor comparison) depends on the traversal.
-//! Global (non-`GROUP BY`) aggregates also fold serially: float
-//! accumulation is not associative, and a tree reduction would change
-//! result bits.
+//! Sort-merge joins sort their two sides concurrently (one stable sort,
+//! one comparator) but advance the merge cursors serially — the merge
+//! loop is inherently sequential and its charge pattern (one unit per
+//! cursor comparison) depends on the traversal. Global (non-`GROUP BY`)
+//! aggregates also fold serially: float accumulation is not
+//! associative, and a tree reduction would change result bits.
 //!
 //! [`ExecConfig::threads`]: crate::ExecConfig::threads
 
-use crate::batch::Projection;
 use crate::error::ExecError;
 use crate::executor::ExecConfig;
-use crate::operator::{aggregate_inputs, scan_projection, ColSet};
 use crate::ops::agg::{Acc, AggSpec};
 use crate::ops::join::{join_output, Side};
 use crate::ops::scan::ScanSpec;
 use crate::ops::{eval_cmp_cols, first_eq, resolve_conds, SlotCond};
+use crate::projection::{scan_projection, ColSet, Projection};
 use crate::row::Row;
 use hfqo_catalog::ColumnType;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryError, QueryGraph, RelId};
@@ -63,6 +66,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 
 /// How many locally-accumulated work units a worker buffers before
 /// flushing to the shared budget counter. Bounds both atomic contention
@@ -135,7 +139,7 @@ impl<'a> Charger<'a> {
 
     /// Pushes pending charges to the shared counter. Must be called at
     /// worker exit so success leaves the shared total equal to the
-    /// serial engine's.
+    /// row oracle's.
     fn flush(&mut self) -> Result<(), ExecError> {
         self.shared.add(std::mem::take(&mut self.pending))
     }
@@ -183,7 +187,8 @@ impl Morsels {
 }
 
 /// Runs `work` on `threads` scoped workers and collects their results
-/// in worker order; the lowest-indexed failure wins.
+/// in worker order; the lowest-indexed failure wins. A team of one runs
+/// inline on the calling thread.
 fn run_workers<T, F>(threads: usize, work: F) -> Result<Vec<T>, ExecError>
 where
     T: Send,
@@ -209,10 +214,10 @@ where
 
 /// Rows produced by one unit of parallel work — a morsel's output, or a
 /// whole stage's after reassembly. The row count is tracked separately
-/// because zero-width outputs (pure counting pipelines) exist.
-struct Chunk {
+/// because zero-width outputs (pure counting runs) exist.
+pub(crate) struct Chunk {
     cols: Vec<ColumnVector>,
-    rows: usize,
+    pub(crate) rows: usize,
 }
 
 impl Chunk {
@@ -222,11 +227,27 @@ impl Chunk {
             rows: 0,
         }
     }
+
+    /// Materialises the chunk as rows, column-wise: each column's values
+    /// are exported in one monomorphic pass
+    /// ([`ColumnVector::values_onto`]) instead of a per-cell dispatch.
+    pub(crate) fn into_rows(self) -> Vec<Row> {
+        let mut rows: Vec<Row> = Vec::new();
+        rows.resize_with(self.rows, || Vec::with_capacity(self.cols.len()));
+        for col in &self.cols {
+            col.values_onto(&mut rows);
+        }
+        rows
+    }
 }
 
 /// Concatenates indexed chunks in index order — the reassembly step
-/// that makes every parallel stage order-preserving.
+/// that makes every stage order-preserving. A stage that produced one
+/// chunk hands it on without a copy.
 fn concat_indexed(types: &[ColumnType], mut chunks: Vec<(usize, Chunk)>) -> Chunk {
+    if chunks.len() == 1 {
+        return chunks.remove(0).1;
+    }
     chunks.sort_by_key(|&(idx, _)| idx);
     let mut out = Chunk::empty(types);
     for (_, ch) in chunks {
@@ -253,44 +274,70 @@ struct Ctx<'a> {
     budget: &'a SharedBudget,
 }
 
-/// Evaluates `root` with the morsel-driven parallel engine and
-/// materialises the output rows. Results, row order, and the work total
-/// are identical to the serial pipeline in [`crate::execute`].
-pub(crate) fn execute_materialized(
+impl Ctx<'_> {
+    /// Worker-team size for a stage over `rows` input rows.
+    fn team_for(&self, rows: usize) -> usize {
+        Morsels::new(rows, self.morsel_rows).team(self.threads)
+    }
+
+    /// Hash partitions for join builds and grouped folds: a power of two
+    /// with slack over the team size so partitions balance. A team of
+    /// one builds one table — nothing to partition.
+    fn partitions(&self) -> usize {
+        if self.threads == 1 {
+            1
+        } else {
+            (self.threads * 4).next_power_of_two()
+        }
+    }
+}
+
+/// The machine's available parallelism, read once per process: the
+/// lookup reads cgroup and affinity state, too slow to repeat per query.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Evaluates `root` and returns its output with the work total.
+/// `required` is what the root's output must carry — for an aggregated
+/// root, what its *input* must carry. Results, row order, and the work
+/// total are identical at every `config.threads`.
+pub(crate) fn evaluate(
     db: &Database,
     graph: &QueryGraph,
     root: &PlanNode,
     required: &ColSet,
     config: ExecConfig,
-) -> Result<(Vec<Row>, u64), ExecError> {
+) -> Result<(Chunk, u64), ExecError> {
     let budget = SharedBudget::new(config.work_budget);
     // Worker teams never exceed the machine's parallelism: extra
     // threads on an oversubscribed core only add scheduling overhead,
     // and results are identical at any team size by construction.
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = if config.threads > 1 {
+        config.threads.min(hardware_threads())
+    } else {
+        1
+    };
     let ctx = Ctx {
         db,
         graph,
-        threads: config.threads.clamp(1, hw),
+        threads,
         morsel_rows: config.morsel_rows.max(1),
         budget: &budget,
     };
     let out = match root {
         PlanNode::Aggregate { algo, input } => {
-            let child = eval_node(&ctx, input, &aggregate_inputs(graph))?;
+            let child = eval_node(&ctx, input, required)?;
             eval_aggregate(&ctx, *algo, &child)?
         }
         node => eval_node(&ctx, node, required)?.data,
     };
-    // Column-wise export, like the serial facade's `Batch::export_rows`.
-    let mut rows: Vec<Row> = Vec::new();
-    rows.resize_with(out.rows, || Vec::with_capacity(out.cols.len()));
-    for col in &out.cols {
-        col.values_onto(&mut rows);
-    }
-    Ok((rows, budget.used()))
+    Ok((out, budget.used()))
 }
 
 fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOut, ExecError> {
@@ -303,7 +350,8 @@ fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOu
             right,
         } => {
             // Children must additionally carry this join's condition
-            // columns, exactly like the serial pipeline builder.
+            // columns; they are dropped again from this node's output
+            // unless an ancestor requires them.
             let mut cond_cols = Vec::new();
             for &c in conds.iter() {
                 let edge = ctx.graph.joins().get(c).ok_or_else(|| {
@@ -323,10 +371,9 @@ fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOu
     }
 }
 
-/// Parallel scan: workers claim morsels of the visit range, filter and
-/// gather locally, and the outputs reassemble in morsel order (= table
-/// order). Charges one unit per visited row plus one per emitted row,
-/// like the serial scan.
+/// Scan: workers claim morsels of the visit range, filter and gather
+/// locally, and the outputs reassemble in morsel order (= table order).
+/// Charges one unit per visited row plus one per emitted row.
 fn eval_scan(
     ctx: &Ctx<'_>,
     rel: RelId,
@@ -352,8 +399,9 @@ fn eval_scan(
                     dst.append_range(src, range.start, range.len());
                 }
             } else {
-                // Same kernels as the serial scan: one selection vector
-                // per morsel, then a column-wise bulk gather.
+                // One selection vector per morsel, then a column-wise
+                // bulk gather: dense selections (long contiguous spans
+                // of survivors) copy spans, sparse ones gather per row.
                 rid_buf.clear();
                 spec.filter_visits(range.start, range.len(), &mut rid_buf);
                 chunk.rows = rid_buf.len();
@@ -427,24 +475,120 @@ fn emit_row(
 /// every run at every thread count.
 #[inline]
 fn partition_of<T: Hash + ?Sized>(key: &T, mask: usize) -> usize {
+    if mask == 0 {
+        return 0;
+    }
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) & mask
 }
 
-/// One partition's hash table — the same integer fast path / `Value`
-/// fallback split as the serial [`crate::ops::join`] key table.
+/// Splits rows `0..rows` into `parts` lists by `part_of` (`None` drops
+/// the row), charging one unit per row. Per-morsel buckets merge in
+/// morsel order, so every list is ascending: partition-local order is
+/// global input order.
+fn partition_rows<F>(
+    ctx: &Ctx<'_>,
+    rows: usize,
+    parts: usize,
+    part_of: F,
+) -> Result<Vec<Vec<u32>>, ExecError>
+where
+    F: Fn(usize) -> Option<usize> + Sync,
+{
+    let morsels = Morsels::new(rows, ctx.morsel_rows);
+    let parted = run_workers(morsels.team(ctx.threads), |_w| {
+        let mut charger = Charger::new(ctx.budget);
+        let mut out: Vec<(usize, Vec<Vec<u32>>)> = Vec::new();
+        while let Some((idx, range)) = morsels.claim() {
+            charger.charge(range.len() as u64)?;
+            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
+            for row in range {
+                if let Some(p) = part_of(row) {
+                    buckets[p].push(row as u32);
+                }
+            }
+            out.push((idx, buckets));
+        }
+        charger.flush()?;
+        Ok(out)
+    })?;
+    let mut flat: Vec<(usize, Vec<Vec<u32>>)> = parted.into_iter().flatten().collect();
+    flat.sort_by_key(|&(idx, _)| idx);
+    let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); parts];
+    for (_, buckets) in flat {
+        for (p, rows) in buckets.into_iter().enumerate() {
+            partitions[p].extend(rows);
+        }
+    }
+    Ok(partitions)
+}
+
+/// Runs `job` once per partition on a team of at most `team` workers —
+/// each partition is handled by exactly one worker — and returns the
+/// results in partition order.
+fn per_partition<T, F>(team: usize, parts: usize, job: F) -> Result<Vec<T>, ExecError>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, ExecError> + Sync,
+{
+    let jobs = Morsels::new(parts, 1);
+    let done = run_workers(team.min(parts), |_w| {
+        let mut out: Vec<(usize, T)> = Vec::new();
+        while let Some((p, _)) = jobs.claim() {
+            out.push((p, job(p)?));
+        }
+        Ok(out)
+    })?;
+    let mut flat: Vec<(usize, T)> = done.into_iter().flatten().collect();
+    flat.sort_by_key(|&(p, _)| p);
+    Ok(flat.into_iter().map(|(_, t)| t).collect())
+}
+
+/// One partition's hash table, keyed either on raw `i64`s (the fast
+/// path when the key columns are integer-typed — no `Value`
+/// materialisation per probe) or on [`Value`]s (everything else).
+/// Cross-type numeric keys never match in either representation,
+/// exactly like the row engine's `HashMap<&Value>` (`Int` and `Float`
+/// hash differently by design; the binder type-checks join keys).
 enum PartTable {
     Int(HashMap<i64, Vec<u32>>),
     Any(HashMap<Value, Vec<u32>>),
 }
 
-/// Radix-partitioned hash join. Build rows are partitioned by key hash
-/// in parallel (charging one unit per build row, NULL keys charged but
-/// excluded, matching the serial build); each partition's table is then
-/// built by one worker from a row list that preserves build order, so
-/// every key's candidate list is in ascending build-row order — the
-/// serial insertion order. Probe morsels look up their partition's
+impl PartTable {
+    /// Builds the table over `rows` of `build_col`, skipping NULL keys.
+    /// `rows` ascends, so every key's candidate list is in build-row
+    /// order.
+    fn build(build_col: &ColumnVector, int_keyed: bool, rows: impl Iterator<Item = u32>) -> Self {
+        if int_keyed {
+            let mut t: HashMap<i64, Vec<u32>> = HashMap::new();
+            for row in rows {
+                if let Some(k) = build_col.int_at(row as usize) {
+                    t.entry(k).or_default().push(row);
+                }
+            }
+            PartTable::Int(t)
+        } else {
+            let mut t: HashMap<Value, Vec<u32>> = HashMap::new();
+            for row in rows {
+                let k = build_col.get(row as usize);
+                if !k.is_null() {
+                    t.entry(k).or_default().push(row);
+                }
+            }
+            PartTable::Any(t)
+        }
+    }
+}
+
+/// Hash join, radix-partitioned when the team has more than one worker.
+/// Build rows cost one unit each (NULL keys charged but excluded). With
+/// partitions, build rows are split by key hash in parallel and each
+/// partition's table is built by one worker from a row list that
+/// preserves build order; a team of one builds a single table straight
+/// off the build side. Either way every key's candidate list is in
+/// ascending build-row order. Probe morsels look up their partition's
 /// table without touching shared state and emit in probe order.
 fn hash_join(
     ctx: &Ctx<'_>,
@@ -457,83 +601,37 @@ fn hash_join(
     let key = first_eq(conds).ok_or_else(|| {
         QueryError::InvalidPlan("hash join requires an equality condition".into())
     })?;
-    let parts = (ctx.threads * 4).next_power_of_two();
+    let parts = ctx.partitions();
     let mask = parts - 1;
     let int_keyed = right.types.get(key.r_slot) == Some(&ColumnType::Int);
     let build_col = &right.data.cols[key.r_slot];
+    let build_rows = right.data.rows;
 
-    // Build partition pass.
-    let morsels = Morsels::new(right.data.rows, ctx.morsel_rows);
-    let parted = run_workers(morsels.team(ctx.threads), |_w| {
-        let mut charger = Charger::new(ctx.budget);
-        let mut out: Vec<(usize, Vec<Vec<u32>>)> = Vec::new();
-        while let Some((idx, range)) = morsels.claim() {
-            charger.charge(range.len() as u64)?; // one per build row
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
-            for row in range {
-                if int_keyed {
-                    if let Some(k) = build_col.int_at(row) {
-                        buckets[partition_of(&k, mask)].push(row as u32);
-                    }
-                } else {
-                    let k = build_col.get(row);
-                    if !k.is_null() {
-                        buckets[partition_of(&k, mask)].push(row as u32);
-                    }
-                }
-            }
-            out.push((idx, buckets));
-        }
-        charger.flush()?;
-        Ok(out)
-    })?;
-    // Merge per-morsel buckets in morsel order: each partition's row
-    // list stays ascending, so candidate lists match the serial table.
-    let mut flat: Vec<(usize, Vec<Vec<u32>>)> = parted.into_iter().flatten().collect();
-    flat.sort_by_key(|&(idx, _)| idx);
-    let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); parts];
-    for (_, buckets) in flat {
-        for (p, rows) in buckets.into_iter().enumerate() {
-            partitions[p].extend(rows);
-        }
-    }
-
-    // Per-partition table build — charge-free (the build was charged in
-    // the partition pass), one worker per partition.
-    let jobs = Morsels::new(parts, 1);
-    let built = run_workers(ctx.threads.min(parts), |_w| {
-        let mut out: Vec<(usize, PartTable)> = Vec::new();
-        while let Some((p, _)) = jobs.claim() {
-            let table = if int_keyed {
-                let mut t: HashMap<i64, Vec<u32>> = HashMap::new();
-                for &row in &partitions[p] {
-                    if let Some(k) = build_col.int_at(row as usize) {
-                        t.entry(k).or_default().push(row);
-                    }
-                }
-                PartTable::Int(t)
+    let tables: Vec<PartTable> = if parts == 1 {
+        ctx.budget.add(build_rows as u64)?;
+        vec![PartTable::build(build_col, int_keyed, 0..build_rows as u32)]
+    } else {
+        let partitions = partition_rows(ctx, build_rows, parts, |row| {
+            if int_keyed {
+                build_col.int_at(row).map(|k| partition_of(&k, mask))
             } else {
-                let mut t: HashMap<Value, Vec<u32>> = HashMap::new();
-                for &row in &partitions[p] {
-                    t.entry(build_col.get(row as usize)).or_default().push(row);
-                }
-                PartTable::Any(t)
-            };
-            out.push((p, table));
-        }
-        Ok(out)
-    })?;
-    let mut slots: Vec<Option<PartTable>> = (0..parts).map(|_| None).collect();
-    for (p, t) in built.into_iter().flatten() {
-        slots[p] = Some(t);
-    }
-    let tables: Vec<PartTable> = slots
-        .into_iter()
-        .map(|t| t.expect("every partition built exactly once"))
-        .collect();
+                let k = build_col.get(row);
+                (!k.is_null()).then(|| partition_of(&k, mask))
+            }
+        })?;
+        // Charge-free (the partition pass charged the build), and sized
+        // from the build side: a small build does not pay a team spawn.
+        per_partition(ctx.team_for(build_rows), parts, |p| {
+            Ok(PartTable::build(
+                build_col,
+                int_keyed,
+                partitions[p].iter().copied(),
+            ))
+        })?
+    };
 
     // Probe pass: one unit per probe row, one per candidate, one per
-    // emitted row — the serial probe charges.
+    // emitted row.
     let probe_col = &left.data.cols[key.l_slot];
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
     let chunks = run_workers(morsels.team(ctx.threads), |_w| {
@@ -598,8 +696,8 @@ fn hash_join(
     ))
 }
 
-/// Parallel nested-loop join: probe morsels against the fully
-/// materialised inner side. One unit per (probe, inner) pair, one per
+/// Nested-loop join: probe morsels against the fully materialised
+/// inner side. One unit per (probe, inner) pair, one per
 /// emitted row.
 fn nested_join(
     ctx: &Ctx<'_>,
@@ -652,10 +750,11 @@ fn nested_join(
     ))
 }
 
-/// Sort-merge join: the two key sorts run concurrently (same stable
-/// sort and comparator as the serial engine, so the permutations are
-/// identical); the merge itself advances serially because its charge
-/// pattern — one unit per cursor comparison — depends on the traversal.
+/// Sort-merge join: the two key sorts run concurrently (a stable sort,
+/// so the permutations do not depend on the team size); the merge
+/// itself advances serially because its charge pattern — one unit per
+/// cursor comparison, one per pair in each equal block — depends on the
+/// traversal.
 fn merge_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -748,106 +847,82 @@ fn merge_join(
     Ok(chunk)
 }
 
-/// Parallel aggregation. Grouped inputs are partitioned by key hash
-/// (order-preserving within each partition, one unit per input row) and
-/// folded partition-by-partition — a group's rows land wholly in one
-/// partition, so every accumulator folds in global input order and
-/// float sums are bit-identical to the serial engine. Global aggregates
-/// fold serially for the same reason.
+/// Folds `rows` of the input into per-group accumulators and returns one
+/// output row (keys, then aggregate values) per group. `rows` ascends,
+/// so every accumulator folds in input order.
+fn fold_groups(
+    spec: &AggSpec,
+    cols: &[ColumnVector],
+    rows: impl Iterator<Item = usize>,
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
+    for row in rows {
+        let k: Vec<Value> = spec.key_slots.iter().map(|&s| cols[s].get(row)).collect();
+        let accs = groups.entry(k).or_insert_with(|| spec.new_accs());
+        for (acc, slot) in accs.iter_mut().zip(&spec.agg_slots) {
+            let v = slot.map(|s| cols[s].get(row));
+            acc.update(v.as_ref())?;
+        }
+    }
+    Ok(groups
+        .into_iter()
+        .map(|(mut key, accs)| {
+            key.extend(accs.into_iter().map(Acc::finish));
+            key
+        })
+        .collect())
+}
+
+/// Aggregation at the plan root. Grouped inputs cost one unit per input
+/// row; with more than one worker they are partitioned by key hash
+/// (order-preserving within each partition) and folded
+/// partition-by-partition — a group's rows land wholly in one partition,
+/// so every accumulator folds in global input order and float sums are
+/// bit-identical at every team size. Global aggregates fold serially
+/// for the same reason.
 fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk, ExecError> {
     let spec = AggSpec::resolve(ctx.graph, ctx.db.catalog(), &child.proj)?;
     let input_rows = child.data.rows;
+    let cols = &child.data.cols;
+    let parts = ctx.partitions();
 
     let mut out_rows: Vec<Vec<Value>> = if spec.key_slots.is_empty() {
         ctx.budget.add(input_rows as u64)?;
         let mut accs = spec.new_accs();
         for row in 0..input_rows {
             for (acc, slot) in accs.iter_mut().zip(&spec.agg_slots) {
-                let v = slot.map(|s| child.data.cols[s].get(row));
+                let v = slot.map(|s| cols[s].get(row));
                 acc.update(v.as_ref())?;
             }
         }
         // An aggregate over zero rows with no GROUP BY still yields one
         // row (SQL semantics: COUNT(*) = 0) — `new_accs` covers it.
         vec![accs.into_iter().map(Acc::finish).collect()]
+    } else if parts == 1 {
+        ctx.budget.add(input_rows as u64)?;
+        fold_groups(&spec, cols, 0..input_rows)?
     } else {
-        let parts = (ctx.threads * 4).next_power_of_two();
         let mask = parts - 1;
-        let key_cols: Vec<&ColumnVector> = spec
-            .key_slots
-            .iter()
-            .map(|&s| &child.data.cols[s])
-            .collect();
-
-        // Partition pass (one unit per input row, the serial grouping
-        // charge).
-        let morsels = Morsels::new(input_rows, ctx.morsel_rows);
-        let parted = run_workers(morsels.team(ctx.threads), |_w| {
-            let mut charger = Charger::new(ctx.budget);
-            let mut out: Vec<(usize, Vec<Vec<u32>>)> = Vec::new();
-            while let Some((idx, range)) = morsels.claim() {
-                charger.charge(range.len() as u64)?;
-                let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
-                for row in range {
-                    let mut h = DefaultHasher::new();
-                    for col in &key_cols {
-                        col.get(row).hash(&mut h);
-                    }
-                    buckets[(h.finish() as usize) & mask].push(row as u32);
-                }
-                out.push((idx, buckets));
+        let partitions = partition_rows(ctx, input_rows, parts, |row| {
+            let mut h = DefaultHasher::new();
+            for &s in &spec.key_slots {
+                cols[s].get(row).hash(&mut h);
             }
-            charger.flush()?;
-            Ok(out)
+            Some((h.finish() as usize) & mask)
         })?;
-        let mut flat: Vec<(usize, Vec<Vec<u32>>)> = parted.into_iter().flatten().collect();
-        flat.sort_by_key(|&(idx, _)| idx);
-        let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); parts];
-        for (_, buckets) in flat {
-            for (p, rows) in buckets.into_iter().enumerate() {
-                partitions[p].extend(rows);
-            }
-        }
-
-        // Fold pass: disjoint key sets per partition, no accumulator
-        // merging, charge-free (the input rows were charged above).
-        let jobs = Morsels::new(parts, 1);
-        let folded = run_workers(ctx.threads.min(parts), |_w| {
-            let mut out: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
-            while let Some((p, _)) = jobs.claim() {
-                let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-                for &row in &partitions[p] {
-                    let row = row as usize;
-                    let k: Vec<Value> = spec
-                        .key_slots
-                        .iter()
-                        .map(|&s| child.data.cols[s].get(row))
-                        .collect();
-                    let accs = groups.entry(k).or_insert_with(|| spec.new_accs());
-                    for (acc, slot) in accs.iter_mut().zip(&spec.agg_slots) {
-                        let v = slot.map(|s| child.data.cols[s].get(row));
-                        acc.update(v.as_ref())?;
-                    }
-                }
-                let rows: Vec<Vec<Value>> = groups
-                    .into_iter()
-                    .map(|(mut key, accs)| {
-                        key.extend(accs.into_iter().map(Acc::finish));
-                        key
-                    })
-                    .collect();
-                out.push((p, rows));
-            }
-            Ok(out)
-        })?;
-        let mut flat: Vec<(usize, Vec<Vec<Value>>)> = folded.into_iter().flatten().collect();
-        flat.sort_by_key(|&(p, _)| p);
-        flat.into_iter().flat_map(|(_, rows)| rows).collect()
+        // Disjoint key sets per partition, no accumulator merging,
+        // charge-free (the partition pass charged the input rows), and
+        // sized from the input: a small fold does not pay a team spawn.
+        per_partition(ctx.team_for(input_rows), parts, |p| {
+            fold_groups(&spec, cols, partitions[p].iter().map(|&r| r as usize))
+        })?
+        .into_iter()
+        .flatten()
+        .collect()
     };
 
     if algo == AggAlgo::Sort {
-        // The sort's cost, charged on the input size like the serial
-        // engines.
+        // The sort's cost, charged on the input size.
         ctx.budget.add(input_rows as u64)?;
         out_rows.sort();
     }
@@ -861,4 +936,152 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
         chunk.rows += 1;
     }
     Ok(chunk)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::projection::{aggregate_inputs, all_columns};
+    use hfqo_catalog::{Catalog, Column, ColumnId, TableSchema};
+    use hfqo_query::{AggExpr, BoundColumn, JoinEdge, Relation, Selection};
+    use hfqo_sql::{AggFunc, CompareOp};
+
+    /// Two tables a(k, v, pad), b(k, w); query joins a.k = b.k with a
+    /// selection on a.v and COUNT(*) + SUM(b.w).
+    fn setup() -> (Database, QueryGraph) {
+        let mut cat = Catalog::new();
+        let a = cat
+            .add_table(TableSchema::new(
+                "a",
+                vec![
+                    Column::new("k", ColumnType::Int),
+                    Column::new("v", ColumnType::Int),
+                    Column::new("pad", ColumnType::Text),
+                ],
+            ))
+            .unwrap();
+        let b = cat
+            .add_table(TableSchema::new(
+                "b",
+                vec![
+                    Column::new("k", ColumnType::Int),
+                    Column::new("w", ColumnType::Int),
+                ],
+            ))
+            .unwrap();
+        let mut db = Database::new(cat);
+        for i in 0..10i64 {
+            db.table_mut(a)
+                .unwrap()
+                .append_row(&[Value::Int(i), Value::Int(i % 3), Value::str("x")])
+                .unwrap();
+            db.table_mut(b)
+                .unwrap()
+                .append_row(&[Value::Int(i % 5), Value::Int(i)])
+                .unwrap();
+        }
+        let graph = QueryGraph::new(
+            vec![
+                Relation {
+                    table: a,
+                    alias: "a".into(),
+                },
+                Relation {
+                    table: b,
+                    alias: "b".into(),
+                },
+            ],
+            vec![JoinEdge {
+                left: BoundColumn::new(RelId(0), ColumnId(0)),
+                op: CompareOp::Eq,
+                right: BoundColumn::new(RelId(1), ColumnId(0)),
+            }],
+            vec![Selection {
+                column: BoundColumn::new(RelId(0), ColumnId(1)),
+                op: CompareOp::Eq,
+                value: hfqo_query::Lit::Int(0),
+            }],
+            vec![
+                AggExpr {
+                    func: AggFunc::Count,
+                    column: None,
+                },
+                AggExpr {
+                    func: AggFunc::Sum,
+                    column: Some(BoundColumn::new(RelId(1), ColumnId(1))),
+                },
+            ],
+            vec![],
+        );
+        (db, graph)
+    }
+
+    fn join_node() -> PlanNode {
+        PlanNode::Join {
+            algo: JoinAlgo::Hash,
+            conds: vec![0],
+            left: Box::new(PlanNode::Scan {
+                rel: RelId(0),
+                path: AccessPath::SeqScan,
+            }),
+            right: Box::new(PlanNode::Scan {
+                rel: RelId(1),
+                path: AccessPath::SeqScan,
+            }),
+        }
+    }
+
+    /// The `(rel, column)` pairs the join's output carries under
+    /// `required`, and its row count.
+    fn join_output_under(required: &ColSet, threads: usize) -> (Vec<(u32, u32)>, usize) {
+        let (db, graph) = setup();
+        let budget = SharedBudget::new(1_000_000);
+        let ctx = Ctx {
+            db: &db,
+            graph: &graph,
+            threads,
+            morsel_rows: 4,
+            budget: &budget,
+        };
+        let out = eval_node(&ctx, &join_node(), required).unwrap();
+        assert_eq!(out.data.cols.len(), out.proj.width());
+        assert!(budget.used() > 0);
+        let cols = out
+            .proj
+            .columns()
+            .iter()
+            .map(|c| (c.rel.0, c.column.0))
+            .collect();
+        (cols, out.data.rows)
+    }
+
+    #[test]
+    fn full_requirement_matches_row_layout_order() {
+        let (db, graph) = setup();
+        let (cols, _) = join_output_under(&all_columns(&graph, &db), 1);
+        // Leaf order (a then b), column-id order within each leaf — the
+        // row engine's layout.
+        assert_eq!(cols, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn aggregate_requirement_prunes_unreferenced_columns() {
+        let (_, graph) = setup();
+        // Only b.w survives above the join: a.k/b.k are consumed by the
+        // join itself, a.v by the scan filter, a.pad by nothing.
+        let (cols, _) = join_output_under(&aggregate_inputs(&graph), 1);
+        assert_eq!(cols, vec![(1, 1)]);
+    }
+
+    #[test]
+    fn empty_requirement_yields_zero_width_counting_output() {
+        // a.v = 0 keeps a ids {0, 3, 6, 9}; b.k = i % 5 has 2 rows per
+        // key in 0..5 → ids 0 and 3 match 2 rows each, 6/9 none. The
+        // count survives with no column to carry it, at any team size.
+        for threads in [1, 2] {
+            let (cols, rows) = join_output_under(&ColSet::new(), threads);
+            assert!(cols.is_empty());
+            assert_eq!(rows, 4);
+        }
+    }
 }

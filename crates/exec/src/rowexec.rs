@@ -2,12 +2,12 @@
 //!
 //! This is the original materialising executor: every operator consumes
 //! and produces whole `Vec<Row>`s of full-arity rows. It is kept —
-//! unchanged in semantics — as the *reference* implementation the batch
-//! pipeline is verified against: the equivalence suite asserts identical
+//! unchanged in semantics — as the *reference* implementation the
+//! evaluator is verified against: the equivalence suite asserts identical
 //! row multisets and identical [`ExecStats::work`] totals, and
-//! `benches/executor.rs` measures row-vs-batch throughput.
+//! `benches/executor.rs` measures row-vs-vectorized throughput.
 //!
-//! New callers should use [`crate::execute`] (the batch engine); use
+//! New callers should use [`crate::execute`] (the evaluator); use
 //! [`execute_rows`] only to cross-check results or to benchmark.
 //!
 //! [`ExecStats::work`]: crate::executor::ExecStats

@@ -108,11 +108,6 @@ impl<'a> TrueCardinality<'a> {
             return v;
         }
         let plan = self.counting_plan(graph, set);
-        // The counting plan covers only `set`; validate against a full
-        // graph would fail, so run the node directly via a sub-execution:
-        // we temporarily treat the subset plan as complete by skipping
-        // validation through the public API. Instead, count with the same
-        // machinery `execute` uses but tolerate partial coverage.
         let rows = match self.count_unvalidated(graph, &plan) {
             Ok(n) => n,
             Err(ExecError::BudgetExceeded { budget, .. }) => budget as f64,
@@ -126,9 +121,9 @@ impl<'a> TrueCardinality<'a> {
         // Subset plans are structurally valid by construction (each
         // relation scanned once, conditions span inputs), so bypass the
         // full-coverage validation `execute` performs. Counting runs
-        // through the batch pipeline with an *empty* required column
+        // through the same evaluator with an *empty* required column
         // set: only join-condition columns flow, and no output is ever
-        // materialised — the oracle just sums batch row counts.
+        // materialised — the oracle just reads the root's row count.
         let (rows, _work) =
             crate::executor::count_rows_unvalidated(self.db, graph, plan, self.config)?;
         Ok(rows as f64)
@@ -156,7 +151,8 @@ mod tests {
     use hfqo_storage::Value;
 
     /// dim: 10 rows; fact: 100 rows, fk = i % 10; selection keeps half of
-    /// dim.
+    /// dim. A third table, tag (70 rows, nullable fact_id hitting every
+    /// third fact id twice), is loaded but outside the graph.
     fn setup() -> (Database, QueryGraph) {
         let mut cat = Catalog::new();
         let dim = cat
@@ -174,12 +170,26 @@ mod tests {
                 ],
             ))
             .unwrap();
+        let tag = cat
+            .add_table(TableSchema::new(
+                "tag",
+                vec![Column::nullable("fact_id", ColumnType::Int)],
+            ))
+            .unwrap();
         let mut db = Database::new(cat);
         for i in 0..10i64 {
             db.table_mut(dim)
                 .unwrap()
                 .append_row(&[Value::Int(i)])
                 .unwrap();
+        }
+        for i in 0..70i64 {
+            let fact_id = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i / 2 * 3)
+            };
+            db.table_mut(tag).unwrap().append_row(&[fact_id]).unwrap();
         }
         for i in 0..100i64 {
             db.table_mut(fact)
@@ -246,6 +256,55 @@ mod tests {
         let oracle = TrueCardinality::with_config(&db, ExecConfig::with_budget(20));
         let capped = oracle.set_rows(&graph, RelSet::full(2));
         assert_eq!(capped, 20.0);
+    }
+
+    /// Subset plans skip validation and enter the evaluator directly
+    /// (connected or not — {dim, tag} is a cross join): every subset's
+    /// count must equal the row oracle's count of the same counting
+    /// plan, at any team size.
+    #[test]
+    fn subset_counts_match_row_oracle() {
+        let (db, graph) = setup();
+        // Add the `tag` relation so that proper subsets include joins.
+        let tag = db.catalog().table_by_name("tag").unwrap();
+        let mut relations = graph.relations().to_vec();
+        relations.push(Relation {
+            table: tag,
+            alias: "t".into(),
+        });
+        let mut joins = graph.joins().to_vec();
+        joins.push(JoinEdge {
+            left: BoundColumn::new(RelId(1), ColumnId(0)),
+            op: CompareOp::Eq,
+            right: BoundColumn::new(RelId(2), ColumnId(0)),
+        });
+        let graph = QueryGraph::new(
+            relations,
+            joins,
+            graph.selections().to_vec(),
+            vec![],
+            vec![],
+        );
+
+        for threads in [1, 4] {
+            let config = ExecConfig::default().threads(threads).morsel_rows(8);
+            let oracle = TrueCardinality::with_config(&db, config);
+            for bits in 1u32..8 {
+                let mut set = RelSet::EMPTY;
+                for r in (0..3).filter(|r| bits & (1 << r) != 0) {
+                    set.insert(RelId(r));
+                }
+                let plan = oracle.counting_plan(&graph, set);
+                let mut budget = crate::ops::Budget::new(config.work_budget);
+                let (rows, _) =
+                    crate::rowexec::run_node(&db, &graph, &plan.root, &mut budget).unwrap();
+                assert_eq!(
+                    oracle.set_rows(&graph, set),
+                    rows.len() as f64,
+                    "{set:?} t={threads}"
+                );
+            }
+        }
     }
 
     #[test]

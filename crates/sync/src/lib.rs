@@ -91,6 +91,9 @@ impl<T> Mutex<T> {
     /// logical lock (many instances may share a label, e.g. the shards
     /// of one sharded structure; they then share ordering constraints).
     pub fn new(site: &'static str, value: T) -> Self {
+        // Labels are compiled out of release builds.
+        #[cfg(not(debug_assertions))]
+        let _ = site;
         Self {
             #[cfg(debug_assertions)]
             meta: check::LockMeta::register(site),
@@ -188,6 +191,9 @@ pub struct RwLockWriteGuard<'a, T: ?Sized> {
 impl<T> RwLock<T> {
     /// A new lock registered under `site`; see [`Mutex::new`].
     pub fn new(site: &'static str, value: T) -> Self {
+        // Labels are compiled out of release builds.
+        #[cfg(not(debug_assertions))]
+        let _ = site;
         Self {
             #[cfg(debug_assertions)]
             meta: check::LockMeta::register(site),
