@@ -23,6 +23,9 @@ pub enum ExecError {
     IndexNotBuilt(String),
     /// An aggregate was applied to an incompatible value.
     BadAggregate(String),
+    /// A worker thread of the evaluator panicked. The query fails; the
+    /// calling thread, and whatever session it serves, carries on.
+    WorkerPanicked,
 }
 
 impl fmt::Display for ExecError {
@@ -36,6 +39,7 @@ impl fmt::Display for ExecError {
             Self::Storage(e) => write!(f, "storage error: {e}"),
             Self::IndexNotBuilt(name) => write!(f, "index `{name}` has not been built"),
             Self::BadAggregate(msg) => write!(f, "bad aggregate: {msg}"),
+            Self::WorkerPanicked => write!(f, "an executor worker thread panicked"),
         }
     }
 }

@@ -33,6 +33,13 @@
 //! calling thread, without partitioning: the default `threads = 1` is
 //! the degenerate case of the same code, not a second engine.
 //!
+//! **Joins** emit `(left row, right row)` id pairs, gathered into the
+//! output columns a bounded vector at a time; an `=` over two integer
+//! columns is resolved once per join to typed slices, so the nested
+//! loop scans an `&[i64]` per probe key and the hash probe does not
+//! re-check the key it hashed on. Charges are made per probe row with
+//! the row oracle's totals.
+//!
 //! **Intermediate format.** A stage's output is one
 //! [`hfqo_storage::ColumnVector`] per projected column (typed vectors
 //! with validity bitmaps — ints and floats copy without materialising
