@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfqo_opt::TraditionalOptimizer;
-use hfqo_rejoin::{EnvContext, JoinOrderEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode};
+use hfqo_rejoin::{EnvContext, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, StageSet};
 use hfqo_rl::Environment as _;
 use hfqo_workload::synth::SynthConfig;
 use hfqo_workload::WorkloadBundle;
@@ -24,12 +24,13 @@ fn bench_planning(c: &mut Criterion) {
     let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
     let mut rng = StdRng::seed_from_u64(0);
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
+    let mut env = PlanEnv::new(
         ctx,
         &bundle.queries,
         17,
         QueryOrder::Fixed(0),
         RewardMode::RelativeToExpert,
+        StageSet::join_order_only(),
     );
     let agent = ReJoinAgent::new(
         env.state_dim(),

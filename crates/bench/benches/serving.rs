@@ -12,8 +12,8 @@ use hfqo_catalog::ColumnId;
 use hfqo_opt::{Planner, PlannerContext, TraditionalPlanner};
 use hfqo_query::{template_fingerprint, BoundColumn, Lit, QueryGraph, RelId, Selection};
 use hfqo_rejoin::{
-    train_parallel, EnvContext, Featurizer, JoinOrderEnv, LearnedPlanner, PolicyKind, QueryOrder,
-    ReJoinAgent, RewardMode, TrainerConfig,
+    train_parallel, EnvContext, Featurizer, LearnedPlanner, PlanEnv, PolicyKind, QueryOrder,
+    ReJoinAgent, RewardMode, StageSet, TrainerConfig,
 };
 use hfqo_rl::Environment as _;
 use hfqo_serve::QuerySession;
@@ -313,12 +313,13 @@ fn bench_planners(c: &mut Criterion) {
     // quality, and the protocol measures a trained agent.
     let make_env = |_w: usize| {
         let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &bundle.queries,
             bundle.max_rels().max(2),
             QueryOrder::Shuffle,
             RewardMode::LogRelative,
+            StageSet::join_order_only(),
         );
         env.require_connected = true;
         env

@@ -11,8 +11,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfqo_exec::ExecConfig;
 use hfqo_rejoin::{
-    EnvContext, JoinOrderEnv, ParallelTrainer, PolicyKind, QueryOrder, ReJoinAgent, RewardMode,
-    TrainerConfig,
+    EnvContext, ParallelTrainer, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode,
+    StageSet, TrainerConfig,
 };
 use hfqo_rl::{Environment, ReinforceConfig, UpdatePath};
 use hfqo_workload::synth::{Shape, SynthConfig, SynthDb};
@@ -36,12 +36,13 @@ fn bench_episode_collection(c: &mut Criterion) {
     let make_env = |_w: usize| {
         let ctx = EnvContext::new(&db.db, &db.stats)
             .with_executed_latency(ExecConfig::with_budget(2_000_000));
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &queries,
             5,
             QueryOrder::Cycle,
             RewardMode::InverseLatency,
+            StageSet::join_order_only(),
         );
         env.require_connected = true;
         env
@@ -111,12 +112,13 @@ fn bench_update_path(c: &mut Criterion) {
                 b.iter(|| {
                     let mut rng = StdRng::seed_from_u64(11);
                     let ctx = EnvContext::new(&db.db, &db.stats);
-                    let mut env = JoinOrderEnv::new(
+                    let mut env = PlanEnv::new(
                         ctx,
                         &queries,
                         5,
                         QueryOrder::Cycle,
                         RewardMode::LogRelative,
+                        StageSet::join_order_only(),
                     );
                     env.require_connected = true;
                     let mut agent = ReJoinAgent::new(
@@ -129,7 +131,8 @@ fn bench_update_path(c: &mut Criterion) {
                         }),
                         &mut rng,
                     );
-                    let config = TrainerConfig::new(EPISODES).with_update_path(path);
+                    agent.set_update_path(path);
+                    let config = TrainerConfig::new(EPISODES);
                     let log = hfqo_rejoin::train(&mut env, &mut agent, config, &mut rng);
                     assert_eq!(log.len(), EPISODES);
                     log.len()

@@ -54,7 +54,6 @@ fn one_run(bundle: &WorkloadBundle, scale: Scale, seed: u64, scale_rewards: bool
         observe_episodes: (scale.episodes / 10).max(20),
         phase2_episodes: scale.episodes / 2,
         scale_rewards,
-        ..Default::default()
     };
     let outcome = cost_bootstrap(&mut env, &mut agent, &config, &mut rng);
     let window = scale.ma_window.min(config.phase1_episodes / 2).max(10);

@@ -4,8 +4,8 @@
 use crate::args::RunArgs;
 use hfqo_opt::PlannerContext;
 use hfqo_rejoin::{
-    EnvContext, Featurizer, JoinOrderEnv, LearnedPlanner, PolicyKind, QueryOrder, ReJoinAgent,
-    RewardMode,
+    EnvContext, Featurizer, LearnedPlanner, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent,
+    RewardMode, StageSet,
 };
 use hfqo_rl::{Environment, ReinforceConfig};
 use hfqo_workload::imdb::ImdbConfig;
@@ -98,14 +98,15 @@ pub fn join_env<'a>(
     bundle: &'a WorkloadBundle,
     order: QueryOrder,
     reward: RewardMode,
-) -> JoinOrderEnv<'a> {
+) -> PlanEnv<'a> {
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
+    let mut env = PlanEnv::new(
         ctx,
         &bundle.queries,
         bundle.max_rels().max(2),
         order,
         reward,
+        StageSet::join_order_only(),
     );
     // ReJOIN's implementation only offered pairs connected by a join
     // predicate (no cross products), which is why the paper's Figure 3a
@@ -116,7 +117,7 @@ pub fn join_env<'a>(
 }
 
 /// Builds an agent shaped to an environment.
-pub fn agent_for<E: Environment>(env: &E, kind: PolicyKind, rng: &mut StdRng) -> ReJoinAgent {
+pub fn agent_for(env: &PlanEnv<'_>, kind: PolicyKind, rng: &mut StdRng) -> ReJoinAgent {
     ReJoinAgent::new(env.state_dim(), env.action_dim(), kind, rng)
 }
 

@@ -14,7 +14,8 @@
 use super::common::{agent_for, default_policy};
 use hfqo_opt::{Planner, PlannerContext, TraditionalPlanner};
 use hfqo_rejoin::{
-    train_parallel, EnvContext, JoinOrderEnv, LearnedPlanner, QueryOrder, RewardMode, TrainerConfig,
+    train_parallel, EnvContext, LearnedPlanner, PlanEnv, QueryOrder, RewardMode, StageSet,
+    TrainerConfig,
 };
 use hfqo_workload::synth::SynthConfig;
 use hfqo_workload::WorkloadBundle;
@@ -61,12 +62,13 @@ pub fn run(rows_per_table: usize, train_episodes: usize, seed: u64, workers: usi
     let mut rng = StdRng::seed_from_u64(seed ^ 0x3C);
     let make_env = |_w: usize| {
         let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &bundle.queries,
             17,
             QueryOrder::Shuffle,
             RewardMode::LogRelative,
+            StageSet::join_order_only(),
         );
         env.require_connected = true;
         env

@@ -9,7 +9,7 @@
 use super::common::{agent_for, default_policy, Scale};
 use hfqo_rejoin::incremental::admitted_queries;
 use hfqo_rejoin::{
-    evaluate_per_query, train, Curriculum, EnvContext, FullPlanEnv, QueryOrder, ReJoinAgent,
+    evaluate_per_query, train, Curriculum, EnvContext, PlanEnv, QueryOrder, ReJoinAgent,
     RewardMode, StageSet, TrainerConfig,
 };
 use hfqo_workload::synth::SynthConfig;
@@ -49,10 +49,11 @@ fn train_curriculum(
     let mut rng = StdRng::seed_from_u64(seed);
     let max_rels = bundle.max_rels().max(2);
     let phases = curriculum.phases(max_rels, total_episodes);
-    // Shape the agent to the full-plan environment (constant across
-    // phases by construction).
+    // Shape the agent to the full-stage environment; every phase's
+    // environment is built that wide and narrowed, so the state layout
+    // is constant across phases.
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let probe = FullPlanEnv::new(
+    let probe = PlanEnv::new(
         ctx,
         &bundle.queries,
         max_rels,
@@ -73,14 +74,15 @@ fn train_curriculum(
             .map(|&i| bundle.queries[i].clone())
             .collect();
         let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut env = FullPlanEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &phase_queries,
             max_rels,
             QueryOrder::Shuffle,
             RewardMode::LogRelative,
-            phase.stages,
+            StageSet::full(),
         );
+        env.set_stages(phase.stages);
         env.require_connected = true;
         let _ = train(
             &mut env,
@@ -95,7 +97,7 @@ fn train_curriculum(
 fn full_task_ratio(bundle: &WorkloadBundle, agent: &ReJoinAgent, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed ^ EVAL_SEED);
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = FullPlanEnv::new(
+    let mut env = PlanEnv::new(
         ctx,
         &bundle.queries,
         bundle.max_rels().max(2),

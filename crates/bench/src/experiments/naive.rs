@@ -10,7 +10,7 @@
 use super::common::{agent_for, default_policy, join_env, planner_context, Scale};
 use hfqo_opt::{Planner, RandomPlanner, TraditionalPlanner};
 use hfqo_rejoin::{
-    train_parallel, EnvContext, FullPlanEnv, QueryOrder, RewardMode, StageSet, TrainerConfig,
+    train_parallel, EnvContext, PlanEnv, QueryOrder, RewardMode, StageSet, TrainerConfig,
 };
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ pub fn run(bundle: &WorkloadBundle, scale: Scale, seed: u64, workers: usize) -> 
     // (b) Flat full-space agent, identical budget.
     let make_full_env = |_w: usize| {
         let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut full_env = FullPlanEnv::new(
+        let mut full_env = PlanEnv::new(
             ctx,
             &bundle.queries,
             bundle.max_rels().max(2),

@@ -1,9 +1,14 @@
-//! The ReJOIN agent: a policy-gradient learner over the environments.
+//! The ReJOIN agent: a policy-gradient learner over the environment.
+//!
+//! ReJOIN's published implementation trained with PPO; every figure of
+//! this reproduction comes from REINFORCE with a moving baseline, the
+//! one backend kept here. It is also the only one online learning is
+//! sound for: replayed serving decisions carry a fabricated
+//! `action_prob = 1.0`, which REINFORCE never reads (its gradient
+//! re-derives `log π(a|s)` from the live policy) and an
+//! importance-ratio method would divide by.
 
-use hfqo_rl::{
-    Environment, Episode, PolicySnapshot, PpoAgent, PpoConfig, ReinforceAgent, ReinforceConfig,
-    UpdatePath,
-};
+use hfqo_rl::{Environment, Episode, PolicySnapshot, ReinforceAgent, ReinforceConfig, UpdatePath};
 use rand::rngs::StdRng;
 
 /// Which policy-gradient algorithm backs the agent.
@@ -11,8 +16,6 @@ use rand::rngs::StdRng;
 pub enum PolicyKind {
     /// REINFORCE with an EMA baseline.
     Reinforce(ReinforceConfig),
-    /// PPO-style clipped surrogate (what ReJOIN's implementation used).
-    Ppo(PpoConfig),
 }
 
 impl PolicyKind {
@@ -20,35 +23,20 @@ impl PolicyKind {
     pub fn default_reinforce() -> Self {
         PolicyKind::Reinforce(ReinforceConfig::default())
     }
-
-    /// PPO with default hyperparameters.
-    pub fn default_ppo() -> Self {
-        PolicyKind::Ppo(PpoConfig::default())
-    }
-}
-
-enum Inner {
-    Reinforce(ReinforceAgent),
-    Ppo(PpoAgent),
 }
 
 /// The ReJOIN agent.
 pub struct ReJoinAgent {
-    inner: Inner,
+    inner: ReinforceAgent,
 }
 
 impl ReJoinAgent {
     /// Creates an agent for the given state/action dimensions.
     pub fn new(state_dim: usize, action_dim: usize, kind: PolicyKind, rng: &mut StdRng) -> Self {
-        let inner = match kind {
-            PolicyKind::Reinforce(config) => {
-                Inner::Reinforce(ReinforceAgent::new(state_dim, action_dim, config, rng))
-            }
-            PolicyKind::Ppo(config) => {
-                Inner::Ppo(PpoAgent::new(state_dim, action_dim, config, rng))
-            }
-        };
-        Self { inner }
+        let PolicyKind::Reinforce(config) = kind;
+        Self {
+            inner: ReinforceAgent::new(state_dim, action_dim, config, rng),
+        }
     }
 
     /// Samples (or greedily selects) an action.
@@ -59,10 +47,7 @@ impl ReJoinAgent {
         rng: &mut StdRng,
         greedy: bool,
     ) -> (usize, f32) {
-        match &self.inner {
-            Inner::Reinforce(a) => a.select_action(features, mask, rng, greedy),
-            Inner::Ppo(a) => a.select_action(features, mask, rng, greedy),
-        }
+        self.inner.select_action(features, mask, rng, greedy)
     }
 
     /// A frozen, `Send + Sync` copy of the current policy. Rollout
@@ -70,10 +55,7 @@ impl ReJoinAgent {
     /// optimizer state; a snapshot consumes the RNG stream exactly as
     /// the live agent does.
     pub fn snapshot(&self) -> PolicySnapshot {
-        match &self.inner {
-            Inner::Reinforce(a) => a.snapshot(),
-            Inner::Ppo(a) => a.snapshot(),
-        }
+        self.inner.snapshot()
     }
 
     /// Rolls out one episode.
@@ -83,35 +65,23 @@ impl ReJoinAgent {
         rng: &mut StdRng,
         greedy: bool,
     ) -> Episode {
-        match &self.inner {
-            Inner::Reinforce(a) => a.run_episode(env, rng, greedy),
-            Inner::Ppo(a) => a.run_episode(env, rng, greedy),
-        }
+        self.inner.run_episode(env, rng, greedy)
     }
 
     /// Buffers a finished episode; returns `true` when a policy update
     /// ran.
     pub fn observe(&mut self, episode: Episode) -> bool {
-        match &mut self.inner {
-            Inner::Reinforce(a) => a.observe(episode),
-            Inner::Ppo(a) => a.observe(episode),
-        }
+        self.inner.observe(episode)
     }
 
     /// Forces an update on whatever episodes are buffered.
     pub fn flush(&mut self) {
-        match &mut self.inner {
-            Inner::Reinforce(a) => a.update(),
-            Inner::Ppo(a) => a.update(),
-        }
+        self.inner.update()
     }
 
     /// The active network-update implementation.
     pub fn update_path(&self) -> UpdatePath {
-        match &self.inner {
-            Inner::Reinforce(a) => a.update_path(),
-            Inner::Ppo(a) => a.update_path(),
-        }
+        self.inner.update_path()
     }
 
     /// Selects the network-update implementation. `Batched` (the
@@ -119,39 +89,18 @@ impl ReJoinAgent {
     /// is the bit-identical per-transition reference path, retained for
     /// parity verification and benchmarking.
     pub fn set_update_path(&mut self, path: UpdatePath) {
-        match &mut self.inner {
-            Inner::Reinforce(a) => a.set_update_path(path),
-            Inner::Ppo(a) => a.set_update_path(path),
-        }
+        self.inner.set_update_path(path)
     }
 
     /// Episodes observed so far.
     pub fn episodes_seen(&self) -> usize {
-        match &self.inner {
-            Inner::Reinforce(a) => a.episodes_seen(),
-            Inner::Ppo(a) => a.episodes_seen(),
-        }
-    }
-
-    /// Whether the REINFORCE backend is active. Replay-based training
-    /// (online learning, which fabricates `action_prob = 1.0` because a
-    /// cache-hit serve never computes behavior probabilities) is only
-    /// sound for REINFORCE — its gradient re-derives `log π(a|s)` from
-    /// the live policy and never reads the recorded probability, while
-    /// PPO's importance ratios would silently divide by the fabricated
-    /// value.
-    pub fn is_reinforce(&self) -> bool {
-        matches!(self.inner, Inner::Reinforce(_))
+        self.inner.episodes_seen()
     }
 
     /// One supervised imitation step (cross-entropy toward expert
-    /// actions). Supported by the REINFORCE backend; returns `None` for
-    /// PPO (whose surrogate objective has no imitation analogue here).
-    pub fn imitate_step(&mut self, batch: &[(Vec<f32>, Vec<bool>, usize)]) -> Option<f32> {
-        match &mut self.inner {
-            Inner::Reinforce(a) => Some(a.imitate_step(batch)),
-            Inner::Ppo(_) => None,
-        }
+    /// actions); returns the mean loss.
+    pub fn imitate_step(&mut self, batch: &[(Vec<f32>, Vec<bool>, usize)]) -> f32 {
+        self.inner.imitate_step(batch)
     }
 }
 
@@ -161,29 +110,25 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn both_backends_construct_and_act() {
+    fn agent_constructs_and_acts() {
         let mut rng = StdRng::seed_from_u64(0);
-        for kind in [PolicyKind::default_reinforce(), PolicyKind::default_ppo()] {
-            let agent = ReJoinAgent::new(4, 9, kind, &mut rng);
-            let (a, p) = agent.select_action(
-                &[0.0, 1.0, 0.0, 1.0],
-                &[true, false, true, false, false, false, false, false, false],
-                &mut rng,
-                false,
-            );
-            assert!(a == 0 || a == 2);
-            assert!(p > 0.0);
-            assert_eq!(agent.episodes_seen(), 0);
-        }
+        let agent = ReJoinAgent::new(4, 9, PolicyKind::default_reinforce(), &mut rng);
+        let (a, p) = agent.select_action(
+            &[0.0, 1.0, 0.0, 1.0],
+            &[true, false, true, false, false, false, false, false, false],
+            &mut rng,
+            false,
+        );
+        assert!(a == 0 || a == 2);
+        assert!(p > 0.0);
+        assert_eq!(agent.episodes_seen(), 0);
     }
 
     #[test]
-    fn imitation_only_on_reinforce() {
+    fn imitation_step_reports_loss() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut r = ReJoinAgent::new(2, 4, PolicyKind::default_reinforce(), &mut rng);
         let batch = vec![(vec![1.0, 0.0], vec![true; 4], 2usize)];
-        assert!(r.imitate_step(&batch).is_some());
-        let mut p = ReJoinAgent::new(2, 4, PolicyKind::default_ppo(), &mut rng);
-        assert!(p.imitate_step(&batch).is_none());
+        assert!(r.imitate_step(&batch) > 0.0);
     }
 }

@@ -9,12 +9,11 @@
 //! experiment can demonstrate the unscaled failure mode.
 
 use crate::agent::ReJoinAgent;
-use crate::env_join::JoinOrderEnv;
+use crate::env::PlanEnv;
 use crate::metrics::{EpisodeRecord, TrainingLog};
 use crate::reward::RewardMode;
 use crate::trainer::{train, TrainerConfig};
 use hfqo_cost::RewardScaler;
-use hfqo_rl::UpdatePath;
 use rand::rngs::StdRng;
 
 /// Bootstrapping configuration.
@@ -31,9 +30,6 @@ pub struct BootstrapConfig {
     /// Whether Phase 2 scales latency into the cost range (the paper's
     /// proposal) or uses raw latency (the ablation).
     pub scale_rewards: bool,
-    /// Network-update implementation for both phases (batched by
-    /// default; the per-row reference path is bit-identical).
-    pub update_path: UpdatePath,
 }
 
 impl Default for BootstrapConfig {
@@ -43,7 +39,6 @@ impl Default for BootstrapConfig {
             observe_episodes: 100,
             phase2_episodes: 400,
             scale_rewards: true,
-            update_path: UpdatePath::Batched,
         }
     }
 }
@@ -63,7 +58,7 @@ pub struct BootstrapOutcome {
 /// Runs two-phase cost-model bootstrapping. The environment's reward mode
 /// is overwritten by each phase.
 pub fn cost_bootstrap(
-    env: &mut JoinOrderEnv<'_>,
+    env: &mut PlanEnv<'_>,
     agent: &mut ReJoinAgent,
     config: &BootstrapConfig,
     rng: &mut StdRng,
@@ -73,9 +68,7 @@ pub fn cost_bootstrap(
     let warmup = config
         .phase1_episodes
         .saturating_sub(config.observe_episodes);
-    let trainer_config =
-        |episodes: usize| TrainerConfig::new(episodes).with_update_path(config.update_path);
-    let mut log = train(env, agent, trainer_config(warmup), rng);
+    let mut log = train(env, agent, TrainerConfig::new(warmup), rng);
 
     // Trailing Phase-1 episodes: keep training, and record cost/latency
     // extrema from the (now mostly good) plans the policy produces.
@@ -112,7 +105,7 @@ pub fn cost_bootstrap(
         RewardMode::NegLogLatency
     };
     env.set_reward_mode(phase2_mode);
-    let phase2_log = train(env, agent, trainer_config(config.phase2_episodes), rng);
+    let phase2_log = train(env, agent, TrainerConfig::new(config.phase2_episodes), rng);
     log.extend_renumbered(phase2_log);
 
     BootstrapOutcome {
@@ -126,9 +119,10 @@ pub fn cost_bootstrap(
 mod tests {
     use super::*;
     use crate::agent::PolicyKind;
-    use crate::env_join::{EnvContext, QueryOrder};
+    use crate::env::{EnvContext, QueryOrder};
+    use crate::incremental::StageSet;
     use hfqo_opt::test_support::{chain_query, TestDb};
-    use hfqo_rl::ReinforceConfig;
+    use hfqo_rl::{Environment as _, ReinforceConfig};
     use rand::SeedableRng;
 
     fn setup() -> (TestDb, Vec<hfqo_query::QueryGraph>) {
@@ -150,12 +144,18 @@ mod tests {
     fn bootstrap_runs_both_phases() {
         let (db, queries) = setup();
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env =
-            JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::InverseCost);
+        let mut env = PlanEnv::new(
+            ctx,
+            &queries,
+            5,
+            QueryOrder::Cycle,
+            RewardMode::InverseCost,
+            StageSet::join_order_only(),
+        );
         let mut rng = StdRng::seed_from_u64(0);
         let mut agent = ReJoinAgent::new(
-            env_state_dim(&env),
-            env_action_dim(&env),
+            env.state_dim(),
+            env.action_dim(),
             PolicyKind::Reinforce(ReinforceConfig {
                 hidden: vec![32],
                 batch_episodes: 4,
@@ -182,12 +182,18 @@ mod tests {
     fn unscaled_ablation_uses_raw_latency() {
         let (db, queries) = setup();
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env =
-            JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::InverseCost);
+        let mut env = PlanEnv::new(
+            ctx,
+            &queries,
+            5,
+            QueryOrder::Cycle,
+            RewardMode::InverseCost,
+            StageSet::join_order_only(),
+        );
         let mut rng = StdRng::seed_from_u64(1);
         let mut agent = ReJoinAgent::new(
-            env_state_dim(&env),
-            env_action_dim(&env),
+            env.state_dim(),
+            env.action_dim(),
             PolicyKind::default_reinforce(),
             &mut rng,
         );
@@ -199,15 +205,5 @@ mod tests {
         assert!(matches!(env.reward_mode(), RewardMode::NegLogLatency));
         // The scaler is still fitted for reporting.
         assert!(outcome.scaler.is_ready());
-    }
-
-    fn env_state_dim(env: &JoinOrderEnv<'_>) -> usize {
-        use hfqo_rl::Environment as _;
-        env.state_dim()
-    }
-
-    fn env_action_dim(env: &JoinOrderEnv<'_>) -> usize {
-        use hfqo_rl::Environment as _;
-        env.action_dim()
     }
 }

@@ -27,7 +27,8 @@
 //! of a state in a single forward via `RewardModel::predict_all` —
 //! there is no per-row network loop left in this pipeline.
 
-use crate::env_join::{JoinOrderEnv, QueryOrder};
+use crate::env::{PlanEnv, QueryOrder};
+use crate::incremental::StageSet;
 use crate::metrics::{EpisodeRecord, MovingAverage, TrainingLog};
 use hfqo_opt::{expert_actions, TraditionalOptimizer};
 use hfqo_rl::{Environment, ReplayBuffer, RewardModel, RewardModelConfig};
@@ -97,15 +98,24 @@ pub struct DemonstrationOutcome {
 ///
 /// The environment's reward mode must be latency-based so fine-tuning
 /// episodes carry latency observations (construct it with
-/// [`RewardMode::InverseLatency`](crate::reward::RewardMode)).
+/// [`RewardMode::InverseLatency`](crate::reward::RewardMode)), and its
+/// stages must be [`StageSet::join_order_only`]: the expert histories
+/// are replayed as *pair* actions, which is all such an episode
+/// consists of.
 pub fn learn_from_demonstration(
-    env: &mut JoinOrderEnv<'_>,
+    env: &mut PlanEnv<'_>,
     config: &DemonstrationConfig,
     rng: &mut StdRng,
 ) -> DemonstrationOutcome {
     assert!(
         env.reward_mode().needs_latency(),
         "learning from demonstration requires a latency-based reward mode"
+    );
+    assert_eq!(
+        env.stages(),
+        StageSet::join_order_only(),
+        "learning from demonstration replays expert pair actions; \
+         the environment must decide join order only"
     );
     let featurizer = env.featurizer();
     let n_queries = env.queries().len();
@@ -211,7 +221,7 @@ pub fn learn_from_demonstration(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env_join::EnvContext;
+    use crate::env::EnvContext;
     use crate::reward::RewardMode;
     use hfqo_opt::test_support::{chain_query, TestDb};
     use rand::SeedableRng;
@@ -237,12 +247,13 @@ mod tests {
         let db = TestDb::chain(4, 300);
         let queries = vec![chain_query(&db, 4), chain_query(&db, 3)];
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &queries,
             5,
             QueryOrder::Cycle,
             RewardMode::InverseLatency,
+            StageSet::join_order_only(),
         );
         let mut rng = StdRng::seed_from_u64(3);
         let outcome = learn_from_demonstration(&mut env, &quick_config(), &mut rng);
@@ -293,8 +304,32 @@ mod tests {
         let db = TestDb::chain(3, 100);
         let queries = vec![chain_query(&db, 3)];
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env =
-            JoinOrderEnv::new(ctx, &queries, 4, QueryOrder::Cycle, RewardMode::InverseCost);
+        let mut env = PlanEnv::new(
+            ctx,
+            &queries,
+            4,
+            QueryOrder::Cycle,
+            RewardMode::InverseCost,
+            StageSet::join_order_only(),
+        );
+        let mut rng = StdRng::seed_from_u64(1);
+        let _ = learn_from_demonstration(&mut env, &quick_config(), &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "join order only")]
+    fn wider_stage_set_rejected() {
+        let db = TestDb::chain(3, 100);
+        let queries = vec![chain_query(&db, 3)];
+        let ctx = EnvContext::new(&db.db, &db.stats);
+        let mut env = PlanEnv::new(
+            ctx,
+            &queries,
+            4,
+            QueryOrder::Cycle,
+            RewardMode::InverseLatency,
+            StageSet::through_index(),
+        );
         let mut rng = StdRng::seed_from_u64(1);
         let _ = learn_from_demonstration(&mut env, &quick_config(), &mut rng);
     }

@@ -4,7 +4,7 @@
 //! The serving layer records what it *did* (the bound [`QueryGraph`],
 //! the forest-merge decisions of the plan that executed, and the work
 //! the executor actually performed); this module turns that record back
-//! into an [`Episode`] the policy-gradient agents can train on, by
+//! into an [`Episode`] the policy-gradient agent can train on, by
 //! replaying the decisions through the same [`Featurizer`] the policy
 //! infers with. Feature vectors and action masks are recomputed against
 //! the *current* statistics at replay time — exactly what a live
@@ -12,12 +12,10 @@
 //! serving-side views of a state cannot drift.
 //!
 //! One deliberate asymmetry: replayed transitions carry
-//! `action_prob = 1.0`. REINFORCE never reads the behavior probability
-//! (its gradient re-derives `log π(a|s)` from the current policy's
-//! forward pass), so the online trainer's default backend is unaffected;
-//! PPO's importance ratios *would* need the true behavior probabilities,
-//! which a cache-hit serve never computes — run online training with a
-//! REINFORCE-backed [`crate::ReJoinAgent`].
+//! `action_prob = 1.0`, because a cache-hit serve never computes the
+//! behavior probability. REINFORCE — the one backend of
+//! [`crate::ReJoinAgent`] — never reads it (its gradient re-derives
+//! `log π(a|s)` from the current policy's forward pass).
 
 use crate::featurize::Featurizer;
 use hfqo_query::{Forest, QueryGraph};
@@ -140,9 +138,9 @@ pub fn episode_from_decisions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env_join::{EnvContext, JoinOrderEnv};
+    use crate::env::{EnvContext, PlanEnv};
     use crate::reward::RewardMode;
-    use crate::QueryOrder;
+    use crate::{QueryOrder, StageSet};
     use hfqo_opt::test_support::{chain_query, TestDb};
     use hfqo_opt::{expert_actions, TraditionalOptimizer};
     use hfqo_rl::Environment as _;
@@ -161,12 +159,13 @@ mod tests {
         let expert = expert_actions(&optimizer, &queries[0]).unwrap();
 
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &queries,
             6,
             QueryOrder::Fixed(0),
             RewardMode::InverseCost,
+            StageSet::join_order_only(),
         );
         let featurizer = env.featurizer();
         let mut rng = StdRng::seed_from_u64(0);

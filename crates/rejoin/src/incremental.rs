@@ -7,11 +7,11 @@
 //! training phases the same agent walks through.
 //!
 //! Each phase is executed by the standard trainer
-//! ([`crate::trainer::train`] via the incremental experiment driver),
-//! so curriculum training inherits the trainer's batched network-update
-//! contract: per-phase [`crate::TrainerConfig`] chooses the
-//! [`hfqo_rl::UpdatePath`], batched by default and bit-identical to the
-//! per-row reference.
+//! ([`crate::trainer::train`] via the incremental experiment driver) on
+//! a [`crate::PlanEnv`] built with the widest stage set the curriculum
+//! reaches and narrowed to the phase's with
+//! [`PlanEnv::set_stages`](crate::PlanEnv::set_stages), so the state
+//! layout one agent sees is the same in every phase.
 
 use hfqo_query::QueryGraph;
 
@@ -88,7 +88,7 @@ impl StageSet {
 /// One phase of a curriculum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CurriculumPhase {
-    /// Stage configuration for the full-plan environment.
+    /// Stages the agent decides this phase.
     pub stages: StageSet,
     /// Maximum query relation count admitted this phase (`None` = all).
     pub max_rels: Option<usize>,

@@ -10,7 +10,7 @@
 //! until one tree remains, then hand the ordering to the traditional
 //! machinery ([`crate::planfix::plan_from_tree`]) for access-path,
 //! join-operator, and aggregate selection — exactly what a greedy
-//! evaluation episode in [`crate::env_join::JoinOrderEnv`] does, which
+//! evaluation episode in [`crate::PlanEnv`] does, which
 //! a parity test pins down.
 
 use crate::featurize::Featurizer;
@@ -157,9 +157,9 @@ impl Planner for LearnedPlanner {
 mod tests {
     use super::*;
     use crate::agent::{PolicyKind, ReJoinAgent};
-    use crate::env_join::{EnvContext, JoinOrderEnv};
+    use crate::env::{EnvContext, PlanEnv};
     use crate::reward::RewardMode;
-    use crate::QueryOrder;
+    use crate::{QueryOrder, StageSet};
     use hfqo_opt::test_support::{chain_query, TestDb};
     use hfqo_rl::Environment as _;
 
@@ -169,7 +169,7 @@ mod tests {
         (db, queries)
     }
 
-    fn agent_for(env: &JoinOrderEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
+    fn agent_for(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
         ReJoinAgent::new(
             env.state_dim(),
             env.action_dim(),
@@ -186,12 +186,13 @@ mod tests {
     fn matches_env_greedy_episode_plan() {
         let (db, queries) = fixture();
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &queries,
             6,
             QueryOrder::Fixed(0),
             RewardMode::InverseCost,
+            StageSet::join_order_only(),
         );
         env.require_connected = true;
         let mut rng = StdRng::seed_from_u64(3);
@@ -213,12 +214,13 @@ mod tests {
     fn attributes_learned_method() {
         let (db, queries) = fixture();
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let env = JoinOrderEnv::new(
+        let env = PlanEnv::new(
             ctx,
             &queries,
             6,
             QueryOrder::Fixed(0),
             RewardMode::InverseCost,
+            StageSet::join_order_only(),
         );
         let mut rng = StdRng::seed_from_u64(0);
         let agent = agent_for(&env, &mut rng);
@@ -235,12 +237,13 @@ mod tests {
     fn inference_is_deterministic() {
         let (db, queries) = fixture();
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let env = JoinOrderEnv::new(
+        let env = PlanEnv::new(
             ctx,
             &queries,
             6,
             QueryOrder::Fixed(0),
             RewardMode::InverseCost,
+            StageSet::join_order_only(),
         );
         let mut rng = StdRng::seed_from_u64(1);
         let agent = agent_for(&env, &mut rng);

@@ -13,12 +13,12 @@
 //!   `1/2^depth` tree-structure rows plus join-predicate and
 //!   selection-predicate features, fixed-width for a configurable maximum
 //!   relation count with masked pair actions.
-//! * [`env_join`] — the episodic join-ordering environment (episode =
+//! * [`mod@env`] — the one episodic environment, [`PlanEnv`] (episode =
 //!   query, action = ordered subtree pair, terminal reward from the cost
-//!   model / latency source).
-//! * [`env_full`] — the full-plan environment adding access-path, join
-//!   operator, and aggregate operator decisions, gated by a
-//!   [`incremental::StageSet`] so curricula can grow the action space.
+//!   model / latency source). Access-path, join operator, and aggregate
+//!   operator decisions are further phases gated by a
+//!   [`incremental::StageSet`] so curricula can grow the action space;
+//!   ReJOIN's join ordering is its `StageSet::join_order_only()` case.
 //! * [`reward`] — the reward signals: `1/M(t)`, expert-relative cost,
 //!   (scaled) simulated latency.
 //! * [`trainer`] — the episode loop with per-episode logging, the data
@@ -38,8 +38,7 @@
 pub mod agent;
 pub mod bootstrap;
 pub mod demonstration;
-pub mod env_full;
-pub mod env_join;
+pub mod env;
 pub mod experience;
 pub mod featurize;
 pub mod incremental;
@@ -53,8 +52,7 @@ pub mod trainer;
 pub use agent::{PolicyKind, ReJoinAgent};
 pub use bootstrap::{cost_bootstrap, BootstrapConfig, BootstrapOutcome};
 pub use demonstration::{learn_from_demonstration, DemonstrationConfig, DemonstrationOutcome};
-pub use env_full::{FullPlanEnv, Phase};
-pub use env_join::{EnvContext, EpisodeOutcome, JoinOrderEnv, LatencySource, QueryOrder};
+pub use env::{EnvContext, EpisodeOutcome, LatencySource, Phase, PlanEnv, QueryOrder};
 pub use experience::{episode_from_decisions, ReplayError};
 pub use featurize::Featurizer;
 pub use incremental::{Curriculum, StageSet};
@@ -62,4 +60,4 @@ pub use learned::LearnedPlanner;
 pub use metrics::{MovingAverage, TrainingLog};
 pub use parallel::{train_parallel, ParallelTrainer};
 pub use reward::RewardMode;
-pub use trainer::{evaluate_per_query, train, OutcomeEnv, TrainerConfig};
+pub use trainer::{evaluate_per_query, train, TrainerConfig};

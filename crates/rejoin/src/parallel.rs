@@ -9,7 +9,7 @@
 //! [`PolicySnapshot`] of the current policy, and stream
 //! `(Episode, EpisodeOutcome)` pairs over a channel to the learner
 //! thread, which applies policy updates synchronously (A2C-style
-//! rounds) through the existing REINFORCE/PPO agents.
+//! rounds) through the existing [`ReJoinAgent`].
 //!
 //! # Determinism contract
 //!
@@ -31,9 +31,9 @@
 //!   behaves as in the sequential loop.
 
 use crate::agent::ReJoinAgent;
-use crate::env_join::{EpisodeOutcome, QueryOrder};
+use crate::env::{EpisodeOutcome, PlanEnv, QueryOrder};
 use crate::metrics::TrainingLog;
-use crate::trainer::{record_from, train, OutcomeEnv, TrainerConfig};
+use crate::trainer::{record_from, train, TrainerConfig};
 use hfqo_rl::{Episode, PolicySnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,10 +88,14 @@ impl ParallelTrainer {
     /// environment; every call must produce an environment over the
     /// same workload and reward configuration (clone the `EnvContext`,
     /// share the `Database`/stats borrows).
-    pub fn train<E, F>(&self, make_env: F, agent: &mut ReJoinAgent, rng: &mut StdRng) -> TrainingLog
+    pub fn train<'a, F>(
+        &self,
+        make_env: F,
+        agent: &mut ReJoinAgent,
+        rng: &mut StdRng,
+    ) -> TrainingLog
     where
-        E: OutcomeEnv + Send,
-        F: FnMut(usize) -> E,
+        F: FnMut(usize) -> PlanEnv<'a>,
     {
         train_parallel(make_env, agent, self.config, rng)
     }
@@ -107,8 +111,8 @@ impl ParallelTrainer {
 /// ```
 /// use hfqo_opt::test_support::{chain_query, TestDb};
 /// use hfqo_rejoin::{
-///     train_parallel, EnvContext, Featurizer, JoinOrderEnv, PolicyKind, QueryOrder,
-///     ReJoinAgent, RewardMode, TrainerConfig,
+///     train_parallel, EnvContext, Featurizer, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent,
+///     RewardMode, StageSet, TrainerConfig,
 /// };
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
@@ -117,7 +121,14 @@ impl ParallelTrainer {
 /// let queries = vec![chain_query(&fixture, 3)];
 /// let make_env = |_worker: usize| {
 ///     let ctx = EnvContext::new(&fixture.db, &fixture.stats);
-///     JoinOrderEnv::new(ctx, &queries, 3, QueryOrder::Cycle, RewardMode::LogRelative)
+///     PlanEnv::new(
+///         ctx,
+///         &queries,
+///         3,
+///         QueryOrder::Cycle,
+///         RewardMode::LogRelative,
+///         StageSet::join_order_only(),
+///     )
 /// };
 /// let featurizer = Featurizer::new(3);
 /// let mut rng = StdRng::seed_from_u64(7);
@@ -131,34 +142,27 @@ impl ParallelTrainer {
 /// let log = train_parallel(make_env, &mut agent, config, &mut rng);
 /// assert_eq!(log.len(), 8);
 /// ```
-pub fn train_parallel<E, F>(
+pub fn train_parallel<'a, F>(
     mut make_env: F,
     agent: &mut ReJoinAgent,
     config: TrainerConfig,
     rng: &mut StdRng,
 ) -> TrainingLog
 where
-    E: OutcomeEnv + Send,
-    F: FnMut(usize) -> E,
+    F: FnMut(usize) -> PlanEnv<'a>,
 {
     if config.workers <= 1 {
         // Exact legacy behavior: same env, same RNG stream, same loop.
         let mut env = make_env(0);
         return train(&mut env, agent, config, rng);
     }
-    // The learner applies updates with the configured NN path, when
-    // the config selects one (per-row is the bit-identical
-    // verification path); otherwise the agent's own setting stands.
-    if let Some(path) = config.update_path {
-        agent.set_update_path(path);
-    }
     let workers = config.workers.min(config.episodes.max(1));
     // Per-worker seeded streams, derived from the caller's RNG so the
     // whole run is a function of the original seed.
     let worker_seeds: Vec<u64> = (0..workers).map(|_| rng.gen()).collect();
-    let mut envs: Vec<E> = (0..workers).map(&mut make_env).collect();
-    let order = envs[0].query_order();
-    let workload_len = envs[0].workload_len();
+    let mut envs: Vec<PlanEnv<'a>> = (0..workers).map(&mut make_env).collect();
+    let order = envs[0].order();
+    let workload_len = envs[0].queries().len();
     let cycle = matches!(order, QueryOrder::Cycle);
 
     let mut log = TrainingLog::new();
@@ -179,13 +183,10 @@ where
                 let mut wrng = StdRng::seed_from_u64(seed);
                 while let Ok(Command { snapshot, spec }) = cmd_rx.recv() {
                     if let Some(q) = spec.fixed_query {
-                        env.set_query_order(QueryOrder::Fixed(q));
+                        env.set_order(QueryOrder::Fixed(q));
                     }
                     let episode = snapshot.run_episode(&mut env, &mut wrng, false);
-                    let outcome = env
-                        .episode_outcome()
-                        .cloned()
-                        .expect("episode just finished");
+                    let outcome = env.last_outcome().cloned().expect("episode just finished");
                     // The learner hanging up mid-run only happens on
                     // its panic; don't double-panic from the worker.
                     if result_tx.send(Collected { episode, outcome }).is_err() {
@@ -236,8 +237,7 @@ where
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_sync<T: Sync>() {}
-    assert_send::<crate::env_join::JoinOrderEnv<'static>>();
-    assert_send::<crate::env_full::FullPlanEnv<'static>>();
+    assert_send::<PlanEnv<'static>>();
     assert_sync::<hfqo_storage::Database>();
     assert_sync::<hfqo_stats::StatsCatalog>();
     assert_send::<EpisodeOutcome>();
@@ -247,7 +247,8 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::agent::PolicyKind;
-    use crate::env_join::{EnvContext, JoinOrderEnv};
+    use crate::env::EnvContext;
+    use crate::incremental::StageSet;
     use crate::reward::RewardMode;
     use hfqo_opt::test_support::{chain_query, TestDb};
     use hfqo_query::QueryGraph;
@@ -262,7 +263,7 @@ mod tests {
         (db, queries)
     }
 
-    fn small_agent(env: &JoinOrderEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
+    fn small_agent(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
         ReJoinAgent::new(
             env.state_dim(),
             env.action_dim(),
@@ -279,7 +280,14 @@ mod tests {
         let (db, queries) = fixtures();
         let make_env = |_w: usize| {
             let ctx = EnvContext::new(&db.db, &db.stats);
-            JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::LogRelative)
+            PlanEnv::new(
+                ctx,
+                &queries,
+                5,
+                QueryOrder::Cycle,
+                RewardMode::LogRelative,
+                StageSet::join_order_only(),
+            )
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut agent = small_agent(&make_env(0), &mut rng);
@@ -319,7 +327,14 @@ mod tests {
         let (db, queries) = fixtures();
         let make_env = |_w: usize| {
             let ctx = EnvContext::new(&db.db, &db.stats);
-            JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::LogRelative)
+            PlanEnv::new(
+                ctx,
+                &queries,
+                5,
+                QueryOrder::Cycle,
+                RewardMode::LogRelative,
+                StageSet::join_order_only(),
+            )
         };
         let mut rng = StdRng::seed_from_u64(3);
         let mut agent = small_agent(&make_env(0), &mut rng);

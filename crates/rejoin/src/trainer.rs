@@ -1,64 +1,9 @@
 //! The training loop and evaluation helpers.
 
 use crate::agent::ReJoinAgent;
-use crate::env_full::FullPlanEnv;
-use crate::env_join::{EpisodeOutcome, JoinOrderEnv, QueryOrder};
+use crate::env::{EpisodeOutcome, PlanEnv, QueryOrder};
 use crate::metrics::{EpisodeRecord, TrainingLog};
-use hfqo_rl::{Environment, UpdatePath};
 use rand::rngs::StdRng;
-
-/// An environment whose episodes end in a plan with observable quality —
-/// what the trainer needs beyond `Environment` to build its log.
-pub trait OutcomeEnv: Environment {
-    /// The outcome of the most recently finished episode.
-    fn episode_outcome(&self) -> Option<&EpisodeOutcome>;
-
-    /// Changes the query ordering policy.
-    fn set_query_order(&mut self, order: QueryOrder);
-
-    /// The current query ordering policy (the parallel trainer reads it
-    /// to emulate the global `Cycle` walk across workers).
-    fn query_order(&self) -> QueryOrder;
-
-    /// Number of queries in the workload.
-    fn workload_len(&self) -> usize;
-}
-
-impl OutcomeEnv for JoinOrderEnv<'_> {
-    fn episode_outcome(&self) -> Option<&EpisodeOutcome> {
-        self.last_outcome()
-    }
-
-    fn set_query_order(&mut self, order: QueryOrder) {
-        self.set_order(order);
-    }
-
-    fn query_order(&self) -> QueryOrder {
-        self.order()
-    }
-
-    fn workload_len(&self) -> usize {
-        self.queries().len()
-    }
-}
-
-impl OutcomeEnv for FullPlanEnv<'_> {
-    fn episode_outcome(&self) -> Option<&EpisodeOutcome> {
-        self.last_outcome()
-    }
-
-    fn set_query_order(&mut self, order: QueryOrder) {
-        self.set_order(order);
-    }
-
-    fn query_order(&self) -> QueryOrder {
-        self.order()
-    }
-
-    fn workload_len(&self) -> usize {
-        self.queries().len()
-    }
-}
 
 /// Training-loop configuration.
 #[derive(Debug, Clone, Copy)]
@@ -70,26 +15,14 @@ pub struct TrainerConfig {
     /// threads in synchronous A2C-style rounds (see
     /// [`crate::parallel`]).
     pub workers: usize,
-    /// Which network-update implementation the agent uses. `None` (the
-    /// default) leaves the agent's own setting untouched — batched
-    /// unless the caller chose otherwise via
-    /// [`ReJoinAgent::set_update_path`]. `Some(UpdatePath::Batched)`
-    /// fuses each policy update into one B×F forward/backward;
-    /// `Some(UpdatePath::PerRow)` selects the bit-identical
-    /// per-transition reference, retained for parity verification and
-    /// benchmarking. Either path reproduces the same training log, bit
-    /// for bit.
-    pub update_path: Option<UpdatePath>,
 }
 
 impl TrainerConfig {
-    /// A configuration running `episodes` episodes on one worker,
-    /// respecting the agent's own update-path setting.
+    /// A configuration running `episodes` episodes on one worker.
     pub fn new(episodes: usize) -> Self {
         Self {
             episodes,
             workers: 1,
-            update_path: None,
         }
     }
 
@@ -97,14 +30,6 @@ impl TrainerConfig {
     /// to `1`.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the network-update implementation (builder style). Until
-    /// this is called, the trainer respects whatever path the agent
-    /// already has.
-    pub fn with_update_path(mut self, path: UpdatePath) -> Self {
-        self.update_path = Some(path);
         self
     }
 }
@@ -133,7 +58,7 @@ pub(crate) fn record_from(outcome: &EpisodeOutcome, episode: usize) -> EpisodeRe
 /// ```
 /// use hfqo_opt::test_support::{chain_query, TestDb};
 /// use hfqo_rejoin::{
-///     train, EnvContext, JoinOrderEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode,
+///     train, EnvContext, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, StageSet,
 ///     TrainerConfig,
 /// };
 /// use hfqo_rl::Environment as _;
@@ -143,7 +68,14 @@ pub(crate) fn record_from(outcome: &EpisodeOutcome, episode: usize) -> EpisodeRe
 /// let fixture = TestDb::chain(3, 150);
 /// let queries = vec![chain_query(&fixture, 3)];
 /// let ctx = EnvContext::new(&fixture.db, &fixture.stats);
-/// let mut env = JoinOrderEnv::new(ctx, &queries, 3, QueryOrder::Cycle, RewardMode::LogRelative);
+/// let mut env = PlanEnv::new(
+///     ctx,
+///     &queries,
+///     3,
+///     QueryOrder::Cycle,
+///     RewardMode::LogRelative,
+///     StageSet::join_order_only(),
+/// );
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let mut agent = ReJoinAgent::new(
 ///     env.state_dim(),
@@ -155,19 +87,16 @@ pub(crate) fn record_from(outcome: &EpisodeOutcome, episode: usize) -> EpisodeRe
 /// assert_eq!(log.len(), 10);
 /// assert_eq!(agent.episodes_seen(), 10);
 /// ```
-pub fn train<E: OutcomeEnv>(
-    env: &mut E,
+pub fn train(
+    env: &mut PlanEnv<'_>,
     agent: &mut ReJoinAgent,
     config: TrainerConfig,
     rng: &mut StdRng,
 ) -> TrainingLog {
-    if let Some(path) = config.update_path {
-        agent.set_update_path(path);
-    }
     let mut log = TrainingLog::new();
     for episode in 0..config.episodes {
         let ep = agent.run_episode(env, rng, false);
-        if let Some(outcome) = env.episode_outcome() {
+        if let Some(outcome) = env.last_outcome() {
             log.push(record_from(outcome, episode));
         }
         agent.observe(ep);
@@ -179,29 +108,21 @@ pub fn train<E: OutcomeEnv>(
 /// Greedy evaluation of every workload query with the current policy:
 /// returns one record per query (Figure 3b's raw data). Restores the
 /// given order afterwards.
-pub fn evaluate_per_query<E: OutcomeEnv>(
-    env: &mut E,
+pub fn evaluate_per_query(
+    env: &mut PlanEnv<'_>,
     agent: &ReJoinAgent,
     restore_order: QueryOrder,
     rng: &mut StdRng,
 ) -> Vec<EpisodeRecord> {
-    let mut out = Vec::with_capacity(env.workload_len());
-    for idx in 0..env.workload_len() {
-        env.set_query_order(QueryOrder::Fixed(idx));
+    let mut out = Vec::with_capacity(env.queries().len());
+    for idx in 0..env.queries().len() {
+        env.set_order(QueryOrder::Fixed(idx));
         let _ = agent.run_episode(env, rng, true);
-        if let Some(outcome) = env.episode_outcome() {
-            out.push(EpisodeRecord {
-                episode: idx,
-                query_idx: outcome.query_idx,
-                label: outcome.label.clone(),
-                agent_cost: outcome.agent_cost,
-                expert_cost: outcome.expert_cost,
-                reward: outcome.reward,
-                latency_ms: outcome.latency_ms,
-            });
+        if let Some(outcome) = env.last_outcome() {
+            out.push(record_from(outcome, idx));
         }
     }
-    env.set_query_order(restore_order);
+    env.set_order(restore_order);
     out
 }
 
@@ -209,11 +130,13 @@ pub fn evaluate_per_query<E: OutcomeEnv>(
 mod tests {
     use super::*;
     use crate::agent::PolicyKind;
-    use crate::env_join::EnvContext;
+    use crate::env::EnvContext;
+    use crate::incremental::StageSet;
+    use crate::parallel::train_parallel;
     use crate::reward::RewardMode;
-    use hfqo_opt::test_support::{chain_query, TestDb};
+    use hfqo_opt::test_support::{chain_query, with_count, TestDb};
     use hfqo_query::QueryGraph;
-    use hfqo_rl::ReinforceConfig;
+    use hfqo_rl::{Environment as _, ReinforceConfig};
     use rand::SeedableRng;
 
     fn fixtures() -> (TestDb, Vec<QueryGraph>) {
@@ -225,7 +148,7 @@ mod tests {
         (db, queries)
     }
 
-    fn small_agent(env: &JoinOrderEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
+    fn small_agent(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
         ReJoinAgent::new(
             env.state_dim(),
             env.action_dim(),
@@ -243,12 +166,13 @@ mod tests {
     fn training_produces_full_log() {
         let (db, queries) = fixtures();
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &queries,
             5,
             QueryOrder::Cycle,
             RewardMode::RelativeToExpert,
+            StageSet::join_order_only(),
         );
         let mut rng = StdRng::seed_from_u64(0);
         let mut agent = small_agent(&env, &mut rng);
@@ -267,8 +191,14 @@ mod tests {
         let ctx = EnvContext::new(&db.db, &db.stats);
         // The headline training configuration: log-scale reward and
         // connected-pair masking (as ReJOIN's implementation used).
-        let mut env =
-            JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::LogRelative);
+        let mut env = PlanEnv::new(
+            ctx,
+            &queries,
+            5,
+            QueryOrder::Cycle,
+            RewardMode::LogRelative,
+            StageSet::join_order_only(),
+        );
         env.require_connected = true;
         let mut rng = StdRng::seed_from_u64(1);
         let mut agent = small_agent(&env, &mut rng);
@@ -288,12 +218,13 @@ mod tests {
     fn per_query_evaluation_covers_workload() {
         let (db, queries) = fixtures();
         let ctx = EnvContext::new(&db.db, &db.stats);
-        let mut env = JoinOrderEnv::new(
+        let mut env = PlanEnv::new(
             ctx,
             &queries,
             5,
             QueryOrder::Cycle,
             RewardMode::RelativeToExpert,
+            StageSet::join_order_only(),
         );
         let mut rng = StdRng::seed_from_u64(2);
         let agent = small_agent(&env, &mut rng);
@@ -301,5 +232,39 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].label.as_deref(), Some("a"));
         assert_eq!(records[1].label.as_deref(), Some("b"));
+    }
+
+    /// A query with nothing to order still gets an episode of its own —
+    /// scan, optional aggregate, outcome — logged under its own index,
+    /// whichever stages the agent decides and on one worker or several.
+    #[test]
+    fn single_relation_queries_log_their_own_outcome() {
+        let db = TestDb::chain(3, 200);
+        let queries = vec![
+            chain_query(&db, 3),
+            with_count(chain_query(&db, 1)),
+            chain_query(&db, 1),
+        ];
+        for stages in StageSet::pipeline_prefixes() {
+            let make_env = |_worker: usize| {
+                let ctx = EnvContext::new(&db.db, &db.stats);
+                let (order, mode) = (QueryOrder::Cycle, RewardMode::LogRelative);
+                PlanEnv::new(ctx, &queries, 3, order, mode, stages)
+            };
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut agent = small_agent(&make_env(0), &mut rng);
+            for workers in [1, 2] {
+                let config = TrainerConfig::new(6).with_workers(workers);
+                let log = train_parallel(make_env, &mut agent, config, &mut rng);
+                let walked: Vec<usize> = log.records.iter().map(|r| r.query_idx).collect();
+                assert_eq!(walked, [0, 1, 2, 0, 1, 2], "{stages:?} × {workers}");
+                for r in &log.records {
+                    assert!(
+                        r.agent_cost > 0.0 && r.expert_cost > 0.0,
+                        "{stages:?}: {r:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,8 +9,9 @@ pub struct Transition {
     pub mask: Vec<bool>,
     /// Action taken.
     pub action: usize,
-    /// Probability the policy assigned to the action (used by PPO's
-    /// importance ratios).
+    /// Probability the policy assigned to the action when it was taken.
+    /// REINFORCE re-derives `log π(a|s)` from the live policy and never
+    /// reads it, which is why replayed serving decisions may record 1.0.
     pub action_prob: f32,
     /// Immediate reward.
     pub reward: f32,

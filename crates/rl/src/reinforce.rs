@@ -308,8 +308,7 @@ impl ReinforceAgent {
         let masks: Vec<&[bool]> = all.iter().map(|(t, _)| t.mask.as_slice()).collect();
         let grad_out = if config.entropy_coef > 0.0 {
             // One shared softmax per batch feeds both the policy
-            // gradient and the entropy bonus (the PPO epoch path uses
-            // the same pattern).
+            // gradient and the entropy bonus.
             let probs = loss::masked_softmax_batch(logits, &masks);
             let cols = logits.cols();
             let mut grad_out = Matrix::zeros(all.len(), cols);

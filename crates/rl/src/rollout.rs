@@ -4,12 +4,11 @@
 //! worker threads that *act* with a frozen copy of the policy while the
 //! learner thread keeps the mutable optimizer state. [`PolicySnapshot`]
 //! is that frozen copy: plain owned weights (`Send + Sync`), masked
-//! softmax action selection, and the episode rollout loop. Both
-//! [`ReinforceAgent`](crate::ReinforceAgent) and
-//! [`PpoAgent`](crate::PpoAgent) delegate their own action selection and
-//! rollouts here, so a snapshot consumes the RNG stream *identically* to
-//! the live agent — the property the `workers = 1` determinism-parity
-//! contract rests on.
+//! softmax action selection, and the episode rollout loop.
+//! [`ReinforceAgent`](crate::ReinforceAgent) delegates its own action
+//! selection and rollouts here, so a snapshot consumes the RNG stream
+//! *identically* to the live agent — the property the `workers = 1`
+//! determinism-parity contract rests on.
 
 use crate::env::Environment;
 use crate::episode::{Episode, Transition};
@@ -59,7 +58,7 @@ impl PolicySnapshot {
     }
 
     /// Action selection against a borrowed policy — the shared
-    /// implementation the live agents delegate to, so live and snapshot
+    /// implementation the live agent delegates to, so live and snapshot
     /// action streams cannot drift.
     pub fn select_with(
         policy: &Mlp,
@@ -125,7 +124,7 @@ impl PolicySnapshot {
     }
 
     /// Episode rollout against a borrowed policy (shared by the live
-    /// agents and snapshots).
+    /// agent and snapshots).
     pub fn rollout_with<E: Environment>(
         policy: &Mlp,
         env: &mut E,

@@ -156,13 +156,6 @@ impl OnlineTrainer {
             "online training rewards on observed execution; \
              use a latency-based RewardMode"
         );
-        assert!(
-            agent.is_reinforce(),
-            "online training replays served decisions with fabricated \
-             action probabilities, which only the REINFORCE backend is \
-             sound for (PPO's importance ratios would read them); \
-             construct the agent with PolicyKind::Reinforce"
-        );
         let planner =
             LearnedPlanner::freeze(&agent, featurizer).with_require_connected(require_connected);
         let handle = PlannerHandle::new(planner);

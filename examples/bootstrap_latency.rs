@@ -27,12 +27,13 @@ fn main() {
     println!("bootstrapping on {} queries …", queries.len());
 
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
+    let mut env = PlanEnv::new(
         ctx,
         &queries,
         7,
         QueryOrder::Shuffle,
         RewardMode::NegLogCost,
+        StageSet::join_order_only(),
     );
     let mut rng = StdRng::seed_from_u64(0);
     let mut agent = ReJoinAgent::new(
@@ -46,7 +47,6 @@ fn main() {
         observe_episodes: 100,
         phase2_episodes: 400,
         scale_rewards: true,
-        ..Default::default()
     };
     let outcome = cost_bootstrap(&mut env, &mut agent, &config, &mut rng);
 

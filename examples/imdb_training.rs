@@ -56,12 +56,13 @@ fn main() {
 
     let make_env = |_w: usize| {
         let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        JoinOrderEnv::new(
+        PlanEnv::new(
             ctx,
             &queries,
             8,
             QueryOrder::Shuffle,
             RewardMode::LogRelative,
+            StageSet::join_order_only(),
         )
     };
     let mut env = make_env(0);

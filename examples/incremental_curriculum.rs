@@ -55,7 +55,7 @@ fn main() {
     println!("\ntraining the Hybrid curriculum …");
     let mut rng = StdRng::seed_from_u64(1);
     let max_rels = bundle.max_rels();
-    let probe = FullPlanEnv::new(
+    let probe = PlanEnv::new(
         EnvContext::new(&bundle.db, &bundle.stats),
         &bundle.queries,
         max_rels,
@@ -83,14 +83,15 @@ fn main() {
             .iter()
             .map(|&qi| bundle.queries[qi].clone())
             .collect();
-        let mut env = FullPlanEnv::new(
+        let mut env = PlanEnv::new(
             EnvContext::new(&bundle.db, &bundle.stats),
             &phase_queries,
             max_rels,
             QueryOrder::Shuffle,
             RewardMode::LogRelative,
-            phase.stages,
+            StageSet::full(),
         );
+        env.set_stages(phase.stages);
         let log = train(
             &mut env,
             &mut agent,
@@ -107,7 +108,7 @@ fn main() {
     }
 
     // Final evaluation on the complete task.
-    let mut eval_env = FullPlanEnv::new(
+    let mut eval_env = PlanEnv::new(
         EnvContext::new(&bundle.db, &bundle.stats),
         &bundle.queries,
         max_rels,

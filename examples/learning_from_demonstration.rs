@@ -30,12 +30,13 @@ fn main() {
     );
 
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
+    let mut env = PlanEnv::new(
         ctx,
         &queries,
         7,
         QueryOrder::Cycle,
         RewardMode::InverseLatency,
+        StageSet::join_order_only(),
     );
     let mut rng = StdRng::seed_from_u64(0);
     let config = DemonstrationConfig {

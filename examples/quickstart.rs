@@ -59,7 +59,14 @@ fn main() {
     // 2. Let an agent *learn* the ordering instead of hand-replaying it.
     let queries = vec![graph.clone()];
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(ctx, &queries, 4, QueryOrder::Cycle, RewardMode::LogRelative);
+    let mut env = PlanEnv::new(
+        ctx,
+        &queries,
+        4,
+        QueryOrder::Cycle,
+        RewardMode::LogRelative,
+        StageSet::join_order_only(),
+    );
     let featurizer = env.featurizer();
     let mut rng = StdRng::seed_from_u64(0);
     let mut agent = ReJoinAgent::new(

@@ -11,8 +11,8 @@
 //!
 //! This crate is a facade: it re-exports the workspace crates under one
 //! roof and hosts the runnable examples and integration tests. See
-//! `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every figure.
+//! `ARCHITECTURE.md` for the system inventory and `README.md` for the
+//! contracts each layer keeps and the binary behind every paper figure.
 //!
 //! ## Quick start
 //!
@@ -33,12 +33,13 @@
 //!
 //! // …and set up a ReJOIN agent over the same workload.
 //! let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-//! let mut env = JoinOrderEnv::new(
+//! let mut env = PlanEnv::new(
 //!     ctx,
 //!     &bundle.queries,
 //!     bundle.max_rels(),
 //!     QueryOrder::Shuffle,
 //!     RewardMode::RelativeToExpert,
+//!     StageSet::join_order_only(),
 //! );
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut agent = ReJoinAgent::new(
@@ -80,9 +81,9 @@ pub mod prelude {
     };
     pub use hfqo_rejoin::{
         cost_bootstrap, evaluate_per_query, learn_from_demonstration, train, train_parallel,
-        BootstrapConfig, Curriculum, DemonstrationConfig, EnvContext, Featurizer, FullPlanEnv,
-        JoinOrderEnv, LearnedPlanner, ParallelTrainer, PolicyKind, QueryOrder, ReJoinAgent,
-        RewardMode, StageSet, TrainerConfig, TrainingLog,
+        BootstrapConfig, Curriculum, DemonstrationConfig, EnvContext, Featurizer, LearnedPlanner,
+        ParallelTrainer, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, StageSet,
+        TrainerConfig, TrainingLog,
     };
     pub use hfqo_rl::Environment;
     pub use hfqo_serve::{

@@ -261,30 +261,4 @@ proptest! {
             prop_assert!(sample.iter().all(|x| buf.items().contains(x)));
         }
     }
-
-    /// Epsilon schedule boundaries: exactly `start` at episode 0,
-    /// exactly `end` at `decay_episodes` and beyond (and for the
-    /// degenerate zero-length decay), with every intermediate value
-    /// between the two.
-    #[test]
-    fn epsilon_schedule_boundary_episodes(
-        start in 0.0f32..1.0,
-        end in 0.0f32..1.0,
-        decay in 0usize..500,
-        probe in 0usize..1_000,
-    ) {
-        use hfqo::rl::EpsilonSchedule;
-        let s = EpsilonSchedule { start, end, decay_episodes: decay };
-        if decay == 0 {
-            prop_assert_eq!(s.value(0), end);
-        } else {
-            prop_assert_eq!(s.value(0), start);
-        }
-        prop_assert_eq!(s.value(decay), end);
-        prop_assert_eq!(s.value(decay.saturating_add(1)), end);
-        prop_assert_eq!(s.value(usize::MAX), end);
-        let v = s.value(probe);
-        let (lo, hi) = if start <= end { (start, end) } else { (end, start) };
-        prop_assert!((lo - 1e-6..=hi + 1e-6).contains(&v), "{v} outside [{lo}, {hi}]");
-    }
 }

@@ -141,7 +141,14 @@ fn all_four_planners_serve_through_the_session() {
     let db_clone = synth.db.clone();
     let queries = vec![graph.clone()];
     let ctx = EnvContext::new(&db_clone, &stats_clone);
-    let mut env = JoinOrderEnv::new(ctx, &queries, 4, QueryOrder::Cycle, RewardMode::LogRelative);
+    let mut env = PlanEnv::new(
+        ctx,
+        &queries,
+        4,
+        QueryOrder::Cycle,
+        RewardMode::LogRelative,
+        StageSet::join_order_only(),
+    );
     env.require_connected = true;
     let mut rng = StdRng::seed_from_u64(2);
     let mut agent = ReJoinAgent::new(

@@ -24,14 +24,23 @@ fn small_workload() -> (WorkloadBundle, Vec<QueryGraph>) {
     (bundle, queries)
 }
 
+/// The join-ordering environment — ReJOIN's scope — over `queries`.
+fn join_env<'a>(
+    bundle: &'a WorkloadBundle,
+    queries: &'a [QueryGraph],
+    order: QueryOrder,
+    mode: RewardMode,
+) -> PlanEnv<'a> {
+    let ctx = EnvContext::new(&bundle.db, &bundle.stats);
+    PlanEnv::new(ctx, queries, 5, order, mode, StageSet::join_order_only())
+}
+
 #[test]
 fn rejoin_training_beats_its_own_start() {
     let (bundle, queries) = small_workload();
-    let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
-        ctx,
+    let mut env = join_env(
+        &bundle,
         &queries,
-        5,
         QueryOrder::Shuffle,
         RewardMode::LogRelative,
     );
@@ -65,12 +74,13 @@ fn figure2_replay_through_public_api() {
         return; // suite seed produced no 4-relation query under 6 taken
     }
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
+    let mut env = PlanEnv::new(
         ctx,
         &four_rel,
         4,
         QueryOrder::Fixed(0),
         RewardMode::InverseCost,
+        StageSet::join_order_only(),
     );
     let featurizer = env.featurizer();
     let mut rng = StdRng::seed_from_u64(0);
@@ -91,11 +101,9 @@ fn figure2_replay_through_public_api() {
 #[test]
 fn demonstration_learning_through_facade() {
     let (bundle, queries) = small_workload();
-    let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
-        ctx,
+    let mut env = join_env(
+        &bundle,
         &queries,
-        5,
         QueryOrder::Cycle,
         RewardMode::InverseLatency,
     );
@@ -116,8 +124,7 @@ fn demonstration_learning_through_facade() {
 #[test]
 fn bootstrap_through_facade() {
     let (bundle, queries) = small_workload();
-    let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::NegLogCost);
+    let mut env = join_env(&bundle, &queries, QueryOrder::Cycle, RewardMode::NegLogCost);
     let mut rng = StdRng::seed_from_u64(5);
     let mut agent = ReJoinAgent::new(
         env.state_dim(),
@@ -130,7 +137,6 @@ fn bootstrap_through_facade() {
         observe_episodes: 30,
         phase2_episodes: 40,
         scale_rewards: true,
-        ..Default::default()
     };
     let outcome = cost_bootstrap(&mut env, &mut agent, &config, &mut rng);
     assert_eq!(outcome.log.len(), 120);
@@ -143,7 +149,7 @@ fn bootstrap_through_facade() {
 fn full_plan_env_trains_and_evaluates() {
     let (bundle, queries) = small_workload();
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = FullPlanEnv::new(
+    let mut env = PlanEnv::new(
         ctx,
         &queries,
         5,
@@ -193,10 +199,8 @@ fn parallel_run(
     seed: u64,
     episodes: usize,
 ) -> TrainingLog {
-    let make_env = |_w: usize| {
-        let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        JoinOrderEnv::new(ctx, queries, 5, QueryOrder::Cycle, RewardMode::LogRelative)
-    };
+    let make_env =
+        |_w: usize| join_env(bundle, queries, QueryOrder::Cycle, RewardMode::LogRelative);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut agent = {
         let env = make_env(0);
@@ -221,9 +225,12 @@ fn parallel_workers1_is_bit_identical_to_sequential_train() {
     let episodes = 40;
 
     let sequential = {
-        let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut env =
-            JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::LogRelative);
+        let mut env = join_env(
+            &bundle,
+            &queries,
+            QueryOrder::Cycle,
+            RewardMode::LogRelative,
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut agent = ReJoinAgent::new(
             env.state_dim(),
@@ -288,7 +295,14 @@ fn golden_log_fixed_seed_synth_run() {
         synth.query(Shape::Cycle, 4, 0, 3).with_label("cycle4"),
     ];
     let ctx = EnvContext::new(&synth.db, &synth.stats);
-    let mut env = JoinOrderEnv::new(ctx, &queries, 4, QueryOrder::Cycle, RewardMode::LogRelative);
+    let mut env = PlanEnv::new(
+        ctx,
+        &queries,
+        4,
+        QueryOrder::Cycle,
+        RewardMode::LogRelative,
+        StageSet::join_order_only(),
+    );
     let mut rng = StdRng::seed_from_u64(7);
     let mut agent = ReJoinAgent::new(
         env.state_dim(),
@@ -324,56 +338,33 @@ fn golden_log_fixed_seed_synth_run() {
 /// batched update path (the default) and with the retained per-row
 /// reference path produces the **same log, bit for bit** — every
 /// forward, gradient, and optimizer step agrees, so every subsequent
-/// rollout consumes the RNG stream identically. Exercised for both
-/// policy backends.
+/// rollout consumes the RNG stream identically.
 #[test]
 fn per_row_update_path_reproduces_batched_training_bitwise() {
     use hfqo_rl::UpdatePath;
 
     let (bundle, queries) = small_workload();
-    for kind in [PolicyKind::default_reinforce(), PolicyKind::default_ppo()] {
-        let run = |path: UpdatePath| {
-            let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-            let mut env =
-                JoinOrderEnv::new(ctx, &queries, 5, QueryOrder::Cycle, RewardMode::LogRelative);
-            let mut rng = StdRng::seed_from_u64(19);
-            let mut agent =
-                ReJoinAgent::new(env.state_dim(), env.action_dim(), kind.clone(), &mut rng);
-            train(
-                &mut env,
-                &mut agent,
-                TrainerConfig::new(48).with_update_path(path),
-                &mut rng,
-            )
-        };
-        let batched = run(UpdatePath::Batched);
-        let per_row = run(UpdatePath::PerRow);
-        assert_eq!(
-            batched, per_row,
-            "{kind:?}: batched and per-row training logs must be bit-identical"
+    let run = |path: UpdatePath| {
+        let mut env = join_env(
+            &bundle,
+            &queries,
+            QueryOrder::Cycle,
+            RewardMode::LogRelative,
         );
-    }
-}
-
-#[test]
-fn ppo_backend_also_trains() {
-    let (bundle, queries) = small_workload();
-    let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = JoinOrderEnv::new(
-        ctx,
-        &queries,
-        5,
-        QueryOrder::Shuffle,
-        RewardMode::LogRelative,
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut agent = ReJoinAgent::new(
+            env.state_dim(),
+            env.action_dim(),
+            PolicyKind::default_reinforce(),
+            &mut rng,
+        );
+        agent.set_update_path(path);
+        train(&mut env, &mut agent, TrainerConfig::new(48), &mut rng)
+    };
+    let batched = run(UpdatePath::Batched);
+    let per_row = run(UpdatePath::PerRow);
+    assert_eq!(
+        batched, per_row,
+        "batched and per-row training logs must be bit-identical"
     );
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut agent = ReJoinAgent::new(
-        env.state_dim(),
-        env.action_dim(),
-        PolicyKind::default_ppo(),
-        &mut rng,
-    );
-    let log = train(&mut env, &mut agent, TrainerConfig::new(200), &mut rng);
-    assert_eq!(log.len(), 200);
-    assert!(log.final_geo_ratio(40).expect("non-empty").is_finite());
 }
