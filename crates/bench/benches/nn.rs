@@ -30,7 +30,6 @@ fn synthetic_episode(b: usize, rng: &mut StdRng) -> Episode {
             features,
             mask,
             action,
-            action_prob: 0.1,
             reward: rng.gen::<f32>(),
         });
     }

@@ -34,11 +34,14 @@
 //! the degenerate case of the same code, not a second engine.
 //!
 //! **Joins** emit `(left row, right row)` id pairs, gathered into the
-//! output columns a bounded vector at a time; an `=` over two integer
-//! columns is resolved once per join to typed slices, so the nested
-//! loop scans an `&[i64]` per probe key and the hash probe does not
-//! re-check the key it hashed on. Charges are made per probe row with
-//! the row oracle's totals.
+//! output columns a bounded vector at a time (a zero-width output is
+//! only counted); a comparison between two integer columns is resolved
+//! once per join to typed slices, so the nested loop scans an `&[i64]`
+//! per probe key, the hash probe does not re-check the key it hashed
+//! on, and the remaining conditions narrow a probe row's candidates a
+//! run at a time. Charges are made per probe row with the row oracle's
+//! totals. **Global aggregates** fold an accumulator at a time over a
+//! whole column, in row order; `COUNT(*)` is the input's row count.
 //!
 //! **Intermediate format.** A stage's output is one
 //! [`hfqo_storage::ColumnVector`] per projected column (typed vectors

@@ -2,15 +2,16 @@
 //!
 //! The accumulator type `Acc` is shared by the evaluator's aggregation
 //! stage ([`crate::parallel`]) and the reference row engine, so both
-//! agree on aggregate semantics to the bit. Output rows are *group keys
-//! followed by aggregate values*.
+//! agree on aggregate semantics to the bit; [`fold_column`] is the
+//! evaluator's global fold, one accumulator over its whole column.
+//! Output rows are *group keys followed by aggregate values*.
 
 use crate::error::ExecError;
 use crate::projection::Projection;
 use hfqo_catalog::{Catalog, ColumnType};
 use hfqo_query::{QueryError, QueryGraph};
 use hfqo_sql::AggFunc;
-use hfqo_storage::Value;
+use hfqo_storage::{ColumnVector, Value};
 
 /// One aggregate accumulator.
 #[derive(Debug, Clone)]
@@ -96,6 +97,26 @@ impl Acc {
             }
         }
     }
+}
+
+/// One aggregate over a whole input column (`None`: `COUNT(*)`) — the
+/// global, non-`GROUP BY` fold. `COUNT(*)` is the row count; every other
+/// aggregate is an [`Acc`] updated with the column's rows in order.
+pub(crate) fn fold_column(
+    func: AggFunc,
+    col: Option<&ColumnVector>,
+    rows: usize,
+) -> Result<Value, ExecError> {
+    let mut acc = Acc::new(func);
+    match (&mut acc, col) {
+        (Acc::Count(n), None) => *n = rows as u64,
+        (acc, col) => {
+            for row in 0..rows {
+                acc.update(col.map(|c| c.get(row)).as_ref())?;
+            }
+        }
+    }
+    Ok(acc.finish())
 }
 
 /// The column type an aggregate's output takes.

@@ -43,8 +43,10 @@ pub fn eval_cmp(op: CompareOp, a: &Value, b: &Value) -> bool {
 }
 
 /// [`eval_cmp`] directly over column storage — no [`Value`]
-/// materialisation (and no `Arc` clone for text) per comparison; this
-/// is the join operators' per-candidate hot path.
+/// materialisation (and no `Arc` clone for text) per comparison. The
+/// join operators compare integer columns on their typed slices
+/// themselves; this is what they call for every other operand pair
+/// (floats, text, mixed numerics).
 #[inline]
 pub fn eval_cmp_cols(
     op: CompareOp,

@@ -48,17 +48,32 @@
 //! one comparator) but advance the merge cursors serially — the merge
 //! loop is inherently sequential and its charge pattern (one unit per
 //! cursor comparison) depends on the traversal. Global (non-`GROUP BY`)
-//! aggregates also fold serially: float accumulation is not
-//! associative, and a tree reduction would change result bits.
+//! aggregates fold on one thread, an accumulator at a time over its
+//! whole input column, in row order (`ops::agg::fold_column`): float
+//! accumulation is not associative, so a tree reduction would change
+//! result bits, while one add per row in the order the row oracle adds
+//! them cannot. `COUNT(*)` reads no column and is the row count.
+//!
+//! ## No `Value` per row
+//!
+//! A join resolves its column operands once: a condition between
+//! integer columns becomes an `IntCond` over typed slices. Conditions
+//! are applied a probe row at a time — the rows it could pair with are
+//! gathered, `Conds::retain` narrows them one condition after another,
+//! and the survivors are emitted as one run — so the comparison operator
+//! is chosen once per run, not per pair. Which form runs is read off the
+//! column types; anything without a typed form (floats, text, mixed
+//! numerics) goes through `eval_cmp_cols`. Aggregates other than
+//! `COUNT(*)` still build a `Value` per row (`Acc::update`).
 //!
 //! [`ExecConfig::threads`]: crate::ExecConfig::threads
 
 use crate::error::ExecError;
 use crate::executor::ExecConfig;
-use crate::ops::agg::{Acc, AggSpec};
+use crate::ops::agg::{fold_column, Acc, AggSpec};
 use crate::ops::join::{join_output, Side};
 use crate::ops::scan::ScanSpec;
-use crate::ops::{eval_cmp_cols, first_eq, resolve_conds, SlotCond};
+use crate::ops::{eval_cmp_cols, resolve_conds, SlotCond};
 use crate::projection::{scan_projection, ColSet, Projection};
 use crate::row::Row;
 use hfqo_catalog::ColumnType;
@@ -333,14 +348,19 @@ pub(crate) fn evaluate(
         morsel_rows: config.morsel_rows.max(1),
         budget: &budget,
     };
-    let out = match root {
-        PlanNode::Aggregate { algo, input } => {
-            let child = eval_node(&ctx, input, required)?;
-            eval_aggregate(&ctx, *algo, &child)?
-        }
-        node => eval_node(&ctx, node, required)?.data,
-    };
+    let out = eval_root(&ctx, root, required)?;
     Ok((out, budget.used()))
+}
+
+/// The plan root: an aggregate over its input, or a bare node.
+fn eval_root(ctx: &Ctx<'_>, root: &PlanNode, required: &ColSet) -> Result<Chunk, ExecError> {
+    match root {
+        PlanNode::Aggregate { algo, input } => {
+            let child = eval_node(ctx, input, required)?;
+            eval_aggregate(ctx, *algo, &child)
+        }
+        node => Ok(eval_node(ctx, node, required)?.data),
+    }
 }
 
 fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOut, ExecError> {
@@ -458,13 +478,15 @@ fn eval_join(
 /// them into its output columns. Large enough that a gather's per-column
 /// type dispatch is paid once per couple of thousand rows and not once
 /// per cell; bounded — instead of holding a whole morsel's matches — so
-/// that a plan on its way to `BudgetExceeded` with a narrow or
-/// zero-width output cannot pile up millions of pairs first.
+/// that a plan on its way to `BudgetExceeded` with a narrow output
+/// cannot pile up millions of pairs first.
 const PAIR_BATCH: usize = 2048;
 
 /// A join's output side: matches go in as row-id pairs and leave as
 /// column-wise gathers ([`ColumnVector::gather_into`]), one batch of at
-/// most [`PAIR_BATCH`] at a time, in the order they were pushed.
+/// most [`PAIR_BATCH`] at a time, in the order they were pushed. A
+/// zero-width output (an empty `out_map`: the join under a `COUNT(*)`)
+/// has nothing to gather, so its matches are counted and never buffered.
 struct PairEmitter<'a> {
     out_map: &'a [Side],
     types: &'a [ColumnType],
@@ -493,17 +515,12 @@ impl<'a> PairEmitter<'a> {
         }
     }
 
-    #[inline]
-    fn push(&mut self, l_row: u32, r_row: u32) {
-        if self.l_rows.len() == PAIR_BATCH {
-            self.flush();
-        }
-        self.l_rows.push(l_row);
-        self.r_rows.push(r_row);
-    }
-
     /// Pushes `(l_row, r)` for every `r` of `r_rows`, in order.
     fn push_run(&mut self, l_row: u32, mut r_rows: &[u32]) {
+        if self.out_map.is_empty() {
+            self.chunk.rows += r_rows.len();
+            return;
+        }
         while !r_rows.is_empty() {
             if self.l_rows.len() == PAIR_BATCH {
                 self.flush();
@@ -535,55 +552,122 @@ impl<'a> PairEmitter<'a> {
     }
 }
 
-/// Whether the pair `(l_row, r_row)` satisfies every condition.
-#[inline]
-fn passes(conds: &[SlotCond], left: &NodeOut, l_row: usize, right: &NodeOut, r_row: usize) -> bool {
-    conds.iter().all(|c| {
-        eval_cmp_cols(
-            c.op,
-            &left.data.cols[c.l_slot],
-            l_row,
-            &right.data.cols[c.r_slot],
-            r_row,
-        )
-    })
-}
-
-/// An `=` join condition over two plain integer columns, resolved once
-/// per join to typed slices, beside the join's other conditions: a pair
-/// satisfies the key iff both sides are valid and the `i64`s are equal,
-/// which is what `eval_cmp_cols` would find. Executor chunks are always
-/// plain, so every integer key column qualifies.
-struct IntKey<'a> {
+/// A join condition over two plain integer columns, resolved once per
+/// join to typed slices: a pair satisfies it iff both sides are valid
+/// and the `i64`s compare as `op` asks, which is what `eval_cmp_cols`
+/// would find. Executor chunks are always plain, so every condition
+/// between integer columns qualifies.
+#[derive(Clone, Copy)]
+struct IntCond<'a> {
+    op: CompareOp,
     l_vals: &'a [i64],
     l_valid: &'a [bool],
     r_vals: &'a [i64],
     r_valid: &'a [bool],
-    rest: Vec<SlotCond>,
 }
 
-impl<'a> IntKey<'a> {
-    /// `conds[at]` as an integer key, if it is one.
-    fn at(conds: &[SlotCond], at: usize, left: &'a NodeOut, right: &'a NodeOut) -> Option<Self> {
-        let c = conds[at];
-        match (c.op, &left.data.cols[c.l_slot], &right.data.cols[c.r_slot]) {
-            (
-                CompareOp::Eq,
-                ColumnVector::Int(l_vals, l_valid),
-                ColumnVector::Int(r_vals, r_valid),
-            ) => {
-                let mut rest = conds.to_vec();
-                rest.remove(at);
+impl<'a> IntCond<'a> {
+    /// `cond` over typed slices, if both its columns are plain integers.
+    fn resolve(cond: SlotCond, left: &'a NodeOut, right: &'a NodeOut) -> Option<Self> {
+        match (&left.data.cols[cond.l_slot], &right.data.cols[cond.r_slot]) {
+            (ColumnVector::Int(l_vals, l_valid), ColumnVector::Int(r_vals, r_valid)) => {
                 Some(Self {
+                    op: cond.op,
                     l_vals,
                     l_valid,
                     r_vals,
                     r_valid,
-                    rest,
                 })
             }
             _ => None,
         }
+    }
+
+    /// Keeps the rows of `r_rows` that pair with `l_row` under this
+    /// condition. The left value is read and the operator chosen once
+    /// per call, so each arm is one loop of `i64` compares.
+    fn retain(&self, l_row: usize, r_rows: &mut Vec<u32>) {
+        if !self.l_valid[l_row] {
+            r_rows.clear();
+            return;
+        }
+        let l = self.l_vals[l_row];
+        match self.op {
+            CompareOp::Eq => self.retain_by(r_rows, |r| l == r),
+            CompareOp::Neq => self.retain_by(r_rows, |r| l != r),
+            CompareOp::Lt => self.retain_by(r_rows, |r| l < r),
+            CompareOp::Le => self.retain_by(r_rows, |r| l <= r),
+            CompareOp::Gt => self.retain_by(r_rows, |r| l > r),
+            CompareOp::Ge => self.retain_by(r_rows, |r| l >= r),
+        }
+    }
+
+    #[inline]
+    fn retain_by(&self, r_rows: &mut Vec<u32>, pairs_with: impl Fn(i64) -> bool) {
+        r_rows.retain(|&r| self.r_valid[r as usize] && pairs_with(self.r_vals[r as usize]));
+    }
+}
+
+/// One join condition, resolved once per join against its two inputs.
+enum Cond<'a> {
+    Int(IntCond<'a>),
+    /// Floats, text, mixed numerics: the generic column comparison.
+    Other(CompareOp, &'a ColumnVector, &'a ColumnVector),
+}
+
+/// A join's conditions beyond its key, applied a probe row at a time:
+/// the operator gathers the right rows that row could pair with, and
+/// [`Conds::retain`] narrows them one condition after another — a run
+/// per condition rather than every condition per pair, so the integer
+/// ones never leave their slices.
+struct Conds<'a>(Vec<Cond<'a>>);
+
+impl<'a> Conds<'a> {
+    /// Every condition of `conds` but `conds[except]` — the one a join
+    /// has already applied as its typed key.
+    fn resolve(
+        conds: &[SlotCond],
+        except: Option<usize>,
+        left: &'a NodeOut,
+        right: &'a NodeOut,
+    ) -> Self {
+        let kept = conds
+            .iter()
+            .enumerate()
+            .filter(|&(at, _)| Some(at) != except);
+        Self(
+            kept.map(|(_, &c)| match IntCond::resolve(c, left, right) {
+                Some(int) => Cond::Int(int),
+                None => Cond::Other(c.op, &left.data.cols[c.l_slot], &right.data.cols[c.r_slot]),
+            })
+            .collect(),
+        )
+    }
+
+    /// Keeps the rows of `r_rows`, in order, whose pair with `l_row`
+    /// satisfies every condition (a NULL on either side satisfies none).
+    fn retain(&self, l_row: usize, r_rows: &mut Vec<u32>) {
+        for cond in &self.0 {
+            match cond {
+                Cond::Int(int) => int.retain(l_row, r_rows),
+                Cond::Other(op, l, r) => {
+                    r_rows.retain(|&r_row| eval_cmp_cols(*op, l, l_row, r, r_row as usize))
+                }
+            }
+        }
+    }
+
+    /// The rows of `r_rows` that [`Self::retain`] keeps for `l_row`:
+    /// `r_rows` itself when there is no condition to apply, else a
+    /// narrowed copy in `sel`.
+    fn narrow<'s>(&self, l_row: usize, r_rows: &'s [u32], sel: &'s mut Vec<u32>) -> &'s [u32] {
+        if self.0.is_empty() {
+            return r_rows;
+        }
+        sel.clear();
+        sel.extend_from_slice(r_rows);
+        self.retain(l_row, sel);
+        sel
     }
 }
 
@@ -779,11 +863,11 @@ where
 /// table (`candidates`; `None` for a NULL or absent key) without
 /// touching shared state and emit in probe order. One unit per probe
 /// row, one per candidate, one per emitted row. `residual` is what a
-/// candidate must still satisfy; when that is nothing, a probe row's
-/// candidate list is charged and appended as one run.
+/// candidate must still satisfy: a probe row's candidate list is
+/// charged, narrowed by it (when it is anything) and appended as one run.
 fn probe_tables<'t>(
     ctx: &Ctx<'_>,
-    residual: &[SlotCond],
+    residual: &Conds<'_>,
     out_map: &[Side],
     types: &[ColumnType],
     left: &NodeOut,
@@ -795,27 +879,17 @@ fn probe_tables<'t>(
         let mut charger = Charger::new(ctx.budget);
         let mut emitter = PairEmitter::new(out_map, types, left, right);
         let mut out: Vec<(usize, Chunk)> = Vec::new();
+        let mut sel: Vec<u32> = Vec::new();
         while let Some((idx, range)) = morsels.claim() {
             charger.charge(range.len() as u64)?;
             for row in range {
                 let Some(candidates) = candidates(row) else {
                     continue;
                 };
-                let n = candidates.len() as u64;
-                if residual.is_empty() {
-                    charger.charge(2 * n)?;
-                    emitter.push_run(row as u32, candidates);
-                } else {
-                    charger.charge(n)?;
-                    let mut emitted = 0;
-                    for &b_row in candidates {
-                        if passes(residual, left, row, right, b_row as usize) {
-                            emitter.push(row as u32, b_row);
-                            emitted += 1;
-                        }
-                    }
-                    charger.charge(emitted)?;
-                }
+                charger.charge(candidates.len() as u64)?;
+                let matches = residual.narrow(row, candidates, &mut sel);
+                charger.charge(matches.len() as u64)?;
+                emitter.push_run(row as u32, matches);
             }
             out.push((idx, emitter.take()));
         }
@@ -832,8 +906,8 @@ fn probe_tables<'t>(
 /// candidate counts agree): [`build_tables`] over the right input, then
 /// [`probe_tables`] with the left. Two plain integer key columns take
 /// the typed form — `i64` keys off the slices, and candidates, which
-/// matched by `i64` equality, re-checked only against the *other*
-/// conditions; any other key goes through [`Value`]s and re-checks
+/// matched by `i64` equality, narrowed only by the *other* conditions;
+/// any other key goes through [`Value`]s and its candidates through
 /// every condition.
 fn hash_join(
     ctx: &Ctx<'_>,
@@ -850,12 +924,14 @@ fn hash_join(
             QueryError::InvalidPlan("hash join requires an equality condition".into())
         })?;
     let build_rows = right.data.rows;
-    if let Some(key) = IntKey::at(conds, at, left, right) {
+    let int_key = IntCond::resolve(conds[at], left, right);
+    let residual = Conds::resolve(conds, int_key.map(|_| at), left, right);
+    if let Some(key) = int_key {
         let tables: Vec<IntTable> = build_tables(ctx, build_rows, |row| {
             key.r_valid[row].then(|| key.r_vals[row])
         })?;
         let mask = tables.len() - 1;
-        probe_tables(ctx, &key.rest, out_map, types, left, right, |row| {
+        probe_tables(ctx, &residual, out_map, types, left, right, |row| {
             let k = key.l_vals[row];
             key.l_valid[row]
                 .then(|| tables[partition_of(&k, mask)].get(&k))
@@ -870,7 +946,7 @@ fn hash_join(
         let probe_col = &left.data.cols[conds[at].l_slot];
         let tables: Vec<AnyTable> = build_tables(ctx, build_rows, |row| non_null(build_col, row))?;
         let mask = tables.len() - 1;
-        probe_tables(ctx, conds, out_map, types, left, right, |row| {
+        probe_tables(ctx, &residual, out_map, types, left, right, |row| {
             non_null(probe_col, row).and_then(|k| tables[partition_of(&k, mask)].get(&k))
         })
     }
@@ -881,7 +957,7 @@ fn hash_join(
 /// row, charged per probe row: the inner side's size before the scan,
 /// the matches after it. With an integer `=` condition the scan
 /// compares the probe key against the inner key slice and only matching
-/// pairs see the other conditions.
+/// rows see the other conditions.
 fn nested_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -891,16 +967,22 @@ fn nested_join(
     right: &NodeOut,
 ) -> Result<Chunk, ExecError> {
     let inner_rows = right.data.rows;
-    let int_key = (0..conds.len()).find_map(|at| IntKey::at(conds, at, left, right));
+    let int_key = conds.iter().enumerate().find_map(|(at, &c)| {
+        let key = IntCond::resolve(c, left, right)?;
+        (key.op == CompareOp::Eq).then_some((at, key))
+    });
+    let rest = Conds::resolve(conds, int_key.map(|(at, _)| at), left, right);
+    let int_key = int_key.map(|(_, key)| key);
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
     let chunks = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
         let mut emitter = PairEmitter::new(out_map, types, left, right);
         let mut out: Vec<(usize, Chunk)> = Vec::new();
+        let mut sel: Vec<u32> = Vec::new();
         while let Some((idx, range)) = morsels.claim() {
             for row in range {
                 charger.charge(inner_rows as u64)?;
-                let mut emitted = 0;
+                sel.clear();
                 match &int_key {
                     Some(key) if !key.l_valid[row] => {}
                     Some(key) => {
@@ -908,22 +990,16 @@ fn nested_join(
                         for (b_row, (&b_key, &valid)) in
                             key.r_vals.iter().zip(key.r_valid).enumerate()
                         {
-                            if b_key == k && valid && passes(&key.rest, left, row, right, b_row) {
-                                emitter.push(row as u32, b_row as u32);
-                                emitted += 1;
+                            if b_key == k && valid {
+                                sel.push(b_row as u32);
                             }
                         }
                     }
-                    None => {
-                        for b_row in 0..inner_rows {
-                            if passes(conds, left, row, right, b_row) {
-                                emitter.push(row as u32, b_row as u32);
-                                emitted += 1;
-                            }
-                        }
-                    }
+                    None => sel.extend(0..inner_rows as u32),
                 }
-                charger.charge(emitted)?;
+                rest.retain(row, &mut sel);
+                charger.charge(sel.len() as u64)?;
+                emitter.push_run(row as u32, &sel);
             }
             out.push((idx, emitter.take()));
         }
@@ -940,7 +1016,8 @@ fn nested_join(
 /// so the permutations do not depend on the team size); the merge
 /// itself advances serially because its charge pattern — one unit per
 /// cursor comparison, one per pair in each equal block — depends on the
-/// traversal.
+/// traversal. A left row's equal block is narrowed by the conditions as
+/// a hash probe's candidates are: all of them, or all but an integer key.
 fn merge_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -949,9 +1026,13 @@ fn merge_join(
     left: &NodeOut,
     right: &NodeOut,
 ) -> Result<Chunk, ExecError> {
-    let key = first_eq(conds).ok_or_else(|| {
-        QueryError::InvalidPlan("merge join requires an equality condition".into())
-    })?;
+    let at = conds
+        .iter()
+        .position(|c| c.op == CompareOp::Eq)
+        .ok_or_else(|| {
+            QueryError::InvalidPlan("merge join requires an equality condition".into())
+        })?;
+    let key = conds[at];
     let lcol = &left.data.cols[key.l_slot];
     let rcol = &right.data.cols[key.r_slot];
     let mut li: Vec<u32> = (0..left.data.rows as u32)
@@ -978,6 +1059,10 @@ fn merge_join(
         }
     }
 
+    // An equal block of two integer columns has already met the key.
+    let int_key = IntCond::resolve(key, left, right).map(|_| at);
+    let rest = Conds::resolve(conds, int_key, left, right);
+    let mut sel: Vec<u32> = Vec::new();
     let mut emitter = PairEmitter::new(out_map, types, left, right);
     let mut charger = Charger::new(ctx.budget);
     let (mut i, mut j) = (0usize, 0usize);
@@ -999,13 +1084,10 @@ fn merge_join(
                     .unwrap_or(j)
                     + 1;
                 for &lx in &li[i..i_end] {
-                    for &rx in &ri[j..j_end] {
-                        charger.charge(1)?;
-                        if passes(conds, left, lx as usize, right, rx as usize) {
-                            emitter.push(lx, rx);
-                            charger.charge(1)?;
-                        }
-                    }
+                    charger.charge((j_end - j) as u64)?;
+                    let matches = rest.narrow(lx as usize, &ri[j..j_end], &mut sel);
+                    charger.charge(matches.len() as u64)?;
+                    emitter.push_run(lx, matches);
                 }
                 i = i_end;
                 j = j_end;
@@ -1047,8 +1129,8 @@ fn fold_groups(
 /// (order-preserving within each partition) and folded
 /// partition-by-partition — a group's rows land wholly in one partition,
 /// so every accumulator folds in global input order and float sums are
-/// bit-identical at every team size. Global aggregates fold serially
-/// for the same reason.
+/// bit-identical at every team size. Global aggregates fold on one
+/// thread for the same reason, an accumulator at a time ([`fold_column`]).
 fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk, ExecError> {
     let spec = AggSpec::resolve(ctx.graph, ctx.db.catalog(), &child.proj)?;
     let input_rows = child.data.rows;
@@ -1057,16 +1139,11 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
 
     let mut out_rows: Vec<Vec<Value>> = if spec.key_slots.is_empty() {
         ctx.budget.add(input_rows as u64)?;
-        let mut accs = spec.new_accs();
-        for row in 0..input_rows {
-            for (acc, slot) in accs.iter_mut().zip(&spec.agg_slots) {
-                let v = slot.map(|s| cols[s].get(row));
-                acc.update(v.as_ref())?;
-            }
-        }
         // An aggregate over zero rows with no GROUP BY still yields one
-        // row (SQL semantics: COUNT(*) = 0) — `new_accs` covers it.
-        vec![accs.into_iter().map(Acc::finish).collect()]
+        // row (SQL semantics: COUNT(*) = 0) — an empty fold covers it.
+        let aggs = spec.agg_funcs.iter().zip(&spec.agg_slots);
+        let row = aggs.map(|(&func, slot)| fold_column(func, slot.map(|s| &cols[s]), input_rows));
+        vec![row.collect::<Result<_, _>>()?]
     } else if parts == 1 {
         ctx.budget.add(input_rows as u64)?;
         fold_groups(&spec, cols, 0..input_rows)?
@@ -1254,13 +1331,15 @@ mod tests {
         }
     }
 
-    /// Two tables `a(k, v, f, s)` and `b(k, w, f, s)` shaped so that
-    /// `a.k = b.k` yields exactly `n` rows: `a` holds keys `0..p`, `b`
-    /// holds `n` rows with key `i % p`, and each side adds a NULL-key
+    /// Two tables `a(k, v, f, s, r)` and `b(k, w, f, s, r)` shaped so
+    /// that `a.k = b.k` yields exactly `n` rows: `a` holds keys `0..p`,
+    /// `b` holds `n` rows with key `i % p`, and each side adds a NULL-key
     /// row and a key the other side lacks. `f` and `s` carry the key as
-    /// a float and as text; `v` is `a`'s row number and `w = i % 3`.
+    /// a float and as text; `v` is `a`'s row number and `w = i % 3`; `r`
+    /// is the row number modulo 7, NULL on every fourth row of `a` and
+    /// every fifth of `b`.
     /// Join edges: 0 `a.k = b.k`, 1 `a.v < b.w`, 2 `a.f = b.f`,
-    /// 3 `a.s = b.s`.
+    /// 3 `a.s = b.s`, 4 `a.r = b.r`, 5 `a.r >= b.r`, 6 `a.f < b.w`.
     fn fan_fixture(p: usize, n: usize) -> (Database, QueryGraph) {
         let cols = |third: &str| {
             vec![
@@ -1268,35 +1347,44 @@ mod tests {
                 Column::new(third, ColumnType::Int),
                 Column::nullable("f", ColumnType::Float),
                 Column::nullable("s", ColumnType::Text),
+                Column::nullable("r", ColumnType::Int),
             ]
         };
         let mut cat = Catalog::new();
         let a = cat.add_table(TableSchema::new("a", cols("v"))).unwrap();
         let b = cat.add_table(TableSchema::new("b", cols("w"))).unwrap();
         let mut db = Database::new(cat);
-        let row = |key: Option<i64>, third: i64| match key {
-            Some(k) => [
-                Value::Int(k),
-                Value::Int(third),
-                Value::Float(k as f64),
-                Value::str(format!("s{k}")),
-            ],
-            None => [Value::Null, Value::Int(third), Value::Null, Value::Null],
+        let row = |key: Option<i64>, third: i64, r: Option<i64>| {
+            let r = r.map_or(Value::Null, Value::Int);
+            match key {
+                Some(k) => [
+                    Value::Int(k),
+                    Value::Int(third),
+                    Value::Float(k as f64),
+                    Value::str(format!("s{k}")),
+                    r,
+                ],
+                None => [Value::Null, Value::Int(third), Value::Null, Value::Null, r],
+            }
+        };
+        let residual = |i: usize, null_every: usize| {
+            (i % null_every != null_every - 1).then_some((i % 7) as i64)
         };
         let a_keys = (0..p as i64).map(Some).chain([None, Some(-1)]);
         for (i, key) in a_keys.enumerate() {
             let t = db.table_mut(a).unwrap();
-            t.append_row(&row(key, i as i64)).unwrap();
+            t.append_row(&row(key, i as i64, residual(i, 4))).unwrap();
         }
         let b_keys = (0..n).map(|i| Some((i % p) as i64)).chain([None, Some(-2)]);
         for (i, key) in b_keys.enumerate() {
             let t = db.table_mut(b).unwrap();
-            t.append_row(&row(key, (i % 3) as i64)).unwrap();
+            t.append_row(&row(key, (i % 3) as i64, residual(i, 5)))
+                .unwrap();
         }
-        let edge = |col: u32, op| JoinEdge {
-            left: BoundColumn::new(RelId(0), ColumnId(col)),
+        let edge = |l_col: u32, op, r_col: u32| JoinEdge {
+            left: BoundColumn::new(RelId(0), ColumnId(l_col)),
             op,
-            right: BoundColumn::new(RelId(1), ColumnId(col)),
+            right: BoundColumn::new(RelId(1), ColumnId(r_col)),
         };
         let graph = QueryGraph::new(
             vec![
@@ -1310,10 +1398,13 @@ mod tests {
                 },
             ],
             vec![
-                edge(0, CompareOp::Eq),
-                edge(1, CompareOp::Lt),
-                edge(2, CompareOp::Eq),
-                edge(3, CompareOp::Eq),
+                edge(0, CompareOp::Eq, 0),
+                edge(1, CompareOp::Lt, 1),
+                edge(2, CompareOp::Eq, 2),
+                edge(3, CompareOp::Eq, 3),
+                edge(4, CompareOp::Eq, 4),
+                edge(4, CompareOp::Ge, 4),
+                edge(2, CompareOp::Lt, 1),
             ],
             vec![],
             vec![],
@@ -1339,8 +1430,8 @@ mod tests {
             morsel_rows,
             budget: &budget,
         };
-        let out = eval_node(&ctx, node, required)?;
-        Ok((out.data.into_rows(), budget.used()))
+        let out = eval_root(&ctx, node, required)?;
+        Ok((out.into_rows(), budget.used()))
     }
 
     const GEOMETRIES: [(usize, usize); 9] = [
@@ -1430,7 +1521,7 @@ mod tests {
             let (db, graph) = &world;
             let (rows, _) =
                 run(&world, &node, &all_columns(graph, db), (1, 4096), u64::MAX).unwrap();
-            assert!(rows.iter().all(|r| !r[0].is_null() && r[0] == r[4]));
+            assert!(rows.iter().all(|r| !r[0].is_null() && r[0] == r[5]));
         }
     }
 
@@ -1455,6 +1546,44 @@ mod tests {
     }
 
     #[test]
+    fn residual_conditions_match_the_oracle() {
+        // Four keys with 100 build rows each — the `job_warm` shape: a
+        // low-cardinality key whose candidates the residual mostly
+        // rejects. Rows of `a` carry `r` = 0, 1, 2, NULL, 4, 5.
+        let world = fan_fixture(4, 400);
+        let (db, graph) = &world;
+        for algo in [JoinAlgo::Hash, JoinAlgo::NestedLoop, JoinAlgo::Merge] {
+            // A second `=`: of 100 candidates per probe row, those whose
+            // `r` is the probe row's, about one in nine.
+            let two_eq = join_of(algo, &[0, 4]);
+            let rows = assert_matches_oracle(&world, two_eq.clone());
+            assert!(0 < rows && rows < 400 / 6, "{algo:?}: {rows}");
+            // A NULL on either side of the residual pairs with nothing,
+            // though both sides hold NULLs under matching keys.
+            let (out, _) = run(
+                &world,
+                &two_eq,
+                &all_columns(graph, db),
+                (1, 4096),
+                u64::MAX,
+            )
+            .unwrap();
+            assert!(out.iter().all(|r| !r[4].is_null() && r[4] == r[9]));
+            // Integer inequalities, a mixed Int/Float pair (no typed
+            // form: the generic comparison), and three conditions.
+            let ge = assert_matches_oracle(&world, join_of(algo, &[0, 5]));
+            assert!(rows < ge && ge < 400, "{algo:?}: {ge}");
+            let mixed = assert_matches_oracle(&world, join_of(algo, &[0, 6]));
+            assert!(0 < mixed && mixed < 400, "{algo:?}: {mixed}");
+            let three = assert_matches_oracle(&world, join_of(algo, &[0, 5, 1]));
+            assert!(0 < three && three < ge, "{algo:?}: {three}");
+        }
+        // Integer conditions with no `=` among them: the keyless loop.
+        let rows = assert_matches_oracle(&world, join_of(JoinAlgo::NestedLoop, &[5, 1]));
+        assert!(0 < rows && rows < 6 * 402);
+    }
+
+    #[test]
     fn budget_aborts_exactly_when_the_oracle_does() {
         let world = fan_fixture(3, 40);
         let (db, graph) = &world;
@@ -1463,6 +1592,7 @@ mod tests {
             join_of(JoinAlgo::NestedLoop, &[0, 1]),
             join_of(JoinAlgo::Hash, &[0]),
             join_of(JoinAlgo::Hash, &[0, 1]),
+            join_of(JoinAlgo::Hash, &[0, 4]),
         ] {
             let plan = hfqo_query::PhysicalPlan::new(node);
             let total = crate::execute_rows(db, graph, &plan, ExecConfig::default())
@@ -1499,6 +1629,207 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One eight-row table whose columns cover what a global aggregate
+    /// can meet, under `aggregates`; `keep_rows = false` adds a selection
+    /// no row passes. Columns: 0 `i` Int (one value past 2^53); 1 `lo`
+    /// and 2 `hi`, Floats whose extreme is a `-0.0`/`0.0` tie and whose
+    /// sum depends on the order of the adds; 3 `nan` and 4 `nan0`, a NaN
+    /// inside and a NaN first; 5 `s` Text; 6–8 `ni`/`nf`/`ns`, the three
+    /// types with NULLs; 9–11 `zi`/`zf`/`zs`, the three types all NULL.
+    fn agg_fixture(aggregates: Vec<AggExpr>, keep_rows: bool) -> (Database, QueryGraph) {
+        use ColumnType::{Float, Int, Text};
+        let nan = f64::NAN;
+        let ints = |v: [i64; 8]| v.map(Value::Int);
+        let floats = |v: [f64; 8]| v.map(Value::Float);
+        let texts = |v: [&str; 8]| v.map(Value::str);
+        // Every third row, from the first, is NULL.
+        let holes = |v: [Value; 8]| {
+            let mut at = 0;
+            v.map(|x| {
+                at += 1;
+                if at % 3 == 1 {
+                    Value::Null
+                } else {
+                    x
+                }
+            })
+        };
+        let nulls = || [(); 8].map(|_| Value::Null);
+        let columns: Vec<(Column, [Value; 8])> = vec![
+            (
+                Column::new("i", Int),
+                ints([3, -7, 3, 0, (1 << 53) + 1, -1, 5, 5]),
+            ),
+            (
+                Column::new("lo", Float),
+                floats([-0.0, 0.0, 0.1, 0.2, 0.3, 1e16, 3.5, 0.0]),
+            ),
+            (
+                Column::new("hi", Float),
+                floats([0.0, -0.0, -0.1, -0.2, -0.3, -1e16, -3.5, -0.0]),
+            ),
+            (
+                Column::new("nan", Float),
+                floats([1.0, nan, -2.0, 5.0, nan, 0.5, -9.0, 2.0]),
+            ),
+            (
+                Column::new("nan0", Float),
+                floats([nan, 1.0, -2.0, 5.0, 0.25, 0.5, -9.0, 2.0]),
+            ),
+            (
+                Column::new("s", Text),
+                texts(["pear", "apple", "fig", "apple", "zoo", "kiwi", "zoo", "yam"]),
+            ),
+            (
+                Column::nullable("ni", Int),
+                holes(ints([0, 4, -2, 0, 4, 10, 0, -2])),
+            ),
+            (
+                Column::nullable("nf", Float),
+                holes(floats([0.0, 0.1, 0.2, 0.0, 0.3, -0.0, 0.0, 0.0])),
+            ),
+            (
+                Column::nullable("ns", Text),
+                holes(texts(["", "m", "b", "", "m", "x", "", "b"])),
+            ),
+            (Column::nullable("zi", Int), nulls()),
+            (Column::nullable("zf", Float), nulls()),
+            (Column::nullable("zs", Text), nulls()),
+        ];
+        let mut cat = Catalog::new();
+        let schema = columns.iter().map(|(c, _)| c.clone()).collect();
+        let t = cat.add_table(TableSchema::new("t", schema)).unwrap();
+        let mut db = Database::new(cat);
+        for row in 0..8 {
+            let values: Vec<Value> = columns.iter().map(|(_, v)| v[row].clone()).collect();
+            db.table_mut(t).unwrap().append_row(&values).unwrap();
+        }
+        let selections = if keep_rows {
+            vec![]
+        } else {
+            vec![Selection {
+                column: BoundColumn::new(RelId(0), ColumnId(0)),
+                op: CompareOp::Lt,
+                value: hfqo_query::Lit::Int(-100),
+            }]
+        };
+        let relation = Relation {
+            table: t,
+            alias: "t".into(),
+        };
+        let graph = QueryGraph::new(vec![relation], vec![], selections, aggregates, vec![]);
+        (db, graph)
+    }
+
+    fn agg(func: AggFunc, column: u32) -> AggExpr {
+        AggExpr {
+            func,
+            column: Some(BoundColumn::new(RelId(0), ColumnId(column))),
+        }
+    }
+
+    /// The global aggregate over `world`'s table at every algorithm and
+    /// geometry against the row oracle: the same values to the bit (and
+    /// variant: `Value`'s own equality takes `2` for `2.0` and a NaN for
+    /// anything), the same `work`, or the same `BadAggregate`. Returns
+    /// the output row, `None` for the error.
+    fn assert_aggregate_matches_oracle(world: &(Database, QueryGraph)) -> Option<Row> {
+        let (db, graph) = world;
+        let same_bits = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Str(x), Value::Str(y)) => x == y,
+            (Value::Null, Value::Null) => true,
+            _ => false,
+        };
+        let mut out = None;
+        for algo in [AggAlgo::Hash, AggAlgo::Sort] {
+            let plan = hfqo_query::PhysicalPlan::new(PlanNode::Aggregate {
+                algo,
+                input: Box::new(PlanNode::Scan {
+                    rel: RelId(0),
+                    path: AccessPath::SeqScan,
+                }),
+            });
+            let oracle = crate::execute_rows(db, graph, &plan, ExecConfig::with_budget(u64::MAX));
+            for geometry in GEOMETRIES {
+                let tag = format!("{algo:?} at {geometry:?}");
+                let required = aggregate_inputs(graph);
+                let got = run(world, &plan.root, &required, geometry, u64::MAX);
+                match (&oracle, got) {
+                    (Ok(want), Ok((rows, work))) => {
+                        assert_eq!(work, want.stats.work, "{tag}");
+                        assert_eq!((rows.len(), want.rows.len()), (1, 1), "{tag}");
+                        assert_eq!(rows[0].len(), graph.aggregates().len(), "{tag}");
+                        for (at, (g, w)) in rows[0].iter().zip(&want.rows[0]).enumerate() {
+                            let expr = &graph.aggregates()[at];
+                            assert!(same_bits(g, w), "{tag}: {expr} is {g:?}, oracle {w:?}");
+                        }
+                        out = rows.into_iter().next();
+                    }
+                    (Err(ExecError::BadAggregate(_)), Err(ExecError::BadAggregate(_))) => {}
+                    (want, got) => panic!("{tag}: {got:?}, oracle {:?}", want.as_ref().err()),
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn global_aggregates_match_the_oracle_to_the_bit() {
+        // Every function over every column in one query, so each
+        // accumulator folds its own column beside the others.
+        let mut all = vec![AggExpr {
+            func: AggFunc::Count,
+            column: None,
+        }];
+        for column in 0..12 {
+            all.extend([AggFunc::Count, AggFunc::Min, AggFunc::Max].map(|f| agg(f, column)));
+            // `SUM`/`AVG` over text fail on the first non-NULL value, so
+            // of the text columns only the all-NULL one can join in.
+            if ![5, 8].contains(&column) {
+                all.extend([AggFunc::Sum, AggFunc::Avg].map(|f| agg(f, column)));
+            }
+        }
+        let world = agg_fixture(all.clone(), true);
+        let row = assert_aggregate_matches_oracle(&world).unwrap();
+        let value_of = |func: AggFunc, column: u32| {
+            let wanted = agg(func, column);
+            let at = all.iter().position(|a| *a == wanted).unwrap();
+            row[at].clone()
+        };
+        let float_bits = |v: Value| match v {
+            Value::Float(f) => f.to_bits(),
+            other => panic!("{other:?} is not a float"),
+        };
+        // The first of equal values stays, whatever its sign bit; a NaN
+        // neither replaces nor is replaced.
+        assert_eq!(row[0], Value::Int(8));
+        assert_eq!(float_bits(value_of(AggFunc::Min, 1)), (-0.0f64).to_bits());
+        assert_eq!(float_bits(value_of(AggFunc::Max, 2)), 0.0f64.to_bits());
+        assert_eq!(float_bits(value_of(AggFunc::Min, 3)), (-9.0f64).to_bits());
+        assert!(f64::from_bits(float_bits(value_of(AggFunc::Max, 4))).is_nan());
+        assert_eq!(value_of(AggFunc::Min, 5), Value::str("apple"));
+        assert_eq!(value_of(AggFunc::Count, 6), Value::Int(5));
+        assert_eq!(value_of(AggFunc::Max, 8), Value::str("x"));
+        // All-NULL input: a zero count and sum, no extreme or average.
+        assert_eq!(value_of(AggFunc::Count, 9), Value::Int(0));
+        assert_eq!(float_bits(value_of(AggFunc::Sum, 10)), 0.0f64.to_bits());
+        assert!(value_of(AggFunc::Avg, 9).is_null() && value_of(AggFunc::Max, 11).is_null());
+
+        // Zero input rows still yield the one row.
+        let row = assert_aggregate_matches_oracle(&agg_fixture(all, false)).unwrap();
+        assert_eq!(row[0], Value::Int(0));
+
+        // Text is not summable — unless there is no text to sum.
+        for (func, column) in [(AggFunc::Sum, 5), (AggFunc::Avg, 5), (AggFunc::Sum, 8)] {
+            let aggregates = vec![agg(AggFunc::Max, 0), agg(func, column)];
+            let failed = assert_aggregate_matches_oracle(&agg_fixture(aggregates.clone(), true));
+            assert!(failed.is_none(), "{func:?} over column {column}");
+            assert!(assert_aggregate_matches_oracle(&agg_fixture(aggregates, false)).is_some());
         }
     }
 

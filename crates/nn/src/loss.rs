@@ -86,7 +86,7 @@ pub fn policy_gradient(logits: &[f32], mask: &[bool], action: usize, advantage: 
 }
 
 /// [`policy_gradient`] from an already-computed probability row, for
-/// callers (PPO ratios, entropy bonuses) that need the softmax anyway —
+/// callers (an entropy bonus) that need the softmax anyway —
 /// the probabilities are not recomputed.
 pub fn policy_gradient_from_probs(
     probs: &[f32],

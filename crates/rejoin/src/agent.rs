@@ -3,9 +3,9 @@
 //! ReJOIN's published implementation trained with PPO; every figure of
 //! this reproduction comes from REINFORCE with a moving baseline, the
 //! one backend kept here. It is also the only one online learning is
-//! sound for: replayed serving decisions carry a fabricated
-//! `action_prob = 1.0`, which REINFORCE never reads (its gradient
-//! re-derives `log π(a|s)` from the live policy) and an
+//! sound for: a replayed serving decision does not record the
+//! probability its action was taken with, which REINFORCE never needs
+//! (its gradient re-derives `log π(a|s)` from the live policy) and an
 //! importance-ratio method would divide by.
 
 use hfqo_rl::{Environment, Episode, PolicySnapshot, ReinforceAgent, ReinforceConfig, UpdatePath};

@@ -11,11 +11,11 @@
 //! environment rollout would have produced — so the training-side and
 //! serving-side views of a state cannot drift.
 //!
-//! One deliberate asymmetry: replayed transitions carry
-//! `action_prob = 1.0`, because a cache-hit serve never computes the
-//! behavior probability. REINFORCE — the one backend of
-//! [`crate::ReJoinAgent`] — never reads it (its gradient re-derives
-//! `log π(a|s)` from the current policy's forward pass).
+//! A replayed transition does not say how probable its action was when
+//! it was taken — a cache-hit serve never computes that. REINFORCE, the
+//! one backend of [`crate::ReJoinAgent`], has no use for it: its
+//! gradient re-derives `log π(a|s)` from the current policy's forward
+//! pass.
 
 use crate::featurize::Featurizer;
 use hfqo_query::{Forest, QueryGraph};
@@ -127,7 +127,6 @@ pub fn episode_from_decisions(
             features: features.clone(),
             mask: mask.clone(),
             action,
-            action_prob: 1.0,
             reward: if terminal { terminal_reward } else { 0.0 },
         });
     }

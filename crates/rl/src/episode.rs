@@ -9,10 +9,6 @@ pub struct Transition {
     pub mask: Vec<bool>,
     /// Action taken.
     pub action: usize,
-    /// Probability the policy assigned to the action when it was taken.
-    /// REINFORCE re-derives `log π(a|s)` from the live policy and never
-    /// reads it, which is why replayed serving decisions may record 1.0.
-    pub action_prob: f32,
     /// Immediate reward.
     pub reward: f32,
 }
@@ -103,7 +99,6 @@ mod tests {
             features: vec![1.0],
             mask: vec![true],
             action: 0,
-            action_prob: 1.0,
             reward: 3.0,
         });
         assert_eq!(e.len(), 1);

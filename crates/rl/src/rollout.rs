@@ -138,13 +138,12 @@ impl PolicySnapshot {
         while !env.is_terminal() {
             env.state_features(&mut features);
             env.action_mask(&mut mask);
-            let (action, prob) = Self::select_with(policy, &features, &mask, rng, greedy);
+            let (action, _prob) = Self::select_with(policy, &features, &mask, rng, greedy);
             let result = env.step(action, rng);
             episode.transitions.push(Transition {
                 features: features.clone(),
                 mask: mask.clone(),
                 action,
-                action_prob: prob,
                 reward: result.reward,
             });
             if result.done {

@@ -3,12 +3,14 @@
 //! `QuerySession`, and concurrent serving (the CI smoke test runs this
 //! file at `HFQO_WORKERS=2`).
 
+use hfqo::opt::{OptError, PlannedQuery};
 use hfqo::prelude::*;
 use hfqo::workload::synth::{Shape, SynthConfig, SynthDb};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, OnceLock};
 
 fn synth_config() -> SynthConfig {
     SynthConfig {
@@ -319,5 +321,103 @@ fn concurrent_serving_matches_sequential_results() {
             after.len <= queries.len(),
             "at most one template entry per distinct structure"
         );
+    }
+}
+
+/// The expert, except that its `fail_on`-th call (from 1) is an `Err` —
+/// one it returns only once `gate` has been met from outside, so a test
+/// decides what else is going on meanwhile.
+struct FailsOnNth {
+    inner: TraditionalPlanner,
+    fail_on: usize,
+    calls: Arc<AtomicUsize>,
+    gate: Arc<Barrier>,
+}
+
+impl Planner for FailsOnNth {
+    fn name(&self) -> &'static str {
+        "fails-on-nth"
+    }
+
+    fn plan(&self, ctx: &PlannerContext<'_>, graph: &QueryGraph) -> Result<PlannedQuery, OptError> {
+        // Relaxed: a call counter — the RMW alone numbers the calls, and
+        // the test reads the total after joining every serving thread.
+        if self.calls.fetch_add(1, Ordering::Relaxed) + 1 != self.fail_on {
+            return self.inner.plan(ctx, graph);
+        }
+        self.gate.wait();
+        Err(OptError::Unsupported("injected fault".into()))
+    }
+}
+
+/// Fault injection: a planner call that fails, fails one serve. One
+/// thread, then `HFQO_WORKERS` threads, serve one text whose first
+/// planner call — the single-flight leader's — fails only after every
+/// other thread is waiting on its flight. The leader's serve is the one
+/// `Err`; the waiters are released and one of them plans; nothing is
+/// cached from the failed flight, and the next serve of the same text
+/// plans (if no waiter did), caches and then hits.
+#[test]
+fn a_failed_planner_call_fails_one_serve_and_caches_nothing() {
+    const SQL: &str = "SELECT COUNT(*) FROM s0, s1, s2 \
+                       WHERE s0.id = s1.fk AND s1.id = s2.fk AND s0.val < 50";
+    let synth = SynthDb::build(synth_config());
+    let want = QuerySession::traditional(synth.db.clone(), synth.stats.clone())
+        .serve(SQL)
+        .expect("reference serve");
+    for workers in std::iter::once(1).chain(worker_counts()) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new(Barrier::new(2));
+        let planner = FailsOnNth {
+            inner: TraditionalPlanner::new(),
+            fail_on: 1,
+            calls: Arc::clone(&calls),
+            gate: Arc::clone(&gate),
+        };
+        let session = QuerySession::new(synth.db.clone(), synth.stats.clone(), Box::new(planner));
+        let results: Vec<Result<ServedQuery, ServeError>> = std::thread::scope(|scope| {
+            let serving: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| session.serve(SQL)))
+                .collect();
+            // A waiter is counted, under the shard lock, before it
+            // blocks on the flight, so once all are counted none can
+            // still become a leader of its own; only then may the
+            // leader's call fail.
+            while (session.cache_metrics().flight_waits as usize) < workers - 1 {
+                std::thread::yield_now();
+            }
+            gate.wait();
+            serving
+                .into_iter()
+                .map(|h| h.join().expect("no serve panics"))
+                .collect()
+        });
+
+        let (served, failed): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
+        assert!(
+            matches!(
+                failed[..],
+                [Err(ServeError::Plan(OptError::Unsupported(_)))]
+            ),
+            "workers={workers}: the leader alone fails, and as a planning error"
+        );
+        // One more planner call served every released waiter; a lone
+        // worker leaves the cache as empty as it found it.
+        assert_eq!(calls.load(Ordering::Relaxed), 1 + usize::from(workers > 1));
+        let m = session.cache_metrics();
+        assert_eq!((m.len, m.plans), if workers > 1 { (1, 1) } else { (0, 0) });
+        let next = session.serve(SQL).expect("the next serve");
+        assert_eq!(next.cache_hit, workers > 1, "workers={workers}");
+        let hit = session.serve(SQL).expect("the serve after it");
+        assert!(hit.cache_hit, "workers={workers}");
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "workers={workers}");
+        for served in served.into_iter().map(Result::unwrap).chain([next, hit]) {
+            assert_eq!(served.plan, want.plan, "workers={workers}");
+            assert_eq!(served.outcome.rows, want.outcome.rows, "workers={workers}");
+            assert_eq!(served.outcome.stats.work, want.outcome.stats.work);
+        }
+        let m = session.cache_metrics();
+        assert_eq!((m.len, m.plans), (1, 1), "workers={workers}");
+        assert_eq!((m.duplicate_plans, m.stale_inserts), (0, 0));
     }
 }
