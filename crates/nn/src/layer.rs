@@ -1,4 +1,9 @@
 //! Dense layers and activations.
+//!
+//! A [`Dense`] layer's backward pass comes in two halves:
+//! [`Dense::backward`] yields the parameter gradients every layer
+//! needs, [`Dense::input_grad`] the gradient handed to the layer below
+//! — which the first layer of a network, having none, never calls.
 
 use crate::init;
 use crate::matrix::Matrix;
@@ -102,13 +107,17 @@ impl Dense {
         out
     }
 
-    /// Backward pass. Given the layer input `x` and the loss gradient
-    /// w.r.t. the layer output, returns `(grad_input, grad_w, grad_b)`.
-    pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
-        let grad_w = x.matmul_tn(grad_out);
-        let grad_b = grad_out.col_sums();
-        let grad_in = grad_out.matmul_nt(&self.w);
-        (grad_in, grad_w, grad_b)
+    /// Backward pass, parameter half. Given the layer input `x` and the
+    /// loss gradient w.r.t. the layer output, returns `(grad_w, grad_b)`.
+    pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> (Matrix, Vec<f32>) {
+        (x.matmul_tn(grad_out), grad_out.col_sums())
+    }
+
+    /// Backward pass, input half: the loss gradient w.r.t. the layer
+    /// input, `grad_out @ Wᵀ`. Only a layer with a layer below it needs
+    /// this — nothing trains on the gradient of the network's input.
+    pub fn input_grad(&self, grad_out: &Matrix) -> Matrix {
+        grad_out.matmul_nt(&self.w)
     }
 }
 
@@ -161,7 +170,7 @@ mod tests {
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
         // Loss = sum of outputs → grad_out = all ones.
         let grad_out = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let (_, grad_w, grad_b) = layer.backward(&x, &grad_out);
+        let (grad_w, grad_b) = layer.backward(&x, &grad_out);
         let eps = 1e-3f32;
         let base: f32 = layer.forward(&x).data().iter().sum();
         for idx in 0..6 {

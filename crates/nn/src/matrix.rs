@@ -1,16 +1,31 @@
 //! Row-major `f32` matrices.
 //!
-//! The two matmul kernels that carry the training hot path (`matmul`
-//! for forward passes, `matmul_tn` for weight gradients) are
-//! cache-blocked: the batched update path multiplies B×F activation
-//! matrices against F×H weight matrices, and tiling keeps the streamed
-//! operand resident in cache across a tile of output rows. Both
-//! kernels accumulate every output element strictly in ascending-`p`
-//! (depth/row) order — the same order the per-row path produces when it
-//! sums one rank-1 gradient per transition — so a batched gradient is
+//! Three matmul kernels carry the training hot path — `matmul` for
+//! forward passes, `matmul_tn` for weight gradients (`Xᵀ @ grad`) and
+//! `matmul_nt` for input gradients (`grad @ Wᵀ`) — under **one ordering
+//! rule**: every output element is the sum of its products taken
+//! strictly in ascending `p` (the depth / batch-row index), starting
+//! from `+0.0`. That is the order the per-row update path produces when
+//! it sums one rank-1 gradient per transition, so a batched gradient is
 //! **bit-identical** to the sum of the per-row gradients it replaces.
-//! The RL parity tests and the PR 2 golden training log rest on that
-//! ordering guarantee; do not reorder the reductions.
+//! The RL parity tests and both golden logs rest on that guarantee; do
+//! not reorder a reduction.
+//!
+//! What the kernels are free to choose is how *different* output
+//! elements are scheduled. `matmul` and `matmul_tn` are cache-blocked:
+//! the batched update multiplies B×F activations against F×H weights,
+//! and tiling keeps the streamed operand resident across a tile of
+//! output rows. `matmul_nt` runs a block of output columns side by side
+//! so that no element waits on another's add chain.
+//!
+//! All three skip a left-operand element that is exactly `0.0` (masked
+//! logits and dead ReLUs make gradients mostly zeros). The skipped term
+//! is `±0.0`, and adding `±0.0` cannot change a bit of the sum: a
+//! non-zero sum absorbs it, and a sum that is zero is `+0.0` — it
+//! started there, exact cancellation rounds to `+0.0`, and `-0.0` can
+//! only come from adding two `-0.0`s — so `+0.0 + ±0.0 = +0.0`. (A
+//! non-finite right operand would turn the term into NaN; weights that
+//! far gone are already lost.)
 
 /// Output-row tile: how many rows of the result are accumulated
 /// together, so a tile of `out` stays hot while the depth dimension
@@ -22,6 +37,24 @@ const BLOCK_ROWS: usize = 16;
 /// weight matrix is 64 × 128 × 4 B = 32 KiB — L1/L2-resident while it
 /// is reused across a whole row tile.
 const BLOCK_DEPTH: usize = 64;
+
+/// Output columns `matmul_nt` accumulates side by side: enough
+/// independent add chains to cover the latency of one.
+const NT_LANES: usize = 8;
+
+/// `out[l] = a · rows[l]` for `L` rows of `k` elements laid end to end,
+/// `a` given as its non-zero `(p, a[p])` pairs in ascending `p`: `L`
+/// running sums advance together, each in the order it would alone.
+fn dot_rows<const L: usize>(a: &[(usize, f32)], k: usize, rows: &[f32], out: &mut [f32]) {
+    let rows: [&[f32]; L] = std::array::from_fn(|l| &rows[l * k..(l + 1) * k]);
+    let mut acc = [0.0f32; L];
+    for &(p, x) in a {
+        for (sum, row) in acc.iter_mut().zip(&rows) {
+            *sum += x * row[p];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,19 +214,38 @@ impl Matrix {
 
     /// `self @ otherᵀ` (`[m×k] @ [n×k]ᵀ → [m×n]`) without materialising
     /// the transpose.
+    ///
+    /// This is the input-gradient kernel (`grad_out @ Wᵀ`). Every
+    /// `out[i, j]` is a dot product of two rows, summed in ascending
+    /// `p`; a single running sum would make each add wait for the one
+    /// before it, so a block of output columns is accumulated side by
+    /// side — independent chains, each in the same order as alone. The
+    /// zeros of a `self` row are dropped once per row, not tested once
+    /// per block: where they fall is data, so a branch on them
+    /// mispredicts.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
+        let mut nonzero = vec![(0, 0.0); k];
         for i in 0..m {
-            let self_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let other_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += self_row[p] * other_row[p];
-                }
-                out.data[i * n + j] = acc;
+            // Compacted without a branch: a zero is overwritten by the
+            // next element, or left beyond `len`.
+            let mut len = 0;
+            for (p, &a) in self.data[i * k..(i + 1) * k].iter().enumerate() {
+                nonzero[len] = (p, a);
+                len += usize::from(a != 0.0);
+            }
+            let self_row = &nonzero[..len];
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            let full = n - n % NT_LANES;
+            for j in (0..full).step_by(NT_LANES) {
+                let rows = &other.data[j * k..(j + NT_LANES) * k];
+                dot_rows::<NT_LANES>(self_row, k, rows, &mut out_row[j..j + NT_LANES]);
+            }
+            for j in full..n {
+                let row = &other.data[j * k..(j + 1) * k];
+                dot_rows::<1>(self_row, k, row, &mut out_row[j..=j]);
             }
         }
         out
@@ -223,7 +275,7 @@ impl Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -298,10 +350,32 @@ mod tests {
         out
     }
 
+    /// The serial `a @ bᵀ` kernel `matmul_nt` replaced: one running sum
+    /// per output element, every term added, zeros included.
+    pub(crate) fn reference_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.cols);
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc += a.data[i * k + p] * b.data[j * k + p];
+                }
+                out.data[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Deterministic pseudo-random fill with irrational-ish values (so
     /// float addition is genuinely non-associative) and some exact
     /// zeros (so the skip-zero path is exercised).
-    fn fill(rows: usize, cols: usize, seed: u32) -> Matrix {
+    pub(crate) fn fill(rows: usize, cols: usize, seed: u32) -> Matrix {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
         let data = (0..rows * cols)
             .map(|_| {
@@ -316,14 +390,16 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
-    /// The blocked kernels must be *bit-identical* to the unblocked
-    /// references on shapes that straddle every tile boundary: the
-    /// batched-vs-per-row training parity contract (and the PR 2 golden
-    /// log) depends on the accumulation order being unchanged.
+    /// The kernels must be *bit-identical* to the unblocked references
+    /// on shapes that straddle every tile boundary: the
+    /// batched-vs-per-row training parity contract (and both golden
+    /// logs) depends on the accumulation order being unchanged.
     #[test]
     fn blocked_kernels_are_bit_exact_across_tile_boundaries() {
         // (m, k, n) spanning below, at, and beyond BLOCK_ROWS (16) and
-        // BLOCK_DEPTH (64), including non-multiples.
+        // BLOCK_DEPTH (64), including non-multiples; the last five put
+        // `n` below, at and one past NT_LANES (8) and at the widest
+        // action layer.
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (1, 612, 128),
@@ -332,6 +408,11 @@ mod tests {
             (17, 65, 9),
             (33, 130, 21),
             (40, 7, 70),
+            (2, 19, 1),
+            (18, 64, 7),
+            (18, 64, 8),
+            (5, 128, 9),
+            (1, 128, 289),
         ] {
             let a = fill(m, k, (m * 1000 + k) as u32);
             let b = fill(k, n, (k * 1000 + n) as u32);
@@ -345,6 +426,15 @@ mod tests {
                 at.matmul_tn(&b).data(),
                 reference_matmul_tn(&at, &b).data(),
                 "matmul_tn {m}x{k}x{n} drifted from the unblocked kernel"
+            );
+            // `a` already holds exact zeros; one all-zero row on top.
+            let mut a = a;
+            a.data[..k].fill(0.0);
+            let bt = fill(n, k, (n * 77 + k) as u32);
+            assert_eq!(
+                bits(a.matmul_nt(&bt).data()),
+                bits(reference_matmul_nt(&a, &bt).data()),
+                "matmul_nt {m}x{k}x{n} drifted from the serial kernel"
             );
         }
     }

@@ -1,4 +1,10 @@
 //! Multi-layer perceptrons.
+//!
+//! [`Mlp::backward`] returns parameter gradients and nothing else. The
+//! chain rule needs each layer's *input* gradient only to reach the
+//! layer below, so the first layer computes none: the gradient with
+//! respect to the network's input (the features) has no reader, and at
+//! ReJOIN's widths it was the largest product of the whole pass.
 
 use crate::layer::{Activation, Dense};
 use crate::matrix::Matrix;
@@ -170,20 +176,20 @@ impl Mlp {
     }
 
     /// Backward pass from the gradient w.r.t. the network output;
-    /// returns per-layer parameter gradients.
+    /// returns per-layer parameter gradients. The chain stops at the
+    /// first layer's parameters: the gradient w.r.t. the network input
+    /// (the features) is never computed, because nothing reads it.
     pub fn backward(&self, cache: &ForwardCache, grad_output: Matrix) -> MlpGradients {
         let mut grads = Vec::with_capacity(self.layers.len());
         let mut grad = grad_output;
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let input = &cache.activations[i];
-            let (grad_in, grad_w, grad_b) = layer.backward(input, &grad);
-            grads.push((grad_w, grad_b));
-            grad = grad_in;
+            grads.push(layer.backward(input, &grad));
             if i > 0 {
-                // The incoming activation was the previous layer's output;
+                // The layer's input was the previous layer's output;
                 // apply its activation derivative.
-                self.hidden_activation
-                    .backward(&cache.activations[i], &mut grad);
+                grad = layer.input_grad(&grad);
+                self.hidden_activation.backward(input, &mut grad);
             }
         }
         grads.reverse();
@@ -204,6 +210,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tests::{bits, fill, reference_matmul_nt};
     use rand::SeedableRng;
 
     fn tiny() -> Mlp {
@@ -253,6 +260,58 @@ mod tests {
                     (fd - an).abs() < 2e-2,
                     "layer {layer_idx} w[{widx}]: fd {fd} vs an {an}"
                 );
+            }
+        }
+    }
+
+    /// `backward` as it was when the chain ran to the network input and
+    /// every input gradient was one serial dot product per element.
+    fn full_chain_backward(mlp: &Mlp, cache: &ForwardCache, grad_output: Matrix) -> MlpGradients {
+        let mut grads = Vec::new();
+        let mut grad = grad_output;
+        for (i, layer) in mlp.layers.iter().enumerate().rev() {
+            let input = &cache.activations[i];
+            grads.push(layer.backward(input, &grad));
+            grad = reference_matmul_nt(&grad, &layer.w);
+            if i > 0 {
+                mlp.hidden_activation.backward(input, &mut grad);
+            }
+        }
+        grads.reverse();
+        MlpGradients { layers: grads }
+    }
+
+    /// Dropping the first layer's input gradient and running the others
+    /// through the side-by-side kernel moves no bit of any parameter
+    /// gradient — on the planner's widest network one row at a time, and
+    /// on the drift scenario's at its batch size, with the output
+    /// gradient mostly exact zeros as masked logits leave it.
+    #[test]
+    fn backward_is_bit_identical_to_the_full_serial_chain() {
+        for (sizes, batch) in [
+            (&[646usize, 128, 128, 289], 1usize),
+            (&[160, 128, 128, 64], 18),
+        ] {
+            let mlp = Mlp::new(sizes, Activation::ReLU, &mut StdRng::seed_from_u64(11));
+            let x = fill(batch, sizes[0], 5);
+            let mut grad_out = fill(batch, sizes[3], 6);
+            for (j, g) in grad_out.data_mut().iter_mut().enumerate() {
+                if j % 5 != 0 {
+                    *g = 0.0;
+                }
+            }
+            let cache = mlp.forward(&x);
+            let got = mlp.backward(&cache, grad_out.clone());
+            let want = full_chain_backward(&mlp, &cache, grad_out);
+            assert_eq!(got.layers.len(), want.layers.len());
+            for (l, ((gw, gb), (ww, wb))) in got.layers.iter().zip(&want.layers).enumerate() {
+                assert!(gw.data().iter().any(|g| *g != 0.0), "layer {l} trained");
+                assert_eq!(
+                    bits(gw.data()),
+                    bits(ww.data()),
+                    "{sizes:?} layer {l} weights"
+                );
+                assert_eq!(bits(gb), bits(wb), "{sizes:?} layer {l} biases");
             }
         }
     }

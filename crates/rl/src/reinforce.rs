@@ -202,9 +202,13 @@ impl ReinforceAgent {
         }
         let episodes = std::mem::take(&mut self.pending);
         // Advantages: per-step discounted return minus the EMA baseline.
+        // Each episode's first return is kept for the baseline refresh
+        // below, so the returns are computed once.
         let mut all: Vec<(&Transition, f32)> = Vec::new();
+        let mut first_returns = Vec::with_capacity(episodes.len());
         for ep in &episodes {
             let returns = ep.returns(self.config.gamma);
+            first_returns.push(returns.first().copied().unwrap_or(0.0));
             for (t, g) in ep.transitions.iter().zip(returns) {
                 let adv = if self.baseline_ready {
                     g - self.baseline
@@ -240,13 +244,8 @@ impl ReinforceAgent {
         grads.clip_global_norm(self.config.grad_clip);
         self.optimizer.step(&mut self.policy, &grads);
         self.updates += 1;
-        // Refresh the baseline from the observed undiscounted returns.
-        for ep in &episodes {
-            let g0 = ep
-                .returns(self.config.gamma)
-                .first()
-                .copied()
-                .unwrap_or(0.0);
+        // Refresh the baseline from each episode's return from its start.
+        for g0 in first_returns {
             if self.baseline_ready {
                 self.baseline = self.config.baseline_decay * self.baseline
                     + (1.0 - self.config.baseline_decay) * g0;

@@ -34,10 +34,16 @@
 //! are single-flighted per exact fingerprint: threads racing on the
 //! same cold query run the planner exactly once, the rest wait and hit.
 //!
-//! Mutation is explicit and exclusive: [`QuerySession::rebuild_stats`]
-//! re-scans the owned database and invalidates the cache (plans chosen
-//! under stale statistics may no longer be the ones the planner would
-//! pick), and [`QuerySession::set_planner`] swaps the strategy, also
+//! Mutation is explicit and exclusive. The session remembers, per
+//! table, the data version ([`Database::table_versions`]) its
+//! statistics describe — [`QuerySession::new`] takes `stats` as
+//! describing `db` as handed over — so after the database moved,
+//! [`QuerySession::refresh_after_mutation`] rebuilds the indexes and
+//! re-scans the statistics of the tables that changed and of no other;
+//! [`QuerySession::rebuild_stats`] is the everything-is-stale case.
+//! Either invalidates the cache (plans chosen under stale statistics
+//! may no longer be the ones the planner would pick), and
+//! [`QuerySession::set_planner`] swaps the strategy, also
 //! invalidating (cached plans would otherwise be attributed to the
 //! wrong strategy). Because planning happens outside the cache locks,
 //! an invalidation can race an in-flight plan; inserts are
@@ -60,7 +66,7 @@ use hfqo_query::{
     QueryGraph,
 };
 use hfqo_sql::{parse_select, ParseError};
-use hfqo_stats::{build_database_stats, selection_selectivities, StatsCatalog};
+use hfqo_stats::{database_table_stats, selection_selectivities, StatsCatalog};
 use hfqo_storage::Database;
 use std::fmt;
 use std::sync::Arc;
@@ -148,6 +154,9 @@ pub struct ServedQuery {
 pub struct QuerySession {
     db: Database,
     stats: StatsCatalog,
+    /// The table data versions `stats` describes; a table whose
+    /// version in `db` differs (or has no entry) is due a re-scan.
+    stats_versions: Vec<u64>,
     params: CostParams,
     planner: Box<dyn Planner>,
     /// Internally sharded and synchronized; see [`crate::cache`].
@@ -171,8 +180,12 @@ const _: () = {
 
 impl QuerySession {
     /// A session owning `db` and `stats`, planning with `planner`.
+    /// `stats` is taken as describing `db` as handed over: a later
+    /// [`Self::refresh_after_mutation`] re-scans only tables changed
+    /// after this call.
     pub fn new(db: Database, stats: StatsCatalog, planner: Box<dyn Planner>) -> Self {
         Self {
+            stats_versions: db.table_versions().to_vec(),
             db,
             stats,
             params: CostParams::postgres_like(),
@@ -228,10 +241,13 @@ impl QuerySession {
     }
 
     /// Mutable access to the owned database — for loading data or
-    /// rebuilding indexes between serving phases. Data changes leave
+    /// mutating tables between serving phases. Data changes leave
     /// cached plans *valid* (plans are data-independent) but the
-    /// statistics stale; call [`Self::rebuild_stats`] afterwards to
-    /// refresh them and invalidate the cache.
+    /// changed tables' indexes and statistics stale; call
+    /// [`Self::refresh_after_mutation`] afterwards. Changes are seen
+    /// through the tables' data versions, so assigning a whole other
+    /// `Database` through this reference needs [`Self::rebuild_stats`]
+    /// (and its own `build_indexes`) instead.
     pub fn db_mut(&mut self) -> &mut Database {
         &mut self.db
     }
@@ -285,26 +301,41 @@ impl QuerySession {
         self.experience.as_ref()
     }
 
-    /// Re-scans the owned database into fresh statistics and
-    /// invalidates the plan cache: plans chosen under the old estimates
-    /// may no longer be the planner's choice.
+    /// Re-scans every table of the owned database into fresh
+    /// statistics and invalidates the plan cache: plans chosen under
+    /// the old estimates may no longer be the planner's choice.
     pub fn rebuild_stats(&mut self) {
-        self.stats = build_database_stats(&self.db);
+        self.stats_versions.clear();
+        self.refresh_stats();
+    }
+
+    /// Re-scans the tables whose data version is not the one the
+    /// statistics describe, then invalidates the plan cache — once per
+    /// call, stale tables or none, as every refresh always has.
+    fn refresh_stats(&mut self) {
+        for (id, _) in self.db.catalog().tables() {
+            let version = self.db.table_versions()[id.index()];
+            if self.stats_versions.get(id.index()) != Some(&version) {
+                self.stats.set_table(id, database_table_stats(&self.db, id));
+            }
+        }
+        self.stats_versions = self.db.table_versions().to_vec();
         self.invalidate_cache();
     }
 
     /// The one-call drift path after mutating the owned database
     /// through [`Self::db_mut`] (or the drift harness's mutation
-    /// operators): rebuilds every index from the current table data
+    /// operators): rebuilds the indexes of every table that changed
     /// (index row ids are positional, so any append/delete/skew leaves
-    /// them stale), re-scans statistics, and invalidates the plan
-    /// cache. Because planning happens outside the cache locks, the
-    /// invalidation bumps the epoch and in-flight plans computed under
-    /// the pre-mutation statistics are served once but never cached —
-    /// the same fence policy swaps rely on.
+    /// them stale), re-scans those tables' statistics, and invalidates
+    /// the plan cache. Which tables changed is read off the database's
+    /// per-table data versions. Because planning happens outside the
+    /// cache locks, the invalidation bumps the epoch and in-flight
+    /// plans computed under the pre-mutation statistics are served once
+    /// but never cached — the same fence policy swaps rely on.
     pub fn refresh_after_mutation(&mut self) -> Result<(), hfqo_storage::StorageError> {
-        self.db.build_indexes()?;
-        self.rebuild_stats();
+        self.db.refresh_indexes()?;
+        self.refresh_stats();
         Ok(())
     }
 
@@ -597,6 +628,51 @@ mod tests {
         let after = session.serve_graph(&graph).unwrap();
         assert!(!after.cache_hit, "mutation refresh must invalidate");
         assert_eq!(session.cache_metrics().invalidations, 1);
+    }
+
+    /// Which tables a refresh re-scans is read off the data versions:
+    /// a table that did not move keeps the statistics it had (here a
+    /// sentinel no scan would produce), one that moved gets a full
+    /// rebuild's entry, and a refresh that finds nothing stale still
+    /// invalidates the cache, once.
+    #[test]
+    fn refresh_rescans_only_tables_that_moved() {
+        use hfqo_catalog::TableId;
+        use hfqo_stats::build_database_stats;
+        use hfqo_storage::Value;
+        let (mut session, _) = session(2, 100);
+        let (t0, t1) = (TableId(0), TableId(1));
+        let mut sentinel = session.stats().table(t1).clone();
+        sentinel.row_count = -1.0;
+        session.stats.set_table(t0, sentinel.clone());
+        session.stats.set_table(t1, sentinel.clone());
+        let versions = session.db().table_versions().to_vec();
+        let next_id = session.db().table(t0).unwrap().row_count() as i64;
+        session
+            .db_mut()
+            .table_mut(t0)
+            .unwrap()
+            .append_row(&[Value::Int(next_id), Value::Int(5)])
+            .unwrap();
+        assert_ne!(session.db().table_versions()[0], versions[0]);
+        assert_eq!(session.db().table_versions()[1], versions[1]);
+
+        session.refresh_after_mutation().unwrap();
+        assert_eq!(session.stats().table(t1), &sentinel, "untouched table");
+        assert_eq!(
+            session.stats().table(t0),
+            &database_table_stats(session.db(), t0)
+        );
+        assert_eq!(session.cache_metrics().invalidations, 1);
+
+        session.stats.set_table(t0, sentinel.clone());
+        session.refresh_after_mutation().unwrap();
+        assert_eq!(session.stats().table(t0), &sentinel, "nothing was stale");
+        assert_eq!(session.cache_metrics().invalidations, 2);
+
+        session.rebuild_stats();
+        assert_eq!(session.stats(), &build_database_stats(session.db()));
+        assert_eq!(session.cache_metrics().invalidations, 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::column_stats::{ColumnStats, TableStats};
 use crate::histogram::Histogram;
-use hfqo_catalog::{ColumnId, ColumnStatsMeta};
+use hfqo_catalog::{ColumnId, ColumnStatsMeta, TableId};
 use hfqo_storage::{Database, Table};
 use std::collections::HashMap;
 
@@ -90,12 +90,17 @@ pub fn build_database_stats(db: &Database) -> crate::cardinality::StatsCatalog {
     let tables = db
         .catalog()
         .tables()
-        .map(|(id, _)| {
-            let table = db.table(id).expect("table exists for catalog id");
-            build_table_stats(table, DEFAULT_BUCKETS, DEFAULT_MCVS)
-        })
+        .map(|(id, _)| database_table_stats(db, id))
         .collect();
     crate::cardinality::StatsCatalog::new(tables)
+}
+
+/// One table's entry of [`build_database_stats`]: the same scan at the
+/// same sizes, so re-scanning only the tables that changed yields the
+/// catalog a full rebuild would.
+pub fn database_table_stats(db: &Database, id: TableId) -> TableStats {
+    let table = db.table(id).expect("table exists for catalog id");
+    build_table_stats(table, DEFAULT_BUCKETS, DEFAULT_MCVS)
 }
 
 #[cfg(test)]

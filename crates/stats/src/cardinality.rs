@@ -26,6 +26,12 @@ impl StatsCatalog {
         &self.tables[id.index()]
     }
 
+    /// Replaces one table's statistics (a re-scan after its data
+    /// moved). Panics if the id is out of range, as [`Self::table`] does.
+    pub fn set_table(&mut self, id: TableId, stats: TableStats) {
+        self.tables[id.index()] = stats;
+    }
+
     /// Number of tables covered.
     pub fn table_count(&self) -> usize {
         self.tables.len()

@@ -9,7 +9,7 @@ use std::ops::Bound;
 /// Built once after data load (the workloads are read-only), so the
 /// structure favours lookup simplicity over update cost. NULL keys are not
 /// indexed, matching the semantics of SQL predicates (a NULL never matches).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BTreeIndex {
     map: BTreeMap<Value, Vec<u32>>,
     entries: usize,

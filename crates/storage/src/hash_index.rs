@@ -6,7 +6,7 @@ use std::collections::HashMap;
 /// A single-column hash index mapping key values to row ids.
 ///
 /// Serves only equality probes; NULL keys are not indexed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HashIndex {
     map: HashMap<Value, Vec<u32>>,
     entries: usize,

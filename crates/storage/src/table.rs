@@ -206,7 +206,7 @@ impl Table {
     /// must hold exactly one entry per row; on error the table is
     /// unchanged. Returns the surviving row count. Indexes built over
     /// this table refer to the *old* row ids afterwards; callers must
-    /// rebuild them (`Database::build_indexes`).
+    /// rebuild them (`Database::refresh_indexes`).
     pub fn retain_rows(&mut self, keep: &[bool]) -> Result<usize, StorageError> {
         if keep.len() != self.row_count() {
             return Err(StorageError::SchemaMismatch(format!(

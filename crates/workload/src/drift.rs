@@ -12,8 +12,8 @@
 //!   operator preserves the typed-column invariants *and* each column's
 //!   physical encoding ([`hfqo_storage::Encoding`]), so the row, batch,
 //!   and parallel engines stay bit-identical on the mutated data, and
-//!   rebuilds every index (index row ids are positional and go stale
-//!   under any mutation).
+//!   rebuilds the mutated table's indexes (index row ids are positional
+//!   and go stale under any mutation of their table).
 //! * **Shock scripts** ([`Shock`] / [`ShockKind`]) — a shock bundles
 //!   mutations with optional new query templates arriving mid-run, the
 //!   two ways a serving workload's world actually moves.
@@ -170,11 +170,14 @@ pub struct MutationReport {
     pub rows_after: usize,
 }
 
-/// Applies one mutation to `db` and rebuilds every index (index row ids
-/// are positional, so *any* mutation leaves them stale). Deterministic:
-/// the same `(db, mutation)` pair always produces the bit-identical
-/// post-mutation database. The caller still owns statistics freshness —
-/// sessions should follow up with
+/// Applies one mutation to `db` and rebuilds the indexes it left stale:
+/// index row ids are positional, so any mutation invalidates the
+/// indexes of the table it touched — found through the database's
+/// per-table data versions ([`Database::refresh_indexes`]), which also
+/// picks up any other table changed since its indexes were built.
+/// Deterministic: the same `(db, mutation)` pair always produces the
+/// bit-identical post-mutation database. The caller still owns
+/// statistics freshness — sessions should follow up with
 /// [`QuerySession::refresh_after_mutation`].
 pub fn apply_mutation(
     db: &mut Database,
@@ -191,7 +194,7 @@ pub fn apply_mutation(
             bulk_delete(db, *table, *fraction, mutation.seed)?
         }
     };
-    db.build_indexes()?;
+    db.refresh_indexes()?;
     Ok(report)
 }
 
@@ -640,8 +643,9 @@ pub fn synth_shock_battery(
 /// A complete scripted drift scenario: the world, the traffic, and the
 /// shocks. [`DriftScenario::imdb_job`] is the standard fixed-seed
 /// script shared by the integration tests, the golden drift-recovery
-/// log, the drift bench, and the `drift_recovery` example — one
-/// scenario, so every consumer pins the same numbers.
+/// log, the repo benchmark's `online_drift` workload, and the
+/// `drift_recovery` example — one scenario, so every consumer pins the
+/// same numbers.
 pub struct DriftScenario {
     /// The initial database.
     pub db: Database,
@@ -978,6 +982,21 @@ mod tests {
         })
     }
 
+    /// Every index of `db` is what a rebuild of all of them yields.
+    fn assert_indexes_match_a_full_rebuild(db: &Database, context: &dyn fmt::Debug) {
+        let mut full = db.clone();
+        full.build_indexes().unwrap();
+        for i in 0..db.catalog().index_count() {
+            let id = hfqo_catalog::IndexId(i as u32);
+            assert!(db.index_storage(id).is_some(), "{context:?}: index {i}");
+            assert_eq!(
+                db.index_storage(id),
+                full.index_storage(id),
+                "{context:?}: index {i}"
+            );
+        }
+    }
+
     #[test]
     fn mutations_are_deterministic_and_preserve_schema() {
         let s = synth();
@@ -991,6 +1010,7 @@ mod tests {
             let ra = apply_mutation(&mut a, &mutation).unwrap();
             let rb = apply_mutation(&mut b, &mutation).unwrap();
             assert_eq!(ra, rb);
+            assert_indexes_match_a_full_rebuild(&a, &mutation);
             let t = ra.table;
             let (ta, tb) = (a.table(t).unwrap(), b.table(t).unwrap());
             assert_eq!(ta.row_count(), tb.row_count());
@@ -1004,6 +1024,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The standard battery, in order, through two sessions built from
+    /// one database as the harness builds them: after every mutation
+    /// the indexes are a full rebuild's, a mutation moves the version of
+    /// its own table only, and after a refresh — per shock, or once
+    /// with the whole battery's changes piled up — the statistics are a
+    /// full re-scan's.
+    #[test]
+    fn incremental_refresh_equals_full_rebuild_over_the_battery() {
+        use hfqo_stats::build_database_stats;
+        let scenario = DriftScenario::imdb_job();
+        let mut prompt = QuerySession::traditional(scenario.db.clone(), scenario.stats.clone());
+        let mut late = QuerySession::traditional(scenario.db, scenario.stats);
+        let mut kinds = Vec::new();
+        for shock in &scenario.shocks {
+            for m in &shock.mutations {
+                let before = late.db().table_versions().to_vec();
+                let report = apply_mutation(late.db_mut(), m).unwrap();
+                apply_mutation(prompt.db_mut(), m).unwrap();
+                assert_indexes_match_a_full_rebuild(late.db(), m);
+                for (t, (now, was)) in late.db().table_versions().iter().zip(&before).enumerate() {
+                    assert_eq!(now != was, t == report.table.index(), "{m:?}: table {t}");
+                }
+                kinds.push(std::mem::discriminant(&m.op));
+            }
+            prompt.refresh_after_mutation().unwrap();
+            assert_eq!(prompt.stats(), &build_database_stats(prompt.db()));
+        }
+        kinds.dedup();
+        assert_eq!(kinds.len(), 3, "append, skew shift and bulk delete");
+        late.refresh_after_mutation().unwrap();
+        assert_eq!(late.stats(), &build_database_stats(late.db()));
+        assert_eq!(late.stats(), prompt.stats());
+        assert_eq!(late.db().table_versions(), prompt.db().table_versions());
     }
 
     #[test]
