@@ -55,7 +55,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &Catalog) -> Result<QueryGraph, Q
             WherePred::ColCol { left, op, right } => {
                 let (lcol, lty) = resolve(left)?;
                 let (rcol, rty) = resolve(right)?;
-                check_types(lty, rty, &format!("{left} vs {right}"))?;
+                check_types(lty, rty, || format!("{left} vs {right}"))?;
                 if lcol.rel == rcol.rel {
                     // Same-relation column comparison: treat as a selection
                     // the estimator handles with default selectivity. The
@@ -87,7 +87,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &Catalog) -> Result<QueryGraph, Q
                     Lit::Float(_) => ColumnType::Float,
                     Lit::Str(_) => ColumnType::Text,
                 };
-                check_types(ty, lit_ty, &format!("{left} vs literal {lit}"))?;
+                check_types(ty, lit_ty, || format!("{left} vs literal {lit}"))?;
                 selections.push(Selection {
                     column: col,
                     op: *op,
@@ -130,16 +130,23 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &Catalog) -> Result<QueryGraph, Q
     ))
 }
 
-fn check_types(a: ColumnType, b: ColumnType, ctx: &str) -> Result<(), QueryError> {
+/// `ctx` names the comparison for the error message; it is built only
+/// on a mismatch, so a predicate that type-checks formats nothing.
+fn check_types(
+    a: ColumnType,
+    b: ColumnType,
+    ctx: impl FnOnce() -> String,
+) -> Result<(), QueryError> {
     let numeric = |t: ColumnType| matches!(t, ColumnType::Int | ColumnType::Float);
     let compatible = (numeric(a) && numeric(b)) || (a == ColumnType::Text && b == ColumnType::Text);
     if compatible {
         Ok(())
     } else {
         Err(QueryError::TypeMismatch(format!(
-            "cannot compare {} with {} ({ctx})",
+            "cannot compare {} with {} ({})",
             a.name(),
-            b.name()
+            b.name(),
+            ctx()
         )))
     }
 }

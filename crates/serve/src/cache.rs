@@ -120,6 +120,12 @@ impl CacheOutcome {
 
 /// Cache observability counters, aggregated across shards (monotonic
 /// over the cache's lifetime and carried across capacity rebuilds).
+///
+/// One struct for both of a session's caches: the `statement_*` fields
+/// describe the text-keyed statement cache in front of the plan cache
+/// (see [`crate::statement`]) and are filled by
+/// `QuerySession::cache_metrics`; a bare [`PlanCache`] has no
+/// statements and reports them as zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheMetrics {
     /// Probe hits (`exact_hits + template_hits`).
@@ -161,6 +167,18 @@ pub struct CacheMetrics {
     pub capacity: usize,
     /// Number of shards.
     pub shards: usize,
+    /// `serve(sql)` calls whose exact text was remembered: no lex,
+    /// parse, bind or fingerprint ran. Graph and `Prepared` entry
+    /// points count as neither hit nor miss.
+    pub statement_hits: u64,
+    /// `serve(sql)` calls whose text was not remembered — first sight,
+    /// evicted by the bound, forgotten by `db_mut()`, or a text that
+    /// fails to parse or bind (which is never remembered, so it misses
+    /// every time).
+    pub statement_misses: u64,
+    /// Statements currently remembered (≤ `capacity`: the statement
+    /// cache is one LRU bounded at the plan cache's capacity).
+    pub statements: usize,
 }
 
 impl CacheMetrics {
@@ -449,15 +467,6 @@ impl PlanCache {
         next
     }
 
-    /// [`Self::rebuilt_with`] changing only the capacity.
-    pub fn rebuilt_with_capacity(self, capacity: usize) -> Self {
-        let config = CacheConfig {
-            capacity,
-            ..self.config
-        };
-        self.rebuilt_with(config)
-    }
-
     fn shard_index(&self, template: TemplateFingerprint) -> usize {
         // Power-of-two shard count: select by fingerprint bits, folding
         // both 64-bit lanes so either lane's entropy suffices.
@@ -682,6 +691,7 @@ impl PlanCache {
             plans,
             capacity: self.config.capacity,
             shards: self.shards.len(),
+            ..CacheMetrics::default()
         }
     }
 
@@ -963,7 +973,11 @@ mod tests {
             (1, 1, 1)
         );
         let stale_epoch = 0; // captured before the invalidation above
-        let cache = cache.rebuilt_with_capacity(64);
+        let config = CacheConfig {
+            capacity: 64,
+            ..cache.config()
+        };
+        let cache = cache.rebuilt_with(config);
         let after = cache.metrics();
         assert_eq!(after.hits, before.hits, "hits carried");
         assert_eq!(after.misses, before.misses, "misses carried");

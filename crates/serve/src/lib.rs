@@ -20,6 +20,11 @@
 //! single-flighted, and invalidation is explicit (and epoch-fenced) on
 //! statistics rebuilds and planner swaps.
 //!
+//! In front of the plan cache sits the statement cache ([`statement`]):
+//! the session serves a [`Prepared`] statement, not a string, and a
+//! text it has served before — still among the last `capacity` distinct
+//! texts — is not lexed, parsed, bound or fingerprinted again.
+//!
 //! Since PR 5 the layer also **closes the hands-free loop** the paper
 //! is named for: a session can record every executed query into an
 //! [`ExperienceLog`] ([`experience`]), a background [`OnlineTrainer`]
@@ -47,6 +52,7 @@ pub mod cache;
 pub mod experience;
 pub mod online;
 pub mod session;
+pub mod statement;
 pub mod swap;
 
 pub use cache::{
@@ -57,4 +63,5 @@ pub use cache::{
 pub use experience::{Experience, ExperienceLog, ExperienceMetrics, DEFAULT_EXPERIENCE_CAPACITY};
 pub use online::{OnlineConfig, OnlineMetrics, OnlineStep, OnlineTrainer};
 pub use session::{QuerySession, ServeError, ServedQuery};
+pub use statement::Prepared;
 pub use swap::{HotSwapPlanner, PlannerHandle};

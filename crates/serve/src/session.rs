@@ -1,18 +1,43 @@
 //! The query-serving session.
 //!
 //! [`QuerySession`] owns the whole serving world — database (with its
-//! catalog), statistics, cost parameters, a [`Planner`], and the plan
-//! cache — and runs the full pipeline as one call:
+//! catalog), statistics, cost parameters, a [`Planner`], the statement
+//! cache and the plan cache — and runs the full pipeline as one call:
 //!
 //! ```text
 //!   serve(sql)
-//!     ├─ parse      hfqo_sql::parse_select
-//!     ├─ bind       hfqo_query::bind_select            → QueryGraph
-//!     ├─ plan       (template, exact) fingerprints
-//!     │               → PlanCache::probe ──hit───────→ PhysicalPlan
-//!     │                        └──miss/replan──→ Planner::plan → insert
-//!     └─ execute    hfqo_exec::execute (vectorized)    → rows + stats
+//!     ├─ statement  text → statement cache ──hit──────────┐
+//!     │               └──miss──→ prepare(sql):            │
+//!     │                   parse    hfqo_sql::parse_select │
+//!     │                   bind     hfqo_query::bind_select│
+//!     │                   key      (template, exact)      │
+//!     │                 → remembered                      ▼
+//!     │                                  Prepared { graph, key }
+//!     └─ serve_prepared
+//!         ├─ plan       selectivity signature
+//!         │               → PlanCache::probe ──hit───────→ PhysicalPlan
+//!         │                        └──miss/replan──→ Planner::plan → insert
+//!         ├─ execute    hfqo_exec::execute (vectorized)    → rows + stats
+//!         └─ record     ExperienceLog (when attached)
 //! ```
+//!
+//! **The session serves a statement, not a string.** A [`Prepared`] —
+//! the bound graph and its [`PlanKey`] — is what the front half of a
+//! serve produces and all the back half consumes.
+//! [`QuerySession::prepare`] is the front half,
+//! [`QuerySession::serve_prepared`] the back half, and
+//! [`QuerySession::serve`] is *look the text up; on a miss prepare and
+//! remember it; serve the statement* — there is no route around the
+//! statement cache and nothing that turns it off. A text served before
+//! (and still among the last [`CacheConfig::capacity`] distinct texts)
+//! is not lexed, parsed, bound or fingerprinted again; what a statement
+//! hit still pays is the signature, the probe, the hit's plan-tree
+//! clone and the execution. The graph entry points
+//! ([`QuerySession::serve_shared`], [`QuerySession::serve_graph`]) wrap
+//! their graph in a `Prepared` and take the same back half. The cache's
+//! rules — exact text as the key, one global LRU, a leaf lock, emptied
+//! by [`QuerySession::db_mut`] and by nothing else — are in
+//! [`crate::statement`].
 //!
 //! Planning is cached under the **two-part key** of
 //! [`mod@hfqo_query::fingerprint`]: the structure-only
@@ -28,11 +53,13 @@
 //! rare-constant probe is not served a common-constant plan.
 //!
 //! Serving is concurrent: `serve` takes `&self`, the owned world is
-//! read-only (`Database`/`StatsCatalog` are `Sync`), and the cache is
-//! internally sharded — N threads contend per shard, not on one global
-//! mutex, and planning and execution run outside any lock. Cold misses
-//! are single-flighted per exact fingerprint: threads racing on the
-//! same cold query run the planner exactly once, the rest wait and hit.
+//! read-only (`Database`/`StatsCatalog` are `Sync`), and the plan cache
+//! is internally sharded — N threads contend per shard, not on one
+//! global mutex, and planning and execution run outside any lock. Cold
+//! misses are single-flighted per exact fingerprint: threads racing on
+//! the same cold query run the planner exactly once, the rest wait and
+//! hit. The statement cache's one lock is held for a hash-slot lookup
+//! and a text comparison only (the text is hashed before it is taken).
 //!
 //! Mutation is explicit and exclusive. The session remembers, per
 //! table, the data version ([`Database::table_versions`]) its
@@ -41,15 +68,19 @@
 //! [`QuerySession::refresh_after_mutation`] rebuilds the indexes and
 //! re-scans the statistics of the tables that changed and of no other;
 //! [`QuerySession::rebuild_stats`] is the everything-is-stale case.
-//! Either invalidates the cache (plans chosen under stale statistics
-//! may no longer be the ones the planner would pick), and
+//! Either invalidates the plan cache (plans chosen under stale
+//! statistics may no longer be the ones the planner would pick), and
 //! [`QuerySession::set_planner`] swaps the strategy, also
 //! invalidating (cached plans would otherwise be attributed to the
-//! wrong strategy). Because planning happens outside the cache locks,
-//! an invalidation can race an in-flight plan; inserts are
-//! epoch-guarded (see [`PlanCache::insert_if_current`]), so a plan
-//! produced under a superseded planner or statistics epoch is served
-//! once but never cached.
+//! wrong strategy). None of them touches the statement cache: a bound
+//! graph depends on the catalog alone, and the key a remembered
+//! statement carries is the one a fresh bind would compute, so
+//! plan-cache outcomes are the same with or without it. Because
+//! planning happens outside the cache locks, an invalidation can race
+//! an in-flight plan; inserts are epoch-guarded (see
+//! [`PlanCache::insert_if_current`]), so a plan produced under a
+//! superseded planner or statistics epoch is served once but never
+//! cached.
 //!
 //! [`PlanCache::insert_if_current`]: crate::cache::PlanCache::insert_if_current
 
@@ -57,14 +88,12 @@ use crate::cache::{
     CacheConfig, CacheMetrics, CacheOutcome, CachedPlan, PlanCache, PlanKey, Probe,
 };
 use crate::experience::{Experience, ExperienceLog};
+use crate::statement::{Prepared, StatementCache};
 use hfqo_catalog::Catalog;
 use hfqo_cost::CostParams;
 use hfqo_exec::{execute, ExecConfig, ExecError, ExecOutcome};
 use hfqo_opt::{OptError, PlannedQuery, Planner, PlannerContext, PlannerMethod};
-use hfqo_query::{
-    bind_select, fingerprint, template_fingerprint, tree_to_actions, PhysicalPlan, QueryError,
-    QueryGraph,
-};
+use hfqo_query::{bind_select, tree_to_actions, PhysicalPlan, QueryError, QueryGraph};
 use hfqo_sql::{parse_select, ParseError};
 use hfqo_stats::{database_table_stats, selection_selectivities, StatsCatalog};
 use hfqo_storage::Database;
@@ -127,7 +156,8 @@ impl From<ExecError> for ServeError {
 #[derive(Debug, Clone)]
 pub struct ServedQuery {
     /// The bound query graph (shared with the experience log when one
-    /// is attached; callers going through [`QuerySession::serve_shared`]
+    /// is attached, and with the statement cache when the query came in
+    /// as text; callers going through [`QuerySession::serve_shared`]
     /// share their own `Arc` — no deep clone on the serve path).
     pub graph: Arc<QueryGraph>,
     /// The physical plan that executed.
@@ -143,6 +173,11 @@ pub struct ServedQuery {
     /// How the cache answered: exact hit, intra-template (band) hit,
     /// out-of-band re-plan, or cold miss.
     pub cache: CacheOutcome,
+    /// Whether the text was found in the statement cache, so that this
+    /// serve did not parse, bind or fingerprint. Always `false` on the
+    /// entry points that take a graph or a [`Prepared`] rather than
+    /// text.
+    pub statement_hit: bool,
     /// Planning wall-clock: the cache lookup on a hit, the planner run
     /// on a miss.
     pub planning_time: std::time::Duration,
@@ -161,6 +196,9 @@ pub struct QuerySession {
     planner: Box<dyn Planner>,
     /// Internally sharded and synchronized; see [`crate::cache`].
     cache: PlanCache,
+    /// SQL text → prepared statement, bounded at the plan cache's
+    /// capacity; see [`crate::statement`].
+    statements: StatementCache,
     exec_config: ExecConfig,
     /// When attached, every executed query is recorded for online
     /// learning (see [`crate::online`]). Recording never influences
@@ -184,13 +222,15 @@ impl QuerySession {
     /// [`Self::refresh_after_mutation`] re-scans only tables changed
     /// after this call.
     pub fn new(db: Database, stats: StatsCatalog, planner: Box<dyn Planner>) -> Self {
+        let cache = PlanCache::with_config(CacheConfig::default());
         Self {
             stats_versions: db.table_versions().to_vec(),
             db,
             stats,
             params: CostParams::postgres_like(),
             planner,
-            cache: PlanCache::with_config(CacheConfig::default()),
+            statements: StatementCache::new(cache.config().capacity),
+            cache,
             exec_config: ExecConfig::default(),
             experience: None,
         }
@@ -213,26 +253,27 @@ impl QuerySession {
         self
     }
 
-    /// Overrides the plan-cache capacity (builder style). Cached
-    /// entries are dropped (counted as one invalidation), but the
+    /// Overrides the plan-cache capacity (builder style), and with it
+    /// the statement cache's bound. Cached entries and remembered
+    /// statements are dropped (counted as one invalidation), but the
     /// accumulated cache metrics and the invalidation epoch **carry
     /// across** — a capacity change never silently zeroes the counters
     /// or un-fences in-flight stale inserts.
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        Self {
-            cache: self.cache.rebuilt_with_capacity(capacity),
-            ..self
-        }
+        let config = CacheConfig {
+            capacity,
+            ..self.cache.config()
+        };
+        self.with_cache_config(config)
     }
 
     /// Overrides the full cache geometry and re-plan policy (builder
     /// style). Same carry-across semantics as
     /// [`Self::with_cache_capacity`].
     pub fn with_cache_config(self, config: CacheConfig) -> Self {
-        Self {
-            cache: self.cache.rebuilt_with(config),
-            ..self
-        }
+        let cache = self.cache.rebuilt_with(config);
+        self.statements.resize(cache.config().capacity);
+        Self { cache, ..self }
     }
 
     /// The owned database.
@@ -248,7 +289,14 @@ impl QuerySession {
     /// through the tables' data versions, so assigning a whole other
     /// `Database` through this reference needs [`Self::rebuild_stats`]
     /// (and its own `build_indexes`) instead.
+    ///
+    /// The catalog is reachable through this reference, and a bound
+    /// graph holds the table and column ids that catalog gave it, so
+    /// handing it out forgets every remembered statement: the next
+    /// serve of each text binds afresh. This is the statement cache's
+    /// one invalidation rule.
     pub fn db_mut(&mut self) -> &mut Database {
+        self.statements.clear();
         &mut self.db
     }
 
@@ -267,12 +315,20 @@ impl QuerySession {
         self.planner.name()
     }
 
-    /// Snapshot of the plan-cache counters (aggregated across shards).
+    /// Snapshot of the plan-cache counters (aggregated across shards)
+    /// and the statement cache's.
     pub fn cache_metrics(&self) -> CacheMetrics {
-        self.cache.metrics()
+        let (statement_hits, statement_misses, statements) = self.statements.counts();
+        CacheMetrics {
+            statement_hits,
+            statement_misses,
+            statements,
+            ..self.cache.metrics()
+        }
     }
 
-    /// Drops every cached plan.
+    /// Drops every cached plan. Remembered statements stay: they do not
+    /// depend on what the planner or the statistics said.
     pub fn invalidate_cache(&self) {
         self.cache.invalidate();
     }
@@ -343,16 +399,20 @@ impl QuerySession {
     /// query and how the cache answered. On a hit the `planning_time`
     /// is the lookup's wall-clock.
     pub fn plan(&self, graph: &QueryGraph) -> Result<(PlannedQuery, CacheOutcome), ServeError> {
-        let (template, _params) = template_fingerprint(graph);
-        let key = PlanKey {
-            template,
-            exact: fingerprint(graph),
-        };
+        self.plan_keyed(graph, &PlanKey::of(graph))
+    }
+
+    /// [`Self::plan`] with `key` = `PlanKey::of(graph)` already known.
+    fn plan_keyed(
+        &self,
+        graph: &QueryGraph,
+        key: &PlanKey,
+    ) -> Result<(PlannedQuery, CacheOutcome), ServeError> {
         // The current parameters' selectivity signature: recorded at
         // planning time, compared by the band on template hits.
         let current = selection_selectivities(&self.stats, graph);
         let start = Instant::now();
-        match self.cache.probe(&key, &current) {
+        match self.cache.probe(key, &current) {
             Probe::Hit { plan, outcome } => Ok((
                 PlannedQuery {
                     plan: plan.plan.clone(),
@@ -385,26 +445,37 @@ impl QuerySession {
                     method: planned.method,
                     selectivities: current,
                 });
-                self.cache.insert_if_current(&key, entry, epoch);
+                self.cache.insert_if_current(key, entry, epoch);
                 drop(guard);
                 Ok((planned, outcome))
             }
         }
     }
 
-    /// Serves an already-bound, already-shared query graph: plan
-    /// (through the cache) and execute. This is the zero-copy serve
-    /// path — the `Arc` is shared with the result (and the experience
-    /// record when a log is attached); the graph is never deep-cloned.
-    pub fn serve_shared(&self, graph: Arc<QueryGraph>) -> Result<ServedQuery, ServeError> {
-        let (planned, cache) = self.plan(&graph)?;
-        let outcome = execute(&self.db, &graph, &planned.plan, self.exec_config)?;
+    /// The front half of a serve: parse, bind against the catalog, and
+    /// compute the plan-cache key. Nothing is planned, executed or
+    /// remembered; [`Self::serve`] is what consults and fills the
+    /// statement cache.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared, ServeError> {
+        let stmt = parse_select(sql)?;
+        let graph = bind_select(&stmt, self.db.catalog())?;
+        Ok(Prepared::new(Arc::new(graph)))
+    }
+
+    /// The back half of a serve: plan (through the cache) and execute a
+    /// prepared statement, and record it when a log is attached. The
+    /// statement's `Arc` is shared with the result and the experience
+    /// record; the graph is never deep-cloned.
+    pub fn serve_prepared(&self, prepared: &Prepared) -> Result<ServedQuery, ServeError> {
+        let graph = prepared.graph();
+        let (planned, cache) = self.plan_keyed(graph, &prepared.key())?;
+        let outcome = execute(&self.db, graph, &planned.plan, self.exec_config)?;
         if let Some(log) = &self.experience {
             // The join decisions are derived from the executed plan's
             // tree skeleton, so cache hits and misses — and any
             // planning strategy — leave the same kind of record.
             log.push(Experience {
-                graph: Arc::clone(&graph),
+                graph: Arc::clone(graph),
                 decisions: tree_to_actions(&planned.plan.root.join_tree(), graph.relation_count()),
                 executed_work: outcome.stats.work,
                 elapsed: outcome.stats.elapsed,
@@ -414,15 +485,24 @@ impl QuerySession {
             });
         }
         Ok(ServedQuery {
-            graph,
+            graph: Arc::clone(graph),
             plan: planned.plan,
             cost: planned.cost,
             method: planned.method,
             cache_hit: cache.is_hit(),
             cache,
+            statement_hit: false,
             planning_time: planned.planning_time,
             outcome,
         })
+    }
+
+    /// Serves an already-bound, already-shared query graph: fingerprint
+    /// it, then [`Self::serve_prepared`]. Callers that serve one graph
+    /// repeatedly can keep the [`Prepared`] and skip the fingerprints
+    /// too.
+    pub fn serve_shared(&self, graph: Arc<QueryGraph>) -> Result<ServedQuery, ServeError> {
+        self.serve_prepared(&Prepared::new(graph))
     }
 
     /// Serves an already-bound query graph: one clone up front to share
@@ -433,12 +513,25 @@ impl QuerySession {
         self.serve_shared(Arc::new(graph.clone()))
     }
 
-    /// Serves SQL text: parse, bind, plan (through the cache), execute.
-    /// The freshly bound graph is moved into its `Arc` — no deep clone.
+    /// Serves SQL text: the statement remembered for exactly this text,
+    /// or — the first time, and after eviction or [`Self::db_mut`] —
+    /// [`Self::prepare`]d now and remembered; then
+    /// [`Self::serve_prepared`]. A text that fails to parse or bind is
+    /// not remembered and fails the same way next time. The statement
+    /// lock is not held while preparing: threads that miss one text at
+    /// once each prepare it, and the last insert wins.
     pub fn serve(&self, sql: &str) -> Result<ServedQuery, ServeError> {
-        let stmt = parse_select(sql)?;
-        let graph = bind_select(&stmt, self.db.catalog())?;
-        self.serve_shared(Arc::new(graph))
+        let (prepared, statement_hit) = match self.statements.get(sql) {
+            Some(prepared) => (prepared, true),
+            None => {
+                let prepared = self.prepare(sql)?;
+                self.statements.insert(sql, prepared.clone());
+                (prepared, false)
+            }
+        };
+        let mut served = self.serve_prepared(&prepared)?;
+        served.statement_hit = statement_hit;
+        Ok(served)
     }
 }
 
@@ -720,5 +813,231 @@ mod tests {
             CacheOutcome::Miss
         );
         assert!(session.serve_graph(&graph).unwrap().cache_hit);
+    }
+
+    // ---- the statement cache -------------------------------------
+
+    // TestDb chains are t0(id, val), t1(id, fk, val), ….
+    const TEXT: &str = "SELECT COUNT(*) FROM t0 a, t1 b WHERE a.id = b.fk AND a.val < 20";
+
+    fn statement_counts(session: &QuerySession) -> (u64, u64, usize) {
+        let m = session.cache_metrics();
+        (m.statement_hits, m.statement_misses, m.statements)
+    }
+
+    /// Everything about a serve that must not depend on how the query
+    /// reached the back half.
+    fn assert_same_serve(a: &ServedQuery, b: &ServedQuery) {
+        assert_eq!(a.plan, b.plan);
+        assert_eq!(a.cost, b.cost);
+        assert_eq!(a.method, b.method);
+        assert_eq!(a.outcome.rows, b.outcome.rows);
+        assert_eq!(a.outcome.stats.work, b.outcome.stats.work);
+    }
+
+    #[test]
+    fn a_text_served_before_is_a_statement_hit_on_the_same_graph() {
+        let (session, _) = session(2, 150);
+        let log = Arc::new(ExperienceLog::new(8));
+        let session = session.with_experience_log(Arc::clone(&log));
+        let first = session.serve(TEXT).unwrap();
+        let again = session.serve(TEXT).unwrap();
+        assert!(!first.statement_hit);
+        assert!(again.statement_hit);
+        assert!(Arc::ptr_eq(&first.graph, &again.graph), "bound once");
+        assert_eq!(
+            (first.cache, again.cache),
+            (CacheOutcome::Miss, CacheOutcome::ExactHit)
+        );
+        assert_same_serve(&first, &again);
+        assert_eq!(statement_counts(&session), (1, 1, 1));
+        // Both experience records share that one graph.
+        let records = log.drain(8);
+        assert_eq!(records.len(), 2);
+        assert!(Arc::ptr_eq(&records[0].graph, &records[1].graph));
+        assert!(Arc::ptr_eq(&records[0].graph, &first.graph));
+    }
+
+    /// Text, prepared statement and shared graph are three ways into
+    /// one back half. (`tests/serving.rs` repeats this over the whole
+    /// JOB-like suite.)
+    #[test]
+    fn the_three_entry_points_agree() {
+        let serve = |how: fn(&QuerySession) -> ServedQuery| {
+            let (session, _) = session(2, 150);
+            [how(&session), how(&session)]
+        };
+        let by_text = serve(|s| s.serve(TEXT).unwrap());
+        let by_statement = serve(|s| s.serve_prepared(&s.prepare(TEXT).unwrap()).unwrap());
+        let by_graph = serve(|s| {
+            let graph = bind_select(&parse_select(TEXT).unwrap(), s.catalog()).unwrap();
+            s.serve_shared(Arc::new(graph)).unwrap()
+        });
+        for other in [&by_statement, &by_graph] {
+            for (a, b) in by_text.iter().zip(other) {
+                assert_same_serve(a, b);
+                assert_eq!(a.cache, b.cache);
+                assert!(!b.statement_hit, "no text, no statement lookup");
+            }
+        }
+        let (session, _) = session(2, 150);
+        let prepared = session.prepare(TEXT).unwrap();
+        assert_eq!(prepared.key(), PlanKey::of(prepared.graph()));
+        assert_eq!(
+            statement_counts(&session),
+            (0, 0, 0),
+            "prepare does not remember"
+        );
+    }
+
+    #[test]
+    fn another_spelling_is_a_statement_miss_and_a_plan_cache_exact_hit() {
+        let (session, _) = session(2, 150);
+        let first = session.serve(TEXT).unwrap();
+        let spellings = [
+            TEXT.to_lowercase().replace("count", "COUNT"),
+            TEXT.replace(' ', "  "),
+            TEXT.replace("a.", "x.").replace("t0 a", "t0 x"),
+        ];
+        for (i, sql) in spellings.iter().enumerate() {
+            assert_ne!(sql, TEXT);
+            let served = session.serve(sql).unwrap();
+            assert!(!served.statement_hit, "{sql}");
+            assert_eq!(served.cache, CacheOutcome::ExactHit, "{sql}");
+            assert!(!Arc::ptr_eq(&served.graph, &first.graph));
+            assert_same_serve(&served, &first);
+            assert_eq!(statement_counts(&session), (0, 2 + i as u64, 2 + i));
+        }
+    }
+
+    #[test]
+    fn a_text_that_fails_is_never_remembered() {
+        let (session, _) = session(2, 100);
+        for sql in ["SELEC nope", "SELECT COUNT(*) FROM missing m"] {
+            let first = session.serve(sql).unwrap_err();
+            let again = session.serve(sql).unwrap_err();
+            assert_eq!(first, again, "{sql}");
+            assert!(matches!(first, ServeError::Parse(_) | ServeError::Bind(_)));
+        }
+        assert_eq!(statement_counts(&session), (0, 4, 0));
+    }
+
+    #[test]
+    fn the_statement_bound_is_the_cache_capacity() {
+        let (session, _) = session(2, 150);
+        let session = session.with_cache_capacity(2);
+        let texts: Vec<String> = (20..23)
+            .map(|v| TEXT.replace("20", &v.to_string()))
+            .collect();
+        let mut reference: Vec<Option<ServedQuery>> = vec![None; texts.len()];
+        // Round-robin through one text more than fits: the text about
+        // to be served is always the one evicted last, so every serve
+        // prepares again — and must come out as it did the first time.
+        for round in 0..3 {
+            for (sql, reference) in texts.iter().zip(&mut reference) {
+                let served = session.serve(sql).unwrap();
+                assert!(!served.statement_hit, "round {round}: {sql}");
+                assert!(session.cache_metrics().statements <= 2);
+                match reference {
+                    None => *reference = Some(served),
+                    Some(first) => {
+                        assert_same_serve(&served, first);
+                        assert_eq!(*served.graph, *first.graph);
+                    }
+                }
+            }
+        }
+        assert_eq!(statement_counts(&session), (0, 9, 2));
+        // The two most recent texts are the two remembered.
+        assert!(session.serve(&texts[2]).unwrap().statement_hit);
+        assert!(session.serve(&texts[1]).unwrap().statement_hit);
+        assert!(!session.serve(&texts[0]).unwrap().statement_hit);
+    }
+
+    /// The one invalidation rule: a remembered graph holds the ids the
+    /// catalog gave it, so handing the database out forgets it. Here
+    /// the database is replaced by one whose `t0.val` is another column
+    /// id; a remembered graph would filter on `fk1`.
+    #[test]
+    fn db_mut_forgets_statements_and_the_next_serve_binds_afresh() {
+        use hfqo_catalog::ColumnId;
+        const SQL: &str = "SELECT COUNT(*) FROM t0 a WHERE a.val < 20";
+        let (mut session, _) = session(2, 150);
+        let before = session.serve(SQL).unwrap();
+        assert!(session.serve(SQL).unwrap().statement_hit);
+        assert_eq!(before.graph.selections()[0].column.column, ColumnId(1));
+
+        // Stars are t0(id, fk1, val), t1(id, val).
+        *session.db_mut() = TestDb::star(2, 150).db;
+        session.rebuild_stats();
+        assert_eq!(session.cache_metrics().statements, 0);
+        let after = session.serve(SQL).unwrap();
+        assert!(!after.statement_hit);
+        assert_eq!(after.graph.selections()[0].column.column, ColumnId(2));
+        let star = TestDb::star(2, 150);
+        let fresh = QuerySession::traditional(star.db, star.stats);
+        assert_same_serve(&after, &fresh.serve(SQL).unwrap());
+
+        // A mutation that leaves the catalog alone pays the same
+        // forgetting: the session cannot see what the borrower did.
+        let _ = session.db_mut();
+        assert!(!session.serve(SQL).unwrap().statement_hit);
+    }
+
+    /// Statistics, planner and plan-cache changes decide which plan a
+    /// statement gets, not what the statement is.
+    #[test]
+    fn statistics_and_planner_changes_keep_statements() {
+        let (mut session, _) = session(2, 150);
+        let first = session.serve(TEXT).unwrap();
+        type Change = fn(&mut QuerySession);
+        let changes: [(&str, Change); 4] = [
+            ("rebuild_stats", |s| s.rebuild_stats()),
+            ("refresh_after_mutation", |s| {
+                s.refresh_after_mutation().unwrap()
+            }),
+            ("set_planner", |s| {
+                s.set_planner(Box::new(hfqo_opt::TraditionalPlanner::new()))
+            }),
+            ("invalidate_cache", |s| s.invalidate_cache()),
+        ];
+        for (what, change) in changes {
+            change(&mut session);
+            let served = session.serve(TEXT).unwrap();
+            assert!(served.statement_hit, "{what} keeps the statement");
+            assert_eq!(served.cache, CacheOutcome::Miss, "{what} drops the plan");
+            assert!(Arc::ptr_eq(&served.graph, &first.graph));
+            assert_same_serve(&served, &first);
+        }
+        assert_eq!(statement_counts(&session), (4, 1, 1));
+    }
+
+    #[test]
+    fn statement_counters_carry_across_cache_rebuilds_and_the_bound_follows() {
+        let (session, _) = session(2, 150);
+        let texts: Vec<String> = (20..24)
+            .map(|v| TEXT.replace("20", &v.to_string()))
+            .collect();
+        session.serve(&texts[0]).unwrap();
+        session.serve(&texts[0]).unwrap();
+        assert_eq!(statement_counts(&session), (1, 1, 1));
+        let session = session.with_cache_config(CacheConfig {
+            capacity: 3,
+            ..CacheConfig::default()
+        });
+        assert_eq!(
+            statement_counts(&session),
+            (1, 1, 0),
+            "counters stay, statements go"
+        );
+        for sql in &texts {
+            session.serve(sql).unwrap();
+        }
+        assert_eq!(statement_counts(&session), (1, 5, 3), "bounded at 3");
+        let session = session.with_cache_capacity(1);
+        assert_eq!(statement_counts(&session), (1, 5, 0));
+        session.serve(&texts[0]).unwrap();
+        session.serve(&texts[1]).unwrap();
+        assert_eq!(statement_counts(&session), (1, 7, 1), "bounded at 1");
     }
 }

@@ -9,34 +9,34 @@ use crate::token::{tokenize, Token};
 /// Parses one SELECT statement (with optional trailing `;`).
 pub fn parse_select(input: &str) -> Result<SelectStmt, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: tokens.into_iter(),
+    };
     let stmt = p.select_stmt()?;
     p.accept(&Token::Semicolon);
     p.expect_end()?;
     Ok(stmt)
 }
 
+/// The token stream is consumed front to back and never revisited, so
+/// the parser owns it as an iterator: a token that carries a `String`
+/// (identifier, string literal) is moved into the AST, not cloned.
 struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+    tokens: std::vec::IntoIter<Token>,
 }
 
 impl Parser {
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.tokens.as_slice().first()
     }
 
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        self.tokens.next()
     }
 
     fn accept(&mut self, tok: &Token) -> bool {
         if self.peek() == Some(tok) {
-            self.pos += 1;
+            self.bump();
             true
         } else {
             false
@@ -52,8 +52,8 @@ impl Parser {
     }
 
     fn keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Token::Keyword(k)) if k == kw) {
-            self.pos += 1;
+        if matches!(self.peek(), Some(Token::Keyword(k)) if *k == kw) {
+            self.bump();
             true
         } else {
             false
@@ -79,7 +79,7 @@ impl Parser {
     }
 
     fn expect_end(&self) -> Result<(), ParseError> {
-        if self.pos == self.tokens.len() {
+        if self.peek().is_none() {
             Ok(())
         } else {
             Err(self.unexpected("end of statement"))
@@ -132,8 +132,8 @@ impl Parser {
         if self.accept(&Token::Star) {
             return Ok(SelectItem::Wildcard);
         }
-        if let Some(Token::Keyword(kw)) = self.peek() {
-            let func = match kw.as_str() {
+        if let Some(&Token::Keyword(kw)) = self.peek() {
+            let func = match kw {
                 "COUNT" => Some(AggFunc::Count),
                 "SUM" => Some(AggFunc::Sum),
                 "MIN" => Some(AggFunc::Min),
@@ -142,7 +142,7 @@ impl Parser {
                 _ => None,
             };
             if let Some(func) = func {
-                self.pos += 1;
+                self.bump();
                 self.expect(&Token::LParen, "(")?;
                 let column = if self.accept(&Token::Star) {
                     if func != AggFunc::Count {
@@ -239,7 +239,7 @@ impl Parser {
             Some(Token::Ge) => CompareOp::Ge,
             _ => return Err(self.unexpected("a comparison operator")),
         };
-        self.pos += 1;
+        self.bump();
         Ok(op)
     }
 }

@@ -1,14 +1,24 @@
 //! SQL lexer.
+//!
+//! The lexer runs once per statement a session has not seen before (and
+//! on every op of the cold-planning paths), so it allocates only what
+//! the parser goes on to own: a keyword is matched in place against
+//! the keyword table and carried as that table's `&'static str`, an
+//! identifier or string literal is copied out of the input exactly once
+//! (the parser moves that `String` into the AST), and every other token
+//! is a plain value.
 
 use crate::error::ParseError;
 
 /// A lexical token. Keywords are recognised case-insensitively and carried
-/// as upper-case `Keyword`s; identifiers preserve their original case.
+/// as the upper-case spelling in the keyword table; identifiers preserve
+/// their original case.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
-    /// Reserved word (upper-cased): SELECT, FROM, WHERE, AND, AS, GROUP,
-    /// BY, COUNT, SUM, MIN, MAX, AVG.
-    Keyword(String),
+    /// Reserved word, as spelled (upper-case) in the keyword table:
+    /// SELECT, FROM, WHERE, AND, AS, GROUP, BY, COUNT, SUM, MIN, MAX,
+    /// AVG.
+    Keyword(&'static str),
     /// Identifier (table, alias, or column name).
     Ident(String),
     /// Integer literal.
@@ -133,12 +143,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                     i += 1;
                 }
                 let word = &input[start..i];
-                let upper = word.to_ascii_uppercase();
-                if KEYWORDS.contains(&upper.as_str()) {
-                    tokens.push(Token::Keyword(upper));
-                } else {
-                    tokens.push(Token::Ident(word.to_string()));
-                }
+                tokens.push(
+                    match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
+                        Some(&keyword) => Token::Keyword(keyword),
+                        None => Token::Ident(word.to_string()),
+                    },
+                );
             }
             other => return Err(ParseError::UnexpectedChar(other, i)),
         }
@@ -221,11 +231,11 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Keyword("SELECT".into()),
+                Token::Keyword("SELECT"),
                 Token::Star,
-                Token::Keyword("FROM".into()),
+                Token::Keyword("FROM"),
                 Token::Ident("t".into()),
-                Token::Keyword("WHERE".into()),
+                Token::Keyword("WHERE"),
                 Token::Ident("a".into()),
                 Token::Dot,
                 Token::Ident("x".into()),
@@ -242,9 +252,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Keyword("SELECT".into()),
-                Token::Keyword("FROM".into()),
-                Token::Keyword("WHERE".into()),
+                Token::Keyword("SELECT"),
+                Token::Keyword("FROM"),
+                Token::Keyword("WHERE"),
             ]
         );
     }

@@ -120,14 +120,16 @@ fn main() {
     );
     assert_eq!(expert.outcome.rows, served.outcome.rows, "plans must agree");
 
-    // 4. Repeats hit the plan cache: planning cost becomes a lookup.
+    // 4. Repeats hit both caches: the text is a remembered statement
+    //    (not parsed or bound again) and planning becomes a lookup.
     let again = session.serve(sql).expect("serves from cache");
-    assert!(again.cache_hit);
+    assert!(again.statement_hit && again.cache_hit);
     assert_eq!(again.outcome.rows, served.outcome.rows);
     let m = session.cache_metrics();
     println!(
-        "\nserved again from the plan cache in {:?} ({} hits / {} misses)",
-        again.planning_time, m.hits, m.misses
+        "\nserved again from the plan cache in {:?} ({} hits / {} misses; \
+         statements: {} hits / {} misses, {} remembered)",
+        again.planning_time, m.hits, m.misses, m.statement_hits, m.statement_misses, m.statements
     );
 
     // 5. Close the hands-free loop: keep learning from the queries the

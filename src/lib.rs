@@ -88,7 +88,8 @@ pub mod prelude {
     pub use hfqo_rl::Environment;
     pub use hfqo_serve::{
         CacheConfig, CacheMetrics, CacheOutcome, Experience, ExperienceLog, HotSwapPlanner,
-        OnlineConfig, OnlineTrainer, PlanKey, PlannerHandle, QuerySession, ServeError, ServedQuery,
+        OnlineConfig, OnlineTrainer, PlanKey, PlannerHandle, Prepared, QuerySession, ServeError,
+        ServedQuery,
     };
     pub use hfqo_sql::parse_select;
     pub use hfqo_stats::{build_database_stats, CardinalitySource, EstimatedCardinality};

@@ -1,10 +1,13 @@
 //! Serving-layer integration: plan-cache correctness, LRU eviction,
 //! stats-rebuild invalidation, the learned planner behind
-//! `QuerySession`, and concurrent serving (the CI smoke test runs this
-//! file at `HFQO_WORKERS=2`).
+//! `QuerySession`, the statement cache over the JOB-like suite, and
+//! concurrent serving of graphs and of text (the CI smoke test runs
+//! this file at `HFQO_WORKERS=2`).
 
 use hfqo::opt::{OptError, PlannedQuery};
 use hfqo::prelude::*;
+use hfqo::workload::imdb::build_imdb;
+use hfqo::workload::job::generate_job_suite;
 use hfqo::workload::synth::{Shape, SynthConfig, SynthDb};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -321,6 +324,193 @@ fn concurrent_serving_matches_sequential_results() {
             after.len <= queries.len(),
             "at most one template entry per distinct structure"
         );
+    }
+}
+
+/// What of a serve must not depend on the route the query took to the
+/// back half, or on which thread served it: the plan, its cost and
+/// method, the rows and the work — or the error.
+type Served = Result<
+    (
+        PhysicalPlan,
+        f64,
+        PlannerMethod,
+        Vec<Vec<hfqo::storage::Value>>,
+        u64,
+    ),
+    ServeError,
+>;
+
+fn essentials(served: Result<ServedQuery, ServeError>) -> Served {
+    served.map(|s| {
+        (
+            s.plan,
+            s.cost,
+            s.method,
+            s.outcome.rows,
+            s.outcome.stats.work,
+        )
+    })
+}
+
+/// `serve(sql)`, `serve_prepared(&prepare(sql)?)` and
+/// `serve_shared(bind(parse(sql)))` are three ways into one back half:
+/// on every text of the JOB-like suite — the ones that exhaust the work
+/// budget included — they return the same plan, cost, method, rows,
+/// work and `CacheOutcome`, cold and warm. And the saving is where it
+/// is claimed: after the warm pass every text is a remembered
+/// statement (`job_warm`'s steady state), so later passes over the
+/// servable texts count one statement hit per serve and no miss.
+#[test]
+fn text_statement_and_graph_entry_points_agree_on_the_job_suite() {
+    let (db, stats) = build_imdb(ImdbConfig {
+        base_rows: 100,
+        seed: 21,
+    });
+    let suite = generate_job_suite(db.catalog(), 21);
+    // A budget a fair share of the suite's expert plans exceed, so the
+    // error route is compared too (and cheaply).
+    let session = || {
+        QuerySession::traditional(db.clone(), stats.clone())
+            .with_exec_config(ExecConfig::with_budget(100_000))
+    };
+    let (by_text, by_statement, by_graph) = (session(), session(), session());
+    let mut servable = Vec::new();
+    // The suite repeats a few of its texts under two labels.
+    let mut seen = std::collections::HashSet::new();
+    for pass in ["cold", "warm"] {
+        for q in &suite {
+            let seen_before = !seen.insert(&q.sql) || pass == "warm";
+            let text = by_text.serve(&q.sql);
+            let statement = by_statement
+                .prepare(&q.sql)
+                .and_then(|p| by_statement.serve_prepared(&p));
+            let graph = parse_select(&q.sql)
+                .map_err(ServeError::from)
+                .and_then(|stmt| Ok(bind_select(&stmt, by_graph.catalog())?))
+                .and_then(|g| by_graph.serve_shared(Arc::new(g)));
+            let outcome = |s: &Result<ServedQuery, ServeError>| s.as_ref().ok().map(|s| s.cache);
+            assert_eq!(outcome(&text), outcome(&statement), "{pass} {}", q.label);
+            assert_eq!(outcome(&text), outcome(&graph), "{pass} {}", q.label);
+            if let Ok(served) = &text {
+                assert_eq!(served.statement_hit, seen_before, "{pass} {}", q.label);
+                if pass == "cold" {
+                    servable.push(&q.sql);
+                }
+            }
+            let text = essentials(text);
+            assert_eq!(text, essentials(statement), "{pass} {}", q.label);
+            assert_eq!(text, essentials(graph), "{pass} {}", q.label);
+        }
+    }
+    assert!(
+        (suite.len() / 2..suite.len()).contains(&servable.len()),
+        "most texts serve and some exceed the budget: {} of {}",
+        servable.len(),
+        suite.len()
+    );
+
+    // A text that binds is remembered whether or not it then executes.
+    let warm = by_text.cache_metrics();
+    assert_eq!(warm.statement_misses as usize, seen.len());
+    assert_eq!(warm.statement_hits as usize, 2 * suite.len() - seen.len());
+    assert_eq!(warm.statements, seen.len());
+    const PASSES: usize = 2;
+    for _ in 0..PASSES {
+        for sql in &servable {
+            let served = by_text.serve(sql).expect("servable");
+            assert!(served.statement_hit);
+            assert_eq!(served.cache, CacheOutcome::ExactHit);
+        }
+    }
+    let after = by_text.cache_metrics();
+    assert_eq!(after.statement_misses, warm.statement_misses);
+    assert_eq!(
+        (after.statement_hits - warm.statement_hits) as usize,
+        PASSES * servable.len(),
+        "every later serve is a statement hit"
+    );
+    // The other two sessions never looked a text up.
+    for session in [&by_statement, &by_graph] {
+        let m = session.cache_metrics();
+        assert_eq!(
+            (m.statement_hits, m.statement_misses, m.statements),
+            (0, 0, 0)
+        );
+    }
+}
+
+/// `HFQO_WORKERS` threads serve ten distinct texts — each its own
+/// template — through a session whose caches hold four, each thread in
+/// its own order, so statements are looked up, prepared twice by racing
+/// threads, inserted and evicted under one another's feet. Every
+/// result must be the sequential one, the bound must hold, every lookup
+/// must be counted once, and the statement lock must stay a leaf (a
+/// debug build runs under the lock-order checker).
+#[test]
+fn concurrent_text_serving_churns_statements_and_matches_sequential_results() {
+    const CAPACITY: usize = 4;
+    const ROUNDS: usize = 4;
+    let synth = SynthDb::build(synth_config());
+    // SynthDb tables are s{i}(id, fk, val).
+    let pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)].map(|(a, b)| {
+        format!("SELECT COUNT(*) FROM s{a}, s{b} WHERE s{a}.id = s{b}.fk AND s{a}.val < 60")
+    });
+    let triples = [(0, 2, 3), (1, 3, 4), (2, 4, 5), (3, 5, 6)].map(|(a, b, c)| {
+        format!(
+            "SELECT COUNT(*) FROM s{a}, s{b}, s{c} \
+             WHERE s{a}.id = s{b}.fk AND s{b}.id = s{c}.fk AND s{c}.val > 40"
+        )
+    });
+    let texts: Vec<String> = pairs.into_iter().chain(triples).collect();
+    assert!(texts.len() > 2 * CAPACITY);
+    let reference: Vec<Served> = {
+        let sequential = QuerySession::traditional(synth.db.clone(), synth.stats.clone());
+        texts
+            .iter()
+            .map(|sql| essentials(sequential.serve(sql)))
+            .collect()
+    };
+    assert!(reference.iter().all(Result::is_ok));
+
+    for workers in worker_counts() {
+        let session = QuerySession::traditional(synth.db.clone(), synth.stats.clone())
+            .with_cache_capacity(CAPACITY);
+        let barrier = Barrier::new(workers);
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (session, texts, reference, barrier) = (&session, &texts, &reference, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for round in 0..ROUNDS {
+                        for i in 0..texts.len() {
+                            // Odd workers walk the list backwards, and
+                            // every worker starts somewhere else.
+                            let step = if w.is_multiple_of(2) {
+                                i
+                            } else {
+                                texts.len() - 1 - i
+                            };
+                            let idx = (step + 3 * w + round) % texts.len();
+                            assert_eq!(
+                                essentials(session.serve(&texts[idx])),
+                                reference[idx],
+                                "worker {w} round {round} text {idx}"
+                            );
+                            assert!(session.cache_metrics().statements <= CAPACITY);
+                        }
+                    }
+                });
+            }
+        });
+        let m = session.cache_metrics();
+        assert_eq!(
+            (m.statement_hits + m.statement_misses) as usize,
+            workers * ROUNDS * texts.len(),
+            "workers={workers}: every serve looks its text up exactly once"
+        );
+        assert!(m.statement_misses as usize >= texts.len());
+        assert_eq!(m.statements, CAPACITY, "workers={workers}: full, not over");
     }
 }
 
