@@ -57,8 +57,8 @@
 //!
 //! ## Hash construction
 //!
-//! The content is folded through two independent FNV-1a-64 streams
-//! (different offset bases) concatenated into a `u128`. FNV is chosen
+//! The content is folded through two FNV-1a-64 streams (different
+//! offset bases) concatenated into a `u128`. FNV is chosen
 //! over `std`'s `DefaultHasher` because it is *stable*: fingerprints are
 //! reproducible across processes, runs, and Rust versions, so cache
 //! behaviour is deterministic and testable. At 128 bits, accidental
@@ -66,6 +66,18 @@
 //! fingerprint and performs no structural verification on hit. Template
 //! and exact fingerprints are distinct Rust types, so they can never be
 //! compared or keyed against each other by accident.
+//!
+//! What the two lanes do **not** give is 128 independently mixed bits.
+//! Both lanes multiply by the same prime and differ only in their
+//! offset bases, which are an odd constant apart: XOR-ing in a byte and
+//! multiplying by an odd number both preserve bit 0 of that difference,
+//! so bit 0 of `a ^ b` is 1 for every input, and the bits just above it
+//! are correlated between the lanes. Within one lane FNV's low bits are
+//! also its weakest. The full 128-bit value is a sound map key;
+//! anything that wants *a few bits* of it — a shard, a partition, a
+//! bucket index — must mix first (multiply one lane by an odd 64-bit
+//! constant and take high bits, as the plan cache's shard choice does),
+//! never mask raw bits or fold the lanes together.
 
 use crate::graph::QueryGraph;
 use crate::predicate::{BoundColumn, Lit};
@@ -148,8 +160,9 @@ struct Fnv2 {
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 const FNV_OFFSET_A: u64 = 0xCBF2_9CE4_8422_2325;
-// A second, independent stream: the standard offset basis folded over an
-// arbitrary odd constant so the two lanes decorrelate from byte one.
+// A second stream: the standard offset basis folded over an arbitrary
+// odd constant so the two lanes differ from byte one. Not independent
+// of the first at the low bits: see "Hash construction" above.
 const FNV_OFFSET_B: u64 = 0xCBF2_9CE4_8422_2325 ^ 0x9E37_79B9_7F4A_7C15;
 
 impl Fnv2 {

@@ -15,11 +15,10 @@
 //! ## Concurrency
 //!
 //! The cache is internally synchronized (`probe`/`insert` take
-//! `&self`): entries live in `shards` power-of-two shards selected by
-//! template-fingerprint bits, each behind its own mutex, so N serving
-//! threads only contend when they touch the same shard — not on one
-//! global lock. Metrics are kept per shard and aggregated by
-//! [`PlanCache::metrics`].
+//! `&self`): entries live in `shards` power-of-two shards, each behind
+//! its own mutex, so N serving threads only contend when they touch the
+//! same shard — not on one global lock. Metrics are kept per shard and
+//! aggregated by [`PlanCache::metrics`].
 //!
 //! Cold misses are **single-flighted per shard**: the first thread to
 //! miss a key registers an in-flight marker and plans; concurrent
@@ -30,6 +29,23 @@
 //! Should two planner runs for one key ever still race (e.g. a caller
 //! bypassing the flight guard), the insert is last-write-wins and the
 //! race is *observable*: it increments the `duplicate_plans` counter.
+//!
+//! ## Shard choice
+//!
+//! A template's shard is bits 32 and up of one fingerprint lane
+//! multiplied by a fixed odd 64-bit constant (`shard_index`, the only
+//! place a shard is chosen; `exec`'s `KeyHasher::partition` picks join
+//! partitions the same way). The fingerprint's raw bits must not be
+//! used, alone or XOR-folded: its two FNV-1a lanes share a multiplier
+//! and start from bases that differ by an odd constant, so bit 0 of
+//! `a ^ b` is 1 for every input and the neighbouring bits are
+//! correlated (see "Hash construction" in `hfqo_query::fingerprint`).
+//! Folding the lanes reaches at most half the shards — 6 of 16 on the
+//! benchmark's templates, a "128-entry" cache that holds 48. Capacity is
+//! split evenly over the shards and eviction is per-shard LRU, so the
+//! cache holds what [`CacheConfig`] says only when templates spread;
+//! [`CacheMetrics::occupied_shards`] and
+//! [`CacheMetrics::largest_shard`] make the spread observable.
 //!
 //! ## Invalidation epochs
 //!
@@ -167,6 +183,13 @@ pub struct CacheMetrics {
     pub capacity: usize,
     /// Number of shards.
     pub shards: usize,
+    /// Shards currently holding at least one template entry. A full
+    /// cache that reads fewer than `shards` here is not using its
+    /// capacity.
+    pub occupied_shards: usize,
+    /// Template entries in the fullest shard (≤ `capacity / shards`,
+    /// rounded up).
+    pub largest_shard: usize,
     /// `serve(sql)` calls whose exact text was remembered: no lex,
     /// parse, bind or fingerprint ran. Graph and `Prepared` entry
     /// points count as neither hit nor miss.
@@ -229,6 +252,16 @@ pub const DEFAULT_SELECTIVITY_BAND: f64 = 4.0;
 /// Default bucket bound per template entry.
 pub const DEFAULT_PLANS_PER_TEMPLATE: usize = 8;
 
+/// Bound on one template entry's exact fast-path map: a template that
+/// stays cached would otherwise gain a key per distinct parameter
+/// vector for ever. Far above what a bucket-sized set of regimes needs
+/// (the benchmark's templates see 200 constants each); on overflow the
+/// map is cleared and the buckets answer by band until it refills.
+const MAX_EXACT_KEYS: usize = 1024;
+
+/// 2^64 / φ, odd: the multiplier `shard_index` mixes a lane with.
+const SHARD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
@@ -273,6 +306,18 @@ struct TemplateEntry {
     next_victim: usize,
     /// Last-use stamp from the shard's monotonic clock.
     used: u64,
+}
+
+impl TemplateEntry {
+    /// Points the fast path for `exact` at bucket `i`, clearing the map
+    /// first when it is at [`MAX_EXACT_KEYS`]: every key it held still
+    /// hits by band, at the cost of one selectivity scoring.
+    fn pin_exact(&mut self, exact: QueryFingerprint, i: usize) {
+        if self.exact.len() >= MAX_EXACT_KEYS {
+            self.exact.clear();
+        }
+        self.exact.insert(exact, i);
+    }
 }
 
 /// A cold-miss flight: the leader plans, waiters block here until the
@@ -467,11 +512,11 @@ impl PlanCache {
         next
     }
 
+    /// The only place a shard is chosen; see "Shard choice" in the
+    /// [module docs](self).
     fn shard_index(&self, template: TemplateFingerprint) -> usize {
-        // Power-of-two shard count: select by fingerprint bits, folding
-        // both 64-bit lanes so either lane's entropy suffices.
-        let folded = (template.0 as u64) ^ ((template.0 >> 64) as u64);
-        (folded as usize) & (self.shards.len() - 1)
+        let mixed = (template.0 as u64).wrapping_mul(SHARD_MUL);
+        ((mixed >> 32) as usize) & (self.shards.len() - 1)
     }
 
     fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
@@ -522,7 +567,7 @@ impl PlanCache {
                     {
                         // Pin the fast path so these constants skip
                         // selectivity scoring from now on.
-                        entry.exact.insert(key.exact, i);
+                        entry.pin_exact(key.exact, i);
                         Lookup::Band(Arc::clone(&entry.buckets[i].cached))
                     } else {
                         Lookup::OutOfBand
@@ -629,7 +674,7 @@ impl PlanCache {
                 entry.buckets[v] = Bucket { cached };
                 v
             };
-            entry.exact.insert(key.exact, idx);
+            entry.pin_exact(key.exact, idx);
             false
         };
         if duplicate {
@@ -666,10 +711,14 @@ impl PlanCache {
         let mut sum = self.base;
         let mut len = 0;
         let mut plans = 0;
+        let mut occupied_shards = 0;
+        let mut largest_shard = 0;
         for shard in &self.shards {
             let shard = self.lock_shard_of(shard);
             sum.add(&shard.counters);
             len += shard.entries.len();
+            occupied_shards += usize::from(!shard.entries.is_empty());
+            largest_shard = largest_shard.max(shard.entries.len());
             plans += shard
                 .entries
                 .values()
@@ -691,6 +740,8 @@ impl PlanCache {
             plans,
             capacity: self.config.capacity,
             shards: self.shards.len(),
+            occupied_shards,
+            largest_shard,
             ..CacheMetrics::default()
         }
     }
@@ -908,9 +959,16 @@ mod tests {
         let cache = PlanCache::new(4);
         cache.insert(&key(1, 10), plan(1));
         cache.insert(&key(2, 20), plan(2));
+        let m = cache.metrics();
+        assert_eq!(
+            m.occupied_shards + m.largest_shard,
+            3,
+            "two entries: one shard of two, or two of one"
+        );
         cache.invalidate();
         let m = cache.metrics();
         assert_eq!((m.len, m.plans), (0, 0));
+        assert_eq!((m.occupied_shards, m.largest_shard), (0, 0));
         assert_eq!(m.invalidations, 1);
         assert!(matches!(
             cache.probe(&key(1, 10), &[]),
@@ -1011,6 +1069,56 @@ mod tests {
         // Still stores and serves.
         cache.insert(&key(1, 10), plan(1));
         expect_hit(&cache, &key(1, 10), &[]);
+    }
+
+    /// The lane pairs `Fnv2` emits agree with `(a, a ^ C)`, `C` odd, at
+    /// bit 0 (and nearly so just above it): a shard choice that folds
+    /// the lanes sees a constant there and reaches half the shards at
+    /// best. Both parities and all 16 shards must be reachable.
+    #[test]
+    fn lanes_that_differ_by_an_odd_constant_reach_every_shard() {
+        let cache = PlanCache::with_config(CacheConfig::default());
+        for c in [1u64, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+            let mut reached = [false; DEFAULT_CACHE_SHARDS];
+            for i in 1..=256u64 {
+                // FNV-1a's own step, so `a` looks like a lane value.
+                let a = i.wrapping_mul(0x0000_0100_0000_01B3);
+                let template = TemplateFingerprint((u128::from(a) << 64) | u128::from(a ^ c));
+                reached[cache.shard_index(template)] = true;
+            }
+            assert!(reached.iter().all(|&r| r), "C = {c:#x}: {reached:?}");
+        }
+    }
+
+    /// A template that stays cached is probed with ever-new constants:
+    /// every probe after the first still hits, and the fast-path map
+    /// stays under its bound instead of gaining a key per constant.
+    #[test]
+    fn exact_fast_path_is_bounded_under_ever_new_constants() {
+        let cache = single_shard(1);
+        let planned = plan_with_sel(1, vec![0.01]);
+        miss_and_insert(&cache, &key(1, 0), &[0.01], Arc::clone(&planned));
+        let exact_keys = || {
+            cache.lock_shard(0).entries[&TemplateFingerprint(1)]
+                .exact
+                .len()
+        };
+        for c in 1..10_000u128 {
+            let (p, outcome) = expect_hit(&cache, &key(1, c), &[0.01]);
+            assert_eq!(outcome, CacheOutcome::TemplateHit, "constant {c}");
+            assert!(Arc::ptr_eq(&p, &planned));
+            assert!(exact_keys() <= MAX_EXACT_KEYS, "constant {c}");
+        }
+        // Keys dropped by an overflow are served by band, then pinned
+        // again; the planned-for constants are among them.
+        assert!(!cache.contains_exact(&key(1, 0)));
+        let (_, outcome) = expect_hit(&cache, &key(1, 0), &[0.01]);
+        assert_eq!(outcome, CacheOutcome::TemplateHit);
+        let (_, outcome) = expect_hit(&cache, &key(1, 0), &[0.01]);
+        assert_eq!(outcome, CacheOutcome::ExactHit);
+        let m = cache.metrics();
+        assert_eq!((m.misses, m.replans, m.len, m.plans), (1, 0, 1, 1));
+        assert_eq!(m.hits, 10_001);
     }
 
     #[test]

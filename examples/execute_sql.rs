@@ -97,8 +97,8 @@ fn main() {
         m.statement_hits, m.statement_misses, m.statements
     );
     println!(
-        "plan cache: {} hits / {} misses, {} entries",
-        m.hits, m.misses, m.len
+        "plan cache: {} hits / {} misses, {} of {} entries in {} of {} shards (fullest holds {})",
+        m.hits, m.misses, m.len, m.capacity, m.occupied_shards, m.shards, m.largest_shard
     );
     assert_eq!(
         (m.statement_hits, m.statement_misses, m.statements),

@@ -1,14 +1,20 @@
 //! Template-cache integration: the (template, params) fingerprint
-//! split, selectivity-band re-planning, single-flight cold misses, and
+//! split, selectivity-band re-planning, single-flight cold misses,
 //! concurrent zipf-parameterized serving (CI runs this file across the
-//! `HFQO_WORKERS` / `HFQO_EXEC_THREADS` matrix).
+//! `HFQO_WORKERS` / `HFQO_EXEC_THREADS` matrix), and how real template
+//! fingerprints spread over the cache's shards and fill its capacity.
 
 use hfqo::prelude::*;
-use hfqo::query::{BoundColumn, Lit, RelId, Selection};
+use hfqo::query::{AccessPath, BoundColumn, JoinEdge, Lit, RelId, Relation, Selection};
+use hfqo::serve::{CachedPlan, PlanCache, DEFAULT_CACHE_SHARDS};
 use hfqo::sql::CompareOp;
+use hfqo::workload::imdb::build_catalog;
+use hfqo::workload::job::generate_job_suite;
 use hfqo::workload::synth::{Shape, SynthConfig, SynthDb};
-use hfqo_catalog::ColumnId;
+use hfqo_catalog::{ColumnId, TableId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -407,4 +413,178 @@ fn concurrent_zipf_template_serving_matches_serial_reference() {
         );
         assert_eq!(m.duplicate_plans, 0, "no silent double-planning");
     }
+}
+
+/// Structurally distinct three-relation templates over the synthetic
+/// schema: for every ordered choice of three of `tables` tables, a
+/// chain (`a – b – c`) and a star (`a – b`, `a – c`), each with one
+/// range slot on `a.val`. Cheap to serve, `2 · tables · (tables − 1) ·
+/// (tables − 2)` of them.
+fn chain_and_star_templates(tables: u32) -> Vec<QueryGraph> {
+    let edge = |left: u32, right: u32| JoinEdge {
+        left: BoundColumn::new(RelId(left), ColumnId(0)),
+        op: CompareOp::Eq,
+        right: BoundColumn::new(RelId(right), ColumnId(1)),
+    };
+    let mut out = Vec::new();
+    for a in 0..tables {
+        for b in (0..tables).filter(|&b| b != a) {
+            for c in (0..tables).filter(|&c| c != a && c != b) {
+                for hub in [1, 0] {
+                    let relations = [a, b, c]
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| Relation {
+                            table: TableId(t),
+                            alias: format!("a{i}"),
+                        })
+                        .collect();
+                    let slot = Selection {
+                        column: BoundColumn::new(RelId(0), ColumnId(2)),
+                        op: CompareOp::Lt,
+                        value: Lit::Int(40),
+                    };
+                    out.push(QueryGraph::new(
+                        relations,
+                        vec![edge(0, 1), edge(hub, 2)],
+                        vec![slot],
+                        vec![],
+                        vec![],
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Chains of 6–8 relations over twelve synthetic tables, ending in an
+/// equality slot on the driving relation: the family the `template_zipf`
+/// benchmark workload draws its 256 templates from, drawn the same way.
+fn long_chain_templates(want: usize) -> Vec<QueryGraph> {
+    let tables = 12;
+    // Only the catalog is used: the rows are never read.
+    let synth = SynthDb::build(SynthConfig {
+        tables,
+        rows: 4,
+        seed: 31,
+    });
+    let mut rng = StdRng::seed_from_u64(0x7E3);
+    let mut seen = std::collections::BTreeSet::new();
+    let mut out = Vec::with_capacity(want);
+    while out.len() < want {
+        let n = rng.gen_range(6..=8usize);
+        let mut picked: Vec<usize> = Vec::with_capacity(n);
+        while picked.len() < n {
+            let t = rng.gen_range(0..tables);
+            if !picked.contains(&t) {
+                picked.push(t);
+            }
+        }
+        let from: Vec<String> = picked
+            .iter()
+            .enumerate()
+            .map(|(i, t)| format!("s{t} a{i}"))
+            .collect();
+        let joins: Vec<String> = (1..n).map(|i| format!("a{}.id = a{i}.fk", i - 1)).collect();
+        let sql = format!(
+            "SELECT COUNT(*) FROM {} WHERE {} AND a0.val = 1",
+            from.join(", "),
+            joins.join(" AND ")
+        );
+        let stmt = parse_select(&sql).expect("generated SQL parses");
+        let graph = bind_select(&stmt, synth.db.catalog()).expect("generated SQL binds");
+        if seen.insert(template_fingerprint(&graph).0) {
+            out.push(graph);
+        }
+    }
+    out
+}
+
+/// Shard spread over real fingerprints: the benchmark's long chains and
+/// generated chain/star templates, each family alone, then both with the
+/// JOB suite's templates (a family's variants differ in constants
+/// only), fed to a 16-shard cache too large to evict. Every shard must
+/// be used and none may hold more than 2.5× its fair share — a shard
+/// choice that reads correlated fingerprint bits (the XOR of the two FNV
+/// lanes has a constant bit 0) leaves half the shards, and so half the
+/// capacity, unreachable.
+#[test]
+fn template_fingerprints_spread_over_every_shard() {
+    let mut seen = std::collections::BTreeSet::new();
+    let job: Vec<QueryGraph> = generate_job_suite(&build_catalog(), 7)
+        .into_iter()
+        .map(|q| q.graph)
+        .filter(|g| seen.insert(template_fingerprint(g).0))
+        .collect();
+    assert_eq!(job.len(), 33, "one template per JOB family");
+    let long_chains = long_chain_templates(256);
+    let small = chain_and_star_templates(7);
+    let all: Vec<QueryGraph> = [&job[..], &long_chains[..], &small[..]].concat();
+    let placeholder = std::sync::Arc::new(CachedPlan {
+        plan: PhysicalPlan::new(PlanNode::Scan {
+            rel: RelId(0),
+            path: AccessPath::SeqScan,
+        }),
+        cost: 0.0,
+        method: PlannerMethod::DynamicProgramming,
+        selectivities: vec![],
+    });
+    for (family, graphs) in [
+        ("long chains", &long_chains),
+        ("chains and stars", &small),
+        ("all with job", &all),
+    ] {
+        let cache = PlanCache::with_config(CacheConfig {
+            capacity: DEFAULT_CACHE_SHARDS * graphs.len(),
+            ..CacheConfig::default()
+        });
+        for graph in graphs {
+            cache.insert(&PlanKey::of(graph), std::sync::Arc::clone(&placeholder));
+        }
+        let m = cache.metrics();
+        assert_eq!(m.shards, DEFAULT_CACHE_SHARDS);
+        assert_eq!(m.len, graphs.len(), "{family}: templates are distinct");
+        assert_eq!(m.evictions, 0, "{family}: sized not to evict");
+        assert_eq!(
+            m.occupied_shards, m.shards,
+            "{family}: every shard must be reachable"
+        );
+        let fair = m.len as f64 / m.shards as f64;
+        assert!(
+            m.largest_shard as f64 <= 2.5 * fair,
+            "{family}: fullest shard holds {} of {} templates (fair share {fair:.1})",
+            m.largest_shard,
+            m.len
+        );
+    }
+}
+
+/// The cache holds what its configuration says it holds: 256 distinct
+/// templates served once each through a default session fill (nearly)
+/// all 128 entries over all 16 shards, and every template that did not
+/// stay was evicted — not dropped, not refused.
+#[test]
+fn default_cache_fills_to_its_capacity() {
+    let synth = SynthDb::build(synth_config());
+    let templates = chain_and_star_templates(synth_config().tables as u32);
+    let session = QuerySession::traditional(synth.db, synth.stats);
+    for graph in &templates[..256] {
+        assert_eq!(
+            session.serve_graph(graph).expect("serves").cache,
+            CacheOutcome::Miss,
+            "templates are distinct"
+        );
+    }
+    let m = session.cache_metrics();
+    assert_eq!((m.capacity, m.shards), (128, 16), "default geometry");
+    assert_eq!(m.occupied_shards, m.shards);
+    assert!(
+        (112..=m.capacity).contains(&m.len),
+        "256 templates through a {}-entry cache left {} cached",
+        m.capacity,
+        m.len
+    );
+    assert!(m.largest_shard <= m.capacity / m.shards);
+    assert_eq!(m.evictions as usize, 256 - m.len);
 }
