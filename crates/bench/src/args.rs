@@ -1,4 +1,4 @@
-//! Minimal command-line handling shared by the experiment binaries.
+//! The run arguments every experiment takes.
 
 /// Common run arguments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -8,9 +8,9 @@ pub struct RunArgs {
     /// Paper-scale run (`--full`) vs quick run (default).
     pub full: bool,
     /// Episode-collection worker threads (`--workers N`; 1 = the
-    /// legacy sequential trainer). Honored by the experiments built on
-    /// the plain training loop; phase-interleaved trainers
-    /// (bootstrap/LfD/incremental) stay sequential and say so.
+    /// legacy sequential trainer). Only the experiments built on the
+    /// plain training loop take it; the phase-interleaved trainers
+    /// (bootstrap/LfD/incremental) collect sequentially.
     pub workers: usize,
 }
 
@@ -21,108 +21,5 @@ impl Default for RunArgs {
             full: false,
             workers: 1,
         }
-    }
-}
-
-impl RunArgs {
-    /// Parses `--seed N` and `--quick`/`--full` from an argument
-    /// iterator; unknown arguments abort with a usage message.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut out = Self::default();
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--seed" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| "--seed requires a value".to_string())?;
-                    out.seed = v.parse().map_err(|_| format!("invalid seed `{v}`"))?;
-                }
-                "--full" => out.full = true,
-                "--quick" => out.full = false,
-                "--workers" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| "--workers requires a value".to_string())?;
-                    out.workers = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid worker count `{v}`"))?
-                        .max(1);
-                }
-                "--help" | "-h" => {
-                    return Err("usage: [--seed N] [--quick|--full] [--workers N]".to_string())
-                }
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Warns (once, to stderr) that `binary` collects episodes
-    /// sequentially when `--workers > 1` was passed — for the
-    /// phase-interleaved experiments the parallel trainer doesn't
-    /// cover.
-    pub fn warn_if_sequential(&self, binary: &str) {
-        if self.workers > 1 {
-            eprintln!(
-                "{binary}: the phase-interleaved trainer collects sequentially; \
-                 --workers {} ignored",
-                self.workers
-            );
-        }
-    }
-
-    /// Parses from the process environment (skipping `argv[0]`).
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(words: &[&str]) -> Result<RunArgs, String> {
-        RunArgs::parse(words.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn defaults() {
-        let a = parse(&[]).unwrap();
-        assert_eq!(a.seed, 42);
-        assert!(!a.full);
-    }
-
-    #[test]
-    fn seed_and_full() {
-        let a = parse(&["--seed", "7", "--full"]).unwrap();
-        assert_eq!(a.seed, 7);
-        assert!(a.full);
-        let b = parse(&["--full", "--quick"]).unwrap();
-        assert!(!b.full);
-    }
-
-    #[test]
-    fn errors() {
-        assert!(parse(&["--seed"]).is_err());
-        assert!(parse(&["--seed", "x"]).is_err());
-        assert!(parse(&["--wat"]).is_err());
-        assert!(parse(&["--help"]).is_err());
-        assert!(parse(&["--workers"]).is_err());
-        assert!(parse(&["--workers", "x"]).is_err());
-    }
-
-    #[test]
-    fn workers() {
-        assert_eq!(parse(&[]).unwrap().workers, 1);
-        assert_eq!(parse(&["--workers", "4"]).unwrap().workers, 4);
-        // Zero coerces to the sequential trainer.
-        assert_eq!(parse(&["--workers", "0"]).unwrap().workers, 1);
     }
 }

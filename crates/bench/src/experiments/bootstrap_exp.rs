@@ -12,10 +12,9 @@ use hfqo_rejoin::{cost_bootstrap, BootstrapConfig, QueryOrder, RewardMode};
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// One bootstrapping run's summary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BootstrapRun {
     /// Whether Phase 2 scaled latency into the cost range.
     pub scaled: bool,
@@ -33,7 +32,7 @@ pub struct BootstrapRun {
 }
 
 /// Result of the bootstrapping experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BootstrapResult {
     /// The scaled (paper-proposal) run.
     pub scaled: BootstrapRun,
@@ -41,8 +40,6 @@ pub struct BootstrapResult {
     pub unscaled: BootstrapRun,
     /// Episodes per phase.
     pub phase1_episodes: usize,
-    /// Phase-2 episodes.
-    pub phase2_episodes: usize,
 }
 
 fn one_run(bundle: &WorkloadBundle, scale: Scale, seed: u64, scale_rewards: bool) -> BootstrapRun {
@@ -85,7 +82,6 @@ pub fn run(bundle: &WorkloadBundle, scale: Scale, seed: u64) -> BootstrapResult 
         scaled: one_run(bundle, scale, seed, true),
         unscaled: one_run(bundle, scale, seed, false),
         phase1_episodes: scale.episodes / 2,
-        phase2_episodes: scale.episodes / 2,
     }
 }
 

@@ -3,6 +3,7 @@
 
 use crate::args::RunArgs;
 use hfqo_opt::PlannerContext;
+use hfqo_query::QueryGraph;
 use hfqo_rejoin::{
     EnvContext, Featurizer, LearnedPlanner, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent,
     RewardMode, StageSet,
@@ -93,27 +94,35 @@ pub fn default_policy() -> PolicyKind {
     })
 }
 
-/// Builds a join-order environment over a bundle.
-pub fn join_env<'a>(
+/// Builds an environment over `queries` of a bundle, as wide as the
+/// bundle's largest query whatever `queries` holds, so one agent fits
+/// every environment of a bundle.
+pub fn plan_env<'a>(
     bundle: &'a WorkloadBundle,
+    queries: &'a [QueryGraph],
     order: QueryOrder,
     reward: RewardMode,
+    stages: StageSet,
 ) -> PlanEnv<'a> {
     let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = PlanEnv::new(
-        ctx,
-        &bundle.queries,
-        bundle.max_rels().max(2),
-        order,
-        reward,
-        StageSet::join_order_only(),
-    );
+    let max_rels = bundle.max_rels().max(2);
+    let mut env = PlanEnv::new(ctx, queries, max_rels, order, reward, stages);
     // ReJOIN's implementation only offered pairs connected by a join
     // predicate (no cross products), which is why the paper's Figure 3a
     // starts at ~800% rather than the astronomic ratios unrestricted
     // random orders produce. Match it.
     env.require_connected = true;
     env
+}
+
+/// Builds a join-order environment over a bundle.
+pub fn join_env<'a>(
+    bundle: &'a WorkloadBundle,
+    order: QueryOrder,
+    reward: RewardMode,
+) -> PlanEnv<'a> {
+    let stages = StageSet::join_order_only();
+    plan_env(bundle, &bundle.queries, order, reward, stages)
 }
 
 /// Builds an agent shaped to an environment.

@@ -11,10 +11,9 @@ use hfqo_rejoin::{train_parallel, QueryOrder, RewardMode, TrainerConfig};
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Figure 3a result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3aResult {
     /// `(episode, moving-average cost / expert cost)` series.
     pub series: Vec<(usize, f64)>,

@@ -14,10 +14,9 @@ use hfqo_opt::{Planner, TraditionalPlanner};
 use hfqo_rejoin::{LearnedPlanner, ReJoinAgent};
 use hfqo_workload::job::FIGURE3B_LABELS;
 use hfqo_workload::WorkloadBundle;
-use serde::Serialize;
 
 /// One row of Figure 3b.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3bRow {
     /// Query label.
     pub label: String,
@@ -28,7 +27,7 @@ pub struct Fig3bRow {
 }
 
 /// Figure 3b result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3bResult {
     /// One row per reported query.
     pub rows: Vec<Fig3bRow>,

@@ -3,7 +3,7 @@
 //! For each query size 4–17, measures the traditional planner's
 //! planning time (DP below its threshold, greedy above — like
 //! PostgreSQL's exhaustive search switching to GEQO at 12) against a
-//! trained [`LearnedPlanner`]'s inference time (one greedy-argmax
+//! trained `LearnedPlanner`'s inference time (one greedy-argmax
 //! episode, including featurisation and the operator-selection
 //! hand-off). Both strategies are timed through the same `&dyn
 //! Planner` call, so the comparison measures exactly what the serving
@@ -11,21 +11,17 @@
 //! enumerator's O(n) episodes beat the optimizer's super-linear search
 //! once queries grow past a crossover.
 
-use super::common::{agent_for, default_policy};
-use hfqo_opt::{Planner, PlannerContext, TraditionalPlanner};
-use hfqo_rejoin::{
-    train_parallel, EnvContext, LearnedPlanner, PlanEnv, QueryOrder, RewardMode, StageSet,
-    TrainerConfig,
-};
+use super::common::{agent_for, default_policy, join_env, learned_planner, planner_context};
+use hfqo_opt::{Planner, TraditionalPlanner};
+use hfqo_rejoin::{train_parallel, QueryOrder, RewardMode, TrainerConfig};
 use hfqo_workload::synth::SynthConfig;
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::time::Instant;
 
 /// One row of Figure 3c.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3cRow {
     /// Relation count.
     pub relations: usize,
@@ -36,7 +32,7 @@ pub struct Fig3cRow {
 }
 
 /// Figure 3c result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3cResult {
     /// One row per relation count.
     pub rows: Vec<Fig3cRow>,
@@ -60,23 +56,8 @@ pub fn run(rows_per_table: usize, train_episodes: usize, seed: u64, workers: usi
         3,
     );
     let mut rng = StdRng::seed_from_u64(seed ^ 0x3C);
-    let make_env = |_w: usize| {
-        let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut env = PlanEnv::new(
-            ctx,
-            &bundle.queries,
-            17,
-            QueryOrder::Shuffle,
-            RewardMode::LogRelative,
-            StageSet::join_order_only(),
-        );
-        env.require_connected = true;
-        env
-    };
-    let env = make_env(0);
-    let featurizer = env.featurizer();
-    let mut agent = agent_for(&env, default_policy(), &mut rng);
-    drop(env);
+    let make_env = |_w: usize| join_env(&bundle, QueryOrder::Shuffle, RewardMode::LogRelative);
+    let mut agent = agent_for(&make_env(0), default_policy(), &mut rng);
     let _ = train_parallel(
         make_env,
         &mut agent,
@@ -87,9 +68,9 @@ pub fn run(rows_per_table: usize, train_episodes: usize, seed: u64, workers: usi
     // Both strategies behind the unified trait: the timings below
     // measure exactly the `Planner::plan` call the serving layer makes.
     let expert = TraditionalPlanner::new();
-    let rejoin = LearnedPlanner::freeze(&agent, featurizer).with_require_connected(true);
+    let rejoin = learned_planner(&bundle, &agent);
     let planners: [&dyn Planner; 2] = [&expert, &rejoin];
-    let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
+    let ctx = planner_context(&bundle);
     const REPEATS: usize = 15;
     let mut out_rows = Vec::new();
     for &n in &sizes {

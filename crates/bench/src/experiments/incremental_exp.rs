@@ -6,20 +6,20 @@
 //! pipeline stage — and compare against flat full-space training with
 //! the same total episode budget.
 
-use super::common::{agent_for, default_policy, Scale};
+use super::common::{agent_for, default_policy, plan_env, Scale};
+use hfqo_query::QueryGraph;
 use hfqo_rejoin::incremental::admitted_queries;
 use hfqo_rejoin::{
-    evaluate_per_query, train, Curriculum, EnvContext, PlanEnv, QueryOrder, ReJoinAgent,
-    RewardMode, StageSet, TrainerConfig,
+    evaluate_per_query, train, Curriculum, PlanEnv, QueryOrder, ReJoinAgent, RewardMode, StageSet,
+    TrainerConfig,
 };
 use hfqo_workload::synth::SynthConfig;
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// One curriculum's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CurriculumRow {
     /// Curriculum name.
     pub curriculum: String,
@@ -30,7 +30,7 @@ pub struct CurriculumRow {
 }
 
 /// Result of the incremental-learning experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IncrementalResult {
     /// One row per curriculum.
     pub rows: Vec<CurriculumRow>,
@@ -40,6 +40,18 @@ pub struct IncrementalResult {
     pub queries: usize,
 }
 
+/// The full-stage environment over `queries`. Every phase's
+/// environment is built this wide and narrowed, so the state layout is
+/// constant across phases and one agent fits them all.
+fn full_env<'a>(
+    bundle: &'a WorkloadBundle,
+    queries: &'a [QueryGraph],
+    order: QueryOrder,
+) -> PlanEnv<'a> {
+    let reward = RewardMode::LogRelative;
+    plan_env(bundle, queries, order, reward, StageSet::full())
+}
+
 fn train_curriculum(
     bundle: &WorkloadBundle,
     curriculum: Curriculum,
@@ -47,20 +59,8 @@ fn train_curriculum(
     seed: u64,
 ) -> (ReJoinAgent, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let max_rels = bundle.max_rels().max(2);
-    let phases = curriculum.phases(max_rels, total_episodes);
-    // Shape the agent to the full-stage environment; every phase's
-    // environment is built that wide and narrowed, so the state layout
-    // is constant across phases.
-    let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let probe = PlanEnv::new(
-        ctx,
-        &bundle.queries,
-        max_rels,
-        QueryOrder::Shuffle,
-        RewardMode::LogRelative,
-        StageSet::full(),
-    );
+    let phases = curriculum.phases(bundle.max_rels().max(2), total_episodes);
+    let probe = full_env(bundle, &bundle.queries, QueryOrder::Shuffle);
     let mut agent = agent_for(&probe, default_policy(), &mut rng);
     drop(probe);
     let n_phases = phases.len();
@@ -73,17 +73,8 @@ fn train_curriculum(
             .iter()
             .map(|&i| bundle.queries[i].clone())
             .collect();
-        let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut env = PlanEnv::new(
-            ctx,
-            &phase_queries,
-            max_rels,
-            QueryOrder::Shuffle,
-            RewardMode::LogRelative,
-            StageSet::full(),
-        );
+        let mut env = full_env(bundle, &phase_queries, QueryOrder::Shuffle);
         env.set_stages(phase.stages);
-        env.require_connected = true;
         let _ = train(
             &mut env,
             &mut agent,
@@ -96,16 +87,7 @@ fn train_curriculum(
 
 fn full_task_ratio(bundle: &WorkloadBundle, agent: &ReJoinAgent, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed ^ EVAL_SEED);
-    let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-    let mut env = PlanEnv::new(
-        ctx,
-        &bundle.queries,
-        bundle.max_rels().max(2),
-        QueryOrder::Cycle,
-        RewardMode::LogRelative,
-        StageSet::full(),
-    );
-    env.require_connected = true;
+    let mut env = full_env(bundle, &bundle.queries, QueryOrder::Cycle);
     let records = evaluate_per_query(&mut env, agent, QueryOrder::Cycle, &mut rng);
     records.iter().map(|r| r.cost_ratio()).sum::<f64>() / records.len().max(1) as f64
 }

@@ -15,10 +15,9 @@ use hfqo_rejoin::{train_parallel, QueryOrder, RewardMode, TrainerConfig};
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Result of the evaluation-overhead experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyOverheadResult {
     /// Total simulated execution time spent training on latency rewards
     /// (seconds).
@@ -36,8 +35,6 @@ pub struct LatencyOverheadResult {
     pub worst_ms: f64,
     /// Final cost ratio of the latency-trained agent.
     pub final_ratio: f64,
-    /// Episodes trained.
-    pub episodes: usize,
 }
 
 /// Runs the experiment, collecting episodes on `workers` threads.
@@ -87,7 +84,6 @@ pub fn run(
         expert_mean_ms,
         worst_ms: log.worst_latency_ms().unwrap_or(0.0),
         final_ratio: log.final_geo_ratio(scale.ma_window).unwrap_or(f64::NAN),
-        episodes: scale.episodes,
     }
 }
 

@@ -12,10 +12,9 @@ use hfqo_rejoin::{
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Result of the learning-from-demonstration comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LfdResult {
     /// Fine-tuning episodes the LfD agent ran.
     pub lfd_episodes: usize,

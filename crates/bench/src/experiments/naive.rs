@@ -7,18 +7,15 @@
 //! join-order-only agent and (b) a flat full-space agent for the *same*
 //! episode budget and compares both against (c) the random planner.
 
-use super::common::{agent_for, default_policy, join_env, planner_context, Scale};
+use super::common::{agent_for, default_policy, join_env, plan_env, planner_context, Scale};
 use hfqo_opt::{Planner, RandomPlanner, TraditionalPlanner};
-use hfqo_rejoin::{
-    train_parallel, EnvContext, PlanEnv, QueryOrder, RewardMode, StageSet, TrainerConfig,
-};
+use hfqo_rejoin::{train_parallel, QueryOrder, RewardMode, StageSet, TrainerConfig};
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Result of the search-space experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NaiveResult {
     /// Final moving-average cost ratio of the join-order-only agent.
     pub join_order_ratio: f64,
@@ -50,17 +47,13 @@ pub fn run(bundle: &WorkloadBundle, scale: Scale, seed: u64, workers: usize) -> 
 
     // (b) Flat full-space agent, identical budget.
     let make_full_env = |_w: usize| {
-        let ctx = EnvContext::new(&bundle.db, &bundle.stats);
-        let mut full_env = PlanEnv::new(
-            ctx,
+        plan_env(
+            bundle,
             &bundle.queries,
-            bundle.max_rels().max(2),
             QueryOrder::Shuffle,
             RewardMode::LogRelative,
             StageSet::full(),
-        );
-        full_env.require_connected = true;
-        full_env
+        )
     };
     let mut full_agent = agent_for(&make_full_env(0), default_policy(), &mut rng);
     let full_log = train_parallel(make_full_env, &mut full_agent, config, &mut rng);

@@ -1,22 +1,14 @@
 //! # hfqo-bench
 //!
-//! The experiment harness: one module (and one binary) per figure or
-//! experimental claim of the paper, plus Criterion micro-benchmarks.
+//! The paper's figures and its §4/§5 experiments: one module per
+//! artifact under [`experiments`], and one binary with a subcommand for
+//! each (`cargo run --release -p hfqo_bench -- fig3a --quick --seed 7`).
+//! The subcommands and what each reproduces are listed once, in the
+//! `EXPERIMENTS` table of `src/main.rs`; `--help` prints it.
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `fig3a` | Figure 3a — ReJOIN convergence vs episodes |
-//! | `fig3b` | Figure 3b — per-query plan cost, expert vs trained ReJOIN |
-//! | `fig3c` | Figure 3c — planning time vs relation count |
-//! | `exp_naive` | §4 "Search Space Size" — full-space tabula rasa ≈ random |
-//! | `exp_latency_overhead` | §4 "Performance Evaluation Overhead" |
-//! | `exp_lfd` | §5.1 learning from demonstration |
-//! | `exp_bootstrap` | §5.2 cost-model bootstrapping (+ scaling ablation) |
-//! | `exp_incremental` | §5.3 pipeline / relations / hybrid curricula |
-//!
-//! Every binary accepts `--seed N`, `--quick` (small workload, short
-//! training; the default) or `--full` (paper-scale), and writes a JSON
-//! result next to its stdout table into `results/`.
+//! This crate takes no timing other than Figure 3c's planning-time
+//! sweep, which is the figure. Performance is measured by the repo
+//! benchmark, `perfbench/` under `BENCHMARK.json`.
 
 pub mod args;
 pub mod experiments;

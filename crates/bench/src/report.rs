@@ -1,8 +1,6 @@
-//! Result rendering: stdout tables and JSON files.
+//! Result rendering: stdout tables.
 
-use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Renders a two-column-plus table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -33,28 +31,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         write_row(&mut out, row);
     }
     out
-}
-
-/// Serialises a result to `results/<name>.json` (best effort: failures
-/// are reported to stderr, not fatal — the stdout table is the primary
-/// artifact).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create results dir: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("(wrote {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise {name}: {e}"),
-    }
 }
 
 /// Formats a fraction as a percentage string (Figure 3a's y-axis).

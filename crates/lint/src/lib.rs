@@ -341,8 +341,7 @@ const L5_PATTERNS: &[&str] = &[
 
 /// Scans one file. `rel_path` is the workspace-root-relative path
 /// (forward slashes) used both for reporting and for path-based rule
-/// scoping (`crates/sync` L1 exemption, `tests/`/`benches/`
-/// classification).
+/// scoping (`crates/sync` L1 exemption, `tests/` classification).
 pub fn scan_file(rel_path: &str, source: &str) -> Vec<Violation> {
     let stripped = strip_source(source);
     let stripped_lines: Vec<&str> = stripped.lines().collect();
@@ -351,7 +350,6 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Violation> {
 
     let in_sync_crate = rel_path.starts_with("crates/sync/");
     let is_test_file = rel_path.split('/').any(|c| c == "tests");
-    let is_bench_file = rel_path.split('/').any(|c| c == "benches");
 
     let mut out = Vec::new();
     let mut push = |rule: Rule, line: usize, message: String| {
@@ -457,7 +455,7 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Violation> {
         // L5: context-free unwraps on lock/channel results in library
         // code. Locks go through hfqo_sync (site-labelled panic);
         // channels use an expect that names the protocol.
-        if !in_test_code && !is_bench_file {
+        if !in_test_code {
             let hit = L5_PATTERNS.iter().find(|p| line.contains(*p)).copied();
             let send_unwrap = line.contains(".send(") && line.contains(".unwrap()");
             if let Some(pat) = hit {
@@ -708,11 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn l5_skips_tests_and_benches() {
+    fn l5_skips_tests() {
         let src = "let g = self.inner.lock().unwrap();\n";
         assert_eq!(scan_file("crates/x/src/a.rs", src).len(), 1);
         assert!(scan_file("tests/a.rs", src).is_empty());
-        assert!(scan_file("crates/bench/benches/serving.rs", src).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Fixture sources live under `tests/fixtures/` (excluded from the
 //! workspace scan precisely because they violate on purpose); the
 //! classification path each fixture is scanned *as* is chosen per test,
-//! since path-based scoping (tests/, benches/, crates/sync/) is part of
+//! since path-based scoping (tests/, crates/sync/) is part of
 //! what is under test.
 
 use hfqo_lint::{parse_allowlist, scan_file, scan_workspace, Rule};
@@ -72,9 +72,8 @@ fn l4_fires_in_test_code_only() {
 fn l5_fires_on_lock_and_channel_unwraps_in_library_code() {
     let src = fixture("l5_lock_unwrap.rs");
     assert_eq!(count("crates/serve/src/x.rs", &src, Rule::L5), 2);
-    // Test and bench code are out of scope for L5.
+    // Test code is out of scope for L5.
     assert_eq!(count("tests/x.rs", &src, Rule::L5), 0);
-    assert_eq!(count("crates/bench/benches/x.rs", &src, Rule::L5), 0);
 }
 
 #[test]

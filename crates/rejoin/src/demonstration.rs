@@ -44,7 +44,7 @@ pub struct DemonstrationConfig {
     pub pretrain_steps: usize,
     /// Minibatch size for both phases. Each minibatch is one fused
     /// forward/backward through the reward network, so larger batches
-    /// amortise the per-update overhead (see `benches/nn.rs`).
+    /// amortise the per-update overhead.
     pub batch_size: usize,
     /// Fine-tuning episodes (Phase 2).
     pub finetune_episodes: usize,

@@ -24,7 +24,7 @@
 //! * [`trainer`] — the episode loop with per-episode logging, the data
 //!   behind Figures 3a/3b.
 //! * [`parallel`] — the multi-worker episode-collection harness
-//!   (`ParallelTrainer`): N threads over the shared read-only world,
+//!   (`train_parallel`): N threads over the shared read-only world,
 //!   A2C-style synchronous rounds, deterministic per-worker RNG
 //!   streams.
 //! * [`learned`] — the serving-side [`LearnedPlanner`]: a frozen
@@ -58,6 +58,6 @@ pub use featurize::Featurizer;
 pub use incremental::{Curriculum, StageSet};
 pub use learned::LearnedPlanner;
 pub use metrics::{MovingAverage, TrainingLog};
-pub use parallel::{train_parallel, ParallelTrainer};
+pub use parallel::train_parallel;
 pub use reward::RewardMode;
 pub use trainer::{evaluate_per_query, train, TrainerConfig};

@@ -64,49 +64,14 @@ struct Collected {
     outcome: EpisodeOutcome,
 }
 
-/// The multi-worker training harness. Construction is cheap; all the
-/// machinery lives in [`train`](Self::train) /
-/// [`train_parallel`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelTrainer {
-    config: TrainerConfig,
-}
-
-impl ParallelTrainer {
-    /// A trainer over `config` (worker count included).
-    pub fn new(config: TrainerConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> TrainerConfig {
-        self.config
-    }
-
-    /// Trains `agent` for `config.episodes` episodes, collecting on
-    /// `config.workers` threads. `make_env(w)` builds worker `w`'s
-    /// environment; every call must produce an environment over the
-    /// same workload and reward configuration (clone the `EnvContext`,
-    /// share the `Database`/stats borrows).
-    pub fn train<'a, F>(
-        &self,
-        make_env: F,
-        agent: &mut ReJoinAgent,
-        rng: &mut StdRng,
-    ) -> TrainingLog
-    where
-        F: FnMut(usize) -> PlanEnv<'a>,
-    {
-        train_parallel(make_env, agent, self.config, rng)
-    }
-}
-
-/// Trains with `config.workers` episode-collection threads. See
-/// [`ParallelTrainer`] and the module docs for the determinism
+/// Trains `agent` for `config.episodes` episodes, collecting on
+/// `config.workers` threads. See the module docs for the determinism
 /// contract.
 ///
 /// `make_env(w)` builds worker `w`'s environment over the shared
-/// read-only world:
+/// read-only world; every call must produce an environment over the
+/// same workload and reward configuration (clone the `EnvContext`,
+/// share the `Database`/stats borrows):
 ///
 /// ```
 /// use hfqo_opt::test_support::{chain_query, TestDb};
@@ -291,8 +256,8 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut agent = small_agent(&make_env(0), &mut rng);
-        let trainer = ParallelTrainer::new(TrainerConfig::new(episodes).with_workers(workers));
-        trainer.train(make_env, &mut agent, &mut rng)
+        let config = TrainerConfig::new(episodes).with_workers(workers);
+        train_parallel(make_env, &mut agent, config, &mut rng)
     }
 
     #[test]
@@ -338,8 +303,8 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(3);
         let mut agent = small_agent(&make_env(0), &mut rng);
-        let trainer = ParallelTrainer::new(TrainerConfig::new(20).with_workers(4));
-        let log = trainer.train(make_env, &mut agent, &mut rng);
+        let config = TrainerConfig::new(20).with_workers(4);
+        let log = train_parallel(make_env, &mut agent, config, &mut rng);
         assert_eq!(log.len(), 20);
         assert_eq!(agent.episodes_seen(), 20);
     }

@@ -52,8 +52,7 @@ pub(crate) fn record_from(outcome: &EpisodeOutcome, episode: usize) -> EpisodeRe
 /// log (Figure 3a's raw data).
 ///
 /// This is the sequential path; `config.workers` is ignored here. Use
-/// [`crate::parallel::train_parallel`] (or [`crate::ParallelTrainer`])
-/// to honor it.
+/// [`crate::parallel::train_parallel`] to honor it.
 ///
 /// ```
 /// use hfqo_opt::test_support::{chain_query, TestDb};

@@ -234,8 +234,8 @@ pub struct CacheConfig {
     pub plans_per_template: usize,
 }
 
-/// Default capacity: comfortably above the JOB suite's 113 distinct
-/// templates.
+/// Default capacity: comfortably above the JOB suite's 113 queries over
+/// 33 templates.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
 /// Default shard count: enough to keep 64 serving threads from

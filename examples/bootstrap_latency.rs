@@ -73,5 +73,5 @@ fn main() {
         outcome.log.final_geo_ratio(50).expect("non-empty"),
         outcome.phase_boundary
     );
-    println!("run `cargo run -p hfqo-bench --release --bin exp_bootstrap` for the scaled-vs-raw ablation");
+    println!("run `cargo run --release -p hfqo_bench -- bootstrap` for the scaled-vs-raw ablation");
 }

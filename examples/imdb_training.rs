@@ -73,8 +73,8 @@ fn main() {
         PolicyKind::default_reinforce(),
         &mut rng,
     );
-    let trainer = ParallelTrainer::new(TrainerConfig::new(episodes).with_workers(workers));
-    let log = trainer.train(make_env, &mut agent, &mut rng);
+    let config = TrainerConfig::new(episodes).with_workers(workers);
+    let log = train_parallel(make_env, &mut agent, config, &mut rng);
 
     println!("\nepisode   plan cost relative to expert (geometric MA {window})");
     for (ep, ratio) in log.moving_geo_ratio(window).iter().step_by(200) {
@@ -85,7 +85,7 @@ fn main() {
         Some(ep) => println!("\nreached expert parity at episode {ep}"),
         None => println!(
             "\nfinal ratio {:.2}x after {episodes} episodes (longer runs converge further; \
-             see `cargo run -p hfqo-bench --release --bin fig3a -- --full`)",
+             see `cargo run --release -p hfqo_bench -- fig3a --full`)",
             log.final_geo_ratio(window).expect("non-empty")
         ),
     }

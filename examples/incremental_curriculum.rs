@@ -124,7 +124,5 @@ fn main() {
         / records.len().max(1) as f64)
         .exp();
     println!("\nfull task (all queries, all pipeline stages): geometric mean ratio {geo:.2}x");
-    println!(
-        "run `cargo run -p hfqo-bench --release --bin exp_incremental` for the 4-way comparison"
-    );
+    println!("run `cargo run --release -p hfqo_bench -- incremental` for the 4-way comparison");
 }

@@ -82,8 +82,8 @@ pub mod prelude {
     pub use hfqo_rejoin::{
         cost_bootstrap, evaluate_per_query, learn_from_demonstration, train, train_parallel,
         BootstrapConfig, Curriculum, DemonstrationConfig, EnvContext, Featurizer, LearnedPlanner,
-        ParallelTrainer, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, StageSet,
-        TrainerConfig, TrainingLog,
+        PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, StageSet, TrainerConfig,
+        TrainingLog,
     };
     pub use hfqo_rl::Environment;
     pub use hfqo_serve::{

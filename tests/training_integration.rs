@@ -211,8 +211,8 @@ fn parallel_run(
             &mut rng,
         )
     };
-    let trainer = ParallelTrainer::new(TrainerConfig::new(episodes).with_workers(workers));
-    trainer.train(make_env, &mut agent, &mut rng)
+    let config = TrainerConfig::new(episodes).with_workers(workers);
+    train_parallel(make_env, &mut agent, config, &mut rng)
 }
 
 /// The determinism-parity contract, part 1: `workers = 1` is the exact
