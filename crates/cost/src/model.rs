@@ -104,55 +104,90 @@ impl<'a> CostModel<'a> {
                 let r = self.node_cost(graph, right, cards);
                 let out_set: RelSet = left.rel_set().union(right.rel_set());
                 let out_rows = cards.set_rows(graph, out_set);
-                let n_conds = conds.len().max(1) as f64;
-                let join_work = match algo {
-                    JoinAlgo::NestedLoop => {
-                        // Inner is materialised once; the quadratic term is
-                        // the pairwise predicate evaluation.
-                        l.output_rows * r.output_rows * n_conds * p.cpu_operator_cost
-                    }
-                    JoinAlgo::Hash => {
-                        r.output_rows * p.hash_build_factor * p.cpu_operator_cost
-                            + l.output_rows * n_conds * p.cpu_operator_cost
-                    }
-                    JoinAlgo::Merge => {
-                        let sort = |n: f64| {
-                            n.max(2.0) * n.max(2.0).log2() * p.sort_factor * p.cpu_operator_cost
-                        };
-                        sort(l.output_rows)
-                            + sort(r.output_rows)
-                            + (l.output_rows + r.output_rows) * p.cpu_operator_cost
-                    }
-                };
-                CostEstimate {
-                    total: l.total + r.total + join_work + out_rows * p.cpu_tuple_cost,
-                    output_rows: out_rows,
-                }
+                self.join_cost(*algo, conds.len(), l, r, out_rows)
             }
             PlanNode::Aggregate { algo, input } => {
                 let i = self.node_cost(graph, input, cards);
-                // Group-count heuristic: no GROUP BY → 1 group; otherwise
-                // square-root of the input (a standard planner fallback
-                // when group columns lack joint statistics).
-                let groups = if graph.group_by().is_empty() {
-                    1.0
-                } else {
-                    i.output_rows.sqrt().max(1.0)
-                };
-                let work = match algo {
-                    AggAlgo::Hash => i.output_rows * p.hash_build_factor * p.cpu_operator_cost,
-                    AggAlgo::Sort => {
-                        i.output_rows.max(2.0)
-                            * i.output_rows.max(2.0).log2()
-                            * p.sort_factor
-                            * p.cpu_operator_cost
-                    }
-                };
-                CostEstimate {
-                    total: i.total + work + groups * p.cpu_tuple_cost,
-                    output_rows: groups,
-                }
+                self.aggregate_cost(*algo, !graph.group_by().is_empty(), i)
             }
+        }
+    }
+
+    /// Costs one join from its inputs' estimates: `algo` over `n_conds`
+    /// join conditions, producing `out_rows`. This is the whole of
+    /// [`Self::node_cost`]'s join arm, so a caller that already holds
+    /// the two input estimates prices a join without walking (or
+    /// cloning) the subtrees — and gets the bits the recursion gives.
+    /// (`#[inline]`: `node_cost` is generic and instantiated in its
+    /// callers' crates; its arms stay inline there.)
+    #[inline]
+    pub fn join_cost(
+        &self,
+        algo: JoinAlgo,
+        n_conds: usize,
+        left: CostEstimate,
+        right: CostEstimate,
+        out_rows: f64,
+    ) -> CostEstimate {
+        let p = self.params;
+        let (l, r) = (left, right);
+        let n_conds = n_conds.max(1) as f64;
+        let join_work = match algo {
+            JoinAlgo::NestedLoop => {
+                // Inner is materialised once; the quadratic term is
+                // the pairwise predicate evaluation.
+                l.output_rows * r.output_rows * n_conds * p.cpu_operator_cost
+            }
+            JoinAlgo::Hash => {
+                r.output_rows * p.hash_build_factor * p.cpu_operator_cost
+                    + l.output_rows * n_conds * p.cpu_operator_cost
+            }
+            JoinAlgo::Merge => {
+                let sort =
+                    |n: f64| n.max(2.0) * n.max(2.0).log2() * p.sort_factor * p.cpu_operator_cost;
+                sort(l.output_rows)
+                    + sort(r.output_rows)
+                    + (l.output_rows + r.output_rows) * p.cpu_operator_cost
+            }
+        };
+        CostEstimate {
+            total: l.total + r.total + join_work + out_rows * p.cpu_tuple_cost,
+            output_rows: out_rows,
+        }
+    }
+
+    /// Costs one aggregate from its input's estimate — the whole of
+    /// [`Self::node_cost`]'s aggregate arm, as [`Self::join_cost`] is of
+    /// the join arm. `grouped` says whether the query has a `GROUP BY`.
+    #[inline]
+    pub fn aggregate_cost(
+        &self,
+        algo: AggAlgo,
+        grouped: bool,
+        input: CostEstimate,
+    ) -> CostEstimate {
+        let p = self.params;
+        let i = input;
+        // Group-count heuristic: no GROUP BY → 1 group; otherwise
+        // square-root of the input (a standard planner fallback
+        // when group columns lack joint statistics).
+        let groups = if grouped {
+            i.output_rows.sqrt().max(1.0)
+        } else {
+            1.0
+        };
+        let work = match algo {
+            AggAlgo::Hash => i.output_rows * p.hash_build_factor * p.cpu_operator_cost,
+            AggAlgo::Sort => {
+                i.output_rows.max(2.0)
+                    * i.output_rows.max(2.0).log2()
+                    * p.sort_factor
+                    * p.cpu_operator_cost
+            }
+        };
+        CostEstimate {
+            total: i.total + work + groups * p.cpu_tuple_cost,
+            output_rows: groups,
         }
     }
 }
@@ -349,6 +384,43 @@ mod tests {
         );
         assert!(agg.total > plain.total);
         assert_eq!(agg.output_rows, 1.0);
+    }
+
+    /// `join_cost` and `aggregate_cost` are `node_cost`'s own arms: a
+    /// cost composed from the inputs' estimates has the recursion's bits
+    /// for every algorithm, either side order, and on top of a join.
+    #[test]
+    fn composed_costs_equal_recursive_costs() {
+        let (stats, graph) = setup();
+        let params = CostParams::default();
+        let model = CostModel::new(&params, &stats);
+        let est = EstimatedCardinality::new(&stats);
+        let same = |a: CostEstimate, b: CostEstimate| {
+            assert_eq!(a.total.to_bits(), b.total.to_bits());
+            assert_eq!(a.output_rows.to_bits(), b.output_rows.to_bits());
+        };
+        let out_rows = est.set_rows(&graph, graph.all_rels());
+        for algo in JoinAlgo::ALL {
+            for (l, r) in [(0, 1), (1, 0)] {
+                let node = join(algo, scan(l), scan(r));
+                let (lc, rc) = (
+                    model.node_cost(&graph, &scan(l), &est),
+                    model.node_cost(&graph, &scan(r), &est),
+                );
+                let composed = model.join_cost(algo, 1, lc, rc, out_rows);
+                same(composed, model.node_cost(&graph, &node, &est));
+                for agg in AggAlgo::ALL {
+                    let top = PlanNode::Aggregate {
+                        algo: agg,
+                        input: Box::new(node.clone()),
+                    };
+                    same(
+                        model.aggregate_cost(agg, false, composed),
+                        model.node_cost(&graph, &top, &est),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -85,9 +85,10 @@
 //! [`rowexec::execute_rows`] is the original materialising executor,
 //! result- and work-identical by construction. It exists so the
 //! equivalence suite can diff the evaluator against an independent
-//! implementation on every workload and so `benches/executor.rs` can
-//! report the row-vs-vectorized speedup. It is a test oracle: nothing
-//! on the serving or training path calls it.
+//! implementation on every workload, and so the repo benchmark can
+//! check each run's results against it (what it times is the evaluator,
+//! as `exec.execute.us_per_op`). It is a test oracle: nothing on the
+//! serving or training path calls it.
 
 pub mod error;
 pub mod executor;

@@ -4,11 +4,12 @@
 //! and produces whole `Vec<Row>`s of full-arity rows. It is kept —
 //! unchanged in semantics — as the *reference* implementation the
 //! evaluator is verified against: the equivalence suite asserts identical
-//! row multisets and identical [`ExecStats::work`] totals, and
-//! `benches/executor.rs` measures row-vs-vectorized throughput.
+//! row multisets and identical [`ExecStats::work`] totals, and the repo
+//! benchmark checks its runs against it while timing the evaluator
+//! (`exec.execute.us_per_op`).
 //!
 //! New callers should use [`crate::execute`] (the evaluator); use
-//! [`execute_rows`] only to cross-check results or to benchmark.
+//! [`execute_rows`] only to cross-check results.
 //!
 //! [`ExecStats::work`]: crate::executor::ExecStats
 

@@ -23,16 +23,21 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation in place.
     pub fn forward(&self, m: &mut Matrix) {
+        self.apply(m.data_mut());
+    }
+
+    /// Applies the activation to each value in place.
+    pub fn apply(&self, values: &mut [f32]) {
         match self {
             Activation::ReLU => {
-                for x in m.data_mut() {
+                for x in values {
                     if *x < 0.0 {
                         *x = 0.0;
                     }
                 }
             }
             Activation::Tanh => {
-                for x in m.data_mut() {
+                for x in values {
                     *x = x.tanh();
                 }
             }

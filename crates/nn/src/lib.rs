@@ -10,6 +10,7 @@
 //! gradient-checked dense math that runs deterministically from a seed,
 //! which is what makes the experiments in `hfqo-bench` reproducible.
 
+pub mod infer;
 pub mod init;
 pub mod layer;
 pub mod loss;
@@ -17,8 +18,9 @@ pub mod matrix;
 pub mod mlp;
 pub mod optim;
 
+pub use infer::InferScratch;
 pub use layer::{Activation, Dense};
-pub use loss::{cross_entropy_grad, masked_softmax, mse_grad, policy_gradient};
+pub use loss::{cross_entropy_grad, masked_softmax, mse_grad, policy_gradient, softmax_in_place};
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpGradients};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -20,41 +20,46 @@ use crate::matrix::Matrix;
 ///   sampler's far-from-root-cause "mask has a valid action" panic.
 pub fn masked_softmax(logits: &[f32], mask: &[bool]) -> Vec<f32> {
     debug_assert_eq!(logits.len(), mask.len());
-    let valid = mask.iter().filter(|&&m| m).count();
+    let valid = || mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i);
+    let mut probs: Vec<f32> = valid().map(|i| logits[i]).collect();
+    softmax_in_place(&mut probs);
     let mut out = vec![0.0f32; logits.len()];
-    if valid == 0 {
-        return out;
+    for (i, p) in valid().zip(probs) {
+        out[i] = p;
+    }
+    out
+}
+
+/// [`masked_softmax`] with every position valid, overwriting the logits
+/// with their probabilities: what a caller that has already gathered the
+/// valid logits uses. A degenerate row comes back uniform, as there.
+pub fn softmax_in_place(logits: &mut [f32]) {
+    if logits.is_empty() {
+        return;
     }
     let mut max = f32::NEG_INFINITY;
-    for (l, &m) in logits.iter().zip(mask) {
-        if m && *l > max {
-            max = *l;
+    for &l in logits.iter() {
+        if l > max {
+            max = l;
         }
     }
     let mut sum = 0.0f32;
     if max.is_finite() {
-        for i in 0..logits.len() {
-            if mask[i] {
-                let e = (logits[i] - max).exp();
-                out[i] = e;
-                sum += e;
-            }
+        for l in logits.iter_mut() {
+            *l = (*l - max).exp();
+            sum += *l;
         }
     }
     if sum > 0.0 && sum.is_finite() {
-        for x in &mut out {
-            *x /= sum;
+        for p in logits.iter_mut() {
+            *p /= sum;
         }
     } else {
-        // NaN logits poison `sum`; all-NaN or all-−∞ valid logits leave
-        // `max` non-finite. Fall back to uniform over the valid set so
-        // downstream sampling/argmax stays well-defined.
-        let p = 1.0 / valid as f32;
-        for (o, &m) in out.iter_mut().zip(mask) {
-            *o = if m { p } else { 0.0 };
-        }
+        // NaN logits poison `sum`; all-NaN or all-−∞ logits leave `max`
+        // non-finite. Fall back to uniform so downstream
+        // sampling/argmax stays well-defined.
+        logits.fill(1.0 / logits.len() as f32);
     }
-    out
 }
 
 /// [`masked_softmax`] over every row of a B×A logits matrix with

@@ -33,7 +33,7 @@
 const BLOCK_ROWS: usize = 16;
 
 /// Depth tile: how many `p` (inner-dimension) steps are applied per
-/// tile. At ReJOIN scale (F = 612, H = 128) one depth tile of the
+/// tile. At ReJOIN scale (F = 646, H = 128) one depth tile of the
 /// weight matrix is 64 × 128 × 4 B = 32 KiB — L1/L2-resident while it
 /// is reused across a whole row tile.
 const BLOCK_DEPTH: usize = 64;
@@ -402,7 +402,7 @@ pub(crate) mod tests {
         // action layer.
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
-            (1, 612, 128),
+            (1, 646, 128),
             (3, 63, 5),
             (16, 64, 16),
             (17, 65, 9),

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    hidden_activation: Activation,
+    pub(crate) hidden_activation: Activation,
 }
 
 // Policy snapshots ship cloned networks across threads (parallel

@@ -20,26 +20,23 @@
 //! An environment built with any stage beyond join ordering appends a
 //! phase one-hot plus the relation under decision to the state so the
 //! network can tell the overloaded ids apart; one built with
-//! [`StageSet::join_order_only`] emits exactly
-//! [`Featurizer::featurize`]'s vector, the one
-//! [`crate::LearnedPlanner`] and [`crate::episode_from_decisions`]
-//! featurize at serving time.
+//! [`StageSet::join_order_only`] emits exactly the [`RolloutState`]'s
+//! vector, and steps the same state [`crate::LearnedPlanner`] and
+//! [`crate::episode_from_decisions`] step at serving time.
 
-use crate::featurize::Featurizer;
+use crate::featurize::{Featurizer, RolloutState};
 use crate::incremental::StageSet;
-use crate::planfix::best_algo_fixed_sides;
+use crate::planfix::{best_aggregate_if_needed, best_algo_fixed_sides, Costed};
 use crate::reward::RewardMode;
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostModel, CostParams, LatencyModel};
 use hfqo_exec::TrueCardinality;
-use hfqo_opt::physical::{add_aggregate_if_needed, best_access_path};
+use hfqo_opt::physical::best_access_path;
 use hfqo_opt::TraditionalOptimizer;
-use hfqo_query::{
-    AccessPath, AggAlgo, Forest, JoinAlgo, PhysicalPlan, PlanNode, QueryGraph, RelId,
-};
+use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PhysicalPlan, PlanNode, QueryGraph, RelId};
 use hfqo_rl::{Environment, StepResult};
 use hfqo_sql::CompareOp;
-use hfqo_stats::{EstimatedCardinality, StatsCatalog};
+use hfqo_stats::{CardinalitySource as _, EstimatedCardinality, StatsCatalog};
 use hfqo_storage::Database;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -219,11 +216,13 @@ pub struct PlanEnv<'a> {
     pub require_connected: bool,
     cursor: usize,
     current: usize,
-    forest: Forest,
-    nodes: Vec<PlanNode>,
+    /// The forest and its features, stepped by pair actions.
+    state: RolloutState,
+    /// The costed sub-plan of each forest slot, in slot order.
+    nodes: Vec<Costed>,
     phase: Phase,
     scan_candidates: Vec<AccessPath>,
-    pending_pair: Option<(PlanNode, PlanNode, Vec<usize>)>,
+    pending_pair: Option<(Costed, Costed, Vec<usize>)>,
     expert_costs: Vec<Option<f64>>,
     oracles: Vec<Option<TrueCardinality<'a>>>,
     last_outcome: Option<EpisodeOutcome>,
@@ -256,10 +255,12 @@ impl<'a> PlanEnv<'a> {
             "max_rels {max_rels} below workload maximum {max_in_workload}"
         );
         let n = queries.len();
+        let featurizer = Featurizer::new(max_rels);
+        let state = RolloutState::new(featurizer, &queries[0], &ctx.estimator());
         Self {
             ctx,
             queries,
-            featurizer: Featurizer::new(max_rels),
+            featurizer,
             order,
             reward_mode,
             stages,
@@ -267,7 +268,7 @@ impl<'a> PlanEnv<'a> {
             require_connected: false,
             cursor: 0,
             current: 0,
-            forest: Forest::initial(queries[0].relation_count()),
+            state,
             nodes: Vec::new(),
             phase: Phase::Done,
             scan_candidates: Vec::new(),
@@ -437,7 +438,7 @@ impl<'a> PlanEnv<'a> {
     /// aggregate phase or the end of the episode. A single-relation
     /// query has nothing to order and passes straight through.
     fn advance(&mut self, rng: &mut StdRng) -> StepResult {
-        if !self.forest.is_terminal() {
+        if !self.state.is_terminal() {
             self.phase = Phase::PairSelection;
             return StepResult {
                 reward: 0.0,
@@ -453,19 +454,15 @@ impl<'a> PlanEnv<'a> {
                 done: false,
             }
         } else {
-            let model = self.ctx.cost_model();
-            let est = self.ctx.estimator();
             let root = self.nodes.pop().expect("terminal forest has one node");
-            let root = add_aggregate_if_needed(graph, root, &model, &est);
+            let root = best_aggregate_if_needed(graph, root, &self.ctx.cost_model());
             self.finish(root, rng)
         }
     }
 
-    fn finish(&mut self, root: PlanNode, rng: &mut StdRng) -> StepResult {
+    fn finish(&mut self, (root, cost): Costed, rng: &mut StdRng) -> StepResult {
         let plan = PhysicalPlan::new(root);
-        let model = self.ctx.cost_model();
-        let est = self.ctx.estimator();
-        let agent_cost = model.plan_cost(self.graph(), &plan, &est).total;
+        let agent_cost = cost.total;
         let expert_cost = self.expert_cost(self.current);
         let (latency_ms, executed_work) = if self.reward_mode.needs_latency() {
             let (ms, work) = self.observe_latency(self.current, &plan, rng);
@@ -527,7 +524,7 @@ impl Environment for PlanEnv<'_> {
             QueryOrder::Fixed(idx) => idx.min(self.queries.len() - 1),
         };
         let n = self.graph().relation_count();
-        self.forest = Forest::initial(n);
+        self.state = RolloutState::new(self.featurizer, self.graph(), &self.ctx.estimator());
         self.pending_pair = None;
         self.last_outcome = None;
         if self.stages.index_selection {
@@ -546,7 +543,6 @@ impl Environment for PlanEnv<'_> {
                         &model,
                         &est,
                     )
-                    .0
                 })
                 .collect();
             self.advance(rng);
@@ -554,8 +550,8 @@ impl Environment for PlanEnv<'_> {
     }
 
     fn state_features(&self, out: &mut Vec<f32>) {
-        self.featurizer
-            .featurize(self.graph(), &self.forest, &self.ctx.estimator(), out);
+        out.clear();
+        out.extend_from_slice(self.state.features());
         if !self.markers {
             return;
         }
@@ -573,8 +569,7 @@ impl Environment for PlanEnv<'_> {
 
     fn action_mask(&self, out: &mut Vec<bool>) {
         if self.phase == Phase::PairSelection {
-            self.featurizer
-                .action_mask(self.graph(), &self.forest, self.require_connected, out);
+            self.state.mask(self.require_connected, out);
             return;
         }
         // Non-pair phases reuse the low action ids.
@@ -599,10 +594,13 @@ impl Environment for PlanEnv<'_> {
         match self.phase {
             Phase::AccessPath { rel } => {
                 let path = self.scan_candidates[action.min(self.scan_candidates.len() - 1)];
-                self.nodes.push(PlanNode::Scan {
+                let scan = PlanNode::Scan {
                     rel: RelId(rel as u32),
                     path,
-                });
+                };
+                let model = self.ctx.cost_model();
+                let cost = model.node_cost(self.graph(), &scan, &self.ctx.estimator());
+                self.nodes.push((scan, cost));
                 if rel + 1 < self.graph().relation_count() {
                     self.enter_access_phase(rel + 1);
                     StepResult {
@@ -615,9 +613,8 @@ impl Environment for PlanEnv<'_> {
             }
             Phase::PairSelection => {
                 let (x, y) = self.featurizer.decode_pair(action);
-                let conds = self
-                    .graph()
-                    .joins_between(self.nodes[x].rel_set(), self.nodes[y].rel_set());
+                let merged = self.state.merge(x, y);
+                assert!(merged, "masked actions must be valid merges");
                 let (hi, lo) = if x > y { (x, y) } else { (y, x) };
                 let hi_node = self.nodes.remove(hi);
                 let lo_node = self.nodes.remove(lo);
@@ -626,9 +623,10 @@ impl Environment for PlanEnv<'_> {
                 } else {
                     (hi_node, lo_node)
                 };
-                let merged = self.forest.merge(x, y);
-                debug_assert!(merged, "masked actions must be valid merges");
                 if self.stages.join_operators {
+                    let conds = self
+                        .graph()
+                        .joins_between(left.0.rel_set(), right.0.rel_set());
                     self.pending_pair = Some((left, right, conds));
                     self.phase = Phase::JoinOperator;
                     StepResult {
@@ -644,24 +642,33 @@ impl Environment for PlanEnv<'_> {
                 }
             }
             Phase::JoinOperator => {
-                let (left, right, conds) = self.pending_pair.take().expect("pair pending");
+                let ((left, left_cost), (right, right_cost), conds) =
+                    self.pending_pair.take().expect("pair pending");
                 let algo = JoinAlgo::ALL[action.min(2)];
-                self.nodes.push(PlanNode::Join {
+                let out_set = left.rel_set().union(right.rel_set());
+                let out_rows = self.ctx.estimator().set_rows(self.graph(), out_set);
+                let model = self.ctx.cost_model();
+                let cost = model.join_cost(algo, conds.len(), left_cost, right_cost, out_rows);
+                let join = PlanNode::Join {
                     algo,
                     conds,
                     left: Box::new(left),
                     right: Box::new(right),
-                });
+                };
+                self.nodes.push((join, cost));
                 self.advance(rng)
             }
             Phase::Aggregate => {
                 let algo = AggAlgo::ALL[action.min(1)];
-                let input = self.nodes.pop().expect("terminal forest has one node");
+                let (input, input_cost) = self.nodes.pop().expect("terminal forest has one node");
+                let grouped = !self.graph().group_by().is_empty();
+                let model = self.ctx.cost_model();
+                let cost = model.aggregate_cost(algo, grouped, input_cost);
                 let root = PlanNode::Aggregate {
                     algo,
                     input: Box::new(input),
                 };
-                self.finish(root, rng)
+                self.finish((root, cost), rng)
             }
             Phase::Done => StepResult {
                 reward: 0.0,
@@ -1092,10 +1099,12 @@ mod tests {
                 let outcome = env.last_outcome().expect("finished");
                 let graph = &queries[episode % 2];
                 let tree = outcome.plan.root.join_tree();
-                let reference = plan_from_tree(graph, &tree, ctx.catalog(), &model, &est);
+                let (reference, reference_cost) =
+                    plan_from_tree(graph, &tree, ctx.catalog(), &model, &est);
                 assert_eq!(outcome.plan, reference, "episode {episode}");
-                let reference_cost = model.plan_cost(graph, &reference, &est).total;
-                assert_eq!(outcome.agent_cost.to_bits(), reference_cost.to_bits());
+                assert_eq!(outcome.agent_cost.to_bits(), reference_cost.total.to_bits());
+                let recursive_cost = model.plan_cost(graph, &reference, &est).total;
+                assert_eq!(outcome.agent_cost.to_bits(), recursive_cost.to_bits());
             }
         }
     }

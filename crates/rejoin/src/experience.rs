@@ -5,8 +5,8 @@
 //! the forest-merge decisions of the plan that executed, and the work
 //! the executor actually performed); this module turns that record back
 //! into an [`Episode`] the policy-gradient agent can train on, by
-//! replaying the decisions through the same [`Featurizer`] the policy
-//! infers with. Feature vectors and action masks are recomputed against
+//! replaying the decisions through the same [`RolloutState`] the policy
+//! infers over. Feature vectors and action masks are recomputed against
 //! the *current* statistics at replay time — exactly what a live
 //! environment rollout would have produced — so the training-side and
 //! serving-side views of a state cannot drift.
@@ -17,8 +17,8 @@
 //! gradient re-derives `log π(a|s)` from the current policy's forward
 //! pass.
 
-use crate::featurize::Featurizer;
-use hfqo_query::{Forest, QueryGraph};
+use crate::featurize::{Featurizer, RolloutState};
+use hfqo_query::QueryGraph;
 use hfqo_rl::{Episode, Transition};
 use hfqo_stats::{EstimatedCardinality, StatsCatalog};
 
@@ -111,26 +111,25 @@ pub fn episode_from_decisions(
         });
     }
     let est = EstimatedCardinality::new(stats);
-    let mut forest = Forest::initial(n);
+    let mut state = RolloutState::new(*featurizer, graph, &est);
     let mut episode = Episode::new();
-    let mut features = Vec::with_capacity(featurizer.state_dim());
-    let mut mask = Vec::with_capacity(featurizer.action_dim());
     for (step, &(x, y)) in decisions.iter().enumerate() {
-        featurizer.featurize(graph, &forest, &est, &mut features);
-        featurizer.action_mask(graph, &forest, require_connected, &mut mask);
+        let features = state.features().to_vec();
+        let mut mask = Vec::new();
+        state.mask(require_connected, &mut mask);
         let action = featurizer.encode_pair(x, y);
-        if action >= mask.len() || !mask[action] || !forest.merge(x, y) {
+        if action >= mask.len() || !mask[action] || !state.merge(x, y) {
             return Err(ReplayError::InvalidDecision { step });
         }
         let terminal = step + 1 == decisions.len();
         episode.transitions.push(Transition {
-            features: features.clone(),
-            mask: mask.clone(),
+            features,
+            mask,
             action,
             reward: if terminal { terminal_reward } else { 0.0 },
         });
     }
-    debug_assert!(forest.is_terminal(), "n − 1 valid merges terminate");
+    debug_assert!(state.is_terminal(), "n − 1 valid merges terminate");
     Ok(episode)
 }
 

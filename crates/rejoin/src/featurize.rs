@@ -15,9 +15,15 @@
 //!
 //! Everything is laid out at a fixed `max_rels` width so one network
 //! serves queries of any size, with invalid actions masked.
+//!
+//! [`Featurizer::featurize`] and [`Featurizer::action_mask`] derive a
+//! state from a forest from scratch; they are the specification. What
+//! plans, replays and trains is [`RolloutState`], which is built once
+//! per query and updated on each merge, and which tests hold equal to
+//! the specification bit for bit after every merge.
 
-use hfqo_query::{Forest, QueryGraph, RelId};
-use hfqo_stats::EstimatedCardinality;
+use hfqo_query::{Forest, JoinTree, QueryGraph, RelId, RelSet};
+use hfqo_stats::{CardinalitySource as _, EstimatedCardinality};
 
 /// Fixed-width featurizer for forests over at most `max_rels` relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +96,23 @@ impl Featurizer {
                 out[slot * m + rel.index()] = 0.5f32.powi(depth as i32);
             }
         }
+        self.write_static(graph, est, out);
+        // Estimated size of each current subtree.
+        let size_base = self.size_base();
+        for (slot, tree) in forest.trees().iter().enumerate().take(m) {
+            out[size_base + slot] = size_feature(est.set_rows(graph, tree.rel_set()));
+        }
+    }
+
+    /// Offset of the subtree-size section.
+    fn size_base(&self) -> usize {
+        2 * self.max_rels * self.max_rels + 2 * self.max_rels
+    }
+
+    /// Writes the sections a merge never changes — join adjacency,
+    /// selections, raw relation sizes — into an already zeroed `out`.
+    fn write_static(&self, graph: &QueryGraph, est: &EstimatedCardinality<'_>, out: &mut [f32]) {
+        let m = self.max_rels;
         // Join adjacency (symmetric).
         let adj_base = m * m;
         for edge in graph.joins() {
@@ -111,13 +134,6 @@ impl Featurizer {
             } else {
                 out[sel_base + 2 * rel_idx + 1] = 1.0;
             }
-        }
-        // Estimated size of each current subtree, log-scaled into [0, 1].
-        use hfqo_stats::CardinalitySource as _;
-        let size_base = 2 * m * m + 2 * m;
-        for (slot, tree) in forest.trees().iter().enumerate().take(m) {
-            let rows = est.set_rows(graph, tree.rel_set()).max(1.0);
-            out[size_base + slot] = ((rows.ln() / 20.0) as f32).clamp(0.0, 1.0);
         }
         // Raw size of each base relation, log-scaled into [0, 1].
         let raw_base = 2 * m * m + 3 * m;
@@ -177,6 +193,197 @@ impl Featurizer {
     }
 }
 
+/// The subtree-size feature: estimated rows, log-scaled into [0, 1].
+fn size_feature(rows: f64) -> f32 {
+    ((rows.max(1.0).ln() / 20.0) as f32).clamp(0.0, 1.0)
+}
+
+/// The state of one rollout: the forest, and its feature vector kept
+/// current instead of rebuilt.
+///
+/// Built once per (query, estimator): the static feature sections are
+/// written once, every relation's `base_rows` and every join edge's
+/// selectivity are looked up once, and each forest slot keeps the set of
+/// relations adjacent to it, so "are slots `x` and `y` connected" is a
+/// bit test. [`Self::merge`] follows [`Forest::merge`]'s slot movement
+/// (both inputs removed, the join appended) and computes only the new
+/// slot. After any sequence of merges [`Self::features`] is, bit for
+/// bit, what [`Featurizer::featurize`] writes for [`Self::forest`], and
+/// [`Self::mask`] what [`Featurizer::action_mask`] writes.
+#[derive(Debug, Clone)]
+pub struct RolloutState {
+    featurizer: Featurizer,
+    forest: Forest,
+    features: Vec<f32>,
+    /// `base_rows` of every relation.
+    base_rows: Vec<f64>,
+    /// Every join edge, in the graph's order: its endpoints and its
+    /// selectivity.
+    edges: Vec<(RelSet, f64)>,
+    slots: Vec<Slot>,
+    /// The tree-structure row of a slot being built.
+    row: Vec<f32>,
+}
+
+/// What a [`RolloutState`] keeps per forest slot beside its features.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The relations the subtree covers.
+    covered: RelSet,
+    /// The relations a join edge connects them to.
+    adjacent: RelSet,
+}
+
+impl RolloutState {
+    /// The initial state of `graph`: every relation its own subtree.
+    ///
+    /// Panics when `graph` has more relations than `featurizer` has
+    /// slots; callers reject such queries first.
+    pub fn new(featurizer: Featurizer, graph: &QueryGraph, est: &EstimatedCardinality<'_>) -> Self {
+        let (m, n) = (featurizer.max_rels, graph.relation_count());
+        assert!(n <= m, "{n} relations exceed featurizer capacity {m}");
+        let mut features = vec![0.0; featurizer.state_dim()];
+        featurizer.write_static(graph, est, &mut features);
+        let rels = || (0..n).map(|r| RelId(r as u32));
+        let mut neighbours = vec![RelSet::EMPTY; n];
+        let edges = (graph.joins().iter().enumerate())
+            .map(|(i, edge)| {
+                let (l, r) = (edge.left.rel, edge.right.rel);
+                neighbours[l.index()].insert(r);
+                neighbours[r.index()].insert(l);
+                (
+                    RelSet::single(l).union(RelSet::single(r)),
+                    est.edge_selectivity(graph, i),
+                )
+            })
+            .collect();
+        let mut state = Self {
+            featurizer,
+            forest: Forest::initial(n),
+            features,
+            base_rows: rels().map(|rel| est.base_rows(graph, rel)).collect(),
+            edges,
+            slots: rels()
+                .map(|rel| Slot {
+                    covered: RelSet::single(rel),
+                    adjacent: neighbours[rel.index()],
+                })
+                .collect(),
+            row: vec![0.0; m],
+        };
+        let size_base = featurizer.size_base();
+        for slot in 0..n {
+            state.features[slot * m + slot] = 1.0;
+            let rows = state.set_rows(state.slots[slot].covered);
+            state.features[size_base + slot] = size_feature(rows);
+        }
+        state
+    }
+
+    /// `EstimatedCardinality::set_rows` from the memoised factors,
+    /// multiplied in its order so the product has its bits.
+    fn set_rows(&self, set: RelSet) -> f64 {
+        let mut rows = 1.0;
+        for rel in set.iter() {
+            rows *= self.base_rows[rel.index()];
+        }
+        for &(ends, selectivity) in &self.edges {
+            if set.is_superset(ends) {
+                rows *= selectivity;
+            }
+        }
+        rows.max(1.0)
+    }
+
+    /// The forest built so far.
+    pub fn forest(&self) -> &Forest {
+        &self.forest
+    }
+
+    /// Whether one tree remains.
+    pub fn is_terminal(&self) -> bool {
+        self.forest.is_terminal()
+    }
+
+    /// The single tree of a terminal state.
+    pub fn into_tree(self) -> Option<JoinTree> {
+        self.forest.into_tree()
+    }
+
+    /// The state vector of the current forest (`state_dim` long).
+    pub fn features(&self) -> &[f32] {
+        &self.features
+    }
+
+    /// Writes the valid-action mask of the current forest into `out`
+    /// (cleared first; always `action_dim` long), under
+    /// [`Featurizer::action_mask`]'s rules.
+    pub fn mask(&self, require_connected: bool, out: &mut Vec<bool>) {
+        out.clear();
+        out.resize(self.featurizer.action_dim(), false);
+        let len = self.slots.len();
+        let mut any = false;
+        if require_connected {
+            for (x, left) in self.slots.iter().enumerate() {
+                for (y, right) in self.slots.iter().enumerate() {
+                    if x != y && !left.adjacent.is_disjoint(right.covered) {
+                        out[self.featurizer.encode_pair(x, y)] = true;
+                        any = true;
+                    }
+                }
+            }
+        }
+        // Cross joins allowed, or nothing connected: every pair.
+        if !any {
+            for x in 0..len {
+                for y in 0..len {
+                    out[self.featurizer.encode_pair(x, y)] = x != y;
+                }
+            }
+        }
+    }
+
+    /// Merges the subtrees at slots `x` and `y` as [`Forest::merge`]
+    /// does; returns `false`, leaving the state untouched, on an invalid
+    /// pair.
+    pub fn merge(&mut self, x: usize, y: usize) -> bool {
+        let len = self.slots.len();
+        if !self.forest.merge(x, y) {
+            return false;
+        }
+        let m = self.featurizer.max_rels;
+        let size_base = self.featurizer.size_base();
+        // Every relation of either input sits one level deeper under
+        // the join: its weight halves, exactly (a power of two).
+        for rel in 0..m {
+            self.row[rel] = (self.features[x * m + rel] + self.features[y * m + rel]) * 0.5;
+        }
+        let joined = Slot {
+            covered: self.slots[x].covered.union(self.slots[y].covered),
+            adjacent: self.slots[x].adjacent.union(self.slots[y].adjacent),
+        };
+        let mut dst = 0;
+        for src in 0..len {
+            if src == x || src == y {
+                continue;
+            }
+            if dst != src {
+                self.features.copy_within(src * m..(src + 1) * m, dst * m);
+                self.features[size_base + dst] = self.features[size_base + src];
+                self.slots[dst] = self.slots[src];
+            }
+            dst += 1;
+        }
+        self.slots.truncate(dst);
+        self.slots.push(joined);
+        self.features[dst * m..(dst + 1) * m].copy_from_slice(&self.row);
+        self.features[(dst + 1) * m..(dst + 2) * m].fill(0.0);
+        self.features[size_base + dst] = size_feature(self.set_rows(joined.covered));
+        self.features[size_base + dst + 1] = 0.0;
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +391,9 @@ mod tests {
     use hfqo_query::{BoundColumn, JoinEdge, Lit, Relation, Selection};
     use hfqo_sql::CompareOp;
     use hfqo_stats::{ColumnStats, StatsCatalog, TableStats};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn graph4() -> (QueryGraph, StatsCatalog) {
         // Chain 0-1-2-3 with a selection on r1.
@@ -325,6 +535,150 @@ mod tests {
         assert!(mask[f.encode_pair(0, 1)]);
         assert!(!mask[f.encode_pair(0, 2)]);
         assert_eq!(mask.iter().filter(|&&m| m).count(), 6);
+    }
+
+    /// `RolloutState` against the specification on `forest()`: feature
+    /// bits, and the mask with and without connected-only masking.
+    fn assert_state_matches_spec(
+        state: &RolloutState,
+        f: Featurizer,
+        graph: &QueryGraph,
+        est: &EstimatedCardinality<'_>,
+    ) {
+        let (mut features, mut mask, mut spec_mask) = (Vec::new(), Vec::new(), Vec::new());
+        f.featurize(graph, state.forest(), est, &mut features);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(state.features()),
+            bits(&features),
+            "{:?}",
+            state.forest()
+        );
+        for require_connected in [false, true] {
+            state.mask(require_connected, &mut mask);
+            f.action_mask(graph, state.forest(), require_connected, &mut spec_mask);
+            assert_eq!(
+                mask,
+                spec_mask,
+                "connected {require_connected}: {:?}",
+                state.forest()
+            );
+        }
+    }
+
+    /// A query over `n` single-column tables of uneven sizes: a chain,
+    /// a star, a cycle, or two chains with no edge between them, with a
+    /// `<` selection on every third relation when `selections`.
+    fn shaped_graph(shape: u8, n: usize, selections: bool) -> (QueryGraph, StatsCatalog) {
+        let relations = (0..n)
+            .map(|i| Relation {
+                table: TableId(i as u32),
+                alias: format!("t{i}"),
+            })
+            .collect();
+        let edge = |l: usize, r: usize| JoinEdge {
+            left: BoundColumn::new(RelId(l as u32), ColumnId(0)),
+            op: if (l + r) % 4 == 3 {
+                CompareOp::Lt
+            } else {
+                CompareOp::Eq
+            },
+            right: BoundColumn::new(RelId(r as u32), ColumnId(0)),
+        };
+        let joins = match shape % 4 {
+            0 => (1..n).map(|i| edge(i - 1, i)).collect(),
+            1 => (1..n).map(|i| edge(0, i)).collect(),
+            2 => (1..n)
+                .map(|i| edge(i - 1, i))
+                .chain((n > 2).then(|| edge(n - 1, 0)))
+                .collect(),
+            _ => (1..n)
+                .filter(|&i| i != n / 2)
+                .map(|i| edge(i - 1, i))
+                .collect::<Vec<_>>(),
+        };
+        let selections = (0..n)
+            .filter(|i| selections && i % 3 == 1)
+            .map(|i| Selection {
+                column: BoundColumn::new(RelId(i as u32), ColumnId(0)),
+                op: CompareOp::Lt,
+                value: Lit::Int(10 + 7 * i as i64),
+            })
+            .collect();
+        let graph = QueryGraph::new(relations, joins, selections, vec![], vec![]);
+        let stats = StatsCatalog::new(
+            (0..n)
+                .map(|i| {
+                    let rows = 40 + 37 * i;
+                    TableStats {
+                        row_count: rows as f64,
+                        row_width: 8.0,
+                        columns: vec![ColumnStats {
+                            meta: ColumnStatsMeta {
+                                ndv: (rows / (1 + i % 3)) as f64,
+                                min: 0.0,
+                                max: rows as f64,
+                                null_frac: 0.0,
+                            },
+                            histogram: hfqo_stats::Histogram::build(
+                                (0..rows).map(|v| v as f64).collect(),
+                                10,
+                            ),
+                            mcvs: vec![],
+                        }],
+                    }
+                })
+                .collect(),
+        );
+        (graph, stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The updated state equals the rebuilt one after every merge of
+        /// a random legal merge sequence, the all-pairs fallback of a
+        /// disconnected remainder included.
+        #[test]
+        fn updated_state_equals_rebuilt_state(
+            shape in 0u8..4,
+            n in 2usize..=12,
+            selections in 0u8..2,
+            require_connected in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let (graph, stats) = shaped_graph(shape, n, selections == 1);
+            let est = EstimatedCardinality::new(&stats);
+            let f = Featurizer::new(12);
+            let mut state = RolloutState::new(f, &graph, &est);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mask = Vec::new();
+            assert_state_matches_spec(&state, f, &graph, &est);
+            while !state.is_terminal() {
+                state.mask(require_connected == 1, &mut mask);
+                let legal: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
+                let (x, y) = f.decode_pair(legal[rng.gen_range(0..legal.len())]);
+                prop_assert!(state.merge(x, y));
+                assert_state_matches_spec(&state, f, &graph, &est);
+            }
+        }
+    }
+
+    /// A refused merge leaves the state as it was.
+    #[test]
+    fn refused_merge_changes_nothing() {
+        let (graph, stats) = graph4();
+        let est = EstimatedCardinality::new(&stats);
+        let f = Featurizer::new(6);
+        let mut state = RolloutState::new(f, &graph, &est);
+        assert!(state.merge(3, 1));
+        let before = state.clone();
+        for (x, y) in [(1, 1), (0, 3), (7, 0)] {
+            assert!(!state.merge(x, y), "({x}, {y})");
+        }
+        assert_eq!(state.forest(), before.forest());
+        assert_eq!(state.features(), before.features());
+        assert_state_matches_spec(&state, f, &graph, &est);
     }
 
     #[test]

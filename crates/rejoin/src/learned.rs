@@ -5,19 +5,19 @@
 //! *replaces* the traditional enumerator in the serving path. A
 //! [`LearnedPlanner`] wraps a frozen [`PolicySnapshot`] (plain owned
 //! weights, no optimizer state, `Send + Sync`) plus the featurizer it
-//! was trained with, and plans by replaying one greedy-argmax episode:
-//! featurize the forest, take the policy's mode action, merge, repeat
-//! until one tree remains, then hand the ordering to the traditional
-//! machinery ([`crate::planfix::plan_from_tree`]) for access-path,
-//! join-operator, and aggregate selection — exactly what a greedy
-//! evaluation episode in [`crate::PlanEnv`] does, which
-//! a parity test pins down.
+//! was trained with, and plans by replaying one greedy-argmax episode
+//! over a [`RolloutState`]: take the policy's mode action on the
+//! state's features, merge, repeat until one tree remains, then hand
+//! the ordering to the traditional machinery
+//! ([`crate::planfix::plan_from_tree`]) for access-path, join-operator,
+//! and aggregate selection — exactly what a greedy evaluation episode
+//! in [`crate::PlanEnv`] does, which a parity test pins down.
 
-use crate::featurize::Featurizer;
+use crate::featurize::{Featurizer, RolloutState};
 use crate::planfix::plan_from_tree;
 use hfqo_opt::{OptError, PlannedQuery, Planner, PlannerContext, PlannerMethod};
-use hfqo_query::{Forest, QueryGraph};
-use hfqo_rl::PolicySnapshot;
+use hfqo_query::QueryGraph;
+use hfqo_rl::{PolicySnapshot, Selector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -104,6 +104,29 @@ impl LearnedPlanner {
     }
 }
 
+impl LearnedPlanner {
+    /// Applies the pair the policy chose at `step`. The selection only
+    /// ever returns a masked-in action, and every masked-in pair is a
+    /// valid merge, so a refusal is a bug upstream — reported as an
+    /// error rather than left to spin the rollout on an unchanged state.
+    fn merge_chosen(
+        &self,
+        state: &mut RolloutState,
+        step: usize,
+        action: usize,
+    ) -> Result<(), OptError> {
+        let (x, y) = self.featurizer.decode_pair(action);
+        if state.merge(x, y) {
+            Ok(())
+        } else {
+            Err(OptError::Unsupported(format!(
+                "merge step {step}: the policy chose action {action}, and ({x}, {y}) is not \
+                 a pair of distinct live subtrees"
+            )))
+        }
+    }
+}
+
 impl Planner for LearnedPlanner {
     fn name(&self) -> &'static str {
         "learned"
@@ -122,28 +145,26 @@ impl Planner for LearnedPlanner {
         }
         let start = Instant::now();
         let est = ctx.estimator();
-        let mut forest = Forest::initial(n);
-        let mut features = Vec::with_capacity(self.featurizer.state_dim());
+        let mut state = RolloutState::new(self.featurizer, graph, &est);
         let mut mask = Vec::with_capacity(self.featurizer.action_dim());
+        let mut selector = Selector::default();
         // Greedy selection never consults the RNG; the seed only
-        // satisfies the shared `select_action` signature.
+        // satisfies the shared `select` signature.
         let mut rng = StdRng::seed_from_u64(0);
-        while !forest.is_terminal() {
-            self.featurizer
-                .featurize(graph, &forest, &est, &mut features);
-            self.featurizer
-                .action_mask(graph, &forest, self.require_connected, &mut mask);
-            let (action, _prob) = self
-                .snapshot
-                .select_action(&features, &mask, &mut rng, true);
-            let (x, y) = self.featurizer.decode_pair(action);
-            let merged = forest.merge(x, y);
-            debug_assert!(merged, "masked actions must be valid merges");
+        for step in 0..n - 1 {
+            state.mask(self.require_connected, &mut mask);
+            let (action, _prob) = selector.select(
+                self.snapshot.policy(),
+                state.features(),
+                &mask,
+                &mut rng,
+                true,
+            );
+            self.merge_chosen(&mut state, step, action)?;
         }
-        let tree = forest.into_tree().expect("terminal forest has one tree");
-        let model = ctx.cost_model();
-        let plan = plan_from_tree(graph, &tree, ctx.catalog, &model, &est);
-        let cost = model.plan_cost(graph, &plan, &est).total;
+        let tree = state.into_tree().expect("n − 1 merges leave one tree");
+        let (plan, cost) = plan_from_tree(graph, &tree, ctx.catalog, &ctx.cost_model(), &est);
+        let cost = cost.total;
         Ok(PlannedQuery {
             plan,
             cost,
@@ -279,6 +300,40 @@ mod tests {
         planned.plan.validate(&queries[1]).unwrap();
         let empty = QueryGraph::new(vec![], vec![], vec![], vec![], vec![]);
         assert_eq!(narrow.plan(&plan_ctx, &empty), Err(OptError::EmptyQuery));
+    }
+
+    /// A refused merge must end the plan with an error naming the step,
+    /// not leave the rollout looping on an unchanged state (the greedy
+    /// argmax over masked-in actions cannot choose such a pair; the step
+    /// that takes the chosen pair is where one would surface).
+    #[test]
+    fn refused_merge_is_an_error_not_a_spin() {
+        let (db, queries) = fixture();
+        let mut rng = StdRng::seed_from_u64(6);
+        let featurizer = Featurizer::new(6);
+        let agent = ReJoinAgent::new(
+            featurizer.state_dim(),
+            featurizer.action_dim(),
+            PolicyKind::default_reinforce(),
+            &mut rng,
+        );
+        let planner = LearnedPlanner::freeze(&agent, featurizer);
+        let plan_ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        let mut state = RolloutState::new(featurizer, &queries[0], &plan_ctx.estimator());
+        // The diagonal, and a slot beyond the five live ones.
+        for (x, y) in [(2, 2), (1, 5)] {
+            let refused = planner.merge_chosen(&mut state, 3, featurizer.encode_pair(x, y));
+            match refused {
+                Err(OptError::Unsupported(why)) => assert!(why.contains("step 3"), "{why}"),
+                other => panic!("({x}, {y}) should be refused, got {other:?}"),
+            }
+            assert_eq!(state.forest().len(), 5, "a refusal leaves the state alone");
+        }
+        assert_eq!(
+            planner.merge_chosen(&mut state, 0, featurizer.encode_pair(0, 1)),
+            Ok(())
+        );
+        assert_eq!(state.forest().len(), 4);
     }
 
     /// A featurizer whose dimensions do not match the frozen policy is

@@ -54,7 +54,7 @@ pub use bootstrap::{cost_bootstrap, BootstrapConfig, BootstrapOutcome};
 pub use demonstration::{learn_from_demonstration, DemonstrationConfig, DemonstrationOutcome};
 pub use env::{EnvContext, EpisodeOutcome, LatencySource, Phase, PlanEnv, QueryOrder};
 pub use experience::{episode_from_decisions, ReplayError};
-pub use featurize::Featurizer;
+pub use featurize::{Featurizer, RolloutState};
 pub use incremental::{Curriculum, StageSet};
 pub use learned::LearnedPlanner;
 pub use metrics::{MovingAverage, TrainingLog};

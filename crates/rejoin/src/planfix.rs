@@ -8,23 +8,31 @@
 //! them), and the aggregate operator.
 
 use hfqo_catalog::Catalog;
-use hfqo_cost::CostModel;
-use hfqo_opt::physical::{add_aggregate_if_needed, best_access_path};
-use hfqo_query::{JoinAlgo, JoinTree, PhysicalPlan, PlanNode, QueryGraph};
+use hfqo_cost::{CostEstimate, CostModel};
+use hfqo_opt::physical::best_access_path;
+use hfqo_query::{AggAlgo, JoinAlgo, JoinTree, PhysicalPlan, PlanNode, QueryGraph};
 use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
 
+/// A sub-plan with its cost: what the bottom-up completion carries, so
+/// each join and the aggregate are priced from their inputs' estimates
+/// ([`CostModel::join_cost`], [`CostModel::aggregate_cost`]) and no
+/// subtree is walked, let alone cloned, to price the node above it.
+pub type Costed = (PlanNode, CostEstimate);
+
 /// Builds the cheapest physical plan whose join-tree skeleton is exactly
-/// `tree` (leaf sides preserved).
+/// `tree` (leaf sides preserved), with the cost
+/// [`CostModel::plan_cost`] gives it.
 pub fn plan_from_tree<C: CardinalitySource>(
     graph: &QueryGraph,
     tree: &JoinTree,
     catalog: &Catalog,
     model: &CostModel<'_>,
     cards: &C,
-) -> PhysicalPlan {
+) -> (PhysicalPlan, CostEstimate) {
     let root = node_from_tree(graph, tree, catalog, model, cards);
-    PhysicalPlan::new(add_aggregate_if_needed(graph, root, model, cards))
+    let (root, cost) = best_aggregate_if_needed(graph, root, model);
+    (PhysicalPlan::new(root), cost)
 }
 
 fn node_from_tree<C: CardinalitySource>(
@@ -33,9 +41,9 @@ fn node_from_tree<C: CardinalitySource>(
     catalog: &Catalog,
     model: &CostModel<'_>,
     cards: &C,
-) -> PlanNode {
+) -> Costed {
     match tree {
-        JoinTree::Leaf(rel) => best_access_path(graph, *rel, catalog, model, cards).0,
+        JoinTree::Leaf(rel) => best_access_path(graph, *rel, catalog, model, cards),
         JoinTree::Join(l, r) => {
             let left = node_from_tree(graph, l, catalog, model, cards);
             let right = node_from_tree(graph, r, catalog, model, cards);
@@ -45,33 +53,63 @@ fn node_from_tree<C: CardinalitySource>(
 }
 
 /// Picks the cheapest join algorithm for fixed left/right inputs (no side
-/// swapping — the sides are part of the agent's action).
+/// swapping — the sides are part of the agent's action); the first wins
+/// a tie.
 pub fn best_algo_fixed_sides<C: CardinalitySource>(
     graph: &QueryGraph,
-    left: PlanNode,
-    right: PlanNode,
+    (left, left_cost): Costed,
+    (right, right_cost): Costed,
     model: &CostModel<'_>,
     cards: &C,
-) -> PlanNode {
-    let conds = graph.joins_between(left.rel_set(), right.rel_set());
+) -> Costed {
+    let (left_set, right_set) = (left.rel_set(), right.rel_set());
+    let conds = graph.joins_between(left_set, right_set);
     let has_eq = conds.iter().any(|&c| graph.joins()[c].op == CompareOp::Eq);
-    let mut best: Option<(PlanNode, f64)> = None;
+    let out_rows = cards.set_rows(graph, left_set.union(right_set));
+    let mut best: Option<(JoinAlgo, CostEstimate)> = None;
     for algo in JoinAlgo::ALL {
         if matches!(algo, JoinAlgo::Hash | JoinAlgo::Merge) && !has_eq {
             continue;
         }
-        let cand = PlanNode::Join {
-            algo,
-            conds: conds.clone(),
-            left: Box::new(left.clone()),
-            right: Box::new(right.clone()),
-        };
-        let cost = model.node_cost(graph, &cand, cards).total;
-        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-            best = Some((cand, cost));
+        let cost = model.join_cost(algo, conds.len(), left_cost, right_cost, out_rows);
+        if best.is_none_or(|(_, c)| cost.total < c.total) {
+            best = Some((algo, cost));
         }
     }
-    best.expect("nested loop is always legal").0
+    let (algo, cost) = best.expect("nested loop is always legal");
+    let node = PlanNode::Join {
+        algo,
+        conds,
+        left: Box::new(left),
+        right: Box::new(right),
+    };
+    (node, cost)
+}
+
+/// Wraps `input` in the cheaper aggregation operator when the query has
+/// aggregates (the first wins a tie); otherwise returns it unchanged.
+pub fn best_aggregate_if_needed(
+    graph: &QueryGraph,
+    (input, input_cost): Costed,
+    model: &CostModel<'_>,
+) -> Costed {
+    if graph.aggregates().is_empty() && graph.group_by().is_empty() {
+        return (input, input_cost);
+    }
+    let grouped = !graph.group_by().is_empty();
+    let mut best: Option<(AggAlgo, CostEstimate)> = None;
+    for algo in AggAlgo::ALL {
+        let cost = model.aggregate_cost(algo, grouped, input_cost);
+        if best.is_none_or(|(_, c)| cost.total < c.total) {
+            best = Some((algo, cost));
+        }
+    }
+    let (algo, cost) = best.expect("both aggregate algorithms are candidates");
+    let node = PlanNode::Aggregate {
+        algo,
+        input: Box::new(input),
+    };
+    (node, cost)
 }
 
 #[cfg(test)]
@@ -94,7 +132,7 @@ mod tests {
             JoinTree::join(JoinTree::leaf(RelId(3)), JoinTree::leaf(RelId(2))),
             JoinTree::join(JoinTree::leaf(RelId(1)), JoinTree::leaf(RelId(0))),
         );
-        let plan = plan_from_tree(&graph, &tree, db.db.catalog(), &model, &cards);
+        let (plan, _) = plan_from_tree(&graph, &tree, db.db.catalog(), &model, &cards);
         plan.validate(&graph).unwrap();
         assert_eq!(plan.root.join_tree(), tree);
     }
@@ -111,7 +149,7 @@ mod tests {
             JoinTree::join(JoinTree::leaf(RelId(0)), JoinTree::leaf(RelId(2))),
             JoinTree::leaf(RelId(1)),
         );
-        let plan = plan_from_tree(&graph, &tree, db.db.catalog(), &model, &cards);
+        let (plan, _) = plan_from_tree(&graph, &tree, db.db.catalog(), &model, &cards);
         plan.validate(&graph).unwrap();
         // The inner join must be a nested loop with no conditions.
         match &plan.root {
@@ -139,8 +177,9 @@ mod tests {
             JoinTree::join(JoinTree::leaf(RelId(0)), JoinTree::leaf(RelId(3))),
             JoinTree::join(JoinTree::leaf(RelId(1)), JoinTree::leaf(RelId(2))),
         );
-        let bad = plan_from_tree(&graph, &bad_tree, db.db.catalog(), &model, &cards);
-        let bad_cost = model.plan_cost(&graph, &bad, &cards).total;
+        let (bad, bad_cost) = plan_from_tree(&graph, &bad_tree, db.db.catalog(), &model, &cards);
+        let bad_cost = bad_cost.total;
+        assert_eq!(bad_cost, model.plan_cost(&graph, &bad, &cards).total);
         assert!(
             bad_cost > expert.cost,
             "cross-join order {bad_cost} should exceed expert {}",

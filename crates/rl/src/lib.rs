@@ -22,4 +22,4 @@ pub use episode::{discounted_returns, Episode, Transition};
 pub use reinforce::{ReinforceAgent, ReinforceConfig, UpdatePath};
 pub use replay::ReplayBuffer;
 pub use reward_model::{RewardModel, RewardModelConfig};
-pub use rollout::PolicySnapshot;
+pub use rollout::{PolicySnapshot, Selector};

@@ -47,8 +47,8 @@ fn main() {
     let params = CostParams::postgres_like();
     let model = CostModel::new(&params, &bundle.stats);
     let est = EstimatedCardinality::new(&bundle.stats);
-    let figure2_plan = plan_from_tree(&graph, &tree, catalog, &model, &est);
-    let figure2_cost = model.plan_cost(&graph, &figure2_plan, &est).total;
+    let (figure2_plan, figure2_cost) = plan_from_tree(&graph, &tree, catalog, &model, &est);
+    let figure2_cost = figure2_cost.total;
     println!(
         "completed by the optimizer (cost {:.1}, reward 1/M(t) = {:.2e}):\n{}",
         figure2_cost,
