@@ -66,6 +66,21 @@
 //! numerics) goes through `eval_cmp_cols`. Aggregates other than
 //! `COUNT(*)` still build a `Value` per row (`Acc::update`).
 //!
+//! ## Joins pay per row
+//!
+//! A plan node's `JoinAlgo` fixes what a join means and what it
+//! charges; row counts choose how the evaluator finds the pairs. A hash
+//! join's build fills `JoinTable`s: each key's rows are one ascending
+//! slice of a single array. A build makes a handful of allocations
+//! however many keys it holds, and does one map look-up per run of equal
+//! keys. An integer-keyed nested loop builds the same table over its
+//! inner side when `looks_up` says its two row counts favour it, and
+//! reads each probe key's matches from the table. Otherwise it scans the
+//! inner key slice. Either way it finds the same rows in the same order
+//! under the same charges, so nothing a plan's `work` or a test can
+//! observe depends on the choice. An empty inner side or an empty
+//! table is paid for without touching a row.
+//!
 //! [`ExecConfig::threads`]: crate::ExecConfig::threads
 
 use crate::error::ExecError;
@@ -81,7 +96,7 @@ use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryError, QueryGraph
 use hfqo_sql::CompareOp;
 use hfqo_storage::{ColumnVector, Database, Value};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::OnceLock;
@@ -486,7 +501,8 @@ const PAIR_BATCH: usize = 2048;
 /// column-wise gathers ([`ColumnVector::gather_into`]), one batch of at
 /// most [`PAIR_BATCH`] at a time, in the order they were pushed. A
 /// zero-width output (an empty `out_map`: the join under a `COUNT(*)`)
-/// has nothing to gather, so its matches are counted and never buffered.
+/// has nothing to gather, so its matches are counted, never buffered,
+/// and its buffers are never allocated.
 struct PairEmitter<'a> {
     out_map: &'a [Side],
     types: &'a [ColumnType],
@@ -504,13 +520,14 @@ impl<'a> PairEmitter<'a> {
         left: &'a NodeOut,
         right: &'a NodeOut,
     ) -> Self {
+        let batch = if out_map.is_empty() { 0 } else { PAIR_BATCH };
         Self {
             out_map,
             types,
             left: &left.data.cols,
             right: &right.data.cols,
-            l_rows: Vec::with_capacity(PAIR_BATCH),
-            r_rows: Vec::with_capacity(PAIR_BATCH),
+            l_rows: Vec::with_capacity(batch),
+            r_rows: Vec::with_capacity(batch),
             chunk: Chunk::empty(types),
         }
     }
@@ -581,6 +598,18 @@ impl<'a> IntCond<'a> {
             }
             _ => None,
         }
+    }
+
+    /// The left value at `row`; `None` for NULL.
+    #[inline]
+    fn left(&self, row: usize) -> Option<i64> {
+        self.l_valid[row].then(|| self.l_vals[row])
+    }
+
+    /// The right value at `row`; `None` for NULL.
+    #[inline]
+    fn right(&self, row: usize) -> Option<i64> {
+        self.r_valid[row].then(|| self.r_vals[row])
     }
 
     /// Keeps the rows of `r_rows` that pair with `l_row` under this
@@ -793,10 +822,42 @@ where
     Ok(flat.into_iter().map(|(_, t)| t).collect())
 }
 
+/// A join table: every key's build rows, ascending, as one slice of a
+/// single row array (CSR form). A table costs a handful of allocations
+/// however many keys it holds. A `Vec` per key cost an allocation per
+/// key: 38–50 ns a build row on `job_warm`'s 60–600-row unique-key
+/// builds in place, against 8–11 for this form.
+struct JoinTable<K, S> {
+    spans: HashMap<K, Span, S>,
+    rows: Vec<u32>,
+}
+
+/// Where one key's candidates sit in [`JoinTable::rows`].
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl<K: Hash + Eq, S: BuildHasher> JoinTable<K, S> {
+    /// `key`'s build rows in ascending order; `None` for an absent key.
+    #[inline]
+    fn get(&self, key: &K) -> Option<&[u32]> {
+        let span = self.spans.get(key)?;
+        let start = span.start as usize;
+        Some(&self.rows[start..start + span.len as usize])
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
 /// One partition's join table over raw `i64` keys — the fast path when
 /// both key columns are integer-typed: no `Value` per probe, and
-/// [`KeyHasher`] in place of SipHash.
-type IntTable = HashMap<i64, Vec<u32>, BuildHasherDefault<KeyHasher>>;
+/// [`KeyHasher`] in place of SipHash. A nested loop builds one over its
+/// inner side when [`looks_up`] says so.
+type IntTable = JoinTable<i64, BuildHasherDefault<KeyHasher>>;
 
 /// One partition's join table over [`Value`] keys (everything else),
 /// under the standard library's keyed hasher: text keys come from
@@ -804,26 +865,123 @@ type IntTable = HashMap<i64, Vec<u32>, BuildHasherDefault<KeyHasher>>;
 /// representation, exactly like the row engine's `HashMap<&Value>`
 /// (`Int` and `Float` hash differently by design; the binder
 /// type-checks join keys).
-type AnyTable = HashMap<Value, Vec<u32>>;
+type AnyTable = JoinTable<Value, RandomState>;
 
-/// The table over `rows` of the build side, skipping NULL keys
-/// (`key_at` gives `None`). `rows` ascends, so every key's candidate
-/// list is in build-row order.
-fn table_over<K, S>(
-    key_at: impl Fn(usize) -> Option<K>,
-    rows: impl Iterator<Item = u32>,
-) -> HashMap<K, Vec<u32>, S>
-where
-    K: Hash + Eq,
-    S: BuildHasher + Default,
-{
-    let mut table: HashMap<K, Vec<u32>, S> = HashMap::default();
-    for row in rows {
-        if let Some(k) = key_at(row as usize) {
-            table.entry(k).or_default().push(row);
+/// A key a [`JoinTable`] files its rows under. [`JoinKey::same`] only
+/// has to be sound: `true` must mean the table's map files both keys
+/// under one entry (same hash, equal), so a run of such rows may share
+/// one lookup. `Value`'s `==` is not that — `0.0 == -0.0` and
+/// `Int(2) == Float(2.0)`, each pair hashing apart.
+trait JoinKey: Hash + Eq {
+    fn same(&self, other: &Self) -> bool;
+}
+
+impl JoinKey for i64 {
+    #[inline]
+    fn same(&self, other: &Self) -> bool {
+        self == other
+    }
+}
+
+impl JoinKey for Value {
+    fn same(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Str(a), Value::Str(b)) => a == b,
+            _ => false,
         }
     }
-    table
+}
+
+/// Distinct keys a build pre-sizes its map for, at most: the 60–600-row
+/// unique-key builds of `online_drift` and `job_warm` never rehash, and
+/// the 106 361-row builds over 8 keys allocate 2048 buckets, not 128k.
+/// Timed in place over a `job_warm` pass, three runs per bound, ns a
+/// build row on 60–600-row unique keys / 106 361-row few-key builds: no
+/// pre-size 20.0–24.2 / 2.2–2.5, 256 8.8–10.4 / 2.2–2.5, 1024 7.9–8.6 /
+/// 2.3–2.5, 4096 7.9–9.2 / 2.3–2.7.
+const PRESIZE_KEYS: usize = 1024;
+
+/// The table over `rows` of the build side, skipping NULL keys
+/// (`key_at` gives `None`). `rows` ascends, so every key's slice is in
+/// build-row order.
+///
+/// One pass appends the non-NULL rows in order and files them a run of
+/// consecutive equal keys at a time — one map look-up per run, so the
+/// three 106 361-row builds of a `job_warm` pass, 95 runs each, cost 95
+/// look-ups apiece. Each key's span starts where its first run did.
+/// When no key comes back after another key's run (unique keys, and
+/// keys already grouped) that layout is the table. Otherwise the spans
+/// are laid out afresh in map order and every run is copied to its
+/// key's place, indexed by where the key's first run started.
+///
+/// Kept out of line: inlined into `hash_join`, the same loop read 15–24
+/// ns a build row on `job_warm`'s unique-key builds in place, against
+/// 8–13 out of line.
+#[inline(never)]
+fn table_over<K, S>(
+    key_at: impl Fn(usize) -> Option<K>,
+    rows: impl ExactSizeIterator<Item = u32>,
+) -> JoinTable<K, S>
+where
+    K: JoinKey,
+    S: BuildHasher + Default,
+{
+    let presize = rows.len().min(PRESIZE_KEYS);
+    let mut spans: HashMap<K, Span, S> = HashMap::with_capacity_and_hasher(presize, S::default());
+    let mut filed: Vec<u32> = Vec::with_capacity(rows.len());
+    // `(where the run's key started, run length)`, in row order.
+    let mut runs: Vec<(u32, u32)> = Vec::with_capacity(presize);
+    let mut regrouped = false;
+    let mut close = |key: K, from: usize, to: usize| {
+        let len = (to - from) as u32;
+        let span = spans.entry(key).or_insert(Span {
+            start: from as u32,
+            len: 0,
+        });
+        regrouped |= span.len != 0;
+        span.len += len;
+        runs.push((span.start, len));
+    };
+    // The open run: its key and where it starts in `filed`.
+    let mut run: Option<(K, usize)> = None;
+    for row in rows {
+        let Some(key) = key_at(row as usize) else {
+            continue;
+        };
+        if !run.as_ref().is_some_and(|(k, _)| k.same(&key)) {
+            if let Some((k, from)) = run.replace((key, filed.len())) {
+                close(k, from, filed.len());
+            }
+        }
+        filed.push(row);
+    }
+    if let Some((k, from)) = run {
+        close(k, from, filed.len());
+    }
+    if !regrouped {
+        return JoinTable { spans, rows: filed };
+    }
+    // `cursor[s]`: the next free slot of the key whose first run
+    // started at `s`.
+    let mut cursor = vec![0u32; filed.len()];
+    let mut end = 0u32;
+    for span in spans.values_mut() {
+        cursor[span.start as usize] = end;
+        span.start = end;
+        end += span.len;
+    }
+    let mut out = vec![0u32; filed.len()];
+    let mut from = 0usize;
+    for (first, len) in runs {
+        let (at, len) = (&mut cursor[first as usize], len as usize);
+        let to = *at as usize;
+        out[to..to + len].copy_from_slice(&filed[from..from + len]);
+        *at += len as u32;
+        from += len;
+    }
+    JoinTable { spans, rows: out }
 }
 
 /// A hash join's build: one table per partition, radix-partitioned when
@@ -837,9 +995,9 @@ fn build_tables<K, S, F>(
     ctx: &Ctx<'_>,
     build_rows: usize,
     key_at: F,
-) -> Result<Vec<HashMap<K, Vec<u32>, S>>, ExecError>
+) -> Result<Vec<JoinTable<K, S>>, ExecError>
 where
-    K: Hash + Eq + Send,
+    K: JoinKey + Send,
     S: BuildHasher + Default + Send,
     F: Fn(usize) -> Option<K> + Sync,
 {
@@ -859,21 +1017,38 @@ where
     })
 }
 
-/// A hash join's probe pass: probe morsels look up their partition's
-/// table (`candidates`; `None` for a NULL or absent key) without
-/// touching shared state and emit in probe order. One unit per probe
-/// row, one per candidate, one per emitted row. `residual` is what a
-/// candidate must still satisfy: a probe row's candidate list is
-/// charged, narrowed by it (when it is anything) and appended as one run.
-fn probe_tables<'t>(
+/// A hash join's probe pass: probe morsels look their key (`probe_key`;
+/// `None` for NULL) up in its partition's table without touching
+/// shared state and emit in probe order. One unit per probe row, one
+/// per candidate, one per emitted row. `residual` is what a candidate
+/// must still satisfy: a probe row's candidate list is charged,
+/// narrowed by it (when it is anything) and appended as one run.
+/// Against tables with no row the probe rows are charged in one add and
+/// nothing is looked up.
+#[allow(clippy::too_many_arguments)]
+fn probe_tables<K, S>(
     ctx: &Ctx<'_>,
+    tables: &[JoinTable<K, S>],
     residual: &Conds<'_>,
     out_map: &[Side],
     types: &[ColumnType],
     left: &NodeOut,
     right: &NodeOut,
-    candidates: impl Fn(usize) -> Option<&'t Vec<u32>> + Sync,
-) -> Result<Chunk, ExecError> {
+    probe_key: impl Fn(usize) -> Option<K> + Sync,
+) -> Result<Chunk, ExecError>
+where
+    K: Hash + Eq + Sync,
+    S: BuildHasher + Sync,
+{
+    if tables.iter().all(JoinTable::is_empty) {
+        ctx.budget.add(left.data.rows as u64)?;
+        return Ok(Chunk::empty(types));
+    }
+    let mask = tables.len() - 1;
+    let candidates = |row| {
+        let k = probe_key(row)?;
+        tables[partition_of(&k, mask)].get(&k)
+    };
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
     let chunks = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
@@ -927,16 +1102,17 @@ fn hash_join(
     let int_key = IntCond::resolve(conds[at], left, right);
     let residual = Conds::resolve(conds, int_key.map(|_| at), left, right);
     if let Some(key) = int_key {
-        let tables: Vec<IntTable> = build_tables(ctx, build_rows, |row| {
-            key.r_valid[row].then(|| key.r_vals[row])
-        })?;
-        let mask = tables.len() - 1;
-        probe_tables(ctx, &residual, out_map, types, left, right, |row| {
-            let k = key.l_vals[row];
-            key.l_valid[row]
-                .then(|| tables[partition_of(&k, mask)].get(&k))
-                .flatten()
-        })
+        let tables: Vec<IntTable> = build_tables(ctx, build_rows, |row| key.right(row))?;
+        probe_tables(
+            ctx,
+            &tables,
+            &residual,
+            out_map,
+            types,
+            left,
+            right,
+            |row| key.left(row),
+        )
     } else {
         let non_null = |col: &ColumnVector, row| {
             let k = col.get(row);
@@ -945,19 +1121,56 @@ fn hash_join(
         let build_col = &right.data.cols[conds[at].r_slot];
         let probe_col = &left.data.cols[conds[at].l_slot];
         let tables: Vec<AnyTable> = build_tables(ctx, build_rows, |row| non_null(build_col, row))?;
-        let mask = tables.len() - 1;
-        probe_tables(ctx, &residual, out_map, types, left, right, |row| {
-            non_null(probe_col, row).and_then(|k| tables[partition_of(&k, mask)].get(&k))
-        })
+        probe_tables(
+            ctx,
+            &tables,
+            &residual,
+            out_map,
+            types,
+            left,
+            right,
+            |row| non_null(probe_col, row),
+        )
     }
+}
+
+/// Scanned pairs that one table row, or one look-up, is worth: a nested
+/// loop builds a table over its inner side when `probe × inner >
+/// LOOKUP_PAIRS × (probe + inner)`. Measured in place with each way
+/// forced on every nested loop of a `job_warm` pass: a scanned pair
+/// costs 0.31–0.50 ns; a table costs 2.4 ns an inner row to build on
+/// grouped keys (3 × 47 441: 115 µs against a 45 µs scan) and up to
+/// ≈ 13 on unique ones; a probe row's look-up about 4 ns (32 064 × 38:
+/// 126 µs against 608). That is 6–32 pairs per inner row and about ten
+/// per probe row, so 32 on both sides takes the table only where it
+/// wins at the dearest build measured: 124 × 9 726, 853 × 2 640 (705 →
+/// 11 µs) and 32 064 × 38 look up; 3 × 47 441 and 1 × 66 840 scan. The
+/// shapes it leaves scanning that a table would still speed up are
+/// inner sides of 4–24 rows, 1–11 µs a join and ≈ 0.4 µs a `job_warm`
+/// op in all.
+const LOOKUP_PAIRS: u64 = 32;
+
+/// Whether an integer-keyed nested loop of `probe` × `inner` rows finds
+/// its pairs through a table over the inner side rather than by
+/// scanning the inner key slice per probe row (see [`LOOKUP_PAIRS`]).
+/// Row counts alone decide; both ways find the same pairs in the same
+/// order.
+fn looks_up(probe: usize, inner: usize) -> bool {
+    let (probe, inner) = (probe as u64, inner as u64);
+    probe * inner > LOOKUP_PAIRS * (probe + inner)
 }
 
 /// Nested-loop join: probe morsels against the fully materialised
 /// inner side. One unit per (probe, inner) pair and one per emitted
-/// row, charged per probe row: the inner side's size before the scan,
-/// the matches after it. With an integer `=` condition the scan
-/// compares the probe key against the inner key slice and only matching
-/// rows see the other conditions.
+/// row, charged per probe row: the inner side's size first, the matches
+/// after. With an integer `=` condition a probe row's key matches are
+/// found one of two ways, chosen by [`looks_up`] from the two row
+/// counts: read off an [`IntTable`] over the inner side — built once,
+/// before the workers start, shared read-only and charged nothing, as
+/// the scan is — or by scanning the inner key slice. Both yield the
+/// matching inner rows in ascending order, and only those see the other
+/// conditions. An empty inner side pairs with nothing and charges
+/// nothing, so it returns at once.
 fn nested_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -967,12 +1180,18 @@ fn nested_join(
     right: &NodeOut,
 ) -> Result<Chunk, ExecError> {
     let inner_rows = right.data.rows;
+    if inner_rows == 0 {
+        return Ok(Chunk::empty(types));
+    }
     let int_key = conds.iter().enumerate().find_map(|(at, &c)| {
         let key = IntCond::resolve(c, left, right)?;
         (key.op == CompareOp::Eq).then_some((at, key))
     });
     let rest = Conds::resolve(conds, int_key.map(|(at, _)| at), left, right);
     let int_key = int_key.map(|(_, key)| key);
+    let table: Option<IntTable> = int_key
+        .filter(|_| looks_up(left.data.rows, inner_rows))
+        .map(|key| table_over(|row| key.right(row), 0..inner_rows as u32));
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
     let chunks = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
@@ -982,24 +1201,34 @@ fn nested_join(
         while let Some((idx, range)) = morsels.claim() {
             for row in range {
                 charger.charge(inner_rows as u64)?;
-                sel.clear();
-                match &int_key {
-                    Some(key) if !key.l_valid[row] => {}
-                    Some(key) => {
-                        let k = key.l_vals[row];
-                        for (b_row, (&b_key, &valid)) in
-                            key.r_vals.iter().zip(key.r_valid).enumerate()
-                        {
-                            if b_key == k && valid {
-                                sel.push(b_row as u32);
+                let matches = match (&int_key, &table) {
+                    (Some(key), Some(table)) => {
+                        let found = key.left(row).and_then(|k| table.get(&k));
+                        rest.narrow(row, found.unwrap_or_default(), &mut sel)
+                    }
+                    (Some(key), None) => {
+                        sel.clear();
+                        if let Some(k) = key.left(row) {
+                            for (b_row, (&b_key, &valid)) in
+                                key.r_vals.iter().zip(key.r_valid).enumerate()
+                            {
+                                if b_key == k && valid {
+                                    sel.push(b_row as u32);
+                                }
                             }
                         }
+                        rest.retain(row, &mut sel);
+                        &sel
                     }
-                    None => sel.extend(0..inner_rows as u32),
-                }
-                rest.retain(row, &mut sel);
-                charger.charge(sel.len() as u64)?;
-                emitter.push_run(row as u32, &sel);
+                    (None, _) => {
+                        sel.clear();
+                        sel.extend(0..inner_rows as u32);
+                        rest.retain(row, &mut sel);
+                        &sel
+                    }
+                };
+                charger.charge(matches.len() as u64)?;
+                emitter.push_run(row as u32, matches);
             }
             out.push((idx, emitter.take()));
         }
@@ -1863,5 +2092,137 @@ mod tests {
         assert_eq!(hash(-7), 0xAC7B_ABED_288D_3080);
         assert_eq!(partition_of(&1i64, 7), 1);
         assert_eq!(partition_of(&-7i64, 7), 5);
+    }
+
+    #[test]
+    fn lookup_rule_on_the_measured_shapes() {
+        for (probe, inner) in [(124, 9_726), (853, 2_640), (32_064, 38), (105, 9_726)] {
+            assert!(looks_up(probe, inner), "{probe} × {inner} should look up");
+        }
+        for (probe, inner) in [(3, 47_441), (1, 66_840), (600, 0), (0, 600), (64, 64)] {
+            assert!(!looks_up(probe, inner), "{probe} × {inner} should scan");
+        }
+    }
+
+    /// Build-side keys: key `i` of `counts` holds `counts[i]` rows, and
+    /// every seventh row is NULL. `layout` 0 groups each key's rows, 1
+    /// deals them round-robin in blocks of up to 50 (runs that recur), 2
+    /// shuffles them (runs of one or two).
+    fn build_keys(counts: &[usize], layout: u8) -> Vec<Option<i64>> {
+        let mut keys: Vec<i64> = Vec::new();
+        match layout {
+            0 => {
+                for (k, &n) in counts.iter().enumerate() {
+                    keys.extend(std::iter::repeat_n(k as i64, n));
+                }
+            }
+            1 => {
+                let mut left = counts.to_vec();
+                while left.iter().any(|&n| n > 0) {
+                    for (k, n) in left.iter_mut().enumerate() {
+                        let take = (*n).min(50);
+                        keys.extend(std::iter::repeat_n(k as i64, take));
+                        *n -= take;
+                    }
+                }
+            }
+            _ => {
+                keys = build_keys(counts, 0).into_iter().flatten().collect();
+                let mut state = 0x2545_F491_4F6C_DD1Du64;
+                for i in (1..keys.len()).rev() {
+                    state = state.wrapping_mul(KEY_MUL).wrapping_add(1);
+                    keys.swap(i, (state >> 33) as usize % (i + 1));
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(keys.len() + keys.len() / 6);
+        for k in keys {
+            if out.len() % 7 == 6 {
+                out.push(None);
+            }
+            out.push(Some(k));
+        }
+        out
+    }
+
+    /// The reference a join table must equal: a `Vec` per key, pushed
+    /// in row order.
+    fn reference_table<K: Hash + Eq + Clone>(keys: &[Option<K>]) -> HashMap<K, Vec<u32>> {
+        let mut table: HashMap<K, Vec<u32>> = HashMap::new();
+        for (row, k) in keys.iter().enumerate() {
+            if let Some(k) = k {
+                table.entry(k.clone()).or_default().push(row as u32);
+            }
+        }
+        table
+    }
+
+    /// Builds `keys` into tables at teams of 1, 2 and 4 (one table, then
+    /// 8 and 16 partitions) and holds every key's slice to the reference
+    /// table, `absent` to `None`, and the build's charge to one unit a row.
+    fn assert_tables_match_reference<K, S>(keys: &[Option<K>], absent: &K)
+    where
+        K: JoinKey + Clone + Send + Sync + std::fmt::Debug,
+        S: BuildHasher + Default + Send,
+    {
+        let reference = reference_table(keys);
+        let (db, graph) = setup();
+        for (threads, morsel_rows) in [(1, 4096), (2, 64), (4, 4096)] {
+            let budget = SharedBudget::new(u64::MAX);
+            let ctx = Ctx {
+                db: &db,
+                graph: &graph,
+                threads,
+                morsel_rows,
+                budget: &budget,
+            };
+            let tables: Vec<JoinTable<K, S>> =
+                build_tables(&ctx, keys.len(), |row| keys[row].clone()).unwrap();
+            assert_eq!(budget.used(), keys.len() as u64);
+            let mask = tables.len() - 1;
+            let get = |k: &K| tables[partition_of(k, mask)].get(k);
+            for (k, rows) in &reference {
+                let got = get(k).unwrap_or_else(|| panic!("{k:?} missing at t={threads}"));
+                assert_eq!(got, &rows[..], "{k:?} at t={threads}");
+                assert!(got.windows(2).all(|w| w[0] < w[1]));
+            }
+            let filed: usize = tables.iter().map(|t| t.rows.len()).sum();
+            assert_eq!(filed, keys.iter().flatten().count(), "t={threads}");
+            assert_eq!(get(absent), None, "t={threads}");
+        }
+    }
+
+    #[test]
+    fn join_tables_equal_a_vec_per_key_table() {
+        // Keys of 1, 2, 3, 4 096 and 100 000 rows, and 3 000 keys of one
+        // row each — past the map's pre-size, so it grows.
+        let skewed = [1, 2, 3, 4096, 100_000];
+        let unique = [1; 3_000];
+        for layout in 0..3 {
+            for counts in [&skewed[..], &unique[..]] {
+                let keys = build_keys(counts, layout);
+                assert_tables_match_reference::<i64, BuildHasherDefault<KeyHasher>>(&keys, &-1);
+                let text: Vec<Option<Value>> = keys
+                    .iter()
+                    .map(|k| k.map(|k| Value::str(format!("k{k}"))))
+                    .collect();
+                assert_tables_match_reference::<Value, RandomState>(&text, &Value::str("k-1"));
+            }
+        }
+    }
+
+    #[test]
+    fn keys_that_compare_equal_but_hash_apart_stay_apart() {
+        // `Value`'s `==` takes `0.0` for `-0.0`; the map hashes them by
+        // bits, so a run of one is not a run of the other.
+        let keys: Vec<Option<Value>> = [0.0, -0.0, -0.0, 0.0, 1.5, 0.0]
+            .iter()
+            .map(|&f| Some(Value::Float(f)))
+            .collect();
+        let table: JoinTable<Value, BuildHasherDefault<KeyHasher>> =
+            table_over(|row| keys[row].clone(), 0..keys.len() as u32);
+        assert_eq!(table.get(&Value::Float(0.0)), Some(&[0, 3, 5][..]));
+        assert_eq!(table.get(&Value::Float(-0.0)), Some(&[1, 2][..]));
+        assert_eq!(table.get(&Value::Float(2.0)), None);
     }
 }

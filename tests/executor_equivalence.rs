@@ -628,6 +628,265 @@ mod encoding_equivalence {
     }
 }
 
+mod join_paths {
+    //! Property: hash and nested-loop joins equal the row oracle — rows,
+    //! row order and `work` — across every boundary of the evaluator's
+    //! join tables and of the nested loop's choice between looking its
+    //! matches up and scanning for them: build keys of one, two, three
+    //! and many rows, laid out grouped (a table keeps that layout) and
+    //! shuffled (a table regroups it); more distinct keys than a table's
+    //! map is pre-sized for; NULL keys on both sides; probe and inner
+    //! row counts on both sides of the lookup rule; a second `=` and a
+    //! `<` beside the key; full and zero-width (`COUNT(*)`) outputs; and
+    //! teams of 1, 2 and 4 × morsels of 1, 64 and 4096 rows. A budget
+    //! sweep then holds aborts to the oracle's through both nested-loop
+    //! ways.
+
+    use super::*;
+    use hfqo::catalog::{Column, ColumnId, ColumnType, TableSchema};
+    use hfqo::query::{AccessPath, BoundColumn, JoinEdge, RelId, Relation};
+    use hfqo::sql::CompareOp;
+    use hfqo::storage::Value;
+    use hfqo_query::JoinAlgo;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    const GEOMETRIES: [(usize, usize); 9] = [
+        (1, 1),
+        (1, 64),
+        (1, 4096),
+        (2, 1),
+        (2, 64),
+        (2, 4096),
+        (4, 1),
+        (4, 64),
+        (4, 4096),
+    ];
+
+    /// Join conditions: the key alone, the key and a second `=`, the key
+    /// and a `<` (edges 0, 1, 2 of [`world`]).
+    const CONDS: [&[usize]; 3] = [&[0], &[0, 1], &[0, 2]];
+
+    /// The probe side `a(k, r)` and the inner (build) side `b(k, r)`
+    /// holding `a_keys` and `b_keys`, `r` in `0..4` or NULL; edges 0
+    /// `a.k = b.k`, 1 `a.r = b.r`, 2 `a.r < b.r`.
+    fn world(
+        a_keys: &[Option<i64>],
+        b_keys: &[Option<i64>],
+        rng: &mut StdRng,
+    ) -> (Database, QueryGraph) {
+        let cols = || {
+            vec![
+                Column::nullable("k", ColumnType::Int),
+                Column::nullable("r", ColumnType::Int),
+            ]
+        };
+        let mut cat = Catalog::new();
+        let a = cat.add_table(TableSchema::new("a", cols())).unwrap();
+        let b = cat.add_table(TableSchema::new("b", cols())).unwrap();
+        let mut db = Database::new(cat);
+        for (table, keys) in [(a, a_keys), (b, b_keys)] {
+            for &k in keys {
+                let r = match rng.gen_range(0..8u32) {
+                    0 => Value::Null,
+                    r => Value::Int(i64::from(r % 4)),
+                };
+                let row = [k.map_or(Value::Null, Value::Int), r];
+                db.table_mut(table).unwrap().append_row(&row).unwrap();
+            }
+        }
+        let edge = |col: u32, op| JoinEdge {
+            left: BoundColumn::new(RelId(0), ColumnId(col)),
+            op,
+            right: BoundColumn::new(RelId(1), ColumnId(col)),
+        };
+        let relation = |table, alias: &str| Relation {
+            table,
+            alias: alias.into(),
+        };
+        let graph = QueryGraph::new(
+            vec![relation(a, "a"), relation(b, "b")],
+            vec![
+                edge(0, CompareOp::Eq),
+                edge(1, CompareOp::Eq),
+                edge(1, CompareOp::Lt),
+            ],
+            vec![],
+            vec![],
+            vec![],
+        );
+        (db, graph)
+    }
+
+    /// `inner` build keys whose rows per key follow `profile` — 0: one
+    /// each; 1: one, two or three; 2: one to four keys share all rows;
+    /// 3: one, two, three or 20–80 — with one row in ten NULL, grouped by
+    /// key or shuffled. Returns the keys and how many distinct ones.
+    fn inner_keys(
+        inner: usize,
+        profile: usize,
+        grouped: bool,
+        rng: &mut StdRng,
+    ) -> (Vec<Option<i64>>, i64) {
+        let mut keys: Vec<Option<i64>> = Vec::with_capacity(inner);
+        let few = rng.gen_range(1..=4i64);
+        let mut key = 0i64;
+        while keys.len() < inner {
+            let rows = match profile {
+                0 => 1,
+                1 => rng.gen_range(1..=3usize),
+                2 => inner,
+                _ => [1, 2, 3, rng.gen_range(20..=80)][rng.gen_range(0..4usize)],
+            };
+            for _ in 0..rows.min(inner - keys.len()) {
+                let k = if profile == 2 {
+                    rng.gen_range(0..few)
+                } else {
+                    key
+                };
+                keys.push((rng.gen_range(0..10u32) != 0).then_some(k));
+            }
+            key += 1;
+        }
+        if grouped {
+            keys.sort_by_key(|k| k.unwrap_or(i64::MAX));
+        } else {
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let distinct = if profile == 2 { few } else { key };
+        (keys, distinct)
+    }
+
+    fn join(algo: JoinAlgo, conds: &[usize]) -> PlanNode {
+        let scan = |rel| {
+            Box::new(PlanNode::Scan {
+                rel: RelId(rel),
+                path: AccessPath::SeqScan,
+            })
+        };
+        PlanNode::Join {
+            algo,
+            conds: conds.to_vec(),
+            left: scan(0),
+            right: scan(1),
+        }
+    }
+
+    /// `plan` at every geometry against the row oracle: the same rows in
+    /// the same order and the same `work`, unbudgeted.
+    fn assert_paths_match(db: &Database, graph: &QueryGraph, plan: &PhysicalPlan, what: &str) {
+        let unbounded = ExecConfig::with_budget(u64::MAX);
+        let oracle = execute_rows(db, graph, plan, unbounded).expect("oracle executes");
+        for (threads, morsel_rows) in GEOMETRIES {
+            let config = unbounded.threads(threads).morsel_rows(morsel_rows);
+            let got = hfqo::exec::execute(db, graph, plan, config).expect("executes");
+            let tag = format!("{what} t={threads} m={morsel_rows}");
+            assert_eq!(got.rows, oracle.rows, "{tag}: rows");
+            assert_eq!(got.stats.work, oracle.stats.work, "{tag}: work");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn joins_equal_the_row_oracle_across_table_and_lookup_boundaries(
+            seed in 0u64..1_000_000,
+            probe in 0usize..160,
+            inner in 0usize..400,
+            profile in 0usize..4,
+            grouped in 0usize..2,
+            size in 0usize..5,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // One case in five is a unique-key build past the table's
+            // 1024-key pre-size: a hash join only, its pairs are many.
+            // One in five has an inner side of 0–2 rows, half the time
+            // all NULL: an empty table, or a nested loop with no inner row.
+            let wide = size == 0;
+            let (inner, profile) = match size {
+                0 => (1024 + inner * 4, 0),
+                1 => (inner % 3, profile),
+                _ => (inner, profile),
+            };
+            let (mut b_keys, distinct) = inner_keys(inner, profile, grouped == 1, &mut rng);
+            if size == 1 && seed % 2 == 0 {
+                b_keys.fill(None);
+            }
+            // Probe keys: one in ten NULL, one in five absent from `b`.
+            let a_keys: Vec<Option<i64>> = (0..probe)
+                .map(|_| match rng.gen_range(0..10u32) {
+                    0 => None,
+                    1 | 2 => Some(-1 - rng.gen_range(0..5i64)),
+                    _ => Some(rng.gen_range(0..distinct.max(1))),
+                })
+                .collect();
+            let (db, graph) = world(&a_keys, &b_keys, &mut rng);
+            let counted = hfqo::opt::test_support::with_count(graph.clone());
+            let algos: &[JoinAlgo] = if wide {
+                &[JoinAlgo::Hash]
+            } else {
+                &[JoinAlgo::Hash, JoinAlgo::NestedLoop]
+            };
+            for &algo in algos {
+                for conds in CONDS {
+                    let what = format!("{algo:?} {conds:?} {probe}×{inner} profile {profile}");
+                    let plan = PhysicalPlan::new(join(algo, conds));
+                    assert_paths_match(&db, &graph, &plan, &what);
+                    let count = PhysicalPlan::new(PlanNode::Aggregate {
+                        algo: AggAlgo::Hash,
+                        input: Box::new(plan.root.clone()),
+                    });
+                    assert_paths_match(&db, &counted, &count, &format!("COUNT(*) {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budget_aborts_match_the_oracle_through_both_nested_loop_ways() {
+        // 66 × 66 rows looks its matches up (66 · 66 > 32 · 132); 8 × 66
+        // scans. Both over shuffled keys of one to three rows, with a `<`
+        // beside the key; every team size and every morsel size once (all
+        // nine pairs would take the debug suite 18 s).
+        let mut rng = StdRng::seed_from_u64(25);
+        let (b_keys, distinct) = inner_keys(66, 1, false, &mut rng);
+        for probe in [66, 8] {
+            let a_keys: Vec<Option<i64>> = (0..probe)
+                .map(|i| (i % 9 != 4).then(|| rng.gen_range(0..distinct + 2)))
+                .collect();
+            let (db, graph) = world(&a_keys, &b_keys, &mut rng);
+            let plan = PhysicalPlan::new(join(JoinAlgo::NestedLoop, &[0, 2]));
+            let total = execute_rows(&db, &graph, &plan, ExecConfig::with_budget(u64::MAX))
+                .expect("oracle executes")
+                .stats
+                .work;
+            for budget in 0..=total + 1 {
+                let oracle_aborts =
+                    execute_rows(&db, &graph, &plan, ExecConfig::with_budget(budget)).is_err();
+                assert_eq!(oracle_aborts, budget < total);
+                for (threads, morsel_rows) in [(1, 1), (2, 64), (4, 4096)] {
+                    let config = ExecConfig::with_budget(budget)
+                        .threads(threads)
+                        .morsel_rows(morsel_rows);
+                    let tag = format!("{probe}×66 budget {budget} t={threads} m={morsel_rows}");
+                    match hfqo::exec::execute(&db, &graph, &plan, config) {
+                        Ok(_) => assert!(!oracle_aborts, "{tag}: ran, the oracle aborts"),
+                        Err(ExecError::BudgetExceeded { budget: b, .. }) => {
+                            assert!(
+                                oracle_aborts && b == budget,
+                                "{tag}: aborted, the oracle runs"
+                            )
+                        }
+                        Err(other) => panic!("{tag}: {other}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn true_cardinality_oracle_matches_row_counts() {
     // The oracle now counts through zero-column batch pipelines; its
