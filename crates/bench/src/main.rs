@@ -246,10 +246,8 @@ fn run_fig3c(args: RunArgs) {
         ]
     });
     println!("{times}");
-    match result.crossover {
-        Some(n) => println!("ReJOIN plans faster than the expert from {n} relations on"),
-        None => println!("no crossover observed in this range"),
-    }
+    let faster = &result.rejoin_faster_at;
+    println!("ReJOIN plans faster than the expert at relation counts {faster:?}");
 }
 
 fn run_naive(args: RunArgs) {

@@ -1,15 +1,19 @@
 //! Selinger-style bottom-up dynamic programming (DPsize, bushy).
 
-use crate::physical::{best_access_path, best_join};
+use crate::physical::{best_access_path, build_join, price_join, Costed};
 use hfqo_catalog::Catalog;
 use hfqo_cost::CostModel;
-use hfqo_query::{PlanNode, QueryGraph, RelSet};
+use hfqo_query::{QueryGraph, RelSet};
 use hfqo_stats::CardinalitySource;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Finds the cheapest (bushy) join plan by dynamic programming over
 /// connected subgraphs, in the style of System R / PostgreSQL's standard
 /// join search.
+///
+/// A pair is priced from its two table entries' estimates; the union's
+/// entry is built, by cloning both inputs, only when new or strictly cheaper.
 ///
 /// Cross products are only considered when the query graph is
 /// disconnected (the leftover components are combined at the end), which
@@ -23,47 +27,41 @@ pub fn dp_plan<C: CardinalitySource>(
     catalog: &Catalog,
     model: &CostModel<'_>,
     cards: &C,
-) -> PlanNode {
+) -> Costed {
     let n = graph.relation_count();
     debug_assert!(n >= 1);
-    let mut table: HashMap<RelSet, (PlanNode, f64)> = HashMap::new();
+    let mut table: HashMap<RelSet, Costed> = HashMap::new();
     // Size-1: best access paths.
     let mut by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
     for rel in graph.all_rels().iter() {
         let set = RelSet::single(rel);
-        let (node, cost) = best_access_path(graph, rel, catalog, model, cards);
-        table.insert(set, (node, cost.total));
+        table.insert(set, best_access_path(graph, rel, catalog, model, cards));
         by_size[1].push(set);
     }
     // Sizes 2..=n: combine connected disjoint pairs.
     for size in 2..=n {
         let mut found: Vec<RelSet> = Vec::new();
         for l_size in 1..=(size / 2) {
-            let r_size = size - l_size;
-            for li in 0..by_size[l_size].len() {
-                let lset = by_size[l_size][li];
-                #[allow(clippy::needless_range_loop)] // r_size varies per iteration
-                for ri in 0..by_size[r_size].len() {
-                    let rset = by_size[r_size][ri];
-                    if lset == rset || !lset.is_disjoint(rset) {
-                        continue;
-                    }
-                    if !graph.sets_connected(lset, rset) {
+            for &lset in &by_size[l_size] {
+                for &rset in &by_size[size - l_size] {
+                    if !lset.is_disjoint(rset) || !graph.sets_connected(lset, rset) {
                         continue;
                     }
                     let union = lset.union(rset);
-                    let (lplan, _) = &table[&lset];
-                    let (rplan, _) = &table[&rset];
-                    let (cand, cost) = best_join(graph, lplan, rplan, model, cards);
-                    match table.get(&union) {
-                        Some((_, existing)) if *existing <= cost.total => {}
-                        Some(_) => {
-                            table.insert(union, (cand, cost.total));
-                        }
-                        None => {
-                            table.insert(union, (cand, cost.total));
-                            found.push(union);
-                        }
+                    let (lplan, lcost) = &table[&lset];
+                    let (rplan, rcost) = &table[&rset];
+                    let price =
+                        price_join(graph, (lset, *lcost), (rset, *rcost), true, model, cards);
+                    if table
+                        .get(&union)
+                        .is_some_and(|(_, c)| c.total <= price.2.total)
+                    {
+                        continue;
+                    }
+                    let entry =
+                        build_join(graph, price, (lset, rset), lplan.clone(), rplan.clone());
+                    if table.insert(union, entry).is_none() {
+                        found.push(union);
                     }
                 }
             }
@@ -71,44 +69,42 @@ pub fn dp_plan<C: CardinalitySource>(
         by_size[size] = found;
     }
     let full = graph.all_rels();
-    if let Some((plan, _)) = table.remove(&full) {
+    if let Some(plan) = table.remove(&full) {
         return plan;
     }
     // Disconnected query graph: combine the best plans of the maximal
-    // connected components with cross joins, largest first.
+    // connected components with cross joins.
     combine_components(graph, table, model, cards)
 }
 
+/// Crosses the maximal connected components, largest first and, among
+/// equal sizes, the one holding the lowest relation first — an order
+/// that does not depend on the table's iteration order.
 fn combine_components<C: CardinalitySource>(
     graph: &QueryGraph,
-    table: HashMap<RelSet, (PlanNode, f64)>,
+    table: HashMap<RelSet, Costed>,
     model: &CostModel<'_>,
     cards: &C,
-) -> PlanNode {
-    // Greedily grow components: find the largest entries that partition
-    // the full set.
+) -> Costed {
+    // Every connected subset has an entry, so taking the largest entries
+    // that fit what is left takes exactly the components.
+    let mut entries: Vec<(RelSet, Costed)> = table.into_iter().collect();
+    entries.sort_by_key(|(set, _)| (Reverse(set.len()), set.0.trailing_zeros()));
     let mut remaining = graph.all_rels();
-    let mut parts: Vec<PlanNode> = Vec::new();
-    let mut entries: Vec<(RelSet, PlanNode)> = table
-        .into_iter()
-        .map(|(set, (plan, _))| (set, plan))
-        .collect();
-    entries.sort_by_key(|(set, _)| std::cmp::Reverse(set.len()));
-    for (set, plan) in entries {
-        if remaining.is_superset(set) && !set.is_empty() {
-            parts.push(plan);
+    entries.retain(|&(set, _)| {
+        let fits = remaining.is_superset(set);
+        if fits {
             remaining = remaining.minus(set);
-            if remaining.is_empty() {
-                break;
-            }
         }
-    }
+        fits
+    });
     debug_assert!(remaining.is_empty(), "singletons always cover the rest");
-    let mut iter = parts.into_iter();
-    let mut acc = iter.next().expect("at least one component");
-    for part in iter {
-        let (joined, _) = best_join(graph, &acc, &part, model, cards);
-        acc = joined;
+    let mut parts = entries.into_iter();
+    let (mut acc_set, mut acc) = parts.next().expect("at least one component");
+    for (set, (plan, cost)) in parts {
+        let price = price_join(graph, (acc_set, acc.1), (set, cost), true, model, cards);
+        acc = build_join(graph, price, (acc_set, set), acc.0, plan);
+        acc_set = acc_set.union(set);
     }
     acc
 }
@@ -119,7 +115,7 @@ mod tests {
     use crate::random::random_plan;
     use crate::test_support::{chain_query, star_query, TestDb};
     use hfqo_cost::CostParams;
-    use hfqo_query::PhysicalPlan;
+    use hfqo_query::{PhysicalPlan, PlanNode};
     use hfqo_stats::EstimatedCardinality;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -132,7 +128,7 @@ mod tests {
             let params = CostParams::default();
             let model = CostModel::new(&params, &db.stats);
             let cards = EstimatedCardinality::new(&db.stats);
-            let plan = dp_plan(&graph, db.db.catalog(), &model, &cards);
+            let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
             PhysicalPlan::new(plan).validate(&graph).unwrap();
         }
     }
@@ -144,7 +140,7 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
-        let dp = dp_plan(&graph, db.db.catalog(), &model, &cards);
+        let (dp, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         let dp_cost = model
             .plan_cost(&graph, &PhysicalPlan::new(dp), &cards)
             .total;
@@ -166,7 +162,7 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
-        let plan = dp_plan(&graph, db.db.catalog(), &model, &cards);
+        let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         PhysicalPlan::new(plan).validate(&graph).unwrap();
     }
 
@@ -180,7 +176,7 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
-        let plan = dp_plan(&graph, db.db.catalog(), &model, &cards);
+        let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         PhysicalPlan::new(plan).validate(&graph).unwrap();
     }
 
@@ -191,7 +187,7 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
-        let plan = dp_plan(&graph, db.db.catalog(), &model, &cards);
+        let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         assert!(matches!(plan, PlanNode::Scan { .. }));
     }
 }

@@ -1,9 +1,9 @@
 //! Greedy bottom-up join ordering (the beyond-threshold fallback).
 
-use crate::physical::{best_access_path, best_join};
+use crate::physical::{best_access_path, build_join, price_join, Costed, JoinPrice};
 use hfqo_catalog::Catalog;
 use hfqo_cost::CostModel;
-use hfqo_query::{PlanNode, QueryGraph};
+use hfqo_query::{QueryGraph, RelSet};
 use hfqo_stats::CardinalitySource;
 
 /// Greedy bottom-up planning: start from the best access path per
@@ -12,52 +12,49 @@ use hfqo_stats::CardinalitySource;
 ///
 /// This is the polynomial-time stand-in for PostgreSQL's GEQO and mirrors
 /// the "greedy bottom-up algorithm" the paper's §3 attributes to
-/// PostgreSQL. It examines O(n²) pairs per step.
+/// PostgreSQL. It prices O(n²) pairs per step from their estimates and
+/// builds only the merge it takes.
 pub fn greedy_plan<C: CardinalitySource>(
     graph: &QueryGraph,
     catalog: &Catalog,
     model: &CostModel<'_>,
     cards: &C,
-) -> PlanNode {
-    let mut parts: Vec<PlanNode> = graph
-        .all_rels()
-        .iter()
-        .map(|rel| best_access_path(graph, rel, catalog, model, cards).0)
-        .collect();
+) -> Costed {
+    let mut parts: Vec<(RelSet, Costed)> = Vec::new();
+    for rel in graph.all_rels().iter() {
+        let part = best_access_path(graph, rel, catalog, model, cards);
+        parts.push((RelSet::single(rel), part));
+    }
     while parts.len() > 1 {
-        let mut best: Option<(usize, usize, PlanNode, f64, bool)> = None;
+        let mut best: Option<(usize, usize, JoinPrice, bool)> = None;
         for i in 0..parts.len() {
             for j in (i + 1)..parts.len() {
-                let connected = graph.sets_connected(parts[i].rel_set(), parts[j].rel_set());
+                let ((iset, (_, icost)), (jset, (_, jcost))) = (&parts[i], &parts[j]);
+                let connected = graph.sets_connected(*iset, *jset);
                 // Cross products are considered only if no connected pair
                 // exists at all (disconnected graphs).
-                if let Some((_, _, _, _, best_conn)) = &best {
-                    if *best_conn && !connected {
-                        continue;
-                    }
+                if best.is_some_and(|(.., best_conn)| best_conn && !connected) {
+                    continue;
                 }
-                let (cand, cost) = best_join(graph, &parts[i], &parts[j], model, cards);
-                let better = match &best {
-                    None => true,
-                    Some((_, _, _, best_cost, best_conn)) => {
-                        // A connected pair always beats a cross product;
-                        // otherwise compare cost.
-                        (connected && !best_conn)
-                            || (connected == *best_conn && cost.total < *best_cost)
-                    }
-                };
-                if better {
-                    best = Some((i, j, cand, cost.total, connected));
+                let price = price_join(graph, (*iset, *icost), (*jset, *jcost), true, model, cards);
+                // A connected pair always beats a cross product; otherwise
+                // compare cost.
+                if best.is_none_or(|(_, _, (.., best_cost), best_conn)| {
+                    (connected && !best_conn)
+                        || (connected == best_conn && price.2.total < best_cost.total)
+                }) {
+                    best = Some((i, j, price, connected));
                 }
             }
         }
-        let (i, j, joined, _, _) = best.expect("at least one pair exists");
+        let (i, j, price, _) = best.expect("at least one pair exists");
         // Remove j first (j > i) so i stays valid.
-        parts.remove(j);
-        parts.remove(i);
-        parts.push(joined);
+        let (jset, (jplan, _)) = parts.remove(j);
+        let (iset, (iplan, _)) = parts.remove(i);
+        let joined = build_join(graph, price, (iset, jset), iplan, jplan);
+        parts.push((iset.union(jset), joined));
     }
-    parts.pop().expect("one plan remains")
+    parts.pop().expect("one plan remains").1
 }
 
 #[cfg(test)]
@@ -80,7 +77,7 @@ mod tests {
             let params = CostParams::default();
             let model = CostModel::new(&params, &db.stats);
             let cards = EstimatedCardinality::new(&db.stats);
-            let plan = greedy_plan(&graph, db.db.catalog(), &model, &cards);
+            let (plan, _) = greedy_plan(&graph, db.db.catalog(), &model, &cards);
             PhysicalPlan::new(plan).validate(&graph).unwrap();
         }
     }
@@ -92,8 +89,8 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
-        let g = greedy_plan(&graph, db.db.catalog(), &model, &cards);
-        let d = dp_plan(&graph, db.db.catalog(), &model, &cards);
+        let (g, _) = greedy_plan(&graph, db.db.catalog(), &model, &cards);
+        let (d, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         let gc = model.plan_cost(&graph, &PhysicalPlan::new(g), &cards).total;
         let dc = model.plan_cost(&graph, &PhysicalPlan::new(d), &cards).total;
         assert!(
@@ -111,7 +108,7 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
-        let g = greedy_plan(&graph, db.db.catalog(), &model, &cards);
+        let (g, _) = greedy_plan(&graph, db.db.catalog(), &model, &cards);
         let gc = model.plan_cost(&graph, &PhysicalPlan::new(g), &cards).total;
         let mut rng = StdRng::seed_from_u64(11);
         let mut random_better = 0;

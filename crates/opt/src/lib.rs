@@ -13,7 +13,8 @@
 //! * a **greedy bottom-up** fallback ([`greedy`]) beyond the threshold
 //!   (standing in for GEQO; the paper's §3 notes PostgreSQL's greedy
 //!   bottom-up behaviour),
-//! * access-path and physical-operator selection ([`physical`]),
+//! * access-path and physical-operator selection ([`physical`]), with the
+//!   one join pricer DP, greedy and the learned planner's hand-off share,
 //! * a **random planner** ([`random`]) used as the floor baseline in
 //!   the §4 experiments and **expert traces** ([`trace`]) consumed by
 //!   learning-from-demonstration (§5.1),

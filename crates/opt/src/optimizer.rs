@@ -2,7 +2,7 @@
 
 use crate::dp::dp_plan;
 use crate::greedy::greedy_plan;
-use crate::physical::add_aggregate_if_needed;
+use crate::physical::best_aggregate_if_needed;
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostModel, CostParams};
 use hfqo_query::{PhysicalPlan, QueryGraph};
@@ -68,7 +68,8 @@ impl std::error::Error for OptError {}
 pub struct PlannedQuery {
     /// The chosen plan (aggregate root included when the query needs it).
     pub plan: PhysicalPlan,
-    /// Estimated cost of the plan.
+    /// Estimated cost of the plan: the total its planner carried up, equal
+    /// bit for bit to what [`TraditionalOptimizer::cost_of`] re-walks.
     pub cost: f64,
     /// Wall-clock planning time.
     pub planning_time: Duration,
@@ -141,12 +142,10 @@ impl<'a> TraditionalOptimizer<'a> {
                 PlannerMethod::Greedy,
             )
         };
-        let root = add_aggregate_if_needed(graph, join_root, &model, &cards);
-        let plan = PhysicalPlan::new(root);
-        let cost = model.plan_cost(graph, &plan, &cards).total;
+        let (root, cost) = best_aggregate_if_needed(graph, join_root, &model);
         Ok(PlannedQuery {
-            plan,
-            cost,
+            plan: PhysicalPlan::new(root),
+            cost: cost.total,
             planning_time: start.elapsed(),
             method,
         })
@@ -206,7 +205,7 @@ mod tests {
         let opt = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
         let planned = opt.plan(&graph).unwrap();
         let re_cost = opt.cost_of(&graph, &planned.plan);
-        assert!((re_cost - planned.cost).abs() < 1e-9);
+        assert_eq!(re_cost.to_bits(), planned.cost.to_bits());
     }
 
     #[test]

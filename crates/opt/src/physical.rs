@@ -1,10 +1,20 @@
-//! Access-path and physical-operator selection.
+//! Access-path and physical-operator selection, with the one join pricer
+//! DP, greedy and the learned planner's hand-off share: [`price_join`]
+//! prices a pair from its inputs' estimates, and [`build_join`] builds
+//! only the winner, so no subtree is cloned or re-costed to price a join.
 
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostEstimate, CostModel};
-use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryGraph, RelId};
+use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryGraph, RelId, RelSet};
 use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
+
+/// A sub-plan with its cost.
+pub type Costed = (PlanNode, CostEstimate);
+
+/// What [`price_join`] chose: the algorithm, whether the inputs swap
+/// sides, and the join's cost.
+pub type JoinPrice = (JoinAlgo, bool, CostEstimate);
 
 /// Chooses the cheapest access path for `rel`: a sequential scan, or an
 /// index scan driven by any selection predicate that has a matching index
@@ -16,7 +26,7 @@ pub fn best_access_path<C: CardinalitySource>(
     catalog: &Catalog,
     model: &CostModel<'_>,
     cards: &C,
-) -> (PlanNode, CostEstimate) {
+) -> Costed {
     let mut best = PlanNode::Scan {
         rel,
         path: AccessPath::SeqScan,
@@ -50,67 +60,111 @@ pub fn best_access_path<C: CardinalitySource>(
     (best, best_cost)
 }
 
-/// Builds the cheapest join of two subplans: tries every algorithm (hash
-/// and merge only when an equality condition spans the inputs) and both
-/// input orders, returning the winner.
-pub fn best_join<C: CardinalitySource>(
+/// Prices the cheapest join of two inputs, each given as its relation
+/// set and estimate. Every algorithm is tried (hash and merge only when
+/// an equality condition spans the inputs), in [`JoinAlgo::ALL`] order,
+/// and for each the sides as given before — when `may_flip` — swapped;
+/// the first strict minimum wins. The cost has the bits
+/// [`CostModel::node_cost`] gives the built join.
+#[inline]
+pub fn price_join<C: CardinalitySource>(
     graph: &QueryGraph,
-    left: &PlanNode,
-    right: &PlanNode,
+    (left_set, left): (RelSet, CostEstimate),
+    (right_set, right): (RelSet, CostEstimate),
+    may_flip: bool,
     model: &CostModel<'_>,
     cards: &C,
-) -> (PlanNode, CostEstimate) {
-    let conds = graph.joins_between(left.rel_set(), right.rel_set());
-    let has_eq = conds.iter().any(|&c| graph.joins()[c].op == CompareOp::Eq);
-    let mut best: Option<(PlanNode, CostEstimate)> = None;
+) -> JoinPrice {
+    let conds = || graph.edges_between(left_set, right_set);
+    let (n_conds, has_eq) = (conds().count(), conds().any(|(_, e)| e.op == CompareOp::Eq));
+    let out_rows = cards.set_rows(graph, left_set.union(right_set));
+    let sides: &[bool] = if may_flip { &[false, true] } else { &[false] };
+    let mut best: Option<JoinPrice> = None;
     for algo in JoinAlgo::ALL {
         if matches!(algo, JoinAlgo::Hash | JoinAlgo::Merge) && !has_eq {
             continue;
         }
-        for flipped in [false, true] {
+        for &flipped in sides {
             let (l, r) = if flipped {
                 (right, left)
             } else {
                 (left, right)
             };
-            let cand = PlanNode::Join {
-                algo,
-                conds: conds.clone(),
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-            };
-            let cost = model.node_cost(graph, &cand, cards);
-            if best.as_ref().is_none_or(|(_, c)| cost.total < c.total) {
-                best = Some((cand, cost));
+            let cost = model.join_cost(algo, n_conds, l, r, out_rows);
+            if best.is_none_or(|(_, _, c)| cost.total < c.total) {
+                best = Some((algo, flipped, cost));
             }
         }
     }
-    best.expect("nested loop join is always a candidate")
+    best.expect("nested loop is always legal")
+}
+
+/// Builds the join `price` chose for the inputs `left` and `right` (in
+/// the order they were priced, over relation sets `sets`), with every
+/// join condition between them.
+#[inline]
+pub fn build_join(
+    graph: &QueryGraph,
+    (algo, flipped, cost): JoinPrice,
+    sets: (RelSet, RelSet),
+    left: PlanNode,
+    right: PlanNode,
+) -> Costed {
+    let (left, right) = if flipped {
+        (right, left)
+    } else {
+        (left, right)
+    };
+    let node = PlanNode::Join {
+        algo,
+        conds: graph.joins_between(sets.0, sets.1),
+        left: Box::new(left),
+        right: Box::new(right),
+    };
+    (node, cost)
+}
+
+/// Joins fixed left/right inputs with the cheapest algorithm (no side
+/// swapping — the sides are part of the learned agent's action).
+#[inline]
+pub fn best_algo_fixed_sides<C: CardinalitySource>(
+    graph: &QueryGraph,
+    (left, lcost): Costed,
+    (right, rcost): Costed,
+    model: &CostModel<'_>,
+    cards: &C,
+) -> Costed {
+    let sets = (left.rel_set(), right.rel_set());
+    let price = price_join(graph, (sets.0, lcost), (sets.1, rcost), false, model, cards);
+    build_join(graph, price, sets, left, right)
 }
 
 /// Wraps `input` in the cheaper aggregation operator when the query has
-/// aggregates; otherwise returns it unchanged.
-pub fn add_aggregate_if_needed<C: CardinalitySource>(
+/// aggregates (the first wins a tie), priced from the input's estimate
+/// by [`CostModel::aggregate_cost`]; otherwise returns it unchanged.
+#[inline]
+pub fn best_aggregate_if_needed(
     graph: &QueryGraph,
-    input: PlanNode,
+    (input, input_cost): Costed,
     model: &CostModel<'_>,
-    cards: &C,
-) -> PlanNode {
+) -> Costed {
     if graph.aggregates().is_empty() && graph.group_by().is_empty() {
-        return input;
+        return (input, input_cost);
     }
-    let mut best: Option<(PlanNode, f64)> = None;
+    let grouped = !graph.group_by().is_empty();
+    let mut best: Option<(AggAlgo, CostEstimate)> = None;
     for algo in AggAlgo::ALL {
-        let cand = PlanNode::Aggregate {
-            algo,
-            input: Box::new(input.clone()),
-        };
-        let cost = model.node_cost(graph, &cand, cards).total;
-        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-            best = Some((cand, cost));
+        let cost = model.aggregate_cost(algo, grouped, input_cost);
+        if best.is_none_or(|(_, c)| cost.total < c.total) {
+            best = Some((algo, cost));
         }
     }
-    best.expect("both aggregate algorithms are candidates").0
+    let (algo, cost) = best.expect("both aggregate algorithms are candidates");
+    let node = PlanNode::Aggregate {
+        algo,
+        input: Box::new(input),
+    };
+    (node, cost)
 }
 
 #[cfg(test)]
@@ -189,6 +243,20 @@ mod tests {
         (cat, stats, graph)
     }
 
+    /// Prices and builds the cheapest join of two inputs, either side
+    /// order allowed.
+    fn join_either_way(
+        graph: &QueryGraph,
+        (l, lc): Costed,
+        (r, rc): Costed,
+        model: &CostModel<'_>,
+        cards: &EstimatedCardinality<'_>,
+    ) -> Costed {
+        let sets = (l.rel_set(), r.rel_set());
+        let price = price_join(graph, (sets.0, lc), (sets.1, rc), true, model, cards);
+        build_join(graph, price, sets, l, r)
+    }
+
     #[test]
     fn selective_predicate_picks_index_scan() {
         let (cat, stats, graph) = setup();
@@ -239,9 +307,9 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &stats);
         let cards = EstimatedCardinality::new(&stats);
-        let (l, _) = best_access_path(&graph, RelId(0), &cat, &model, &cards);
-        let (r, _) = best_access_path(&graph, RelId(1), &cat, &model, &cards);
-        let (join, cost) = best_join(&graph, &l, &r, &model, &cards);
+        let l = best_access_path(&graph, RelId(0), &cat, &model, &cards);
+        let r = best_access_path(&graph, RelId(1), &cat, &model, &cards);
+        let (join, cost) = join_either_way(&graph, l, r, &model, &cards);
         match &join {
             PlanNode::Join { algo, conds, .. } => {
                 assert_ne!(*algo, JoinAlgo::NestedLoop);
@@ -250,6 +318,8 @@ mod tests {
             other => panic!("expected join, got {other:?}"),
         }
         assert!(cost.total > 0.0);
+        let recursive = model.node_cost(&graph, &join, &cards);
+        assert_eq!(cost.total.to_bits(), recursive.total.to_bits());
     }
 
     #[test]
@@ -261,9 +331,9 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &stats);
         let cards = EstimatedCardinality::new(&stats);
-        let (l, _) = best_access_path(&graph, RelId(0), &cat, &model, &cards);
-        let (r, _) = best_access_path(&graph, RelId(1), &cat, &model, &cards);
-        let (join, _) = best_join(&graph, &l, &r, &model, &cards);
+        let l = best_access_path(&graph, RelId(0), &cat, &model, &cards);
+        let r = best_access_path(&graph, RelId(1), &cat, &model, &cards);
+        let (join, _) = join_either_way(&graph, l, r, &model, &cards);
         assert!(matches!(
             join,
             PlanNode::Join {
@@ -279,9 +349,9 @@ mod tests {
         let params = CostParams::default();
         let model = CostModel::new(&params, &stats);
         let cards = EstimatedCardinality::new(&stats);
-        let (l, _) = best_access_path(&graph, RelId(0), &cat, &model, &cards);
-        let unchanged = add_aggregate_if_needed(&graph, l.clone(), &model, &cards);
-        assert_eq!(unchanged, l);
+        let scan = best_access_path(&graph, RelId(0), &cat, &model, &cards);
+        let unchanged = best_aggregate_if_needed(&graph, scan.clone(), &model);
+        assert_eq!(unchanged, scan);
 
         let agg_graph = QueryGraph::new(
             graph.relations().to_vec(),
@@ -293,7 +363,50 @@ mod tests {
             }],
             vec![],
         );
-        let wrapped = add_aggregate_if_needed(&agg_graph, l, &model, &cards);
+        let (wrapped, cost) = best_aggregate_if_needed(&agg_graph, scan, &model);
         assert!(matches!(wrapped, PlanNode::Aggregate { .. }));
+        let recursive = model.node_cost(&agg_graph, &wrapped, &cards);
+        assert_eq!(cost.total.to_bits(), recursive.total.to_bits());
+    }
+
+    /// The candidate order: a nested loop prices alike with the sides as
+    /// given and swapped, and the as-given sides win that tie; fixed
+    /// sides are never swapped, even when swapping is cheaper.
+    #[test]
+    fn ties_keep_the_given_sides_and_fixed_sides_never_flip() {
+        let (cat, stats, graph) = setup();
+        let cross = QueryGraph::new(graph.relations().to_vec(), vec![], vec![], vec![], vec![]);
+        let params = CostParams::default();
+        let model = CostModel::new(&params, &stats);
+        let cards = EstimatedCardinality::new(&stats);
+        let scan = |g: &QueryGraph, rel: u32| {
+            let (node, cost) = best_access_path(g, RelId(rel), &cat, &model, &cards);
+            (node.rel_set(), cost)
+        };
+        for (l, r) in [(0, 1), (1, 0)] {
+            let price = price_join(
+                &cross,
+                scan(&cross, l),
+                scan(&cross, r),
+                true,
+                &model,
+                &cards,
+            );
+            assert_eq!((price.0, price.1), (JoinAlgo::NestedLoop, false));
+        }
+        // Hashing the large `a` (the right input) loses to hashing `b`.
+        let equi = QueryGraph::new(
+            graph.relations().to_vec(),
+            graph.joins().to_vec(),
+            vec![],
+            vec![],
+            vec![],
+        );
+        let (big, small) = (scan(&equi, 0), scan(&equi, 1));
+        let flippable = price_join(&equi, small, big, true, &model, &cards);
+        assert!(flippable.1, "swapping is cheaper here");
+        let fixed = price_join(&equi, small, big, false, &model, &cards);
+        assert!(!fixed.1);
+        assert!(fixed.2.total > flippable.2.total);
     }
 }

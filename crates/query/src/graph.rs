@@ -223,28 +223,27 @@ impl QueryGraph {
             .map(|(i, _)| i)
     }
 
-    /// Indices of join edges connecting `left` with `right` (one endpoint
-    /// in each set).
+    /// Join edges connecting `left` with `right` (one endpoint in each
+    /// set), with their indices, in index order.
+    pub fn edges_between(
+        &self,
+        left: RelSet,
+        right: RelSet,
+    ) -> impl Iterator<Item = (usize, &JoinEdge)> + '_ {
+        self.joins.iter().enumerate().filter(move |(_, e)| {
+            let (l, r) = (e.left.rel, e.right.rel);
+            (left.contains(l) && right.contains(r)) || (left.contains(r) && right.contains(l))
+        })
+    }
+
+    /// Indices of join edges connecting `left` with `right`.
     pub fn joins_between(&self, left: RelSet, right: RelSet) -> Vec<usize> {
-        self.joins
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                let l = e.left.rel;
-                let r = e.right.rel;
-                (left.contains(l) && right.contains(r)) || (left.contains(r) && right.contains(l))
-            })
-            .map(|(i, _)| i)
-            .collect()
+        self.edges_between(left, right).map(|(i, _)| i).collect()
     }
 
     /// Whether at least one join edge connects the two (disjoint) sets.
     pub fn sets_connected(&self, left: RelSet, right: RelSet) -> bool {
-        self.joins.iter().any(|e| {
-            let l = e.left.rel;
-            let r = e.right.rel;
-            (left.contains(l) && right.contains(r)) || (left.contains(r) && right.contains(l))
-        })
+        self.edges_between(left, right).next().is_some()
     }
 
     /// Whether the induced subgraph on `set` is connected (singletons are

@@ -7,7 +7,7 @@
 //! (access-path) selection, join operator selection, and aggregate
 //! operator selection — each gated by a [`StageSet`] flag. Disabled
 //! stages are decided by the traditional machinery
-//! ([`crate::planfix`]), exactly as in the pipeline-based incremental
+//! ([`hfqo_opt::physical`]), exactly as in the pipeline-based incremental
 //! learning proposal (§5.3.1): ReJOIN is "essentially this first phase",
 //! so the join-ordering environment is the
 //! [`StageSet::join_order_only`] case of this one. The terminal reward
@@ -26,12 +26,13 @@
 
 use crate::featurize::{Featurizer, RolloutState};
 use crate::incremental::StageSet;
-use crate::planfix::{best_aggregate_if_needed, best_algo_fixed_sides, Costed};
 use crate::reward::RewardMode;
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostModel, CostParams, LatencyModel};
 use hfqo_exec::TrueCardinality;
-use hfqo_opt::physical::best_access_path;
+use hfqo_opt::physical::{
+    best_access_path, best_aggregate_if_needed, best_algo_fixed_sides, Costed,
+};
 use hfqo_opt::TraditionalOptimizer;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PhysicalPlan, PlanNode, QueryGraph, RelId};
 use hfqo_rl::{Environment, StepResult};

@@ -9,20 +9,17 @@
 
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostEstimate, CostModel};
-use hfqo_opt::physical::best_access_path;
-use hfqo_query::{AggAlgo, JoinAlgo, JoinTree, PhysicalPlan, PlanNode, QueryGraph};
-use hfqo_sql::CompareOp;
+use hfqo_opt::physical::{
+    best_access_path, best_aggregate_if_needed, best_algo_fixed_sides, Costed,
+};
+use hfqo_query::{JoinTree, PhysicalPlan, QueryGraph};
 use hfqo_stats::CardinalitySource;
-
-/// A sub-plan with its cost: what the bottom-up completion carries, so
-/// each join and the aggregate are priced from their inputs' estimates
-/// ([`CostModel::join_cost`], [`CostModel::aggregate_cost`]) and no
-/// subtree is walked, let alone cloned, to price the node above it.
-pub type Costed = (PlanNode, CostEstimate);
 
 /// Builds the cheapest physical plan whose join-tree skeleton is exactly
 /// `tree` (leaf sides preserved), with the cost
-/// [`CostModel::plan_cost`] gives it.
+/// [`CostModel::plan_cost`] gives it. Each join and the aggregate are
+/// priced from their inputs' estimates by `hfqo_opt::physical`'s pricer,
+/// the one the expert's DP and greedy use.
 pub fn plan_from_tree<C: CardinalitySource>(
     graph: &QueryGraph,
     tree: &JoinTree,
@@ -52,72 +49,12 @@ fn node_from_tree<C: CardinalitySource>(
     }
 }
 
-/// Picks the cheapest join algorithm for fixed left/right inputs (no side
-/// swapping — the sides are part of the agent's action); the first wins
-/// a tie.
-pub fn best_algo_fixed_sides<C: CardinalitySource>(
-    graph: &QueryGraph,
-    (left, left_cost): Costed,
-    (right, right_cost): Costed,
-    model: &CostModel<'_>,
-    cards: &C,
-) -> Costed {
-    let (left_set, right_set) = (left.rel_set(), right.rel_set());
-    let conds = graph.joins_between(left_set, right_set);
-    let has_eq = conds.iter().any(|&c| graph.joins()[c].op == CompareOp::Eq);
-    let out_rows = cards.set_rows(graph, left_set.union(right_set));
-    let mut best: Option<(JoinAlgo, CostEstimate)> = None;
-    for algo in JoinAlgo::ALL {
-        if matches!(algo, JoinAlgo::Hash | JoinAlgo::Merge) && !has_eq {
-            continue;
-        }
-        let cost = model.join_cost(algo, conds.len(), left_cost, right_cost, out_rows);
-        if best.is_none_or(|(_, c)| cost.total < c.total) {
-            best = Some((algo, cost));
-        }
-    }
-    let (algo, cost) = best.expect("nested loop is always legal");
-    let node = PlanNode::Join {
-        algo,
-        conds,
-        left: Box::new(left),
-        right: Box::new(right),
-    };
-    (node, cost)
-}
-
-/// Wraps `input` in the cheaper aggregation operator when the query has
-/// aggregates (the first wins a tie); otherwise returns it unchanged.
-pub fn best_aggregate_if_needed(
-    graph: &QueryGraph,
-    (input, input_cost): Costed,
-    model: &CostModel<'_>,
-) -> Costed {
-    if graph.aggregates().is_empty() && graph.group_by().is_empty() {
-        return (input, input_cost);
-    }
-    let grouped = !graph.group_by().is_empty();
-    let mut best: Option<(AggAlgo, CostEstimate)> = None;
-    for algo in AggAlgo::ALL {
-        let cost = model.aggregate_cost(algo, grouped, input_cost);
-        if best.is_none_or(|(_, c)| cost.total < c.total) {
-            best = Some((algo, cost));
-        }
-    }
-    let (algo, cost) = best.expect("both aggregate algorithms are candidates");
-    let node = PlanNode::Aggregate {
-        algo,
-        input: Box::new(input),
-    };
-    (node, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hfqo_cost::CostParams;
     use hfqo_opt::test_support::{chain_query, TestDb};
-    use hfqo_query::RelId;
+    use hfqo_query::{JoinAlgo, PlanNode, RelId};
     use hfqo_stats::EstimatedCardinality;
 
     #[test]
