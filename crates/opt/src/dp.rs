@@ -146,8 +146,8 @@ mod tests {
             .total;
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..20 {
-            let rnd = random_plan(&graph, db.db.catalog(), &mut rng);
-            let rnd_cost = model.plan_cost(&graph, &rnd, &cards).total;
+            let (_, rnd_cost) = random_plan(&graph, db.db.catalog(), &model, &cards, &mut rng);
+            let rnd_cost = rnd_cost.total;
             assert!(
                 dp_cost <= rnd_cost * 1.0001,
                 "dp {dp_cost} worse than random {rnd_cost}"

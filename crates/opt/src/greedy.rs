@@ -1,9 +1,10 @@
 //! Greedy bottom-up join ordering (the beyond-threshold fallback).
 
-use crate::physical::{best_access_path, build_join, price_join, Costed, JoinPrice};
+use crate::forest::PlanForest;
+use crate::physical::{Costed, JoinPrice};
 use hfqo_catalog::Catalog;
 use hfqo_cost::CostModel;
-use hfqo_query::{QueryGraph, RelSet};
+use hfqo_query::QueryGraph;
 use hfqo_stats::CardinalitySource;
 
 /// Greedy bottom-up planning: start from the best access path per
@@ -13,30 +14,26 @@ use hfqo_stats::CardinalitySource;
 /// This is the polynomial-time stand-in for PostgreSQL's GEQO and mirrors
 /// the "greedy bottom-up algorithm" the paper's §3 attributes to
 /// PostgreSQL. It prices O(n²) pairs per step from their estimates and
-/// builds only the merge it takes.
+/// has the [`PlanForest`] build only the merge it takes: slots `i < j`,
+/// `i` on the left, the first strict minimum.
 pub fn greedy_plan<C: CardinalitySource>(
     graph: &QueryGraph,
     catalog: &Catalog,
     model: &CostModel<'_>,
     cards: &C,
 ) -> Costed {
-    let mut parts: Vec<(RelSet, Costed)> = Vec::new();
-    for rel in graph.all_rels().iter() {
-        let part = best_access_path(graph, rel, catalog, model, cards);
-        parts.push((RelSet::single(rel), part));
-    }
-    while parts.len() > 1 {
+    let mut forest = PlanForest::best_access_paths(graph, catalog, model, cards);
+    while !forest.is_terminal() {
         let mut best: Option<(usize, usize, JoinPrice, bool)> = None;
-        for i in 0..parts.len() {
-            for j in (i + 1)..parts.len() {
-                let ((iset, (_, icost)), (jset, (_, jcost))) = (&parts[i], &parts[j]);
-                let connected = graph.sets_connected(*iset, *jset);
+        for i in 0..forest.len() {
+            for j in (i + 1)..forest.len() {
+                let connected = graph.sets_connected(forest.set(i), forest.set(j));
                 // Cross products are considered only if no connected pair
                 // exists at all (disconnected graphs).
                 if best.is_some_and(|(.., best_conn)| best_conn && !connected) {
                     continue;
                 }
-                let price = price_join(graph, (*iset, *icost), (*jset, *jcost), true, model, cards);
+                let price = forest.price(i, j, true, model, cards);
                 // A connected pair always beats a cross product; otherwise
                 // compare cost.
                 if best.is_none_or(|(_, _, (.., best_cost), best_conn)| {
@@ -48,13 +45,9 @@ pub fn greedy_plan<C: CardinalitySource>(
             }
         }
         let (i, j, price, _) = best.expect("at least one pair exists");
-        // Remove j first (j > i) so i stays valid.
-        let (jset, (jplan, _)) = parts.remove(j);
-        let (iset, (iplan, _)) = parts.remove(i);
-        let joined = build_join(graph, price, (iset, jset), iplan, jplan);
-        parts.push((iset.union(jset), joined));
+        forest.merge(i, j, price);
     }
-    parts.pop().expect("one plan remains").1
+    forest.take_root()
 }
 
 #[cfg(test)]
@@ -113,8 +106,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut random_better = 0;
         for _ in 0..30 {
-            let r = random_plan(&graph, db.db.catalog(), &mut rng);
-            let rc = model.plan_cost(&graph, &r, &cards).total;
+            let (_, rc) = random_plan(&graph, db.db.catalog(), &model, &cards, &mut rng);
+            let rc = rc.total;
             if rc < gc {
                 random_better += 1;
             }

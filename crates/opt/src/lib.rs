@@ -13,8 +13,8 @@
 //! * a **greedy bottom-up** fallback ([`greedy`]) beyond the threshold
 //!   (standing in for GEQO; the paper's §3 notes PostgreSQL's greedy
 //!   bottom-up behaviour),
-//! * access-path and physical-operator selection ([`physical`]), with the
-//!   one join pricer DP, greedy and the learned planner's hand-off share,
+//! * access-path and physical-operator selection ([`physical`]), and the
+//!   **costed forest** ([`forest`]) every planner but DP steps,
 //! * a **random planner** ([`random`]) used as the floor baseline in
 //!   the §4 experiments and **expert traces** ([`trace`]) consumed by
 //!   learning-from-demonstration (§5.1),
@@ -24,6 +24,7 @@
 //!   strategies behind one interface.
 
 pub mod dp;
+pub mod forest;
 pub mod greedy;
 pub mod optimizer;
 pub mod physical;
@@ -34,6 +35,7 @@ pub mod trace;
 #[doc(hidden)]
 pub mod test_support;
 
+pub use forest::PlanForest;
 pub use optimizer::{OptError, PlannedQuery, PlannerMethod, TraditionalOptimizer};
 pub use planner::{GreedyPlanner, Planner, PlannerContext, RandomPlanner, TraditionalPlanner};
 pub use random::random_plan;

@@ -1,9 +1,11 @@
 //! Access-path and physical-operator selection, with the one join pricer
-//! DP, greedy and the learned planner's hand-off share: [`price_join`]
-//! prices a pair from its inputs' estimates, and [`build_join`] builds
-//! only the winner, so no subtree is cloned or re-costed to price a join.
+//! every planner shares: [`price_join`] prices a pair from its inputs'
+//! estimates, and [`build_join`] builds only the winner, so no subtree is
+//! cloned or re-costed to price a join. [`access_paths`] and
+//! [`legal_join_algos`] are the one statement of which scans and which
+//! join algorithms a plan may use.
 
-use hfqo_catalog::Catalog;
+use hfqo_catalog::{Catalog, ColumnRef};
 use hfqo_cost::{CostEstimate, CostModel};
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryGraph, RelId, RelSet};
 use hfqo_sql::CompareOp;
@@ -16,10 +18,50 @@ pub type Costed = (PlanNode, CostEstimate);
 /// sides, and the join's cost.
 pub type JoinPrice = (JoinAlgo, bool, CostEstimate);
 
-/// Chooses the cheapest access path for `rel`: a sequential scan, or an
-/// index scan driven by any selection predicate that has a matching index
-/// (B-trees serve all comparison shapes except `<>`; hash indexes serve
-/// only equality).
+/// The access paths `rel` may use, in candidate order: a sequential scan,
+/// then, per selection predicate, each index that can drive it (B-trees
+/// serve all comparison shapes except `<>`; hash indexes serve only
+/// equality).
+pub fn access_paths<'a>(
+    graph: &'a QueryGraph,
+    rel: RelId,
+    catalog: &'a Catalog,
+) -> impl Iterator<Item = AccessPath> + 'a {
+    let table = graph.relation(rel).table;
+    let index_scans = graph.selections_on(rel).flat_map(move |sel_idx| {
+        let sel = &graph.selections()[sel_idx];
+        let col = ColumnRef::new(table, sel.column.column);
+        catalog
+            .indexes_on(col)
+            .filter(move |(_, def)| match sel.op {
+                CompareOp::Eq => true,
+                CompareOp::Neq => false, // no index serves <>
+                _ => def.kind().supports_range(),
+            })
+            .map(move |(index, _)| AccessPath::IndexScan {
+                index,
+                driving_selection: sel_idx,
+            })
+    });
+    std::iter::once(AccessPath::SeqScan).chain(index_scans)
+}
+
+/// The `path` scan of `rel`, with its cost.
+#[inline]
+pub fn build_scan<C: CardinalitySource>(
+    graph: &QueryGraph,
+    rel: RelId,
+    path: AccessPath,
+    model: &CostModel<'_>,
+    cards: &C,
+) -> Costed {
+    let node = PlanNode::Scan { rel, path };
+    let cost = model.node_cost(graph, &node, cards);
+    (node, cost)
+}
+
+/// Chooses the cheapest of [`access_paths`] for `rel`; the first strict
+/// minimum wins.
 pub fn best_access_path<C: CardinalitySource>(
     graph: &QueryGraph,
     rel: RelId,
@@ -27,42 +69,30 @@ pub fn best_access_path<C: CardinalitySource>(
     model: &CostModel<'_>,
     cards: &C,
 ) -> Costed {
-    let mut best = PlanNode::Scan {
-        rel,
-        path: AccessPath::SeqScan,
-    };
-    let mut best_cost = model.node_cost(graph, &best, cards);
-    for sel_idx in graph.selections_on(rel) {
-        let sel = &graph.selections()[sel_idx];
-        if sel.op == CompareOp::Neq {
-            continue; // no index serves <>
-        }
-        let col_ref = hfqo_catalog::ColumnRef::new(graph.relation(rel).table, sel.column.column);
-        for (index_id, def) in catalog.indexes_on(col_ref) {
-            let range_op = !matches!(sel.op, CompareOp::Eq);
-            if range_op && !def.kind().supports_range() {
-                continue;
-            }
-            let cand = PlanNode::Scan {
-                rel,
-                path: AccessPath::IndexScan {
-                    index: index_id,
-                    driving_selection: sel_idx,
-                },
-            };
-            let cost = model.node_cost(graph, &cand, cards);
-            if cost.total < best_cost.total {
-                best = cand;
-                best_cost = cost;
-            }
+    let mut best: Option<Costed> = None;
+    for path in access_paths(graph, rel, catalog) {
+        let cand = build_scan(graph, rel, path, model, cards);
+        if best.as_ref().is_none_or(|(_, c)| cand.1.total < c.total) {
+            best = Some(cand);
         }
     }
-    (best, best_cost)
+    best.expect("a sequential scan is always a candidate")
+}
+
+/// Which of [`JoinAlgo::ALL`] may join the inputs over `left` and
+/// `right`: a nested loop always; hash and merge only when an `=`
+/// condition spans the inputs.
+#[inline]
+pub fn legal_join_algos(graph: &QueryGraph, left: RelSet, right: RelSet) -> [bool; 3] {
+    let has_eq = graph
+        .edges_between(left, right)
+        .any(|(_, e)| e.op == CompareOp::Eq);
+    JoinAlgo::ALL.map(|algo| algo == JoinAlgo::NestedLoop || has_eq)
 }
 
 /// Prices the cheapest join of two inputs, each given as its relation
-/// set and estimate. Every algorithm is tried (hash and merge only when
-/// an equality condition spans the inputs), in [`JoinAlgo::ALL`] order,
+/// set and estimate. Every [`legal_join_algos`] algorithm is tried, in
+/// [`JoinAlgo::ALL`] order,
 /// and for each the sides as given before — when `may_flip` — swapped;
 /// the first strict minimum wins. The cost has the bits
 /// [`CostModel::node_cost`] gives the built join.
@@ -75,13 +105,13 @@ pub fn price_join<C: CardinalitySource>(
     model: &CostModel<'_>,
     cards: &C,
 ) -> JoinPrice {
-    let conds = || graph.edges_between(left_set, right_set);
-    let (n_conds, has_eq) = (conds().count(), conds().any(|(_, e)| e.op == CompareOp::Eq));
+    let n_conds = graph.edges_between(left_set, right_set).count();
+    let legal = legal_join_algos(graph, left_set, right_set);
     let out_rows = cards.set_rows(graph, left_set.union(right_set));
     let sides: &[bool] = if may_flip { &[false, true] } else { &[false] };
     let mut best: Option<JoinPrice> = None;
-    for algo in JoinAlgo::ALL {
-        if matches!(algo, JoinAlgo::Hash | JoinAlgo::Merge) && !has_eq {
+    for (algo, legal) in JoinAlgo::ALL.into_iter().zip(legal) {
+        if !legal {
             continue;
         }
         for &flipped in sides {
@@ -124,47 +154,49 @@ pub fn build_join(
     (node, cost)
 }
 
-/// Joins fixed left/right inputs with the cheapest algorithm (no side
-/// swapping — the sides are part of the learned agent's action).
+/// Whether the query needs an aggregate root.
 #[inline]
-pub fn best_algo_fixed_sides<C: CardinalitySource>(
-    graph: &QueryGraph,
-    (left, lcost): Costed,
-    (right, rcost): Costed,
-    model: &CostModel<'_>,
-    cards: &C,
-) -> Costed {
-    let sets = (left.rel_set(), right.rel_set());
-    let price = price_join(graph, (sets.0, lcost), (sets.1, rcost), false, model, cards);
-    build_join(graph, price, sets, left, right)
+pub fn needs_aggregate(graph: &QueryGraph) -> bool {
+    !graph.aggregates().is_empty() || !graph.group_by().is_empty()
 }
 
-/// Wraps `input` in the cheaper aggregation operator when the query has
-/// aggregates (the first wins a tie), priced from the input's estimate
-/// by [`CostModel::aggregate_cost`]; otherwise returns it unchanged.
+/// Wraps `input` in an `algo` aggregate, priced from the input's estimate
+/// by [`CostModel::aggregate_cost`].
 #[inline]
-pub fn best_aggregate_if_needed(
+pub fn build_aggregate(
     graph: &QueryGraph,
+    algo: AggAlgo,
     (input, input_cost): Costed,
     model: &CostModel<'_>,
 ) -> Costed {
-    if graph.aggregates().is_empty() && graph.group_by().is_empty() {
-        return (input, input_cost);
-    }
-    let grouped = !graph.group_by().is_empty();
-    let mut best: Option<(AggAlgo, CostEstimate)> = None;
-    for algo in AggAlgo::ALL {
-        let cost = model.aggregate_cost(algo, grouped, input_cost);
-        if best.is_none_or(|(_, c)| cost.total < c.total) {
-            best = Some((algo, cost));
-        }
-    }
-    let (algo, cost) = best.expect("both aggregate algorithms are candidates");
+    let cost = model.aggregate_cost(algo, !graph.group_by().is_empty(), input_cost);
     let node = PlanNode::Aggregate {
         algo,
         input: Box::new(input),
     };
     (node, cost)
+}
+
+/// Wraps `input` in the cheaper aggregation operator when the query
+/// [`needs_aggregate`] (the first wins a tie); otherwise returns it
+/// unchanged.
+#[inline]
+pub fn best_aggregate_if_needed(
+    graph: &QueryGraph,
+    input: Costed,
+    model: &CostModel<'_>,
+) -> Costed {
+    if !needs_aggregate(graph) {
+        return input;
+    }
+    let grouped = !graph.group_by().is_empty();
+    let cost = |algo| model.aggregate_cost(algo, grouped, input.1).total;
+    let cheaper = |best, algo| if cost(algo) < cost(best) { algo } else { best };
+    let algo = AggAlgo::ALL
+        .into_iter()
+        .reduce(cheaper)
+        .expect("two candidates");
+    build_aggregate(graph, algo, input, model)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use crate::optimizer::{OptError, PlannedQuery, PlannerMethod, TraditionalOptimiz
 use crate::random::random_plan;
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostModel, CostParams};
-use hfqo_query::QueryGraph;
+use hfqo_query::{PhysicalPlan, QueryGraph};
 use hfqo_stats::{EstimatedCardinality, StatsCatalog};
 use hfqo_sync::Mutex;
 use rand::rngs::StdRng;
@@ -158,11 +158,11 @@ impl Planner for GreedyPlanner {
 }
 
 /// The random floor baseline behind the [`Planner`] trait: every call
-/// draws a fresh uniformly random valid plan from a deterministic
-/// per-planner RNG stream.
+/// draws a fresh uniformly random valid plan, costed as it is drawn, from
+/// a deterministic per-planner RNG stream.
 ///
 /// The RNG sits behind a mutex so the planner stays `Sync`; concurrent
-/// callers serialise only for the (cheap) draw, and the stream — hence
+/// callers serialise for the draw, and the stream — hence
 /// the plan sequence — is deterministic per seed, though its
 /// interleaving across threads is not.
 #[derive(Debug)]
@@ -189,17 +189,11 @@ impl Planner for RandomPlanner {
             return Err(OptError::EmptyQuery);
         }
         let start = Instant::now();
-        let plan = {
-            let mut rng = self.rng.lock();
-            random_plan(graph, ctx.catalog, &mut rng)
-        };
-        let cost = ctx
-            .cost_model()
-            .plan_cost(graph, &plan, &ctx.estimator())
-            .total;
+        let (model, cards) = (ctx.cost_model(), ctx.estimator());
+        let (root, cost) = random_plan(graph, ctx.catalog, &model, &cards, &mut self.rng.lock());
         Ok(PlannedQuery {
-            plan,
-            cost,
+            plan: PhysicalPlan::new(root),
+            cost: cost.total,
             planning_time: start.elapsed(),
             method: PlannerMethod::Random,
         })

@@ -1,50 +1,37 @@
 //! Random plan generation (the floor baseline).
 
+use crate::forest::PlanForest;
+use crate::physical::{
+    access_paths, build_aggregate, build_scan, legal_join_algos, needs_aggregate, Costed,
+};
 use hfqo_catalog::Catalog;
-use hfqo_query::{AccessPath, AggAlgo, Forest, JoinAlgo, PhysicalPlan, PlanNode, QueryGraph};
-use hfqo_sql::CompareOp;
+use hfqo_cost::CostModel;
+use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, QueryGraph};
+use hfqo_stats::CardinalitySource;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Produces a uniformly random *valid* physical plan: random merge order
-/// over the forest (cross joins allowed, exactly like an untrained RL
-/// agent's action space), random access paths among the applicable ones,
-/// random join algorithm among the legal ones, random aggregate operator.
+/// Produces a uniformly random *valid* physical plan, costed as it is
+/// built: a random access path per relation among the applicable ones,
+/// then a random ordered pair of the forest's slots (cross joins allowed,
+/// exactly like an untrained RL agent's action space) joined by a random
+/// legal algorithm, and a random aggregate operator.
 ///
 /// §4's search-space experiment uses this as the floor: a naive full-space
 /// DRL agent that fails to learn is indistinguishable from this generator.
-pub fn random_plan(graph: &QueryGraph, catalog: &Catalog, rng: &mut StdRng) -> PhysicalPlan {
-    let n = graph.relation_count();
-    // Random scans.
-    let mut nodes: Vec<PlanNode> = graph
-        .all_rels()
-        .iter()
-        .map(|rel| {
-            let mut candidates = vec![AccessPath::SeqScan];
-            for sel_idx in graph.selections_on(rel) {
-                let sel = &graph.selections()[sel_idx];
-                if sel.op == CompareOp::Neq {
-                    continue;
-                }
-                let col_ref =
-                    hfqo_catalog::ColumnRef::new(graph.relation(rel).table, sel.column.column);
-                for (index_id, def) in catalog.indexes_on(col_ref) {
-                    let range_op = !matches!(sel.op, CompareOp::Eq);
-                    if range_op && !def.kind().supports_range() {
-                        continue;
-                    }
-                    candidates.push(AccessPath::IndexScan {
-                        index: index_id,
-                        driving_selection: sel_idx,
-                    });
-                }
-            }
-            let path = candidates[rng.gen_range(0..candidates.len())];
-            PlanNode::Scan { rel, path }
-        })
-        .collect();
-    // Random merge order via the shared forest convention.
-    let mut forest = Forest::initial(n);
+pub fn random_plan<C: CardinalitySource>(
+    graph: &QueryGraph,
+    catalog: &Catalog,
+    model: &CostModel<'_>,
+    cards: &C,
+    rng: &mut StdRng,
+) -> Costed {
+    let scans = graph.all_rels().iter().map(|rel| {
+        let paths: Vec<AccessPath> = access_paths(graph, rel, catalog).collect();
+        let path = paths[rng.gen_range(0..paths.len())];
+        build_scan(graph, rel, path, model, cards)
+    });
+    let mut forest = PlanForest::from_leaves(graph, scans);
     while !forest.is_terminal() {
         let len = forest.len();
         let x = rng.gen_range(0..len);
@@ -52,56 +39,54 @@ pub fn random_plan(graph: &QueryGraph, catalog: &Catalog, rng: &mut StdRng) -> P
         while y == x {
             y = rng.gen_range(0..len);
         }
-        // Apply the same merge to the physical node list.
-        let conds = graph.joins_between(nodes[x].rel_set(), nodes[y].rel_set());
-        let has_eq = conds.iter().any(|&c| graph.joins()[c].op == CompareOp::Eq);
-        let algos: &[JoinAlgo] = if has_eq {
-            &JoinAlgo::ALL
-        } else {
-            &[JoinAlgo::NestedLoop]
-        };
+        let legal = legal_join_algos(graph, forest.set(x), forest.set(y));
+        let algos: Vec<JoinAlgo> = (JoinAlgo::ALL.into_iter().zip(legal))
+            .filter_map(|(algo, legal)| legal.then_some(algo))
+            .collect();
         let algo = algos[rng.gen_range(0..algos.len())];
-        let (hi, lo) = if x > y { (x, y) } else { (y, x) };
-        let hi_node = nodes.remove(hi);
-        let lo_node = nodes.remove(lo);
-        let (left, right) = if x < y {
-            (lo_node, hi_node)
-        } else {
-            (hi_node, lo_node)
-        };
-        nodes.push(PlanNode::Join {
-            algo,
-            conds,
-            left: Box::new(left),
-            right: Box::new(right),
-        });
-        forest.merge(x, y);
+        let price = forest.price_as(x, y, algo, model, cards);
+        forest.merge(x, y, price);
     }
-    let mut root = nodes.pop().expect("terminal forest has one node");
-    if !graph.aggregates().is_empty() || !graph.group_by().is_empty() {
+    let root = forest.take_root();
+    if needs_aggregate(graph) {
         let algo = AggAlgo::ALL[rng.gen_range(0..AggAlgo::ALL.len())];
-        root = PlanNode::Aggregate {
-            algo,
-            input: Box::new(root),
-        };
+        build_aggregate(graph, algo, root, model)
+    } else {
+        root
     }
-    PhysicalPlan::new(root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::{chain_query, star_query, TestDb};
+    use hfqo_cost::CostParams;
+    use hfqo_query::PhysicalPlan;
+    use hfqo_stats::EstimatedCardinality;
     use rand::SeedableRng;
 
+    /// Draws one random plan over `db`'s statistics.
+    fn draw(db: &TestDb, graph: &QueryGraph, rng: &mut StdRng) -> (PhysicalPlan, f64) {
+        let params = CostParams::default();
+        let model = CostModel::new(&params, &db.stats);
+        let cards = EstimatedCardinality::new(&db.stats);
+        let (root, cost) = random_plan(graph, db.db.catalog(), &model, &cards, rng);
+        (PhysicalPlan::new(root), cost.total)
+    }
+
     #[test]
-    fn random_plans_are_always_valid() {
+    fn random_plans_are_always_valid_and_carry_their_cost() {
         let db = TestDb::chain(5, 200);
         let graph = chain_query(&db, 5);
+        let params = CostParams::default();
+        let model = CostModel::new(&params, &db.stats);
+        let cards = EstimatedCardinality::new(&db.stats);
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..50 {
-            let plan = random_plan(&graph, db.db.catalog(), &mut rng);
+            let (plan, cost) = draw(&db, &graph, &mut rng);
             plan.validate(&graph).unwrap();
+            let recursive = model.plan_cost(&graph, &plan, &cards).total;
+            assert_eq!(cost.to_bits(), recursive.to_bits());
         }
     }
 
@@ -110,9 +95,7 @@ mod tests {
         let db = TestDb::star(5, 500);
         let graph = star_query(&db, 5);
         let mut rng = StdRng::seed_from_u64(1);
-        let plans: Vec<_> = (0..10)
-            .map(|_| random_plan(&graph, db.db.catalog(), &mut rng))
-            .collect();
+        let plans: Vec<_> = (0..10).map(|_| draw(&db, &graph, &mut rng).0).collect();
         let distinct = plans
             .iter()
             .map(|p| format!("{p:?}"))
@@ -125,8 +108,8 @@ mod tests {
     fn determinism_per_seed() {
         let db = TestDb::chain(4, 100);
         let graph = chain_query(&db, 4);
-        let a = random_plan(&graph, db.db.catalog(), &mut StdRng::seed_from_u64(5));
-        let b = random_plan(&graph, db.db.catalog(), &mut StdRng::seed_from_u64(5));
+        let a = draw(&db, &graph, &mut StdRng::seed_from_u64(5));
+        let b = draw(&db, &graph, &mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
     }
 }

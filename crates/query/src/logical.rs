@@ -104,10 +104,12 @@ impl JoinTree {
 /// The paper's transition is `s_{i+1} = (s_i − {s_i[x], s_i[y]}) ∪
 /// {s_i[x] ⋈ s_i[y]}`. This type fixes the set's element order — required
 /// for the integer pair actions to be well defined — with the convention:
-/// *remove positions `x` and `y`, append the merged tree at the end*. The
-/// RL environment and the expert-trace generator must (and do) share this
-/// exact convention; a test in `hfqo-rejoin` replays the paper's Figure 2
-/// episode to pin it down.
+/// *remove positions `x` and `y`, append the merged tree at the end*, `x`
+/// on the left. Every forest walk shares it: the expert-trace generator
+/// ([`tree_to_actions`]), `hfqo_rejoin::RolloutState`'s feature slots, and
+/// `hfqo_opt::PlanForest`'s costed slots, which greedy, random, the
+/// learned planner and the RL environment step; a test in `hfqo-rejoin`
+/// replays the paper's Figure 2 episode to pin it down.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Forest {
     trees: Vec<JoinTree>,

@@ -22,7 +22,9 @@
 //! network can tell the overloaded ids apart; one built with
 //! [`StageSet::join_order_only`] emits exactly the [`RolloutState`]'s
 //! vector, and steps the same state [`crate::LearnedPlanner`] and
-//! [`crate::episode_from_decisions`] step at serving time.
+//! [`crate::episode_from_decisions`] step at serving time. The plan is
+//! built in an [`hfqo_opt::PlanForest`], the costed forest every planner
+//! steps, merged with the same pairs as the state.
 
 use crate::featurize::{Featurizer, RolloutState};
 use crate::incremental::StageSet;
@@ -31,13 +33,13 @@ use hfqo_catalog::Catalog;
 use hfqo_cost::{CostModel, CostParams, LatencyModel};
 use hfqo_exec::TrueCardinality;
 use hfqo_opt::physical::{
-    best_access_path, best_aggregate_if_needed, best_algo_fixed_sides, Costed,
+    access_paths, best_aggregate_if_needed, build_aggregate, build_scan, legal_join_algos,
+    needs_aggregate, Costed,
 };
-use hfqo_opt::TraditionalOptimizer;
-use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PhysicalPlan, PlanNode, QueryGraph, RelId};
+use hfqo_opt::{PlanForest, TraditionalOptimizer};
+use hfqo_query::{AggAlgo, JoinAlgo, PhysicalPlan, QueryGraph, RelId};
 use hfqo_rl::{Environment, StepResult};
-use hfqo_sql::CompareOp;
-use hfqo_stats::{CardinalitySource as _, EstimatedCardinality, StatsCatalog};
+use hfqo_stats::{EstimatedCardinality, StatsCatalog};
 use hfqo_storage::Database;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -200,6 +202,13 @@ impl Phase {
     }
 }
 
+/// A step that does not end the episode: rewards are sparse, zero until
+/// the terminal step.
+const ONGOING: StepResult = StepResult {
+    reward: 0.0,
+    done: false,
+};
+
 /// The environment: one query per episode, one physical plan per
 /// finished episode.
 pub struct PlanEnv<'a> {
@@ -217,13 +226,14 @@ pub struct PlanEnv<'a> {
     pub require_connected: bool,
     cursor: usize,
     current: usize,
-    /// The forest and its features, stepped by pair actions.
+    /// The forest's features, stepped by pair actions.
     state: RolloutState,
-    /// The costed sub-plan of each forest slot, in slot order.
-    nodes: Vec<Costed>,
+    /// The forest's costed sub-plans, merged with `state`'s pairs (a
+    /// pair merges here once its join operator is chosen).
+    forest: PlanForest<'a>,
     phase: Phase,
-    scan_candidates: Vec<AccessPath>,
-    pending_pair: Option<(Costed, Costed, Vec<usize>)>,
+    /// The slots of a pair awaiting its join operator.
+    pending_pair: Option<(usize, usize)>,
     expert_costs: Vec<Option<f64>>,
     oracles: Vec<Option<TrueCardinality<'a>>>,
     last_outcome: Option<EpisodeOutcome>,
@@ -270,9 +280,8 @@ impl<'a> PlanEnv<'a> {
             cursor: 0,
             current: 0,
             state,
-            nodes: Vec::new(),
+            forest: PlanForest::from_leaves(&queries[0], []),
             phase: Phase::Done,
-            scan_candidates: Vec::new(),
             pending_pair: None,
             expert_costs: vec![None; n],
             oracles: std::iter::repeat_with(|| None).take(n).collect(),
@@ -402,60 +411,21 @@ impl<'a> PlanEnv<'a> {
         &self.queries[self.current]
     }
 
-    /// Access-path candidates for a relation: sequential scan plus every
-    /// index scan applicable to one of its selections.
-    fn compute_scan_candidates(&self, rel: usize) -> Vec<AccessPath> {
-        let graph = self.graph();
-        let mut cands = vec![AccessPath::SeqScan];
-        let rel_id = RelId(rel as u32);
-        for sel_idx in graph.selections_on(rel_id) {
-            let sel = &graph.selections()[sel_idx];
-            if sel.op == CompareOp::Neq {
-                continue;
-            }
-            let col_ref =
-                hfqo_catalog::ColumnRef::new(graph.relation(rel_id).table, sel.column.column);
-            for (index_id, def) in self.ctx.catalog().indexes_on(col_ref) {
-                let range_op = !matches!(sel.op, CompareOp::Eq);
-                if range_op && !def.kind().supports_range() {
-                    continue;
-                }
-                cands.push(AccessPath::IndexScan {
-                    index: index_id,
-                    driving_selection: sel_idx,
-                });
-            }
-        }
-        cands
-    }
-
-    fn enter_access_phase(&mut self, rel: usize) {
-        self.scan_candidates = self.compute_scan_candidates(rel);
-        self.phase = Phase::AccessPath { rel };
-    }
-
     /// Moves on once every scan is placed or a join is complete: to the
     /// next pair while the forest has several trees, then to the
     /// aggregate phase or the end of the episode. A single-relation
     /// query has nothing to order and passes straight through.
     fn advance(&mut self, rng: &mut StdRng) -> StepResult {
-        if !self.state.is_terminal() {
+        if !self.forest.is_terminal() {
             self.phase = Phase::PairSelection;
-            return StepResult {
-                reward: 0.0,
-                done: false,
-            };
+            return ONGOING;
         }
         let graph = self.graph();
-        let needs_agg = !graph.aggregates().is_empty() || !graph.group_by().is_empty();
-        if needs_agg && self.stages.agg_operators {
+        if needs_aggregate(graph) && self.stages.agg_operators {
             self.phase = Phase::Aggregate;
-            StepResult {
-                reward: 0.0,
-                done: false,
-            }
+            ONGOING
         } else {
-            let root = self.nodes.pop().expect("terminal forest has one node");
+            let root = self.forest.take_root();
             let root = best_aggregate_if_needed(graph, root, &self.ctx.cost_model());
             self.finish(root, rng)
         }
@@ -487,14 +457,6 @@ impl<'a> PlanEnv<'a> {
         self.phase = Phase::Done;
         StepResult { reward, done: true }
     }
-
-    fn legal_join_algos(&self, conds: &[usize]) -> [bool; 3] {
-        let has_eq = conds
-            .iter()
-            .any(|&c| self.graph().joins()[c].op == CompareOp::Eq);
-        // Order matches JoinAlgo::ALL: NestedLoop, Hash, Merge.
-        [true, has_eq, has_eq]
-    }
 }
 
 impl Environment for PlanEnv<'_> {
@@ -524,28 +486,17 @@ impl Environment for PlanEnv<'_> {
             QueryOrder::Shuffle => rng.gen_range(0..self.queries.len()),
             QueryOrder::Fixed(idx) => idx.min(self.queries.len() - 1),
         };
-        let n = self.graph().relation_count();
-        self.state = RolloutState::new(self.featurizer, self.graph(), &self.ctx.estimator());
+        let (graph, est) = (self.graph(), self.ctx.estimator());
+        self.state = RolloutState::new(self.featurizer, graph, &est);
         self.pending_pair = None;
         self.last_outcome = None;
         if self.stages.index_selection {
-            self.nodes = Vec::with_capacity(n);
-            self.enter_access_phase(0);
+            self.forest = PlanForest::from_leaves(graph, []);
+            self.phase = Phase::AccessPath { rel: 0 };
         } else {
             // The traditional machinery picks access paths.
             let model = self.ctx.cost_model();
-            let est = self.ctx.estimator();
-            self.nodes = (0..n)
-                .map(|r| {
-                    best_access_path(
-                        self.graph(),
-                        RelId(r as u32),
-                        self.ctx.catalog(),
-                        &model,
-                        &est,
-                    )
-                })
-                .collect();
+            self.forest = PlanForest::best_access_paths(graph, self.ctx.catalog(), &model, &est);
             self.advance(rng);
         }
     }
@@ -577,14 +528,15 @@ impl Environment for PlanEnv<'_> {
         out.clear();
         out.resize(self.featurizer.action_dim(), false);
         match self.phase {
-            Phase::AccessPath { .. } => {
-                let legal = self.scan_candidates.len().min(out.len());
+            Phase::AccessPath { rel } => {
+                let paths = access_paths(self.graph(), RelId(rel as u32), self.ctx.catalog());
+                let legal = paths.count().min(out.len());
                 out[..legal].fill(true);
             }
             Phase::JoinOperator => {
-                let conds = self.pending_pair.as_ref().map(|(_, _, c)| c.as_slice());
-                let legal = self.legal_join_algos(conds.unwrap_or_default());
-                out[..3].copy_from_slice(&legal);
+                let (x, y) = self.pending_pair.expect("pair pending");
+                let (left, right) = (self.forest.set(x), self.forest.set(y));
+                out[..3].copy_from_slice(&legal_join_algos(self.graph(), left, right));
             }
             Phase::Aggregate => out[..2].fill(true),
             Phase::PairSelection | Phase::Done => {}
@@ -594,20 +546,16 @@ impl Environment for PlanEnv<'_> {
     fn step(&mut self, action: usize, rng: &mut StdRng) -> StepResult {
         match self.phase {
             Phase::AccessPath { rel } => {
-                let path = self.scan_candidates[action.min(self.scan_candidates.len() - 1)];
-                let scan = PlanNode::Scan {
-                    rel: RelId(rel as u32),
-                    path,
-                };
-                let model = self.ctx.cost_model();
-                let cost = model.node_cost(self.graph(), &scan, &self.ctx.estimator());
-                self.nodes.push((scan, cost));
+                let (graph, rel_id) = (self.graph(), RelId(rel as u32));
+                let paths = access_paths(graph, rel_id, self.ctx.catalog());
+                // The chosen candidate, or the last when `action` is past it.
+                let path = paths.take(action + 1).last().expect("a seq scan leads");
+                let (model, est) = (self.ctx.cost_model(), self.ctx.estimator());
+                let scan = build_scan(graph, rel_id, path, &model, &est);
+                self.forest.push(scan);
                 if rel + 1 < self.graph().relation_count() {
-                    self.enter_access_phase(rel + 1);
-                    StepResult {
-                        reward: 0.0,
-                        done: false,
-                    }
+                    self.phase = Phase::AccessPath { rel: rel + 1 };
+                    ONGOING
                 } else {
                     self.advance(rng)
                 }
@@ -616,60 +564,30 @@ impl Environment for PlanEnv<'_> {
                 let (x, y) = self.featurizer.decode_pair(action);
                 let merged = self.state.merge(x, y);
                 assert!(merged, "masked actions must be valid merges");
-                let (hi, lo) = if x > y { (x, y) } else { (y, x) };
-                let hi_node = self.nodes.remove(hi);
-                let lo_node = self.nodes.remove(lo);
-                let (left, right) = if x < y {
-                    (lo_node, hi_node)
-                } else {
-                    (hi_node, lo_node)
-                };
                 if self.stages.join_operators {
-                    let conds = self
-                        .graph()
-                        .joins_between(left.0.rel_set(), right.0.rel_set());
-                    self.pending_pair = Some((left, right, conds));
+                    self.pending_pair = Some((x, y));
                     self.phase = Phase::JoinOperator;
-                    StepResult {
-                        reward: 0.0,
-                        done: false,
-                    }
+                    ONGOING
                 } else {
-                    let model = self.ctx.cost_model();
-                    let est = self.ctx.estimator();
-                    let node = best_algo_fixed_sides(self.graph(), left, right, &model, &est);
-                    self.nodes.push(node);
+                    let (model, est) = (self.ctx.cost_model(), self.ctx.estimator());
+                    let price = self.forest.price(x, y, false, &model, &est);
+                    self.forest.merge(x, y, price);
                     self.advance(rng)
                 }
             }
             Phase::JoinOperator => {
-                let ((left, left_cost), (right, right_cost), conds) =
-                    self.pending_pair.take().expect("pair pending");
+                let (x, y) = self.pending_pair.take().expect("pair pending");
                 let algo = JoinAlgo::ALL[action.min(2)];
-                let out_set = left.rel_set().union(right.rel_set());
-                let out_rows = self.ctx.estimator().set_rows(self.graph(), out_set);
-                let model = self.ctx.cost_model();
-                let cost = model.join_cost(algo, conds.len(), left_cost, right_cost, out_rows);
-                let join = PlanNode::Join {
-                    algo,
-                    conds,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                };
-                self.nodes.push((join, cost));
+                let (model, est) = (self.ctx.cost_model(), self.ctx.estimator());
+                let price = self.forest.price_as(x, y, algo, &model, &est);
+                self.forest.merge(x, y, price);
                 self.advance(rng)
             }
             Phase::Aggregate => {
                 let algo = AggAlgo::ALL[action.min(1)];
-                let (input, input_cost) = self.nodes.pop().expect("terminal forest has one node");
-                let grouped = !self.graph().group_by().is_empty();
-                let model = self.ctx.cost_model();
-                let cost = model.aggregate_cost(algo, grouped, input_cost);
-                let root = PlanNode::Aggregate {
-                    algo,
-                    input: Box::new(input),
-                };
-                self.finish((root, cost), rng)
+                let input = self.forest.take_root();
+                let root = build_aggregate(self.graph(), algo, input, &self.ctx.cost_model());
+                self.finish(root, rng)
             }
             Phase::Done => StepResult {
                 reward: 0.0,
@@ -686,10 +604,11 @@ impl Environment for PlanEnv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planfix::plan_from_tree;
     use hfqo_catalog::ColumnId;
+    use hfqo_opt::physical::best_access_path;
     use hfqo_opt::test_support::{chain_query, star_query, with_count, TestDb};
-    use hfqo_query::{BoundColumn, JoinEdge};
+    use hfqo_query::{BoundColumn, JoinEdge, JoinTree, PlanNode};
+    use hfqo_sql::CompareOp;
     use rand::SeedableRng;
 
     /// The join-ordering environment — ReJOIN's scope — over a fixture.
@@ -1066,14 +985,61 @@ mod tests {
         )
     }
 
+    /// The first of `candidates` with the least recursive `node_cost`.
+    fn cheapest(
+        graph: &QueryGraph,
+        candidates: impl IntoIterator<Item = PlanNode>,
+        model: &CostModel<'_>,
+        est: &EstimatedCardinality<'_>,
+    ) -> PlanNode {
+        let mut best: Option<(PlanNode, f64)> = None;
+        for cand in candidates {
+            let cost = model.node_cost(graph, &cand, est).total;
+            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                best = Some((cand, cost));
+            }
+        }
+        best.expect("at least one candidate").0
+    }
+
+    /// The physical plan ReJOIN's hand-off gives `tree`, written without
+    /// the costed forest or the join pricer: each leaf its best access
+    /// path, and each join, sides as the tree has them, the first
+    /// cheapest by `node_cost` of the algorithms an `=` condition allows.
+    fn reference_node(
+        graph: &QueryGraph,
+        tree: &JoinTree,
+        catalog: &hfqo_catalog::Catalog,
+        model: &CostModel<'_>,
+        est: &EstimatedCardinality<'_>,
+    ) -> PlanNode {
+        let (l, r) = match tree {
+            JoinTree::Leaf(rel) => return best_access_path(graph, *rel, catalog, model, est).0,
+            JoinTree::Join(l, r) => (l, r),
+        };
+        let left = reference_node(graph, l, catalog, model, est);
+        let right = reference_node(graph, r, catalog, model, est);
+        let conds = graph.joins_between(l.rel_set(), r.rel_set());
+        let has_eq = conds.iter().any(|&c| graph.joins()[c].op == CompareOp::Eq);
+        let candidates = (JoinAlgo::ALL.into_iter())
+            .filter(|&algo| algo == JoinAlgo::NestedLoop || has_eq)
+            .map(|algo| PlanNode::Join {
+                algo,
+                conds: conds.clone(),
+                left: Box::new(left.clone()),
+                right: Box::new(right.clone()),
+            });
+        cheapest(graph, candidates, model, est)
+    }
+
     /// The join-ordering case's contract with the serving side: building
     /// the plan incrementally (scans at reset, one join per merge, the
-    /// aggregate at the end) is the same pure functions on the same
-    /// inputs as [`plan_from_tree`] on the finished tree — for any action
+    /// aggregate at the end) gives the plan the reference hand-off gives
+    /// the finished tree, at `plan_cost`'s bits — for any action
     /// sequence, not just the greedy one `LearnedPlanner`'s parity test
     /// walks.
     #[test]
-    fn join_order_only_episode_is_plan_from_tree_bit_for_bit() {
+    fn join_order_only_episode_is_the_reference_hand_off_bit_for_bit() {
         let chain = TestDb::chain(5, 300);
         let star = TestDb::star(5, 400);
         let cases = [
@@ -1100,11 +1066,17 @@ mod tests {
                 let outcome = env.last_outcome().expect("finished");
                 let graph = &queries[episode % 2];
                 let tree = outcome.plan.root.join_tree();
-                let (reference, reference_cost) =
-                    plan_from_tree(graph, &tree, ctx.catalog(), &model, &est);
-                assert_eq!(outcome.plan, reference, "episode {episode}");
-                assert_eq!(outcome.agent_cost.to_bits(), reference_cost.total.to_bits());
-                let recursive_cost = model.plan_cost(graph, &reference, &est).total;
+                let mut reference = reference_node(graph, &tree, ctx.catalog(), &model, &est);
+                if needs_aggregate(graph) {
+                    let input = Box::new(reference);
+                    let candidates = AggAlgo::ALL.map(|algo| PlanNode::Aggregate {
+                        algo,
+                        input: input.clone(),
+                    });
+                    reference = cheapest(graph, candidates, &model, &est);
+                }
+                assert_eq!(outcome.plan.root, reference, "episode {episode}");
+                let recursive_cost = model.plan_cost(graph, &outcome.plan, &est).total;
                 assert_eq!(outcome.agent_cost.to_bits(), recursive_cost.to_bits());
             }
         }

@@ -20,9 +20,10 @@
 //! state from a forest from scratch; they are the specification. What
 //! plans, replays and trains is [`RolloutState`], which is built once
 //! per query and updated on each merge, and which tests hold equal to
-//! the specification bit for bit after every merge.
+//! the specification, on a [`Forest`] merged with the same pairs, bit for
+//! bit after every merge.
 
-use hfqo_query::{Forest, JoinTree, QueryGraph, RelId, RelSet};
+use hfqo_query::{Forest, QueryGraph, RelId, RelSet};
 use hfqo_stats::{CardinalitySource as _, EstimatedCardinality};
 
 /// Fixed-width featurizer for forests over at most `max_rels` relations.
@@ -198,8 +199,9 @@ fn size_feature(rows: f64) -> f32 {
     ((rows.max(1.0).ln() / 20.0) as f32).clamp(0.0, 1.0)
 }
 
-/// The state of one rollout: the forest, and its feature vector kept
-/// current instead of rebuilt.
+/// The state of one rollout: a forest's feature vector and action mask,
+/// kept current instead of rebuilt. It holds no trees; a planner builds
+/// its plan from the same merges in an [`hfqo_opt::PlanForest`].
 ///
 /// Built once per (query, estimator): the static feature sections are
 /// written once, every relation's `base_rows` and every join edge's
@@ -208,12 +210,12 @@ fn size_feature(rows: f64) -> f32 {
 /// bit test. [`Self::merge`] follows [`Forest::merge`]'s slot movement
 /// (both inputs removed, the join appended) and computes only the new
 /// slot. After any sequence of merges [`Self::features`] is, bit for
-/// bit, what [`Featurizer::featurize`] writes for [`Self::forest`], and
-/// [`Self::mask`] what [`Featurizer::action_mask`] writes.
+/// bit, what [`Featurizer::featurize`] writes for the [`Forest`] the same
+/// merges build, and [`Self::mask`] what [`Featurizer::action_mask`]
+/// writes.
 #[derive(Debug, Clone)]
 pub struct RolloutState {
     featurizer: Featurizer,
-    forest: Forest,
     features: Vec<f32>,
     /// `base_rows` of every relation.
     base_rows: Vec<f64>,
@@ -259,7 +261,6 @@ impl RolloutState {
             .collect();
         let mut state = Self {
             featurizer,
-            forest: Forest::initial(n),
             features,
             base_rows: rels().map(|rel| est.base_rows(graph, rel)).collect(),
             edges,
@@ -295,19 +296,9 @@ impl RolloutState {
         rows.max(1.0)
     }
 
-    /// The forest built so far.
-    pub fn forest(&self) -> &Forest {
-        &self.forest
-    }
-
-    /// Whether one tree remains.
+    /// Whether at most one subtree remains.
     pub fn is_terminal(&self) -> bool {
-        self.forest.is_terminal()
-    }
-
-    /// The single tree of a terminal state.
-    pub fn into_tree(self) -> Option<JoinTree> {
-        self.forest.into_tree()
+        self.slots.len() <= 1
     }
 
     /// The state vector of the current forest (`state_dim` long).
@@ -348,7 +339,7 @@ impl RolloutState {
     /// pair.
     pub fn merge(&mut self, x: usize, y: usize) -> bool {
         let len = self.slots.len();
-        if !self.forest.merge(x, y) {
+        if x == y || x >= len || y >= len {
             return false;
         }
         let m = self.featurizer.max_rels;
@@ -388,7 +379,10 @@ impl RolloutState {
 mod tests {
     use super::*;
     use hfqo_catalog::{ColumnId, ColumnStatsMeta, TableId};
-    use hfqo_query::{BoundColumn, JoinEdge, Lit, Relation, Selection};
+    use hfqo_cost::{CostModel, CostParams};
+    use hfqo_opt::physical::build_scan;
+    use hfqo_opt::PlanForest;
+    use hfqo_query::{AccessPath, BoundColumn, JoinEdge, Lit, PhysicalPlan, Relation, Selection};
     use hfqo_sql::CompareOp;
     use hfqo_stats::{ColumnStats, StatsCatalog, TableStats};
     use proptest::prelude::*;
@@ -537,32 +531,24 @@ mod tests {
         assert_eq!(mask.iter().filter(|&&m| m).count(), 6);
     }
 
-    /// `RolloutState` against the specification on `forest()`: feature
-    /// bits, and the mask with and without connected-only masking.
+    /// `RolloutState` against the specification on `shadow`, the forest
+    /// the same merges build: feature bits, and the mask with and without
+    /// connected-only masking.
     fn assert_state_matches_spec(
         state: &RolloutState,
+        shadow: &Forest,
         f: Featurizer,
         graph: &QueryGraph,
         est: &EstimatedCardinality<'_>,
     ) {
         let (mut features, mut mask, mut spec_mask) = (Vec::new(), Vec::new(), Vec::new());
-        f.featurize(graph, state.forest(), est, &mut features);
+        f.featurize(graph, shadow, est, &mut features);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(state.features()),
-            bits(&features),
-            "{:?}",
-            state.forest()
-        );
+        assert_eq!(bits(state.features()), bits(&features), "{shadow:?}");
         for require_connected in [false, true] {
             state.mask(require_connected, &mut mask);
-            f.action_mask(graph, state.forest(), require_connected, &mut spec_mask);
-            assert_eq!(
-                mask,
-                spec_mask,
-                "connected {require_connected}: {:?}",
-                state.forest()
-            );
+            f.action_mask(graph, shadow, require_connected, &mut spec_mask);
+            assert_eq!(mask, spec_mask, "connected {require_connected}: {shadow:?}");
         }
     }
 
@@ -638,7 +624,9 @@ mod tests {
 
         /// The updated state equals the rebuilt one after every merge of
         /// a random legal merge sequence, the all-pairs fallback of a
-        /// disconnected remainder included.
+        /// disconnected remainder included; and a `PlanForest` stepped
+        /// with the same pairs ends in the same tree, costed as
+        /// `plan_cost` costs it.
         #[test]
         fn updated_state_equals_rebuilt_state(
             shape in 0u8..4,
@@ -651,16 +639,29 @@ mod tests {
             let est = EstimatedCardinality::new(&stats);
             let f = Featurizer::new(12);
             let mut state = RolloutState::new(f, &graph, &est);
+            let mut shadow = Forest::initial(n);
+            let params = CostParams::default();
+            let model = CostModel::new(&params, &stats);
+            let scans = (graph.all_rels().iter())
+                .map(|rel| build_scan(&graph, rel, AccessPath::SeqScan, &model, &est));
+            let mut forest = PlanForest::from_leaves(&graph, scans);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut mask = Vec::new();
-            assert_state_matches_spec(&state, f, &graph, &est);
+            assert_state_matches_spec(&state, &shadow, f, &graph, &est);
             while !state.is_terminal() {
                 state.mask(require_connected == 1, &mut mask);
                 let legal: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
                 let (x, y) = f.decode_pair(legal[rng.gen_range(0..legal.len())]);
                 prop_assert!(state.merge(x, y));
-                assert_state_matches_spec(&state, f, &graph, &est);
+                prop_assert!(shadow.merge(x, y));
+                let price = forest.price(x, y, false, &model, &est);
+                forest.merge(x, y, price);
+                assert_state_matches_spec(&state, &shadow, f, &graph, &est);
             }
+            let (root, cost) = forest.take_root();
+            prop_assert_eq!(Some(root.join_tree()), shadow.into_tree());
+            let recursive = model.plan_cost(&graph, &PhysicalPlan::new(root), &est);
+            prop_assert_eq!(cost.total.to_bits(), recursive.total.to_bits());
         }
     }
 
@@ -671,14 +672,14 @@ mod tests {
         let est = EstimatedCardinality::new(&stats);
         let f = Featurizer::new(6);
         let mut state = RolloutState::new(f, &graph, &est);
-        assert!(state.merge(3, 1));
+        let mut shadow = Forest::initial(4);
+        assert!(state.merge(3, 1) && shadow.merge(3, 1));
         let before = state.clone();
         for (x, y) in [(1, 1), (0, 3), (7, 0)] {
             assert!(!state.merge(x, y), "({x}, {y})");
         }
-        assert_eq!(state.forest(), before.forest());
         assert_eq!(state.features(), before.features());
-        assert_state_matches_spec(&state, f, &graph, &est);
+        assert_state_matches_spec(&state, &shadow, f, &graph, &est);
     }
 
     #[test]

@@ -6,17 +6,16 @@
 //! [`LearnedPlanner`] wraps a frozen [`PolicySnapshot`] (plain owned
 //! weights, no optimizer state, `Send + Sync`) plus the featurizer it
 //! was trained with, and plans by replaying one greedy-argmax episode
-//! over a [`RolloutState`]: take the policy's mode action on the
-//! state's features, merge, repeat until one tree remains, then hand
-//! the ordering to the traditional machinery
-//! ([`crate::planfix::plan_from_tree`]) for access-path, join-operator,
-//! and aggregate selection — exactly what a greedy evaluation episode
-//! in [`crate::PlanEnv`] does, which a parity test pins down.
+//! over a [`RolloutState`], merging each chosen pair into a [`PlanForest`]
+//! with the cheapest algorithm for the sides the policy chose: ReJOIN's
+//! hand-off of a join order to the traditional optimizer (§3), one merge
+//! at a time — exactly what a greedy evaluation episode in
+//! [`crate::PlanEnv`] does, which a parity test pins down.
 
 use crate::featurize::{Featurizer, RolloutState};
-use crate::planfix::plan_from_tree;
-use hfqo_opt::{OptError, PlannedQuery, Planner, PlannerContext, PlannerMethod};
-use hfqo_query::QueryGraph;
+use hfqo_opt::physical::best_aggregate_if_needed;
+use hfqo_opt::{OptError, PlanForest, PlannedQuery, Planner, PlannerContext, PlannerMethod};
+use hfqo_query::{PhysicalPlan, QueryGraph};
 use hfqo_rl::{PolicySnapshot, Selector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,19 +104,20 @@ impl LearnedPlanner {
 }
 
 impl LearnedPlanner {
-    /// Applies the pair the policy chose at `step`. The selection only
-    /// ever returns a masked-in action, and every masked-in pair is a
-    /// valid merge, so a refusal is a bug upstream — reported as an
-    /// error rather than left to spin the rollout on an unchanged state.
+    /// Applies the pair the policy chose at `step` to `state`, and returns
+    /// it. The selection only ever returns a masked-in action, and every
+    /// masked-in pair is a valid merge, so a refusal is a bug upstream —
+    /// reported as an error rather than left to spin the rollout on an
+    /// unchanged state.
     fn merge_chosen(
         &self,
         state: &mut RolloutState,
         step: usize,
         action: usize,
-    ) -> Result<(), OptError> {
+    ) -> Result<(usize, usize), OptError> {
         let (x, y) = self.featurizer.decode_pair(action);
         if state.merge(x, y) {
-            Ok(())
+            Ok((x, y))
         } else {
             Err(OptError::Unsupported(format!(
                 "merge step {step}: the policy chose action {action}, and ({x}, {y}) is not \
@@ -144,14 +144,15 @@ impl Planner for LearnedPlanner {
             )));
         }
         let start = Instant::now();
-        let est = ctx.estimator();
+        let (model, est) = (ctx.cost_model(), ctx.estimator());
         let mut state = RolloutState::new(self.featurizer, graph, &est);
+        let mut forest = PlanForest::best_access_paths(graph, ctx.catalog, &model, &est);
         let mut mask = Vec::with_capacity(self.featurizer.action_dim());
         let mut selector = Selector::default();
         // Greedy selection never consults the RNG; the seed only
         // satisfies the shared `select` signature.
         let mut rng = StdRng::seed_from_u64(0);
-        for step in 0..n - 1 {
+        while !forest.is_terminal() {
             state.mask(self.require_connected, &mut mask);
             let (action, _prob) = selector.select(
                 self.snapshot.policy(),
@@ -160,14 +161,14 @@ impl Planner for LearnedPlanner {
                 &mut rng,
                 true,
             );
-            self.merge_chosen(&mut state, step, action)?;
+            let (x, y) = self.merge_chosen(&mut state, n - forest.len(), action)?;
+            let price = forest.price(x, y, false, &model, &est);
+            forest.merge(x, y, price);
         }
-        let tree = state.into_tree().expect("n − 1 merges leave one tree");
-        let (plan, cost) = plan_from_tree(graph, &tree, ctx.catalog, &ctx.cost_model(), &est);
-        let cost = cost.total;
+        let (root, cost) = best_aggregate_if_needed(graph, forest.take_root(), &model);
         Ok(PlannedQuery {
-            plan,
-            cost,
+            plan: PhysicalPlan::new(root),
+            cost: cost.total,
             planning_time: start.elapsed(),
             method: PlannerMethod::Learned,
         })
@@ -200,7 +201,7 @@ mod tests {
     }
 
     /// The planner must reproduce a greedy evaluation episode exactly:
-    /// same featurizer, same mask, same argmax, same `planfix`
+    /// same featurizer, same mask, same argmax, same fixed-sides
     /// completion — so serving a frozen agent gives precisely the plans
     /// the training-side evaluation reported.
     #[test]
@@ -320,6 +321,7 @@ mod tests {
         let planner = LearnedPlanner::freeze(&agent, featurizer);
         let plan_ctx = PlannerContext::new(db.db.catalog(), &db.stats);
         let mut state = RolloutState::new(featurizer, &queries[0], &plan_ctx.estimator());
+        let before = state.features().to_vec();
         // The diagonal, and a slot beyond the five live ones.
         for (x, y) in [(2, 2), (1, 5)] {
             let refused = planner.merge_chosen(&mut state, 3, featurizer.encode_pair(x, y));
@@ -327,13 +329,13 @@ mod tests {
                 Err(OptError::Unsupported(why)) => assert!(why.contains("step 3"), "{why}"),
                 other => panic!("({x}, {y}) should be refused, got {other:?}"),
             }
-            assert_eq!(state.forest().len(), 5, "a refusal leaves the state alone");
+            assert_eq!(state.features(), before, "a refusal leaves the state alone");
         }
         assert_eq!(
             planner.merge_chosen(&mut state, 0, featurizer.encode_pair(0, 1)),
-            Ok(())
+            Ok((0, 1))
         );
-        assert_eq!(state.forest().len(), 4);
+        assert_ne!(state.features(), before);
     }
 
     /// A featurizer whose dimensions do not match the frozen policy is

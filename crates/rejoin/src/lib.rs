@@ -29,7 +29,8 @@
 //!   streams.
 //! * [`learned`] — the serving-side [`LearnedPlanner`]: a frozen
 //!   policy snapshot behind the unified `hfqo_opt::Planner` trait,
-//!   planning by greedy-argmax inference plus the [`planfix`] hand-off.
+//!   planning by greedy-argmax inference, each chosen merge priced and
+//!   built in the `hfqo_opt::PlanForest` every planner steps.
 //! * [`experience`] — the online-learning ingest path: replaying a
 //!   served query's recorded join decisions (plus its observed
 //!   execution) back into a training [`hfqo_rl::Episode`].
@@ -45,7 +46,6 @@ pub mod incremental;
 pub mod learned;
 pub mod metrics;
 pub mod parallel;
-pub mod planfix;
 pub mod reward;
 pub mod trainer;
 

@@ -7,9 +7,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use hfqo::opt::physical::best_aggregate_if_needed;
+use hfqo::opt::PlanForest;
 use hfqo::prelude::*;
 use hfqo::query::display::explain;
-use hfqo::rejoin::planfix::plan_from_tree;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,24 +37,30 @@ fn main() {
 
     // 1. A ReJOIN episode, replaying Figure 2's actions by hand:
     //    merge (A,C), then (B,D), then the two subtrees. The traditional
-    //    machinery completes the ordering into a physical plan — the
-    //    planfix hand-off every learned plan goes through.
-    let mut forest = Forest::initial(4);
-    forest.merge(0, 2); // A ⋈ C
-    forest.merge(0, 1); // B ⋈ D
-    forest.merge(0, 1); // (A ⋈ C) ⋈ (B ⋈ D)
-    let tree = forest.into_tree().expect("terminal");
-    println!("Figure 2 episode's join ordering: {}", tree.compact());
+    //    machinery completes each merge into a physical join, as it does
+    //    for every learned plan: best access paths at the leaves, the
+    //    cheapest algorithm for the sides the agent chose, and the
+    //    aggregate at the root.
     let params = CostParams::postgres_like();
     let model = CostModel::new(&params, &bundle.stats);
     let est = EstimatedCardinality::new(&bundle.stats);
-    let (figure2_plan, figure2_cost) = plan_from_tree(&graph, &tree, catalog, &model, &est);
+    let mut forest = PlanForest::best_access_paths(&graph, catalog, &model, &est);
+    for (x, y) in [(0, 2), (0, 1), (0, 1)] {
+        // A ⋈ C, then B ⋈ D, then (A ⋈ C) ⋈ (B ⋈ D).
+        let price = forest.price(x, y, false, &model, &est);
+        forest.merge(x, y, price);
+    }
+    let (figure2_plan, figure2_cost) = best_aggregate_if_needed(&graph, forest.take_root(), &model);
     let figure2_cost = figure2_cost.total;
+    println!(
+        "Figure 2 episode's join ordering: {}",
+        figure2_plan.join_tree().compact()
+    );
     println!(
         "completed by the optimizer (cost {:.1}, reward 1/M(t) = {:.2e}):\n{}",
         figure2_cost,
         1.0 / figure2_cost,
-        explain(&figure2_plan.root, &graph)
+        explain(&figure2_plan, &graph)
     );
 
     // 2. Let an agent *learn* the ordering instead of hand-replaying it.

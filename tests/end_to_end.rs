@@ -159,8 +159,9 @@ fn expert_beats_random_on_cost_across_the_suite() {
     let mut total = 0usize;
     for graph in bundle.queries.iter().take(25) {
         let expert_cost = optimizer.plan(graph).expect("plannable").cost;
-        let random_cost =
-            optimizer.cost_of(graph, &random_plan(graph, bundle.db.catalog(), &mut rng));
+        let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+        let (_, random_cost) = random_plan(graph, bundle.db.catalog(), &model, &cards, &mut rng);
+        let random_cost = random_cost.total;
         total += 1;
         if expert_cost <= random_cost * 1.0001 {
             expert_wins += 1;

@@ -45,6 +45,13 @@ fn exec_threads() -> &'static [usize] {
     })
 }
 
+/// One uniformly random valid plan of `graph`.
+fn draw_random_plan(db: &SynthDb, graph: &QueryGraph, rng: &mut StdRng) -> PhysicalPlan {
+    let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
+    let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+    PhysicalPlan::new(random_plan(graph, db.db.catalog(), &model, &cards, rng).0)
+}
+
 fn synth() -> &'static SynthDb {
     static DB: OnceLock<SynthDb> = OnceLock::new();
     DB.get_or_init(|| {
@@ -178,7 +185,7 @@ fn synth_random_plans_are_equivalent() {
     for qseed in 0..6 {
         let graph = db.query(Shape::Chain, 4, 2, qseed);
         for p in 0..4 {
-            let plan = random_plan(&graph, db.db.catalog(), &mut rng);
+            let plan = draw_random_plan(db, &graph, &mut rng);
             // A random order can be a budget-busting cross join; both
             // engines must agree either way.
             assert_equivalent(
@@ -244,7 +251,7 @@ fn budget_capped_plans_abort_identically() {
     let mut rng = StdRng::seed_from_u64(8);
     let graph = db.query(Shape::Chain, 5, 0, 2);
     for p in 0..6 {
-        let plan = random_plan(&graph, db.db.catalog(), &mut rng);
+        let plan = draw_random_plan(db, &graph, &mut rng);
         assert_equivalent(
             &db.db,
             &graph,

@@ -1,6 +1,6 @@
 //! The learned planner's three bit-identity rules, over all 113
 //! JOB-like queries: the rollout state equals the state rebuilt from
-//! its forest, inference equals `Mlp::predict` restricted to the legal
+//! the forest its merges build, inference equals `Mlp::predict` restricted to the legal
 //! actions, and a cost composed from `join_cost` equals the recursive
 //! `node_cost` — so every plan, cost and chosen action is what the
 //! from-scratch functions give. CI runs this file in release too: the
@@ -9,7 +9,7 @@
 use hfqo::cost::{CostEstimate, CostModel};
 use hfqo::nn::{masked_softmax, Matrix, Mlp};
 use hfqo::opt::{Planner, PlannerContext, RandomPlanner, TraditionalPlanner};
-use hfqo::query::{JoinAlgo, PlanNode, QueryGraph};
+use hfqo::query::{Forest, JoinAlgo, PlanNode, QueryGraph};
 use hfqo::rejoin::{Featurizer, LearnedPlanner, PolicyKind, ReJoinAgent, RolloutState};
 use hfqo::rl::Selector;
 use hfqo::sql::CompareOp;
@@ -79,7 +79,8 @@ fn full_row_greedy(policy: &Mlp, features: &[f32], mask: &[bool]) -> (usize, f32
 }
 
 /// On every state of the policy's own greedy rollout of every query:
-/// the updated state is the rebuilt one (features bit for bit, the mask
+/// the updated state is the one rebuilt from a forest merged with the
+/// same pairs (features bit for bit, the mask
 /// under both masking rules), the legal actions' logits are `predict`'s
 /// bit for bit, and the action and probability are the full-row
 /// selection's.
@@ -97,12 +98,13 @@ fn every_rollout_state_matches_the_from_scratch_functions() {
     let mut states = 0;
     for (q, graph) in fx.graphs.iter().enumerate() {
         let mut state = RolloutState::new(featurizer, graph, &est);
+        let mut forest = Forest::initial(graph.relation_count());
         loop {
-            featurizer.featurize(graph, state.forest(), &est, &mut rebuilt);
+            featurizer.featurize(graph, &forest, &est, &mut rebuilt);
             assert_eq!(bits(state.features()), bits(&rebuilt), "query {q}");
             for require_connected in [false, true] {
                 state.mask(require_connected, &mut mask);
-                featurizer.action_mask(graph, state.forest(), require_connected, &mut rebuilt_mask);
+                featurizer.action_mask(graph, &forest, require_connected, &mut rebuilt_mask);
                 assert_eq!(
                     mask, rebuilt_mask,
                     "query {q}, connected {require_connected}"
@@ -122,6 +124,7 @@ fn every_rollout_state_matches_the_from_scratch_functions() {
             assert_eq!((action, p.to_bits()), (want, want_p.to_bits()), "query {q}");
             let (x, y) = featurizer.decode_pair(action);
             assert!(state.merge(x, y), "query {q}: ({x}, {y})");
+            assert!(forest.merge(x, y), "query {q}: ({x}, {y})");
         }
     }
     let merges: usize = fx.graphs.iter().map(|g| g.relation_count() - 1).sum();
@@ -167,9 +170,9 @@ fn composed_cost(
     }
 }
 
-/// The clone-and-recost loop `best_algo_fixed_sides` used to be: the
-/// first arg-min of `node_cost` over the legal algorithms for fixed
-/// sides.
+/// The clone-and-recost loop the learned planner's fixed-sides pricing
+/// used to be: the first arg-min of `node_cost` over the legal
+/// algorithms for fixed sides.
 fn recosted_best_algo(
     graph: &QueryGraph,
     join: &PlanNode,
@@ -203,9 +206,10 @@ fn recosted_best_algo(
 }
 
 /// Composed cost equals recursive cost at every join of the expert
-/// plan, the learned plan and twenty random plans of every query; and
-/// the learned plan is the parent's: each join's algorithm is the
-/// clone-and-recost winner, and its reported cost is `plan_cost`'s.
+/// plan, the learned plan and twenty random plans of every query; every
+/// random plan is valid and carries `plan_cost`'s bits; and the learned
+/// plan is the parent's: each join's algorithm is the clone-and-recost
+/// winner, and its reported cost is `plan_cost`'s.
 #[test]
 fn composed_cost_equals_recursive_cost_and_the_plans_are_unchanged() {
     let fx = fixture();
@@ -215,7 +219,13 @@ fn composed_cost_equals_recursive_cost_and_the_plans_are_unchanged() {
     let random = RandomPlanner::new(21);
     for (q, graph) in fx.graphs.iter().enumerate() {
         let mut plans = vec![expert.plan(&ctx, graph).expect("expert plans")];
-        plans.extend((0..20).map(|_| random.plan(&ctx, graph).expect("random plans")));
+        for _ in 0..20 {
+            let planned = random.plan(&ctx, graph).expect("random plans");
+            planned.plan.validate(graph).expect("a valid random plan");
+            let recursive = model.plan_cost(graph, &planned.plan, &est).total;
+            assert_eq!(planned.cost.to_bits(), recursive.to_bits(), "query {q}");
+            plans.push(planned);
+        }
         for planned in &plans {
             let composed = composed_cost(graph, &planned.plan.root, &model, &est, &mut |_| {});
             assert_eq!(

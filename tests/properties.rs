@@ -20,6 +20,13 @@ fn synth() -> &'static SynthDb {
     })
 }
 
+/// One uniformly random valid plan of `graph`.
+fn draw_random_plan(db: &SynthDb, graph: &QueryGraph, rng: &mut StdRng) -> PhysicalPlan {
+    let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
+    let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+    PhysicalPlan::new(random_plan(graph, db.db.catalog(), &model, &cards, rng).0)
+}
+
 fn shape_from(v: u8) -> Shape {
     match v % 3 {
         0 => Shape::Chain,
@@ -45,9 +52,11 @@ proptest! {
         let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
         let expert_cost = optimizer.plan(&graph).expect("plannable").cost;
         let mut rng = StdRng::seed_from_u64(pseed);
-        let plan = random_plan(&graph, db.db.catalog(), &mut rng);
+        let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+        let (root, random_cost) = random_plan(&graph, db.db.catalog(), &model, &cards, &mut rng);
+        let plan = PhysicalPlan::new(root);
         plan.validate(&graph).expect("random plans are valid");
-        let random_cost = optimizer.cost_of(&graph, &plan);
+        let random_cost = random_cost.total;
         prop_assert!(expert_cost <= random_cost * 1.0001,
             "dp {expert_cost} vs random {random_cost}");
     }
@@ -70,7 +79,7 @@ proptest! {
             .rows
             .len();
         let mut rng = StdRng::seed_from_u64(pseed);
-        let plan = random_plan(&graph, db.db.catalog(), &mut rng);
+        let plan = draw_random_plan(db, &graph, &mut rng);
         match execute(&db.db, &graph, &plan, ExecConfig::default()) {
             Ok(out) => prop_assert_eq!(out.rows.len(), expert_count),
             // A random cross-join order can legitimately exhaust the work
@@ -94,7 +103,7 @@ proptest! {
         let db = synth();
         let graph = db.query(shape_from(shape), n, 2, qseed);
         let mut rng = StdRng::seed_from_u64(pseed);
-        let plan = random_plan(&graph, db.db.catalog(), &mut rng);
+        let plan = draw_random_plan(db, &graph, &mut rng);
         let config = ExecConfig::default();
         let batch = execute(&db.db, &graph, &plan, config);
         let row = hfqo::exec::execute_rows(&db.db, &graph, &plan, config);
