@@ -9,7 +9,9 @@
 //! * cardinality estimation from histograms (`hfqo-stats`),
 //! * a cost model with per-operator formulas (`hfqo-cost`),
 //! * **exhaustive bottom-up dynamic programming** ([`dp`]) over connected
-//!   subgraphs for small queries (PostgreSQL: `geqo_threshold = 12`),
+//!   subgraphs for small queries (PostgreSQL: `geqo_threshold = 12`), in
+//!   a dense table with one slot per connected set, whose plan is built
+//!   once, at the end,
 //! * a **greedy bottom-up** fallback ([`greedy`]) beyond the threshold
 //!   (standing in for GEQO; the paper's §3 notes PostgreSQL's greedy
 //!   bottom-up behaviour),

@@ -1,6 +1,6 @@
 //! The optimizer facade.
 
-use crate::dp::dp_plan;
+use crate::dp::{dp_plan, MAX_RELATIONS};
 use crate::greedy::greedy_plan;
 use crate::physical::best_aggregate_if_needed;
 use hfqo_catalog::Catalog;
@@ -85,7 +85,9 @@ pub struct TraditionalOptimizer<'a> {
     params: CostParams,
     /// Relation count at which planning switches from DP to greedy
     /// (PostgreSQL's `geqo_threshold` defaults to 12; DP on our bushy
-    /// search space gets slow a little earlier, hence 10).
+    /// search space gets slow a little earlier, hence 10). Queries over
+    /// more than [`MAX_RELATIONS`] relations are planned greedily whatever
+    /// the threshold.
     pub dp_threshold: usize,
 }
 
@@ -122,7 +124,8 @@ impl<'a> TraditionalOptimizer<'a> {
         EstimatedCardinality::new(self.stats)
     }
 
-    /// Plans a query: DP below the threshold, greedy at or above it, then
+    /// Plans a query: DP below the threshold (and at most
+    /// [`MAX_RELATIONS`] relations), greedy otherwise, then
     /// operator selection for the aggregate root.
     pub fn plan(&self, graph: &QueryGraph) -> Result<PlannedQuery, OptError> {
         if graph.relation_count() == 0 {
@@ -131,7 +134,8 @@ impl<'a> TraditionalOptimizer<'a> {
         let start = Instant::now();
         let model = self.cost_model();
         let cards = self.estimator();
-        let (join_root, method) = if graph.relation_count() < self.dp_threshold {
+        let n = graph.relation_count();
+        let (join_root, method) = if n < self.dp_threshold && n <= MAX_RELATIONS {
             (
                 dp_plan(graph, self.catalog, &model, &cards),
                 PlannerMethod::DynamicProgramming,
@@ -193,6 +197,19 @@ mod tests {
         let db = TestDb::chain(6, 200);
         let graph = chain_query(&db, 6);
         let opt = TraditionalOptimizer::new(db.db.catalog(), &db.stats).with_dp_threshold(5);
+        let planned = opt.plan(&graph).unwrap();
+        assert_eq!(planned.method, PlannerMethod::Greedy);
+        planned.plan.validate(&graph).unwrap();
+    }
+
+    /// DP's table has a slot index per subset, so past its cap the
+    /// optimizer plans greedily even when the threshold says DP.
+    #[test]
+    fn queries_past_the_dp_cap_plan_greedily() {
+        let n = MAX_RELATIONS + 1;
+        let db = TestDb::chain(n, 20);
+        let graph = chain_query(&db, n);
+        let opt = TraditionalOptimizer::new(db.db.catalog(), &db.stats).with_dp_threshold(64);
         let planned = opt.plan(&graph).unwrap();
         assert_eq!(planned.method, PlannerMethod::Greedy);
         planned.plan.validate(&graph).unwrap();

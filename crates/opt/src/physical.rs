@@ -99,15 +99,29 @@ pub fn legal_join_algos(graph: &QueryGraph, left: RelSet, right: RelSet) -> [boo
 #[inline]
 pub fn price_join<C: CardinalitySource>(
     graph: &QueryGraph,
-    (left_set, left): (RelSet, CostEstimate),
-    (right_set, right): (RelSet, CostEstimate),
+    left: (RelSet, CostEstimate),
+    right: (RelSet, CostEstimate),
     may_flip: bool,
     model: &CostModel<'_>,
     cards: &C,
 ) -> JoinPrice {
+    let out_rows = cards.set_rows(graph, left.0.union(right.0));
+    price_join_with_rows(graph, left, right, may_flip, out_rows, model)
+}
+
+/// [`price_join`] for a caller that already holds the union's rows, as
+/// the cardinality source gives them.
+#[inline]
+pub(crate) fn price_join_with_rows(
+    graph: &QueryGraph,
+    (left_set, left): (RelSet, CostEstimate),
+    (right_set, right): (RelSet, CostEstimate),
+    may_flip: bool,
+    out_rows: f64,
+    model: &CostModel<'_>,
+) -> JoinPrice {
     let n_conds = graph.edges_between(left_set, right_set).count();
     let legal = legal_join_algos(graph, left_set, right_set);
-    let out_rows = cards.set_rows(graph, left_set.union(right_set));
     let sides: &[bool] = if may_flip { &[false, true] } else { &[false] };
     let mut best: Option<JoinPrice> = None;
     for (algo, legal) in JoinAlgo::ALL.into_iter().zip(legal) {
