@@ -45,15 +45,6 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
-    /// A model with custom parameters.
-    pub fn new(params: CostParams, ms_per_unit: f64, noise_sigma: f64) -> Self {
-        Self {
-            params,
-            ms_per_unit,
-            noise_sigma,
-        }
-    }
-
     /// A noiseless model (deterministic; useful in tests).
     pub fn noiseless() -> Self {
         Self {

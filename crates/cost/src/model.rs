@@ -280,8 +280,7 @@ mod tests {
     #[test]
     fn hash_beats_nested_loop_on_large_inputs() {
         let (stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let est = EstimatedCardinality::new(&stats);
         let nl = model.plan_cost(
             &graph,
@@ -305,8 +304,7 @@ mod tests {
     #[test]
     fn index_scan_beats_seq_scan_for_selective_predicate() {
         let (stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let est = EstimatedCardinality::new(&stats);
         let seq = model.node_cost(&graph, &scan(1), &est);
         let idx = model.node_cost(
@@ -342,8 +340,7 @@ mod tests {
             vec![],
             vec![],
         );
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let est = EstimatedCardinality::new(&stats);
         let good = model.plan_cost(
             &graph,
@@ -366,8 +363,7 @@ mod tests {
     #[test]
     fn aggregate_adds_cost_on_top() {
         let (stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let est = EstimatedCardinality::new(&stats);
         let plain = model.plan_cost(
             &graph,
@@ -392,8 +388,7 @@ mod tests {
     #[test]
     fn composed_costs_equal_recursive_costs() {
         let (stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let est = EstimatedCardinality::new(&stats);
         let same = |a: CostEstimate, b: CostEstimate| {
             assert_eq!(a.total.to_bits(), b.total.to_bits());
@@ -426,8 +421,7 @@ mod tests {
     #[test]
     fn costs_are_positive_and_monotone_in_inputs() {
         let (stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let est = EstimatedCardinality::new(&stats);
         let small = model.node_cost(&graph, &scan(0), &est);
         let large = model.node_cost(&graph, &scan(1), &est);

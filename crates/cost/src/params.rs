@@ -1,10 +1,11 @@
 //! Cost model parameters ("knobs").
 //!
-//! Defaults follow PostgreSQL's planner cost constants. The paper's §1
-//! complains that DBAs must tune exactly these values per database — which
-//! is why they are a first-class struct here rather than constants: the
-//! bootstrap experiments build a *latency* parameterisation that
-//! deliberately disagrees with the costing one.
+//! The planners price with PostgreSQL's planner cost constants,
+//! [`CostParams::POSTGRES_LIKE`]. The paper's §1 complains that DBAs must
+//! tune exactly these values per database. They form a struct rather than
+//! loose constants because the latency model ([`crate::LatencyModel`])
+//! prices the same formulas under a second, *latency* parameterisation
+//! that deliberately disagrees with the costing one.
 
 /// Planner cost constants.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,30 +26,23 @@ pub struct CostParams {
     pub sort_factor: f64,
 }
 
-impl Default for CostParams {
-    fn default() -> Self {
-        Self {
-            seq_page_cost: 1.0,
-            random_page_cost: 4.0,
-            cpu_tuple_cost: 0.01,
-            cpu_index_tuple_cost: 0.005,
-            cpu_operator_cost: 0.0025,
-            hash_build_factor: 1.5,
-            sort_factor: 1.0,
-        }
-    }
-}
-
 impl CostParams {
-    /// PostgreSQL-like defaults (disk-resident assumptions).
-    pub fn postgres_like() -> Self {
-        Self::default()
-    }
+    /// PostgreSQL's planner cost constants (disk-resident assumptions):
+    /// the one parameterisation the planners price with.
+    pub const POSTGRES_LIKE: Self = Self {
+        seq_page_cost: 1.0,
+        random_page_cost: 4.0,
+        cpu_tuple_cost: 0.01,
+        cpu_index_tuple_cost: 0.005,
+        cpu_operator_cost: 0.0025,
+        hash_build_factor: 1.5,
+        sort_factor: 1.0,
+    };
 
     /// A parameterisation approximating the *actual* in-memory execution
     /// engine: random access is barely more expensive than sequential,
     /// hashing is relatively cheap, per-tuple CPU dominates. The gap
-    /// between this and [`postgres_like`](Self::postgres_like) is the
+    /// between this and [`POSTGRES_LIKE`](Self::POSTGRES_LIKE) is the
     /// systematic cost-vs-latency disagreement the paper's §4 discusses
     /// ("a query with a high optimizer cost might outperform a query with
     /// lower optimizer cost").
@@ -71,7 +65,7 @@ mod tests {
 
     #[test]
     fn defaults_match_postgres() {
-        let p = CostParams::default();
+        let p = CostParams::POSTGRES_LIKE;
         assert_eq!(p.seq_page_cost, 1.0);
         assert_eq!(p.random_page_cost, 4.0);
         assert_eq!(p.cpu_tuple_cost, 0.01);
@@ -79,6 +73,6 @@ mod tests {
 
     #[test]
     fn latency_params_differ() {
-        assert_ne!(CostParams::postgres_like(), CostParams::in_memory_latency());
+        assert_ne!(CostParams::POSTGRES_LIKE, CostParams::in_memory_latency());
     }
 }

@@ -4,7 +4,7 @@ use crate::mlp::{Mlp, MlpGradients};
 
 /// Panics unless `grads` is shaped exactly like `mlp`'s parameters.
 ///
-/// Both optimizers used to `zip` layers against gradients, which
+/// The optimizer used to `zip` layers against gradients, which
 /// silently *truncates* on a layer-count mismatch and soaks up
 /// wrong-network bugs (e.g. stepping a policy with a value-head
 /// gradient): the extra layers simply never trained. A mismatch is a
@@ -43,41 +43,6 @@ pub trait Optimizer {
 
     /// Overrides the learning rate (schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, mlp: &mut Mlp, grads: &MlpGradients) {
-        assert_grad_shapes(mlp, grads);
-        for (layer, (gw, gb)) in mlp.layers_mut().iter_mut().zip(&grads.layers) {
-            for (w, g) in layer.w.data_mut().iter_mut().zip(gw.data()) {
-                *w -= self.lr * g;
-            }
-            for (b, g) in layer.b.iter_mut().zip(gb) {
-                *b -= self.lr * g;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -170,7 +135,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Trains y = 2x − 1 on a tiny MLP; both optimizers must fit it.
+    /// Trains y = 2x − 1 on a tiny MLP.
     fn train_linear<O: Optimizer>(mut opt: O, epochs: usize) -> f32 {
         let mut rng = StdRng::seed_from_u64(7);
         let mut mlp = Mlp::new(&[1, 8, 1], Activation::Tanh, &mut rng);
@@ -189,12 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_fits_linear_function() {
-        let loss = train_linear(Sgd::new(0.05), 2000);
-        assert!(loss < 0.01, "sgd final loss {loss}");
-    }
-
-    #[test]
     fn adam_fits_linear_function_faster() {
         let loss = train_linear(Adam::new(0.01), 500);
         assert!(loss < 0.01, "adam final loss {loss}");
@@ -202,9 +161,6 @@ mod tests {
 
     #[test]
     fn learning_rate_accessors() {
-        let mut s = Sgd::new(0.1);
-        s.set_learning_rate(0.2);
-        assert_eq!(s.learning_rate(), 0.2);
         let mut a = Adam::new(0.001);
         a.set_learning_rate(0.01);
         assert_eq!(a.learning_rate(), 0.01);
@@ -215,16 +171,16 @@ mod tests {
     /// silently skip the unmatched layers; it must panic.
     #[test]
     #[should_panic(expected = "optimizer gradient shape mismatch")]
-    fn sgd_rejects_layer_count_mismatch() {
+    fn adam_rejects_layer_count_mismatch() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut mlp = Mlp::new(&[2, 4, 3, 1], Activation::ReLU, &mut rng);
         let other = Mlp::new(&[2, 4, 1], Activation::ReLU, &mut rng);
         let grads = crate::mlp::MlpGradients::zeros_like(&other);
-        Sgd::new(0.1).step(&mut mlp, &grads);
+        Adam::new(0.1).step(&mut mlp, &grads);
     }
 
     /// Regression (silent-truncation bugfix): same layer count but
-    /// mismatched per-layer shapes must also panic, for both optimizers.
+    /// mismatched per-layer shapes must also panic.
     #[test]
     #[should_panic(expected = "optimizer gradient shape mismatch at layer 1")]
     fn adam_rejects_per_layer_shape_mismatch() {

@@ -12,7 +12,7 @@ use std::ops::Range;
 
 /// The most relations [`dp_plan`] takes: its index holds a word for each
 /// subset of the relations (4 MiB at 20).
-/// [`TraditionalOptimizer`](crate::TraditionalOptimizer) plans a larger
+/// [`TraditionalPlanner`](crate::TraditionalPlanner) plans a larger
 /// query greedily, whatever its threshold.
 pub const MAX_RELATIONS: usize = 20;
 
@@ -225,8 +225,7 @@ mod tests {
         for n in 1..=6 {
             let db = TestDb::chain(n, 1000);
             let graph = chain_query(&db, n);
-            let params = CostParams::default();
-            let model = CostModel::new(&params, &db.stats);
+            let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
             let cards = EstimatedCardinality::new(&db.stats);
             let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
             PhysicalPlan::new(plan).validate(&graph).unwrap();
@@ -237,8 +236,7 @@ mod tests {
     fn dp_beats_random_plans() {
         let db = TestDb::chain(6, 2000);
         let graph = chain_query(&db, 6);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let (dp, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         let dp_cost = model
@@ -259,8 +257,7 @@ mod tests {
     fn dp_handles_star_queries() {
         let db = TestDb::star(5, 1000);
         let graph = star_query(&db, 5);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         PhysicalPlan::new(plan).validate(&graph).unwrap();
@@ -273,8 +270,7 @@ mod tests {
         let mut graph = chain_query(&db, 2);
         graph =
             hfqo_query::QueryGraph::new(graph.relations().to_vec(), vec![], vec![], vec![], vec![]);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         PhysicalPlan::new(plan).validate(&graph).unwrap();
@@ -284,8 +280,7 @@ mod tests {
     fn single_relation_query() {
         let db = TestDb::chain(1, 100);
         let graph = chain_query(&db, 1);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let (plan, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
         assert!(matches!(plan, PlanNode::Scan { .. }));
@@ -404,11 +399,10 @@ mod tests {
     #[test]
     fn dense_table_matches_the_reference_search() {
         let db = TestDb::chain(3, 300);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let star_db = TestDb::star(7, 2000);
-        let star_model = CostModel::new(&params, &star_db.stats);
+        let star_model = CostModel::new(&CostParams::POSTGRES_LIKE, &star_db.stats);
         let star_cards = EstimatedCardinality::new(&star_db.stats);
         let (star, star_cat) = (star_query(&star_db, 7), star_db.db.catalog());
         let dp = dp_plan(&star, star_cat, &star_model, &star_cards);
@@ -459,8 +453,7 @@ mod tests {
     #[test]
     fn each_sets_rows_are_asked_once() {
         let db = TestDb::chain(3, 300);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let mut rng = StdRng::seed_from_u64(5);
         for case in 0..40 {
             let graph = random_query(2 + case % 7, [0.3, 1.0][case % 2], &mut rng);

@@ -149,6 +149,7 @@ mod tests {
     use super::*;
     use crate::physical::best_aggregate_if_needed;
     use crate::test_support::{chain_query, TestDb};
+    use crate::{Planner, PlannerContext, TraditionalPlanner};
     use hfqo_cost::CostParams;
     use hfqo_query::{tree_to_actions, JoinTree, PhysicalPlan, PlanNode, RelId};
     use hfqo_stats::EstimatedCardinality;
@@ -157,8 +158,7 @@ mod tests {
     /// with fixed sides, and finishes the root — the learned planner's
     /// completion of a join order.
     fn plan_of_tree(db: &TestDb, graph: &QueryGraph, tree: &JoinTree) -> (PhysicalPlan, f64) {
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let mut forest = PlanForest::best_access_paths(graph, db.db.catalog(), &model, &cards);
         for (x, y) in tree_to_actions(tree, graph.relation_count()) {
@@ -214,8 +214,8 @@ mod tests {
     fn bad_orders_cost_more_than_expert() {
         let db = TestDb::chain(4, 1000);
         let graph = chain_query(&db, 4);
-        let opt = crate::TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-        let expert = opt.plan(&graph).unwrap();
+        let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        let expert = TraditionalPlanner::new().plan(&ctx, &graph).unwrap();
         let bad_tree = JoinTree::join(
             JoinTree::join(JoinTree::leaf(RelId(0)), JoinTree::leaf(RelId(3))),
             JoinTree::join(JoinTree::leaf(RelId(1)), JoinTree::leaf(RelId(2))),

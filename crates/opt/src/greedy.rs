@@ -67,8 +67,7 @@ mod tests {
         for n in 1..=8 {
             let db = TestDb::chain(n, 500);
             let graph = chain_query(&db, n);
-            let params = CostParams::default();
-            let model = CostModel::new(&params, &db.stats);
+            let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
             let cards = EstimatedCardinality::new(&db.stats);
             let (plan, _) = greedy_plan(&graph, db.db.catalog(), &model, &cards);
             PhysicalPlan::new(plan).validate(&graph).unwrap();
@@ -79,8 +78,7 @@ mod tests {
     fn greedy_close_to_dp_on_small_queries() {
         let db = TestDb::chain(5, 1000);
         let graph = chain_query(&db, 5);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let (g, _) = greedy_plan(&graph, db.db.catalog(), &model, &cards);
         let (d, _) = dp_plan(&graph, db.db.catalog(), &model, &cards);
@@ -98,8 +96,7 @@ mod tests {
     fn greedy_beats_random_on_stars() {
         let db = TestDb::star(6, 2000);
         let graph = star_query(&db, 6);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let (g, _) = greedy_plan(&graph, db.db.catalog(), &model, &cards);
         let gc = model.plan_cost(&graph, &PhysicalPlan::new(g), &cards).total;

@@ -3,6 +3,10 @@
 //! The "traditional query optimizer" of the paper: the expert that
 //! learning-from-demonstration imitates, the baseline every figure compares
 //! against, and the provider of the cost model ReJOIN uses as its reward.
+//! It is one planner, [`TraditionalPlanner`], planning against one
+//! [`PlannerContext`] — catalog and statistics, priced under PostgreSQL-like
+//! constants — the same context every other planner and the RL
+//! environment price with.
 //!
 //! Architecture mirrors PostgreSQL's planner:
 //!
@@ -12,18 +16,19 @@
 //!   subgraphs for small queries (PostgreSQL: `geqo_threshold = 12`), in
 //!   a dense table with one slot per connected set, whose plan is built
 //!   once, at the end,
-//! * a **greedy bottom-up** fallback ([`greedy`]) beyond the threshold
-//!   (standing in for GEQO; the paper's §3 notes PostgreSQL's greedy
-//!   bottom-up behaviour),
+//! * a **greedy bottom-up** fallback ([`greedy`]) at and beyond the
+//!   threshold (standing in for GEQO; the paper's §3 notes PostgreSQL's
+//!   greedy bottom-up behaviour),
 //! * access-path and physical-operator selection ([`physical`]), and the
 //!   **costed forest** ([`forest`]) every planner but DP steps,
 //! * a **random planner** ([`random`]) used as the floor baseline in
 //!   the §4 experiments and **expert traces** ([`trace`]) consumed by
 //!   learning-from-demonstration (§5.1),
 //! * plus the **unified [`Planner`] trait** ([`planner`]) every strategy
-//!   — traditional, pure greedy, random, and the learned ReJOIN policy —
-//!   implements, so the serving layer and the experiment harness swap
-//!   strategies behind one interface.
+//!   — traditional, random, and the learned ReJOIN policy — implements,
+//!   so the serving layer and the experiment harness swap strategies
+//!   behind one interface; the planned-query types live in
+//!   [`optimizer`].
 
 pub mod dp;
 pub mod forest;
@@ -38,7 +43,7 @@ pub mod trace;
 pub mod test_support;
 
 pub use forest::PlanForest;
-pub use optimizer::{OptError, PlannedQuery, PlannerMethod, TraditionalOptimizer};
-pub use planner::{GreedyPlanner, Planner, PlannerContext, RandomPlanner, TraditionalPlanner};
+pub use optimizer::{OptError, PlannedQuery, PlannerMethod};
+pub use planner::{Planner, PlannerContext, RandomPlanner, TraditionalPlanner};
 pub use random::random_plan;
 pub use trace::{expert_actions, ExpertEpisode};

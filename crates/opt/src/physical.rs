@@ -306,8 +306,7 @@ mod tests {
     #[test]
     fn selective_predicate_picks_index_scan() {
         let (cat, stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let cards = EstimatedCardinality::new(&stats);
         let (node, _) = best_access_path(&graph, RelId(0), &cat, &model, &cards);
         assert!(
@@ -325,8 +324,7 @@ mod tests {
     #[test]
     fn relation_without_index_uses_seq_scan() {
         let (cat, stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let cards = EstimatedCardinality::new(&stats);
         let (node, _) = best_access_path(&graph, RelId(1), &cat, &model, &cards);
         assert!(matches!(
@@ -350,8 +348,7 @@ mod tests {
             vec![],
             vec![],
         );
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let cards = EstimatedCardinality::new(&stats);
         let l = best_access_path(&graph, RelId(0), &cat, &model, &cards);
         let r = best_access_path(&graph, RelId(1), &cat, &model, &cards);
@@ -374,8 +371,7 @@ mod tests {
         // the nested loop becomes the cheapest strategy — the classic
         // reason real optimizers keep NLJ around.
         let (cat, stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let cards = EstimatedCardinality::new(&stats);
         let l = best_access_path(&graph, RelId(0), &cat, &model, &cards);
         let r = best_access_path(&graph, RelId(1), &cat, &model, &cards);
@@ -392,8 +388,7 @@ mod tests {
     #[test]
     fn aggregate_added_only_when_needed() {
         let (cat, stats, graph) = setup();
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let cards = EstimatedCardinality::new(&stats);
         let scan = best_access_path(&graph, RelId(0), &cat, &model, &cards);
         let unchanged = best_aggregate_if_needed(&graph, scan.clone(), &model);
@@ -422,8 +417,7 @@ mod tests {
     fn ties_keep_the_given_sides_and_fixed_sides_never_flip() {
         let (cat, stats, graph) = setup();
         let cross = QueryGraph::new(graph.relations().to_vec(), vec![], vec![], vec![], vec![]);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
         let cards = EstimatedCardinality::new(&stats);
         let scan = |g: &QueryGraph, rel: u32| {
             let (node, cost) = best_access_path(g, RelId(rel), &cat, &model, &cards);

@@ -1,21 +1,24 @@
 //! The unified planning interface.
 //!
 //! Every planning strategy in this project — the traditional DP/greedy
-//! expert, pure greedy, the random floor baseline, and the learned
-//! ReJOIN policy (`hfqo_rejoin::LearnedPlanner`) — implements one
-//! [`Planner`] trait, so the serving layer, the experiment harness, and
-//! the benchmarks can swap strategies behind a `&dyn Planner` without
-//! bespoke call sites.
+//! expert, the random floor baseline, and the learned ReJOIN policy
+//! (`hfqo_rejoin::LearnedPlanner`) — implements one [`Planner`] trait, so
+//! the serving layer, the RL environment, the experiment harness, and the
+//! benchmarks can swap strategies behind a `&dyn Planner` without bespoke
+//! call sites.
 //!
 //! Planners are *strategy objects*: they hold only their own
 //! configuration (thresholds, seeds, frozen policy weights) and receive
-//! the world — catalog, statistics, cost parameters — per call through a
+//! the world — catalog and statistics — per call through a
 //! [`PlannerContext`]. That keeps every planner `Send + Sync` without
 //! lifetime ties to the database, which is what lets a serving session
 //! own its statistics and rebuild them without invalidating planner
 //! borrows.
 
-use crate::optimizer::{OptError, PlannedQuery, PlannerMethod, TraditionalOptimizer};
+use crate::dp::{dp_plan, MAX_RELATIONS};
+use crate::greedy::greedy_plan;
+use crate::optimizer::{OptError, PlannedQuery, PlannerMethod};
+use crate::physical::best_aggregate_if_needed;
 use crate::random::random_plan;
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostModel, CostParams};
@@ -27,35 +30,24 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 /// The read-only world a planner plans against, handed in per call.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct PlannerContext<'a> {
     /// The table catalog.
     pub catalog: &'a Catalog,
     /// Table statistics (cardinality estimation).
     pub stats: &'a StatsCatalog,
-    /// Cost-model parameters.
-    pub params: CostParams,
 }
 
 impl<'a> PlannerContext<'a> {
-    /// A context with PostgreSQL-like cost parameters.
+    /// A context over `catalog` and `stats`.
     pub fn new(catalog: &'a Catalog, stats: &'a StatsCatalog) -> Self {
-        Self {
-            catalog,
-            stats,
-            params: CostParams::postgres_like(),
-        }
+        Self { catalog, stats }
     }
 
-    /// Overrides the cost parameters (builder style).
-    pub fn with_params(mut self, params: CostParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// A cost model over this context.
-    pub fn cost_model(&self) -> CostModel<'_> {
-        CostModel::new(&self.params, self.stats)
+    /// The cost model every planner prices with — the paper's `M(t)`,
+    /// under PostgreSQL-like constants ([`CostParams::POSTGRES_LIKE`]).
+    pub fn cost_model(&self) -> CostModel<'a> {
+        CostModel::new(&CostParams::POSTGRES_LIKE, self.stats)
     }
 
     /// The estimated-cardinality source.
@@ -73,14 +65,14 @@ impl<'a> PlannerContext<'a> {
 ///
 /// ```
 /// use hfqo_opt::test_support::{chain_query, TestDb};
-/// use hfqo_opt::{GreedyPlanner, Planner, PlannerContext, RandomPlanner, TraditionalPlanner};
+/// use hfqo_opt::{Planner, PlannerContext, RandomPlanner, TraditionalPlanner};
 ///
 /// let fixture = TestDb::chain(4, 200);
 /// let graph = chain_query(&fixture, 4);
 /// let ctx = PlannerContext::new(fixture.db.catalog(), &fixture.stats);
 /// let strategies: [&dyn Planner; 3] = [
 ///     &TraditionalPlanner::new(),
-///     &GreedyPlanner,
+///     &TraditionalPlanner::new().with_dp_threshold(0),
 ///     &RandomPlanner::new(42),
 /// ];
 /// for planner in strategies {
@@ -97,17 +89,22 @@ pub trait Planner: Send + Sync {
     fn plan(&self, ctx: &PlannerContext<'_>, graph: &QueryGraph) -> Result<PlannedQuery, OptError>;
 }
 
-/// The traditional cost-based strategy: exhaustive DP below a threshold,
-/// greedy bottom-up at or above it — [`TraditionalOptimizer`] behind the
-/// [`Planner`] trait.
+/// The traditional cost-based optimizer, the paper's "expert": exhaustive
+/// DP below a relation-count threshold, greedy bottom-up at or above it,
+/// then operator selection for the aggregate root. Threshold 0 plans
+/// every query greedily.
 #[derive(Debug, Clone, Copy)]
 pub struct TraditionalPlanner {
-    /// Relation count at which planning switches from DP to greedy.
+    /// Relation count at which planning switches from DP to greedy
+    /// (PostgreSQL's `geqo_threshold` defaults to 12; DP on our bushy
+    /// search space gets slow a little earlier, hence 10). Queries over
+    /// more than [`MAX_RELATIONS`] relations are planned greedily whatever
+    /// the threshold.
     pub dp_threshold: usize,
 }
 
 impl TraditionalPlanner {
-    /// The default DP/greedy switch (matches [`TraditionalOptimizer`]).
+    /// The expert at its default DP/greedy switch.
     pub fn new() -> Self {
         Self { dp_threshold: 10 }
     }
@@ -131,29 +128,30 @@ impl Planner for TraditionalPlanner {
     }
 
     fn plan(&self, ctx: &PlannerContext<'_>, graph: &QueryGraph) -> Result<PlannedQuery, OptError> {
-        TraditionalOptimizer::new(ctx.catalog, ctx.stats)
-            .with_params(ctx.params.clone())
-            .with_dp_threshold(self.dp_threshold)
-            .plan(graph)
-    }
-}
-
-/// Pure greedy bottom-up planning at every query size (the traditional
-/// strategy with the DP stage disabled).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyPlanner;
-
-impl Planner for GreedyPlanner {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn plan(&self, ctx: &PlannerContext<'_>, graph: &QueryGraph) -> Result<PlannedQuery, OptError> {
-        // Threshold 0 routes every query through the greedy stage.
-        TraditionalOptimizer::new(ctx.catalog, ctx.stats)
-            .with_params(ctx.params.clone())
-            .with_dp_threshold(0)
-            .plan(graph)
+        if graph.relation_count() == 0 {
+            return Err(OptError::EmptyQuery);
+        }
+        let start = Instant::now();
+        let (model, cards) = (ctx.cost_model(), ctx.estimator());
+        let n = graph.relation_count();
+        let (join_root, method) = if n < self.dp_threshold && n <= MAX_RELATIONS {
+            (
+                dp_plan(graph, ctx.catalog, &model, &cards),
+                PlannerMethod::DynamicProgramming,
+            )
+        } else {
+            (
+                greedy_plan(graph, ctx.catalog, &model, &cards),
+                PlannerMethod::Greedy,
+            )
+        };
+        let (root, cost) = best_aggregate_if_needed(graph, join_root, &model);
+        Ok(PlannedQuery {
+            plan: PhysicalPlan::new(root),
+            cost: cost.total,
+            planning_time: start.elapsed(),
+            method,
+        })
     }
 }
 
@@ -206,7 +204,6 @@ impl Planner for RandomPlanner {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TraditionalPlanner>();
-    assert_send_sync::<GreedyPlanner>();
     assert_send_sync::<RandomPlanner>();
 };
 
@@ -221,43 +218,59 @@ mod tests {
         (db, graph)
     }
 
+    /// Below the threshold the expert runs DP, and the cost it reports
+    /// is the one the context's cost model re-walks from its plan, bit
+    /// for bit.
     #[test]
-    fn traditional_planner_matches_the_optimizer_facade() {
+    fn plans_small_queries_with_dp_at_the_re_walked_cost() {
         let (db, graph) = fixture();
         let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
-        let via_trait = TraditionalPlanner::new().plan(&ctx, &graph).unwrap();
-        let direct = TraditionalOptimizer::new(db.db.catalog(), &db.stats)
-            .plan(&graph)
-            .unwrap();
-        assert_eq!(via_trait.plan, direct.plan);
-        assert_eq!(via_trait.cost, direct.cost);
-        assert_eq!(via_trait.method, PlannerMethod::DynamicProgramming);
+        let planned = TraditionalPlanner::new().plan(&ctx, &graph).unwrap();
+        assert_eq!(planned.method, PlannerMethod::DynamicProgramming);
+        planned.plan.validate(&graph).unwrap();
+        let re_walked = ctx
+            .cost_model()
+            .plan_cost(&graph, &planned.plan, &ctx.estimator());
+        assert_eq!(re_walked.total.to_bits(), planned.cost.to_bits());
+        assert!(planned.planning_time.as_nanos() > 0);
     }
 
     /// `PlannerMethod` attribution: the DP/greedy switch reports which
-    /// stage actually ran.
+    /// stage actually ran — greedy at the threshold and at 0, where DP
+    /// would normally take the query.
     #[test]
-    fn traditional_planner_attributes_greedy_beyond_threshold() {
+    fn traditional_planner_attributes_greedy_at_the_threshold() {
         let (db, graph) = fixture();
         let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        for threshold in [0, 4] {
+            let planned = TraditionalPlanner::new()
+                .with_dp_threshold(threshold)
+                .plan(&ctx, &graph)
+                .unwrap();
+            assert_eq!(
+                planned.method,
+                PlannerMethod::Greedy,
+                "threshold {threshold}"
+            );
+            planned.plan.validate(&graph).unwrap();
+            assert!(planned.cost > 0.0);
+        }
+    }
+
+    /// DP's table has a slot index per subset, so past its cap the
+    /// expert plans greedily even when the threshold says DP.
+    #[test]
+    fn queries_past_the_dp_cap_plan_greedily() {
+        let n = MAX_RELATIONS + 1;
+        let db = TestDb::chain(n, 20);
+        let graph = chain_query(&db, n);
+        let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
         let planned = TraditionalPlanner::new()
-            .with_dp_threshold(3)
+            .with_dp_threshold(64)
             .plan(&ctx, &graph)
             .unwrap();
         assert_eq!(planned.method, PlannerMethod::Greedy);
         planned.plan.validate(&graph).unwrap();
-    }
-
-    /// `PlannerMethod` attribution: pure greedy is `Greedy` at every
-    /// size, even ones DP would normally take.
-    #[test]
-    fn greedy_planner_attributes_greedy_method() {
-        let (db, graph) = fixture();
-        let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
-        let planned = GreedyPlanner.plan(&ctx, &graph).unwrap();
-        assert_eq!(planned.method, PlannerMethod::Greedy);
-        planned.plan.validate(&graph).unwrap();
-        assert!(planned.cost > 0.0);
     }
 
     /// `PlannerMethod` attribution: random plans are tagged `Random`.
@@ -300,7 +313,7 @@ mod tests {
         let empty = QueryGraph::new(vec![], vec![], vec![], vec![], vec![]);
         let planners: Vec<Box<dyn Planner>> = vec![
             Box::new(TraditionalPlanner::new()),
-            Box::new(GreedyPlanner),
+            Box::new(TraditionalPlanner::new().with_dp_threshold(0)),
             Box::new(RandomPlanner::new(0)),
         ];
         for planner in &planners {

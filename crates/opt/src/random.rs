@@ -67,8 +67,7 @@ mod tests {
 
     /// Draws one random plan over `db`'s statistics.
     fn draw(db: &TestDb, graph: &QueryGraph, rng: &mut StdRng) -> (PhysicalPlan, f64) {
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let (root, cost) = random_plan(graph, db.db.catalog(), &model, &cards, rng);
         (PhysicalPlan::new(root), cost.total)
@@ -78,8 +77,7 @@ mod tests {
     fn random_plans_are_always_valid_and_carry_their_cost() {
         let db = TestDb::chain(5, 200);
         let graph = chain_query(&db, 5);
-        let params = CostParams::default();
-        let model = CostModel::new(&params, &db.stats);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
         let cards = EstimatedCardinality::new(&db.stats);
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..50 {

@@ -3,12 +3,13 @@
 //! The paper's LfD recipe records, for each workload query, the episode
 //! history `H_q = [(a_0, s_0), (a_1, s_1), …]` of the traditional
 //! optimizer's decisions plus the resulting latency `L_q`. Here the
-//! optimizer's chosen join tree is decompiled into the *exact* forest-merge
+//! expert's chosen join tree is decompiled into the *exact* forest-merge
 //! action sequence the RL environment uses (see
 //! [`hfqo_query::tree_to_actions`]), so demonstrations and agent episodes
 //! share one action vocabulary.
 
-use crate::optimizer::{OptError, TraditionalOptimizer};
+use crate::optimizer::OptError;
+use crate::planner::{Planner, PlannerContext, TraditionalPlanner};
 use hfqo_query::{tree_to_actions, PhysicalPlan, QueryGraph};
 
 /// One expert demonstration: the optimizer's action sequence for a query
@@ -25,12 +26,14 @@ pub struct ExpertEpisode {
     pub cost: f64,
 }
 
-/// Runs the expert on a query and extracts its demonstration episode.
+/// Runs the expert — [`TraditionalPlanner::new`], the planner a serving
+/// session defaults to — on a query and extracts its demonstration
+/// episode.
 pub fn expert_actions(
-    optimizer: &TraditionalOptimizer<'_>,
+    ctx: &PlannerContext<'_>,
     graph: &QueryGraph,
 ) -> Result<ExpertEpisode, OptError> {
-    let planned = optimizer.plan(graph)?;
+    let planned = TraditionalPlanner::new().plan(ctx, graph)?;
     let tree = planned.plan.root.join_tree();
     let actions = tree_to_actions(&tree, graph.relation_count());
     Ok(ExpertEpisode {
@@ -50,8 +53,8 @@ mod tests {
     fn expert_actions_replay_to_expert_tree() {
         let db = TestDb::chain(5, 400);
         let graph = chain_query(&db, 5);
-        let opt = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-        let episode = expert_actions(&opt, &graph).unwrap();
+        let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        let episode = expert_actions(&ctx, &graph).unwrap();
         assert_eq!(episode.actions.len(), 4);
         let mut forest = Forest::initial(5);
         for &(x, y) in &episode.actions {
@@ -65,8 +68,8 @@ mod tests {
     fn single_relation_has_no_actions() {
         let db = TestDb::chain(1, 100);
         let graph = chain_query(&db, 1);
-        let opt = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-        let episode = expert_actions(&opt, &graph).unwrap();
+        let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        let episode = expert_actions(&ctx, &graph).unwrap();
         assert!(episode.actions.is_empty());
         assert!(episode.cost > 0.0);
     }

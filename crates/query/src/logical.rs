@@ -124,11 +124,6 @@ impl Forest {
         }
     }
 
-    /// A forest from explicit trees.
-    pub fn from_trees(trees: Vec<JoinTree>) -> Self {
-        Self { trees }
-    }
-
     /// The subtrees, in order.
     pub fn trees(&self) -> &[JoinTree] {
         &self.trees

@@ -30,7 +30,7 @@
 use crate::env::{PlanEnv, QueryOrder};
 use crate::incremental::StageSet;
 use crate::metrics::{EpisodeRecord, MovingAverage, TrainingLog};
-use hfqo_opt::{expert_actions, TraditionalOptimizer};
+use hfqo_opt::expert_actions;
 use hfqo_rl::{Environment, ReplayBuffer, RewardModel, RewardModelConfig};
 use rand::rngs::StdRng;
 
@@ -124,12 +124,12 @@ pub fn learn_from_demonstration(
     let mut expert_buffer: ReplayBuffer<Sample> = ReplayBuffer::new(100_000);
     let mut expert_latency_ms = Vec::with_capacity(n_queries);
     {
-        let optimizer = TraditionalOptimizer::new(env.context().catalog(), env.context().stats);
+        let ctx = env.context().planner_context();
         let mut features = Vec::new();
         let mut mask = Vec::new();
         for idx in 0..n_queries {
-            let episode = expert_actions(&optimizer, &env.queries()[idx])
-                .expect("workload queries are plannable");
+            let episode =
+                expert_actions(&ctx, &env.queries()[idx]).expect("workload queries are plannable");
             let (latency, _) = env.observe_latency(idx, &episode.plan, rng);
             expert_latency_ms.push(latency);
             let target = (1.0 + latency).ln() as f32;

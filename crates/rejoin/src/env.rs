@@ -30,13 +30,13 @@ use crate::featurize::{Featurizer, RolloutState};
 use crate::incremental::StageSet;
 use crate::reward::RewardMode;
 use hfqo_catalog::Catalog;
-use hfqo_cost::{CostModel, CostParams, LatencyModel};
+use hfqo_cost::{CostModel, LatencyModel};
 use hfqo_exec::TrueCardinality;
 use hfqo_opt::physical::{
     access_paths, best_aggregate_if_needed, build_aggregate, build_scan, legal_join_algos,
     needs_aggregate, Costed,
 };
-use hfqo_opt::{PlanForest, TraditionalOptimizer};
+use hfqo_opt::{PlanForest, Planner, PlannerContext, TraditionalPlanner};
 use hfqo_query::{AggAlgo, JoinAlgo, PhysicalPlan, QueryGraph, RelId};
 use hfqo_rl::{Environment, StepResult};
 use hfqo_stats::{EstimatedCardinality, StatsCatalog};
@@ -61,17 +61,17 @@ pub enum LatencySource {
 /// Shared, read-only context the environment costs and simulates
 /// against.
 ///
-/// Holds only shared references into the world plus owned model
-/// parameters, so it is `Clone`: parallel training builds one context
-/// per worker over the same `Database`/`StatsCatalog`.
+/// Holds only shared references into the world plus the latency model,
+/// so it is `Clone`: parallel training builds one context per worker over
+/// the same `Database`/`StatsCatalog`. Costs — the `M(t)` the reward
+/// uses, and the expert's — come from [`Self::planner_context`], the
+/// context every planner plans against.
 #[derive(Clone)]
 pub struct EnvContext<'a> {
     /// The database (data + catalog).
     pub db: &'a Database,
     /// Table statistics.
     pub stats: &'a StatsCatalog,
-    /// Cost-model parameters (the `M(t)` the reward uses).
-    pub cost_params: CostParams,
     /// Latency simulation model (for latency-based rewards and logging).
     pub latency_model: LatencyModel,
     /// How latency-based rewards observe latency.
@@ -79,13 +79,11 @@ pub struct EnvContext<'a> {
 }
 
 impl<'a> EnvContext<'a> {
-    /// A context with PostgreSQL-like costing and the default latency
-    /// model.
+    /// A context with the default latency model.
     pub fn new(db: &'a Database, stats: &'a StatsCatalog) -> Self {
         Self {
             db,
             stats,
-            cost_params: CostParams::postgres_like(),
             latency_model: LatencyModel::default(),
             latency_source: LatencySource::Simulated,
         }
@@ -103,9 +101,15 @@ impl<'a> EnvContext<'a> {
         self.db.catalog()
     }
 
-    /// A cost model over this context.
-    pub fn cost_model(&self) -> CostModel<'_> {
-        CostModel::new(&self.cost_params, self.stats)
+    /// The world a planner plans against: this context's catalog and
+    /// statistics.
+    pub fn planner_context(&self) -> PlannerContext<'a> {
+        PlannerContext::new(self.catalog(), self.stats)
+    }
+
+    /// The planners' cost model, over this context.
+    pub fn cost_model(&self) -> CostModel<'a> {
+        self.planner_context().cost_model()
     }
 
     /// The estimated-cardinality source.
@@ -353,15 +357,15 @@ impl<'a> PlanEnv<'a> {
         self.last_outcome.as_ref()
     }
 
-    /// The expert's plan cost for query `idx` (computed once, cached).
+    /// The expert's plan cost for query `idx` (computed once, cached):
+    /// the cost [`TraditionalPlanner::new`], the planner a serving session
+    /// defaults to, reports for it.
     pub fn expert_cost(&mut self, idx: usize) -> f64 {
         if let Some(c) = self.expert_costs[idx] {
             return c;
         }
-        let optimizer = TraditionalOptimizer::new(self.ctx.catalog(), self.ctx.stats)
-            .with_params(self.ctx.cost_params.clone());
-        let cost = optimizer
-            .plan(&self.queries[idx])
+        let cost = TraditionalPlanner::new()
+            .plan(&self.ctx.planner_context(), &self.queries[idx])
             .map(|p| p.cost)
             .unwrap_or(f64::INFINITY);
         self.expert_costs[idx] = Some(cost);

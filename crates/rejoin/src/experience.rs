@@ -140,7 +140,7 @@ mod tests {
     use crate::reward::RewardMode;
     use crate::{QueryOrder, StageSet};
     use hfqo_opt::test_support::{chain_query, TestDb};
-    use hfqo_opt::{expert_actions, TraditionalOptimizer};
+    use hfqo_opt::{expert_actions, PlannerContext};
     use hfqo_rl::Environment as _;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -153,8 +153,8 @@ mod tests {
     fn replay_matches_live_environment_rollout() {
         let db = TestDb::chain(5, 300);
         let queries = vec![chain_query(&db, 5)];
-        let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-        let expert = expert_actions(&optimizer, &queries[0]).unwrap();
+        let plan_ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        let expert = expert_actions(&plan_ctx, &queries[0]).unwrap();
 
         let ctx = EnvContext::new(&db.db, &db.stats);
         let mut env = PlanEnv::new(

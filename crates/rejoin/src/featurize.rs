@@ -640,8 +640,7 @@ mod tests {
             let f = Featurizer::new(12);
             let mut state = RolloutState::new(f, &graph, &est);
             let mut shadow = Forest::initial(n);
-            let params = CostParams::default();
-            let model = CostModel::new(&params, &stats);
+            let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
             let scans = (graph.all_rels().iter())
                 .map(|rel| build_scan(&graph, rel, AccessPath::SeqScan, &model, &est));
             let mut forest = PlanForest::from_leaves(&graph, scans);

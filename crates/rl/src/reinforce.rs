@@ -137,12 +137,6 @@ impl ReinforceAgent {
         &self.policy
     }
 
-    /// Mutable access to the policy network (used when transplanting
-    /// weights between training phases).
-    pub fn policy_mut(&mut self) -> &mut Mlp {
-        &mut self.policy
-    }
-
     /// Episodes observed so far.
     pub fn episodes_seen(&self) -> usize {
         self.episodes_seen

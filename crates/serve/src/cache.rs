@@ -124,14 +124,6 @@ impl CacheOutcome {
     pub fn is_hit(self) -> bool {
         matches!(self, Self::ExactHit | Self::TemplateHit)
     }
-
-    /// Whether the probe found the template at all — hits plus
-    /// intra-template re-plans. This is the "cache sharing" rate's
-    /// numerator: only a [`CacheOutcome::Miss`] means the workload's
-    /// template structure was new to the cache.
-    pub fn shares_template(self) -> bool {
-        !matches!(self, Self::Miss)
-    }
 }
 
 /// Cache observability counters, aggregated across shards (monotonic

@@ -197,12 +197,6 @@ impl OnlineTrainer {
         &self.agent
     }
 
-    /// Tears the trainer down into its agent (for freezing a final
-    /// policy or continuing offline training).
-    pub fn into_agent(self) -> ReJoinAgent {
-        self.agent
-    }
-
     /// One training step: drain up to `drain_batch` experiences, replay
     /// each into an episode against the session's *current* statistics,
     /// hand them to the agent, and after every `swap_every` replayed

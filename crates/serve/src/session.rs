@@ -1,8 +1,8 @@
 //! The query-serving session.
 //!
 //! [`QuerySession`] owns the whole serving world — database (with its
-//! catalog), statistics, cost parameters, a [`Planner`], the statement
-//! cache and the plan cache — and runs the full pipeline as one call:
+//! catalog), statistics, a [`Planner`], the statement cache and the plan
+//! cache — and runs the full pipeline as one call:
 //!
 //! ```text
 //!   serve(sql)
@@ -90,7 +90,6 @@ use crate::cache::{
 use crate::experience::{Experience, ExperienceLog};
 use crate::statement::{Prepared, StatementCache};
 use hfqo_catalog::Catalog;
-use hfqo_cost::CostParams;
 use hfqo_exec::{execute, ExecConfig, ExecError, ExecOutcome};
 use hfqo_opt::{OptError, PlannedQuery, Planner, PlannerContext, PlannerMethod};
 use hfqo_query::{bind_select, tree_to_actions, PhysicalPlan, QueryError, QueryGraph};
@@ -192,7 +191,6 @@ pub struct QuerySession {
     /// The table data versions `stats` describes; a table whose
     /// version in `db` differs (or has no entry) is due a re-scan.
     stats_versions: Vec<u64>,
-    params: CostParams,
     planner: Box<dyn Planner>,
     /// Internally sharded and synchronized; see [`crate::cache`].
     cache: PlanCache,
@@ -227,7 +225,6 @@ impl QuerySession {
             stats_versions: db.table_versions().to_vec(),
             db,
             stats,
-            params: CostParams::postgres_like(),
             planner,
             statements: StatementCache::new(cache.config().capacity),
             cache,
@@ -244,12 +241,6 @@ impl QuerySession {
     /// Overrides the execution configuration (builder style).
     pub fn with_exec_config(mut self, config: ExecConfig) -> Self {
         self.exec_config = config;
-        self
-    }
-
-    /// Overrides the cost parameters (builder style).
-    pub fn with_params(mut self, params: CostParams) -> Self {
-        self.params = params;
         self
     }
 
@@ -352,11 +343,6 @@ impl QuerySession {
         self
     }
 
-    /// The attached experience log, if any.
-    pub fn experience_log(&self) -> Option<&Arc<ExperienceLog>> {
-        self.experience.as_ref()
-    }
-
     /// Re-scans every table of the owned database into fresh
     /// statistics and invalidates the plan cache: plans chosen under
     /// the old estimates may no longer be the planner's choice.
@@ -436,8 +422,7 @@ impl QuerySession {
                 // served once but never cached — a stale generation's
                 // plan must not resurrect as cache hits. On planner
                 // error the guard's drop releases any waiters to retry.
-                let ctx = PlannerContext::new(self.db.catalog(), &self.stats)
-                    .with_params(self.params.clone());
+                let ctx = PlannerContext::new(self.db.catalog(), &self.stats);
                 let planned = self.planner.plan(&ctx, graph)?;
                 let entry = Arc::new(CachedPlan {
                     plan: planned.plan.clone(),
@@ -539,7 +524,7 @@ impl QuerySession {
 mod tests {
     use super::*;
     use hfqo_opt::test_support::{chain_query, with_count, TestDb};
-    use hfqo_opt::{GreedyPlanner, RandomPlanner};
+    use hfqo_opt::{RandomPlanner, TraditionalPlanner};
 
     fn session(n: usize, rows: usize) -> (QuerySession, QueryGraph) {
         let fixture = TestDb::chain(n, rows);
@@ -673,8 +658,8 @@ mod tests {
         let (mut session, graph) = session(3, 150);
         let dp = session.serve_graph(&graph).unwrap();
         assert_eq!(dp.method, PlannerMethod::DynamicProgramming);
-        session.set_planner(Box::new(GreedyPlanner));
-        assert_eq!(session.planner_name(), "greedy");
+        session.set_planner(Box::new(TraditionalPlanner::new().with_dp_threshold(0)));
+        assert_eq!(session.planner_name(), "traditional");
         let greedy = session.serve_graph(&graph).unwrap();
         assert!(!greedy.cache_hit, "planner swap invalidates the cache");
         assert_eq!(greedy.method, PlannerMethod::Greedy);

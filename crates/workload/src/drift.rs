@@ -780,16 +780,6 @@ impl DriftHarness {
         }
     }
 
-    /// The learned (online-training) session.
-    pub fn learned_session(&self) -> &QuerySession {
-        &self.learned
-    }
-
-    /// The expert reference session.
-    pub fn expert_session(&self) -> &QuerySession {
-        &self.expert
-    }
-
     /// Policy generations published so far.
     pub fn generation(&self) -> u64 {
         self.trainer.generation()

@@ -41,9 +41,8 @@ fn main() {
     //    for every learned plan: best access paths at the leaves, the
     //    cheapest algorithm for the sides the agent chose, and the
     //    aggregate at the root.
-    let params = CostParams::postgres_like();
-    let model = CostModel::new(&params, &bundle.stats);
-    let est = EstimatedCardinality::new(&bundle.stats);
+    let plan_ctx = PlannerContext::new(catalog, &bundle.stats);
+    let (model, est) = (plan_ctx.cost_model(), plan_ctx.estimator());
     let mut forest = PlanForest::best_access_paths(&graph, catalog, &model, &est);
     for (x, y) in [(0, 2), (0, 1), (0, 1)] {
         // A ⋈ C, then B ⋈ D, then (A ⋈ C) ⋈ (B ⋈ D).

@@ -27,14 +27,14 @@
 //!     7,
 //! );
 //! // Plan one query with the traditional optimizer…
-//! let expert = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
-//! let planned = expert.plan(&bundle.queries[0]).unwrap();
+//! let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
+//! let planned = TraditionalPlanner::new().plan(&ctx, &bundle.queries[0]).unwrap();
 //! assert!(planned.cost > 0.0);
 //!
-//! // …and set up a ReJOIN agent over the same workload.
-//! let ctx = EnvContext::new(&bundle.db, &bundle.stats);
+//! // …and set up a ReJOIN agent over the same workload, rewarded
+//! // against that same expert.
 //! let mut env = PlanEnv::new(
-//!     ctx,
+//!     EnvContext::new(&bundle.db, &bundle.stats),
 //!     &bundle.queries,
 //!     bundle.max_rels(),
 //!     QueryOrder::Shuffle,
@@ -72,8 +72,7 @@ pub mod prelude {
     pub use hfqo_cost::{CostModel, CostParams, LatencyModel, RewardScaler};
     pub use hfqo_exec::{execute, ExecConfig, TrueCardinality};
     pub use hfqo_opt::{
-        random_plan, GreedyPlanner, Planner, PlannerContext, PlannerMethod, RandomPlanner,
-        TraditionalOptimizer, TraditionalPlanner,
+        random_plan, Planner, PlannerContext, PlannerMethod, RandomPlanner, TraditionalPlanner,
     };
     pub use hfqo_query::{
         bind_select, fingerprint, template_fingerprint, Forest, JoinTree, ParamVector,

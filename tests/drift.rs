@@ -184,7 +184,8 @@ fn post_mutation_results_identical_across_engines_threads_encodings() {
         apply_mutation(&mut db, &m).expect("battery applies");
     }
     let stats = build_database_stats(&db);
-    let optimizer = TraditionalOptimizer::new(db.catalog(), &stats);
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(db.catalog(), &stats);
 
     let queries: Vec<QueryGraph> = [
         (Shape::Chain, 4, 31),
@@ -197,7 +198,7 @@ fn post_mutation_results_identical_across_engines_threads_encodings() {
     .collect();
 
     for (qi, graph) in queries.iter().enumerate() {
-        let plan = optimizer.plan(graph).expect("plannable").plan;
+        let plan = expert.plan(&ctx, graph).expect("plannable").plan;
         let (plain_rows, plain_work) =
             engines_agree(&db, graph, &plan, &format!("q{qi} post-mutation"));
 
@@ -365,8 +366,8 @@ fn concurrent_mutation_and_serving_matches_serial_replay() {
             apply_mutation(&mut replay, &script[applied - 1]).expect("replay applies");
         }
         let stats = build_database_stats(&replay);
-        let plan = TraditionalOptimizer::new(replay.catalog(), &stats)
-            .plan(&graph)
+        let plan = TraditionalPlanner::new()
+            .plan(&PlannerContext::new(replay.catalog(), &stats), &graph)
             .expect("plannable")
             .plan;
         let mut rows = hfqo::exec::execute(&replay, &graph, &plan, config)

@@ -23,8 +23,9 @@ fn sql_to_rows_pipeline() {
                AND t.production_year > 50";
     let stmt = parse_select(sql).expect("parses");
     let graph = bind_select(&stmt, bundle.db.catalog()).expect("binds");
-    let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
-    let planned = optimizer.plan(&graph).expect("plannable");
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
+    let planned = expert.plan(&ctx, &graph).expect("plannable");
     planned.plan.validate(&graph).expect("valid plan");
     let out = execute(&bundle.db, &graph, &planned.plan, ExecConfig::default()).expect("executes");
     assert_eq!(out.rows.len(), 1, "COUNT(*) returns one row");
@@ -42,11 +43,12 @@ fn every_join_order_gives_the_same_answer() {
                AND t.production_year < 100";
     let graph =
         bind_select(&parse_select(sql).expect("parses"), bundle.db.catalog()).expect("binds");
-    let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
     let reference = execute(
         &bundle.db,
         &graph,
-        &optimizer.plan(&graph).expect("plannable").plan,
+        &expert.plan(&ctx, &graph).expect("plannable").plan,
         ExecConfig::default(),
     )
     .expect("reference executes")
@@ -96,8 +98,9 @@ fn true_cardinality_matches_actual_execution() {
                WHERE t.id = mc.movie_id AND t.kind_id = 2";
     let graph =
         bind_select(&parse_select(sql).expect("parses"), bundle.db.catalog()).expect("binds");
-    let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
-    let planned = optimizer.plan(&graph).expect("plannable");
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
+    let planned = expert.plan(&ctx, &graph).expect("plannable");
     // Count via execution of the non-aggregated join.
     let join_only = match &planned.plan.root {
         PlanNode::Aggregate { input, .. } => PhysicalPlan::new((**input).clone()),
@@ -139,9 +142,10 @@ fn tpch_templates_plan_and_execute() {
         lineitem_rows: 2_000,
         seed: 6,
     });
-    let optimizer = TraditionalOptimizer::new(db.catalog(), &stats);
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(db.catalog(), &stats);
     for graph in hfqo::workload::tpch::bind_templates(db.catalog()) {
-        let planned = optimizer.plan(&graph).expect("plannable");
+        let planned = expert.plan(&ctx, &graph).expect("plannable");
         let out = execute(&db, &graph, &planned.plan, ExecConfig::default())
             .unwrap_or_else(|e| panic!("{:?} failed: {e}", graph.label));
         assert!(!out.rows.is_empty(), "{:?}", graph.label);
@@ -153,13 +157,14 @@ fn expert_beats_random_on_cost_across_the_suite() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let bundle = imdb();
-    let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
     let mut rng = StdRng::seed_from_u64(0);
     let mut expert_wins = 0usize;
     let mut total = 0usize;
     for graph in bundle.queries.iter().take(25) {
-        let expert_cost = optimizer.plan(graph).expect("plannable").cost;
-        let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+        let expert_cost = expert.plan(&ctx, graph).expect("plannable").cost;
+        let (model, cards) = (ctx.cost_model(), ctx.estimator());
         let (_, random_cost) = random_plan(graph, bundle.db.catalog(), &model, &cards, &mut rng);
         let random_cost = random_cost.total;
         total += 1;

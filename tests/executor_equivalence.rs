@@ -47,8 +47,8 @@ fn exec_threads() -> &'static [usize] {
 
 /// One uniformly random valid plan of `graph`.
 fn draw_random_plan(db: &SynthDb, graph: &QueryGraph, rng: &mut StdRng) -> PhysicalPlan {
-    let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-    let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+    let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+    let (model, cards) = (ctx.cost_model(), ctx.estimator());
     PhysicalPlan::new(random_plan(graph, db.db.catalog(), &model, &cards, rng).0)
 }
 
@@ -160,12 +160,13 @@ fn assert_equivalent(
 #[test]
 fn synth_expert_plans_are_equivalent() {
     let db = synth();
-    let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
     for shape in [Shape::Chain, Shape::Star, Shape::Cycle] {
         for n in 2..=5 {
             for qseed in 0..3 {
                 let graph = db.query(shape, n, 2, qseed);
-                let plan = optimizer.plan(&graph).expect("plannable").plan;
+                let plan = expert.plan(&ctx, &graph).expect("plannable").plan;
                 assert_equivalent(
                     &db.db,
                     &graph,
@@ -202,9 +203,10 @@ fn synth_random_plans_are_equivalent() {
 #[test]
 fn imdb_job_expert_plans_are_equivalent() {
     let bundle = imdb();
-    let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
     for (i, graph) in bundle.queries.iter().take(20).enumerate() {
-        let plan = optimizer.plan(graph).expect("plannable").plan;
+        let plan = expert.plan(&ctx, graph).expect("plannable").plan;
         assert_equivalent(
             &bundle.db,
             graph,
@@ -218,10 +220,11 @@ fn imdb_job_expert_plans_are_equivalent() {
 #[test]
 fn aggregate_variants_are_equivalent() {
     let db = synth();
-    let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
+    let expert = TraditionalPlanner::new();
+    let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
     for qseed in 0..4 {
         let graph = hfqo::opt::test_support::with_count(db.query(Shape::Star, 4, 1, qseed));
-        let plan = optimizer.plan(&graph).expect("plannable").plan;
+        let plan = expert.plan(&ctx, &graph).expect("plannable").plan;
         // Exercise both aggregation algorithms over the same join tree.
         for algo in [AggAlgo::Hash, AggAlgo::Sort] {
             let plan = match &plan.root {
@@ -466,8 +469,9 @@ mod morsel_geometry {
             let db = synth();
             let shape = [Shape::Chain, Shape::Star, Shape::Cycle][shape_ix];
             let graph = db.query(shape, 3, 1, qseed);
-            let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-            let plan = optimizer.plan(&graph).expect("plannable").plan;
+            let expert = TraditionalPlanner::new();
+            let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+            let plan = expert.plan(&ctx, &graph).expect("plannable").plan;
             let serial = hfqo::exec::execute(&db.db, &graph, &plan, ExecConfig::default())
                 .expect("serial executes");
             let cfg = ExecConfig::default().threads(threads).morsel_rows(morsel);
@@ -593,8 +597,9 @@ mod encoding_equivalence {
             for &enc in forced_encodings() {
                 let bundle = encoded(enc);
                 let graph = &bundle.queries[qi % bundle.queries.len()];
-                let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
-                let plan = optimizer.plan(graph).expect("plannable").plan;
+                let expert = TraditionalPlanner::new();
+                let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
+                let plan = expert.plan(&ctx, graph).expect("plannable").plan;
                 // budget_k == 0 means unlimited; small multiples force
                 // mid-plan aborts.
                 let config = match budget_k {
@@ -902,8 +907,9 @@ fn true_cardinality_oracle_matches_row_counts() {
     for graph in bundle.queries.iter().take(8) {
         let oracle = TrueCardinality::new(&bundle.db);
         let counted = oracle.set_rows(graph, graph.all_rels());
-        let optimizer = TraditionalOptimizer::new(bundle.db.catalog(), &bundle.stats);
-        let plan = optimizer.plan(graph).expect("plannable").plan;
+        let expert = TraditionalPlanner::new();
+        let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
+        let plan = expert.plan(&ctx, graph).expect("plannable").plan;
         let join_only = match &plan.root {
             PlanNode::Aggregate { input, .. } => PhysicalPlan::new((**input).clone()),
             other => PhysicalPlan::new(other.clone()),

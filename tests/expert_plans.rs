@@ -9,8 +9,8 @@
 
 use hfqo::exec::{execute, ExecConfig};
 use hfqo::opt::test_support::TestDb;
-use hfqo::opt::TraditionalOptimizer;
-use hfqo::query::{AccessPath, BoundColumn, JoinEdge, PlanNode, QueryGraph, RelId, Relation};
+use hfqo::prelude::*;
+use hfqo::query::{AccessPath, BoundColumn, JoinEdge, RelId, Relation};
 use hfqo::sql::CompareOp;
 use hfqo::workload::imdb::{build_imdb, ImdbConfig};
 use hfqo::workload::job::generate_job_suite;
@@ -51,8 +51,10 @@ fn render(node: &PlanNode, out: &mut String) {
 }
 
 /// One line per query and threshold: the plan, and its cost's bits.
-/// Each reported cost must also be the one `cost_of` re-walks from the
-/// plan, bit for bit.
+/// Each reported cost must also be the one the cost model re-walks from
+/// the plan, bit for bit. At the default threshold the learner's expert —
+/// `PlanEnv::expert_cost`, the reward's reference — and a traditional
+/// serving session must report that same cost.
 #[test]
 fn expert_plans_match_the_golden() {
     let (db, stats) = build_imdb(ImdbConfig {
@@ -61,17 +63,48 @@ fn expert_plans_match_the_golden() {
     });
     let suite = generate_job_suite(db.catalog(), 21);
     assert_eq!(suite.len(), 113);
+    let graphs: Vec<QueryGraph> = suite.iter().map(|q| q.graph.clone()).collect();
+    let max_rels = graphs
+        .iter()
+        .map(QueryGraph::relation_count)
+        .max()
+        .unwrap_or(0);
+    let mut env = PlanEnv::new(
+        EnvContext::new(&db, &stats),
+        &graphs,
+        max_rels,
+        QueryOrder::Cycle,
+        RewardMode::InverseCost,
+        StageSet::join_order_only(),
+    );
+    let session = QuerySession::traditional(db.clone(), stats.clone());
+    let ctx = PlannerContext::new(db.catalog(), &stats);
+    let (model, cards) = (ctx.cost_model(), ctx.estimator());
     let mut actual = String::new();
     for threshold in [1, 10, 13] {
-        let opt = TraditionalOptimizer::new(db.catalog(), &stats).with_dp_threshold(threshold);
-        for q in &suite {
-            let planned = opt.plan(&q.graph).expect("the expert plans every query");
+        let expert = TraditionalPlanner::new().with_dp_threshold(threshold);
+        for (i, q) in suite.iter().enumerate() {
+            let planned = expert
+                .plan(&ctx, &q.graph)
+                .expect("the expert plans every query");
+            let bits = planned.cost.to_bits();
+            let re_walked = model.plan_cost(&q.graph, &planned.plan, &cards).total;
             assert_eq!(
-                planned.cost.to_bits(),
-                opt.cost_of(&q.graph, &planned.plan).to_bits(),
+                bits,
+                re_walked.to_bits(),
                 "{} at threshold {threshold}",
                 q.label
             );
+            if threshold == 10 {
+                // A template hit would report its template's cost.
+                session.invalidate_cache();
+                let served = session
+                    .plan(&q.graph)
+                    .expect("the session plans every query")
+                    .0;
+                assert_eq!(bits, env.expert_cost(i).to_bits(), "{}: PlanEnv", q.label);
+                assert_eq!(bits, served.cost.to_bits(), "{}: QuerySession", q.label);
+            }
             let mut plan = String::new();
             render(&planned.plan.root, &mut plan);
             writeln!(
@@ -126,8 +159,8 @@ fn cross_product_fallback_is_deterministic() {
     for graph in &shapes {
         let mut outcomes = HashSet::new();
         for _ in 0..50 {
-            let planned = TraditionalOptimizer::new(db.db.catalog(), &db.stats)
-                .plan(graph)
+            let planned = TraditionalPlanner::new()
+                .plan(&PlannerContext::new(db.db.catalog(), &db.stats), graph)
                 .expect("plans");
             planned.plan.validate(graph).expect("a valid plan");
             let work = execute(&db.db, graph, &planned.plan, ExecConfig::default())

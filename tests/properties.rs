@@ -22,8 +22,8 @@ fn synth() -> &'static SynthDb {
 
 /// One uniformly random valid plan of `graph`.
 fn draw_random_plan(db: &SynthDb, graph: &QueryGraph, rng: &mut StdRng) -> PhysicalPlan {
-    let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-    let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+    let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+    let (model, cards) = (ctx.cost_model(), ctx.estimator());
     PhysicalPlan::new(random_plan(graph, db.db.catalog(), &model, &cards, rng).0)
 }
 
@@ -49,10 +49,11 @@ proptest! {
     ) {
         let db = synth();
         let graph = db.query(shape_from(shape), n, 2, qseed);
-        let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-        let expert_cost = optimizer.plan(&graph).expect("plannable").cost;
+        let expert = TraditionalPlanner::new();
+        let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        let expert_cost = expert.plan(&ctx, &graph).expect("plannable").cost;
         let mut rng = StdRng::seed_from_u64(pseed);
-        let (model, cards) = (optimizer.cost_model(), optimizer.estimator());
+        let (model, cards) = (ctx.cost_model(), ctx.estimator());
         let (root, random_cost) = random_plan(&graph, db.db.catalog(), &model, &cards, &mut rng);
         let plan = PhysicalPlan::new(root);
         plan.validate(&graph).expect("random plans are valid");
@@ -72,8 +73,8 @@ proptest! {
     ) {
         let db = synth();
         let graph = db.query(shape_from(shape), n, 2, qseed);
-        let optimizer = TraditionalOptimizer::new(db.db.catalog(), &db.stats);
-        let expert = optimizer.plan(&graph).expect("plannable");
+        let ctx = PlannerContext::new(db.db.catalog(), &db.stats);
+        let expert = TraditionalPlanner::new().plan(&ctx, &graph).expect("plannable");
         let expert_count = execute(&db.db, &graph, &expert.plan, ExecConfig::default())
             .expect("expert executes")
             .rows

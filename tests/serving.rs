@@ -171,7 +171,10 @@ fn all_four_planners_serve_through_the_session() {
             Box::new(TraditionalPlanner::new()),
             PlannerMethod::DynamicProgramming,
         ),
-        (Box::new(GreedyPlanner), PlannerMethod::Greedy),
+        (
+            Box::new(TraditionalPlanner::new().with_dp_threshold(0)),
+            PlannerMethod::Greedy,
+        ),
         (Box::new(RandomPlanner::new(5)), PlannerMethod::Random),
         (Box::new(learned), PlannerMethod::Learned),
     ];
