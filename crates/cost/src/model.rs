@@ -199,6 +199,7 @@ mod tests {
     use hfqo_query::{BoundColumn, JoinEdge, Lit, RelId, Relation, Selection};
     use hfqo_sql::CompareOp;
     use hfqo_stats::{ColumnStats, EstimatedCardinality, Histogram, TableStats};
+    use proptest::prelude::*;
 
     fn col_stats(ndv: f64, min: f64, max: f64) -> ColumnStats {
         ColumnStats {
@@ -427,5 +428,43 @@ mod tests {
         let large = model.node_cost(&graph, &scan(1), &est);
         assert!(small.total > 0.0);
         assert!(large.total > small.total);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Nested-loop and merge joins cost the same bits with their
+        /// inputs swapped, which is why the optimizer's join pricer tries
+        /// only hash joins both ways round. Rows and totals span
+        /// 1…10⁹, so the merge join's sort floor of two rows is crossed.
+        #[test]
+        fn nested_loop_and_merge_cost_the_same_bits_either_way_round(
+            n_conds in 0usize..4,
+            l_rows in 0.0f64..9.0,
+            r_rows in 0.0f64..9.0,
+            l_total in 0.0f64..9.0,
+            r_total in 0.0f64..9.0,
+            out_rows in 0.0f64..9.0,
+        ) {
+            let stats = StatsCatalog::new(vec![]);
+            let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
+            let estimate = |rows: f64, total: f64| CostEstimate {
+                total: 10f64.powf(total),
+                output_rows: 10f64.powf(rows),
+            };
+            let (l, r) = (estimate(l_rows, l_total), estimate(r_rows, r_total));
+            let out_rows = 10f64.powf(out_rows);
+            for algo in [JoinAlgo::NestedLoop, JoinAlgo::Merge] {
+                let given = model.join_cost(algo, n_conds, l, r, out_rows);
+                let swapped = model.join_cost(algo, n_conds, r, l, out_rows);
+                prop_assert_eq!(
+                    given.total.to_bits(),
+                    swapped.total.to_bits(),
+                    "{:?} costs differ with its sides swapped: restore the flip of every \
+                     algorithm in hfqo_opt::physical::price_join_with_rows",
+                    algo
+                );
+            }
+        }
     }
 }

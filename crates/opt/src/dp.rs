@@ -66,9 +66,10 @@ pub fn dp_plan<C: CardinalitySource>(
         scans: Vec::with_capacity(n),
     };
     // Size 1: best access paths.
+    let neighbors = graph.neighbor_masks();
     for rel in graph.all_rels().iter() {
         let (scan, cost) = best_access_path(graph, rel, catalog, model, cards);
-        table.push(RelSet::single(rel), graph.neighbors(rel), cost, None);
+        table.push(RelSet::single(rel), neighbors[rel.index()], cost, None);
         table.scans.push(scan);
     }
     // Sizes 2..=n: join connected disjoint pairs. `by_size[k]` holds the

@@ -4,7 +4,9 @@
 //! walks the same forest: only the rule that picks the pair differs. Slots
 //! move as [`hfqo_query::Forest::merge`] moves trees (`x` and `y` removed,
 //! `x ⋈ y` appended, `x` on the left), so one `(x, y)` names one merge
-//! here, in a `Forest` and in the learned planner's rollout state.
+//! here, in a `Forest` and in the learned planner's rollout state. Each
+//! slot also keeps the relations one join edge away from it; a merge
+//! unions its inputs' masks, so [`PlanForest::connected`] is a bit test.
 
 use crate::physical::{best_access_path, build_join, price_join, Costed, JoinPrice};
 use hfqo_catalog::Catalog;
@@ -13,23 +15,50 @@ use hfqo_query::{JoinAlgo, QueryGraph, RelSet};
 use hfqo_stats::CardinalitySource;
 
 /// A forest of costed sub-plans over one query, each slot with the set of
-/// relations it covers.
+/// relations it covers and the set one join edge away from them, so
+/// whether two slots are connected is a bit test.
 #[derive(Debug, Clone)]
 pub struct PlanForest<'g> {
     graph: &'g QueryGraph,
-    slots: Vec<(RelSet, Costed)>,
+    slots: Vec<Slot>,
+}
+
+/// One slot of a [`PlanForest`].
+#[derive(Debug, Clone)]
+struct Slot {
+    /// The relations the sub-plan covers.
+    set: RelSet,
+    /// The relations a join edge connects them to.
+    adjacent: RelSet,
+    plan: Costed,
+}
+
+impl Slot {
+    /// `plan` as a slot: its adjacency is the union of its relations'
+    /// `neighbors`, as [`QueryGraph::neighbor_masks`] gives them.
+    #[inline]
+    fn leaf(plan: Costed, neighbors: &[RelSet; 64]) -> Self {
+        let set = plan.0.rel_set();
+        let adjacent = (set.iter()).fold(RelSet::EMPTY, |adjacent, rel| {
+            adjacent.union(neighbors[rel.index()])
+        });
+        Self {
+            set,
+            adjacent,
+            plan,
+        }
+    }
 }
 
 impl<'g> PlanForest<'g> {
     /// A forest whose slots are `leaves`, in order.
     #[inline]
     pub fn from_leaves(graph: &'g QueryGraph, leaves: impl IntoIterator<Item = Costed>) -> Self {
-        let mut forest = Self {
-            graph,
-            slots: Vec::new(),
-        };
-        leaves.into_iter().for_each(|leaf| forest.push(leaf));
-        forest
+        let neighbors = graph.neighbor_masks();
+        let slots = (leaves.into_iter())
+            .map(|leaf| Slot::leaf(leaf, &neighbors))
+            .collect();
+        Self { graph, slots }
     }
 
     /// The initial forest with every relation's best access path, in
@@ -49,7 +78,8 @@ impl<'g> PlanForest<'g> {
     /// Appends `leaf` as the last slot.
     #[inline]
     pub fn push(&mut self, leaf: Costed) {
-        self.slots.push((leaf.0.rel_set(), leaf));
+        let slot = Slot::leaf(leaf, &self.graph.neighbor_masks());
+        self.slots.push(slot);
     }
 
     /// Number of slots.
@@ -73,14 +103,22 @@ impl<'g> PlanForest<'g> {
     /// The relations slot `slot` covers.
     #[inline]
     pub fn set(&self, slot: usize) -> RelSet {
-        self.slots[slot].0
+        self.slots[slot].set
+    }
+
+    /// Whether a join edge connects slots `x` and `y` (distinct, in
+    /// range): [`QueryGraph::sets_connected`] of their sets, as a bit
+    /// test.
+    #[inline]
+    pub fn connected(&self, x: usize, y: usize) -> bool {
+        !self.slots[x].adjacent.is_disjoint(self.slots[y].set)
     }
 
     /// Slot `slot` as a pricing input: its relations and estimate.
     #[inline]
     fn input(&self, slot: usize) -> (RelSet, CostEstimate) {
-        let (set, (_, cost)) = &self.slots[slot];
-        (*set, *cost)
+        let slot = &self.slots[slot];
+        (slot.set, slot.plan.1)
     }
 
     /// Prices the cheapest join of slots `x` (left) and `y` (right) by
@@ -125,13 +163,17 @@ impl<'g> PlanForest<'g> {
         let (hi, lo) = if x > y { (x, y) } else { (y, x) };
         let hi_slot = self.slots.remove(hi);
         let lo_slot = self.slots.remove(lo);
-        let ((x_set, (x_node, _)), (y_set, (y_node, _))) = if x < y {
+        let (x_slot, y_slot) = if x < y {
             (lo_slot, hi_slot)
         } else {
             (hi_slot, lo_slot)
         };
-        let joined = build_join(self.graph, price, (x_set, y_set), x_node, y_node);
-        self.slots.push((x_set.union(y_set), joined));
+        let sets = (x_slot.set, y_slot.set);
+        self.slots.push(Slot {
+            set: sets.0.union(sets.1),
+            adjacent: x_slot.adjacent.union(y_slot.adjacent),
+            plan: build_join(self.graph, price, sets, x_slot.plan.0, y_slot.plan.0),
+        });
     }
 
     /// Takes the sub-plan out of a terminal forest's one slot; the caller
@@ -140,7 +182,7 @@ impl<'g> PlanForest<'g> {
     #[inline]
     pub fn take_root(&mut self) -> Costed {
         assert_eq!(self.slots.len(), 1, "only a terminal forest has a root");
-        self.slots.pop().expect("one slot remains").1
+        self.slots.pop().expect("one slot remains").plan
     }
 }
 
@@ -148,11 +190,19 @@ impl<'g> PlanForest<'g> {
 mod tests {
     use super::*;
     use crate::physical::best_aggregate_if_needed;
+    use crate::physical::build_scan;
     use crate::test_support::{chain_query, TestDb};
     use crate::{Planner, PlannerContext, TraditionalPlanner};
+    use hfqo_catalog::{ColumnId, TableId};
     use hfqo_cost::CostParams;
-    use hfqo_query::{tree_to_actions, JoinTree, PhysicalPlan, PlanNode, RelId};
+    use hfqo_query::{
+        tree_to_actions, AccessPath, BoundColumn, JoinEdge, JoinTree, PhysicalPlan, PlanNode,
+        RelId, Relation,
+    };
+    use hfqo_sql::CompareOp;
     use hfqo_stats::EstimatedCardinality;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Walks `tree`'s merges over the best access paths, each join priced
     /// with fixed sides, and finishes the root — the learned planner's
@@ -226,5 +276,62 @@ mod tests {
             "cross-join order {bad_cost} should exceed expert {}",
             expert.cost
         );
+    }
+
+    /// The adjacency masks follow the merges: after every merge of random
+    /// merge sequences over random graphs, disconnected ones and
+    /// self-edges included, `connected` is `sets_connected` of the two
+    /// slots' sets. Half the leaves come from `from_leaves`, the rest
+    /// from `push`.
+    #[test]
+    fn connected_matches_sets_connected_after_every_merge() {
+        let db = TestDb::chain(10, 40);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
+        let cards = EstimatedCardinality::new(&db.stats);
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=10usize);
+            let relations = (0..n)
+                .map(|i| Relation {
+                    table: TableId(i as u32),
+                    alias: format!("t{i}"),
+                })
+                .collect();
+            let edges = rng.gen_range(0..=n + 1);
+            let mut column = || BoundColumn::new(RelId(rng.gen_range(0..n as u32)), ColumnId(0));
+            let joins = (0..edges)
+                .map(|_| JoinEdge {
+                    left: column(),
+                    op: CompareOp::Eq,
+                    right: column(),
+                })
+                .collect();
+            let graph = QueryGraph::new(relations, joins, vec![], vec![], vec![]);
+            let scan = |rel| build_scan(&graph, rel, AccessPath::SeqScan, &model, &cards);
+            let split = n / 2;
+            let mut forest =
+                PlanForest::from_leaves(&graph, (0..split).map(|r| scan(RelId(r as u32))));
+            (split..n).for_each(|r| forest.push(scan(RelId(r as u32))));
+            loop {
+                for x in 0..forest.len() {
+                    for y in (0..forest.len()).filter(|&y| y != x) {
+                        let (xs, ys) = (forest.set(x), forest.set(y));
+                        assert_eq!(
+                            forest.connected(x, y),
+                            graph.sets_connected(xs, ys),
+                            "seed {seed}: {xs:?} and {ys:?} in {:?}",
+                            graph.joins()
+                        );
+                    }
+                }
+                if forest.is_terminal() {
+                    break;
+                }
+                let x = rng.gen_range(0..forest.len());
+                let y = (x + rng.gen_range(1..forest.len())) % forest.len();
+                let price = forest.price(x, y, rng.gen_bool(0.5), &model, &cards);
+                forest.merge(x, y, price);
+            }
+        }
     }
 }

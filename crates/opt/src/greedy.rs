@@ -1,4 +1,10 @@
 //! Greedy bottom-up join ordering (the beyond-threshold fallback).
+//!
+//! Each step looks at every pair of the [`PlanForest`]'s slots. Whether a
+//! pair is connected is a bit test on the forest's adjacency masks, and a
+//! pair is priced from its inputs' estimates and its union's rows. The
+//! expert hands in a [`hfqo_stats::QueryCardinality`], so those rows are
+//! products of factors looked up once per query.
 
 use crate::forest::PlanForest;
 use crate::physical::{Costed, JoinPrice};
@@ -27,7 +33,7 @@ pub fn greedy_plan<C: CardinalitySource>(
         let mut best: Option<(usize, usize, JoinPrice, bool)> = None;
         for i in 0..forest.len() {
             for j in (i + 1)..forest.len() {
-                let connected = graph.sets_connected(forest.set(i), forest.set(j));
+                let connected = forest.connected(i, j);
                 // Cross products are considered only if no connected pair
                 // exists at all (disconnected graphs).
                 if best.is_some_and(|(.., best_conn)| best_conn && !connected) {

@@ -84,17 +84,29 @@ pub fn best_access_path<C: CardinalitySource>(
 /// condition spans the inputs.
 #[inline]
 pub fn legal_join_algos(graph: &QueryGraph, left: RelSet, right: RelSet) -> [bool; 3] {
-    let has_eq = graph
-        .edges_between(left, right)
-        .any(|(_, e)| e.op == CompareOp::Eq);
-    JoinAlgo::ALL.map(|algo| algo == JoinAlgo::NestedLoop || has_eq)
+    join_conditions(graph, left, right).1
+}
+
+/// The number of join conditions between `left` and `right`, and
+/// [`legal_join_algos`] for them, from one pass over the edges.
+#[inline]
+fn join_conditions(graph: &QueryGraph, left: RelSet, right: RelSet) -> (usize, [bool; 3]) {
+    let (mut n_conds, mut has_eq) = (0, false);
+    for (_, edge) in graph.edges_between(left, right) {
+        n_conds += 1;
+        has_eq |= edge.op == CompareOp::Eq;
+    }
+    let legal = JoinAlgo::ALL.map(|algo| algo == JoinAlgo::NestedLoop || has_eq);
+    (n_conds, legal)
 }
 
 /// Prices the cheapest join of two inputs, each given as its relation
 /// set and estimate. Every [`legal_join_algos`] algorithm is tried, in
-/// [`JoinAlgo::ALL`] order,
-/// and for each the sides as given before — when `may_flip` — swapped;
-/// the first strict minimum wins. The cost has the bits
+/// [`JoinAlgo::ALL`] order, with the sides as given; a hash join, when
+/// `may_flip`, is then tried with them swapped. The first strict minimum
+/// wins. Nested-loop and merge joins cost the same bits either way round
+/// (a property test in `hfqo_cost` holds them to it), so their swap could
+/// never win. The cost has the bits
 /// [`CostModel::node_cost`] gives the built join.
 #[inline]
 pub fn price_join<C: CardinalitySource>(
@@ -120,14 +132,14 @@ pub(crate) fn price_join_with_rows(
     out_rows: f64,
     model: &CostModel<'_>,
 ) -> JoinPrice {
-    let n_conds = graph.edges_between(left_set, right_set).count();
-    let legal = legal_join_algos(graph, left_set, right_set);
-    let sides: &[bool] = if may_flip { &[false, true] } else { &[false] };
+    let (n_conds, legal) = join_conditions(graph, left_set, right_set);
     let mut best: Option<JoinPrice> = None;
     for (algo, legal) in JoinAlgo::ALL.into_iter().zip(legal) {
         if !legal {
             continue;
         }
+        let flips = may_flip && algo == JoinAlgo::Hash;
+        let sides: &[bool] = if flips { &[false, true] } else { &[false] };
         for &flipped in sides {
             let (l, r) = if flipped {
                 (right, left)

@@ -23,7 +23,7 @@ use crate::random::random_plan;
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostModel, CostParams};
 use hfqo_query::{PhysicalPlan, QueryGraph};
-use hfqo_stats::{EstimatedCardinality, StatsCatalog};
+use hfqo_stats::{EstimatedCardinality, QueryCardinality, StatsCatalog};
 use hfqo_sync::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,7 +92,8 @@ pub trait Planner: Send + Sync {
 /// The traditional cost-based optimizer, the paper's "expert": exhaustive
 /// DP below a relation-count threshold, greedy bottom-up at or above it,
 /// then operator selection for the aggregate root. Threshold 0 plans
-/// every query greedily.
+/// every query greedily. Both searches price from one
+/// [`QueryCardinality`], built per query.
 #[derive(Debug, Clone, Copy)]
 pub struct TraditionalPlanner {
     /// Relation count at which planning switches from DP to greedy
@@ -132,7 +133,8 @@ impl Planner for TraditionalPlanner {
             return Err(OptError::EmptyQuery);
         }
         let start = Instant::now();
-        let (model, cards) = (ctx.cost_model(), ctx.estimator());
+        let model = ctx.cost_model();
+        let cards = QueryCardinality::new(graph, &ctx.estimator());
         let n = graph.relation_count();
         let (join_root, method) = if n < self.dp_threshold && n <= MAX_RELATIONS {
             (

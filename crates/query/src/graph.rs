@@ -275,17 +275,16 @@ impl QueryGraph {
         reached == set
     }
 
-    /// Relations adjacent to `rel` through join edges.
-    pub fn neighbors(&self, rel: RelId) -> RelSet {
-        let mut out = RelSet::EMPTY;
+    /// Every relation's neighbours — the relations a join edge connects
+    /// it to — indexed by relation, from one pass over the edges (a
+    /// [`RelSet`] holds at most 64 relations).
+    pub fn neighbor_masks(&self) -> [RelSet; 64] {
+        let mut masks = [RelSet::EMPTY; 64];
         for e in &self.joins {
-            if e.left.rel == rel {
-                out.insert(e.right.rel);
-            } else if e.right.rel == rel {
-                out.insert(e.left.rel);
-            }
+            masks[e.left.rel.index()].insert(e.right.rel);
+            masks[e.right.rel.index()].insert(e.left.rel);
         }
-        out
+        masks
     }
 }
 
@@ -374,10 +373,12 @@ mod tests {
         let g = chain3();
         assert_eq!(g.selections_on(RelId(1)).collect::<Vec<_>>(), vec![0]);
         assert_eq!(g.selections_on(RelId(0)).count(), 0);
-        assert_eq!(
-            g.neighbors(RelId(1)),
-            RelSet::single(RelId(0)).union(RelSet::single(RelId(2)))
-        );
+        let masks = g.neighbor_masks();
+        let one = |rel| RelSet::single(RelId(rel));
+        assert_eq!(masks[0], one(1));
+        assert_eq!(masks[1], one(0).union(one(2)));
+        assert_eq!(masks[2], one(1));
+        assert!(masks[3..].iter().all(|mask| mask.is_empty()));
     }
 
     #[test]

@@ -490,8 +490,8 @@ impl Environment for PlanEnv<'_> {
             QueryOrder::Shuffle => rng.gen_range(0..self.queries.len()),
             QueryOrder::Fixed(idx) => idx.min(self.queries.len() - 1),
         };
-        let (graph, est) = (self.graph(), self.ctx.estimator());
-        self.state = RolloutState::new(self.featurizer, graph, &est);
+        let graph = self.graph();
+        self.state = RolloutState::new(self.featurizer, graph, &self.ctx.estimator());
         self.pending_pair = None;
         self.last_outcome = None;
         if self.stages.index_selection {
@@ -500,7 +500,8 @@ impl Environment for PlanEnv<'_> {
         } else {
             // The traditional machinery picks access paths.
             let model = self.ctx.cost_model();
-            self.forest = PlanForest::best_access_paths(graph, self.ctx.catalog(), &model, &est);
+            let cards = self.state.cards();
+            self.forest = PlanForest::best_access_paths(graph, self.ctx.catalog(), &model, cards);
             self.advance(rng);
         }
     }
@@ -554,8 +555,8 @@ impl Environment for PlanEnv<'_> {
                 let paths = access_paths(graph, rel_id, self.ctx.catalog());
                 // The chosen candidate, or the last when `action` is past it.
                 let path = paths.take(action + 1).last().expect("a seq scan leads");
-                let (model, est) = (self.ctx.cost_model(), self.ctx.estimator());
-                let scan = build_scan(graph, rel_id, path, &model, &est);
+                let model = self.ctx.cost_model();
+                let scan = build_scan(graph, rel_id, path, &model, self.state.cards());
                 self.forest.push(scan);
                 if rel + 1 < self.graph().relation_count() {
                     self.phase = Phase::AccessPath { rel: rel + 1 };
@@ -573,8 +574,8 @@ impl Environment for PlanEnv<'_> {
                     self.phase = Phase::JoinOperator;
                     ONGOING
                 } else {
-                    let (model, est) = (self.ctx.cost_model(), self.ctx.estimator());
-                    let price = self.forest.price(x, y, false, &model, &est);
+                    let model = self.ctx.cost_model();
+                    let price = self.forest.price(x, y, false, &model, self.state.cards());
                     self.forest.merge(x, y, price);
                     self.advance(rng)
                 }
@@ -582,8 +583,8 @@ impl Environment for PlanEnv<'_> {
             Phase::JoinOperator => {
                 let (x, y) = self.pending_pair.take().expect("pair pending");
                 let algo = JoinAlgo::ALL[action.min(2)];
-                let (model, est) = (self.ctx.cost_model(), self.ctx.estimator());
-                let price = self.forest.price_as(x, y, algo, &model, &est);
+                let model = self.ctx.cost_model();
+                let price = self.forest.price_as(x, y, algo, &model, self.state.cards());
                 self.forest.merge(x, y, price);
                 self.advance(rng)
             }

@@ -24,7 +24,7 @@
 //! bit after every merge.
 
 use hfqo_query::{Forest, QueryGraph, RelId, RelSet};
-use hfqo_stats::{CardinalitySource as _, EstimatedCardinality};
+use hfqo_stats::{CardinalitySource as _, EstimatedCardinality, QueryCardinality};
 
 /// Fixed-width featurizer for forests over at most `max_rels` relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,24 +204,22 @@ fn size_feature(rows: f64) -> f32 {
 /// its plan from the same merges in an [`hfqo_opt::PlanForest`].
 ///
 /// Built once per (query, estimator): the static feature sections are
-/// written once, every relation's `base_rows` and every join edge's
-/// selectivity are looked up once, and each forest slot keeps the set of
-/// relations adjacent to it, so "are slots `x` and `y` connected" is a
-/// bit test. [`Self::merge`] follows [`Forest::merge`]'s slot movement
-/// (both inputs removed, the join appended) and computes only the new
-/// slot. After any sequence of merges [`Self::features`] is, bit for
-/// bit, what [`Featurizer::featurize`] writes for the [`Forest`] the same
-/// merges build, and [`Self::mask`] what [`Featurizer::action_mask`]
-/// writes.
+/// written once, the query's [`QueryCardinality`] looks up every
+/// relation's `base_rows` and every join edge's selectivity once, and
+/// each forest slot keeps the set of relations adjacent to it, so "are
+/// slots `x` and `y` connected" is a bit test. The planner that steps the
+/// state prices its [`hfqo_opt::PlanForest`] from the same memo
+/// ([`Self::cards`]). [`Self::merge`] follows [`Forest::merge`]'s slot
+/// movement (both inputs removed, the join appended) and computes only
+/// the new slot. After any sequence of merges [`Self::features`] is, bit
+/// for bit, what [`Featurizer::featurize`] writes for the [`Forest`] the
+/// same merges build, and [`Self::mask`] what
+/// [`Featurizer::action_mask`] writes.
 #[derive(Debug, Clone)]
 pub struct RolloutState {
     featurizer: Featurizer,
     features: Vec<f32>,
-    /// `base_rows` of every relation.
-    base_rows: Vec<f64>,
-    /// Every join edge, in the graph's order: its endpoints and its
-    /// selectivity.
-    edges: Vec<(RelSet, f64)>,
+    cards: QueryCardinality,
     slots: Vec<Slot>,
     /// The tree-structure row of a slot being built.
     row: Vec<f32>,
@@ -246,54 +244,30 @@ impl RolloutState {
         assert!(n <= m, "{n} relations exceed featurizer capacity {m}");
         let mut features = vec![0.0; featurizer.state_dim()];
         featurizer.write_static(graph, est, &mut features);
-        let rels = || (0..n).map(|r| RelId(r as u32));
-        let mut neighbours = vec![RelSet::EMPTY; n];
-        let edges = (graph.joins().iter().enumerate())
-            .map(|(i, edge)| {
-                let (l, r) = (edge.left.rel, edge.right.rel);
-                neighbours[l.index()].insert(r);
-                neighbours[r.index()].insert(l);
-                (
-                    RelSet::single(l).union(RelSet::single(r)),
-                    est.edge_selectivity(graph, i),
-                )
-            })
-            .collect();
-        let mut state = Self {
+        let cards = QueryCardinality::new(graph, est);
+        let size_base = featurizer.size_base();
+        let neighbors = graph.neighbor_masks();
+        let mut slots = Vec::with_capacity(n);
+        for rel in graph.all_rels().iter() {
+            let (slot, covered) = (rel.index(), RelSet::single(rel));
+            features[slot * m + slot] = 1.0;
+            features[size_base + slot] = size_feature(cards.rows(covered));
+            let adjacent = neighbors[slot];
+            slots.push(Slot { covered, adjacent });
+        }
+        Self {
             featurizer,
             features,
-            base_rows: rels().map(|rel| est.base_rows(graph, rel)).collect(),
-            edges,
-            slots: rels()
-                .map(|rel| Slot {
-                    covered: RelSet::single(rel),
-                    adjacent: neighbours[rel.index()],
-                })
-                .collect(),
+            cards,
+            slots,
             row: vec![0.0; m],
-        };
-        let size_base = featurizer.size_base();
-        for slot in 0..n {
-            state.features[slot * m + slot] = 1.0;
-            let rows = state.set_rows(state.slots[slot].covered);
-            state.features[size_base + slot] = size_feature(rows);
         }
-        state
     }
 
-    /// `EstimatedCardinality::set_rows` from the memoised factors,
-    /// multiplied in its order so the product has its bits.
-    fn set_rows(&self, set: RelSet) -> f64 {
-        let mut rows = 1.0;
-        for rel in set.iter() {
-            rows *= self.base_rows[rel.index()];
-        }
-        for &(ends, selectivity) in &self.edges {
-            if set.is_superset(ends) {
-                rows *= selectivity;
-            }
-        }
-        rows.max(1.0)
+    /// The query's cardinality memo: what the state's size features are
+    /// computed from, and what its planner prices with.
+    pub fn cards(&self) -> &QueryCardinality {
+        &self.cards
     }
 
     /// Whether at most one subtree remains.
@@ -369,7 +343,7 @@ impl RolloutState {
         self.slots.push(joined);
         self.features[dst * m..(dst + 1) * m].copy_from_slice(&self.row);
         self.features[(dst + 1) * m..(dst + 2) * m].fill(0.0);
-        self.features[size_base + dst] = size_feature(self.set_rows(joined.covered));
+        self.features[size_base + dst] = size_feature(self.cards.rows(joined.covered));
         self.features[size_base + dst + 1] = 0.0;
         true
     }

@@ -144,9 +144,9 @@ impl Planner for LearnedPlanner {
             )));
         }
         let start = Instant::now();
-        let (model, est) = (ctx.cost_model(), ctx.estimator());
-        let mut state = RolloutState::new(self.featurizer, graph, &est);
-        let mut forest = PlanForest::best_access_paths(graph, ctx.catalog, &model, &est);
+        let model = ctx.cost_model();
+        let mut state = RolloutState::new(self.featurizer, graph, &ctx.estimator());
+        let mut forest = PlanForest::best_access_paths(graph, ctx.catalog, &model, state.cards());
         let mut mask = Vec::with_capacity(self.featurizer.action_dim());
         let mut selector = Selector::default();
         // Greedy selection never consults the RNG; the seed only
@@ -162,7 +162,7 @@ impl Planner for LearnedPlanner {
                 true,
             );
             let (x, y) = self.merge_chosen(&mut state, n - forest.len(), action)?;
-            let price = forest.price(x, y, false, &model, &est);
+            let price = forest.price(x, y, false, &model, state.cards());
             forest.merge(x, y, price);
         }
         let (root, cost) = best_aggregate_if_needed(graph, forest.take_root(), &model);

@@ -132,12 +132,95 @@ impl CardinalitySource for EstimatedCardinality<'_> {
     }
 }
 
+/// [`EstimatedCardinality`] memoised for one query: every relation's
+/// `base_rows` and every join edge's selectivity, looked up once when the
+/// memo is built. [`Self::rows`] multiplies them in
+/// [`EstimatedCardinality::set_rows`]'s order — relations ascending, then
+/// edges in the graph's order — so every row count has the estimator's
+/// bits. A planner builds one per (query, estimator) and prices every set
+/// it meets from it; the memo answers only for the graph it was built
+/// from, which [`Self::rows`] takes as read.
+#[derive(Debug, Clone)]
+pub struct QueryCardinality {
+    /// The relation count: `factors` holds the relations' first.
+    relations: usize,
+    /// Every factor of a set's rows, in one allocation: each relation's
+    /// `base_rows` at its index (beside its singleton, so relations and
+    /// edges share a layout), then each join edge's selectivity beside
+    /// its endpoints, in the graph's order.
+    factors: Vec<(RelSet, f64)>,
+}
+
+impl QueryCardinality {
+    /// Looks up `graph`'s factors in `est`.
+    pub fn new(graph: &QueryGraph, est: &EstimatedCardinality<'_>) -> Self {
+        let relations = graph.all_rels().iter();
+        let relations = relations.map(|rel| (RelSet::single(rel), est.base_rows(graph, rel)));
+        let edges = graph.joins().iter().enumerate().map(|(i, edge)| {
+            let ends = RelSet::single(edge.left.rel).union(RelSet::single(edge.right.rel));
+            (ends, est.edge_selectivity(graph, i))
+        });
+        Self {
+            relations: graph.relation_count(),
+            factors: relations.chain(edges).collect(),
+        }
+    }
+
+    /// [`CardinalitySource::set_rows`] of the memo's own graph: the
+    /// product of the factors whose relations `set` holds.
+    #[inline]
+    pub fn rows(&self, set: RelSet) -> f64 {
+        let (relations, edges) = self.factors.split_at(self.relations);
+        let mut rows = 1.0;
+        for rel in set.iter() {
+            rows *= relations[rel.index()].1;
+        }
+        for &(ends, selectivity) in edges {
+            if set.is_superset(ends) {
+                rows *= selectivity;
+            }
+        }
+        rows.max(1.0)
+    }
+
+    /// Catches a memo asked about a graph other than its own, as far as
+    /// the relation and edge counts tell.
+    #[inline]
+    fn debug_check(&self, graph: &QueryGraph) {
+        let edges = self.factors.len() - self.relations;
+        debug_assert!(
+            graph.relation_count() == self.relations && graph.joins().len() == edges,
+            "a memo of {} relations and {edges} edges asked about a graph of {} and {}",
+            self.relations,
+            graph.relation_count(),
+            graph.joins().len(),
+        );
+    }
+}
+
+impl CardinalitySource for QueryCardinality {
+    #[inline]
+    fn base_rows(&self, graph: &QueryGraph, rel: RelId) -> f64 {
+        self.debug_check(graph);
+        self.factors[rel.index()].1
+    }
+
+    #[inline]
+    fn set_rows(&self, graph: &QueryGraph, set: RelSet) -> f64 {
+        self.debug_check(graph);
+        self.rows(set)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column_stats::{ColumnStats, TableStats};
     use hfqo_catalog::{ColumnId, ColumnStatsMeta};
     use hfqo_query::{BoundColumn, JoinEdge, Lit, Relation, Selection};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn col(ndv: f64, min: f64, max: f64) -> ColumnStats {
         ColumnStats {
@@ -250,5 +333,103 @@ mod tests {
         let (stats, graph) = setup();
         let est = EstimatedCardinality::new(&stats);
         assert!(est.set_rows(&graph, RelSet::full(2)) >= 1.0);
+    }
+
+    /// A query over `n` two-column tables of random sizes: a chain, a
+    /// star, a cycle, or two chains with no edge between them. Edges mix
+    /// `=`, `<` and `<>` over columns of random ndv; about a third of the
+    /// relations carry a selection.
+    fn random_graph(shape: u8, n: usize, rng: &mut StdRng) -> (StatsCatalog, QueryGraph) {
+        let tables = (0..n)
+            .map(|_| {
+                let rows = rng.gen_range(1.0..50_000.0f64).round();
+                TableStats {
+                    row_count: rows,
+                    row_width: 16.0,
+                    columns: vec![
+                        col(rng.gen_range(1.0..rows + 1.0).round(), 0.0, 999.0),
+                        col(rng.gen_range(1.0..200.0f64).round(), 0.0, 99.0),
+                    ],
+                }
+            })
+            .collect();
+        let relations = (0..n)
+            .map(|i| Relation {
+                table: TableId(i as u32),
+                alias: format!("t{i}"),
+            })
+            .collect();
+        let pairs: Vec<(usize, usize)> = match shape % 4 {
+            0 => (1..n).map(|i| (i - 1, i)).collect(),
+            1 => (1..n).map(|i| (0, i)).collect(),
+            2 => (1..n)
+                .map(|i| (i - 1, i))
+                .chain((n > 2).then_some((n - 1, 0)))
+                .collect(),
+            _ => (1..n).filter(|&i| i != n / 2).map(|i| (i - 1, i)).collect(),
+        };
+        let ops = [CompareOp::Eq, CompareOp::Eq, CompareOp::Lt, CompareOp::Neq];
+        let joins = (pairs.into_iter())
+            .map(|(l, r)| JoinEdge {
+                left: BoundColumn::new(RelId(l as u32), ColumnId(rng.gen_range(0..2u32))),
+                op: ops[rng.gen_range(0..ops.len())],
+                right: BoundColumn::new(RelId(r as u32), ColumnId(rng.gen_range(0..2u32))),
+            })
+            .collect();
+        let ops = [CompareOp::Eq, CompareOp::Lt, CompareOp::Ge];
+        let mut selections = Vec::new();
+        for i in 0..n {
+            if rng.gen_range(0..3u32) == 0 {
+                selections.push(Selection {
+                    column: BoundColumn::new(RelId(i as u32), ColumnId(1)),
+                    op: ops[rng.gen_range(0..ops.len())],
+                    value: Lit::Int(rng.gen_range(0..100)),
+                });
+            }
+        }
+        let graph = QueryGraph::new(relations, joins, selections, vec![], vec![]);
+        (StatsCatalog::new(tables), graph)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The memo gives the estimator's bits for every relation and for
+        /// every subset of the relations, connected or not.
+        #[test]
+        fn memo_has_the_estimators_bits_on_every_subset(
+            shape in 0u8..4,
+            n in 1usize..=10,
+            seed in 0u64..1_000_000,
+        ) {
+            let (stats, graph) = random_graph(shape, n, &mut StdRng::seed_from_u64(seed));
+            let est = EstimatedCardinality::new(&stats);
+            let memo = QueryCardinality::new(&graph, &est);
+            for rel in graph.all_rels().iter() {
+                prop_assert_eq!(
+                    memo.base_rows(&graph, rel).to_bits(),
+                    est.base_rows(&graph, rel).to_bits()
+                );
+            }
+            for bits in 1..1u64 << n {
+                let set = RelSet(bits);
+                prop_assert_eq!(
+                    memo.set_rows(&graph, set).to_bits(),
+                    est.set_rows(&graph, set).to_bits(),
+                    "{:?}",
+                    set
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a memo of 2 relations and 1 edges")]
+    fn memo_catches_another_graph() {
+        let (stats, graph) = setup();
+        let memo = QueryCardinality::new(&graph, &EstimatedCardinality::new(&stats));
+        let other = QueryGraph::new(graph.relations().to_vec(), vec![], vec![], vec![], vec![]);
+        memo.set_rows(&other, RelSet::full(2));
     }
 }

@@ -20,7 +20,7 @@ pub mod histogram;
 pub mod selectivity;
 
 pub use builder::{build_database_stats, build_table_stats, database_table_stats};
-pub use cardinality::{CardinalitySource, EstimatedCardinality, StatsCatalog};
+pub use cardinality::{CardinalitySource, EstimatedCardinality, QueryCardinality, StatsCatalog};
 pub use column_stats::{ColumnStats, TableStats};
 pub use drift::{column_shift, stats_drift, DriftMagnitude, TableDrift};
 pub use histogram::Histogram;

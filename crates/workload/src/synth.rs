@@ -185,7 +185,7 @@ mod tests {
         assert!(chain.is_connected(chain.all_rels()));
         let star = s.query(Shape::Star, 5, 0, 0);
         assert_eq!(star.joins().len(), 4);
-        assert_eq!(star.neighbors(RelId(0)).len(), 4);
+        assert_eq!(star.neighbor_masks()[0].len(), 4);
         let cycle = s.query(Shape::Cycle, 5, 1, 0);
         assert_eq!(cycle.joins().len(), 5);
     }

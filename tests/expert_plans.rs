@@ -12,6 +12,7 @@ use hfqo::opt::test_support::TestDb;
 use hfqo::prelude::*;
 use hfqo::query::{AccessPath, BoundColumn, JoinEdge, RelId, Relation};
 use hfqo::sql::CompareOp;
+use hfqo::stats::QueryCardinality;
 use hfqo::workload::imdb::{build_imdb, ImdbConfig};
 use hfqo::workload::job::generate_job_suite;
 use std::collections::HashSet;
@@ -132,6 +133,46 @@ fn expert_plans_match_the_golden() {
         "expert plans drifted from {golden_path}; if the change is \
          intentional, regenerate with HFQO_BLESS=1"
     );
+}
+
+/// The expert's cardinality memo has the estimator's bits on every
+/// relation and every connected set of every JOB-like query: the sets
+/// DP prices, and every set greedy and the learned planner can build.
+#[test]
+fn memo_has_the_estimators_bits_on_every_connected_set() {
+    let (db, stats) = build_imdb(ImdbConfig {
+        base_rows: 300,
+        seed: 21,
+    });
+    let est = EstimatedCardinality::new(&stats);
+    let mut checked = 0;
+    for q in generate_job_suite(db.catalog(), 21) {
+        let graph = &q.graph;
+        let memo = QueryCardinality::new(graph, &est);
+        for rel in graph.all_rels().iter() {
+            let (memo_rows, est_rows) = (memo.base_rows(graph, rel), est.base_rows(graph, rel));
+            assert_eq!(
+                memo_rows.to_bits(),
+                est_rows.to_bits(),
+                "{} {rel:?}",
+                q.label
+            );
+        }
+        for bits in 1..1u64 << graph.relation_count() {
+            let set = RelSet(bits);
+            if graph.is_connected(set) {
+                let (memo_rows, est_rows) = (memo.set_rows(graph, set), est.set_rows(graph, set));
+                assert_eq!(
+                    memo_rows.to_bits(),
+                    est_rows.to_bits(),
+                    "{} {set:?}",
+                    q.label
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 113, "{checked} sets");
 }
 
 /// A disconnected query's components are crossed in a fixed order, so
