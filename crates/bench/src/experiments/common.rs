@@ -26,7 +26,7 @@ pub struct Scale {
 
 impl Scale {
     /// Small workload, short training — minutes, suitable for CI.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         Self {
             base_rows: 1_500,
             episodes: 3_000,
@@ -84,7 +84,7 @@ pub fn cap_query_size(bundle: WorkloadBundle, max_rels: usize) -> WorkloadBundle
 
 /// The default ReJOIN policy configuration: two 128-unit hidden layers
 /// (as in the ReJOIN prototype), REINFORCE with baseline.
-pub fn default_policy() -> PolicyKind {
+pub(crate) fn default_policy() -> PolicyKind {
     PolicyKind::Reinforce(ReinforceConfig {
         hidden: vec![128, 128],
         lr: 1e-3,
@@ -97,7 +97,7 @@ pub fn default_policy() -> PolicyKind {
 /// Builds an environment over `queries` of a bundle, as wide as the
 /// bundle's largest query whatever `queries` holds, so one agent fits
 /// every environment of a bundle.
-pub fn plan_env<'a>(
+pub(crate) fn plan_env<'a>(
     bundle: &'a WorkloadBundle,
     queries: &'a [QueryGraph],
     order: QueryOrder,
@@ -140,7 +140,7 @@ pub fn planner_context(bundle: &WorkloadBundle) -> PlannerContext<'_> {
 /// like [`join_env`]'s environments: same featurizer width, same
 /// connected-pair masking. Plans it produces are identical to the
 /// environment's greedy evaluation episodes.
-pub fn learned_planner(bundle: &WorkloadBundle, agent: &ReJoinAgent) -> LearnedPlanner {
+pub(crate) fn learned_planner(bundle: &WorkloadBundle, agent: &ReJoinAgent) -> LearnedPlanner {
     LearnedPlanner::freeze(agent, Featurizer::new(bundle.max_rels().max(2)))
         .with_require_connected(true)
 }

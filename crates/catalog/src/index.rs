@@ -79,11 +79,6 @@ impl IndexDef {
     pub fn kind(&self) -> IndexKind {
         self.kind
     }
-
-    /// Whether keys are unique (e.g. a primary key index).
-    pub fn is_unique(&self) -> bool {
-        self.unique
-    }
 }
 
 #[cfg(test)]
@@ -105,6 +100,5 @@ mod tests {
         assert_eq!(d.table(), TableId(1));
         assert_eq!(d.column(), ColumnId(2));
         assert_eq!(d.kind(), IndexKind::Hash);
-        assert!(d.is_unique());
     }
 }

@@ -37,4 +37,4 @@ pub use error::CatalogError;
 pub use ids::{ColumnId, ColumnRef, IndexId, TableId};
 pub use index::{IndexDef, IndexKind};
 pub use schema::{Catalog, Column, ColumnType, TableSchema};
-pub use stats::{ColumnStatsMeta, TableStatsMeta, PAGE_SIZE_BYTES};
+pub use stats::{ColumnStatsMeta, PAGE_SIZE_BYTES};

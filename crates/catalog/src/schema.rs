@@ -8,7 +8,7 @@ use crate::index::{IndexDef, IndexKind};
 ///
 /// The engine is deliberately small: integers cover keys and dimension
 /// attributes, floats cover measures, and strings cover labels. That is
-/// enough to express the IMDB-like and TPC-H-like schemas the experiments
+/// enough to express the IMDB-like and synthetic schemas the experiments
 /// use while keeping the executor simple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
@@ -126,7 +126,7 @@ impl TableSchema {
     }
 
     /// Finds a column position by name.
-    pub fn column_by_name(&self, name: &str) -> Option<ColumnId> {
+    pub(crate) fn column_by_name(&self, name: &str) -> Option<ColumnId> {
         self.columns
             .iter()
             .position(|c| c.name == name)
@@ -253,11 +253,6 @@ impl Catalog {
             .filter(move |(_, idx)| idx.table() == col.table && idx.column() == col.column)
             .map(|(i, idx)| (IndexId(i as u32), idx))
     }
-
-    /// Whether any index exists on the given column.
-    pub fn has_index_on(&self, col: ColumnRef) -> bool {
-        self.indexes_on(col).next().is_some()
-    }
 }
 
 #[cfg(test)]
@@ -314,8 +309,6 @@ mod tests {
         let idx = c
             .add_index("title_pkey", t, col, IndexKind::BTree, true)
             .unwrap();
-        assert!(c.has_index_on(ColumnRef::new(t, col)));
-        assert!(!c.has_index_on(ColumnRef::new(t, ColumnId(1))));
         assert_eq!(c.index(idx).unwrap().name(), "title_pkey");
         // Duplicate name rejected.
         assert!(c

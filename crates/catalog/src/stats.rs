@@ -36,38 +36,6 @@ impl ColumnStatsMeta {
     }
 }
 
-/// Per-table summary statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableStatsMeta {
-    /// Number of rows in the table.
-    pub row_count: f64,
-    /// Per-column summaries, indexed by column position.
-    pub columns: Vec<ColumnStatsMeta>,
-    /// Estimated width of one row in bytes.
-    pub row_width: f64,
-}
-
-impl TableStatsMeta {
-    /// Builds empty-table statistics shaped to the given schema.
-    pub fn empty_for(schema: &TableSchema) -> Self {
-        Self {
-            row_count: 0.0,
-            columns: vec![ColumnStatsMeta::unknown(); schema.arity()],
-            row_width: estimated_row_width(schema),
-        }
-    }
-
-    /// Number of pages the table occupies at [`PAGE_SIZE_BYTES`].
-    ///
-    /// Never returns less than 1: even an empty table costs one page to
-    /// scan, which keeps the cost model's seq-scan floor positive.
-    pub fn pages(&self) -> f64 {
-        ((self.row_count * self.row_width) / PAGE_SIZE_BYTES)
-            .ceil()
-            .max(1.0)
-    }
-}
-
 /// Estimated width in bytes of one row of the given schema.
 ///
 /// Uses fixed widths per type (text uses a representative average); the cost
@@ -105,20 +73,5 @@ mod tests {
         assert_eq!(estimated_row_width(&schema()), 40.0);
         let empty = TableSchema::new("e", vec![]);
         assert_eq!(estimated_row_width(&empty), 8.0);
-    }
-
-    #[test]
-    fn pages_floor_is_one() {
-        let mut s = TableStatsMeta::empty_for(&schema());
-        assert_eq!(s.pages(), 1.0);
-        s.row_count = 1_000_000.0;
-        assert!(s.pages() > 1000.0);
-    }
-
-    #[test]
-    fn empty_for_shapes_columns() {
-        let s = TableStatsMeta::empty_for(&schema());
-        assert_eq!(s.columns.len(), 2);
-        assert_eq!(s.columns[0], ColumnStatsMeta::unknown());
     }
 }

@@ -31,7 +31,7 @@ pub struct LatencyModel {
     /// Conversion from latency-cost units to milliseconds.
     pub ms_per_unit: f64,
     /// Standard deviation of the log-normal noise (0 disables noise).
-    pub noise_sigma: f64,
+    pub(crate) noise_sigma: f64,
 }
 
 impl Default for LatencyModel {
@@ -46,7 +46,8 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// A noiseless model (deterministic; useful in tests).
-    pub fn noiseless() -> Self {
+    #[cfg(test)]
+    fn noiseless() -> Self {
         Self {
             noise_sigma: 0.0,
             ..Self::default()

@@ -11,19 +11,19 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// Cost of sequentially reading one page (PostgreSQL: 1.0).
-    pub seq_page_cost: f64,
+    pub(crate) seq_page_cost: f64,
     /// Cost of randomly reading one page (PostgreSQL: 4.0).
-    pub random_page_cost: f64,
+    pub(crate) random_page_cost: f64,
     /// CPU cost of emitting one tuple (PostgreSQL: 0.01).
-    pub cpu_tuple_cost: f64,
+    pub(crate) cpu_tuple_cost: f64,
     /// CPU cost of processing one index entry (PostgreSQL: 0.005).
-    pub cpu_index_tuple_cost: f64,
+    pub(crate) cpu_index_tuple_cost: f64,
     /// CPU cost of one operator/predicate evaluation (PostgreSQL: 0.0025).
-    pub cpu_operator_cost: f64,
+    pub(crate) cpu_operator_cost: f64,
     /// Per-tuple cost multiplier for building a hash table.
-    pub hash_build_factor: f64,
+    pub(crate) hash_build_factor: f64,
     /// Per-comparison cost multiplier for sorting (`n log2 n` model).
-    pub sort_factor: f64,
+    pub(crate) sort_factor: f64,
 }
 
 impl CostParams {
@@ -46,7 +46,7 @@ impl CostParams {
     /// systematic cost-vs-latency disagreement the paper's §4 discusses
     /// ("a query with a high optimizer cost might outperform a query with
     /// lower optimizer cost").
-    pub fn in_memory_latency() -> Self {
+    pub(crate) fn in_memory_latency() -> Self {
         Self {
             seq_page_cost: 0.1,
             random_page_cost: 0.15,

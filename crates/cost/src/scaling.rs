@@ -52,11 +52,6 @@ impl RewardScaler {
         self.observations += 1;
     }
 
-    /// Number of recorded pairs.
-    pub fn observations(&self) -> usize {
-        self.observations
-    }
-
     /// Whether enough structure exists to scale (at least two distinct
     /// latencies and costs).
     pub fn is_ready(&self) -> bool {
@@ -128,7 +123,6 @@ mod tests {
         assert_eq!(s.scale(123.0), 123.0);
         s.observe(10.0, 100.0);
         assert!(!s.is_ready());
-        assert_eq!(s.observations(), 1);
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub struct OutputSchema {
 
 impl OutputSchema {
     /// The schema `plan` produces over `graph`.
-    pub fn for_plan(graph: &QueryGraph, catalog: &Catalog, plan: &PhysicalPlan) -> Self {
+    pub(crate) fn for_plan(graph: &QueryGraph, catalog: &Catalog, plan: &PhysicalPlan) -> Self {
         let col_name = |c: BoundColumn| -> String {
             let rel = graph.relation(c.rel);
             let col = catalog

@@ -103,7 +103,6 @@ pub use error::ExecError;
 pub use executor::{
     execute, execute_for_stats, ExecConfig, ExecOutcome, ExecStats, OutputColumn, OutputSchema,
 };
-pub use projection::Projection;
-pub use row::{lit_to_value, Layout, Row};
+pub use row::{Layout, Row};
 pub use rowexec::execute_rows;
 pub use truecard::TrueCardinality;

@@ -1,7 +1,7 @@
 //! Building blocks shared by the evaluator and the row oracle.
 //!
 //! Comparison kernels, join-condition and index-probe resolution, scan
-//! and aggregate specs, and the serial [`Budget`]. The evaluator's
+//! and aggregate specs, and the serial `Budget`. The evaluator's
 //! stages ([`crate::parallel`]) and the reference row engine
 //! ([`crate::rowexec`]) both build on these, so the two cannot drift:
 //! every unit of work (row visits, comparisons, emitted rows) is charged
@@ -35,7 +35,7 @@ fn ord_satisfies(op: CompareOp, ord: Ordering) -> bool {
 /// Evaluates a SQL comparison with three-valued logic collapsed to a
 /// boolean (NULL comparisons are false, as in a WHERE clause).
 #[inline]
-pub fn eval_cmp(op: CompareOp, a: &Value, b: &Value) -> bool {
+pub(crate) fn eval_cmp(op: CompareOp, a: &Value, b: &Value) -> bool {
     match a.sql_cmp(b) {
         None => false,
         Some(ord) => ord_satisfies(op, ord),
@@ -48,7 +48,7 @@ pub fn eval_cmp(op: CompareOp, a: &Value, b: &Value) -> bool {
 /// themselves; this is what they call for every other operand pair
 /// (floats, text, mixed numerics).
 #[inline]
-pub fn eval_cmp_cols(
+pub(crate) fn eval_cmp_cols(
     op: CompareOp,
     a: &hfqo_storage::ColumnVector,
     a_row: usize,
@@ -65,8 +65,8 @@ pub fn eval_cmp_cols(
 /// right[r_slot]`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SlotCond {
-    pub l_slot: usize,
-    pub r_slot: usize,
+    pub(crate) l_slot: usize,
+    pub(crate) r_slot: usize,
     pub op: CompareOp,
 }
 
@@ -189,11 +189,11 @@ pub(crate) fn index_row_ids(
 /// Serial work-budget accountant (the row engine's; the evaluator
 /// charges the same totals through its shared atomic counter).
 #[derive(Debug)]
-pub struct Budget {
+pub(crate) struct Budget {
     /// Work performed so far (row visits, comparisons, emitted rows).
     pub work: u64,
     /// Maximum allowed work.
-    pub limit: u64,
+    pub(crate) limit: u64,
 }
 
 impl Budget {
@@ -204,7 +204,7 @@ impl Budget {
 
     /// Charges `n` units, failing when the budget is exhausted.
     #[inline]
-    pub fn charge(&mut self, n: u64) -> Result<(), ExecError> {
+    pub(crate) fn charge(&mut self, n: u64) -> Result<(), ExecError> {
         self.work += n;
         if self.work > self.limit {
             Err(ExecError::BudgetExceeded {

@@ -1,6 +1,6 @@
 //! Per-node projections: which columns each plan node's output carries.
 //!
-//! A [`Projection`] is the ordered set of bound columns a plan node
+//! A `Projection` is the ordered set of bound columns a plan node
 //! outputs. The evaluator ([`crate::parallel`]) computes one per node
 //! from the columns the query graph references *above* that node:
 //!
@@ -22,7 +22,7 @@ use hfqo_storage::Database;
 
 /// The ordered set of `(relation, column)` pairs a plan node outputs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Projection {
+pub(crate) struct Projection {
     cols: Vec<BoundColumn>,
 }
 
@@ -38,7 +38,8 @@ impl Projection {
     }
 
     /// Number of projected columns.
-    pub fn width(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
         self.cols.len()
     }
 
@@ -49,7 +50,7 @@ impl Projection {
     }
 
     /// The storage types of the projected columns.
-    pub fn column_types(&self, graph: &QueryGraph, catalog: &Catalog) -> Vec<ColumnType> {
+    pub(crate) fn column_types(&self, graph: &QueryGraph, catalog: &Catalog) -> Vec<ColumnType> {
         self.cols
             .iter()
             .map(|c| {
@@ -69,7 +70,7 @@ impl Projection {
 /// An unordered set of bound columns (small; stored as a vector to avoid
 /// requiring `Ord` on [`BoundColumn`]).
 #[derive(Debug, Clone, Default)]
-pub struct ColSet {
+pub(crate) struct ColSet {
     cols: Vec<BoundColumn>,
 }
 
@@ -104,7 +105,7 @@ impl ColSet {
 /// Every column of every relation in `graph` — the facade's required set
 /// for plain (non-aggregated) queries, which makes the evaluator's
 /// output column-identical to the row engine's.
-pub fn all_columns(graph: &QueryGraph, db: &Database) -> ColSet {
+pub(crate) fn all_columns(graph: &QueryGraph, db: &Database) -> ColSet {
     let mut set = ColSet::new();
     for (i, rel) in graph.relations().iter().enumerate() {
         let arity = db
@@ -124,7 +125,7 @@ pub fn all_columns(graph: &QueryGraph, db: &Database) -> ColSet {
 
 /// The required set for an aggregation input: `GROUP BY` keys plus
 /// aggregate input columns.
-pub fn aggregate_inputs(graph: &QueryGraph) -> ColSet {
+pub(crate) fn aggregate_inputs(graph: &QueryGraph) -> ColSet {
     let mut set = ColSet::new();
     for c in graph.group_by() {
         set.insert(*c);

@@ -20,7 +20,7 @@ pub struct Layout {
 impl Layout {
     /// Layout of rows produced by `node` (leaf order, full table arity per
     /// relation — the engine does not project early).
-    pub fn for_node(node: &PlanNode, graph: &QueryGraph, catalog: &Catalog) -> Self {
+    pub(crate) fn for_node(node: &PlanNode, graph: &QueryGraph, catalog: &Catalog) -> Self {
         let mut entries = Vec::new();
         let mut offset = 0usize;
         collect(node, graph, catalog, &mut entries, &mut offset);
@@ -31,7 +31,7 @@ impl Layout {
     }
 
     /// Layout for a single relation.
-    pub fn for_rel(rel: RelId, graph: &QueryGraph, catalog: &Catalog) -> Self {
+    pub(crate) fn for_rel(rel: RelId, graph: &QueryGraph, catalog: &Catalog) -> Self {
         let arity = catalog
             .table(graph.relation(rel).table)
             .map(|t| t.arity())
@@ -102,7 +102,7 @@ fn collect(
 }
 
 /// Converts a predicate literal into a runtime value.
-pub fn lit_to_value(lit: &Lit) -> Value {
+pub(crate) fn lit_to_value(lit: &Lit) -> Value {
     match lit {
         Lit::Int(v) => Value::Int(*v),
         Lit::Float(v) => Value::Float(*v),

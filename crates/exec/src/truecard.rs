@@ -58,7 +58,8 @@ impl<'a> TrueCardinality<'a> {
     }
 
     /// Number of memoised subsets.
-    pub fn cached_subsets(&self) -> usize {
+    #[cfg(test)]
+    fn cached_subsets(&self) -> usize {
         self.cache.borrow().len()
     }
 

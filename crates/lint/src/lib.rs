@@ -1,7 +1,8 @@
 //! # hfqo-lint
 //!
 //! In-repo workspace lint enforcing the concurrency-correctness rules
-//! that `hfqo_sync` and the PR 6 determinism contract rely on. Pure
+//! that `hfqo_sync` and the PR 6 determinism contract rely on, and
+//! keeping every crate's `pub` surface to what other code uses. Pure
 //! std — the container is offline, so no `syn`; scanning is
 //! line/token-level over a string-literal- and comment-aware stripped
 //! view of each source file.
@@ -28,6 +29,16 @@
 //!   library code (panic messages without context; locks must use the
 //!   site-labelled `hfqo_sync` path, channels an `expect` that names
 //!   the protocol). Not allowlistable.
+//! * **L7** — no `pub fn`, `pub const` or `pub static` in non-test
+//!   library code (`crates/*/src`, binaries excluded) whose name no file
+//!   outside that crate's library sources names: rustc's `dead_code`
+//!   lint is silent about `pub` items, so an item only its own crate
+//!   uses must be `pub(crate)`, where rustc sees whether anything uses
+//!   it at all. "Outside" is every other scanned file: the other
+//!   crates, the crate's own `tests/` and binaries, the root package's
+//!   `src/`, `tests/` and `examples/`, and `perfbench/`. Types and
+//!   fields are left alone (other crates reach them without naming
+//!   them). Allowlistable per item, as `L7 <path>::<name>`.
 //!
 //! The scanner is a deliberate approximation: it sees one line at a
 //! time after stripping, so a call chain split across lines (e.g.
@@ -36,6 +47,7 @@
 //! one for a repo-specific gate; rustc and clippy still backstop the
 //! rest.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -53,13 +65,15 @@ pub enum Rule {
     L4,
     /// `.unwrap()` on lock/channel results in non-test library code.
     L5,
+    /// A `pub fn`/`const`/`static` that nothing outside its crate names.
+    L7,
 }
 
 impl Rule {
     /// Rules whose violations may be suppressed via `allow.list`.
     /// L1/L4/L5 violations must be fixed, never allowlisted.
-    pub fn allowlistable(self) -> bool {
-        matches!(self, Rule::L2 | Rule::L3)
+    pub(crate) fn allowlistable(self) -> bool {
+        matches!(self, Rule::L2 | Rule::L3 | Rule::L7)
     }
 
     fn parse(s: &str) -> Option<Rule> {
@@ -69,6 +83,7 @@ impl Rule {
             "L3" => Some(Rule::L3),
             "L4" => Some(Rule::L4),
             "L5" => Some(Rule::L5),
+            "L7" => Some(Rule::L7),
             _ => None,
         }
     }
@@ -81,13 +96,26 @@ impl fmt::Display for Rule {
 }
 
 /// One rule violation at a source location. `path` is workspace-root
-/// relative with forward slashes.
+/// relative with forward slashes; `item` names the offending item for
+/// the per-item rule L7 (and is `None` for the per-file rules).
 #[derive(Debug, Clone)]
 pub struct Violation {
     pub rule: Rule,
     pub path: String,
     pub line: usize,
+    pub item: Option<String>,
     pub message: String,
+}
+
+impl Violation {
+    /// What an `allow.list` entry names to suppress this violation:
+    /// the file, or `<file>::<item>` for a per-item rule.
+    fn site(&self) -> String {
+        match &self.item {
+            Some(item) => format!("{}::{item}", self.path),
+            None => self.path.clone(),
+        }
+    }
 }
 
 impl fmt::Display for Violation {
@@ -106,7 +134,7 @@ impl fmt::Display for Violation {
 /// pattern inside a doc comment or a panic message never trips a rule.
 /// Handles line/block (nested) comments, plain and raw (`r#"…"#`)
 /// strings, byte strings, char literals, and lifetimes.
-pub fn strip_source(source: &str) -> String {
+pub(crate) fn strip_source(source: &str) -> String {
     enum St {
         Code,
         Block(u32),
@@ -357,6 +385,7 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Violation> {
             rule,
             path: rel_path.to_string(),
             line,
+            item: None,
             message,
         });
     };
@@ -478,6 +507,104 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Violation> {
     out
 }
 
+/// The library crate whose sources `rel_path` is: `crates/<name>/src/**`
+/// except the binary roots `src/main.rs` and `src/bin/**`.
+fn library_crate(rel_path: &str) -> Option<&str> {
+    let mut parts = rel_path.split('/');
+    if parts.next()? != "crates" {
+        return None;
+    }
+    let name = parts.next()?;
+    if parts.next()? != "src" {
+        return None;
+    }
+    match parts.next()? {
+        "main.rs" | "bin" => None,
+        _ => Some(name),
+    }
+}
+
+/// The identifiers (and number literals) of a stripped source.
+fn words(stripped: &str) -> impl Iterator<Item = &str> {
+    stripped
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// The kind and name a stripped line declares when it is a `pub fn`
+/// (`const fn`, `unsafe fn` …), a `pub const` or a `pub static`.
+fn pub_value_item(line: &str) -> Option<(&'static str, &str)> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let mut tokens = words(rest);
+    let mut kind = None;
+    for word in tokens.by_ref() {
+        match word {
+            "fn" => {
+                kind = Some("fn");
+                break;
+            }
+            "static" => {
+                kind = Some("static");
+                break;
+            }
+            "const" => kind = Some("const"),
+            "unsafe" | "async" | "extern" => {}
+            name => return kind.map(|k| (k, name)),
+        }
+    }
+    let name = tokens.find(|w| *w != "mut")?;
+    Some((kind?, name))
+}
+
+/// Rule L7 over a set of `(workspace-relative path, source)` files: every
+/// `pub fn`/`const`/`static` of non-test library code whose name no file
+/// outside its crate's library sources uses as an identifier. Comments
+/// and strings do not count as naming an item; code in `#[cfg(test)]`
+/// regions declares nothing but does name (another crate's unit tests
+/// compile against the `pub` item).
+pub fn scan_unnamed_pub(files: &[(String, String)]) -> Vec<Violation> {
+    let stripped: Vec<String> = files.iter().map(|(_, src)| strip_source(src)).collect();
+    // For each identifier, the owners of the files it appears in: a
+    // library crate, or `None` for every file outside library sources.
+    let mut named_by: HashMap<&str, HashSet<Option<&str>>> = HashMap::new();
+    for ((path, _), text) in files.iter().zip(&stripped) {
+        let owner = library_crate(path);
+        for word in words(text) {
+            named_by.entry(word).or_default().insert(owner);
+        }
+    }
+    let mut out = Vec::new();
+    for ((path, _), text) in files.iter().zip(&stripped) {
+        let Some(krate) = library_crate(path) else {
+            continue;
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        let in_test = test_regions(&lines);
+        for (idx, line) in lines.iter().enumerate() {
+            let Some((kind, name)) = pub_value_item(line).filter(|_| !in_test[idx]) else {
+                continue;
+            };
+            let named_outside = named_by
+                .get(name)
+                .is_some_and(|owners| owners.iter().any(|o| *o != Some(krate)));
+            if !named_outside {
+                out.push(Violation {
+                    rule: Rule::L7,
+                    path: path.clone(),
+                    line: idx + 1,
+                    item: Some(name.to_string()),
+                    message: format!(
+                        "`pub {kind} {name}` is named by no file outside crate `{krate}`'s \
+                         library sources; make it `pub(crate)` (and delete it if rustc then \
+                         reports it dead), or allowlist `{path}::{name}` with a reason"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Directories never scanned: build output, vendored shims (external
 /// API stubs, not part of the concurrency surface), VCS metadata, and
 /// the lint's own deliberately-violating fixtures.
@@ -485,17 +612,22 @@ fn skip_dir(rel: &str, name: &str) -> bool {
     matches!(name, "target" | "vendor" | ".git" | ".github") || rel == "crates/lint/tests/fixtures"
 }
 
-/// Recursively scans every `.rs` file under `root`, returning all
-/// violations sorted by path and line.
+/// Recursively scans every `.rs` file under `root` (per file, then L7
+/// across them), returning all violations sorted by path and line.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    collect_rs_files(root, "", &mut files)?;
-    files.sort();
-    let mut out = Vec::new();
-    for rel in files {
+    let mut paths = Vec::new();
+    collect_rs_files(root, "", &mut paths)?;
+    let mut files = Vec::with_capacity(paths.len());
+    for rel in paths {
         let source = std::fs::read_to_string(root.join(&rel))?;
-        out.extend(scan_file(&rel, &source));
+        files.push((rel, source));
     }
+    let mut out: Vec<Violation> = files
+        .iter()
+        .flat_map(|(rel, source)| scan_file(rel, source))
+        .collect();
+    out.extend(scan_unnamed_pub(&files));
+    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(out)
 }
 
@@ -526,12 +658,13 @@ fn collect_rs_files(root: &Path, rel: &str, out: &mut Vec<String>) -> std::io::R
     Ok(())
 }
 
-/// One `allow.list` entry: `<rule> <path> -- <justification>`.
+/// One `allow.list` entry: `<rule> <path> -- <justification>`, where
+/// `path` is `<file>::<item>` for L7.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
     pub rule: Rule,
     pub path: String,
-    pub justification: String,
+    pub(crate) justification: String,
 }
 
 impl fmt::Display for AllowEntry {
@@ -541,9 +674,10 @@ impl fmt::Display for AllowEntry {
 }
 
 /// Parses `allow.list`. Each non-comment line is
-/// `<rule> <path> -- <justification>`; the justification is mandatory,
-/// and entries for non-allowlistable rules (L1/L4/L5) are a parse
-/// error — those violations must be fixed in code.
+/// `<rule> <path> -- <justification>` (`<path>` is `<file>::<item>` for
+/// L7); the justification is mandatory, and entries for
+/// non-allowlistable rules (L1/L4/L5) are a parse error — those
+/// violations must be fixed in code.
 pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
     let mut entries = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -563,7 +697,7 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
         let rule = parts
             .next()
             .and_then(Rule::parse)
-            .ok_or_else(|| format!("allow.list:{lineno}: expected a rule (L1..L5)"))?;
+            .ok_or_else(|| format!("allow.list:{lineno}: expected a rule (L1..L5, L7)"))?;
         let path = parts
             .next()
             .ok_or_else(|| format!("allow.list:{lineno}: expected a file path"))?
@@ -600,9 +734,10 @@ pub fn apply_allowlist(
     let mut active = Vec::new();
     let mut suppressed = Vec::new();
     for v in violations {
+        let site = v.site();
         match allowlist
             .iter()
-            .position(|e| e.rule == v.rule && e.path == v.path)
+            .position(|e| e.rule == v.rule && e.path == site)
         {
             Some(i) => {
                 used[i] = true;
@@ -713,6 +848,43 @@ mod tests {
     }
 
     #[test]
+    fn pub_value_items_parse_through_qualifiers() {
+        assert_eq!(pub_value_item("    pub fn f<T>(x: T) {"), Some(("fn", "f")));
+        assert_eq!(
+            pub_value_item("pub const fn g() -> u8 {"),
+            Some(("fn", "g"))
+        );
+        assert_eq!(pub_value_item("pub unsafe fn h() {"), Some(("fn", "h")));
+        assert_eq!(
+            pub_value_item("pub const N: usize = 3;"),
+            Some(("const", "N"))
+        );
+        assert_eq!(
+            pub_value_item("pub static mut S: u8 = 0;"),
+            Some(("static", "S"))
+        );
+        for other in [
+            "pub struct T;",
+            "pub field: u8,",
+            "pub(crate) fn f() {",
+            "pub use a::b;",
+            "pub mod m;",
+        ] {
+            assert_eq!(pub_value_item(other), None, "{other}");
+        }
+    }
+
+    #[test]
+    fn library_crates_exclude_binaries_and_tests() {
+        assert_eq!(library_crate("crates/exec/src/ops/mod.rs"), Some("exec"));
+        assert_eq!(library_crate("crates/bench/src/main.rs"), None);
+        assert_eq!(library_crate("crates/bench/src/bin/x.rs"), None);
+        assert_eq!(library_crate("crates/lint/tests/fixtures.rs"), None);
+        assert_eq!(library_crate("perfbench/src/lib.rs"), None);
+        assert_eq!(library_crate("src/lib.rs"), None);
+    }
+
+    #[test]
     fn allowlist_rejects_unallowlistable_rules_and_blank_justifications() {
         assert!(parse_allowlist("L2 a.rs -- bench timing is the product\n").is_ok());
         assert!(parse_allowlist("L1 a.rs -- please\n").is_err());
@@ -728,6 +900,7 @@ mod tests {
             rule: Rule::L2,
             path: "a.rs".into(),
             line: 1,
+            item: None,
             message: String::new(),
         }];
         let allow = vec![

@@ -1,6 +1,6 @@
 //! Workspace lint gate: `cargo run -p hfqo_lint [workspace-root]`.
 //! Exits non-zero on any active violation, stale allowlist entry, or
-//! malformed allowlist. See the library docs for the rules (L1–L5).
+//! malformed allowlist. See the library docs for the rules (L1–L5, L7).
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -9,7 +9,7 @@
 //! since path-based scoping (tests/, crates/sync/) is part of
 //! what is under test.
 
-use hfqo_lint::{parse_allowlist, scan_file, scan_workspace, Rule};
+use hfqo_lint::{parse_allowlist, scan_file, scan_unnamed_pub, scan_workspace, Rule};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -74,6 +74,76 @@ fn l5_fires_on_lock_and_channel_unwraps_in_library_code() {
     assert_eq!(count("crates/serve/src/x.rs", &src, Rule::L5), 2);
     // Test code is out of scope for L5.
     assert_eq!(count("tests/x.rs", &src, Rule::L5), 0);
+}
+
+/// L7 over the fixture as `crates/a/src/lib.rs` plus one more file.
+fn l7_items(other_path: &str, other_source: &str) -> Vec<String> {
+    let files = [
+        (
+            "crates/a/src/lib.rs".to_string(),
+            fixture("l7_unnamed_pub.rs"),
+        ),
+        (other_path.to_string(), other_source.to_string()),
+    ];
+    scan_unnamed_pub(&files)
+        .into_iter()
+        .map(|v| {
+            assert_eq!(v.rule, Rule::L7);
+            v.item.expect("L7 names its item")
+        })
+        .collect()
+}
+
+#[test]
+fn l7_fires_on_a_pub_fn_nothing_outside_its_crate_names() {
+    let call = "fn main() { a::nobody_names_me(); }\n";
+    // Unnamed, named only inside its own crate's library, or named only
+    // in a comment or a string elsewhere: the one `pub fn` fires. The
+    // type, the `pub(crate)` fn and the cfg(test) module never do.
+    for (path, source) in [
+        ("crates/b/src/lib.rs", "fn unrelated() {}\n"),
+        ("crates/a/src/other.rs", call),
+        (
+            "crates/b/src/lib.rs",
+            "// nobody_names_me\nconst S: &str = \"nobody_names_me\";\n",
+        ),
+    ] {
+        assert_eq!(l7_items(path, source), ["nobody_names_me"], "{path}");
+    }
+}
+
+#[test]
+fn l7_is_silent_when_the_name_appears_outside_the_crate() {
+    for path in [
+        "crates/b/src/lib.rs",
+        "crates/a/tests/it.rs",
+        "crates/a/src/main.rs",
+        "crates/a/src/bin/tool.rs",
+        "perfbench/src/main.rs",
+        "tests/end_to_end.rs",
+        "examples/demo.rs",
+    ] {
+        let call = "fn main() { a::nobody_names_me(); }\n";
+        assert!(l7_items(path, call).is_empty(), "{path}");
+    }
+}
+
+#[test]
+fn l7_allowlist_entries_name_the_item() {
+    let files = [(
+        "crates/a/src/lib.rs".to_string(),
+        fixture("l7_unnamed_pub.rs"),
+    )];
+    let allow = parse_allowlist(
+        "L7 crates/a/src/lib.rs::nobody_names_me -- kept on purpose\n\
+         L7 crates/a/src/lib.rs::gone -- stale on purpose\n",
+    )
+    .expect("well-formed allowlist parses");
+    let (active, suppressed, stale) = hfqo_lint::apply_allowlist(scan_unnamed_pub(&files), &allow);
+    assert!(active.is_empty(), "{active:?}");
+    assert_eq!(suppressed.len(), 1);
+    assert_eq!(stale.len(), 1);
+    assert_eq!(stale[0].path, "crates/a/src/lib.rs::gone");
 }
 
 #[test]

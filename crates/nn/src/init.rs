@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Samples a standard normal via Box-Muller.
-pub fn normal(rng: &mut StdRng) -> f32 {
+pub(crate) fn normal(rng: &mut StdRng) -> f32 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
@@ -13,14 +13,14 @@ pub fn normal(rng: &mut StdRng) -> f32 {
 
 /// Xavier/Glorot-normal initialisation for a `[fan_in × fan_out]` weight
 /// matrix: `N(0, 2 / (fan_in + fan_out))`.
-pub fn xavier(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
+pub(crate) fn xavier(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
     let std = (2.0 / (fan_in + fan_out) as f32).sqrt();
     let data = (0..fan_in * fan_out).map(|_| normal(rng) * std).collect();
     Matrix::from_vec(fan_in, fan_out, data)
 }
 
 /// He-normal initialisation (`N(0, 2 / fan_in)`), preferred before ReLU.
-pub fn he(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
+pub(crate) fn he(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Matrix {
     let std = (2.0 / fan_in as f32).sqrt();
     let data = (0..fan_in * fan_out).map(|_| normal(rng) * std).collect();
     Matrix::from_vec(fan_in, fan_out, data)

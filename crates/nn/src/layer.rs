@@ -2,7 +2,7 @@
 //!
 //! A [`Dense`] layer's backward pass comes in two halves:
 //! [`Dense::backward`] yields the parameter gradients every layer
-//! needs, [`Dense::input_grad`] the gradient handed to the layer below
+//! needs, `Dense::input_grad` the gradient handed to the layer below
 //! — which the first layer of a network, having none, never calls.
 
 use crate::init;
@@ -27,7 +27,7 @@ impl Activation {
     }
 
     /// Applies the activation to each value in place.
-    pub fn apply(&self, values: &mut [f32]) {
+    pub(crate) fn apply(&self, values: &mut [f32]) {
         match self {
             Activation::ReLU => {
                 for x in values {
@@ -88,7 +88,7 @@ impl Dense {
     }
 
     /// Xavier-initialised layer (suits tanh/linear heads).
-    pub fn xavier(input: usize, output: usize, rng: &mut StdRng) -> Self {
+    pub(crate) fn xavier(input: usize, output: usize, rng: &mut StdRng) -> Self {
         Self {
             w: init::xavier(input, output, rng),
             b: vec![0.0; output],
@@ -121,7 +121,7 @@ impl Dense {
     /// Backward pass, input half: the loss gradient w.r.t. the layer
     /// input, `grad_out @ Wᵀ`. Only a layer with a layer below it needs
     /// this — nothing trains on the gradient of the network's input.
-    pub fn input_grad(&self, grad_out: &Matrix) -> Matrix {
+    pub(crate) fn input_grad(&self, grad_out: &Matrix) -> Matrix {
         grad_out.matmul_nt(&self.w)
     }
 }

@@ -23,4 +23,4 @@ pub use layer::{Activation, Dense};
 pub use loss::{cross_entropy_grad, masked_softmax, mse_grad, policy_gradient, softmax_in_place};
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpGradients};
-pub use optim::{Adam, Optimizer};
+pub use optim::Adam;

@@ -146,7 +146,7 @@ impl Matrix {
     /// (tiles ascend, `p` ascends within a tile), so the result is
     /// bit-identical to the unblocked kernel — and a batched forward row
     /// is bit-identical to the same row pushed through alone.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
@@ -184,7 +184,7 @@ impl Matrix {
     /// what makes batched and per-row updates bit-identical. Blocking
     /// tiles `BLOCK_ROWS` output rows so the accumulator slab stays hot
     /// while the batch streams through.
-    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
@@ -223,7 +223,7 @@ impl Matrix {
     /// zeros of a `self` row are dropped once per row, not tested once
     /// per block: where they fall is data, so a branch on them
     /// mispredicts.
-    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
@@ -252,7 +252,7 @@ impl Matrix {
     }
 
     /// Adds a bias row vector to every row in place.
-    pub fn add_row_bias(&mut self, bias: &[f32]) {
+    pub(crate) fn add_row_bias(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
         for r in 0..self.rows {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
@@ -263,7 +263,7 @@ impl Matrix {
     }
 
     /// Column sums (used for bias gradients).
-    pub fn col_sums(&self) -> Vec<f32> {
+    pub(crate) fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
             for (o, x) in out.iter_mut().zip(self.row(r)) {

@@ -71,7 +71,7 @@ impl MlpGradients {
     }
 
     /// Global L2 norm of all gradients.
-    pub fn l2_norm(&self) -> f32 {
+    pub(crate) fn l2_norm(&self) -> f32 {
         let mut acc = 0.0f32;
         for (w, b) in &self.layers {
             acc += w.data().iter().map(|x| x * x).sum::<f32>();
@@ -136,14 +136,6 @@ impl Mlp {
         self.layers.last().expect("non-empty").output_size()
     }
 
-    /// Total parameter count.
-    pub fn parameter_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.w.data().len() + l.b.len())
-            .sum()
-    }
-
     /// The layers (read-only).
     pub fn layers(&self) -> &[Dense] {
         &self.layers
@@ -195,16 +187,6 @@ impl Mlp {
         grads.reverse();
         MlpGradients { layers: grads }
     }
-
-    /// Copies all parameters from another identically-shaped network
-    /// (used by target-network style updates and re-demonstration).
-    pub fn copy_from(&mut self, other: &Mlp) {
-        assert_eq!(self.layers.len(), other.layers.len(), "shape mismatch");
-        for (mine, theirs) in self.layers.iter_mut().zip(&other.layers) {
-            mine.w = theirs.w.clone();
-            mine.b = theirs.b.clone();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +208,6 @@ mod tests {
         let mlp = tiny();
         assert_eq!(mlp.input_size(), 3);
         assert_eq!(mlp.output_size(), 2);
-        assert_eq!(mlp.parameter_count(), 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2);
         let x = Matrix::zeros(7, 3);
         let y = mlp.predict(&x);
         assert_eq!(y.rows(), 7);
@@ -336,19 +317,6 @@ mod tests {
         let norm_before = g.l2_norm();
         g.clip_global_norm(norm_before / 2.0);
         assert!((g.l2_norm() - norm_before / 2.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn copy_from_clones_parameters() {
-        let a = tiny();
-        let mut b = Mlp::new(
-            &[3, 5, 4, 2],
-            Activation::ReLU,
-            &mut StdRng::seed_from_u64(99),
-        );
-        assert_ne!(a, b);
-        b.copy_from(&a);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -32,20 +32,8 @@ fn assert_grad_shapes(mlp: &Mlp, grads: &MlpGradients) {
     }
 }
 
-/// An optimizer that applies [`MlpGradients`] to an [`Mlp`].
-pub trait Optimizer {
-    /// Applies one update step (gradient *descent*: parameters move
-    /// against the gradient).
-    fn step(&mut self, mlp: &mut Mlp, grads: &MlpGradients);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Adam (Kingma & Ba) with bias correction.
+/// Adam (Kingma & Ba) with bias correction: applies [`MlpGradients`]
+/// to an [`Mlp`].
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -87,10 +75,10 @@ impl Adam {
                 .collect();
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, mlp: &mut Mlp, grads: &MlpGradients) {
+    /// Applies one update step (gradient *descent*: parameters move
+    /// against the gradient).
+    pub fn step(&mut self, mlp: &mut Mlp, grads: &MlpGradients) {
         assert_grad_shapes(mlp, grads);
         self.ensure_state(mlp);
         self.t += 1;
@@ -116,12 +104,9 @@ impl Optimizer for Adam {
         }
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// The current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -136,7 +121,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// Trains y = 2x − 1 on a tiny MLP.
-    fn train_linear<O: Optimizer>(mut opt: O, epochs: usize) -> f32 {
+    fn train_linear(mut opt: Adam, epochs: usize) -> f32 {
         let mut rng = StdRng::seed_from_u64(7);
         let mut mlp = Mlp::new(&[1, 8, 1], Activation::Tanh, &mut rng);
         let xs: Vec<f32> = (0..20).map(|i| (i as f32) / 10.0 - 1.0).collect();
@@ -157,13 +142,6 @@ mod tests {
     fn adam_fits_linear_function_faster() {
         let loss = train_linear(Adam::new(0.01), 500);
         assert!(loss < 0.01, "adam final loss {loss}");
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut a = Adam::new(0.001);
-        a.set_learning_rate(0.01);
-        assert_eq!(a.learning_rate(), 0.01);
     }
 
     /// Regression (silent-truncation bugfix): stepping with gradients

@@ -14,7 +14,7 @@ use std::ops::Range;
 /// subset of the relations (4 MiB at 20).
 /// [`TraditionalPlanner`](crate::TraditionalPlanner) plans a larger
 /// query greedily, whatever its threshold.
-pub const MAX_RELATIONS: usize = 20;
+pub(crate) const MAX_RELATIONS: usize = 20;
 
 /// An index entry for a set no slot holds.
 const NO_SLOT: u32 = u32::MAX;
@@ -52,7 +52,7 @@ struct Slot {
 /// Complexity is exponential in the number of relations; callers switch to
 /// [`greedy`](crate::greedy) beyond a threshold exactly like PostgreSQL
 /// switches to GEQO, and always beyond [`MAX_RELATIONS`].
-pub fn dp_plan<C: CardinalitySource>(
+pub(crate) fn dp_plan<C: CardinalitySource>(
     graph: &QueryGraph,
     catalog: &Catalog,
     model: &CostModel<'_>,

@@ -6,7 +6,7 @@
 //! `x ⋈ y` appended, `x` on the left), so one `(x, y)` names one merge
 //! here, in a `Forest` and in the learned planner's rollout state. Each
 //! slot also keeps the relations one join edge away from it; a merge
-//! unions its inputs' masks, so [`PlanForest::connected`] is a bit test.
+//! unions its inputs' masks, so `PlanForest::connected` is a bit test.
 
 use crate::physical::{best_access_path, build_join, price_join, Costed, JoinPrice};
 use hfqo_catalog::Catalog;
@@ -110,7 +110,7 @@ impl<'g> PlanForest<'g> {
     /// range): [`QueryGraph::sets_connected`] of their sets, as a bit
     /// test.
     #[inline]
-    pub fn connected(&self, x: usize, y: usize) -> bool {
+    pub(crate) fn connected(&self, x: usize, y: usize) -> bool {
         !self.slots[x].adjacent.is_disjoint(self.slots[y].set)
     }
 
@@ -122,7 +122,7 @@ impl<'g> PlanForest<'g> {
     }
 
     /// Prices the cheapest join of slots `x` (left) and `y` (right) by
-    /// [`price_join`], the sides swapped when `may_flip` and cheaper.
+    /// `price_join`, the sides swapped when `may_flip` and cheaper.
     #[inline]
     pub fn price<C: CardinalitySource>(
         &self,

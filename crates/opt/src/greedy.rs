@@ -22,7 +22,7 @@ use hfqo_stats::CardinalitySource;
 /// PostgreSQL. It prices O(n²) pairs per step from their estimates and
 /// has the [`PlanForest`] build only the merge it takes: slots `i < j`,
 /// `i` on the left, the first strict minimum.
-pub fn greedy_plan<C: CardinalitySource>(
+pub(crate) fn greedy_plan<C: CardinalitySource>(
     graph: &QueryGraph,
     catalog: &Catalog,
     model: &CostModel<'_>,

@@ -1,6 +1,6 @@
 //! Access-path and physical-operator selection, with the one join pricer
-//! every planner shares: [`price_join`] prices a pair from its inputs'
-//! estimates, and [`build_join`] builds only the winner, so no subtree is
+//! every planner shares: `price_join` prices a pair from its inputs'
+//! estimates, and `build_join` builds only the winner, so no subtree is
 //! cloned or re-costed to price a join. [`access_paths`] and
 //! [`legal_join_algos`] are the one statement of which scans and which
 //! join algorithms a plan may use.
@@ -16,7 +16,7 @@ pub type Costed = (PlanNode, CostEstimate);
 
 /// What [`price_join`] chose: the algorithm, whether the inputs swap
 /// sides, and the join's cost.
-pub type JoinPrice = (JoinAlgo, bool, CostEstimate);
+pub(crate) type JoinPrice = (JoinAlgo, bool, CostEstimate);
 
 /// The access paths `rel` may use, in candidate order: a sequential scan,
 /// then, per selection predicate, each index that can drive it (B-trees
@@ -109,7 +109,7 @@ fn join_conditions(graph: &QueryGraph, left: RelSet, right: RelSet) -> (usize, [
 /// never win. The cost has the bits
 /// [`CostModel::node_cost`] gives the built join.
 #[inline]
-pub fn price_join<C: CardinalitySource>(
+pub(crate) fn price_join<C: CardinalitySource>(
     graph: &QueryGraph,
     left: (RelSet, CostEstimate),
     right: (RelSet, CostEstimate),
@@ -159,7 +159,7 @@ pub(crate) fn price_join_with_rows(
 /// the order they were priced, over relation sets `sets`), with every
 /// join condition between them.
 #[inline]
-pub fn build_join(
+pub(crate) fn build_join(
     graph: &QueryGraph,
     (algo, flipped, cost): JoinPrice,
     sets: (RelSet, RelSet),

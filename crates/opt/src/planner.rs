@@ -101,7 +101,7 @@ pub struct TraditionalPlanner {
     /// search space gets slow a little earlier, hence 10). Queries over
     /// more than [`MAX_RELATIONS`] relations are planned greedily whatever
     /// the threshold.
-    pub dp_threshold: usize,
+    pub(crate) dp_threshold: usize,
 }
 
 impl TraditionalPlanner {

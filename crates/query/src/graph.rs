@@ -65,12 +65,6 @@ impl RelSet {
         RelSet(self.0 | other.0)
     }
 
-    /// Set intersection.
-    #[inline]
-    pub fn intersect(self, other: RelSet) -> RelSet {
-        RelSet(self.0 & other.0)
-    }
-
     /// Set difference (`self \ other`).
     #[inline]
     pub fn minus(self, other: RelSet) -> RelSet {
@@ -339,7 +333,6 @@ mod tests {
     fn relset_algebra() {
         let a = RelSet::single(RelId(0)).union(RelSet::single(RelId(1)));
         let b = RelSet::single(RelId(1)).union(RelSet::single(RelId(2)));
-        assert_eq!(a.intersect(b), RelSet::single(RelId(1)));
         assert_eq!(a.minus(b), RelSet::single(RelId(0)));
         assert!(!a.is_disjoint(b));
         assert!(a.union(b).is_superset(a));

@@ -44,16 +44,8 @@ impl JoinTree {
     }
 
     /// Number of join nodes (`leaf_count - 1`).
-    pub fn join_count(&self) -> usize {
+    pub(crate) fn join_count(&self) -> usize {
         self.leaf_count().saturating_sub(1)
-    }
-
-    /// Height of the tree (a leaf has height 0).
-    pub fn height(&self) -> usize {
-        match self {
-            JoinTree::Leaf(_) => 0,
-            JoinTree::Join(l, r) => 1 + l.height().max(r.height()),
-        }
     }
 
     /// Depth of `rel` below this node, or `None` if absent. The root's own
@@ -62,14 +54,6 @@ impl JoinTree {
         match self {
             JoinTree::Leaf(r) => (*r == rel).then_some(0),
             JoinTree::Join(l, r) => l.depth_of(rel).or_else(|| r.depth_of(rel)).map(|d| d + 1),
-        }
-    }
-
-    /// Whether the tree is left-deep (every right child is a leaf).
-    pub fn is_left_deep(&self) -> bool {
-        match self {
-            JoinTree::Leaf(_) => true,
-            JoinTree::Join(l, r) => matches!(**r, JoinTree::Leaf(_)) && l.is_left_deep(),
         }
     }
 
@@ -174,7 +158,7 @@ impl Forest {
     }
 
     /// Position of the subtree covering exactly `set`, if present.
-    pub fn position_of(&self, set: RelSet) -> Option<usize> {
+    pub(crate) fn position_of(&self, set: RelSet) -> Option<usize> {
         self.trees.iter().position(|t| t.rel_set() == set)
     }
 }
@@ -226,7 +210,6 @@ mod tests {
         assert_eq!(t.rel_set(), RelSet::full(4));
         assert_eq!(t.leaf_count(), 4);
         assert_eq!(t.join_count(), 3);
-        assert_eq!(t.height(), 2);
     }
 
     #[test]
@@ -236,16 +219,6 @@ mod tests {
         assert_eq!(t.depth_of(RelId(3)), Some(2));
         assert_eq!(t.depth_of(RelId(9)), None);
         assert_eq!(JoinTree::leaf(RelId(1)).depth_of(RelId(1)), Some(0));
-    }
-
-    #[test]
-    fn shape_predicates() {
-        assert!(!bushy4().is_left_deep());
-        let ld = JoinTree::join(
-            JoinTree::join(JoinTree::leaf(RelId(0)), JoinTree::leaf(RelId(1))),
-            JoinTree::leaf(RelId(2)),
-        );
-        assert!(ld.is_left_deep());
     }
 
     #[test]

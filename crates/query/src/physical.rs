@@ -114,15 +114,6 @@ impl PlanNode {
         }
     }
 
-    /// Number of join nodes in the subplan.
-    pub fn join_count(&self) -> usize {
-        match self {
-            PlanNode::Scan { .. } => 0,
-            PlanNode::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
-            PlanNode::Aggregate { input, .. } => input.join_count(),
-        }
-    }
-
     /// The logical join tree skeleton of this plan (aggregates stripped).
     pub fn join_tree(&self) -> JoinTree {
         match self {
@@ -300,7 +291,6 @@ mod tests {
         });
         plan.validate(&graph2()).unwrap();
         assert_eq!(plan.root.rel_set(), RelSet::full(2));
-        assert_eq!(plan.root.join_count(), 1);
     }
 
     #[test]

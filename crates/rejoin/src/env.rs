@@ -73,9 +73,9 @@ pub struct EnvContext<'a> {
     /// Table statistics.
     pub stats: &'a StatsCatalog,
     /// Latency simulation model (for latency-based rewards and logging).
-    pub latency_model: LatencyModel,
+    pub(crate) latency_model: LatencyModel,
     /// How latency-based rewards observe latency.
-    pub latency_source: LatencySource,
+    pub(crate) latency_source: LatencySource,
 }
 
 impl<'a> EnvContext<'a> {
@@ -332,7 +332,7 @@ impl<'a> PlanEnv<'a> {
     }
 
     /// Changes the query ordering policy.
-    pub fn set_order(&mut self, order: QueryOrder) {
+    pub(crate) fn set_order(&mut self, order: QueryOrder) {
         self.order = order;
     }
 
@@ -343,12 +343,12 @@ impl<'a> PlanEnv<'a> {
 
     /// Swaps the reward mode (used by the bootstrap trainer's phase
     /// switch).
-    pub fn set_reward_mode(&mut self, mode: RewardMode) {
+    pub(crate) fn set_reward_mode(&mut self, mode: RewardMode) {
         self.reward_mode = mode;
     }
 
     /// The current reward mode.
-    pub fn reward_mode(&self) -> &RewardMode {
+    pub(crate) fn reward_mode(&self) -> &RewardMode {
         &self.reward_mode
     }
 
@@ -390,7 +390,7 @@ impl<'a> PlanEnv<'a> {
     /// execution via the batch engine. Returns the latency in
     /// milliseconds and, for executed observations, the work units
     /// performed.
-    pub fn observe_latency(
+    pub(crate) fn observe_latency(
         &mut self,
         idx: usize,
         plan: &PhysicalPlan,

@@ -22,11 +22,11 @@ use hfqo_query::QueryGraph;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSet {
     /// The agent picks access paths.
-    pub index_selection: bool,
+    pub(crate) index_selection: bool,
     /// The agent picks join algorithms.
-    pub join_operators: bool,
+    pub(crate) join_operators: bool,
     /// The agent picks the aggregate operator.
-    pub agg_operators: bool,
+    pub(crate) agg_operators: bool,
 }
 
 impl StageSet {
@@ -41,7 +41,7 @@ impl StageSet {
 
     /// Join ordering + index selection (the first pipeline extension the
     /// paper sketches).
-    pub fn through_index() -> Self {
+    pub(crate) fn through_index() -> Self {
         Self {
             index_selection: true,
             join_operators: false,
@@ -50,7 +50,7 @@ impl StageSet {
     }
 
     /// Join ordering + index selection + join operators.
-    pub fn through_join_ops() -> Self {
+    pub(crate) fn through_join_ops() -> Self {
         Self {
             index_selection: true,
             join_operators: true,
@@ -68,7 +68,7 @@ impl StageSet {
     }
 
     /// The pipeline prefixes in order.
-    pub fn pipeline_prefixes() -> [StageSet; 4] {
+    pub(crate) fn pipeline_prefixes() -> [StageSet; 4] {
         [
             Self::join_order_only(),
             Self::through_index(),

@@ -57,7 +57,7 @@ pub use experience::{episode_from_decisions, ReplayError};
 pub use featurize::{Featurizer, RolloutState};
 pub use incremental::{Curriculum, StageSet};
 pub use learned::LearnedPlanner;
-pub use metrics::{MovingAverage, TrainingLog};
+pub use metrics::TrainingLog;
 pub use parallel::train_parallel;
 pub use reward::RewardMode;
 pub use trainer::{evaluate_per_query, train, TrainerConfig};

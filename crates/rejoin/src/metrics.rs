@@ -2,7 +2,7 @@
 
 /// A windowed moving average.
 #[derive(Debug, Clone)]
-pub struct MovingAverage {
+pub(crate) struct MovingAverage {
     window: usize,
     values: Vec<f64>,
     next: usize,
@@ -45,11 +45,6 @@ impl MovingAverage {
     /// Number of values currently contributing.
     pub fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Whether no values have arrived.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -115,7 +110,7 @@ impl TrainingLog {
     /// Moving-average cost ratio over a window — the Figure 3a series.
     /// Returns `(episode, ma_ratio)` pairs, one per episode once the
     /// window has filled.
-    pub fn moving_ratio(&self, window: usize) -> Vec<(usize, f64)> {
+    pub(crate) fn moving_ratio(&self, window: usize) -> Vec<(usize, f64)> {
         let mut ma = MovingAverage::new(window.max(1));
         let mut out = Vec::new();
         for r in &self.records {
@@ -147,11 +142,9 @@ impl TrainingLog {
     }
 
     /// Geometric-mean moving cost ratio — the robust variant of
-    /// [`moving_ratio`] used for reporting: plan-cost ratios span many
+    /// `moving_ratio` used for reporting: plan-cost ratios span many
     /// orders of magnitude, and a single cross-join episode dominates an
     /// arithmetic mean long after the policy has stopped producing them.
-    ///
-    /// [`moving_ratio`]: Self::moving_ratio
     pub fn moving_geo_ratio(&self, window: usize) -> Vec<(usize, f64)> {
         let mut ma = MovingAverage::new(window.max(1));
         let mut out = Vec::new();
@@ -211,7 +204,7 @@ impl TrainingLog {
 
     /// Concatenates another log, renumbering its episodes to follow this
     /// one (used by multi-phase trainers).
-    pub fn extend_renumbered(&mut self, other: TrainingLog) {
+    pub(crate) fn extend_renumbered(&mut self, other: TrainingLog) {
         let offset = self.records.len();
         for (i, mut r) in other.records.into_iter().enumerate() {
             r.episode = offset + i;
@@ -240,7 +233,6 @@ mod tests {
     fn moving_average_window() {
         let mut ma = MovingAverage::new(3);
         assert!(ma.value().is_none());
-        assert!(ma.is_empty());
         for v in [1.0, 2.0, 3.0, 4.0] {
             ma.push(v);
         }

@@ -27,7 +27,8 @@ impl Episode {
     }
 
     /// Sum of rewards.
-    pub fn total_reward(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn total_reward(&self) -> f32 {
         self.transitions.iter().map(|t| t.reward).sum()
     }
 
@@ -42,7 +43,7 @@ impl Episode {
     }
 
     /// Discounted return from each step (`G_t`).
-    pub fn returns(&self, gamma: f32) -> Vec<f32> {
+    pub(crate) fn returns(&self, gamma: f32) -> Vec<f32> {
         discounted_returns(
             &self
                 .transitions
@@ -55,7 +56,7 @@ impl Episode {
 }
 
 /// Computes discounted returns `G_t = r_t + γ G_{t+1}`.
-pub fn discounted_returns(rewards: &[f32], gamma: f32) -> Vec<f32> {
+pub(crate) fn discounted_returns(rewards: &[f32], gamma: f32) -> Vec<f32> {
     let mut out = vec![0.0; rewards.len()];
     let mut acc = 0.0f32;
     for i in (0..rewards.len()).rev() {

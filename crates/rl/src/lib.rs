@@ -18,7 +18,7 @@ pub mod reward_model;
 pub mod rollout;
 
 pub use env::{Environment, StepResult};
-pub use episode::{discounted_returns, Episode, Transition};
+pub use episode::{Episode, Transition};
 pub use reinforce::{ReinforceAgent, ReinforceConfig, UpdatePath};
 pub use replay::ReplayBuffer;
 pub use reward_model::{RewardModel, RewardModelConfig};

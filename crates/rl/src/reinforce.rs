@@ -3,7 +3,7 @@
 use crate::env::Environment;
 use crate::episode::{Episode, Transition};
 use crate::rollout::PolicySnapshot;
-use hfqo_nn::{loss, Activation, Adam, Matrix, Mlp, MlpGradients, Optimizer};
+use hfqo_nn::{loss, Activation, Adam, Matrix, Mlp, MlpGradients};
 use rand::rngs::StdRng;
 
 /// Which implementation applies the network update.
@@ -91,7 +91,6 @@ pub struct ReinforceAgent {
     baseline_ready: bool,
     pending: Vec<Episode>,
     episodes_seen: usize,
-    updates: usize,
 }
 
 impl ReinforceAgent {
@@ -116,7 +115,6 @@ impl ReinforceAgent {
             baseline_ready: false,
             pending: Vec::new(),
             episodes_seen: 0,
-            updates: 0,
         }
     }
 
@@ -140,11 +138,6 @@ impl ReinforceAgent {
     /// Episodes observed so far.
     pub fn episodes_seen(&self) -> usize {
         self.episodes_seen
-    }
-
-    /// Policy updates applied so far.
-    pub fn updates(&self) -> usize {
-        self.updates
     }
 
     /// A frozen, `Send + Sync` copy of the current policy for rollout
@@ -237,7 +230,6 @@ impl ReinforceAgent {
         grads.scale(1.0 / all.len().max(1) as f32);
         grads.clip_global_norm(self.config.grad_clip);
         self.optimizer.step(&mut self.policy, &grads);
-        self.updates += 1;
         // Refresh the baseline from each episode's return from its start.
         for g0 in first_returns {
             if self.baseline_ready {
@@ -379,14 +371,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut env = Bandit::new(vec![0.1, 0.9, 0.3]);
         let mut agent = ReinforceAgent::new(1, 3, small_config(), &mut rng);
+        let mut updates = 0;
         for _ in 0..600 {
             let ep = agent.run_episode(&mut env, &mut rng, false);
-            agent.observe(ep);
+            updates += usize::from(agent.observe(ep));
         }
         let (action, p) = agent.select_action(&[1.0], &[true; 3], &mut rng, true);
         assert_eq!(action, 1, "agent picked arm {action} with prob {p}");
         assert!(p > 0.5, "confidence too low: {p}");
-        assert!(agent.updates() > 0);
+        assert!(updates > 0);
         assert_eq!(agent.episodes_seen(), 600);
     }
 
@@ -523,10 +516,10 @@ mod tests {
             let mut agent = ReinforceAgent::new(1, 2, small_config(), &mut rng);
             agent.set_update_path(path);
             let before = agent.policy().clone();
-            for _ in 0..agent.config.batch_episodes {
-                agent.observe(Episode::new());
-            }
-            assert_eq!(agent.updates(), 1, "{path:?}: update must have run");
+            let updates: usize = (0..agent.config.batch_episodes)
+                .map(|_| usize::from(agent.observe(Episode::new())))
+                .sum();
+            assert_eq!(updates, 1, "{path:?}: update must have run");
             // Zero gradients with fresh Adam state move nothing.
             assert_eq!(&before, agent.policy(), "{path:?}");
         }

@@ -6,7 +6,7 @@
 //! through this function and picks the one predicted to be cheapest, with
 //! a small ε-probability of exploring another valid action.
 
-use hfqo_nn::{loss, Activation, Adam, Matrix, Mlp, Optimizer};
+use hfqo_nn::{loss, Activation, Adam, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -90,7 +90,7 @@ impl RewardModel {
 
     /// Predicted outcome for every action; invalid actions get `+∞` so a
     /// minimum search never picks them.
-    pub fn predict_all(&self, features: &[f32], mask: &[bool]) -> Vec<f32> {
+    pub(crate) fn predict_all(&self, features: &[f32], mask: &[bool]) -> Vec<f32> {
         debug_assert_eq!(mask.len(), self.action_dim);
         // Batch all valid actions in one forward pass.
         let valid: Vec<usize> = (0..self.action_dim).filter(|&a| mask[a]).collect();

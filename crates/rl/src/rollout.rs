@@ -140,7 +140,7 @@ impl PolicySnapshot {
     /// implementation the live agent delegates to, so live and snapshot
     /// action streams cannot drift. One-off: a rollout keeps a
     /// [`Selector`] across its steps instead.
-    pub fn select_with(
+    pub(crate) fn select_with(
         policy: &Mlp,
         features: &[f32],
         mask: &[bool],
@@ -162,7 +162,7 @@ impl PolicySnapshot {
 
     /// Episode rollout against a borrowed policy (shared by the live
     /// agent and snapshots).
-    pub fn rollout_with<E: Environment>(
+    pub(crate) fn rollout_with<E: Environment>(
         policy: &Mlp,
         env: &mut E,
         rng: &mut StdRng,

@@ -239,10 +239,10 @@ pub const DEFAULT_CACHE_SHARDS: usize = 16;
 /// selectivity is within 4× of a bucket's recorded signature share its
 /// plan; beyond that the optimal join order is likely different and the
 /// probe re-plans.
-pub const DEFAULT_SELECTIVITY_BAND: f64 = 4.0;
+pub(crate) const DEFAULT_SELECTIVITY_BAND: f64 = 4.0;
 
 /// Default bucket bound per template entry.
-pub const DEFAULT_PLANS_PER_TEMPLATE: usize = 8;
+pub(crate) const DEFAULT_PLANS_PER_TEMPLATE: usize = 8;
 
 /// Bound on one template entry's exact fast-path map: a template that
 /// stays cached would otherwise gain a key per distinct parameter
@@ -491,7 +491,7 @@ impl PlanCache {
     /// dropped (counted as one invalidation, so the epoch also fences
     /// any in-flight plans from before the rebuild), but counters never
     /// silently reset.
-    pub fn rebuilt_with(self, config: CacheConfig) -> Self {
+    pub(crate) fn rebuilt_with(self, config: CacheConfig) -> Self {
         let mut base = self.base;
         for shard in &self.shards {
             base.add(&self.lock_shard_of(shard).counters);
@@ -740,7 +740,8 @@ impl PlanCache {
 
     /// Whether `key`'s exact fingerprint is currently cached (no
     /// recency effect; test aid).
-    pub fn contains_exact(&self, key: &PlanKey) -> bool {
+    #[cfg(test)]
+    fn contains_exact(&self, key: &PlanKey) -> bool {
         let shard = self.lock_shard(self.shard_index(key.template));
         shard
             .entries
@@ -749,7 +750,8 @@ impl PlanCache {
     }
 
     /// Whether `template` has a cached entry (test aid).
-    pub fn contains_template(&self, template: TemplateFingerprint) -> bool {
+    #[cfg(test)]
+    fn contains_template(&self, template: TemplateFingerprint) -> bool {
         let shard = self.lock_shard(self.shard_index(template));
         shard.entries.contains_key(&template)
     }

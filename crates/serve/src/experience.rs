@@ -54,7 +54,7 @@ pub struct ExperienceMetrics {
     /// Experiences evicted unconsumed by the capacity bound.
     pub dropped: u64,
     /// Experiences handed to a consumer via `drain`.
-    pub drained: u64,
+    pub(crate) drained: u64,
     /// Experiences currently buffered.
     pub len: usize,
     /// Configured capacity.
@@ -77,7 +77,7 @@ pub struct ExperienceLog {
 }
 
 /// Default capacity: a few serving bursts' worth of queries.
-pub const DEFAULT_EXPERIENCE_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_EXPERIENCE_CAPACITY: usize = 1024;
 
 impl ExperienceLog {
     /// An empty log bounded at `capacity` experiences (minimum 1).

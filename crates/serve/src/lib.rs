@@ -57,10 +57,9 @@ pub mod swap;
 
 pub use cache::{
     CacheConfig, CacheMetrics, CacheOutcome, CachedPlan, PlanCache, PlanKey, Probe,
-    DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS, DEFAULT_PLANS_PER_TEMPLATE,
-    DEFAULT_SELECTIVITY_BAND,
+    DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
 };
-pub use experience::{Experience, ExperienceLog, ExperienceMetrics, DEFAULT_EXPERIENCE_CAPACITY};
+pub use experience::{Experience, ExperienceLog, ExperienceMetrics};
 pub use online::{OnlineConfig, OnlineMetrics, OnlineStep, OnlineTrainer};
 pub use session::{QuerySession, ServeError, ServedQuery};
 pub use statement::Prepared;

@@ -89,7 +89,7 @@ impl OnlineConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OnlineStep {
     /// Experiences drained from the log.
-    pub drained: usize,
+    pub(crate) drained: usize,
     /// Experiences replayed into episodes and observed by the agent.
     pub trained: usize,
     /// Experiences that could not be replayed (single-relation queries,
@@ -111,7 +111,7 @@ impl OnlineStep {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OnlineMetrics {
     /// Experiences drained across all steps.
-    pub drained: u64,
+    pub(crate) drained: u64,
     /// Episodes trained on.
     pub trained: u64,
     /// Experiences skipped as un-replayable.

@@ -301,11 +301,6 @@ impl QuerySession {
         &self.stats
     }
 
-    /// The active planner's strategy name.
-    pub fn planner_name(&self) -> &'static str {
-        self.planner.name()
-    }
-
     /// Snapshot of the plan-cache counters (aggregated across shards)
     /// and the statement cache's.
     pub fn cache_metrics(&self) -> CacheMetrics {
@@ -333,14 +328,8 @@ impl QuerySession {
 
     /// Attaches (or detaches, with `None`) an experience log: every
     /// subsequently executed query is recorded for online learning.
-    pub fn set_experience_log(&mut self, log: Option<Arc<ExperienceLog>>) {
+    pub(crate) fn set_experience_log(&mut self, log: Option<Arc<ExperienceLog>>) {
         self.experience = log;
-    }
-
-    /// Attaches an experience log (builder style).
-    pub fn with_experience_log(mut self, log: Arc<ExperienceLog>) -> Self {
-        self.experience = Some(log);
-        self
     }
 
     /// Re-scans every table of the owned database into fresh
@@ -659,7 +648,6 @@ mod tests {
         let dp = session.serve_graph(&graph).unwrap();
         assert_eq!(dp.method, PlannerMethod::DynamicProgramming);
         session.set_planner(Box::new(TraditionalPlanner::new().with_dp_threshold(0)));
-        assert_eq!(session.planner_name(), "traditional");
         let greedy = session.serve_graph(&graph).unwrap();
         assert!(!greedy.cache_hit, "planner swap invalidates the cache");
         assert_eq!(greedy.method, PlannerMethod::Greedy);
@@ -822,9 +810,9 @@ mod tests {
 
     #[test]
     fn a_text_served_before_is_a_statement_hit_on_the_same_graph() {
-        let (session, _) = session(2, 150);
+        let (mut session, _) = session(2, 150);
         let log = Arc::new(ExperienceLog::new(8));
-        let session = session.with_experience_log(Arc::clone(&log));
+        session.set_experience_log(Some(Arc::clone(&log)));
         let first = session.serve(TEXT).unwrap();
         let again = session.serve(TEXT).unwrap();
         assert!(!first.statement_hit);

@@ -8,13 +8,13 @@ use std::collections::HashMap;
 
 /// Default histogram bucket count (PostgreSQL's
 /// `default_statistics_target` is 100; we match it).
-pub const DEFAULT_BUCKETS: usize = 100;
+pub(crate) const DEFAULT_BUCKETS: usize = 100;
 
 /// Default most-common-values list length.
-pub const DEFAULT_MCVS: usize = 16;
+pub(crate) const DEFAULT_MCVS: usize = 16;
 
 /// Scans one table and builds statistics for every column.
-pub fn build_table_stats(table: &Table, buckets: usize, mcv_k: usize) -> TableStats {
+pub(crate) fn build_table_stats(table: &Table, buckets: usize, mcv_k: usize) -> TableStats {
     let rows = table.row_count();
     let schema = table.schema();
     let mut columns = Vec::with_capacity(schema.arity());

@@ -77,7 +77,7 @@ impl<'a> EstimatedCardinality<'a> {
     ///
     /// Equijoins use the textbook `1 / max(ndv_left, ndv_right)`; other
     /// comparison joins fall back to the default inequality selectivity.
-    pub fn edge_selectivity(&self, graph: &QueryGraph, edge_idx: usize) -> f64 {
+    pub(crate) fn edge_selectivity(&self, graph: &QueryGraph, edge_idx: usize) -> f64 {
         let edge = &graph.joins()[edge_idx];
         match edge.op {
             CompareOp::Eq => {

@@ -27,12 +27,12 @@ impl ColumnStats {
     }
 
     /// Total row fraction covered by the MCV list.
-    pub fn mcv_mass(&self) -> f64 {
+    pub(crate) fn mcv_mass(&self) -> f64 {
         self.mcvs.iter().map(|(_, f)| f).sum()
     }
 
     /// The MCV fraction for `proxy`, if it is a most-common value.
-    pub fn mcv_frac(&self, proxy: f64) -> Option<f64> {
+    pub(crate) fn mcv_frac(&self, proxy: f64) -> Option<f64> {
         self.mcvs.iter().find(|(v, _)| *v == proxy).map(|(_, f)| *f)
     }
 }

@@ -19,20 +19,20 @@ use hfqo_catalog::TableId;
 
 /// Drift of one table between two snapshots.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableDrift {
+pub(crate) struct TableDrift {
     /// Which table.
     pub table: TableId,
     /// `new_rows / old_rows`; zero-row sides are clamped so the ratio
     /// stays finite.
-    pub row_ratio: f64,
+    pub(crate) row_ratio: f64,
     /// Largest per-column shift — see [`column_shift`].
-    pub max_column_shift: f64,
+    pub(crate) max_column_shift: f64,
 }
 
 impl TableDrift {
     /// The table's combined shift: `|log2 row_ratio|` plus the largest
     /// column shift.
-    pub fn shift(&self) -> f64 {
+    pub(crate) fn shift(&self) -> f64 {
         self.row_ratio.log2().abs() + self.max_column_shift
     }
 }
@@ -42,7 +42,7 @@ impl TableDrift {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DriftMagnitude {
     /// Per-table drift, indexed like the catalogs.
-    pub per_table: Vec<TableDrift>,
+    pub(crate) per_table: Vec<TableDrift>,
 }
 
 impl DriftMagnitude {
@@ -71,7 +71,7 @@ fn clamped(x: f64) -> f64 {
 /// A scalar shift between two column snapshots:
 /// `|log2(ndv ratio)| + |Δ null fraction| + |Δ range midpoint| / old width`.
 /// Zero when nothing moved; grows smoothly with distribution changes.
-pub fn column_shift(old: &ColumnStats, new: &ColumnStats) -> f64 {
+pub(crate) fn column_shift(old: &ColumnStats, new: &ColumnStats) -> f64 {
     let ndv = (clamped(new.meta.ndv) / clamped(old.meta.ndv)).log2().abs();
     let nulls = (new.meta.null_frac - old.meta.null_frac).abs();
     let old_mid = (old.meta.min + old.meta.max) / 2.0;

@@ -55,7 +55,8 @@ impl Histogram {
     }
 
     /// Number of buckets (segments between stored bounds).
-    pub fn bucket_count(&self) -> usize {
+    #[cfg(test)]
+    fn bucket_count(&self) -> usize {
         self.bounds.len() - 1
     }
 
@@ -70,7 +71,7 @@ impl Histogram {
     }
 
     /// Estimated fraction of non-null rows with value strictly `< x`.
-    pub fn frac_below(&self, x: f64) -> f64 {
+    pub(crate) fn frac_below(&self, x: f64) -> f64 {
         if x <= self.min() {
             return 0.0;
         }
@@ -103,7 +104,7 @@ impl Histogram {
 
     /// Estimated fraction of rows in the (optional) bounds, treated
     /// continuously (a point carries no interpolated mass).
-    pub fn frac_between(&self, lo: Option<f64>, hi: Option<f64>) -> f64 {
+    pub(crate) fn frac_between(&self, lo: Option<f64>, hi: Option<f64>) -> f64 {
         let below_hi = hi.map_or(1.0, |h| self.frac_below(h));
         let below_lo = lo.map_or(0.0, |l| self.frac_below(l));
         (below_hi - below_lo).clamp(0.0, 1.0)

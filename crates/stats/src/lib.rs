@@ -19,12 +19,9 @@ pub mod drift;
 pub mod histogram;
 pub mod selectivity;
 
-pub use builder::{build_database_stats, build_table_stats, database_table_stats};
+pub use builder::{build_database_stats, database_table_stats};
 pub use cardinality::{CardinalitySource, EstimatedCardinality, QueryCardinality, StatsCatalog};
 pub use column_stats::{ColumnStats, TableStats};
-pub use drift::{column_shift, stats_drift, DriftMagnitude, TableDrift};
+pub use drift::{stats_drift, DriftMagnitude};
 pub use histogram::Histogram;
-pub use selectivity::{
-    param_selectivities, selection_selectivities, selection_selectivity, DEFAULT_EQ_SELECTIVITY,
-    DEFAULT_RANGE_SELECTIVITY,
-};
+pub use selectivity::{param_selectivities, selection_selectivities, selection_selectivity};

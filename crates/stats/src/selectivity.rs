@@ -6,11 +6,11 @@ use hfqo_sql::CompareOp;
 
 /// Fallback equality selectivity when no statistics exist (PostgreSQL uses
 /// 0.005 for `eqsel` defaults).
-pub const DEFAULT_EQ_SELECTIVITY: f64 = 0.005;
+pub(crate) const DEFAULT_EQ_SELECTIVITY: f64 = 0.005;
 
 /// Fallback range selectivity when no statistics exist (PostgreSQL's
 /// `DEFAULT_INEQ_SEL` is 1/3).
-pub const DEFAULT_RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
+pub(crate) const DEFAULT_RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 
 /// Minimum selectivity returned, to keep cost estimates positive.
 const MIN_SEL: f64 = 1e-9;

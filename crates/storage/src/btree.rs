@@ -49,11 +49,6 @@ impl BTreeIndex {
         self.entries == 0
     }
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
     /// Row ids with key exactly equal to `key`.
     pub fn lookup_eq(&self, key: &Value) -> &[u32] {
         if key.is_null() {
@@ -117,7 +112,6 @@ mod tests {
     fn nulls_not_indexed() {
         let i = idx();
         assert_eq!(i.len(), 4);
-        assert_eq!(i.distinct_keys(), 3);
     }
 
     #[test]

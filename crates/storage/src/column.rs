@@ -120,7 +120,7 @@ impl RleColumn {
     }
 
     /// Number of runs.
-    pub fn run_count(&self) -> usize {
+    pub(crate) fn run_count(&self) -> usize {
         self.ends.len()
     }
 
@@ -132,7 +132,7 @@ impl RleColumn {
 
     /// First row of run `k`.
     #[inline]
-    pub fn run_start(&self, k: usize) -> usize {
+    pub(crate) fn run_start(&self, k: usize) -> usize {
         if k == 0 {
             0
         } else {
@@ -410,7 +410,7 @@ impl ColumnVector {
     /// The decoded string at `row` without cloning an `Arc`; `None` when
     /// NULL or when the column is not a text column.
     #[inline]
-    pub fn str_at(&self, row: usize) -> Option<&str> {
+    pub(crate) fn str_at(&self, row: usize) -> Option<&str> {
         match self {
             Self::Str(v, n) if n[row] => Some(v[row].as_ref()),
             Self::Dict(codes, n, values) if n[row] => Some(values[codes[row] as usize].as_ref()),
@@ -418,20 +418,6 @@ impl ColumnVector {
                 (RleValues::Dict(codes, dict), k) if r.valid[k] => {
                     Some(dict[codes[k] as usize].as_ref())
                 }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// Raw integer access without materialising a [`Value`]; `None` when
-    /// NULL or when the column is not an integer column.
-    #[inline]
-    pub fn int_at(&self, row: usize) -> Option<i64> {
-        match self {
-            Self::Int(v, n) if n[row] => Some(v[row]),
-            Self::Rle(r) => match (&r.values, r.run_of(row)) {
-                (RleValues::Int(vals), k) if r.valid[k] => Some(vals[k]),
                 _ => None,
             },
             _ => None,
@@ -573,7 +559,7 @@ impl ColumnVector {
     /// pipelines construct their chunks from the same schema, so a
     /// mismatch is a programming error, not a data error).
     #[inline]
-    pub fn push_from(&mut self, src: &ColumnVector, row: usize) {
+    pub(crate) fn push_from(&mut self, src: &ColumnVector, row: usize) {
         match (self, src) {
             (Self::Int(v, n), Self::Int(sv, sn)) => {
                 v.push(sv[row]);
@@ -651,7 +637,7 @@ impl ColumnVector {
 
     /// Appends all of `src` to `self` — a bulk column concatenation
     /// (`memcpy` for fixed-width data). Panics on type mismatch, like
-    /// [`ColumnVector::push_from`].
+    /// `ColumnVector::push_from`.
     pub fn append_column(&mut self, src: &ColumnVector) {
         match (self, src) {
             (Self::Int(v, n), Self::Int(sv, sn)) => {
@@ -689,7 +675,7 @@ impl ColumnVector {
     /// Appends the contiguous range `src[start .. start + len]` to `self`
     /// — the scan fast path for unfiltered table chunks, a `memcpy` for
     /// fixed-width data instead of a value-by-value gather. Panics on
-    /// type mismatch, like [`ColumnVector::push_from`].
+    /// type mismatch, like `ColumnVector::push_from`.
     pub fn append_range(&mut self, src: &ColumnVector, start: usize, len: usize) {
         let end = start + len;
         match (self, src) {
@@ -944,7 +930,7 @@ impl ColumnVector {
     }
 
     /// The column's physical [`Encoding`].
-    pub fn encoding(&self) -> Encoding {
+    pub(crate) fn encoding(&self) -> Encoding {
         match self {
             Self::Int(..) | Self::Float(..) | Self::Str(..) => Encoding::Plain,
             Self::Dict(..) => Encoding::Dict,
@@ -960,7 +946,7 @@ impl ColumnVector {
     /// is returned instead — accessors behave identically either way.
     /// Mutation paths use this to restore a rebuilt column to the
     /// layout it had before the rebuild.
-    pub fn reencoded(&self, target: Encoding) -> ColumnVector {
+    pub(crate) fn reencoded(&self, target: Encoding) -> ColumnVector {
         let plain = self.decoded();
         match target {
             Encoding::Plain => plain,
@@ -977,7 +963,7 @@ impl ColumnVector {
 
     /// A fully-decoded plain copy of this column (`Dict` → `Str`,
     /// `Rle` → `Int`/`Str`). Plain columns are cloned as-is.
-    pub fn decoded(&self) -> ColumnVector {
+    pub(crate) fn decoded(&self) -> ColumnVector {
         match self {
             Self::Int(..) | Self::Float(..) | Self::Str(..) => self.clone(),
             Self::Dict(..) | Self::Rle(..) => {
@@ -992,7 +978,7 @@ impl ColumnVector {
     /// — the scan's bulk gather of filter survivors. Dense selections
     /// (average contiguous span of 4+ rows) take the `append_range`
     /// copy path per span; sparse ones fall back to the per-row gather.
-    pub fn append_selected(&self, sel: &[u32], out: &mut ColumnVector) {
+    pub(crate) fn append_selected(&self, sel: &[u32], out: &mut ColumnVector) {
         match coalesce_spans(sel) {
             Some(spans) => {
                 for &(start, len) in &spans {
@@ -1299,7 +1285,6 @@ mod tests {
         for row in 0..plain.len() {
             assert_eq!(rle.get(row), plain.get(row), "row {row}");
             assert_eq!(rle.is_null(row), plain.is_null(row));
-            assert_eq!(rle.int_at(row), plain.int_at(row));
         }
         let decoded = rle.decoded();
         assert!(!decoded.is_rle());
@@ -1482,16 +1467,5 @@ mod tests {
         assert_eq!(sparse.len(), 3);
         assert_eq!(dense.get(0), plain.get(1));
         assert_eq!(sparse.get(2), plain.get(7));
-    }
-
-    #[test]
-    fn int_at_fast_path() {
-        let mut c = ColumnVector::new(ColumnType::Int);
-        c.push(&Value::Int(9));
-        c.push(&Value::Null);
-        assert_eq!(c.int_at(0), Some(9));
-        assert_eq!(c.int_at(1), None);
-        let f = ColumnVector::new(ColumnType::Float);
-        assert!(f.is_empty());
     }
 }

@@ -5,7 +5,7 @@
 //! cell. [`read_csv_into`] streams records out of any [`BufRead`], parses
 //! each field directly into the typed column chunk for its schema column,
 //! and appends chunks to the table in batches (one type-check per batch
-//! via [`Table::append_batch`], not one per value).
+//! via `Table::append_batch`, not one per value).
 //!
 //! Dialect: RFC 4180-style quoting (`"` delimits, `""` escapes, quoted
 //! fields may contain delimiters and newlines), a configurable delimiter,
@@ -23,11 +23,11 @@ use std::io::BufRead;
 #[derive(Debug, Clone)]
 pub struct CsvOptions {
     /// Field delimiter (default `,`).
-    pub delimiter: u8,
+    pub(crate) delimiter: u8,
     /// Skip the first record (default `false`; IMDB dumps are headerless).
-    pub has_header: bool,
+    pub(crate) has_header: bool,
     /// Rows per batched insert (default 4096).
-    pub batch_rows: usize,
+    pub(crate) batch_rows: usize,
 }
 
 impl Default for CsvOptions {
@@ -46,7 +46,7 @@ pub struct CsvLoadStats {
     /// Data rows appended to the table.
     pub rows: usize,
     /// Batched inserts performed.
-    pub batches: usize,
+    pub(crate) batches: usize,
     /// Bytes of CSV text consumed (including record terminators).
     pub bytes: usize,
 }

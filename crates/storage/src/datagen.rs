@@ -82,7 +82,7 @@ pub enum Distribution {
 #[derive(Debug, Clone)]
 pub struct ColumnGen {
     /// Value distribution.
-    pub dist: Distribution,
+    pub(crate) dist: Distribution,
     /// Fraction of rows set to NULL (the column must be nullable).
     pub null_frac: f64,
 }
@@ -97,7 +97,8 @@ impl ColumnGen {
     }
 
     /// A generator producing NULLs at the given rate.
-    pub fn with_nulls(dist: Distribution, null_frac: f64) -> Self {
+    #[cfg(test)]
+    fn with_nulls(dist: Distribution, null_frac: f64) -> Self {
         Self { dist, null_frac }
     }
 }

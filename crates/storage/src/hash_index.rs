@@ -46,11 +46,6 @@ impl HashIndex {
         self.entries == 0
     }
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
     /// Row ids with key exactly equal to `key`.
     pub fn lookup_eq(&self, key: &Value) -> &[u32] {
         if key.is_null() {
@@ -79,7 +74,6 @@ mod tests {
         assert_eq!(i.lookup_eq(&Value::str("z")), &[] as &[u32]);
         assert_eq!(i.lookup_eq(&Value::Null), &[] as &[u32]);
         assert_eq!(i.len(), 3);
-        assert_eq!(i.distinct_keys(), 2);
         assert!(!i.is_empty());
     }
 }

@@ -113,7 +113,7 @@ impl Table {
     /// have the same length, and non-nullable columns reject chunks
     /// containing NULLs. Validation happens before any mutation, so a
     /// failed append leaves the table unchanged.
-    pub fn append_batch(&mut self, chunk: &[ColumnVector]) -> Result<usize, StorageError> {
+    pub(crate) fn append_batch(&mut self, chunk: &[ColumnVector]) -> Result<usize, StorageError> {
         if chunk.len() != self.schema.arity() {
             return Err(StorageError::SchemaMismatch(format!(
                 "table `{}` expects {} columns, got a {}-column batch",

@@ -102,12 +102,6 @@ impl Value {
             }
         }
     }
-
-    /// SQL equality: NULL never equals anything.
-    #[inline]
-    pub fn sql_eq(&self, other: &Value) -> bool {
-        self.sql_cmp(other) == Some(Ordering::Equal)
-    }
 }
 
 /// Maps a string to a stable f64 ordinal consistent with a prefix of its
@@ -185,8 +179,6 @@ mod tests {
     fn sql_comparison_with_nulls() {
         assert_eq!(Value::Int(1).sql_cmp(&Value::Null), None);
         assert_eq!(Value::Null.sql_cmp(&Value::Null), None);
-        assert!(!Value::Null.sql_eq(&Value::Null));
-        assert!(Value::Int(2).sql_eq(&Value::Int(2)));
     }
 
     #[test]

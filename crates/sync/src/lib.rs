@@ -123,7 +123,7 @@ impl<T: ?Sized> Mutex<T> {
 
     /// The lock's site label (`"<release>"` in release builds, where
     /// labels are compiled out).
-    pub fn site(&self) -> &'static str {
+    pub(crate) fn site(&self) -> &'static str {
         #[cfg(debug_assertions)]
         {
             self.meta.site()
@@ -236,7 +236,7 @@ impl<T: ?Sized> RwLock<T> {
     }
 
     /// The lock's site label (see [`Mutex::site`]).
-    pub fn site(&self) -> &'static str {
+    pub(crate) fn site(&self) -> &'static str {
         #[cfg(debug_assertions)]
         {
             self.meta.site()
@@ -332,11 +332,6 @@ impl Condvar {
             };
             MutexGuard { inner }
         }
-    }
-
-    /// Wakes one blocked waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 
     /// Wakes every blocked waiter.

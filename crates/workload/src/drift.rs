@@ -165,9 +165,9 @@ pub struct MutationReport {
     /// The mutated table.
     pub table: TableId,
     /// Row count before.
-    pub rows_before: usize,
+    pub(crate) rows_before: usize,
     /// Row count after.
-    pub rows_after: usize,
+    pub(crate) rows_after: usize,
 }
 
 /// Applies one mutation to `db` and rebuilds the indexes it left stale:
@@ -378,13 +378,13 @@ impl Shock {
     }
 
     /// Adds a mutation (builder style).
-    pub fn with_mutation(mut self, m: Mutation) -> Self {
+    pub(crate) fn with_mutation(mut self, m: Mutation) -> Self {
         self.mutations.push(m);
         self
     }
 
     /// Adds a new mid-run query template (builder style).
-    pub fn with_query(mut self, q: QueryGraph) -> Self {
+    pub(crate) fn with_query(mut self, q: QueryGraph) -> Self {
         self.new_queries.push(q);
         self
     }
@@ -450,9 +450,9 @@ pub struct RecoveryRound {
     /// Policy generation that served this round.
     pub generation: u64,
     /// Work-derived p95 latency of the round's serves, in ms.
-    pub p95_ms: f64,
+    pub(crate) p95_ms: f64,
     /// Whether this round met the parity threshold.
-    pub parity: bool,
+    pub(crate) parity: bool,
 }
 
 /// The per-shock recovery measurement.
@@ -479,7 +479,7 @@ pub struct RecoveryReport {
 
 impl RecoveryReport {
     /// Whether the learned planner returned to expert parity.
-    pub fn parity_reached(&self) -> bool {
+    pub(crate) fn parity_reached(&self) -> bool {
         self.generations_to_parity.is_some()
     }
 
@@ -493,7 +493,7 @@ impl RecoveryReport {
     /// golden drift-recovery log pins. `{:?}` float formatting is the
     /// shortest round-trip representation, identical across dev and
     /// release profiles because every input is deterministic.
-    pub fn golden_line(&self) -> String {
+    pub(crate) fn golden_line(&self) -> String {
         let generations = match self.generations_to_parity {
             Some(g) => g.to_string(),
             None => "-".to_string(),
@@ -523,7 +523,7 @@ impl DriftOutcome {
         self.warmup.parity_reached() && self.shocks.iter().all(RecoveryReport::parity_reached)
     }
 
-    /// The golden log: one [`RecoveryReport::golden_line`] per phase.
+    /// The golden log: one `RecoveryReport::golden_line` per phase.
     pub fn golden_log(&self) -> String {
         std::iter::once(&self.warmup)
             .chain(&self.shocks)
@@ -556,7 +556,7 @@ pub fn with_count_root(q: &QueryGraph) -> QueryGraph {
 /// A shock battery derived from the workload itself: append growth on
 /// every table the queries touch, a skew shift on every non-key column
 /// the queries select on, a new template arriving mid-run, and a bulk
-/// delete. Works against any schema (IMDB-like, TPC-H-like, synthetic)
+/// delete. Works against any schema (IMDB-like or synthetic)
 /// because the targets come from the query graphs, not from hardcoded
 /// table ids. Fully determined by `seed`; target order is sorted, so
 /// the battery is independent of query order too.

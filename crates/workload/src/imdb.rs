@@ -40,7 +40,7 @@ impl Default for ImdbConfig {
 
 /// A foreign-key edge of the schema: `(child_table, child_column,
 /// parent_table)` — parents are always referenced by their `id` column.
-pub const FK_EDGES: &[(&str, &str, &str)] = &[
+pub(crate) const FK_EDGES: &[(&str, &str, &str)] = &[
     ("title", "kind_id", "kind_type"),
     ("movie_companies", "movie_id", "title"),
     ("movie_companies", "company_id", "company_name"),
@@ -61,7 +61,7 @@ pub const FK_EDGES: &[(&str, &str, &str)] = &[
 ];
 
 /// All table names of the schema.
-pub const TABLE_NAMES: &[&str] = &[
+pub(crate) const TABLE_NAMES: &[&str] = &[
     "title",
     "kind_type",
     "info_type",

@@ -200,7 +200,7 @@ fn render_sql(skeleton: &FamilySkeleton, variant_rng: &mut StdRng) -> String {
 
 /// Number of variants for a family (families 1–14 have four, the rest
 /// three — totalling 113).
-pub fn variants_of(family: usize) -> usize {
+pub(crate) fn variants_of(family: usize) -> usize {
     if family <= 14 {
         4
     } else {
@@ -227,19 +227,6 @@ pub fn generate_job_suite(catalog: &Catalog, seed: u64) -> Vec<JobQuery> {
         }
     }
     out
-}
-
-/// Looks up the queries of Figure 3b within a generated suite.
-pub fn figure3b_queries(suite: &[JobQuery]) -> Vec<&JobQuery> {
-    FIGURE3B_LABELS
-        .iter()
-        .map(|&l| {
-            suite
-                .iter()
-                .find(|q| q.label == l)
-                .expect("figure 3b labels exist in the suite")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -282,15 +269,6 @@ mod tests {
         }
         assert!(min_rels >= 4, "min {min_rels}");
         assert_eq!(max_rels, 17, "max {max_rels}");
-    }
-
-    #[test]
-    fn figure3b_queries_present() {
-        let s = suite();
-        let f = figure3b_queries(&s);
-        assert_eq!(f.len(), 10);
-        assert_eq!(f[0].label, "1a");
-        assert_eq!(f[9].label, "22c");
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! # hfqo-workload
 //!
-//! The workloads the experiments run on:
+//! The workloads the experiments run on. The paper evaluates on one
+//! schema, IMDB under the Join Order Benchmark, and so does every
+//! figure, golden and benchmark workload here; synthetic schemas cover
+//! the sweeps by relation count:
 //!
 //! * [`imdb`] — a synthetic IMDB-like schema (17 tables around a `title`
 //!   hub, zipf-skewed foreign keys, correlated attributes) standing in
@@ -8,8 +11,8 @@
 //!   evaluates on,
 //! * [`job`] — a 113-query JOB-like suite named `1a..33d`, spanning 4–17
 //!   relations, including the ten queries Figure 3b reports,
-//! * [`tpch`] — a TPC-H-like schema and a handful of join templates
-//!   (the paper cites TPC-H when discussing low-relation-count queries),
+//! * [`loader`] — the bulk CSV loader that reads real IMDB-layout dumps
+//!   (such as the checked-in sample) into the same schema,
 //! * [`synth`] — parameterised chain/star/cycle query generators used by
 //!   the planning-time sweep (Figure 3c) and the incremental-learning
 //!   curricula,
@@ -25,7 +28,6 @@ pub mod job;
 pub mod loader;
 pub mod suite;
 pub mod synth;
-pub mod tpch;
 
 pub use drift::{
     apply_mutation, shock_battery_for, synth_shock_battery, with_count_root, DbSnapshots,

@@ -19,7 +19,6 @@ use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Knobs for [`load_imdb_csv_dir`].
 #[derive(Debug, Clone)]
@@ -72,9 +71,6 @@ pub struct TableLoadReport {
 pub struct CsvLoadReport {
     /// Per-table reports, in load order (tables with a CSV file only).
     pub tables: Vec<TableLoadReport>,
-    /// Wall-clock time spent parsing and inserting (excludes index and
-    /// statistics builds).
-    pub load_time: Duration,
 }
 
 impl CsvLoadReport {
@@ -86,16 +82,6 @@ impl CsvLoadReport {
     /// Total CSV bytes consumed.
     pub fn total_bytes(&self) -> usize {
         self.tables.iter().map(|t| t.bytes).sum()
-    }
-
-    /// Ingest throughput in rows per second.
-    pub fn rows_per_sec(&self) -> f64 {
-        let secs = self.load_time.as_secs_f64();
-        if secs > 0.0 {
-            self.total_rows() as f64 / secs
-        } else {
-            0.0
-        }
     }
 }
 
@@ -134,7 +120,6 @@ pub fn load_imdb_csv_dir(
 ) -> Result<(Database, StatsCatalog, CsvLoadReport), LoadError> {
     let mut db = Database::new(imdb::build_catalog());
     let mut report = CsvLoadReport::default();
-    let started = std::time::Instant::now();
     for &name in imdb::TABLE_NAMES {
         let path = dir.join(format!("{name}.csv"));
         if !path.exists() {
@@ -168,7 +153,6 @@ pub fn load_imdb_csv_dir(
             rle_columns,
         });
     }
-    report.load_time = started.elapsed();
     db.build_indexes()
         .map_err(|e| LoadError::Storage("<indexes>".to_string(), e))?;
     let stats = build_database_stats(&db);

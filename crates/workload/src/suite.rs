@@ -3,7 +3,6 @@
 use crate::imdb::{build_imdb, ImdbConfig};
 use crate::job::generate_job_suite;
 use crate::synth::{Shape, SynthConfig, SynthDb};
-use crate::tpch::{bind_templates, build_tpch, TpchConfig};
 use hfqo_query::QueryGraph;
 use hfqo_stats::StatsCatalog;
 use hfqo_storage::Database;
@@ -37,13 +36,6 @@ impl WorkloadBundle {
             .into_iter()
             .map(|q| q.graph)
             .collect();
-        Self { db, stats, queries }
-    }
-
-    /// The TPC-H-like database with its templates.
-    pub fn tpch(config: TpchConfig) -> Self {
-        let (db, stats) = build_tpch(config);
-        let queries = bind_templates(db.catalog());
         Self { db, stats, queries }
     }
 
@@ -91,16 +83,6 @@ mod tests {
         assert_eq!(bundle.queries.len(), 113);
         assert_eq!(bundle.max_rels(), 17);
         assert_eq!(bundle.db.catalog().table_count(), 17);
-    }
-
-    #[test]
-    fn tpch_bundle() {
-        let bundle = WorkloadBundle::tpch(TpchConfig {
-            lineitem_rows: 500,
-            seed: 3,
-        });
-        assert_eq!(bundle.queries.len(), 6);
-        assert_eq!(bundle.max_rels(), 6);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! End-to-end SQL serving on the TPC-H-like database through
+//! End-to-end SQL serving on the IMDB-like database through
 //! [`QuerySession`]: parse → bind → plan (fingerprint-keyed plan cache)
 //! → execute, with EXPLAIN output, runtime statistics, and the
 //! cache-warm second round showing the front end (text → statement
@@ -10,25 +10,29 @@
 
 use hfqo::prelude::*;
 use hfqo::query::display::explain;
-use hfqo::workload::tpch::{build_tpch, TpchConfig};
+use hfqo::workload::imdb::build_imdb;
+use hfqo::workload::job::generate_job_suite;
 
 fn main() {
-    let (db, stats) = build_tpch(TpchConfig {
-        lineitem_rows: 20_000,
+    let (db, stats) = build_imdb(ImdbConfig {
+        base_rows: 2_000,
         seed: 4,
     });
+    // The first JOB-like text of six or more relations (under suite
+    // seed 5 it runs within the session's default work budget).
+    let job = generate_job_suite(db.catalog(), 5)
+        .into_iter()
+        .find(|q| q.graph.relation_count() >= 6)
+        .expect("the suite spans 4–17 relations");
     // One session owns the whole serving world: database, statistics,
     // the traditional DP/greedy planner, and the plan cache.
     let session = QuerySession::traditional(db, stats);
 
     let queries = [
-        "SELECT COUNT(*) FROM lineitem l WHERE l.l_shipdate < 1000 AND l.l_quantity > 45;",
-        "SELECT COUNT(*), MIN(o.o_totalprice) FROM customer c, orders o \
-         WHERE c.c_custkey = o.o_custkey AND c.c_mktsegment = 2;",
-        "SELECT COUNT(*) FROM customer c, orders o, lineitem l, supplier s, nation n, region r \
-         WHERE c.c_custkey = o.o_custkey AND o.o_orderkey = l.l_orderkey \
-         AND l.l_suppkey = s.s_suppkey AND s.s_nationkey = n.n_nationkey \
-         AND n.n_regionkey = r.r_regionkey AND o.o_orderdate < 1800;",
+        "SELECT COUNT(*) FROM title t WHERE t.production_year > 60 AND t.kind_id = 1;",
+        "SELECT COUNT(*), MIN(t.production_year) FROM title t, movie_keyword mk \
+         WHERE t.id = mk.movie_id AND t.kind_id = 2;",
+        job.sql.as_str(),
     ];
 
     for sql in queries {

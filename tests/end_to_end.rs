@@ -2,7 +2,6 @@
 //! with the statistics and cost machinery in the loop.
 
 use hfqo::prelude::*;
-use hfqo::workload::tpch::{build_tpch, TpchConfig};
 use hfqo_query::{AccessPath, JoinAlgo, PlanNode, RelId};
 
 fn imdb() -> WorkloadBundle {
@@ -134,22 +133,6 @@ fn estimates_are_imperfect_but_bounded_on_correlated_data() {
     // Sanity ceiling: neither exceeds the table size.
     assert!(estimated <= 400.0 + 1.0);
     assert!(truth <= 400.0);
-}
-
-#[test]
-fn tpch_templates_plan_and_execute() {
-    let (db, stats) = build_tpch(TpchConfig {
-        lineitem_rows: 2_000,
-        seed: 6,
-    });
-    let expert = TraditionalPlanner::new();
-    let ctx = PlannerContext::new(db.catalog(), &stats);
-    for graph in hfqo::workload::tpch::bind_templates(db.catalog()) {
-        let planned = expert.plan(&ctx, &graph).expect("plannable");
-        let out = execute(&db, &graph, &planned.plan, ExecConfig::default())
-            .unwrap_or_else(|e| panic!("{:?} failed: {e}", graph.label));
-        assert!(!out.rows.is_empty(), "{:?}", graph.label);
-    }
 }
 
 #[test]
