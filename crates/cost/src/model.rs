@@ -156,6 +156,18 @@ impl<'a> CostModel<'a> {
         }
     }
 
+    /// A floor under every [`Self::join_cost`] of `left` and `right`
+    /// producing `out_rows`, whatever the algorithm, condition count or
+    /// side order: `join_cost` adds a non-negative join work to this same
+    /// sum (every [`CostParams`] factor is non-negative), and IEEE
+    /// rounding is monotone, so no join of the two can cost less. A
+    /// search that keeps a candidate only when strictly cheaper than the
+    /// best so far may skip pricing a pair whose floor is not.
+    #[inline]
+    pub fn join_cost_floor(&self, left: CostEstimate, right: CostEstimate, out_rows: f64) -> f64 {
+        left.total + right.total + out_rows * self.params.cpu_tuple_cost
+    }
+
     /// Costs one aggregate from its input's estimate — the whole of
     /// [`Self::node_cost`]'s aggregate arm, as [`Self::join_cost`] is of
     /// the join arm. `grouped` says whether the query has a `GROUP BY`.
@@ -461,9 +473,45 @@ mod tests {
                     given.total.to_bits(),
                     swapped.total.to_bits(),
                     "{:?} costs differ with its sides swapped: restore the flip of every \
-                     algorithm in hfqo_opt::physical::price_join_with_rows",
+                     algorithm in hfqo_opt::physical::price_join_given",
                     algo
                 );
+            }
+        }
+
+        /// [`CostModel::join_cost_floor`] is at or under the cost of every
+        /// join of its inputs, for every algorithm and both sides of a
+        /// hash join, which is what lets the optimizer's DP skip pricing
+        /// a pair whose floor already reaches its union's best cost.
+        #[test]
+        fn join_cost_floor_is_under_every_join_cost(
+            n_conds in 0usize..4,
+            l_rows in 0.0f64..9.0,
+            r_rows in 0.0f64..9.0,
+            l_total in -1.0f64..9.0,
+            r_total in -1.0f64..9.0,
+            out_rows in 0.0f64..9.0,
+        ) {
+            let stats = StatsCatalog::new(vec![]);
+            let model = CostModel::new(&CostParams::POSTGRES_LIKE, &stats);
+            let estimate = |rows: f64, total: f64| CostEstimate {
+                total: 10f64.powf(total),
+                output_rows: 10f64.powf(rows),
+            };
+            let (l, r) = (estimate(l_rows, l_total), estimate(r_rows, r_total));
+            let out_rows = 10f64.powf(out_rows);
+            let floor = model.join_cost_floor(l, r, out_rows);
+            for algo in JoinAlgo::ALL {
+                for (left, right) in [(l, r), (r, l)] {
+                    let cost = model.join_cost(algo, n_conds, left, right, out_rows);
+                    prop_assert!(
+                        floor <= cost.total,
+                        "{:?}: floor {} above cost {}",
+                        algo,
+                        floor,
+                        cost.total
+                    );
+                }
             }
         }
     }

@@ -71,6 +71,23 @@ mod tests {
         assert_eq!(p.cpu_tuple_cost, 0.01);
     }
 
+    /// `CostModel::join_cost_floor` bounds every join cost only while no
+    /// factor can make a join's work negative.
+    #[test]
+    fn postgres_like_factors_are_non_negative() {
+        let p = CostParams::POSTGRES_LIKE;
+        let factors = [
+            p.seq_page_cost,
+            p.random_page_cost,
+            p.cpu_tuple_cost,
+            p.cpu_index_tuple_cost,
+            p.cpu_operator_cost,
+            p.hash_build_factor,
+            p.sort_factor,
+        ];
+        assert!(factors.iter().all(|&f| f >= 0.0), "{p:?}");
+    }
+
     #[test]
     fn latency_params_differ() {
         assert_ne!(CostParams::POSTGRES_LIKE, CostParams::in_memory_latency());

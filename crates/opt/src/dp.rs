@@ -1,11 +1,22 @@
 //! Selinger-style bottom-up dynamic programming (DPsize, bushy) over a
 //! dense table: one slot per connected relation set, found through an
 //! index with a word per subset of the query's relations.
+//!
+//! Each piece of work is done once. A closed size class gets one bitset
+//! per relation over its slots, so a left slot finds the connected
+//! disjoint sets it can join by OR-ing bitsets, not by testing every set
+//! of the class. Each slot counts the join conditions inside its set, so a
+//! pair's conditions are a subtraction, not a pass over the edges. And a
+//! pair is priced only when [`CostModel::join_cost_floor`] says it could
+//! still beat its union's best plan.
 
-use crate::physical::{best_access_path, build_join, price_join, price_join_with_rows, Costed};
+use crate::physical::{
+    best_access_path, build_join, price_join, price_join_given, Costed, JoinConds,
+};
 use hfqo_catalog::Catalog;
 use hfqo_cost::{CostEstimate, CostModel};
 use hfqo_query::{JoinAlgo, PlanNode, QueryGraph, RelSet};
+use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -25,6 +36,8 @@ struct Slot {
     /// The relations a join edge reaches from the set, so a disjoint set
     /// is connected to it exactly when the two intersect.
     neighbors: RelSet,
+    /// The join conditions with both ends in the set.
+    conds: JoinConds,
     /// The cheapest plan's estimate. Its `output_rows` are the set's rows,
     /// asked of the cardinality source once, when the slot is made.
     cost: CostEstimate,
@@ -32,6 +45,13 @@ struct Slot {
     /// priced, and the chosen algorithm and side swap; `None` for a base
     /// relation, whose slot index is its relation id.
     join: Option<(u32, u32, JoinAlgo, bool)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many pairs [`dp_plan`] has visited, and how many of them it
+    /// has priced, on this thread.
+    static PAIRS: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// Finds the cheapest (bushy) join plan by dynamic programming over
@@ -42,8 +62,10 @@ struct Slot {
 /// is priced from their slots' estimates and the union's rows, and takes
 /// the union's slot when it is new or strictly cheaper. Pairs are tried
 /// smaller side first, each side in the order its slots were found; that
-/// order breaks cost ties. A slot records only which two slots it joins,
-/// so each plan node is built once, at the end, and only for the winner.
+/// order breaks cost ties. A pair whose cost floor already reaches the
+/// union's best cost is not priced: it could not be strictly cheaper. A
+/// slot records only which two slots it joins, so each plan node is built
+/// once, at the end, and only for the winner.
 ///
 /// Cross products are only considered when the query graph is
 /// disconnected (the leftover components are combined at the end), which
@@ -60,6 +82,15 @@ pub(crate) fn dp_plan<C: CardinalitySource>(
 ) -> Costed {
     let n = graph.relation_count();
     debug_assert!((1..=MAX_RELATIONS).contains(&n));
+    let conds_within = |set: RelSet| {
+        let mut conds = JoinConds::default();
+        for edge in graph.joins() {
+            if set.contains(edge.left.rel) && set.contains(edge.right.rel) {
+                conds.add(edge.op == CompareOp::Eq);
+            }
+        }
+        conds
+    };
     let mut table = Table {
         index: vec![NO_SLOT; 1 << n],
         slots: Vec::new(),
@@ -69,48 +100,51 @@ pub(crate) fn dp_plan<C: CardinalitySource>(
     let neighbors = graph.neighbor_masks();
     for rel in graph.all_rels().iter() {
         let (scan, cost) = best_access_path(graph, rel, catalog, model, cards);
-        table.push(RelSet::single(rel), neighbors[rel.index()], cost, None);
+        let set = RelSet::single(rel);
+        table.push(set, neighbors[rel.index()], conds_within(set), cost, None);
         table.scans.push(scan);
     }
-    // Sizes 2..=n: join connected disjoint pairs. `by_size[k]` holds the
-    // slots of size-k sets, in the order they were found.
-    let mut by_size: Vec<Range<usize>> = vec![0..0; n + 1];
-    by_size[1] = 0..n;
+    // Sizes 2..=n: join connected disjoint pairs.
+    let mut classes = SizeClasses::new(n);
+    classes.close(1, 0..n, &table.slots);
     for size in 2..=n {
         let start = table.slots.len();
         for l_size in 1..=(size / 2) {
             let r_size = size - l_size;
-            for li in by_size[l_size].clone() {
+            let lefts = classes.slots(l_size);
+            for li in lefts.clone() {
+                let (l_set, l_neighbors) = (table.slots[li].set, table.slots[li].neighbors);
                 // Between equal sizes a pair's mirror came first and
                 // prices the same, so it can never win: skip it.
-                let rights = if l_size == r_size {
-                    li + 1..by_size[r_size].end
+                let first = if l_size == r_size {
+                    li + 1 - lefts.start
                 } else {
-                    by_size[r_size].clone()
+                    0
                 };
-                for ri in rights {
+                for ri in classes.joinable(r_size, l_set, l_neighbors, first) {
+                    count_pair(false);
                     let (l, r) = (&table.slots[li], &table.slots[ri]);
-                    if !l.set.is_disjoint(r.set) || l.neighbors.is_disjoint(r.set) {
-                        continue;
-                    }
                     let union = l.set.union(r.set);
                     let at = table.index[union.0 as usize];
-                    let rows = match at {
-                        NO_SLOT => cards.set_rows(graph, union),
-                        at => table.slots[at as usize].cost.output_rows,
+                    let (rows, conds) = match at {
+                        NO_SLOT => (cards.set_rows(graph, union), conds_within(union)),
+                        at => {
+                            let slot = &table.slots[at as usize];
+                            let rows = slot.cost.output_rows;
+                            if model.join_cost_floor(l.cost, r.cost, rows) >= slot.cost.total {
+                                continue;
+                            }
+                            (rows, slot.conds)
+                        }
                     };
-                    let (algo, flipped, cost) = price_join_with_rows(
-                        graph,
-                        (l.set, l.cost),
-                        (r.set, r.cost),
-                        true,
-                        rows,
-                        model,
-                    );
+                    let pair_conds = conds.minus(l.conds).minus(r.conds);
+                    let (algo, flipped, cost) =
+                        price_join_given(pair_conds, l.cost, r.cost, true, rows, model);
+                    count_pair(true);
                     let join = Some((li as u32, ri as u32, algo, flipped));
                     if at == NO_SLOT {
                         let neighbors = l.neighbors.union(r.neighbors);
-                        table.push(union, neighbors, cost, join);
+                        table.push(union, neighbors, conds, cost, join);
                     } else {
                         let slot = &mut table.slots[at as usize];
                         if cost.total < slot.cost.total {
@@ -120,11 +154,98 @@ pub(crate) fn dp_plan<C: CardinalitySource>(
                 }
             }
         }
-        by_size[size] = start..table.slots.len();
+        if size < n {
+            classes.close(size, start..table.slots.len(), &table.slots);
+        }
     }
     match table.index[graph.all_rels().0 as usize] {
         NO_SLOT => combine_components(graph, &table, model, cards),
         full => table.build(graph, full),
+    }
+}
+
+/// Counts one visited pair, or one priced pair, for the tests that bound
+/// how many pairs DP visits and prices.
+#[inline]
+fn count_pair(_priced: bool) {
+    #[cfg(test)]
+    PAIRS.with(|pairs| {
+        let (visited, priced) = pairs.get();
+        pairs.set(match _priced {
+            false => (visited + 1, priced),
+            true => (visited, priced + 1),
+        });
+    });
+}
+
+/// The closed size classes: each one's slots, in the order they were
+/// found, with one bitset per relation over the class's positions (bit
+/// `p` of relation `rel`'s bitset is set when the class's `p`-th slot
+/// holds `rel`), all in one buffer.
+struct SizeClasses {
+    /// The query's relation count: each class has that many bitsets.
+    n: usize,
+    /// Per size, its slots and where its bitsets start in `bits`.
+    classes: [(Range<usize>, usize); MAX_RELATIONS],
+    bits: Vec<u64>,
+}
+
+impl SizeClasses {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            classes: std::array::from_fn(|_| (0..0, 0)),
+            bits: Vec::with_capacity(n * n),
+        }
+    }
+
+    /// The slots of size-`size` sets.
+    fn slots(&self, size: usize) -> Range<usize> {
+        self.classes[size].0.clone()
+    }
+
+    /// Closes the size-`size` class: `range` of `slots`.
+    fn close(&mut self, size: usize, range: Range<usize>, slots: &[Slot]) {
+        let (at, words) = (self.bits.len(), range.len().div_ceil(64));
+        self.bits.resize(at + self.n * words, 0);
+        for (pos, slot) in slots[range.clone()].iter().enumerate() {
+            for rel in slot.set.iter() {
+                self.bits[at + rel.index() * words + pos / 64] |= 1 << (pos % 64);
+            }
+        }
+        self.classes[size] = (range, at);
+    }
+
+    /// The slots of the size-`size` class, from position `first` on,
+    /// whose sets are disjoint from `set` and meet `neighbors` (so a join
+    /// edge connects the two), in ascending order.
+    fn joinable(
+        &self,
+        size: usize,
+        set: RelSet,
+        neighbors: RelSet,
+        first: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let (slots, at) = &self.classes[size];
+        let (base, words) = (slots.start, slots.len().div_ceil(64));
+        let bits = &self.bits[*at..*at + self.n * words];
+        let reach = neighbors.minus(set);
+        (first / 64..words).flat_map(move |w| {
+            let column = |rels: RelSet| {
+                (rels.iter()).fold(0u64, |acc, rel| acc | bits[rel.index() * words + w])
+            };
+            let mut word = column(reach) & !column(set);
+            if w == first / 64 {
+                word &= u64::MAX << (first % 64);
+            }
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    base + w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -142,6 +263,7 @@ impl Table {
         &mut self,
         set: RelSet,
         neighbors: RelSet,
+        conds: JoinConds,
         cost: CostEstimate,
         join: Option<(u32, u32, JoinAlgo, bool)>,
     ) {
@@ -149,6 +271,7 @@ impl Table {
         self.slots.push(Slot {
             set,
             neighbors,
+            conds,
             cost,
             join,
         });
@@ -210,15 +333,12 @@ fn combine_components<C: CardinalitySource>(
 mod tests {
     use super::*;
     use crate::random::random_plan;
-    use crate::test_support::{chain_query, star_query, TestDb};
-    use hfqo_catalog::{ColumnId, TableId};
+    use crate::test_support::{chain_query, random_query, star_query, CountingCardinality, TestDb};
     use hfqo_cost::CostParams;
-    use hfqo_query::{BoundColumn, JoinEdge, Lit, PhysicalPlan, RelId, Relation, Selection};
-    use hfqo_sql::CompareOp;
+    use hfqo_query::PhysicalPlan;
     use hfqo_stats::EstimatedCardinality;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::cell::RefCell;
+    use rand::SeedableRng;
     use std::collections::HashMap;
 
     #[test]
@@ -353,50 +473,12 @@ mod tests {
         acc
     }
 
-    /// A random query over `n` relations drawn, with repeats, from the
-    /// first three tables of a chain fixture — so equal-cost ties are
-    /// common. Each pair is joined with probability `p`, by `=` or,
-    /// one time in four, by `<`; a few relations get a selection.
-    fn random_query(n: usize, p: f64, rng: &mut StdRng) -> QueryGraph {
-        let relations = (0..n)
-            .map(|i| Relation {
-                table: TableId(rng.gen_range(0..3u32)),
-                alias: format!("r{i}"),
-            })
-            .collect();
-        let mut joins = Vec::new();
-        for a in 0..n as u32 {
-            for b in a + 1..n as u32 {
-                if rng.gen_bool(p) {
-                    let op = if rng.gen_range(0..4) == 0 {
-                        CompareOp::Lt
-                    } else {
-                        CompareOp::Eq
-                    };
-                    joins.push(JoinEdge {
-                        left: BoundColumn::new(RelId(a), ColumnId(0)),
-                        op,
-                        right: BoundColumn::new(RelId(b), ColumnId(1)),
-                    });
-                }
-            }
-        }
-        let mut selections = Vec::new();
-        for rel in 0..n as u32 {
-            if rng.gen_range(0..3) == 0 {
-                selections.push(Selection {
-                    column: BoundColumn::new(RelId(rel), ColumnId(0)),
-                    op: CompareOp::Lt,
-                    value: Lit::Int(rng.gen_range(1..300)),
-                });
-            }
-        }
-        QueryGraph::new(relations, joins, selections, vec![], vec![])
-    }
-
     /// The dense table finds the plan, tie-breaks included, and the cost
     /// bits of the DPsize search it replaced, on chains, stars and random
-    /// connected and disconnected shapes of up to nine relations.
+    /// connected and disconnected shapes of up to nine relations, and
+    /// sparse ones of ten to twelve. The reference tests every pair of a
+    /// size class and prices every connected one, so this holds both the
+    /// bitset enumeration and the cost-floor skip to its choices.
     #[test]
     fn dense_table_matches_the_reference_search() {
         let db = TestDb::chain(3, 300);
@@ -409,9 +491,9 @@ mod tests {
         let dp = dp_plan(&star, star_cat, &star_model, &star_cards);
         assert_eq!(dp, reference_dp(&star, star_cat, &star_model, &star_cards));
         let mut rng = StdRng::seed_from_u64(17);
-        for case in 0..300 {
-            let n = 1 + case % 9;
-            let p = [0.15, 0.3, 0.6, 1.0][case % 4];
+        let small = (0..300).map(|case| (1 + case % 9, [0.15, 0.3, 0.6, 1.0][case % 4]));
+        let sparse = (0..36).map(|case| (10 + case % 3, [0.1, 0.15, 0.2, 0.25][case % 4]));
+        for (case, (n, p)) in small.chain(sparse).enumerate() {
             let graph = random_query(n, p, &mut rng);
             let (plan, cost) = dp_plan(&graph, db.db.catalog(), &model, &cards);
             let (ref_plan, ref_cost) = reference_dp(&graph, db.db.catalog(), &model, &cards);
@@ -431,24 +513,6 @@ mod tests {
         }
     }
 
-    /// A cardinality source that counts how often each set's rows are
-    /// asked for.
-    struct Counting<'a> {
-        inner: EstimatedCardinality<'a>,
-        asked: RefCell<HashMap<RelSet, usize>>,
-    }
-
-    impl CardinalitySource for Counting<'_> {
-        fn base_rows(&self, graph: &QueryGraph, rel: RelId) -> f64 {
-            self.inner.base_rows(graph, rel)
-        }
-
-        fn set_rows(&self, graph: &QueryGraph, set: RelSet) -> f64 {
-            *self.asked.borrow_mut().entry(set).or_default() += 1;
-            self.inner.set_rows(graph, set)
-        }
-    }
-
     /// Each connected set's rows are asked for once, however many pairs
     /// make it; on a disconnected query, each crossing asks once more.
     #[test]
@@ -458,10 +522,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for case in 0..40 {
             let graph = random_query(2 + case % 7, [0.3, 1.0][case % 2], &mut rng);
-            let cards = Counting {
-                inner: EstimatedCardinality::new(&db.stats),
-                asked: RefCell::default(),
-            };
+            let cards = CountingCardinality::new(EstimatedCardinality::new(&db.stats));
             dp_plan(&graph, db.db.catalog(), &model, &cards);
             let asked = cards.asked.into_inner();
             assert!(asked.values().all(|&times| times == 1), "{asked:?}");
@@ -472,5 +533,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The csg–cmp pairs of `graph`: unordered pairs of disjoint connected
+    /// sets that a join edge connects, each a split of a connected union.
+    fn csg_cmp_pairs(graph: &QueryGraph) -> usize {
+        let n = graph.relation_count();
+        let connected: Vec<bool> = (0..1u64 << n)
+            .map(|bits| graph.is_connected(RelSet(bits)))
+            .collect();
+        let mut pairs = 0;
+        for union in (1..1u64 << n).filter(|&u| connected[u as usize]) {
+            // Each split once: the left part holds the union's lowest bit.
+            let low = union & union.wrapping_neg();
+            let mut left = (union - 1) & union;
+            while left != 0 {
+                let right = union & !left;
+                if left & low != 0 && connected[left as usize] && connected[right as usize] {
+                    pairs += usize::from(graph.sets_connected(RelSet(left), RelSet(right)));
+                }
+                left = (left - 1) & union;
+            }
+        }
+        pairs
+    }
+
+    /// DP visits each csg–cmp pair of the query exactly once, the
+    /// smaller side first, and prices no more of them: the cost floor
+    /// skips some outright.
+    #[test]
+    fn dp_prices_at_most_the_csg_cmp_pairs() {
+        let db = TestDb::chain(3, 300);
+        let model = CostModel::new(&CostParams::POSTGRES_LIKE, &db.stats);
+        let cards = EstimatedCardinality::new(&db.stats);
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut priced_total, mut pairs_total) = (0, 0);
+        for case in 0..60 {
+            let n = 2 + case % 10;
+            let graph = random_query(n, [0.2, 0.4, 1.0][case % 3], &mut rng);
+            PAIRS.with(|pairs| pairs.set((0, 0)));
+            dp_plan(&graph, db.db.catalog(), &model, &cards);
+            let (visited, priced) = PAIRS.with(|pairs| pairs.get());
+            let pairs = csg_cmp_pairs(&graph);
+            assert_eq!(visited, pairs, "case {case}: {graph:?}");
+            assert!(
+                priced <= pairs,
+                "case {case}: {priced} priced, {pairs} pairs"
+            );
+            (priced_total, pairs_total) = (priced_total + priced, pairs_total + pairs);
+        }
+        assert!(
+            priced_total < pairs_total,
+            "the floor skipped no pair: {priced_total} of {pairs_total} priced"
+        );
     }
 }

@@ -15,10 +15,11 @@
 //! * **exhaustive bottom-up dynamic programming** ([`dp`]) over connected
 //!   subgraphs for small queries (PostgreSQL: `geqo_threshold = 12`), in
 //!   a dense table with one slot per connected set, whose plan is built
-//!   once, at the end,
+//!   once, at the end; it visits only connected disjoint pairs and
+//!   prices only those that could beat their union's best plan,
 //! * a **greedy bottom-up** fallback ([`greedy`]) at and beyond the
 //!   threshold (standing in for GEQO; the paper's §3 notes PostgreSQL's
-//!   greedy bottom-up behaviour),
+//!   greedy bottom-up behaviour), which prices each pair once per run,
 //! * access-path and physical-operator selection ([`physical`]), and the
 //!   **costed forest** ([`forest`]) every planner but DP steps,
 //! * a **random planner** ([`random`]) used as the floor baseline in

@@ -84,57 +84,93 @@ pub fn best_access_path<C: CardinalitySource>(
 /// condition spans the inputs.
 #[inline]
 pub fn legal_join_algos(graph: &QueryGraph, left: RelSet, right: RelSet) -> [bool; 3] {
-    join_conditions(graph, left, right).1
+    join_conditions(graph, left, right).legal()
 }
 
-/// The number of join conditions between `left` and `right`, and
-/// [`legal_join_algos`] for them, from one pass over the edges.
-#[inline]
-fn join_conditions(graph: &QueryGraph, left: RelSet, right: RelSet) -> (usize, [bool; 3]) {
-    let (mut n_conds, mut has_eq) = (0, false);
-    for (_, edge) in graph.edges_between(left, right) {
-        n_conds += 1;
-        has_eq |= edge.op == CompareOp::Eq;
+/// A count of join conditions, and of the `=` ones among them: all that
+/// pricing a join needs to know of its conditions. Counts over disjoint
+/// edge sets add and subtract, so the conditions between two disjoint
+/// relation sets are the count inside their union minus the counts
+/// inside each.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct JoinConds {
+    pub(crate) all: u32,
+    pub(crate) eq: u32,
+}
+
+impl JoinConds {
+    /// Adds one condition, an `=` one when `eq`.
+    #[inline]
+    pub(crate) fn add(&mut self, eq: bool) {
+        self.all += 1;
+        self.eq += u32::from(eq);
     }
-    let legal = JoinAlgo::ALL.map(|algo| algo == JoinAlgo::NestedLoop || has_eq);
-    (n_conds, legal)
+
+    /// The conditions of `self` that are not in `other`, a subset of it.
+    #[inline]
+    pub(crate) fn minus(self, other: JoinConds) -> JoinConds {
+        JoinConds {
+            all: self.all - other.all,
+            eq: self.eq - other.eq,
+        }
+    }
+
+    /// [`legal_join_algos`] for these conditions.
+    #[inline]
+    fn legal(self) -> [bool; 3] {
+        JoinAlgo::ALL.map(|algo| algo == JoinAlgo::NestedLoop || self.eq > 0)
+    }
+}
+
+/// The join conditions between `left` and `right`, from one pass over
+/// the edges.
+#[inline]
+fn join_conditions(graph: &QueryGraph, left: RelSet, right: RelSet) -> JoinConds {
+    let mut conds = JoinConds::default();
+    for (_, edge) in graph.edges_between(left, right) {
+        conds.add(edge.op == CompareOp::Eq);
+    }
+    conds
 }
 
 /// Prices the cheapest join of two inputs, each given as its relation
-/// set and estimate. Every [`legal_join_algos`] algorithm is tried, in
-/// [`JoinAlgo::ALL`] order, with the sides as given; a hash join, when
-/// `may_flip`, is then tried with them swapped. The first strict minimum
-/// wins. Nested-loop and merge joins cost the same bits either way round
-/// (a property test in `hfqo_cost` holds them to it), so their swap could
-/// never win. The cost has the bits
-/// [`CostModel::node_cost`] gives the built join.
+/// set and estimate, by [`price_join_given`] of their conditions and
+/// their union's rows. The cost has the bits [`CostModel::node_cost`]
+/// gives the built join.
 #[inline]
 pub(crate) fn price_join<C: CardinalitySource>(
-    graph: &QueryGraph,
-    left: (RelSet, CostEstimate),
-    right: (RelSet, CostEstimate),
-    may_flip: bool,
-    model: &CostModel<'_>,
-    cards: &C,
-) -> JoinPrice {
-    let out_rows = cards.set_rows(graph, left.0.union(right.0));
-    price_join_with_rows(graph, left, right, may_flip, out_rows, model)
-}
-
-/// [`price_join`] for a caller that already holds the union's rows, as
-/// the cardinality source gives them.
-#[inline]
-pub(crate) fn price_join_with_rows(
     graph: &QueryGraph,
     (left_set, left): (RelSet, CostEstimate),
     (right_set, right): (RelSet, CostEstimate),
     may_flip: bool,
+    model: &CostModel<'_>,
+    cards: &C,
+) -> JoinPrice {
+    let out_rows = cards.set_rows(graph, left_set.union(right_set));
+    let conds = join_conditions(graph, left_set, right_set);
+    price_join_given(conds, left, right, may_flip, out_rows, model)
+}
+
+/// Prices the cheapest join of two inputs, given their estimates, the
+/// `conds` between them and their union's rows as the cardinality source
+/// gives them. Every legal algorithm (a nested loop always; hash and
+/// merge when a condition is `=`) is tried, in [`JoinAlgo::ALL`] order,
+/// with the sides as given; a hash join, when `may_flip`, is then tried
+/// with them swapped. The first strict minimum wins. Nested-loop and
+/// merge joins cost the same bits either way round (a property test in
+/// `hfqo_cost` holds them to it), so their swap could never win.
+#[inline]
+pub(crate) fn price_join_given(
+    conds: JoinConds,
+    left: CostEstimate,
+    right: CostEstimate,
+    may_flip: bool,
     out_rows: f64,
     model: &CostModel<'_>,
 ) -> JoinPrice {
-    let (n_conds, legal) = join_conditions(graph, left_set, right_set);
+    let n_conds = conds.all as usize;
     let mut best: Option<JoinPrice> = None;
-    for (algo, legal) in JoinAlgo::ALL.into_iter().zip(legal) {
+    for (algo, legal) in JoinAlgo::ALL.into_iter().zip(conds.legal()) {
         if !legal {
             continue;
         }

@@ -199,6 +199,80 @@ pub fn star_query(db: &TestDb, n: usize) -> QueryGraph {
     QueryGraph::new(relations, joins, selections, vec![], vec![])
 }
 
+/// A random query over `n` relations drawn, with repeats, from the
+/// first three tables of a [`TestDb::chain`] fixture — so equal-cost ties
+/// are common. Each pair is joined with probability `p`, by `=` or, one
+/// time in four, by `<`, so a small `p` leaves the graph disconnected; a
+/// few relations get a selection.
+#[cfg(test)]
+pub(crate) fn random_query(n: usize, p: f64, rng: &mut StdRng) -> QueryGraph {
+    use rand::Rng;
+    let relations = (0..n)
+        .map(|i| Relation {
+            table: hfqo_catalog::TableId(rng.gen_range(0..3u32)),
+            alias: format!("r{i}"),
+        })
+        .collect();
+    let mut joins = Vec::new();
+    for a in 0..n as u32 {
+        for b in a + 1..n as u32 {
+            if rng.gen_bool(p) {
+                let op = if rng.gen_range(0..4) == 0 {
+                    CompareOp::Lt
+                } else {
+                    CompareOp::Eq
+                };
+                joins.push(JoinEdge {
+                    left: BoundColumn::new(RelId(a), ColumnId(0)),
+                    op,
+                    right: BoundColumn::new(RelId(b), ColumnId(1)),
+                });
+            }
+        }
+    }
+    let mut selections = Vec::new();
+    for rel in 0..n as u32 {
+        if rng.gen_range(0..3) == 0 {
+            selections.push(Selection {
+                column: BoundColumn::new(RelId(rel), ColumnId(0)),
+                op: CompareOp::Lt,
+                value: Lit::Int(rng.gen_range(1..300)),
+            });
+        }
+    }
+    QueryGraph::new(relations, joins, selections, vec![], vec![])
+}
+
+/// A cardinality source that counts how often each set's rows are
+/// asked for.
+#[cfg(test)]
+pub(crate) struct CountingCardinality<'a> {
+    inner: hfqo_stats::EstimatedCardinality<'a>,
+    pub(crate) asked: std::cell::RefCell<std::collections::HashMap<hfqo_query::RelSet, usize>>,
+}
+
+#[cfg(test)]
+impl<'a> CountingCardinality<'a> {
+    pub(crate) fn new(inner: hfqo_stats::EstimatedCardinality<'a>) -> Self {
+        Self {
+            inner,
+            asked: Default::default(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl hfqo_stats::CardinalitySource for CountingCardinality<'_> {
+    fn base_rows(&self, graph: &QueryGraph, rel: RelId) -> f64 {
+        self.inner.base_rows(graph, rel)
+    }
+
+    fn set_rows(&self, graph: &QueryGraph, set: hfqo_query::RelSet) -> f64 {
+        *self.asked.borrow_mut().entry(set).or_default() += 1;
+        self.inner.set_rows(graph, set)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
