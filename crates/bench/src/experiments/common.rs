@@ -88,9 +88,7 @@ pub(crate) fn default_policy() -> PolicyKind {
     PolicyKind::Reinforce(ReinforceConfig {
         hidden: vec![128, 128],
         lr: 1e-3,
-        entropy_coef: 0.01,
         batch_episodes: 8,
-        ..Default::default()
     })
 }
 

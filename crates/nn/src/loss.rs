@@ -111,38 +111,6 @@ pub fn policy_gradient_from_probs(
     grad
 }
 
-/// [`policy_gradient`] over every row of a B×A logits matrix: row `r`
-/// of the result is the REINFORCE gradient for `(masks[r], actions[r],
-/// advantages[r])`, bit-identical to the per-row call. One call per
-/// minibatch feeds a single backward pass instead of B row-vector
-/// backward passes.
-pub fn policy_gradient_batch(
-    logits: &Matrix,
-    masks: &[&[bool]],
-    actions: &[usize],
-    advantages: &[f32],
-) -> Matrix {
-    assert_eq!(logits.rows(), masks.len(), "policy_gradient_batch: masks");
-    assert_eq!(
-        logits.rows(),
-        actions.len(),
-        "policy_gradient_batch: actions"
-    );
-    assert_eq!(
-        logits.rows(),
-        advantages.len(),
-        "policy_gradient_batch: advantages"
-    );
-    let probs = masked_softmax_batch(logits, masks);
-    let cols = logits.cols();
-    let mut out = Matrix::zeros(logits.rows(), cols);
-    for (r, mask) in masks.iter().enumerate() {
-        let grad = policy_gradient_from_probs(probs.row(r), mask, actions[r], advantages[r]);
-        out.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(&grad);
-    }
-    out
-}
-
 /// Cross-entropy loss and logits gradient against a target action
 /// (imitation learning): returns `(loss, grad)` where
 /// `loss = −log π(target)`.
@@ -309,17 +277,13 @@ mod tests {
         ];
         let masks: Vec<&[bool]> = masks_owned.iter().map(|m| m.as_slice()).collect();
         let actions = [0usize, 3, 1];
-        let advantages = [0.7f32, -1.3, 2.0];
 
         let probs = masked_softmax_batch(&logits, &masks);
-        let pg = policy_gradient_batch(&logits, &masks, &actions, &advantages);
         let (ce_loss, ce) = cross_entropy_grad_batch(&logits, &masks, &actions);
         let mut loss_sum = 0.0f32;
         for r in 0..3 {
             let row_probs = masked_softmax(logits.row(r), masks[r]);
             assert_eq!(probs.row(r), &row_probs[..], "softmax row {r}");
-            let row_pg = policy_gradient(logits.row(r), masks[r], actions[r], advantages[r]);
-            assert_eq!(pg.row(r), &row_pg[..], "policy grad row {r}");
             let (l, row_ce) = cross_entropy_grad(logits.row(r), masks[r], actions[r]);
             assert_eq!(ce.row(r), &row_ce[..], "cross-entropy grad row {r}");
             loss_sum += l;

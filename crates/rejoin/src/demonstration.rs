@@ -31,13 +31,23 @@ use crate::env::{PlanEnv, QueryOrder};
 use crate::incremental::StageSet;
 use crate::metrics::{EpisodeRecord, MovingAverage, TrainingLog};
 use hfqo_opt::expert_actions;
-use hfqo_rl::{Environment, ReplayBuffer, RewardModel, RewardModelConfig};
+use hfqo_rl::{Environment, RewardModel, RewardModelConfig};
 use rand::rngs::StdRng;
+use rand::Rng;
 
 /// One `(state, action, ln-latency)` demonstration sample.
 type Sample = (Vec<f32>, usize, f32);
 
-/// Configuration for learning from demonstration.
+/// Exploration probability during fine-tuning.
+const EPSILON: f32 = 0.05;
+
+/// Re-train when the agent's average latency exceeds this multiple of
+/// the expert average over the same window.
+const SLIP_FACTOR: f64 = 1.5;
+
+/// Configuration for learning from demonstration. Fine-tuning explores
+/// with probability 0.05, and a slip is an agent average above 1.5× the
+/// expert's.
 #[derive(Debug, Clone)]
 pub struct DemonstrationConfig {
     /// Minibatch passes over the expert samples in Phase 1.
@@ -48,13 +58,8 @@ pub struct DemonstrationConfig {
     pub batch_size: usize,
     /// Fine-tuning episodes (Phase 2).
     pub finetune_episodes: usize,
-    /// Exploration probability during fine-tuning.
-    pub epsilon: f32,
     /// Window for the slip detector's moving averages.
     pub slip_window: usize,
-    /// Re-train when the agent's average latency exceeds
-    /// `slip_factor ×` the expert average over the same window.
-    pub slip_factor: f64,
     /// Expert-only minibatches applied on a slip.
     pub retrain_steps: usize,
     /// Reward-model network shape.
@@ -67,9 +72,7 @@ impl Default for DemonstrationConfig {
             pretrain_steps: 400,
             batch_size: 32,
             finetune_episodes: 300,
-            epsilon: 0.05,
             slip_window: 25,
-            slip_factor: 1.5,
             retrain_steps: 50,
             model: RewardModelConfig::default(),
         }
@@ -121,7 +124,7 @@ pub fn learn_from_demonstration(
     let n_queries = env.queries().len();
 
     // ── Steps 1–2: expert histories + latencies ─────────────────────────
-    let mut expert_buffer: ReplayBuffer<Sample> = ReplayBuffer::new(100_000);
+    let mut expert_samples: Vec<Sample> = Vec::new();
     let mut expert_latency_ms = Vec::with_capacity(n_queries);
     {
         let ctx = env.context().planner_context();
@@ -140,7 +143,7 @@ pub fn learn_from_demonstration(
                 env.action_mask(&mut mask);
                 let action = featurizer.encode_pair(x, y);
                 debug_assert!(mask[action], "expert action must be valid");
-                expert_buffer.push((features.clone(), action, target));
+                expert_samples.push((features.clone(), action, target));
                 env.step(action, rng);
             }
         }
@@ -150,7 +153,7 @@ pub fn learn_from_demonstration(
     let mut model = RewardModel::new(env.state_dim(), env.action_dim(), config.model.clone(), rng);
     let mut pretrain_losses = Vec::with_capacity(config.pretrain_steps);
     for _ in 0..config.pretrain_steps {
-        let batch = expert_buffer.sample(config.batch_size, rng);
+        let batch = sample(&expert_samples, config.batch_size, rng);
         pretrain_losses.push(model.train_batch(&batch));
     }
 
@@ -169,7 +172,7 @@ pub fn learn_from_demonstration(
         while !env.is_terminal() {
             env.state_features(&mut features);
             env.action_mask(&mut mask);
-            let action = model.select_min(&features, &mask, config.epsilon, rng);
+            let action = model.select_min(&features, &mask, EPSILON, rng);
             steps.push((features.clone(), action));
             env.step(action, rng);
         }
@@ -182,15 +185,15 @@ pub fn learn_from_demonstration(
         // Fine-tune on this episode plus replayed expert samples (the
         // mix keeps the expert's coverage from washing out).
         let mut batch: Vec<Sample> = steps.into_iter().map(|(f, a)| (f, a, target)).collect();
-        batch.extend(expert_buffer.sample(config.batch_size / 2, rng));
+        batch.extend(sample(&expert_samples, config.batch_size / 2, rng));
         model.train_batch(&batch);
         // Slip detection (step 5).
         agent_ma.push(latency);
         expert_ma.push(expert_latency_ms[outcome.query_idx]);
         if let (Some(agent_avg), Some(expert_avg)) = (agent_ma.value(), expert_ma.value()) {
-            if agent_ma.len() >= config.slip_window && agent_avg > config.slip_factor * expert_avg {
+            if agent_ma.len() >= config.slip_window && agent_avg > SLIP_FACTOR * expert_avg {
                 for _ in 0..config.retrain_steps {
-                    let batch = expert_buffer.sample(config.batch_size, rng);
+                    let batch = sample(&expert_samples, config.batch_size, rng);
                     model.train_batch(&batch);
                 }
                 retrain_events.push(episode);
@@ -218,6 +221,17 @@ pub fn learn_from_demonstration(
     }
 }
 
+/// `n` samples drawn uniformly with replacement (none from an empty
+/// set, which draws nothing from `rng`).
+fn sample(samples: &[Sample], n: usize, rng: &mut StdRng) -> Vec<Sample> {
+    if samples.is_empty() {
+        return Vec::new();
+    }
+    (0..n)
+        .map(|_| samples[rng.gen_range(0..samples.len())].clone())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,9 +250,7 @@ mod tests {
             model: RewardModelConfig {
                 hidden: vec![32],
                 lr: 3e-3,
-                grad_clip: 5.0,
             },
-            ..Default::default()
         }
     }
 

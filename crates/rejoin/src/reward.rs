@@ -22,9 +22,6 @@ pub enum RewardMode {
     /// `1 / latency_ms` — the naive latency reward of §4 (requires the
     /// environment to simulate/execute every final plan).
     InverseLatency,
-    /// `1 / scaler(latency_ms)` — §5.2's bootstrapped Phase-2 reward:
-    /// latency mapped into the Phase-1 cost range before inversion.
-    ScaledLatency(RewardScaler),
     /// `ln(expert_cost / agent_cost)`, clamped to ±20. Plan costs span
     /// many orders of magnitude (a cross join can cost 10⁶× the expert
     /// plan), so the reciprocal rewards above compress every bad plan
@@ -53,11 +50,10 @@ pub enum RewardMode {
 
 impl RewardMode {
     /// Whether this mode needs a latency observation for every episode.
-    pub fn needs_latency(&self) -> bool {
+    pub(crate) fn needs_latency(&self) -> bool {
         matches!(
             self,
             RewardMode::InverseLatency
-                | RewardMode::ScaledLatency(_)
                 | RewardMode::NegLogLatency
                 | RewardMode::NegLogScaledLatency(_)
         )
@@ -80,10 +76,6 @@ impl RewardMode {
             RewardMode::InverseLatency => {
                 let l = latency_ms.expect("latency required by InverseLatency");
                 (1.0 / l.max(1e-6)) as f32
-            }
-            RewardMode::ScaledLatency(scaler) => {
-                let l = latency_ms.expect("latency required by ScaledLatency");
-                (1.0 / scaler.scale(l).max(1e-6)) as f32
             }
             RewardMode::LogRelative => {
                 let ratio = expert_cost.max(1e-9) / agent_cost.max(1e-9);
@@ -126,20 +118,6 @@ mod tests {
         assert!(RewardMode::InverseLatency.needs_latency());
         let r = RewardMode::InverseLatency.terminal_reward(1.0, 1.0, Some(20.0));
         assert!((r - 0.05).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scaled_latency_uses_the_scaler() {
-        let mut scaler = RewardScaler::new();
-        scaler.observe(10.0, 100.0);
-        scaler.observe(50.0, 200.0);
-        let m = RewardMode::ScaledLatency(scaler);
-        // 100 ms maps to cost 10 → reward 0.1.
-        let r = m.terminal_reward(1.0, 1.0, Some(100.0));
-        assert!((r - 0.1).abs() < 1e-6);
-        // 200 ms maps to cost 50 → reward 0.02.
-        let r = m.terminal_reward(1.0, 1.0, Some(200.0));
-        assert!((r - 0.02).abs() < 1e-6);
     }
 
     #[test]

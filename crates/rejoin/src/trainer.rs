@@ -155,7 +155,6 @@ mod tests {
                 hidden: vec![32],
                 lr: 0.005,
                 batch_episodes: 4,
-                ..Default::default()
             }),
             rng,
         )

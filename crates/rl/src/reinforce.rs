@@ -43,39 +43,38 @@ where
     Matrix::from_vec(len, cols, data)
 }
 
-/// REINFORCE hyperparameters.
+/// Discount factor: 1.0 suits the short, sparse-reward episodes of join
+/// ordering.
+const GAMMA: f32 = 1.0;
+
+/// Entropy bonus coefficient (exploration pressure).
+const ENTROPY_COEF: f32 = 0.01;
+
+/// EMA decay for the scalar return baseline.
+const BASELINE_DECAY: f32 = 0.95;
+
+/// Global gradient-norm clip, for the policy and the reward model alike.
+pub(crate) const GRAD_CLIP: f32 = 5.0;
+
+/// REINFORCE hyperparameters. The discount (1.0), entropy bonus (0.01),
+/// baseline decay (0.95) and gradient clip (5.0) are constants, and
+/// advantages are always normalised within each batch.
 #[derive(Debug, Clone)]
 pub struct ReinforceConfig {
     /// Hidden layer widths (ReJOIN used two 128-unit layers).
     pub hidden: Vec<usize>,
-    /// Discount factor (1.0 suits the short, sparse-reward episodes of
-    /// join ordering).
-    pub gamma: f32,
     /// Adam learning rate.
     pub lr: f32,
-    /// Entropy bonus coefficient (exploration pressure).
-    pub entropy_coef: f32,
-    /// EMA decay for the scalar return baseline.
-    pub baseline_decay: f32,
-    /// Global gradient-norm clip.
-    pub grad_clip: f32,
     /// Episodes accumulated per policy update.
     pub batch_episodes: usize,
-    /// Whether to normalise advantages within each batch.
-    pub normalize_advantages: bool,
 }
 
 impl Default for ReinforceConfig {
     fn default() -> Self {
         Self {
             hidden: vec![128, 128],
-            gamma: 1.0,
             lr: 3e-4,
-            entropy_coef: 0.01,
-            baseline_decay: 0.95,
-            grad_clip: 5.0,
             batch_episodes: 8,
-            normalize_advantages: true,
         }
     }
 }
@@ -194,7 +193,7 @@ impl ReinforceAgent {
         let mut all: Vec<(&Transition, f32)> = Vec::new();
         let mut first_returns = Vec::with_capacity(episodes.len());
         for ep in &episodes {
-            let returns = ep.returns(self.config.gamma);
+            let returns = ep.returns(GAMMA);
             first_returns.push(returns.first().copied().unwrap_or(0.0));
             for (t, g) in ep.transitions.iter().zip(returns) {
                 let adv = if self.baseline_ready {
@@ -205,7 +204,7 @@ impl ReinforceAgent {
                 all.push((t, adv));
             }
         }
-        if self.config.normalize_advantages && all.len() > 1 {
+        if all.len() > 1 {
             let mean = all.iter().map(|(_, a)| a).sum::<f32>() / all.len() as f32;
             let var = all
                 .iter()
@@ -219,22 +218,21 @@ impl ReinforceAgent {
         }
         let mut grads = match self.update_path {
             UpdatePath::Batched if !all.is_empty() => {
-                Self::policy_grads_batched(&self.policy, &self.config, &all)
+                Self::policy_grads_batched(&self.policy, &all)
             }
             // The per-row loop also covers the degenerate all-empty
             // case (every episode had zero transitions): it yields zero
             // gradients, preserving the historical zero-grad optimizer
             // step instead of panicking on a 0×0 forward.
-            _ => Self::policy_grads_per_row(&self.policy, &self.config, &all),
+            _ => Self::policy_grads_per_row(&self.policy, &all),
         };
         grads.scale(1.0 / all.len().max(1) as f32);
-        grads.clip_global_norm(self.config.grad_clip);
+        grads.clip_global_norm(GRAD_CLIP);
         self.optimizer.step(&mut self.policy, &grads);
         // Refresh the baseline from each episode's return from its start.
         for g0 in first_returns {
             if self.baseline_ready {
-                self.baseline = self.config.baseline_decay * self.baseline
-                    + (1.0 - self.config.baseline_decay) * g0;
+                self.baseline = BASELINE_DECAY * self.baseline + (1.0 - BASELINE_DECAY) * g0;
             } else {
                 self.baseline = g0;
                 self.baseline_ready = true;
@@ -275,40 +273,29 @@ impl ReinforceAgent {
             }
         };
         grads.scale(1.0 / batch.len() as f32);
-        grads.clip_global_norm(self.config.grad_clip);
+        grads.clip_global_norm(GRAD_CLIP);
         self.optimizer.step(&mut self.policy, &grads);
         total_loss / batch.len() as f32
     }
 
     /// REINFORCE gradients over a prepared `(transition, advantage)`
     /// batch via one fused forward/backward (the production path).
-    fn policy_grads_batched(
-        policy: &Mlp,
-        config: &ReinforceConfig,
-        all: &[(&Transition, f32)],
-    ) -> MlpGradients {
+    fn policy_grads_batched(policy: &Mlp, all: &[(&Transition, f32)]) -> MlpGradients {
         let x = stack_features(all.iter().map(|(t, _)| t.features.as_slice()), all.len());
         let cache = policy.forward(&x);
         let logits = cache.output();
         let masks: Vec<&[bool]> = all.iter().map(|(t, _)| t.mask.as_slice()).collect();
-        let grad_out = if config.entropy_coef > 0.0 {
-            // One shared softmax per batch feeds both the policy
-            // gradient and the entropy bonus.
-            let probs = loss::masked_softmax_batch(logits, &masks);
-            let cols = logits.cols();
-            let mut grad_out = Matrix::zeros(all.len(), cols);
-            for (r, (t, adv)) in all.iter().enumerate() {
-                let mut grad_row =
-                    loss::policy_gradient_from_probs(probs.row(r), &t.mask, t.action, *adv);
-                add_entropy_grad(&mut grad_row, probs.row(r), &t.mask, config.entropy_coef);
-                grad_out.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(&grad_row);
-            }
-            grad_out
-        } else {
-            let actions: Vec<usize> = all.iter().map(|(t, _)| t.action).collect();
-            let advantages: Vec<f32> = all.iter().map(|(_, adv)| *adv).collect();
-            loss::policy_gradient_batch(logits, &masks, &actions, &advantages)
-        };
+        // One shared softmax per batch feeds both the policy gradient and
+        // the entropy bonus.
+        let probs = loss::masked_softmax_batch(logits, &masks);
+        let cols = logits.cols();
+        let mut grad_out = Matrix::zeros(all.len(), cols);
+        for (r, (t, adv)) in all.iter().enumerate() {
+            let mut grad_row =
+                loss::policy_gradient_from_probs(probs.row(r), &t.mask, t.action, *adv);
+            add_entropy_grad(&mut grad_row, probs.row(r), &t.mask);
+            grad_out.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(&grad_row);
+        }
         policy.backward(&cache, grad_out)
     }
 
@@ -316,21 +303,15 @@ impl ReinforceAgent {
     /// backward per row, gradients accumulated in transition order.
     /// Retained (like the row executor) as the parity anchor the
     /// batched path is verified against.
-    fn policy_grads_per_row(
-        policy: &Mlp,
-        config: &ReinforceConfig,
-        all: &[(&Transition, f32)],
-    ) -> MlpGradients {
+    fn policy_grads_per_row(policy: &Mlp, all: &[(&Transition, f32)]) -> MlpGradients {
         let mut grads = MlpGradients::zeros_like(policy);
         for (t, adv) in all {
             let x = Matrix::row_vector(t.features.clone());
             let cache = policy.forward(&x);
             let logits = cache.output().row(0);
             let mut grad_row = loss::policy_gradient(logits, &t.mask, t.action, *adv);
-            if config.entropy_coef > 0.0 {
-                let probs = loss::masked_softmax(logits, &t.mask);
-                add_entropy_grad(&mut grad_row, &probs, &t.mask, config.entropy_coef);
-            }
+            let probs = loss::masked_softmax(logits, &t.mask);
+            add_entropy_grad(&mut grad_row, &probs, &t.mask);
             let g = policy.backward(&cache, Matrix::row_vector(grad_row));
             grads.add(&g);
         }
@@ -338,14 +319,14 @@ impl ReinforceAgent {
     }
 }
 
-/// Adds the gradient of `−entropy_coef · H(π)` w.r.t. the logits to a
+/// Adds the gradient of `−ENTROPY_COEF · H(π)` w.r.t. the logits to a
 /// policy-gradient row (exploration pressure). Shared by both update
 /// paths so they cannot drift.
-fn add_entropy_grad(grad_row: &mut [f32], probs: &[f32], mask: &[bool], entropy_coef: f32) {
+fn add_entropy_grad(grad_row: &mut [f32], probs: &[f32], mask: &[bool]) {
     let h = loss::entropy(probs);
     for (j, g) in grad_row.iter_mut().enumerate() {
         if mask[j] && probs[j] > 0.0 {
-            *g += entropy_coef * probs[j] * (probs[j].ln() + h);
+            *g += ENTROPY_COEF * probs[j] * (probs[j].ln() + h);
         }
     }
 }
@@ -360,9 +341,7 @@ mod tests {
         ReinforceConfig {
             hidden: vec![16],
             lr: 0.02,
-            entropy_coef: 0.005,
             batch_episodes: 8,
-            ..Default::default()
         }
     }
 
@@ -387,11 +366,7 @@ mod tests {
     fn learns_corridor_with_multi_step_credit() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut env = Corridor::new(4);
-        let config = ReinforceConfig {
-            gamma: 0.95,
-            ..small_config()
-        };
-        let mut agent = ReinforceAgent::new(5, 2, config, &mut rng);
+        let mut agent = ReinforceAgent::new(5, 2, small_config(), &mut rng);
         for _ in 0..400 {
             let ep = agent.run_episode(&mut env, &mut rng, false);
             agent.observe(ep);
@@ -445,9 +420,7 @@ mod tests {
         let config = ReinforceConfig {
             hidden: vec![16, 8],
             lr: 0.01,
-            entropy_coef: 0.01,
             batch_episodes: 6,
-            ..Default::default()
         };
         let mut env = Corridor::new(5);
         for seed in 0..3u64 {

@@ -6,19 +6,19 @@
 //! through this function and picks the one predicted to be cheapest, with
 //! a small ε-probability of exploring another valid action.
 
+use crate::reinforce::GRAD_CLIP;
 use hfqo_nn::{loss, Activation, Adam, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Reward-model hyperparameters.
+/// Reward-model hyperparameters. Gradients are clipped at the policy's
+/// global norm (5.0).
 #[derive(Debug, Clone)]
 pub struct RewardModelConfig {
     /// Hidden layer widths.
     pub hidden: Vec<usize>,
     /// Adam learning rate.
     pub lr: f32,
-    /// Global gradient clip.
-    pub grad_clip: f32,
 }
 
 impl Default for RewardModelConfig {
@@ -26,7 +26,6 @@ impl Default for RewardModelConfig {
         Self {
             hidden: vec![128, 64],
             lr: 1e-3,
-            grad_clip: 5.0,
         }
     }
 }
@@ -39,7 +38,6 @@ pub struct RewardModel {
     optimizer: Adam,
     state_dim: usize,
     action_dim: usize,
-    grad_clip: f32,
 }
 
 impl RewardModel {
@@ -58,7 +56,6 @@ impl RewardModel {
             optimizer: Adam::new(config.lr),
             state_dim,
             action_dim,
-            grad_clip: config.grad_clip,
         }
     }
 
@@ -156,7 +153,7 @@ impl RewardModel {
         let cache = self.net.forward(&x);
         let (l, grad) = loss::mse_grad(cache.output(), &targets);
         let mut grads = self.net.backward(&cache, grad);
-        grads.clip_global_norm(self.grad_clip);
+        grads.clip_global_norm(GRAD_CLIP);
         self.optimizer.step(&mut self.net, &grads);
         l
     }
@@ -171,7 +168,6 @@ mod tests {
         RewardModelConfig {
             hidden: vec![32],
             lr: 0.01,
-            grad_clip: 5.0,
         }
     }
 
@@ -271,7 +267,7 @@ mod tests {
                 let g = reference.backward(&cache, Matrix::from_vec(1, 1, vec![2.0 * diff / n]));
                 grads.add(&g);
             }
-            grads.clip_global_norm(model.grad_clip);
+            grads.clip_global_norm(GRAD_CLIP);
             ref_opt.step(&mut reference, &grads);
 
             let batch_loss = model.train_batch(&samples);

@@ -7,18 +7,22 @@
 //! small set of plan *buckets*; each bucket records the
 //! stats-estimated selectivity signature of the parameter vector it
 //! was planned for, and a probe whose current parameters' estimated
-//! selectivities deviate outside a configurable band from every bucket
-//! re-plans into a new bucket instead of serving a mismatched plan
-//! (the plan that is good for `id = rare_value` may be terrible for
+//! selectivities deviate by more than [`SELECTIVITY_BAND`] from every
+//! bucket re-plans into a new bucket instead of serving a mismatched
+//! plan (the plan that is good for `id = rare_value` may be terrible for
 //! `id = common_value`).
 //!
 //! ## Concurrency
 //!
 //! The cache is internally synchronized (`probe`/`insert` take
-//! `&self`): entries live in `shards` power-of-two shards, each behind
-//! its own mutex, so N serving threads only contend when they touch the
-//! same shard — not on one global lock. Metrics are kept per shard and
-//! aggregated by [`PlanCache::metrics`].
+//! `&self`): entries live in a power-of-two number of shards, each
+//! behind its own mutex, so N serving threads only contend when they
+//! touch the same shard — not on one global lock. The count follows from
+//! the capacity: the largest power of two at most
+//! `min(MAX_CACHE_SHARDS, capacity / 8)`, and at least 1, so a shard is
+//! sized for 8 entries or more and a cache under 16 entries is one exact
+//! LRU. Metrics are kept per shard and aggregated by
+//! [`PlanCache::metrics`].
 //!
 //! Cold misses are **single-flighted per shard**: the first thread to
 //! miss a key registers an in-flight marker and plans; concurrent
@@ -41,10 +45,11 @@
 //! `a ^ b` is 1 for every input and the neighbouring bits are
 //! correlated (see "Hash construction" in `hfqo_query::fingerprint`).
 //! Folding the lanes reaches at most half the shards — 6 of 16 on the
-//! benchmark's templates, a "128-entry" cache that holds 48. Capacity is
-//! split evenly over the shards and eviction is per-shard LRU, so the
-//! cache holds what [`CacheConfig`] says only when templates spread;
-//! [`CacheMetrics::occupied_shards`] and
+//! benchmark's templates, a "128-entry" cache that holds 48. The
+//! capacity is dealt out over the shards, whose bounds differ by at most
+//! one and sum to it, and eviction is per-shard LRU: the cache never
+//! holds more than its capacity, and it fills to it only when templates
+//! spread; [`CacheMetrics::occupied_shards`] and
 //! [`CacheMetrics::largest_shard`] make the spread observable.
 //!
 //! ## Invalidation epochs
@@ -171,9 +176,10 @@ pub struct CacheMetrics {
     /// Plan buckets currently cached (≥ `len`; a template entry holds
     /// one bucket per distinct selectivity regime).
     pub plans: usize,
-    /// Configured capacity (template entries, across all shards).
+    /// Configured capacity: a bound on template entries across all
+    /// shards (`len` never exceeds it).
     pub capacity: usize,
-    /// Number of shards.
+    /// Number of shards (worked out from `capacity`).
     pub shards: usize,
     /// Shards currently holding at least one template entry. A full
     /// cache that reads fewer than `shards` here is not using its
@@ -209,40 +215,37 @@ impl CacheMetrics {
     }
 }
 
-/// Cache geometry and re-plan policy.
+/// Cache size. The shard count and the re-plan policy are constants
+/// ([`MAX_CACHE_SHARDS`], [`SELECTIVITY_BAND`], `PLANS_PER_TEMPLATE`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
-    /// Maximum template entries across all shards (minimum 1).
+    /// Bound on template entries across all shards (minimum 1): the
+    /// cache never holds more.
     pub capacity: usize,
-    /// Shard count; rounded up to the next power of two (minimum 1).
-    pub shards: usize,
-    /// Re-plan band: a bucket matches when, for every selection slot,
-    /// the ratio between the current and recorded selectivity estimate
-    /// is at most this factor (clamped to ≥ 1). Larger bands share
-    /// more aggressively; `1.0` shares only identical signatures.
-    pub selectivity_band: f64,
-    /// Maximum plan buckets per template entry (minimum 1). When full,
-    /// the oldest bucket is overwritten round-robin.
-    pub plans_per_template: usize,
 }
 
 /// Default capacity: comfortably above the JOB suite's 113 queries over
 /// 33 templates.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-/// Default shard count: enough to keep 64 serving threads from
-/// serializing on one mutex, small enough that per-shard capacity stays
-/// meaningful at the default 128-entry bound.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
+/// Most shards a cache splits into: enough to keep 64 serving threads
+/// from serializing on one mutex. The default 128-entry cache has this
+/// many, of 8 entries each.
+pub const MAX_CACHE_SHARDS: usize = 16;
 
-/// Default selectivity band factor (4×): parameters whose estimated
-/// selectivity is within 4× of a bucket's recorded signature share its
-/// plan; beyond that the optimal join order is likely different and the
-/// probe re-plans.
-pub(crate) const DEFAULT_SELECTIVITY_BAND: f64 = 4.0;
+/// Fewest entries a shard of a multi-shard cache is sized for, so that
+/// per-shard LRU stays close to the LRU of the whole cache.
+const MIN_SHARD_CAPACITY: usize = 8;
 
-/// Default bucket bound per template entry.
-pub(crate) const DEFAULT_PLANS_PER_TEMPLATE: usize = 8;
+/// Re-plan band (4×): a bucket matches when, for every selection slot,
+/// the ratio between the current and recorded selectivity estimate is
+/// at most this factor. Beyond it the optimal join order is likely
+/// different and the probe re-plans.
+pub const SELECTIVITY_BAND: f64 = 4.0;
+
+/// Plan buckets per template entry. When full, the oldest bucket is
+/// overwritten round-robin.
+pub(crate) const PLANS_PER_TEMPLATE: usize = 8;
 
 /// Bound on one template entry's exact fast-path map: a template that
 /// stays cached would otherwise gain a key per distinct parameter
@@ -258,25 +261,16 @@ impl Default for CacheConfig {
     fn default() -> Self {
         Self {
             capacity: DEFAULT_CACHE_CAPACITY,
-            shards: DEFAULT_CACHE_SHARDS,
-            selectivity_band: DEFAULT_SELECTIVITY_BAND,
-            plans_per_template: DEFAULT_PLANS_PER_TEMPLATE,
         }
     }
 }
 
-impl CacheConfig {
-    fn normalized(mut self) -> Self {
-        self.capacity = self.capacity.max(1);
-        self.shards = self.shards.max(1).next_power_of_two();
-        self.selectivity_band = if self.selectivity_band.is_finite() {
-            self.selectivity_band.max(1.0)
-        } else {
-            f64::INFINITY
-        };
-        self.plans_per_template = self.plans_per_template.max(1);
-        self
-    }
+/// The shard count for a cache of `capacity` entries: the largest power
+/// of two at most `min(MAX_CACHE_SHARDS, capacity / MIN_SHARD_CAPACITY)`,
+/// and at least 1.
+fn shard_count(capacity: usize) -> usize {
+    let fit = (capacity / MIN_SHARD_CAPACITY).clamp(1, MAX_CACHE_SHARDS);
+    1 << fit.ilog2()
 }
 
 /// One plan bucket: a plan plus the selectivity signature it was
@@ -369,6 +363,9 @@ impl Counters {
 
 #[derive(Debug, Default)]
 struct Shard {
+    /// Template-entry bound of this shard (≥ 1); the shards' bounds sum
+    /// to the cache's capacity.
+    capacity: usize,
     entries: HashMap<TemplateFingerprint, TemplateEntry>,
     inflight: HashMap<QueryFingerprint, Arc<Flight>>,
     clock: u64,
@@ -436,8 +433,6 @@ enum Lookup {
 #[derive(Debug)]
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard template-entry bound.
-    shard_capacity: usize,
     /// Global invalidation epoch; bumped before the shard sweep so a
     /// stale insert can never land in an already-swept shard.
     ///
@@ -458,30 +453,35 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// An empty cache bounded at `capacity` template entries (minimum
-    /// 1), with default sharding and re-plan policy.
+    /// 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_config(CacheConfig {
-            capacity,
-            ..CacheConfig::default()
-        })
+        Self::with_config(CacheConfig { capacity })
     }
 
-    /// An empty cache with explicit geometry and re-plan policy.
+    /// An empty cache of `config.capacity` entries (minimum 1), dealt
+    /// out over shards whose bounds differ by at most one (see
+    /// "Concurrency" in the [module docs](self)).
     pub fn with_config(config: CacheConfig) -> Self {
-        let config = config.normalized();
-        let shards = (0..config.shards)
-            .map(|_| Mutex::new("serve.cache.shard", Shard::default()))
+        let capacity = config.capacity.max(1);
+        let n = shard_count(capacity);
+        let shards = (0..n)
+            .map(|i| {
+                let shard = Shard {
+                    capacity: capacity / n + usize::from(i < capacity % n),
+                    ..Shard::default()
+                };
+                Mutex::new("serve.cache.shard", shard)
+            })
             .collect();
         Self {
             shards,
-            shard_capacity: config.capacity.div_ceil(config.shards).max(1),
             epoch: AtomicU64::new(0),
             base: Counters::default(),
-            config,
+            config: CacheConfig { capacity },
         }
     }
 
-    /// The active configuration (normalized).
+    /// The active configuration (capacity at least 1).
     pub fn config(&self) -> CacheConfig {
         self.config
     }
@@ -545,7 +545,6 @@ impl PlanCache {
             let mut shard = self.lock_shard(si);
             shard.clock += 1;
             let clock = shard.clock;
-            let band = self.config.selectivity_band;
             let lookup = match shard.entries.get_mut(&key.template) {
                 None => Lookup::NoTemplate,
                 Some(entry) => {
@@ -555,7 +554,7 @@ impl PlanCache {
                     } else if let Some(i) = entry
                         .buckets
                         .iter()
-                        .position(|b| within_band(current, &b.cached.selectivities, band))
+                        .position(|b| within_band(current, &b.cached.selectivities))
                     {
                         // Pin the fast path so these constants skip
                         // selectivity scoring from now on.
@@ -633,8 +632,7 @@ impl PlanCache {
         let clock = shard.clock;
         // Evict at template granularity: a new template at capacity
         // displaces the least-recently-used template (all its buckets).
-        if !shard.entries.contains_key(&key.template) && shard.entries.len() >= self.shard_capacity
-        {
+        if !shard.entries.contains_key(&key.template) && shard.entries.len() >= shard.capacity {
             if let Some(&lru) = shard
                 .entries
                 .iter()
@@ -645,7 +643,6 @@ impl PlanCache {
                 shard.counters.evictions += 1;
             }
         }
-        let plans_per_template = self.config.plans_per_template;
         let entry = shard.entries.entry(key.template).or_default();
         entry.used = clock;
         let duplicate = if let Some(&i) = entry.exact.get(&key.exact) {
@@ -654,14 +651,14 @@ impl PlanCache {
             entry.buckets[i].cached = cached;
             true
         } else {
-            let idx = if entry.buckets.len() < plans_per_template {
+            let idx = if entry.buckets.len() < PLANS_PER_TEMPLATE {
                 entry.buckets.push(Bucket { cached });
                 entry.buckets.len() - 1
             } else {
                 // Bucket bound reached: overwrite round-robin and drop
                 // fast-path pointers into the overwritten bucket.
-                let v = entry.next_victim % plans_per_template;
-                entry.next_victim = (v + 1) % plans_per_template;
+                let v = entry.next_victim % PLANS_PER_TEMPLATE;
+                entry.next_victim = (v + 1) % PLANS_PER_TEMPLATE;
                 entry.exact.retain(|_, i| *i != v);
                 entry.buckets[v] = Bucket { cached };
                 v
@@ -757,10 +754,10 @@ impl PlanCache {
     }
 }
 
-/// Whether `current` is within `band` of `recorded` on every slot.
-/// Signatures of different lengths never match (they belong to
-/// different templates and would mean a fingerprint collision).
-fn within_band(current: &[f64], recorded: &[f64], band: f64) -> bool {
+/// Whether `current` is within [`SELECTIVITY_BAND`] of `recorded` on
+/// every slot. Signatures of different lengths never match (they belong
+/// to different templates and would mean a fingerprint collision).
+fn within_band(current: &[f64], recorded: &[f64]) -> bool {
     if current.len() != recorded.len() {
         return false;
     }
@@ -770,7 +767,7 @@ fn within_band(current: &[f64], recorded: &[f64], band: f64) -> bool {
     current.iter().zip(recorded).all(|(&c, &r)| {
         let (c, r) = (c.max(FLOOR), r.max(FLOOR));
         let ratio = if c > r { c / r } else { r / c };
-        ratio <= band
+        ratio <= SELECTIVITY_BAND
     })
 }
 
@@ -800,15 +797,6 @@ mod tests {
             template: TemplateFingerprint(template),
             exact: QueryFingerprint(exact),
         }
-    }
-
-    /// Single shard makes capacity/eviction deterministic in tests.
-    fn single_shard(capacity: usize) -> PlanCache {
-        PlanCache::with_config(CacheConfig {
-            capacity,
-            shards: 1,
-            ..CacheConfig::default()
-        })
     }
 
     /// Serves the probe's plan or panics — for tests that expect hits.
@@ -908,16 +896,16 @@ mod tests {
 
     #[test]
     fn band_matching_is_per_slot() {
-        assert!(within_band(&[0.1, 0.01], &[0.2, 0.02], 4.0));
-        assert!(!within_band(&[0.1, 0.0001], &[0.2, 0.02], 4.0));
-        assert!(!within_band(&[0.1], &[0.1, 0.1], 4.0), "length mismatch");
-        assert!(within_band(&[], &[], 4.0), "no slots always match");
-        assert!(within_band(&[0.0], &[0.0], 1.0), "floor keeps zeros finite");
+        assert!(within_band(&[0.1, 0.01], &[0.2, 0.02]));
+        assert!(!within_band(&[0.1, 0.0001], &[0.2, 0.02]));
+        assert!(!within_band(&[0.1], &[0.1, 0.1]), "length mismatch");
+        assert!(within_band(&[], &[]), "no slots always match");
+        assert!(within_band(&[0.0], &[0.0]), "floor keeps zeros finite");
     }
 
     #[test]
     fn lru_eviction_drops_the_coldest_template() {
-        let cache = single_shard(2);
+        let cache = PlanCache::new(2);
         miss_and_insert(&cache, &key(1, 10), &[], plan(1));
         miss_and_insert(&cache, &key(2, 20), &[], plan(2));
         // Touch template 1 so template 2 becomes LRU.
@@ -996,20 +984,28 @@ mod tests {
 
     #[test]
     fn bucket_bound_overwrites_round_robin() {
-        let cache = PlanCache::with_config(CacheConfig {
-            plans_per_template: 2,
-            selectivity_band: 1.0, // only identical signatures share
-            ..CacheConfig::default()
-        });
-        cache.insert(&key(1, 10), plan_with_sel(1, vec![0.5]));
-        cache.insert(&key(1, 11), plan_with_sel(2, vec![0.05]));
-        assert_eq!(cache.metrics().plans, 2);
-        // Third regime overwrites bucket 0; its fast-path pointer dies.
-        cache.insert(&key(1, 12), plan_with_sel(3, vec![0.005]));
-        assert_eq!(cache.metrics().plans, 2, "bucket bound holds");
+        let cache = PlanCache::new(4);
+        // Signatures 10× apart: each is outside the others' band.
+        let regimes = PLANS_PER_TEMPLATE as u32;
+        let sel = |i: u32| 0.5 * 10f64.powi(-(i as i32));
+        for i in 0..regimes {
+            cache.insert(&key(1, u128::from(10 + i)), plan_with_sel(i, vec![sel(i)]));
+        }
+        assert_eq!(cache.metrics().plans, PLANS_PER_TEMPLATE);
+        // One regime more overwrites bucket 0; its fast-path pointer dies.
+        cache.insert(
+            &key(1, u128::from(10 + regimes)),
+            plan_with_sel(regimes, vec![sel(regimes)]),
+        );
+        assert_eq!(
+            cache.metrics().plans,
+            PLANS_PER_TEMPLATE,
+            "bucket bound holds"
+        );
         assert!(!cache.contains_exact(&key(1, 10)));
-        assert!(cache.contains_exact(&key(1, 11)));
-        assert!(cache.contains_exact(&key(1, 12)));
+        for i in 1..=regimes {
+            assert!(cache.contains_exact(&key(1, u128::from(10 + i))));
+        }
     }
 
     #[test]
@@ -1025,11 +1021,7 @@ mod tests {
             (1, 1, 1)
         );
         let stale_epoch = 0; // captured before the invalidation above
-        let config = CacheConfig {
-            capacity: 64,
-            ..cache.config()
-        };
-        let cache = cache.rebuilt_with(config);
+        let cache = cache.rebuilt_with(CacheConfig { capacity: 64 });
         let after = cache.metrics();
         assert_eq!(after.hits, before.hits, "hits carried");
         assert_eq!(after.misses, before.misses, "misses carried");
@@ -1046,23 +1038,60 @@ mod tests {
         assert_eq!(cache.metrics().stale_inserts, 1);
     }
 
+    /// The shard count is the largest power of two at most
+    /// `min(16, capacity / 8)`, at least 1; the shards' bounds are
+    /// within one of each other and sum to the (clamped) capacity.
     #[test]
-    fn shard_count_rounds_to_power_of_two_and_capacity_clamps() {
-        let cache = PlanCache::with_config(CacheConfig {
-            capacity: 0,
-            shards: 5,
-            selectivity_band: 0.1,
-            plans_per_template: 0,
-        });
-        let config = cache.config();
-        assert_eq!(config.shards, 8);
-        assert_eq!(config.capacity, 1);
-        assert_eq!(config.selectivity_band, 1.0);
-        assert_eq!(config.plans_per_template, 1);
-        assert_eq!(cache.metrics().shards, 8);
-        // Still stores and serves.
-        cache.insert(&key(1, 10), plan(1));
-        expect_hit(&cache, &key(1, 10), &[]);
+    fn shard_count_follows_capacity_and_bounds_sum_to_it() {
+        for (capacity, shards) in [
+            (0, 1),
+            (1, 1),
+            (7, 1),
+            (8, 1),
+            (127, 8),
+            (128, 16),
+            (1000, 16),
+        ] {
+            let cache = PlanCache::new(capacity);
+            let bounds: Vec<usize> = (0..cache.shards.len())
+                .map(|i| cache.lock_shard(i).capacity)
+                .collect();
+            assert_eq!(bounds.len(), shards, "capacity {capacity}");
+            assert_eq!(cache.metrics().shards, shards, "capacity {capacity}");
+            assert_eq!(cache.config().capacity, capacity.max(1));
+            assert_eq!(bounds.iter().sum::<usize>(), capacity.max(1));
+            let (lo, hi) = (bounds.iter().min(), bounds.iter().max());
+            assert!(hi.zip(lo).is_some_and(|(h, l)| h - l <= 1 && *l >= 1));
+            // Still stores and serves.
+            cache.insert(&key(1, 10), plan(1));
+            expect_hit(&cache, &key(1, 10), &[]);
+        }
+    }
+
+    /// Capacity is a bound: however the templates fall over the shards,
+    /// the cache never holds more than its capacity, and every shard
+    /// takes inserts (none is sized 0).
+    #[test]
+    fn capacity_is_a_bound() {
+        for capacity in [1, 2, 3, 17, 130, 128] {
+            let cache = PlanCache::new(capacity);
+            for t in 0..1000u128 {
+                cache.insert(&key(t, t), plan(1));
+            }
+            let m = cache.metrics();
+            assert!(
+                m.len <= capacity,
+                "capacity {capacity} holds {} entries",
+                m.len
+            );
+            assert!(
+                cache.contains_template(TemplateFingerprint(999)),
+                "capacity {capacity}: the last insert is cached"
+            );
+            if capacity == DEFAULT_CACHE_CAPACITY {
+                assert_eq!((m.shards, m.largest_shard), (MAX_CACHE_SHARDS, 8));
+            }
+        }
     }
 
     /// The lane pairs `Fnv2` emits agree with `(a, a ^ C)`, `C` odd, at
@@ -1073,7 +1102,7 @@ mod tests {
     fn lanes_that_differ_by_an_odd_constant_reach_every_shard() {
         let cache = PlanCache::with_config(CacheConfig::default());
         for c in [1u64, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
-            let mut reached = [false; DEFAULT_CACHE_SHARDS];
+            let mut reached = [false; MAX_CACHE_SHARDS];
             for i in 1..=256u64 {
                 // FNV-1a's own step, so `a` looks like a lane value.
                 let a = i.wrapping_mul(0x0000_0100_0000_01B3);
@@ -1089,7 +1118,7 @@ mod tests {
     /// stays under its bound instead of gaining a key per constant.
     #[test]
     fn exact_fast_path_is_bounded_under_ever_new_constants() {
-        let cache = single_shard(1);
+        let cache = PlanCache::new(1);
         let planned = plan_with_sel(1, vec![0.01]);
         miss_and_insert(&cache, &key(1, 0), &[0.01], Arc::clone(&planned));
         let exact_keys = || {

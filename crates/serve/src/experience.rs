@@ -76,8 +76,9 @@ pub struct ExperienceLog {
     capacity: usize,
 }
 
-/// Default capacity: a few serving bursts' worth of queries.
-pub(crate) const DEFAULT_EXPERIENCE_CAPACITY: usize = 1024;
+/// The online trainer's ring capacity: a few serving bursts' worth of
+/// queries.
+pub(crate) const EXPERIENCE_CAPACITY: usize = 1024;
 
 impl ExperienceLog {
     /// An empty log bounded at `capacity` experiences (minimum 1).

@@ -57,7 +57,7 @@ pub mod swap;
 
 pub use cache::{
     CacheConfig, CacheMetrics, CacheOutcome, CachedPlan, PlanCache, PlanKey, Probe,
-    DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
+    DEFAULT_CACHE_CAPACITY, MAX_CACHE_SHARDS, SELECTIVITY_BAND,
 };
 pub use experience::{Experience, ExperienceLog, ExperienceMetrics};
 pub use online::{OnlineConfig, OnlineMetrics, OnlineStep, OnlineTrainer};

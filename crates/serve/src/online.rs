@@ -15,11 +15,11 @@
 //!     (PlannerHandle)      + invalidate plan cache   every `swap_every`
 //! ```
 //!
-//! Rewards come from the executor's **work counter** (converted to
-//! milliseconds by `ms_per_unit`, exactly as the training environments'
-//! executed-latency path does), not wall-clock — so a fixed-seed,
-//! single-threaded run of serve → [`OnlineTrainer::step`] → serve is
-//! reproducible bit for bit. With no trainer attached (or an attached
+//! Rewards are [`RewardMode::NegLogLatency`] of the executor's **work
+//! counter** (converted to milliseconds by `ms_per_unit`, exactly as the
+//! training environments' executed-latency path does), not wall-clock —
+//! so a fixed-seed, single-threaded run of serve →
+//! [`OnlineTrainer::step`] → serve is reproducible bit for bit. With no trainer attached (or an attached
 //! trainer never stepped), serving is byte-identical to the frozen
 //! `PolicySnapshot` path: recording is the only side effect and it
 //! never influences planning or execution.
@@ -32,7 +32,7 @@
 //! invalidates the session's plan cache, exactly as
 //! [`QuerySession::set_planner`] does for explicit strategy swaps.
 
-use crate::experience::{ExperienceLog, DEFAULT_EXPERIENCE_CAPACITY};
+use crate::experience::{ExperienceLog, EXPERIENCE_CAPACITY};
 use crate::session::QuerySession;
 use crate::swap::{HotSwapPlanner, PlannerHandle};
 use hfqo_cost::LatencyModel;
@@ -41,19 +41,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Online-learning knobs.
+/// Online-learning knobs. The experience ring holds 1024 entries,
+/// oldest dropped beyond it.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
-    /// Experience-ring capacity (oldest dropped beyond it).
-    pub log_capacity: usize,
-    /// Maximum experiences consumed per [`OnlineTrainer::step`].
+    /// Maximum experiences consumed per [`OnlineTrainer::step`]
+    /// (minimum 1).
     pub drain_batch: usize,
-    /// Replayed episodes between policy-snapshot swaps.
+    /// Replayed episodes between policy-snapshot swaps (minimum 1).
     pub swap_every: usize,
-    /// Terminal-reward signal. Must be latency-based
-    /// ([`RewardMode::needs_latency`]) — online learning's whole point
-    /// is rewarding on observed execution.
-    pub reward: RewardMode,
     /// Work-units → milliseconds conversion for the reward (the same
     /// constant the training environments' executed-latency path uses).
     pub ms_per_unit: f64,
@@ -62,26 +58,10 @@ pub struct OnlineConfig {
 impl Default for OnlineConfig {
     fn default() -> Self {
         Self {
-            log_capacity: DEFAULT_EXPERIENCE_CAPACITY,
             drain_batch: 32,
             swap_every: 16,
-            reward: RewardMode::NegLogLatency,
             ms_per_unit: LatencyModel::default().ms_per_unit,
         }
-    }
-}
-
-impl OnlineConfig {
-    /// Sets the swap cadence (builder style).
-    pub fn with_swap_every(mut self, swap_every: usize) -> Self {
-        self.swap_every = swap_every.max(1);
-        self
-    }
-
-    /// Sets the per-step drain bound (builder style).
-    pub fn with_drain_batch(mut self, drain_batch: usize) -> Self {
-        self.drain_batch = drain_batch.max(1);
-        self
     }
 }
 
@@ -145,21 +125,15 @@ impl OnlineTrainer {
         require_connected: bool,
         mut config: OnlineConfig,
     ) -> Self {
-        // Struct-literal construction can bypass the builder clamps:
         // swap_every = 0 would publish a generation (and invalidate the
         // cache) per experience, drain_batch = 0 would make every step
         // a silent no-op.
         config.swap_every = config.swap_every.max(1);
         config.drain_batch = config.drain_batch.max(1);
-        assert!(
-            config.reward.needs_latency(),
-            "online training rewards on observed execution; \
-             use a latency-based RewardMode"
-        );
         let planner =
             LearnedPlanner::freeze(&agent, featurizer).with_require_connected(require_connected);
         let handle = PlannerHandle::new(planner);
-        let log = Arc::new(ExperienceLog::new(config.log_capacity));
+        let log = Arc::new(ExperienceLog::new(EXPERIENCE_CAPACITY));
         session.set_planner(Box::new(HotSwapPlanner::new(Arc::clone(&handle))));
         session.set_experience_log(Some(Arc::clone(&log)));
         Self {
@@ -219,10 +193,8 @@ impl OnlineTrainer {
         let require_connected = generation.require_connected();
         for exp in &batch {
             let latency_ms = (exp.executed_work as f64 * self.config.ms_per_unit).max(0.001);
-            let reward = self
-                .config
-                .reward
-                .terminal_reward(exp.cost, exp.cost, Some(latency_ms));
+            let reward =
+                RewardMode::NegLogLatency.terminal_reward(exp.cost, exp.cost, Some(latency_ms));
             match episode_from_decisions(
                 &exp.graph,
                 &exp.decisions,
@@ -309,7 +281,10 @@ mod tests {
             agent,
             featurizer,
             true,
-            OnlineConfig::default().with_swap_every(4),
+            OnlineConfig {
+                swap_every: 4,
+                ..OnlineConfig::default()
+            },
         );
         (session, trainer, graph)
     }
@@ -353,25 +328,5 @@ mod tests {
         let step = trainer.step(&session);
         assert_eq!(step, OnlineStep::default());
         assert_eq!(trainer.generation(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "latency-based RewardMode")]
-    fn cost_rewards_rejected() {
-        let fixture = TestDb::chain(3, 100);
-        let mut session = QuerySession::traditional(fixture.db, fixture.stats);
-        let featurizer = Featurizer::new(3);
-        let mut rng = StdRng::seed_from_u64(0);
-        let agent = ReJoinAgent::new(
-            featurizer.state_dim(),
-            featurizer.action_dim(),
-            PolicyKind::default_reinforce(),
-            &mut rng,
-        );
-        let config = OnlineConfig {
-            reward: RewardMode::InverseCost,
-            ..OnlineConfig::default()
-        };
-        let _ = OnlineTrainer::attach(&mut session, agent, featurizer, true, config);
     }
 }

@@ -251,18 +251,7 @@ impl QuerySession {
     /// across** — a capacity change never silently zeroes the counters
     /// or un-fences in-flight stale inserts.
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        let config = CacheConfig {
-            capacity,
-            ..self.cache.config()
-        };
-        self.with_cache_config(config)
-    }
-
-    /// Overrides the full cache geometry and re-plan policy (builder
-    /// style). Same carry-across semantics as
-    /// [`Self::with_cache_capacity`].
-    pub fn with_cache_config(self, config: CacheConfig) -> Self {
-        let cache = self.cache.rebuilt_with(config);
+        let cache = self.cache.rebuilt_with(CacheConfig { capacity });
         self.statements.resize(cache.config().capacity);
         Self { cache, ..self }
     }
@@ -994,10 +983,7 @@ mod tests {
         session.serve(&texts[0]).unwrap();
         session.serve(&texts[0]).unwrap();
         assert_eq!(statement_counts(&session), (1, 1, 1));
-        let session = session.with_cache_config(CacheConfig {
-            capacity: 3,
-            ..CacheConfig::default()
-        });
+        let session = session.with_cache_capacity(3);
         assert_eq!(
             statement_counts(&session),
             (1, 1, 0),

@@ -768,7 +768,6 @@ impl DriftHarness {
             swap_every: config.swap_every,
             drain_batch: config.drain_batch,
             ms_per_unit: config.ms_per_unit,
-            ..OnlineConfig::default()
         };
         let trainer = OnlineTrainer::attach(&mut learned, agent, featurizer, true, online);
         Self {

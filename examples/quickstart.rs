@@ -148,7 +148,10 @@ fn main() {
         trainer_agent,
         featurizer,
         false, // the training env above allowed cross-join pairs
-        OnlineConfig::default().with_swap_every(8),
+        OnlineConfig {
+            swap_every: 8,
+            ..OnlineConfig::default()
+        },
     );
     for _burst in 0..4 {
         for _ in 0..8 {

@@ -269,7 +269,7 @@ fn rebuild_stats_drops_stale_selectivity_bands() {
     apply_mutation(&mut post_db, &shock).expect("skew applies");
     let post_stats = build_database_stats(&post_db);
 
-    let band = CacheConfig::default().selectivity_band;
+    let band = hfqo::serve::SELECTIVITY_BAND;
     let sel = |stats: &hfqo::stats::StatsCatalog, v: i64| {
         selection_selectivities(stats, &eq_query(&gen, v))[0]
     };

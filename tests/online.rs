@@ -92,7 +92,10 @@ fn online_smoke_swaps_generations_with_identical_results() {
         agent,
         featurizer,
         true,
-        OnlineConfig::default().with_swap_every(queries.len()),
+        OnlineConfig {
+            swap_every: queries.len(),
+            ..OnlineConfig::default()
+        },
     );
 
     let mut swaps = 0u64;
@@ -189,7 +192,10 @@ fn fixed_seed_online_run_is_reproducible() {
             fresh_agent(&featurizer, 47),
             featurizer,
             true,
-            OnlineConfig::default().with_swap_every(4),
+            OnlineConfig {
+                swap_every: 4,
+                ..OnlineConfig::default()
+            },
         );
         let mut trace = Vec::new();
         for _round in 0..3 {
@@ -320,9 +326,11 @@ fn background_trainer_swaps_while_serving() {
         fresh_agent(&featurizer, 5),
         featurizer,
         true,
-        OnlineConfig::default()
-            .with_swap_every(4)
-            .with_drain_batch(8),
+        OnlineConfig {
+            swap_every: 4,
+            drain_batch: 8,
+            ..OnlineConfig::default()
+        },
     );
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {

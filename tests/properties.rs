@@ -223,52 +223,4 @@ proptest! {
         let (lo, hi) = if probe_a <= probe_b { (probe_a, probe_b) } else { (probe_b, probe_a) };
         prop_assert!(scaler.scale(lo) <= scaler.scale(hi) + 1e-9);
     }
-
-    /// The replay buffer never exceeds its capacity, and once full it
-    /// evicts strictly FIFO: after `n` pushes of `0..n`, the buffer
-    /// holds exactly the last `min(n, capacity)` values.
-    #[test]
-    fn replay_buffer_capacity_and_fifo_eviction(
-        capacity in 1usize..24,
-        pushes in 0usize..64,
-    ) {
-        use hfqo::rl::ReplayBuffer;
-        let mut buf = ReplayBuffer::new(capacity);
-        for i in 0..pushes {
-            buf.push(i);
-            prop_assert!(buf.len() <= capacity, "len {} > capacity {capacity}", buf.len());
-        }
-        prop_assert_eq!(buf.len(), pushes.min(capacity));
-        prop_assert_eq!(buf.is_empty(), pushes == 0);
-        // FIFO: the survivors are exactly the most recent pushes —
-        // every older value was evicted in arrival order.
-        let mut survivors: Vec<usize> = buf.items().to_vec();
-        survivors.sort_unstable();
-        let expected: Vec<usize> = (pushes.saturating_sub(capacity)..pushes).collect();
-        prop_assert_eq!(survivors, expected);
-    }
-
-    /// Sampling returns exactly `n` items, each one currently in the
-    /// buffer; an empty buffer yields an empty sample for any `n`.
-    #[test]
-    fn replay_buffer_sample_within_bounds(
-        capacity in 1usize..16,
-        pushes in 0usize..40,
-        n in 0usize..50,
-        seed in 0u64..100,
-    ) {
-        use hfqo::rl::ReplayBuffer;
-        let mut buf = ReplayBuffer::new(capacity);
-        for i in 0..pushes {
-            buf.push(i);
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sample = buf.sample(n, &mut rng);
-        if pushes == 0 {
-            prop_assert!(sample.is_empty());
-        } else {
-            prop_assert_eq!(sample.len(), n);
-            prop_assert!(sample.iter().all(|x| buf.items().contains(x)));
-        }
-    }
 }

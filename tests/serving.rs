@@ -95,13 +95,8 @@ fn distinct_template_queries(bundle: &SynthDb) -> Vec<QueryGraph> {
 fn lru_eviction_drops_the_least_recently_used_plan() {
     let synth = SynthDb::build(synth_config());
     let queries = distinct_template_queries(&synth);
-    // One shard so the two-template capacity (eviction is per shard)
-    // and the LRU order are deterministic.
-    let session = QuerySession::traditional(synth.db, synth.stats).with_cache_config(CacheConfig {
-        capacity: 2,
-        shards: 1,
-        ..CacheConfig::default()
-    });
+    // A two-template cache is one shard, so the LRU order is exact.
+    let session = QuerySession::traditional(synth.db, synth.stats).with_cache_capacity(2);
     // Fill: q0, q1 (both miss).
     assert!(!session.serve_graph(&queries[0]).unwrap().cache_hit);
     assert!(!session.serve_graph(&queries[1]).unwrap().cache_hit);

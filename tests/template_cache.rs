@@ -6,7 +6,7 @@
 
 use hfqo::prelude::*;
 use hfqo::query::{AccessPath, BoundColumn, JoinEdge, Lit, RelId, Relation, Selection};
-use hfqo::serve::{CachedPlan, PlanCache, DEFAULT_CACHE_SHARDS};
+use hfqo::serve::{CachedPlan, PlanCache, MAX_CACHE_SHARDS, SELECTIVITY_BAND};
 use hfqo::sql::CompareOp;
 use hfqo::workload::imdb::build_catalog;
 use hfqo::workload::job::generate_job_suite;
@@ -185,9 +185,8 @@ fn selectivity_band_replan_triggers_new_plan_bucket() {
     assert_eq!(t_common, t_rare, "same template, different constants");
     let s_common = selection_selectivities(&synth.stats, &common)[0];
     let s_rare = selection_selectivities(&synth.stats, &rare)[0];
-    let band = CacheConfig::default().selectivity_band;
     assert!(
-        s_common / s_rare > band,
+        s_common / s_rare > SELECTIVITY_BAND,
         "fixture must straddle the band: common={s_common} rare={s_rare}"
     );
 
@@ -535,15 +534,12 @@ fn template_fingerprints_spread_over_every_shard() {
         ("chains and stars", &small),
         ("all with job", &all),
     ] {
-        let cache = PlanCache::with_config(CacheConfig {
-            capacity: DEFAULT_CACHE_SHARDS * graphs.len(),
-            ..CacheConfig::default()
-        });
+        let cache = PlanCache::new(MAX_CACHE_SHARDS * graphs.len());
         for graph in graphs {
             cache.insert(&PlanKey::of(graph), std::sync::Arc::clone(&placeholder));
         }
         let m = cache.metrics();
-        assert_eq!(m.shards, DEFAULT_CACHE_SHARDS);
+        assert_eq!(m.shards, MAX_CACHE_SHARDS);
         assert_eq!(m.len, graphs.len(), "{family}: templates are distinct");
         assert_eq!(m.evictions, 0, "{family}: sized not to evict");
         assert_eq!(
