@@ -1,7 +1,8 @@
 //! # hfqo-catalog
 //!
 //! Schema metadata for the hands-free query optimizer: tables, columns,
-//! types, indexes, and the containers that hold per-table statistics.
+//! types, single-column B-tree index definitions, and the containers
+//! that hold per-table statistics.
 //!
 //! The catalog is deliberately independent of the storage layer: it only
 //! describes *shape*, never data. Everything downstream (the SQL binder, the
@@ -9,7 +10,7 @@
 //! featurizer) keys off the small, copyable identifiers defined in [`ids`].
 //!
 //! ```
-//! use hfqo_catalog::{Catalog, TableSchema, Column, ColumnType, IndexKind};
+//! use hfqo_catalog::{Catalog, TableSchema, Column, ColumnType};
 //!
 //! let mut catalog = Catalog::new();
 //! let t = catalog
@@ -23,7 +24,7 @@
 //!     ))
 //!     .unwrap();
 //! let col = catalog.resolve_column(t, "id").unwrap();
-//! catalog.add_index("title_pkey", t, col, IndexKind::BTree, true).unwrap();
+//! catalog.add_index("title_pkey", t, col, true).unwrap();
 //! assert_eq!(catalog.table(t).unwrap().name(), "title");
 //! ```
 
@@ -35,6 +36,6 @@ pub mod stats;
 
 pub use error::CatalogError;
 pub use ids::{ColumnId, ColumnRef, IndexId, TableId};
-pub use index::{IndexDef, IndexKind};
+pub use index::IndexDef;
 pub use schema::{Catalog, Column, ColumnType, TableSchema};
 pub use stats::{ColumnStatsMeta, PAGE_SIZE_BYTES};

@@ -2,7 +2,7 @@
 
 use crate::error::CatalogError;
 use crate::ids::{ColumnId, ColumnRef, IndexId, TableId};
-use crate::index::{IndexDef, IndexKind};
+use crate::index::IndexDef;
 
 /// Logical type of a column.
 ///
@@ -157,13 +157,12 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Registers a single-column index on `table.column`.
+    /// Registers a single-column B-tree index on `table.column`.
     pub fn add_index(
         &mut self,
         name: impl Into<String>,
         table: TableId,
         column: ColumnId,
-        kind: IndexKind,
         unique: bool,
     ) -> Result<IndexId, CatalogError> {
         let name = name.into();
@@ -180,7 +179,7 @@ impl Catalog {
         }
         let id = IndexId(self.indexes.len() as u32);
         self.indexes
-            .push(IndexDef::new(name, table, column, kind, unique));
+            .push(IndexDef::new(name, table, column, unique));
         Ok(id)
     }
 
@@ -306,18 +305,12 @@ mod tests {
     fn index_registration_and_lookup() {
         let (mut c, t) = sample_catalog();
         let col = c.resolve_column(t, "id").unwrap();
-        let idx = c
-            .add_index("title_pkey", t, col, IndexKind::BTree, true)
-            .unwrap();
+        let idx = c.add_index("title_pkey", t, col, true).unwrap();
         assert_eq!(c.index(idx).unwrap().name(), "title_pkey");
         // Duplicate name rejected.
-        assert!(c
-            .add_index("title_pkey", t, col, IndexKind::Hash, false)
-            .is_err());
+        assert!(c.add_index("title_pkey", t, col, false).is_err());
         // Out-of-range column rejected.
-        assert!(c
-            .add_index("bad", t, ColumnId(99), IndexKind::BTree, false)
-            .is_err());
+        assert!(c.add_index("bad", t, ColumnId(99), false).is_err());
     }
 
     #[test]

@@ -310,7 +310,7 @@ pub(crate) fn count_rows_unvalidated(
 mod tests {
     use super::*;
     use crate::rowexec::execute_rows;
-    use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, IndexKind, TableSchema};
+    use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableSchema};
     use hfqo_query::{
         AccessPath, AggAlgo, AggExpr, BoundColumn, JoinAlgo, JoinEdge, Lit, RelId, Relation,
         Selection,
@@ -340,8 +340,7 @@ mod tests {
                 ],
             ))
             .unwrap();
-        cat.add_index("dim_id_idx", dim, ColumnId(0), IndexKind::BTree, true)
-            .unwrap();
+        cat.add_index("dim_id_idx", dim, ColumnId(0), true).unwrap();
         let mut db = Database::new(cat);
         for i in 0..20i64 {
             db.table_mut(dim)

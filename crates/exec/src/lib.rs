@@ -77,8 +77,8 @@
 //!   memoises sub-join counts through zero-column counting runs of the
 //!   same evaluator, implementing `hfqo_stats::CardinalitySource` so the
 //!   cost model can be driven by *actual* intermediate sizes — the
-//!   ingredient the analytic latency model needs to disagree with the
-//!   estimate-driven cost model in a realistic way.
+//!   ingredient the RL environment's latency simulator needs to disagree
+//!   with the estimate-driven cost model in a realistic way.
 //!
 //! ## Reference row engine
 //!

@@ -129,7 +129,6 @@ pub(crate) fn index_row_ids(
     driving_selection: usize,
 ) -> Result<Vec<u32>, ExecError> {
     use hfqo_query::QueryError;
-    use hfqo_storage::database::IndexStorage;
     let table_id = graph.relation(rel).table;
     let driving = graph.selections().get(driving_selection).ok_or_else(|| {
         QueryError::InvalidPlan(format!(
@@ -144,45 +143,28 @@ pub(crate) fn index_row_ids(
         ))
         .into());
     }
-    let storage = db
+    let btree = db
         .index_storage(index)
         .ok_or_else(|| ExecError::IndexNotBuilt(def.name().to_string()))?;
     let key = crate::row::lit_to_value(&driving.value);
     let mut row_ids: Vec<u32> = Vec::new();
-    match (storage, driving.op) {
-        (IndexStorage::BTree(b), CompareOp::Eq) => {
-            row_ids.extend_from_slice(b.lookup_eq(&key));
+    match driving.op {
+        CompareOp::Eq => {
+            row_ids.extend_from_slice(btree.lookup_eq(&key));
         }
-        (IndexStorage::BTree(b), CompareOp::Lt) => {
-            b.lookup_range(None, true, Some(&key), false, &mut row_ids)
-        }
-        (IndexStorage::BTree(b), CompareOp::Le) => {
-            b.lookup_range(None, true, Some(&key), true, &mut row_ids)
-        }
-        (IndexStorage::BTree(b), CompareOp::Gt) => {
-            b.lookup_range(Some(&key), false, None, true, &mut row_ids)
-        }
-        (IndexStorage::BTree(b), CompareOp::Ge) => {
-            b.lookup_range(Some(&key), true, None, true, &mut row_ids)
-        }
-        (IndexStorage::Hash(h), CompareOp::Eq) => {
-            row_ids.extend_from_slice(h.lookup_eq(&key));
-        }
-        (_, op) => {
+        CompareOp::Lt => btree.lookup_range(None, true, Some(&key), false, &mut row_ids),
+        CompareOp::Le => btree.lookup_range(None, true, Some(&key), true, &mut row_ids),
+        CompareOp::Gt => btree.lookup_range(Some(&key), false, None, true, &mut row_ids),
+        CompareOp::Ge => btree.lookup_range(Some(&key), true, None, true, &mut row_ids),
+        op @ CompareOp::Neq => {
             return Err(QueryError::InvalidPlan(format!(
-                "index `{}` ({}) cannot serve operator {}",
+                "index `{}` cannot serve operator {}",
                 def.name(),
-                def.kind().name(),
                 op.sql()
             ))
             .into());
         }
     }
-    // Hash indexes never serve ranges; double-check kind semantics.
-    debug_assert!(
-        def.kind() != hfqo_catalog::IndexKind::Hash || driving.op == CompareOp::Eq,
-        "validated above"
-    );
     Ok(row_ids)
 }
 

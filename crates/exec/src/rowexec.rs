@@ -362,7 +362,7 @@ pub(crate) fn aggregate_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, IndexKind, TableId, TableSchema};
+    use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableId, TableSchema};
     use hfqo_query::{AggExpr, BoundColumn, JoinEdge, Lit, Relation};
     use hfqo_sql::{AggFunc, CompareOp};
 
@@ -379,8 +379,7 @@ mod tests {
                 ],
             ))
             .unwrap();
-        cat.add_index("t_id", t, ColumnId(0), IndexKind::BTree, true)
-            .unwrap();
+        cat.add_index("t_id", t, ColumnId(0), true).unwrap();
         let mut db = Database::new(cat);
         for i in 0..100i64 {
             db.table_mut(t)

@@ -36,9 +36,12 @@
 //!   uses must be `pub(crate)`, where rustc sees whether anything uses
 //!   it at all. "Outside" is every other scanned file: the other
 //!   crates, the crate's own `tests/` and binaries, the root package's
-//!   `src/`, `tests/` and `examples/`, and `perfbench/`. Types and
-//!   fields are left alone (other crates reach them without naming
-//!   them). Allowlistable per item, as `L7 <path>::<name>`.
+//!   `src/`, `tests/` and `examples/`, and `perfbench/`. A `pub use`
+//!   re-export, on one line or several, names nothing: rustc never
+//!   reports one unused, so a facade's prelude would otherwise keep
+//!   every item it lists alive. Types and fields are left alone (other
+//!   crates reach them without naming them). Allowlistable per item, as
+//!   `L7 <path>::<name>`.
 //!
 //! The scanner is a deliberate approximation: it sees one line at a
 //! time after stripping, so a call chain split across lines (e.g.
@@ -531,6 +534,20 @@ fn words(stripped: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
+/// The lines of a stripped source outside its `pub use` re-export
+/// statements, which run from a line starting `pub use` to the first
+/// `;`.
+fn naming_lines(stripped: &str) -> impl Iterator<Item = &str> {
+    let mut in_reexport = false;
+    stripped.lines().filter(move |line| {
+        let skip = in_reexport || line.trim_start().starts_with("pub use ");
+        if skip {
+            in_reexport = !line.contains(';');
+        }
+        !skip
+    })
+}
+
 /// The kind and name a stripped line declares when it is a `pub fn`
 /// (`const fn`, `unsafe fn` …), a `pub const` or a `pub static`.
 fn pub_value_item(line: &str) -> Option<(&'static str, &str)> {
@@ -558,10 +575,10 @@ fn pub_value_item(line: &str) -> Option<(&'static str, &str)> {
 
 /// Rule L7 over a set of `(workspace-relative path, source)` files: every
 /// `pub fn`/`const`/`static` of non-test library code whose name no file
-/// outside its crate's library sources uses as an identifier. Comments
-/// and strings do not count as naming an item; code in `#[cfg(test)]`
-/// regions declares nothing but does name (another crate's unit tests
-/// compile against the `pub` item).
+/// outside its crate's library sources uses as an identifier. Comments,
+/// strings and `pub use` re-exports do not count as naming an item; code
+/// in `#[cfg(test)]` regions declares nothing but does name (another
+/// crate's unit tests compile against the `pub` item).
 pub fn scan_unnamed_pub(files: &[(String, String)]) -> Vec<Violation> {
     let stripped: Vec<String> = files.iter().map(|(_, src)| strip_source(src)).collect();
     // For each identifier, the owners of the files it appears in: a
@@ -569,7 +586,7 @@ pub fn scan_unnamed_pub(files: &[(String, String)]) -> Vec<Violation> {
     let mut named_by: HashMap<&str, HashSet<Option<&str>>> = HashMap::new();
     for ((path, _), text) in files.iter().zip(&stripped) {
         let owner = library_crate(path);
-        for word in words(text) {
+        for word in naming_lines(text).flat_map(words) {
             named_by.entry(word).or_default().insert(owner);
         }
     }

@@ -129,6 +129,16 @@ fn l7_is_silent_when_the_name_appears_outside_the_crate() {
 }
 
 #[test]
+fn l7_reexports_name_nothing() {
+    let facade = fixture("l7_reexports.rs");
+    // Re-exported on one line and in a block: still named by nothing.
+    assert_eq!(l7_items("src/lib.rs", &facade), ["nobody_names_me"]);
+    // Code after the block names again.
+    let calls = format!("{facade}fn main() {{ a::nobody_names_me(); }}\n");
+    assert!(l7_items("src/lib.rs", &calls).is_empty());
+}
+
+#[test]
 fn l7_allowlist_entries_name_the_item() {
     let files = [(
         "crates/a/src/lib.rs".to_string(),

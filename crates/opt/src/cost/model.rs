@@ -1,6 +1,6 @@
 //! The analytic plan cost model.
 
-use crate::params::CostParams;
+use super::params::CostParams;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PhysicalPlan, PlanNode, QueryGraph, RelSet};
 use hfqo_stats::{selection_selectivity, CardinalitySource, StatsCatalog};
 
@@ -164,7 +164,12 @@ impl<'a> CostModel<'a> {
     /// search that keeps a candidate only when strictly cheaper than the
     /// best so far may skip pricing a pair whose floor is not.
     #[inline]
-    pub fn join_cost_floor(&self, left: CostEstimate, right: CostEstimate, out_rows: f64) -> f64 {
+    pub(crate) fn join_cost_floor(
+        &self,
+        left: CostEstimate,
+        right: CostEstimate,
+        out_rows: f64,
+    ) -> f64 {
         left.total + right.total + out_rows * self.params.cpu_tuple_cost
     }
 

@@ -3,9 +3,10 @@
 //! The planners price with PostgreSQL's planner cost constants,
 //! [`CostParams::POSTGRES_LIKE`]. The paper's §1 complains that DBAs must
 //! tune exactly these values per database. They form a struct rather than
-//! loose constants because the latency model ([`crate::LatencyModel`])
-//! prices the same formulas under a second, *latency* parameterisation
-//! that deliberately disagrees with the costing one.
+//! loose constants because the RL environment's latency simulator prices
+//! the same formulas under a second parameterisation,
+//! [`CostParams::IN_MEMORY_LATENCY`], that deliberately disagrees with the
+//! costing one.
 
 /// Planner cost constants.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,17 +47,15 @@ impl CostParams {
     /// systematic cost-vs-latency disagreement the paper's §4 discusses
     /// ("a query with a high optimizer cost might outperform a query with
     /// lower optimizer cost").
-    pub(crate) fn in_memory_latency() -> Self {
-        Self {
-            seq_page_cost: 0.1,
-            random_page_cost: 0.15,
-            cpu_tuple_cost: 0.02,
-            cpu_index_tuple_cost: 0.004,
-            cpu_operator_cost: 0.005,
-            hash_build_factor: 1.2,
-            sort_factor: 1.4,
-        }
-    }
+    pub const IN_MEMORY_LATENCY: Self = Self {
+        seq_page_cost: 0.1,
+        random_page_cost: 0.15,
+        cpu_tuple_cost: 0.02,
+        cpu_index_tuple_cost: 0.004,
+        cpu_operator_cost: 0.005,
+        hash_build_factor: 1.2,
+        sort_factor: 1.4,
+    };
 }
 
 #[cfg(test)]
@@ -90,6 +89,6 @@ mod tests {
 
     #[test]
     fn latency_params_differ() {
-        assert_ne!(CostParams::POSTGRES_LIKE, CostParams::in_memory_latency());
+        assert_ne!(CostParams::POSTGRES_LIKE, CostParams::IN_MEMORY_LATENCY);
     }
 }

@@ -7,14 +7,14 @@
 //! disjoint sets it can join by OR-ing bitsets, not by testing every set
 //! of the class. Each slot counts the join conditions inside its set, so a
 //! pair's conditions are a subtraction, not a pass over the edges. And a
-//! pair is priced only when [`CostModel::join_cost_floor`] says it could
+//! pair is priced only when `CostModel::join_cost_floor` says it could
 //! still beat its union's best plan.
 
+use crate::cost::{CostEstimate, CostModel};
 use crate::physical::{
     best_access_path, build_join, price_join, price_join_given, Costed, JoinConds,
 };
 use hfqo_catalog::Catalog;
-use hfqo_cost::{CostEstimate, CostModel};
 use hfqo_query::{JoinAlgo, PlanNode, QueryGraph, RelSet};
 use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
@@ -332,9 +332,9 @@ fn combine_components<C: CardinalitySource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostParams;
     use crate::random::random_plan;
     use crate::test_support::{chain_query, random_query, star_query, CountingCardinality, TestDb};
-    use hfqo_cost::CostParams;
     use hfqo_query::PhysicalPlan;
     use hfqo_stats::EstimatedCardinality;
     use rand::rngs::StdRng;

@@ -8,9 +8,9 @@
 //! slot also keeps the relations one join edge away from it; a merge
 //! unions its inputs' masks, so `PlanForest::connected` is a bit test.
 
+use crate::cost::{CostEstimate, CostModel};
 use crate::physical::{best_access_path, build_join, price_join, Costed, JoinPrice};
 use hfqo_catalog::Catalog;
-use hfqo_cost::{CostEstimate, CostModel};
 use hfqo_query::{JoinAlgo, QueryGraph, RelSet};
 use hfqo_stats::CardinalitySource;
 
@@ -189,12 +189,12 @@ impl<'g> PlanForest<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostParams;
     use crate::physical::best_aggregate_if_needed;
     use crate::physical::build_scan;
     use crate::test_support::{chain_query, TestDb};
     use crate::{Planner, PlannerContext, TraditionalPlanner};
     use hfqo_catalog::{ColumnId, TableId};
-    use hfqo_cost::CostParams;
     use hfqo_query::{
         tree_to_actions, AccessPath, BoundColumn, JoinEdge, JoinTree, PhysicalPlan, PlanNode,
         RelId, Relation,

@@ -8,10 +8,10 @@
 //! [`hfqo_stats::QueryCardinality`], so those rows are products of
 //! factors looked up once per query.
 
+use crate::cost::CostModel;
 use crate::forest::PlanForest;
 use crate::physical::{Costed, JoinPrice};
 use hfqo_catalog::Catalog;
-use hfqo_cost::CostModel;
 use hfqo_query::QueryGraph;
 use hfqo_stats::CardinalitySource;
 
@@ -109,10 +109,10 @@ impl PriceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostParams;
     use crate::dp::dp_plan;
     use crate::random::random_plan;
     use crate::test_support::{chain_query, random_query, star_query, CountingCardinality, TestDb};
-    use hfqo_cost::CostParams;
     use hfqo_query::PhysicalPlan;
     use hfqo_stats::EstimatedCardinality;
     use rand::rngs::StdRng;

@@ -11,7 +11,7 @@
 //! Architecture mirrors PostgreSQL's planner:
 //!
 //! * cardinality estimation from histograms (`hfqo-stats`),
-//! * a cost model with per-operator formulas (`hfqo-cost`),
+//! * a cost model with per-operator formulas ([`cost`]),
 //! * **exhaustive bottom-up dynamic programming** ([`dp`]) over connected
 //!   subgraphs for small queries (PostgreSQL: `geqo_threshold = 12`), in
 //!   a dense table with one slot per connected set, whose plan is built
@@ -31,6 +31,7 @@
 //!   behind one interface; the planned-query types live in
 //!   [`optimizer`].
 
+pub mod cost;
 pub mod dp;
 pub mod forest;
 pub mod greedy;

@@ -67,7 +67,7 @@ pub struct PlannedQuery {
     /// bit for bit to what [`CostModel::plan_cost`] re-walks under the
     /// planning context's estimates.
     ///
-    /// [`CostModel::plan_cost`]: hfqo_cost::CostModel::plan_cost
+    /// [`CostModel::plan_cost`]: crate::cost::CostModel::plan_cost
     pub cost: f64,
     /// Wall-clock planning time.
     pub planning_time: Duration,

@@ -5,8 +5,8 @@
 //! [`legal_join_algos`] are the one statement of which scans and which
 //! join algorithms a plan may use.
 
+use crate::cost::{CostEstimate, CostModel};
 use hfqo_catalog::{Catalog, ColumnRef};
-use hfqo_cost::{CostEstimate, CostModel};
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryGraph, RelId, RelSet};
 use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
@@ -19,30 +19,26 @@ pub type Costed = (PlanNode, CostEstimate);
 pub(crate) type JoinPrice = (JoinAlgo, bool, CostEstimate);
 
 /// The access paths `rel` may use, in candidate order: a sequential scan,
-/// then, per selection predicate, each index that can drive it (B-trees
-/// serve all comparison shapes except `<>`; hash indexes serve only
-/// equality).
+/// then, per selection predicate, each index that can drive it (every
+/// comparison shape except `<>`).
 pub fn access_paths<'a>(
     graph: &'a QueryGraph,
     rel: RelId,
     catalog: &'a Catalog,
 ) -> impl Iterator<Item = AccessPath> + 'a {
     let table = graph.relation(rel).table;
-    let index_scans = graph.selections_on(rel).flat_map(move |sel_idx| {
-        let sel = &graph.selections()[sel_idx];
-        let col = ColumnRef::new(table, sel.column.column);
-        catalog
-            .indexes_on(col)
-            .filter(move |(_, def)| match sel.op {
-                CompareOp::Eq => true,
-                CompareOp::Neq => false, // no index serves <>
-                _ => def.kind().supports_range(),
-            })
-            .map(move |(index, _)| AccessPath::IndexScan {
-                index,
-                driving_selection: sel_idx,
-            })
-    });
+    let index_scans = graph
+        .selections_on(rel)
+        .filter(move |&sel_idx| graph.selections()[sel_idx].op != CompareOp::Neq)
+        .flat_map(move |sel_idx| {
+            let col = ColumnRef::new(table, graph.selections()[sel_idx].column.column);
+            catalog
+                .indexes_on(col)
+                .map(move |(index, _)| AccessPath::IndexScan {
+                    index,
+                    driving_selection: sel_idx,
+                })
+        });
     std::iter::once(AccessPath::SeqScan).chain(index_scans)
 }
 
@@ -158,7 +154,7 @@ pub(crate) fn price_join<C: CardinalitySource>(
 /// with the sides as given; a hash join, when `may_flip`, is then tried
 /// with them swapped. The first strict minimum wins. Nested-loop and
 /// merge joins cost the same bits either way round (a property test in
-/// `hfqo_cost` holds them to it), so their swap could never win.
+/// [`crate::cost`] holds them to it), so their swap could never win.
 #[inline]
 pub(crate) fn price_join_given(
     conds: JoinConds,
@@ -264,8 +260,8 @@ pub fn best_aggregate_if_needed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Column, ColumnId, ColumnStatsMeta, ColumnType, IndexKind, TableSchema};
-    use hfqo_cost::CostParams;
+    use crate::cost::CostParams;
+    use hfqo_catalog::{Column, ColumnId, ColumnStatsMeta, ColumnType, TableSchema};
     use hfqo_query::{BoundColumn, JoinEdge, Lit, Relation, Selection};
     use hfqo_stats::{ColumnStats, EstimatedCardinality, Histogram, StatsCatalog, TableStats};
 
@@ -286,8 +282,7 @@ mod tests {
                 vec![Column::new("a_id", ColumnType::Int)],
             ))
             .unwrap();
-        cat.add_index("a_id_idx", a, ColumnId(0), IndexKind::BTree, true)
-            .unwrap();
+        cat.add_index("a_id_idx", a, ColumnId(0), true).unwrap();
         let col = |ndv: f64, max: f64| ColumnStats {
             meta: ColumnStatsMeta {
                 ndv,
@@ -367,6 +362,35 @@ mod tests {
             ),
             "expected index scan, got {node:?}"
         );
+    }
+
+    /// The `<>` predicate on an indexed column gets no index scan; the
+    /// range predicate beside it does.
+    #[test]
+    fn neq_predicate_gets_no_index_scan() {
+        let (cat, _, graph) = setup();
+        let on_id = |op| Selection {
+            column: BoundColumn::new(RelId(0), ColumnId(0)),
+            op,
+            value: Lit::Int(42),
+        };
+        let graph = QueryGraph::new(
+            graph.relations().to_vec(),
+            graph.joins().to_vec(),
+            vec![on_id(CompareOp::Neq), on_id(CompareOp::Lt)],
+            vec![],
+            vec![],
+        );
+        let paths: Vec<AccessPath> = access_paths(&graph, RelId(0), &cat).collect();
+        assert_eq!(paths.len(), 2, "{paths:?}");
+        assert!(matches!(paths[0], AccessPath::SeqScan));
+        assert!(matches!(
+            paths[1],
+            AccessPath::IndexScan {
+                driving_selection: 1,
+                ..
+            }
+        ));
     }
 
     #[test]

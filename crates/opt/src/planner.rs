@@ -15,13 +15,13 @@
 //! own its statistics and rebuild them without invalidating planner
 //! borrows.
 
+use crate::cost::{CostModel, CostParams};
 use crate::dp::{dp_plan, MAX_RELATIONS};
 use crate::greedy::greedy_plan;
 use crate::optimizer::{OptError, PlannedQuery, PlannerMethod};
 use crate::physical::best_aggregate_if_needed;
 use crate::random::random_plan;
 use hfqo_catalog::Catalog;
-use hfqo_cost::{CostModel, CostParams};
 use hfqo_query::{PhysicalPlan, QueryGraph};
 use hfqo_stats::{EstimatedCardinality, QueryCardinality, StatsCatalog};
 use hfqo_sync::Mutex;

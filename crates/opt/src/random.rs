@@ -1,11 +1,11 @@
 //! Random plan generation (the floor baseline).
 
+use crate::cost::CostModel;
 use crate::forest::PlanForest;
 use crate::physical::{
     access_paths, build_aggregate, build_scan, legal_join_algos, needs_aggregate, Costed,
 };
 use hfqo_catalog::Catalog;
-use hfqo_cost::CostModel;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, QueryGraph};
 use hfqo_stats::CardinalitySource;
 use rand::rngs::StdRng;
@@ -59,8 +59,8 @@ pub fn random_plan<C: CardinalitySource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostParams;
     use crate::test_support::{chain_query, star_query, TestDb};
-    use hfqo_cost::CostParams;
     use hfqo_query::PhysicalPlan;
     use hfqo_stats::EstimatedCardinality;
     use rand::SeedableRng;

@@ -1,7 +1,7 @@
 //! Shared fixtures for the optimizer's unit tests: small chain/star
 //! databases with data, indexes, and statistics.
 
-use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, IndexKind};
+use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType};
 use hfqo_query::{BoundColumn, JoinEdge, Lit, QueryGraph, RelId, Relation, Selection};
 use hfqo_sql::CompareOp;
 use hfqo_stats::{build_database_stats, StatsCatalog};
@@ -32,7 +32,7 @@ impl TestDb {
             let t = cat
                 .add_table(hfqo_catalog::TableSchema::new(format!("t{i}"), cols))
                 .expect("fresh name");
-            cat.add_index(format!("t{i}_id"), t, ColumnId(0), IndexKind::BTree, true)
+            cat.add_index(format!("t{i}_id"), t, ColumnId(0), true)
                 .expect("fresh index");
         }
         let mut db = Database::new(cat);
@@ -72,7 +72,7 @@ impl TestDb {
         let fact = cat
             .add_table(hfqo_catalog::TableSchema::new("t0", fact_cols))
             .expect("fresh name");
-        cat.add_index("t0_id", fact, ColumnId(0), IndexKind::BTree, true)
+        cat.add_index("t0_id", fact, ColumnId(0), true)
             .expect("fresh index");
         for d in 1..n {
             let t = cat
@@ -84,7 +84,7 @@ impl TestDb {
                     ],
                 ))
                 .expect("fresh name");
-            cat.add_index(format!("t{d}_id"), t, ColumnId(0), IndexKind::BTree, true)
+            cat.add_index(format!("t{d}_id"), t, ColumnId(0), true)
                 .expect("fresh index");
         }
         let mut db = Database::new(cat);

@@ -16,10 +16,10 @@
 //!   structurally valid (predicate indices and all) for the other.
 //! * [`ParamVector`] — the literal values extracted from the selection
 //!   slots, in slot (stored selection) order. Together with the
-//!   template it reconstitutes the exact query; on its own it is what
-//!   selectivity estimation scores to decide whether a cached plan
-//!   still fits the current constants (see
-//!   `hfqo_stats::param_selectivities`).
+//!   template it reconstitutes the exact query. The serving cache
+//!   decides whether a cached plan still fits the current constants by
+//!   scoring the bound graph's selections (see
+//!   `hfqo_stats::selection_selectivities`).
 //! * [`QueryFingerprint`] — the exact fingerprint, hashing literal
 //!   *values* as before. Two graphs share it exactly when they are the
 //!   same query, constants included. The serving cache keeps it as a

@@ -12,8 +12,8 @@ use crate::agent::ReJoinAgent;
 use crate::env::PlanEnv;
 use crate::metrics::{EpisodeRecord, TrainingLog};
 use crate::reward::RewardMode;
+use crate::scaling::RewardScaler;
 use crate::trainer::{train, TrainerConfig};
-use hfqo_cost::RewardScaler;
 use rand::rngs::StdRng;
 
 /// Bootstrapping configuration.

@@ -30,8 +30,8 @@ use crate::featurize::{Featurizer, RolloutState};
 use crate::incremental::StageSet;
 use crate::reward::RewardMode;
 use hfqo_catalog::Catalog;
-use hfqo_cost::{CostModel, LatencyModel};
 use hfqo_exec::TrueCardinality;
+use hfqo_opt::cost::{CostModel, CostParams};
 use hfqo_opt::physical::{
     access_paths, best_aggregate_if_needed, build_aggregate, build_scan, legal_join_algos,
     needs_aggregate, Costed,
@@ -44,6 +44,13 @@ use hfqo_storage::Database;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Milliseconds per unit of work: what a simulated latency cost, or a
+/// plan's executed work, is worth in milliseconds.
+pub const MS_PER_WORK_UNIT: f64 = 0.01;
+
+/// Standard deviation of the simulated latency's log-normal noise.
+const LATENCY_NOISE_SIGMA: f64 = 0.08;
+
 /// Where an episode's latency observation comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencySource {
@@ -51,7 +58,7 @@ pub enum LatencySource {
     Simulated,
     /// Real execution through the vectorized batch executor: the plan
     /// runs under the given work budget and the *observed* work units
-    /// convert to milliseconds via the latency model's `ms_per_unit`.
+    /// convert to milliseconds at [`MS_PER_WORK_UNIT`].
     /// Budget-capped plans report the budget itself, so catastrophic
     /// plans stay cheap to observe and look exactly as bad as the
     /// paper's footnote 2 wants them to.
@@ -61,7 +68,7 @@ pub enum LatencySource {
 /// Shared, read-only context the environment costs and simulates
 /// against.
 ///
-/// Holds only shared references into the world plus the latency model,
+/// Holds only shared references into the world plus the latency source,
 /// so it is `Clone`: parallel training builds one context per worker over
 /// the same `Database`/`StatsCatalog`. Costs — the `M(t)` the reward
 /// uses, and the expert's — come from [`Self::planner_context`], the
@@ -72,19 +79,16 @@ pub struct EnvContext<'a> {
     pub db: &'a Database,
     /// Table statistics.
     pub stats: &'a StatsCatalog,
-    /// Latency simulation model (for latency-based rewards and logging).
-    pub(crate) latency_model: LatencyModel,
     /// How latency-based rewards observe latency.
     pub(crate) latency_source: LatencySource,
 }
 
 impl<'a> EnvContext<'a> {
-    /// A context with the default latency model.
+    /// A context whose latency observations are simulated.
     pub fn new(db: &'a Database, stats: &'a StatsCatalog) -> Self {
         Self {
             db,
             stats,
-            latency_model: LatencyModel::default(),
             latency_source: LatencySource::Simulated,
         }
     }
@@ -166,14 +170,13 @@ fn executed_latency(
     graph: &QueryGraph,
     plan: &PhysicalPlan,
     config: hfqo_exec::ExecConfig,
-    ms_per_unit: f64,
 ) -> (f64, u64) {
     let work = match hfqo_exec::execute_for_stats(db, graph, plan, config) {
         Ok((_rows, work)) => work,
         Err(hfqo_exec::ExecError::BudgetExceeded { budget, .. }) => budget,
         Err(e) => panic!("executed-latency observation failed (not a budget abort): {e}"),
     };
-    ((work as f64 * ms_per_unit).max(0.001), work)
+    ((work as f64 * MS_PER_WORK_UNIT).max(0.001), work)
 }
 
 /// Episode phase.
@@ -372,17 +375,25 @@ impl<'a> PlanEnv<'a> {
         cost
     }
 
-    /// Simulated latency of `plan` for query `idx` via the
-    /// true-cardinality oracle.
+    /// Simulated latency of `plan` for query `idx`, in milliseconds.
+    ///
+    /// Executing every plan an experiment proposes is the "performance
+    /// evaluation overhead" §4 describes, so latency is simulated: the
+    /// planners' cost formulas driven by **true** cardinalities (the
+    /// query's execution-backed oracle) under
+    /// [`CostParams::IN_MEMORY_LATENCY`], which systematically disagrees
+    /// with the costing parameters, times log-normal noise. Real
+    /// execution is [`LatencySource::Executed`].
     pub fn simulate_latency(&mut self, idx: usize, plan: &PhysicalPlan, rng: &mut StdRng) -> f64 {
-        if self.oracles[idx].is_none() {
-            self.oracles[idx] = Some(TrueCardinality::new(self.ctx.db));
-        }
-        let oracle = self.oracles[idx].as_ref().expect("just initialised");
-        self.ctx
-            .latency_model
-            .simulate(&self.queries[idx], plan, self.ctx.stats, oracle, rng)
-            .millis
+        let oracle = self.oracles[idx].get_or_insert_with(|| TrueCardinality::new(self.ctx.db));
+        let cost = CostModel::new(&CostParams::IN_MEMORY_LATENCY, self.ctx.stats)
+            .plan_cost(&self.queries[idx], plan, oracle)
+            .total;
+        // Log-normal multiplicative noise via Box-Muller.
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen();
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        (cost * MS_PER_WORK_UNIT * (LATENCY_NOISE_SIGMA * z).exp()).max(0.001)
     }
 
     /// Observes the latency of `plan` for query `idx` through the
@@ -399,13 +410,7 @@ impl<'a> PlanEnv<'a> {
         match self.ctx.latency_source {
             LatencySource::Simulated => (self.simulate_latency(idx, plan, rng), None),
             LatencySource::Executed(config) => {
-                let (ms, work) = executed_latency(
-                    self.ctx.db,
-                    &self.queries[idx],
-                    plan,
-                    config,
-                    self.ctx.latency_model.ms_per_unit,
-                );
+                let (ms, work) = executed_latency(self.ctx.db, &self.queries[idx], plan, config);
                 (ms, Some(work))
             }
         }
@@ -735,7 +740,7 @@ mod tests {
         assert!(work > 0);
         let ms = outcome.latency_ms.expect("latency observed");
         // Latency is exactly the executed work scaled to milliseconds.
-        let expected = (work as f64 * LatencyModel::default().ms_per_unit).max(0.001);
+        let expected = (work as f64 * MS_PER_WORK_UNIT).max(0.001);
         assert!((ms - expected).abs() < 1e-9, "{ms} vs {expected}");
         // Executed observations are deterministic: the same plan costs
         // the same work under the batch engine.
@@ -817,6 +822,90 @@ mod tests {
         }
         let outcome = env.last_outcome().expect("finished");
         assert!(outcome.latency_ms.expect("latency simulated") > 0.0);
+    }
+
+    /// `t0 ⋈ t1`, both sides sequentially scanned, joined by `algo` on
+    /// `conds`.
+    fn two_way_plan(algo: JoinAlgo, conds: Vec<usize>) -> PhysicalPlan {
+        let scan = |rel| {
+            Box::new(PlanNode::Scan {
+                rel: RelId(rel),
+                path: hfqo_query::AccessPath::SeqScan,
+            })
+        };
+        PhysicalPlan::new(PlanNode::Join {
+            algo,
+            conds,
+            left: scan(0),
+            right: scan(1),
+        })
+    }
+
+    fn two_way_fixtures() -> (TestDb, Vec<QueryGraph>) {
+        let db = TestDb::chain(2, 1000);
+        let queries = vec![chain_query(&db, 2)];
+        (db, queries)
+    }
+
+    #[test]
+    fn simulated_latency_is_deterministic_per_seed() {
+        let (db, queries) = two_way_fixtures();
+        let mut env = join_env(
+            &db,
+            &queries,
+            4,
+            QueryOrder::Cycle,
+            RewardMode::InverseLatency,
+        );
+        let plan = two_way_plan(JoinAlgo::Hash, vec![0]);
+        let a = env.simulate_latency(0, &plan, &mut StdRng::seed_from_u64(1));
+        let b = env.simulate_latency(0, &plan, &mut StdRng::seed_from_u64(1));
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert!(a > 0.0);
+    }
+
+    #[test]
+    fn simulated_cross_product_is_slower_than_a_hash_join() {
+        let (db, queries) = two_way_fixtures();
+        let mut env = join_env(
+            &db,
+            &queries,
+            4,
+            QueryOrder::Cycle,
+            RewardMode::InverseLatency,
+        );
+        // One seed for both draws: the same noise factor scales each.
+        let mut simulate =
+            |plan: PhysicalPlan| env.simulate_latency(0, &plan, &mut StdRng::seed_from_u64(1));
+        let good = simulate(two_way_plan(JoinAlgo::Hash, vec![0]));
+        let cross = simulate(two_way_plan(JoinAlgo::NestedLoop, vec![]));
+        assert!(cross > 5.0 * good, "{cross} vs {good}");
+    }
+
+    #[test]
+    fn simulated_latency_noise_is_bounded_and_multiplicative() {
+        let (db, queries) = two_way_fixtures();
+        let mut env = join_env(
+            &db,
+            &queries,
+            4,
+            QueryOrder::Cycle,
+            RewardMode::InverseLatency,
+        );
+        let plan = two_way_plan(JoinAlgo::Hash, vec![0]);
+        let base = CostModel::new(&CostParams::IN_MEMORY_LATENCY, &db.stats)
+            .plan_cost(&queries[0], &plan, &TrueCardinality::new(&db.db))
+            .total
+            * MS_PER_WORK_UNIT;
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..100 {
+            let l = env.simulate_latency(0, &plan, &mut rng);
+            // ±8% sigma: 5 sigma bounds are generous.
+            assert!(
+                l > base * 0.6 && l < base * 1.6,
+                "latency {l} vs base {base}"
+            );
+        }
     }
 
     #[test]

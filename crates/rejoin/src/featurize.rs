@@ -353,7 +353,7 @@ impl RolloutState {
 mod tests {
     use super::*;
     use hfqo_catalog::{ColumnId, ColumnStatsMeta, TableId};
-    use hfqo_cost::{CostModel, CostParams};
+    use hfqo_opt::cost::{CostModel, CostParams};
     use hfqo_opt::physical::build_scan;
     use hfqo_opt::PlanForest;
     use hfqo_query::{AccessPath, BoundColumn, JoinEdge, Lit, PhysicalPlan, Relation, Selection};

@@ -15,12 +15,16 @@
 //!   relation count with masked pair actions.
 //! * [`mod@env`] — the one episodic environment, [`PlanEnv`] (episode =
 //!   query, action = ordered subtree pair, terminal reward from the cost
-//!   model / latency source). Access-path, join operator, and aggregate
+//!   model / latency source). Its latency simulator,
+//!   [`PlanEnv::simulate_latency`], prices a plan with `hfqo_opt::cost`
+//!   on true cardinalities under a second parameter set and adds
+//!   log-normal noise. Access-path, join operator, and aggregate
 //!   operator decisions are further phases gated by a
 //!   [`incremental::StageSet`] so curricula can grow the action space;
 //!   ReJOIN's join ordering is its `StageSet::join_order_only()` case.
 //! * [`reward`] — the reward signals: `1/M(t)`, expert-relative cost,
-//!   (scaled) simulated latency.
+//!   (scaled) simulated latency; [`scaling`] — §5.2's [`RewardScaler`],
+//!   which maps latencies into the cost range.
 //! * [`trainer`] — the episode loop with per-episode logging, the data
 //!   behind Figures 3a/3b.
 //! * [`parallel`] — the multi-worker episode-collection harness
@@ -47,12 +51,15 @@ pub mod learned;
 pub mod metrics;
 pub mod parallel;
 pub mod reward;
+pub mod scaling;
 pub mod trainer;
 
 pub use agent::{PolicyKind, ReJoinAgent};
 pub use bootstrap::{cost_bootstrap, BootstrapConfig, BootstrapOutcome};
 pub use demonstration::{learn_from_demonstration, DemonstrationConfig, DemonstrationOutcome};
-pub use env::{EnvContext, EpisodeOutcome, LatencySource, Phase, PlanEnv, QueryOrder};
+pub use env::{
+    EnvContext, EpisodeOutcome, LatencySource, Phase, PlanEnv, QueryOrder, MS_PER_WORK_UNIT,
+};
 pub use experience::{episode_from_decisions, ReplayError};
 pub use featurize::{Featurizer, RolloutState};
 pub use incremental::{Curriculum, StageSet};
@@ -60,4 +67,5 @@ pub use learned::LearnedPlanner;
 pub use metrics::TrainingLog;
 pub use parallel::train_parallel;
 pub use reward::RewardMode;
+pub use scaling::RewardScaler;
 pub use trainer::{evaluate_per_query, train, TrainerConfig};

@@ -8,7 +8,7 @@
 //! (a variance-reduction refinement — the convergence *metric* stays
 //! cost-relative-to-expert either way, as in Figure 3a).
 
-use hfqo_cost::RewardScaler;
+use crate::scaling::RewardScaler;
 
 /// How terminal rewards are computed from a finished plan.
 #[derive(Debug, Clone)]

@@ -35,8 +35,9 @@
 use crate::experience::{ExperienceLog, EXPERIENCE_CAPACITY};
 use crate::session::QuerySession;
 use crate::swap::{HotSwapPlanner, PlannerHandle};
-use hfqo_cost::LatencyModel;
-use hfqo_rejoin::{episode_from_decisions, Featurizer, LearnedPlanner, ReJoinAgent, RewardMode};
+use hfqo_rejoin::{
+    episode_from_decisions, Featurizer, LearnedPlanner, ReJoinAgent, RewardMode, MS_PER_WORK_UNIT,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,8 +51,9 @@ pub struct OnlineConfig {
     pub drain_batch: usize,
     /// Replayed episodes between policy-snapshot swaps (minimum 1).
     pub swap_every: usize,
-    /// Work-units → milliseconds conversion for the reward (the same
-    /// constant the training environments' executed-latency path uses).
+    /// Work-units → milliseconds conversion for the reward (defaults to
+    /// [`MS_PER_WORK_UNIT`], the constant the training environments'
+    /// executed-latency path uses).
     pub ms_per_unit: f64,
 }
 
@@ -60,7 +62,7 @@ impl Default for OnlineConfig {
         Self {
             drain_batch: 32,
             swap_every: 16,
-            ms_per_unit: LatencyModel::default().ms_per_unit,
+            ms_per_unit: MS_PER_WORK_UNIT,
         }
     }
 }

@@ -43,9 +43,10 @@ impl StatsCatalog {
 /// Two implementations exist: [`EstimatedCardinality`] (histograms +
 /// independence assumptions — what the traditional optimizer uses) and the
 /// execution-backed `TrueCardinality` oracle in `hfqo-exec` (what the
-/// latency model uses). The cost model is generic over this trait, which is
-/// exactly the lever the paper's §5.2 pulls: the same cost formulas driven
-/// by estimated vs true cardinalities produce the cost-vs-latency gap.
+/// RL environment's latency simulator uses). The cost model is generic
+/// over this trait, which is exactly the lever the paper's §5.2 pulls:
+/// the same cost formulas driven by estimated vs true cardinalities
+/// produce the cost-vs-latency gap.
 pub trait CardinalitySource {
     /// Rows produced by scanning `rel` and applying all its selections.
     fn base_rows(&self, graph: &QueryGraph, rel: RelId) -> f64;

@@ -24,4 +24,4 @@ pub use cardinality::{CardinalitySource, EstimatedCardinality, QueryCardinality,
 pub use column_stats::{ColumnStats, TableStats};
 pub use drift::{stats_drift, DriftMagnitude};
 pub use histogram::Histogram;
-pub use selectivity::{param_selectivities, selection_selectivities, selection_selectivity};
+pub use selectivity::{selection_selectivities, selection_selectivity};

@@ -1,7 +1,7 @@
 //! Selection selectivity estimation.
 
 use crate::cardinality::StatsCatalog;
-use hfqo_query::{ParamVector, QueryGraph, Selection};
+use hfqo_query::{QueryGraph, Selection};
 use hfqo_sql::CompareOp;
 
 /// Fallback equality selectivity when no statistics exist (PostgreSQL uses
@@ -47,43 +47,6 @@ pub fn selection_selectivities(stats: &StatsCatalog, graph: &QueryGraph) -> Vec<
         .selections()
         .iter()
         .map(|sel| selection_selectivity(stats, graph, sel))
-        .collect()
-}
-
-/// Estimates the selectivity signature a *different* parameter vector
-/// would have in `graph`'s template: slot `i`'s column and operator
-/// come from the graph, the literal from `params`. This is the
-/// "(template, params) → selectivity" lookup — it scores a parameter
-/// vector against a template without rebuilding the bound graph.
-///
-/// # Panics
-///
-/// Panics if `params` has a different slot count than the graph's
-/// selection list (the vector belongs to another template).
-pub fn param_selectivities(
-    stats: &StatsCatalog,
-    graph: &QueryGraph,
-    params: &ParamVector,
-) -> Vec<f64> {
-    assert_eq!(
-        params.len(),
-        graph.selections().len(),
-        "parameter vector has {} slots but the template has {}",
-        params.len(),
-        graph.selections().len()
-    );
-    graph
-        .selections()
-        .iter()
-        .zip(params.params())
-        .map(|(slot, value)| {
-            let sel = Selection {
-                column: slot.column,
-                op: slot.op,
-                value: value.clone(),
-            };
-            selection_selectivity(stats, graph, &sel)
-        })
         .collect()
 }
 
@@ -222,29 +185,5 @@ mod tests {
         );
         let empty = selection_selectivities(&stats, &graph);
         assert!(empty.is_empty(), "no slots, no signature");
-    }
-
-    /// The param-vector lookup must score exactly as if the literals
-    /// were bound into the graph — it is the same estimator, addressed
-    /// by (template, params) instead of a rebuilt graph.
-    #[test]
-    fn param_selectivities_match_rebound_graph() {
-        let (stats, graph) = setup();
-        let bound = with_value(&graph, CompareOp::Lt, 50);
-        let other = hfqo_query::ParamVector::new(vec![Lit::Int(90)]);
-        let via_params = param_selectivities(&stats, &bound, &other);
-        let rebound = with_value(&graph, CompareOp::Lt, 90);
-        assert_eq!(via_params, selection_selectivities(&stats, &rebound));
-        // Different constants on a skewed histogram really do move the
-        // signature — this is what the re-plan band compares.
-        assert_ne!(via_params, selection_selectivities(&stats, &bound));
-    }
-
-    #[test]
-    #[should_panic(expected = "parameter vector has 0 slots")]
-    fn param_vector_slot_count_mismatch_panics() {
-        let (stats, graph) = setup();
-        let bound = with_value(&graph, CompareOp::Eq, 5);
-        let _ = param_selectivities(&stats, &bound, &hfqo_query::ParamVector::default());
     }
 }

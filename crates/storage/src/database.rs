@@ -17,26 +17,16 @@
 
 use crate::btree::BTreeIndex;
 use crate::error::StorageError;
-use crate::hash_index::HashIndex;
 use crate::table::Table;
-use hfqo_catalog::{Catalog, IndexId, IndexKind, TableId};
-
-/// Materialised data structure backing a catalog index.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IndexStorage {
-    /// Ordered index.
-    BTree(BTreeIndex),
-    /// Hash index.
-    Hash(HashIndex),
-}
+use hfqo_catalog::{Catalog, IndexId, TableId};
 
 /// An in-memory database: one [`Table`] per catalog table, one
-/// [`IndexStorage`] per catalog index.
+/// [`BTreeIndex`] per catalog index.
 #[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,
     tables: Vec<Table>,
-    indexes: Vec<Option<IndexStorage>>,
+    indexes: Vec<Option<BTreeIndex>>,
     /// Data version per table; see the [module docs](self).
     versions: Vec<u64>,
     /// The data version each table's indexes were built at (`None`:
@@ -130,10 +120,7 @@ impl Database {
                 .column(def.column())
                 .ok_or_else(|| StorageError::SchemaMismatch(format!("index `{}`", def.name())))?;
             let pairs = (0..table.row_count()).map(|r| (r, col.get(r)));
-            self.indexes[i] = Some(match def.kind() {
-                IndexKind::BTree => IndexStorage::BTree(BTreeIndex::build(pairs)),
-                IndexKind::Hash => IndexStorage::Hash(HashIndex::build(pairs)),
-            });
+            self.indexes[i] = Some(BTreeIndex::build(pairs));
         }
         for (at, version) in self.indexed_at.iter_mut().zip(&self.versions) {
             *at = Some(*version);
@@ -144,7 +131,7 @@ impl Database {
     /// The built data structure for an index, if [`build_indexes`] ran.
     ///
     /// [`build_indexes`]: Self::build_indexes
-    pub fn index_storage(&self, id: IndexId) -> Option<&IndexStorage> {
+    pub fn index_storage(&self, id: IndexId) -> Option<&BTreeIndex> {
         self.indexes.get(id.index()).and_then(|s| s.as_ref())
     }
 
@@ -171,10 +158,8 @@ mod tests {
                 ],
             ))
             .unwrap();
-        c.add_index("t_id", t, ColumnId(0), IndexKind::BTree, true)
-            .unwrap();
-        c.add_index("t_grp", t, ColumnId(1), IndexKind::Hash, false)
-            .unwrap();
+        c.add_index("t_id", t, ColumnId(0), true).unwrap();
+        c.add_index("t_grp", t, ColumnId(1), false).unwrap();
         let mut db = Database::new(c);
         for i in 0..10i64 {
             db.table_mut(t)
@@ -189,18 +174,10 @@ mod tests {
     fn build_and_probe_indexes() {
         let (mut db, _) = db();
         db.build_indexes().unwrap();
-        match db.index_storage(IndexId(0)).unwrap() {
-            IndexStorage::BTree(b) => {
-                assert_eq!(b.lookup_eq(&Value::Int(7)), &[7]);
-            }
-            _ => panic!("expected btree"),
-        }
-        match db.index_storage(IndexId(1)).unwrap() {
-            IndexStorage::Hash(h) => {
-                assert_eq!(h.lookup_eq(&Value::Int(0)), &[0, 3, 6, 9]);
-            }
-            _ => panic!("expected hash"),
-        }
+        let by_id = db.index_storage(IndexId(0)).unwrap();
+        assert_eq!(by_id.lookup_eq(&Value::Int(7)), &[7]);
+        let by_grp = db.index_storage(IndexId(1)).unwrap();
+        assert_eq!(by_grp.lookup_eq(&Value::Int(0)), &[0, 3, 6, 9]);
     }
 
     /// A change to one table moves only that table's version, and the
@@ -212,10 +189,8 @@ mod tests {
         let cols = || vec![Column::new("id", ColumnType::Int)];
         let a = c.add_table(TableSchema::new("a", cols())).unwrap();
         let b = c.add_table(TableSchema::new("b", cols())).unwrap();
-        c.add_index("a_id", a, ColumnId(0), IndexKind::BTree, true)
-            .unwrap();
-        c.add_index("b_id", b, ColumnId(0), IndexKind::Hash, true)
-            .unwrap();
+        c.add_index("a_id", a, ColumnId(0), true).unwrap();
+        c.add_index("b_id", b, ColumnId(0), true).unwrap();
         let mut db = Database::new(c);
         for t in [a, b] {
             db.table_mut(t)
@@ -234,14 +209,12 @@ mod tests {
         assert_eq!(db.table_versions()[b.index()], before[b.index()]);
         // A stale marker in the untouched table's slot: a rebuild of
         // that table would overwrite it.
-        let marker = IndexStorage::Hash(HashIndex::new());
+        let marker = BTreeIndex::new();
         db.indexes[1] = Some(marker.clone());
         db.refresh_indexes().unwrap();
         assert_eq!(db.index_storage(IndexId(1)), Some(&marker));
-        match db.index_storage(IndexId(0)).unwrap() {
-            IndexStorage::BTree(i) => assert_eq!(i.lookup_eq(&Value::Int(2)), &[1]),
-            _ => panic!("expected btree"),
-        }
+        let a_id = db.index_storage(IndexId(0)).unwrap();
+        assert_eq!(a_id.lookup_eq(&Value::Int(2)), &[1]);
 
         let mut full = db.clone();
         assert_eq!(

@@ -1,7 +1,7 @@
 //! # hfqo-storage
 //!
 //! In-memory columnar storage for the hands-free query optimizer: typed
-//! column vectors, tables, B-tree and hash indexes, the [`Database`]
+//! column vectors, tables, B-tree indexes, the [`Database`]
 //! container binding them to a catalog, and a deterministic synthetic data
 //! generator (uniform, zipfian, correlated, and foreign-key distributions).
 //!
@@ -32,7 +32,6 @@ pub mod csv;
 pub mod database;
 pub mod datagen;
 pub mod error;
-pub mod hash_index;
 pub mod table;
 pub mod value;
 
@@ -42,7 +41,6 @@ pub use csv::{read_csv_into, CsvLoadStats, CsvOptions};
 pub use database::Database;
 pub use datagen::{ColumnGen, Distribution, TableGen};
 pub use error::StorageError;
-pub use hash_index::HashIndex;
 pub use table::Table;
 pub use value::Value;
 

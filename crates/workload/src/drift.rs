@@ -560,7 +560,7 @@ pub fn with_count_root(q: &QueryGraph) -> QueryGraph {
 /// because the targets come from the query graphs, not from hardcoded
 /// table ids. Fully determined by `seed`; target order is sorted, so
 /// the battery is independent of query order too.
-pub fn shock_battery_for(
+pub(crate) fn shock_battery_for(
     db: &Database,
     queries: &[QueryGraph],
     growth_rows: usize,
@@ -601,36 +601,6 @@ pub fn shock_battery_for(
     for (i, &(t, c)) in sel_cols.iter().enumerate() {
         let salt = seed.wrapping_add(1000 + i as u64);
         skew = skew.with_mutation(Mutation::skew_shift(t, c, 0.5, salt));
-    }
-    vec![
-        growth,
-        skew,
-        Shock::new(ShockKind::NewTemplates).with_query(new_query),
-        delete,
-    ]
-}
-
-/// The standard shock battery over the [`SynthDb`](crate::synth::SynthDb)
-/// schema (`s{i}(id, fk, val)`): append growth across the first
-/// `tables` tables, a skew shift of every `val` selection column toward
-/// one head value, a bulk delete, and a new template arriving mid-run.
-/// Fully determined by `seed`.
-pub fn synth_shock_battery(
-    tables: usize,
-    growth_rows: usize,
-    new_query: QueryGraph,
-    seed: u64,
-) -> Vec<Shock> {
-    let val = ColumnId(2);
-    let mut growth = Shock::new(ShockKind::AppendGrowth);
-    let mut skew = Shock::new(ShockKind::SkewShift);
-    let mut delete = Shock::new(ShockKind::BulkDelete);
-    for t in 0..tables {
-        let tid = TableId(t as u32);
-        let salt = seed.wrapping_add(t as u64);
-        growth = growth.with_mutation(Mutation::append(tid, growth_rows, salt));
-        skew = skew.with_mutation(Mutation::skew_shift(tid, val, 0.6, salt));
-        delete = delete.with_mutation(Mutation::bulk_delete(tid, 0.35, salt));
     }
     vec![
         growth,
@@ -1156,7 +1126,8 @@ mod tests {
     #[test]
     fn shock_battery_covers_all_kinds() {
         let s = synth();
-        let battery = synth_shock_battery(4, 50, s.query(Shape::Star, 4, 1, 8), 21);
+        let queries = [s.query(Shape::Chain, 4, 1, 2)];
+        let battery = shock_battery_for(&s.db, &queries, 50, s.query(Shape::Star, 4, 1, 8), 21);
         let kinds: Vec<ShockKind> = battery.iter().map(|s| s.kind).collect();
         assert!(kinds.contains(&ShockKind::AppendGrowth));
         assert!(kinds.contains(&ShockKind::SkewShift));

@@ -14,7 +14,7 @@
 //! optimizer's independence assumption exactly where the paper needs the
 //! cost model to be wrong.
 
-use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, IndexKind, TableId};
+use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableId};
 use hfqo_stats::{build_database_stats, StatsCatalog};
 use hfqo_storage::{ColumnGen, Database, Distribution, TableGen};
 use rand::rngs::StdRng;
@@ -196,21 +196,15 @@ pub fn build_catalog() -> Catalog {
         let schema =
             hfqo_catalog::TableSchema::new(name, columns_for(name)).with_primary_key(ColumnId(0));
         let t = cat.add_table(schema).expect("unique table names");
-        cat.add_index(
-            format!("{name}_pkey"),
-            t,
-            ColumnId(0),
-            IndexKind::BTree,
-            true,
-        )
-        .expect("unique index names");
+        cat.add_index(format!("{name}_pkey"), t, ColumnId(0), true)
+            .expect("unique index names");
     }
     // FK indexes on the big satellites.
     for &(child, col, _) in FK_EDGES {
         let t = cat.table_by_name(child).expect("table exists");
         if rows_for(child, 1000) >= 1000 {
             let c = cat.resolve_column(t, col).expect("column exists");
-            let _ = cat.add_index(format!("{child}_{col}_idx"), t, c, IndexKind::BTree, false);
+            let _ = cat.add_index(format!("{child}_{col}_idx"), t, c, false);
         }
     }
     cat

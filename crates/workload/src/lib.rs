@@ -30,9 +30,9 @@ pub mod suite;
 pub mod synth;
 
 pub use drift::{
-    apply_mutation, shock_battery_for, synth_shock_battery, with_count_root, DbSnapshots,
-    DriftConfig, DriftError, DriftHarness, DriftOutcome, DriftScenario, Mutation, MutationOp,
-    MutationReport, RecoveryReport, RecoveryRound, Shock, ShockKind,
+    apply_mutation, with_count_root, DbSnapshots, DriftConfig, DriftError, DriftHarness,
+    DriftOutcome, DriftScenario, Mutation, MutationOp, MutationReport, RecoveryReport,
+    RecoveryRound, Shock, ShockKind,
 };
 pub use loader::{load_imdb_csv_dir, CsvLoadReport, LoaderOptions};
 pub use suite::WorkloadBundle;

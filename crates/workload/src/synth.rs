@@ -5,7 +5,7 @@
 //! §5.3.2 relations curriculum (which needs 1-, 2-, 3-relation queries —
 //! rare in real workloads, as the paper notes), and property tests.
 
-use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, IndexKind, TableId};
+use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableId};
 use hfqo_query::{BoundColumn, JoinEdge, Lit, QueryGraph, RelId, Relation, Selection};
 use hfqo_sql::CompareOp;
 use hfqo_stats::{build_database_stats, StatsCatalog};
@@ -72,7 +72,7 @@ impl SynthDb {
             )
             .with_primary_key(ColumnId(0));
             let t = cat.add_table(schema).expect("unique names");
-            cat.add_index(format!("s{i}_pk"), t, ColumnId(0), IndexKind::BTree, true)
+            cat.add_index(format!("s{i}_pk"), t, ColumnId(0), true)
                 .expect("unique index names");
         }
         let mut db = Database::new(cat);

@@ -53,10 +53,10 @@
 //! ```
 
 pub use hfqo_catalog as catalog;
-pub use hfqo_cost as cost;
 pub use hfqo_exec as exec;
 pub use hfqo_nn as nn;
 pub use hfqo_opt as opt;
+pub use hfqo_opt::cost;
 pub use hfqo_query as query;
 pub use hfqo_rejoin as rejoin;
 pub use hfqo_rl as rl;
@@ -68,9 +68,9 @@ pub use hfqo_workload as workload;
 
 /// The most commonly used types, in one import.
 pub mod prelude {
-    pub use hfqo_catalog::{Catalog, Column, ColumnType, IndexKind, TableSchema};
-    pub use hfqo_cost::{CostModel, CostParams, LatencyModel, RewardScaler};
+    pub use hfqo_catalog::{Catalog, Column, ColumnType, TableSchema};
     pub use hfqo_exec::{execute, ExecConfig, TrueCardinality};
+    pub use hfqo_opt::cost::{CostModel, CostParams};
     pub use hfqo_opt::{
         random_plan, Planner, PlannerContext, PlannerMethod, RandomPlanner, TraditionalPlanner,
     };
@@ -81,8 +81,8 @@ pub mod prelude {
     pub use hfqo_rejoin::{
         cost_bootstrap, evaluate_per_query, learn_from_demonstration, train, train_parallel,
         BootstrapConfig, Curriculum, DemonstrationConfig, EnvContext, Featurizer, LearnedPlanner,
-        PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, StageSet, TrainerConfig,
-        TrainingLog,
+        PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, RewardScaler, StageSet,
+        TrainerConfig, TrainingLog,
     };
     pub use hfqo_rl::Environment;
     pub use hfqo_serve::{
@@ -91,13 +91,13 @@ pub mod prelude {
         ServedQuery,
     };
     pub use hfqo_sql::parse_select;
-    pub use hfqo_stats::{build_database_stats, CardinalitySource, EstimatedCardinality};
-    pub use hfqo_stats::{param_selectivities, selection_selectivities};
+    pub use hfqo_stats::{
+        build_database_stats, selection_selectivities, CardinalitySource, EstimatedCardinality,
+    };
     pub use hfqo_storage::{Database, Value};
     pub use hfqo_workload::imdb::ImdbConfig;
     pub use hfqo_workload::{
-        apply_mutation, shock_battery_for, synth_shock_battery, with_count_root, DbSnapshots,
-        DriftConfig, DriftHarness, DriftOutcome, DriftScenario, Mutation, MutationOp,
-        RecoveryReport, Shock, ShockKind, WorkloadBundle,
+        apply_mutation, with_count_root, DbSnapshots, DriftConfig, DriftHarness, DriftOutcome,
+        DriftScenario, Mutation, MutationOp, RecoveryReport, Shock, ShockKind, WorkloadBundle,
     };
 }
