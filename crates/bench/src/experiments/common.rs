@@ -4,11 +4,10 @@
 use crate::args::RunArgs;
 use hfqo_opt::PlannerContext;
 use hfqo_query::QueryGraph;
+use hfqo_rejoin::rl::{Environment, ReinforceAgent, ReinforceConfig};
 use hfqo_rejoin::{
-    EnvContext, Featurizer, LearnedPlanner, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent,
-    RewardMode, StageSet,
+    EnvContext, Featurizer, LearnedPlanner, PlanEnv, QueryOrder, RewardMode, StageSet,
 };
-use hfqo_rl::{Environment, ReinforceConfig};
 use hfqo_workload::imdb::ImdbConfig;
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
@@ -84,12 +83,12 @@ pub fn cap_query_size(bundle: WorkloadBundle, max_rels: usize) -> WorkloadBundle
 
 /// The default ReJOIN policy configuration: two 128-unit hidden layers
 /// (as in the ReJOIN prototype), REINFORCE with baseline.
-pub(crate) fn default_policy() -> PolicyKind {
-    PolicyKind::Reinforce(ReinforceConfig {
+pub(crate) fn default_policy() -> ReinforceConfig {
+    ReinforceConfig {
         hidden: vec![128, 128],
         lr: 1e-3,
         batch_episodes: 8,
-    })
+    }
 }
 
 /// Builds an environment over `queries` of a bundle, as wide as the
@@ -124,8 +123,8 @@ pub fn join_env<'a>(
 }
 
 /// Builds an agent shaped to an environment.
-pub fn agent_for(env: &PlanEnv<'_>, kind: PolicyKind, rng: &mut StdRng) -> ReJoinAgent {
-    ReJoinAgent::new(env.state_dim(), env.action_dim(), kind, rng)
+pub fn agent_for(env: &PlanEnv<'_>, config: ReinforceConfig, rng: &mut StdRng) -> ReinforceAgent {
+    ReinforceAgent::new(env.state_dim(), env.action_dim(), config, rng)
 }
 
 /// The planner-trait context over a bundle, with the same
@@ -138,7 +137,7 @@ pub fn planner_context(bundle: &WorkloadBundle) -> PlannerContext<'_> {
 /// like [`join_env`]'s environments: same featurizer width, same
 /// connected-pair masking. Plans it produces are identical to the
 /// environment's greedy evaluation episodes.
-pub(crate) fn learned_planner(bundle: &WorkloadBundle, agent: &ReJoinAgent) -> LearnedPlanner {
+pub(crate) fn learned_planner(bundle: &WorkloadBundle, agent: &ReinforceAgent) -> LearnedPlanner {
     LearnedPlanner::freeze(agent, Featurizer::new(bundle.max_rels().max(2)))
         .with_require_connected(true)
 }

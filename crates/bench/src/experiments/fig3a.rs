@@ -36,7 +36,7 @@ pub fn run(
     scale: Scale,
     seed: u64,
     workers: usize,
-) -> (Fig3aResult, hfqo_rejoin::ReJoinAgent) {
+) -> (Fig3aResult, hfqo_rejoin::rl::ReinforceAgent) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut agent = agent_for(
         &join_env(bundle, QueryOrder::Shuffle, RewardMode::LogRelative),

@@ -11,7 +11,8 @@
 
 use super::common::{learned_planner, planner_context};
 use hfqo_opt::{Planner, TraditionalPlanner};
-use hfqo_rejoin::{LearnedPlanner, ReJoinAgent};
+use hfqo_rejoin::rl::ReinforceAgent;
+use hfqo_rejoin::LearnedPlanner;
 use hfqo_workload::job::FIGURE3B_LABELS;
 use hfqo_workload::WorkloadBundle;
 
@@ -38,7 +39,7 @@ pub struct Fig3bResult {
 
 /// Evaluates a trained agent on the Figure 3b queries through the
 /// [`Planner`] trait.
-pub fn run(bundle: &WorkloadBundle, agent: &ReJoinAgent) -> Fig3bResult {
+pub fn run(bundle: &WorkloadBundle, agent: &ReinforceAgent) -> Fig3bResult {
     let ctx = planner_context(bundle);
     let expert = TraditionalPlanner::new();
     let rejoin: LearnedPlanner = learned_planner(bundle, agent);

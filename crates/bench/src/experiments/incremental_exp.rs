@@ -9,9 +9,9 @@
 use super::common::{agent_for, default_policy, plan_env, Scale};
 use hfqo_query::QueryGraph;
 use hfqo_rejoin::incremental::admitted_queries;
+use hfqo_rejoin::rl::ReinforceAgent;
 use hfqo_rejoin::{
-    evaluate_per_query, train, Curriculum, PlanEnv, QueryOrder, ReJoinAgent, RewardMode, StageSet,
-    TrainerConfig,
+    evaluate_per_query, train, Curriculum, PlanEnv, QueryOrder, RewardMode, StageSet,
 };
 use hfqo_workload::synth::SynthConfig;
 use hfqo_workload::WorkloadBundle;
@@ -57,7 +57,7 @@ fn train_curriculum(
     curriculum: Curriculum,
     total_episodes: usize,
     seed: u64,
-) -> (ReJoinAgent, usize) {
+) -> (ReinforceAgent, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let phases = curriculum.phases(bundle.max_rels().max(2), total_episodes);
     let probe = full_env(bundle, &bundle.queries, QueryOrder::Shuffle);
@@ -75,17 +75,12 @@ fn train_curriculum(
             .collect();
         let mut env = full_env(bundle, &phase_queries, QueryOrder::Shuffle);
         env.set_stages(phase.stages);
-        let _ = train(
-            &mut env,
-            &mut agent,
-            TrainerConfig::new(phase.episodes),
-            &mut rng,
-        );
+        let _ = train(&mut env, &mut agent, phase.episodes, &mut rng);
     }
     (agent, n_phases)
 }
 
-fn full_task_ratio(bundle: &WorkloadBundle, agent: &ReJoinAgent, seed: u64) -> f64 {
+fn full_task_ratio(bundle: &WorkloadBundle, agent: &ReinforceAgent, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed ^ EVAL_SEED);
     let mut env = full_env(bundle, &bundle.queries, QueryOrder::Cycle);
     let records = evaluate_per_query(&mut env, agent, QueryOrder::Cycle, &mut rng);

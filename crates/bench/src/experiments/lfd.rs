@@ -6,9 +6,7 @@
 //! catastrophic plans a tabula-rasa latency learner stumbles through.
 
 use super::common::{agent_for, default_policy, join_env, Scale};
-use hfqo_rejoin::{
-    learn_from_demonstration, train, DemonstrationConfig, QueryOrder, RewardMode, TrainerConfig,
-};
+use hfqo_rejoin::{learn_from_demonstration, train, DemonstrationConfig, QueryOrder, RewardMode};
 use hfqo_workload::WorkloadBundle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,12 +48,7 @@ pub fn run(bundle: &WorkloadBundle, scale: Scale, seed: u64) -> LfdResult {
     // Tabula rasa on the same reward with the same episode budget.
     let mut env2 = join_env(bundle, QueryOrder::Cycle, RewardMode::InverseLatency);
     let mut agent = agent_for(&env2, default_policy(), &mut rng);
-    let tabula_log = train(
-        &mut env2,
-        &mut agent,
-        TrainerConfig::new(episodes),
-        &mut rng,
-    );
+    let tabula_log = train(&mut env2, &mut agent, episodes, &mut rng);
 
     let expert_mean_ms =
         lfd.expert_latency_ms.iter().sum::<f64>() / lfd.expert_latency_ms.len().max(1) as f64;

@@ -11,9 +11,9 @@ use crate::ops::agg::agg_output_type;
 use crate::parallel::evaluate;
 use crate::projection::{aggregate_inputs, all_columns, ColSet};
 use crate::row::{Layout, Row};
-use hfqo_catalog::{Catalog, ColumnType};
+use hfqo_query::sql::AggFunc;
 use hfqo_query::{BoundColumn, PhysicalPlan, PlanNode, QueryGraph};
-use hfqo_sql::AggFunc;
+use hfqo_storage::catalog::{Catalog, ColumnType};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -196,7 +196,7 @@ impl OutputSchema {
                     .map(|t| t.arity())
                     .unwrap_or(0);
                 for i in 0..arity {
-                    let c = BoundColumn::new(rel, hfqo_catalog::ColumnId(i as u32));
+                    let c = BoundColumn::new(rel, hfqo_storage::catalog::ColumnId(i as u32));
                     cols.push(OutputColumn::Column {
                         col: c,
                         name: col_name(c),
@@ -310,12 +310,12 @@ pub(crate) fn count_rows_unvalidated(
 mod tests {
     use super::*;
     use crate::rowexec::execute_rows;
-    use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableSchema};
+    use hfqo_query::sql::{AggFunc, CompareOp};
     use hfqo_query::{
         AccessPath, AggAlgo, AggExpr, BoundColumn, JoinAlgo, JoinEdge, Lit, RelId, Relation,
         Selection,
     };
-    use hfqo_sql::{AggFunc, CompareOp};
+    use hfqo_storage::catalog::{Catalog, Column, ColumnId, ColumnType, TableSchema};
     use hfqo_storage::{Database, Value};
 
     /// Two tables: dim (20 rows, pk) and fact (200 rows, fk = i % 20).
@@ -473,7 +473,7 @@ mod tests {
             left: Box::new(PlanNode::Scan {
                 rel: RelId(0),
                 path: AccessPath::IndexScan {
-                    index: hfqo_catalog::IndexId(0),
+                    index: hfqo_storage::catalog::IndexId(0),
                     driving_selection: 0,
                 },
             }),
@@ -668,7 +668,7 @@ mod tests {
             left: Box::new(PlanNode::Scan {
                 rel: RelId(0),
                 path: AccessPath::IndexScan {
-                    index: hfqo_catalog::IndexId(0),
+                    index: hfqo_storage::catalog::IndexId(0),
                     driving_selection: 0,
                 },
             }),
@@ -895,7 +895,7 @@ mod tests {
             left: Box::new(PlanNode::Scan {
                 rel: RelId(0),
                 path: AccessPath::IndexScan {
-                    index: hfqo_catalog::IndexId(0),
+                    index: hfqo_storage::catalog::IndexId(0),
                     driving_selection: 0,
                 },
             }),

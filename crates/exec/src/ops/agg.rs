@@ -8,9 +8,9 @@
 
 use crate::error::ExecError;
 use crate::projection::Projection;
-use hfqo_catalog::{Catalog, ColumnType};
+use hfqo_query::sql::AggFunc;
 use hfqo_query::{QueryError, QueryGraph};
-use hfqo_sql::AggFunc;
+use hfqo_storage::catalog::{Catalog, ColumnType};
 use hfqo_storage::{ColumnVector, Value};
 
 /// One aggregate accumulator.

@@ -27,7 +27,7 @@
 //! both engines, and `-0.0` compares equal to `0.0`.
 
 use super::{eval_cmp, ord_satisfies};
-use hfqo_sql::CompareOp;
+use hfqo_query::sql::CompareOp;
 use hfqo_storage::{ColumnVector, RleColumn, RleValues, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -278,7 +278,7 @@ fn keep_if(sel: &mut Vec<u32>, mut test: impl FnMut(usize) -> bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::ColumnType;
+    use hfqo_storage::catalog::ColumnType;
 
     fn int_col(vals: &[Option<i64>]) -> ColumnVector {
         let mut c = ColumnVector::new(ColumnType::Int);

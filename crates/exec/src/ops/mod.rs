@@ -15,7 +15,7 @@ pub(crate) mod join;
 pub(crate) mod scan;
 
 use crate::error::ExecError;
-use hfqo_sql::CompareOp;
+use hfqo_query::sql::CompareOp;
 use hfqo_storage::Value;
 use std::cmp::Ordering;
 
@@ -125,7 +125,7 @@ pub(crate) fn index_row_ids(
     db: &hfqo_storage::Database,
     graph: &hfqo_query::QueryGraph,
     rel: hfqo_query::RelId,
-    index: hfqo_catalog::IndexId,
+    index: hfqo_storage::catalog::IndexId,
     driving_selection: usize,
 ) -> Result<Vec<u32>, ExecError> {
     use hfqo_query::QueryError;

@@ -91,9 +91,9 @@ use crate::ops::scan::ScanSpec;
 use crate::ops::{eval_cmp_cols, resolve_conds, SlotCond};
 use crate::projection::{scan_projection, ColSet, Projection};
 use crate::row::Row;
-use hfqo_catalog::ColumnType;
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryError, QueryGraph, RelId};
-use hfqo_sql::CompareOp;
+use hfqo_storage::catalog::ColumnType;
 use hfqo_storage::{ColumnVector, Database, Value};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
@@ -1417,9 +1417,9 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
 mod tests {
     use super::*;
     use crate::projection::{aggregate_inputs, all_columns};
-    use hfqo_catalog::{Catalog, Column, ColumnId, TableSchema};
+    use hfqo_query::sql::{AggFunc, CompareOp};
     use hfqo_query::{AggExpr, BoundColumn, JoinEdge, Relation, Selection};
-    use hfqo_sql::{AggFunc, CompareOp};
+    use hfqo_storage::catalog::{Catalog, Column, ColumnId, TableSchema};
 
     /// Two tables a(k, v, pad), b(k, w); query joins a.k = b.k with a
     /// selection on a.v and COUNT(*) + SUM(b.w).

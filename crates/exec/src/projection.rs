@@ -16,8 +16,8 @@
 //! engine's [`Layout`](crate::row::Layout) and the two engines emit rows
 //! with identical column ordering.
 
-use hfqo_catalog::{Catalog, ColumnType};
 use hfqo_query::{BoundColumn, QueryGraph, RelId};
+use hfqo_storage::catalog::{Catalog, ColumnType};
 use hfqo_storage::Database;
 
 /// The ordered set of `(relation, column)` pairs a plan node outputs.
@@ -116,7 +116,7 @@ pub(crate) fn all_columns(graph: &QueryGraph, db: &Database) -> ColSet {
         for c in 0..arity {
             set.insert(BoundColumn::new(
                 RelId(i as u32),
-                hfqo_catalog::ColumnId(c as u32),
+                hfqo_storage::catalog::ColumnId(c as u32),
             ));
         }
     }
@@ -152,7 +152,7 @@ pub(crate) fn scan_projection(
         .map(|t| t.arity())
         .unwrap_or(0);
     let cols = (0..arity)
-        .map(|c| BoundColumn::new(rel, hfqo_catalog::ColumnId(c as u32)))
+        .map(|c| BoundColumn::new(rel, hfqo_storage::catalog::ColumnId(c as u32)))
         .filter(|&c| required.contains(c))
         .collect();
     Projection::new(cols)
@@ -161,8 +161,8 @@ pub(crate) fn scan_projection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Column, ColumnId, TableSchema};
     use hfqo_query::Relation;
+    use hfqo_storage::catalog::{Column, ColumnId, TableSchema};
 
     #[test]
     fn projection_slots_and_types() {

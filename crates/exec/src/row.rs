@@ -1,7 +1,7 @@
 //! Rows and the layout that maps bound columns to row slots.
 
-use hfqo_catalog::Catalog;
 use hfqo_query::{BoundColumn, Lit, PlanNode, QueryGraph, RelId};
+use hfqo_storage::catalog::Catalog;
 use hfqo_storage::Value;
 
 /// A materialised row: the concatenated column values of every relation in
@@ -113,8 +113,8 @@ pub(crate) fn lit_to_value(lit: &Lit) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Column, ColumnId, ColumnType, TableSchema};
     use hfqo_query::{AccessPath, Relation};
+    use hfqo_storage::catalog::{Column, ColumnId, ColumnType, TableSchema};
 
     fn setup() -> (Catalog, QueryGraph) {
         let mut cat = Catalog::new();

@@ -362,9 +362,9 @@ pub(crate) fn aggregate_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableId, TableSchema};
+    use hfqo_query::sql::{AggFunc, CompareOp};
     use hfqo_query::{AggExpr, BoundColumn, JoinEdge, Lit, Relation};
-    use hfqo_sql::{AggFunc, CompareOp};
+    use hfqo_storage::catalog::{Catalog, Column, ColumnId, ColumnType, TableId, TableSchema};
 
     // ---- scan ----
 
@@ -436,7 +436,7 @@ mod tests {
             &graph,
             RelId(0),
             &AccessPath::IndexScan {
-                index: hfqo_catalog::IndexId(0),
+                index: hfqo_storage::catalog::IndexId(0),
                 driving_selection: 0,
             },
             &mut b2,
@@ -470,7 +470,7 @@ mod tests {
             &graph,
             RelId(0),
             &AccessPath::IndexScan {
-                index: hfqo_catalog::IndexId(0),
+                index: hfqo_storage::catalog::IndexId(0),
                 driving_selection: 0,
             },
             &mut budget,
@@ -489,7 +489,7 @@ mod tests {
             &graph,
             RelId(0),
             &AccessPath::IndexScan {
-                index: hfqo_catalog::IndexId(0),
+                index: hfqo_storage::catalog::IndexId(0),
                 driving_selection: 1,
             },
             &mut budget,

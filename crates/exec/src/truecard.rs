@@ -2,8 +2,8 @@
 
 use crate::error::ExecError;
 use crate::executor::ExecConfig;
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{AccessPath, JoinAlgo, PhysicalPlan, PlanNode, QueryGraph, RelId, RelSet};
-use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
 use hfqo_storage::Database;
 use std::cell::RefCell;
@@ -147,8 +147,8 @@ impl CardinalitySource for TrueCardinality<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableSchema};
     use hfqo_query::{BoundColumn, JoinEdge, Lit, Relation, Selection};
+    use hfqo_storage::catalog::{Catalog, Column, ColumnId, ColumnType, TableSchema};
     use hfqo_storage::Value;
 
     /// dim: 10 rows; fact: 100 rows, fk = i % 10; selection keeps half of

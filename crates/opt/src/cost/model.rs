@@ -212,10 +212,10 @@ impl<'a> CostModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{ColumnId, ColumnStatsMeta, TableId};
+    use hfqo_query::sql::CompareOp;
     use hfqo_query::{BoundColumn, JoinEdge, Lit, RelId, Relation, Selection};
-    use hfqo_sql::CompareOp;
     use hfqo_stats::{ColumnStats, EstimatedCardinality, Histogram, TableStats};
+    use hfqo_storage::catalog::{ColumnId, ColumnStatsMeta, TableId};
     use proptest::prelude::*;
 
     fn col_stats(ndv: f64, min: f64, max: f64) -> ColumnStats {
@@ -330,7 +330,7 @@ mod tests {
             &PlanNode::Scan {
                 rel: RelId(1),
                 path: AccessPath::IndexScan {
-                    index: hfqo_catalog::IndexId(0),
+                    index: hfqo_storage::catalog::IndexId(0),
                     driving_selection: 0,
                 },
             },

@@ -14,10 +14,10 @@ use crate::cost::{CostEstimate, CostModel};
 use crate::physical::{
     best_access_path, build_join, price_join, price_join_given, Costed, JoinConds,
 };
-use hfqo_catalog::Catalog;
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{JoinAlgo, PlanNode, QueryGraph, RelSet};
-use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
+use hfqo_storage::catalog::Catalog;
 use std::cmp::Reverse;
 use std::ops::Range;
 

@@ -10,9 +10,9 @@
 
 use crate::cost::{CostEstimate, CostModel};
 use crate::physical::{best_access_path, build_join, price_join, Costed, JoinPrice};
-use hfqo_catalog::Catalog;
 use hfqo_query::{JoinAlgo, QueryGraph, RelSet};
 use hfqo_stats::CardinalitySource;
+use hfqo_storage::catalog::Catalog;
 
 /// A forest of costed sub-plans over one query, each slot with the set of
 /// relations it covers and the set one join edge away from them, so
@@ -194,13 +194,13 @@ mod tests {
     use crate::physical::build_scan;
     use crate::test_support::{chain_query, TestDb};
     use crate::{Planner, PlannerContext, TraditionalPlanner};
-    use hfqo_catalog::{ColumnId, TableId};
+    use hfqo_query::sql::CompareOp;
     use hfqo_query::{
         tree_to_actions, AccessPath, BoundColumn, JoinEdge, JoinTree, PhysicalPlan, PlanNode,
         RelId, Relation,
     };
-    use hfqo_sql::CompareOp;
     use hfqo_stats::EstimatedCardinality;
+    use hfqo_storage::catalog::{ColumnId, TableId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

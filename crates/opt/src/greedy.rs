@@ -11,9 +11,9 @@
 use crate::cost::CostModel;
 use crate::forest::PlanForest;
 use crate::physical::{Costed, JoinPrice};
-use hfqo_catalog::Catalog;
 use hfqo_query::QueryGraph;
 use hfqo_stats::CardinalitySource;
+use hfqo_storage::catalog::Catalog;
 
 /// Greedy bottom-up planning: start from the best access path per
 /// relation, then repeatedly merge the pair of subplans whose join has the

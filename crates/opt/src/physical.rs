@@ -6,10 +6,10 @@
 //! join algorithms a plan may use.
 
 use crate::cost::{CostEstimate, CostModel};
-use hfqo_catalog::{Catalog, ColumnRef};
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryGraph, RelId, RelSet};
-use hfqo_sql::CompareOp;
 use hfqo_stats::CardinalitySource;
+use hfqo_storage::catalog::{Catalog, ColumnRef};
 
 /// A sub-plan with its cost.
 pub type Costed = (PlanNode, CostEstimate);
@@ -261,9 +261,9 @@ pub fn best_aggregate_if_needed(
 mod tests {
     use super::*;
     use crate::cost::CostParams;
-    use hfqo_catalog::{Column, ColumnId, ColumnStatsMeta, ColumnType, TableSchema};
     use hfqo_query::{BoundColumn, JoinEdge, Lit, Relation, Selection};
     use hfqo_stats::{ColumnStats, EstimatedCardinality, Histogram, StatsCatalog, TableStats};
+    use hfqo_storage::catalog::{Column, ColumnId, ColumnStatsMeta, ColumnType, TableSchema};
 
     fn setup() -> (Catalog, StatsCatalog, QueryGraph) {
         let mut cat = Catalog::new();
@@ -471,7 +471,7 @@ mod tests {
             graph.joins().to_vec(),
             graph.selections().to_vec(),
             vec![hfqo_query::AggExpr {
-                func: hfqo_sql::AggFunc::Count,
+                func: hfqo_query::sql::AggFunc::Count,
                 column: None,
             }],
             vec![],

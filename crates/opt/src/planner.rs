@@ -21,9 +21,9 @@ use crate::greedy::greedy_plan;
 use crate::optimizer::{OptError, PlannedQuery, PlannerMethod};
 use crate::physical::best_aggregate_if_needed;
 use crate::random::random_plan;
-use hfqo_catalog::Catalog;
 use hfqo_query::{PhysicalPlan, QueryGraph};
 use hfqo_stats::{EstimatedCardinality, QueryCardinality, StatsCatalog};
+use hfqo_storage::catalog::Catalog;
 use hfqo_sync::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -5,9 +5,9 @@ use crate::forest::PlanForest;
 use crate::physical::{
     access_paths, build_aggregate, build_scan, legal_join_algos, needs_aggregate, Costed,
 };
-use hfqo_catalog::Catalog;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, QueryGraph};
 use hfqo_stats::CardinalitySource;
+use hfqo_storage::catalog::Catalog;
 use rand::rngs::StdRng;
 use rand::Rng;
 

@@ -1,10 +1,10 @@
 //! Shared fixtures for the optimizer's unit tests: small chain/star
 //! databases with data, indexes, and statistics.
 
-use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType};
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{BoundColumn, JoinEdge, Lit, QueryGraph, RelId, Relation, Selection};
-use hfqo_sql::CompareOp;
 use hfqo_stats::{build_database_stats, StatsCatalog};
+use hfqo_storage::catalog::{Catalog, Column, ColumnId, ColumnType};
 use hfqo_storage::{ColumnGen, Database, Distribution, TableGen};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +30,10 @@ impl TestDb {
             }
             cols.push(Column::new("val", ColumnType::Int));
             let t = cat
-                .add_table(hfqo_catalog::TableSchema::new(format!("t{i}"), cols))
+                .add_table(hfqo_storage::catalog::TableSchema::new(
+                    format!("t{i}"),
+                    cols,
+                ))
                 .expect("fresh name");
             cat.add_index(format!("t{i}_id"), t, ColumnId(0), true)
                 .expect("fresh index");
@@ -38,7 +41,7 @@ impl TestDb {
         let mut db = Database::new(cat);
         let mut rng = StdRng::seed_from_u64(7 + n as u64);
         for i in 0..n {
-            let tid = hfqo_catalog::TableId(i as u32);
+            let tid = hfqo_storage::catalog::TableId(i as u32);
             let mut columns = vec![ColumnGen::new(Distribution::Sequential)];
             if i > 0 {
                 columns.push(ColumnGen::new(Distribution::FkZipf {
@@ -70,13 +73,13 @@ impl TestDb {
         }
         fact_cols.push(Column::new("val", ColumnType::Int));
         let fact = cat
-            .add_table(hfqo_catalog::TableSchema::new("t0", fact_cols))
+            .add_table(hfqo_storage::catalog::TableSchema::new("t0", fact_cols))
             .expect("fresh name");
         cat.add_index("t0_id", fact, ColumnId(0), true)
             .expect("fresh index");
         for d in 1..n {
             let t = cat
-                .add_table(hfqo_catalog::TableSchema::new(
+                .add_table(hfqo_storage::catalog::TableSchema::new(
                     format!("t{d}"),
                     vec![
                         Column::new("id", ColumnType::Int),
@@ -108,7 +111,7 @@ impl TestDb {
         db.load_table(fact, table).expect("schema matches");
         // Dimensions.
         for d in 1..n {
-            let tid = hfqo_catalog::TableId(d as u32);
+            let tid = hfqo_storage::catalog::TableId(d as u32);
             let schema = db.catalog().table(tid).expect("exists").clone();
             let table = TableGen {
                 columns: vec![
@@ -133,7 +136,7 @@ pub fn chain_query(db: &TestDb, n: usize) -> QueryGraph {
     let _ = db;
     let relations = (0..n)
         .map(|i| Relation {
-            table: hfqo_catalog::TableId(i as u32),
+            table: hfqo_storage::catalog::TableId(i as u32),
             alias: format!("t{i}"),
         })
         .collect();
@@ -163,7 +166,7 @@ pub fn with_count(q: QueryGraph) -> QueryGraph {
         q.joins().to_vec(),
         q.selections().to_vec(),
         vec![hfqo_query::AggExpr {
-            func: hfqo_sql::AggFunc::Count,
+            func: hfqo_query::sql::AggFunc::Count,
             column: None,
         }],
         q.group_by().to_vec(),
@@ -180,7 +183,7 @@ pub fn star_query(db: &TestDb, n: usize) -> QueryGraph {
     let _ = db;
     let relations = (0..n)
         .map(|i| Relation {
-            table: hfqo_catalog::TableId(i as u32),
+            table: hfqo_storage::catalog::TableId(i as u32),
             alias: format!("t{i}"),
         })
         .collect();
@@ -209,7 +212,7 @@ pub(crate) fn random_query(n: usize, p: f64, rng: &mut StdRng) -> QueryGraph {
     use rand::Rng;
     let relations = (0..n)
         .map(|i| Relation {
-            table: hfqo_catalog::TableId(rng.gen_range(0..3u32)),
+            table: hfqo_storage::catalog::TableId(rng.gen_range(0..3u32)),
             alias: format!("r{i}"),
         })
         .collect();
@@ -282,7 +285,9 @@ mod tests {
         let t = TestDb::chain(3, 500);
         assert_eq!(t.db.catalog().table_count(), 3);
         assert_eq!(
-            t.db.table(hfqo_catalog::TableId(0)).unwrap().row_count(),
+            t.db.table(hfqo_storage::catalog::TableId(0))
+                .unwrap()
+                .row_count(),
             500
         );
         let q = chain_query(&t, 3);

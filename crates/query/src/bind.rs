@@ -3,8 +3,8 @@
 use crate::error::QueryError;
 use crate::graph::{QueryGraph, RelId, Relation};
 use crate::predicate::{AggExpr, BoundColumn, JoinEdge, Lit, Selection};
-use hfqo_catalog::{Catalog, ColumnType};
-use hfqo_sql::ast::{ColumnName, SelectItem, SelectStmt, WherePred};
+use crate::sql::{ColumnName, SelectItem, SelectStmt, WherePred};
+use hfqo_storage::catalog::{Catalog, ColumnType};
 use std::collections::HashMap;
 
 /// Binds a parsed SELECT against a catalog, producing a [`QueryGraph`].
@@ -154,8 +154,8 @@ fn check_types(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Column, TableSchema};
-    use hfqo_sql::parse_select;
+    use crate::sql::parse_select;
+    use hfqo_storage::catalog::{Column, TableSchema};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -262,6 +262,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g.group_by().len(), 1);
-        assert_eq!(g.aggregates()[0].func, hfqo_sql::AggFunc::Min);
+        assert_eq!(g.aggregates()[0].func, crate::sql::AggFunc::Min);
     }
 }

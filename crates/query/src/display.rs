@@ -69,8 +69,8 @@ mod tests {
     use crate::graph::{RelId, Relation};
     use crate::physical::{AggAlgo, JoinAlgo};
     use crate::predicate::{AggExpr, BoundColumn, CompareOp, JoinEdge};
-    use hfqo_catalog::{ColumnId, TableId};
-    use hfqo_sql::AggFunc;
+    use crate::sql::AggFunc;
+    use hfqo_storage::catalog::{ColumnId, TableId};
 
     #[test]
     fn explain_renders_tree() {

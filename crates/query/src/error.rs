@@ -1,6 +1,6 @@
 //! Query-layer errors.
 
-use hfqo_catalog::CatalogError;
+use hfqo_storage::catalog::CatalogError;
 use std::fmt;
 
 /// Errors raised while binding or validating queries and plans.

@@ -81,8 +81,8 @@
 
 use crate::graph::QueryGraph;
 use crate::predicate::{BoundColumn, Lit};
-use hfqo_catalog::TableId;
-use hfqo_sql::{AggFunc, CompareOp};
+use crate::sql::{AggFunc, CompareOp};
+use hfqo_storage::catalog::TableId;
 use std::fmt;
 
 /// A stable 128-bit fingerprint of a query graph's plan-relevant
@@ -327,7 +327,7 @@ mod tests {
     use super::*;
     use crate::graph::{RelId, Relation};
     use crate::predicate::{AggExpr, JoinEdge, Selection};
-    use hfqo_catalog::ColumnId;
+    use hfqo_storage::catalog::ColumnId;
 
     fn graph() -> QueryGraph {
         let rels = (0..3)

@@ -1,7 +1,7 @@
 //! The query graph and relation bitsets.
 
 use crate::predicate::{AggExpr, BoundColumn, JoinEdge, Selection};
-use hfqo_catalog::TableId;
+use hfqo_storage::catalog::TableId;
 use std::fmt;
 
 /// Index of a relation within a query's FROM clause.
@@ -286,7 +286,7 @@ impl QueryGraph {
 mod tests {
     use super::*;
     use crate::predicate::{CompareOp, Lit};
-    use hfqo_catalog::ColumnId;
+    use hfqo_storage::catalog::ColumnId;
 
     /// A chain query r0 - r1 - r2 with one selection on r1.
     pub(crate) fn chain3() -> QueryGraph {

@@ -11,9 +11,9 @@
 //! makes connectivity tests and DP table keys O(1).
 //!
 //! ```
-//! use hfqo_catalog::{Catalog, Column, ColumnType, TableSchema};
-//! use hfqo_query::bind::bind_select;
-//! use hfqo_sql::parse_select;
+//! use hfqo_storage::catalog::{Catalog, Column, ColumnType, TableSchema};
+//! use hfqo_query::bind_select;
+//! use hfqo_query::sql::parse_select;
 //!
 //! let mut catalog = Catalog::new();
 //! for name in ["a", "b"] {
@@ -27,14 +27,15 @@
 //! assert_eq!(graph.joins().len(), 1);
 //! ```
 
-pub mod bind;
+mod bind;
 pub mod display;
 pub mod error;
 pub mod fingerprint;
 pub mod graph;
-pub mod logical;
+mod logical;
 pub mod physical;
-pub mod predicate;
+mod predicate;
+pub mod sql;
 
 pub use bind::bind_select;
 pub use error::QueryError;

@@ -8,7 +8,7 @@
 use crate::error::QueryError;
 use crate::graph::{QueryGraph, RelId, RelSet};
 use crate::logical::JoinTree;
-use hfqo_catalog::IndexId;
+use hfqo_storage::catalog::IndexId;
 
 /// How a base relation is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,7 +223,7 @@ impl PhysicalPlan {
                 if matches!(algo, JoinAlgo::Hash | JoinAlgo::Merge) {
                     let has_eq = conds
                         .iter()
-                        .any(|&c| graph.joins()[c].op == hfqo_sql::CompareOp::Eq);
+                        .any(|&c| graph.joins()[c].op == crate::sql::CompareOp::Eq);
                     if !has_eq {
                         return Err(QueryError::InvalidPlan(format!(
                             "{} requires an equality condition",
@@ -249,7 +249,7 @@ impl PhysicalPlan {
 mod tests {
     use super::*;
     use crate::predicate::{BoundColumn, CompareOp, JoinEdge};
-    use hfqo_catalog::{ColumnId, TableId};
+    use hfqo_storage::catalog::{ColumnId, TableId};
 
     fn graph2() -> QueryGraph {
         QueryGraph::new(

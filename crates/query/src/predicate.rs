@@ -1,9 +1,9 @@
 //! Bound predicates: selections, join edges, aggregates.
 
 use crate::graph::RelId;
-use hfqo_catalog::ColumnId;
-pub use hfqo_sql::ast::AggFunc;
-pub use hfqo_sql::CompareOp;
+use crate::sql::AggFunc;
+pub use crate::sql::CompareOp;
+use hfqo_storage::catalog::ColumnId;
 use std::fmt;
 
 /// A literal in a bound predicate.
@@ -37,12 +37,12 @@ impl Lit {
     }
 }
 
-impl From<hfqo_sql::Literal> for Lit {
-    fn from(l: hfqo_sql::Literal) -> Self {
+impl From<crate::sql::Literal> for Lit {
+    fn from(l: crate::sql::Literal) -> Self {
         match l {
-            hfqo_sql::Literal::Int(v) => Lit::Int(v),
-            hfqo_sql::Literal::Float(v) => Lit::Float(v),
-            hfqo_sql::Literal::Str(s) => Lit::Str(s),
+            crate::sql::Literal::Int(v) => Lit::Int(v),
+            crate::sql::Literal::Float(v) => Lit::Float(v),
+            crate::sql::Literal::Str(s) => Lit::Str(s),
         }
     }
 }
@@ -148,9 +148,9 @@ mod tests {
 
     #[test]
     fn lit_from_sql() {
-        assert_eq!(Lit::from(hfqo_sql::Literal::Int(3)), Lit::Int(3));
+        assert_eq!(Lit::from(crate::sql::Literal::Int(3)), Lit::Int(3));
         assert_eq!(
-            Lit::from(hfqo_sql::Literal::Str("x".into())),
+            Lit::from(crate::sql::Literal::Str("x".into())),
             Lit::Str("x".into())
         );
     }

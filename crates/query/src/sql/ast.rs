@@ -70,7 +70,7 @@ impl fmt::Display for Literal {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnName {
     /// Table alias (or table name when no alias was given).
-    pub qualifier: String,
+    pub(crate) qualifier: String,
     /// Column name.
     pub column: String,
 }
@@ -165,7 +165,7 @@ pub struct SelectStmt {
     /// FROM clause, in declaration order.
     pub from: Vec<TableRef>,
     /// WHERE conjuncts.
-    pub predicates: Vec<WherePred>,
+    pub(crate) predicates: Vec<WherePred>,
     /// GROUP BY columns.
     pub group_by: Vec<ColumnName>,
 }

@@ -1,10 +1,10 @@
 //! Recursive-descent parser.
 
-use crate::ast::{
+use crate::sql::ast::{
     AggFunc, ColumnName, CompareOp, Literal, SelectItem, SelectStmt, TableRef, WherePred,
 };
-use crate::error::ParseError;
-use crate::token::{tokenize, Token};
+use crate::sql::error::ParseError;
+use crate::sql::token::{tokenize, Token};
 
 /// Parses one SELECT statement (with optional trailing `;`).
 pub fn parse_select(input: &str) -> Result<SelectStmt, ParseError> {

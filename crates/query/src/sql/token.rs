@@ -8,7 +8,7 @@
 //! (the parser moves that `String` into the AST), and every other token
 //! is a plain value.
 
-use crate::error::ParseError;
+use crate::sql::error::ParseError;
 
 /// A lexical token. Keywords are recognised case-insensitively and carried
 /// as the upper-case spelling in the keyword table; identifiers preserve

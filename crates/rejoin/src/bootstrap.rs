@@ -8,12 +8,12 @@
 //! range via [`RewardScaler`] — exposed here as a switch so the ablation
 //! experiment can demonstrate the unscaled failure mode.
 
-use crate::agent::ReJoinAgent;
 use crate::env::PlanEnv;
 use crate::metrics::{EpisodeRecord, TrainingLog};
 use crate::reward::RewardMode;
+use crate::rl::ReinforceAgent;
 use crate::scaling::RewardScaler;
-use crate::trainer::{train, TrainerConfig};
+use crate::trainer::train;
 use rand::rngs::StdRng;
 
 /// Bootstrapping configuration.
@@ -59,7 +59,7 @@ pub struct BootstrapOutcome {
 /// is overwritten by each phase.
 pub fn cost_bootstrap(
     env: &mut PlanEnv<'_>,
-    agent: &mut ReJoinAgent,
+    agent: &mut ReinforceAgent,
     config: &BootstrapConfig,
     rng: &mut StdRng,
 ) -> BootstrapOutcome {
@@ -68,7 +68,7 @@ pub fn cost_bootstrap(
     let warmup = config
         .phase1_episodes
         .saturating_sub(config.observe_episodes);
-    let mut log = train(env, agent, TrainerConfig::new(warmup), rng);
+    let mut log = train(env, agent, warmup, rng);
 
     // Trailing Phase-1 episodes: keep training, and record cost/latency
     // extrema from the (now mostly good) plans the policy produces.
@@ -95,7 +95,7 @@ pub fn cost_bootstrap(
         }
         agent.observe(ep);
     }
-    agent.flush();
+    agent.update();
     let phase_boundary = log.len();
 
     // ── Phase 2: latency reward (scaled or raw) ─────────────────────────
@@ -105,7 +105,7 @@ pub fn cost_bootstrap(
         RewardMode::NegLogLatency
     };
     env.set_reward_mode(phase2_mode);
-    let phase2_log = train(env, agent, TrainerConfig::new(config.phase2_episodes), rng);
+    let phase2_log = train(env, agent, config.phase2_episodes, rng);
     log.extend_renumbered(phase2_log);
 
     BootstrapOutcome {
@@ -118,11 +118,10 @@ pub fn cost_bootstrap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::PolicyKind;
     use crate::env::{EnvContext, QueryOrder};
     use crate::incremental::StageSet;
+    use crate::rl::{Environment as _, ReinforceConfig};
     use hfqo_opt::test_support::{chain_query, TestDb};
-    use hfqo_rl::{Environment as _, ReinforceConfig};
     use rand::SeedableRng;
 
     fn setup() -> (TestDb, Vec<hfqo_query::QueryGraph>) {
@@ -153,14 +152,14 @@ mod tests {
             StageSet::join_order_only(),
         );
         let mut rng = StdRng::seed_from_u64(0);
-        let mut agent = ReJoinAgent::new(
+        let mut agent = ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::Reinforce(ReinforceConfig {
+            ReinforceConfig {
                 hidden: vec![32],
                 batch_episodes: 4,
                 ..Default::default()
-            }),
+            },
             &mut rng,
         );
         let outcome = cost_bootstrap(&mut env, &mut agent, &quick_config(), &mut rng);
@@ -191,10 +190,10 @@ mod tests {
             StageSet::join_order_only(),
         );
         let mut rng = StdRng::seed_from_u64(1);
-        let mut agent = ReJoinAgent::new(
+        let mut agent = ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         let config = BootstrapConfig {

@@ -22,7 +22,7 @@
 //!
 //! Every network touch here rides the batched NN path: pretraining and
 //! fine-tuning hand whole minibatches to
-//! [`RewardModel::train_batch`] (one B×F forward/backward per
+//! `RewardModel::train_batch` (one B×F forward/backward per
 //! minibatch), and plan-time argmin selection scores all valid actions
 //! of a state in a single forward via `RewardModel::predict_all` —
 //! there is no per-row network loop left in this pipeline.
@@ -30,8 +30,8 @@
 use crate::env::{PlanEnv, QueryOrder};
 use crate::incremental::StageSet;
 use crate::metrics::{EpisodeRecord, MovingAverage, TrainingLog};
+use crate::rl::{Environment, RewardModel, RewardModelConfig};
 use hfqo_opt::expert_actions;
-use hfqo_rl::{Environment, RewardModel, RewardModelConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 

@@ -29,7 +29,7 @@
 use crate::featurize::{Featurizer, RolloutState};
 use crate::incremental::StageSet;
 use crate::reward::RewardMode;
-use hfqo_catalog::Catalog;
+use crate::rl::{Environment, StepResult};
 use hfqo_exec::TrueCardinality;
 use hfqo_opt::cost::{CostModel, CostParams};
 use hfqo_opt::physical::{
@@ -38,8 +38,8 @@ use hfqo_opt::physical::{
 };
 use hfqo_opt::{PlanForest, Planner, PlannerContext, TraditionalPlanner};
 use hfqo_query::{AggAlgo, JoinAlgo, PhysicalPlan, QueryGraph, RelId};
-use hfqo_rl::{Environment, StepResult};
 use hfqo_stats::{EstimatedCardinality, StatsCatalog};
+use hfqo_storage::catalog::Catalog;
 use hfqo_storage::Database;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -614,11 +614,11 @@ impl Environment for PlanEnv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::ColumnId;
     use hfqo_opt::physical::best_access_path;
     use hfqo_opt::test_support::{chain_query, star_query, with_count, TestDb};
+    use hfqo_query::sql::CompareOp;
     use hfqo_query::{BoundColumn, JoinEdge, JoinTree, PlanNode};
-    use hfqo_sql::CompareOp;
+    use hfqo_storage::catalog::ColumnId;
     use rand::SeedableRng;
 
     /// The join-ordering environment — ReJOIN's scope — over a fixture.
@@ -1103,7 +1103,7 @@ mod tests {
     fn reference_node(
         graph: &QueryGraph,
         tree: &JoinTree,
-        catalog: &hfqo_catalog::Catalog,
+        catalog: &hfqo_storage::catalog::Catalog,
         model: &CostModel<'_>,
         est: &EstimatedCardinality<'_>,
     ) -> PlanNode {

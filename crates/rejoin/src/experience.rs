@@ -13,13 +13,13 @@
 //!
 //! A replayed transition does not say how probable its action was when
 //! it was taken — a cache-hit serve never computes that. REINFORCE, the
-//! one backend of [`crate::ReJoinAgent`], has no use for it: its
+//! one backend of [`crate::rl::ReinforceAgent`], has no use for it: its
 //! gradient re-derives `log π(a|s)` from the current policy's forward
 //! pass.
 
 use crate::featurize::{Featurizer, RolloutState};
+use crate::rl::{Episode, Transition};
 use hfqo_query::QueryGraph;
-use hfqo_rl::{Episode, Transition};
 use hfqo_stats::{EstimatedCardinality, StatsCatalog};
 
 /// Why a served record could not be replayed into an episode.
@@ -138,10 +138,10 @@ mod tests {
     use super::*;
     use crate::env::{EnvContext, PlanEnv};
     use crate::reward::RewardMode;
+    use crate::rl::Environment as _;
     use crate::{QueryOrder, StageSet};
     use hfqo_opt::test_support::{chain_query, TestDb};
     use hfqo_opt::{expert_actions, PlannerContext};
-    use hfqo_rl::Environment as _;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -352,13 +352,13 @@ impl RolloutState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{ColumnId, ColumnStatsMeta, TableId};
     use hfqo_opt::cost::{CostModel, CostParams};
     use hfqo_opt::physical::build_scan;
     use hfqo_opt::PlanForest;
+    use hfqo_query::sql::CompareOp;
     use hfqo_query::{AccessPath, BoundColumn, JoinEdge, Lit, PhysicalPlan, Relation, Selection};
-    use hfqo_sql::CompareOp;
     use hfqo_stats::{ColumnStats, StatsCatalog, TableStats};
+    use hfqo_storage::catalog::{ColumnId, ColumnStatsMeta, TableId};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

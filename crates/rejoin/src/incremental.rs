@@ -173,8 +173,8 @@ pub fn admitted_queries(queries: &[QueryGraph], max_rels: Option<usize>) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::TableId;
     use hfqo_query::Relation;
+    use hfqo_storage::catalog::TableId;
 
     fn query_with_rels(n: usize) -> QueryGraph {
         QueryGraph::new(

@@ -13,10 +13,10 @@
 //! [`crate::PlanEnv`] does, which a parity test pins down.
 
 use crate::featurize::{Featurizer, RolloutState};
+use crate::rl::{PolicySnapshot, Selector};
 use hfqo_opt::physical::best_aggregate_if_needed;
 use hfqo_opt::{OptError, PlanForest, PlannedQuery, Planner, PlannerContext, PlannerMethod};
 use hfqo_query::{PhysicalPlan, QueryGraph};
-use hfqo_rl::{PolicySnapshot, Selector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -70,7 +70,7 @@ impl LearnedPlanner {
     }
 
     /// Freezes the current policy of a live agent into a planner.
-    pub fn freeze(agent: &crate::agent::ReJoinAgent, featurizer: Featurizer) -> Self {
+    pub fn freeze(agent: &crate::rl::ReinforceAgent, featurizer: Featurizer) -> Self {
         Self::new(agent.snapshot(), featurizer)
     }
 
@@ -178,12 +178,11 @@ impl Planner for LearnedPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{PolicyKind, ReJoinAgent};
     use crate::env::{EnvContext, PlanEnv};
     use crate::reward::RewardMode;
+    use crate::rl::{Environment as _, ReinforceAgent, ReinforceConfig};
     use crate::{QueryOrder, StageSet};
     use hfqo_opt::test_support::{chain_query, TestDb};
-    use hfqo_rl::Environment as _;
 
     fn fixture() -> (TestDb, Vec<QueryGraph>) {
         let db = TestDb::chain(5, 300);
@@ -191,11 +190,11 @@ mod tests {
         (db, queries)
     }
 
-    fn agent_for(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
-        ReJoinAgent::new(
+    fn agent_for(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReinforceAgent {
+        ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             rng,
         )
     }
@@ -284,10 +283,10 @@ mod tests {
         // A policy genuinely trained at 3-relation width: planning the
         // 5-relation query must fail cleanly, not mis-featurize.
         let narrow_f = Featurizer::new(3);
-        let narrow_agent = ReJoinAgent::new(
+        let narrow_agent = ReinforceAgent::new(
             narrow_f.state_dim(),
             narrow_f.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         let narrow = LearnedPlanner::freeze(&narrow_agent, narrow_f);
@@ -312,10 +311,10 @@ mod tests {
         let (db, queries) = fixture();
         let mut rng = StdRng::seed_from_u64(6);
         let featurizer = Featurizer::new(6);
-        let agent = ReJoinAgent::new(
+        let agent = ReinforceAgent::new(
             featurizer.state_dim(),
             featurizer.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         let planner = LearnedPlanner::freeze(&agent, featurizer);
@@ -346,10 +345,10 @@ mod tests {
     fn mismatched_featurizer_width_panics_at_construction() {
         let mut rng = StdRng::seed_from_u64(5);
         let trained_at = Featurizer::new(6);
-        let agent = ReJoinAgent::new(
+        let agent = ReinforceAgent::new(
             trained_at.state_dim(),
             trained_at.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         let _ = LearnedPlanner::freeze(&agent, Featurizer::new(3));
@@ -362,10 +361,10 @@ mod tests {
         let db = TestDb::chain(1, 100);
         let graph = chain_query(&db, 1);
         let mut rng = StdRng::seed_from_u64(4);
-        let agent = ReJoinAgent::new(
+        let agent = ReinforceAgent::new(
             Featurizer::new(2).state_dim(),
             Featurizer::new(2).action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         let planner = LearnedPlanner::new(agent.snapshot(), Featurizer::new(2));

@@ -23,7 +23,7 @@
 //!   [`incremental::StageSet`] so curricula can grow the action space;
 //!   ReJOIN's join ordering is its `StageSet::join_order_only()` case.
 //! * [`reward`] — the reward signals: `1/M(t)`, expert-relative cost,
-//!   (scaled) simulated latency; [`scaling`] — §5.2's [`RewardScaler`],
+//!   (scaled) simulated latency; `scaling` — §5.2's [`RewardScaler`],
 //!   which maps latencies into the cost range.
 //! * [`trainer`] — the episode loop with per-episode logging, the data
 //!   behind Figures 3a/3b.
@@ -37,11 +37,10 @@
 //!   built in the `hfqo_opt::PlanForest` every planner steps.
 //! * [`experience`] — the online-learning ingest path: replaying a
 //!   served query's recorded join decisions (plus its observed
-//!   execution) back into a training [`hfqo_rl::Episode`].
-//! * [`demonstration`], [`bootstrap`], [`incremental`] — the §5 methods.
+//!   execution) back into a training [`rl::Episode`].
+//! * [`demonstration`], `bootstrap`, [`incremental`] — the §5 methods.
 
-pub mod agent;
-pub mod bootstrap;
+mod bootstrap;
 pub mod demonstration;
 pub mod env;
 pub mod experience;
@@ -49,12 +48,13 @@ pub mod featurize;
 pub mod incremental;
 pub mod learned;
 pub mod metrics;
+pub mod nn;
 pub mod parallel;
 pub mod reward;
-pub mod scaling;
+pub mod rl;
+mod scaling;
 pub mod trainer;
 
-pub use agent::{PolicyKind, ReJoinAgent};
 pub use bootstrap::{cost_bootstrap, BootstrapConfig, BootstrapOutcome};
 pub use demonstration::{learn_from_demonstration, DemonstrationConfig, DemonstrationOutcome};
 pub use env::{
@@ -69,3 +69,20 @@ pub use parallel::train_parallel;
 pub use reward::RewardMode;
 pub use scaling::RewardScaler;
 pub use trainer::{evaluate_per_query, train, TrainerConfig};
+
+/// The agent under its old name, for the repository benchmark
+/// (`perfbench/`), which names it. ROADMAP 1(c) deletes it; nothing
+/// else may name it.
+pub type ReJoinAgent = rl::ReinforceAgent;
+
+/// The old one-variant algorithm choice, for the repository benchmark
+/// (`perfbench/`), which names it. ROADMAP 1(c) deletes it; nothing
+/// else may name it.
+pub struct PolicyKind;
+
+impl PolicyKind {
+    /// The default REINFORCE hyperparameters.
+    pub fn default_reinforce() -> rl::ReinforceConfig {
+        rl::ReinforceConfig::default()
+    }
+}

@@ -9,12 +9,12 @@
 //! requested columns only.
 //!
 //! Every value is [`Mlp::predict`]'s, bit for bit, because every sum is
-//! taken under [`crate::matrix`]'s ordering rule: from `+0.0`, in
+//! taken under [`crate::nn::matrix`]'s ordering rule: from `+0.0`, in
 //! strictly ascending `p`, a term whose left factor is exactly `0.0`
 //! skipped. What differs from `matmul` is only which sums are taken and
 //! how sums of different outputs are interleaved.
 
-use crate::mlp::Mlp;
+use crate::nn::mlp::Mlp;
 
 /// The buffers [`Mlp::logits_at`] reuses from call to call.
 #[derive(Debug, Clone, Default)]
@@ -100,9 +100,9 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Activation;
-    use crate::matrix::tests::{bits, fill};
-    use crate::matrix::Matrix;
+    use crate::nn::layer::Activation;
+    use crate::nn::matrix::tests::{bits, fill};
+    use crate::nn::matrix::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

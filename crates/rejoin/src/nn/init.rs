@@ -1,6 +1,6 @@
 //! Weight initialisation.
 
-use crate::matrix::Matrix;
+use crate::nn::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 

@@ -5,8 +5,8 @@
 //! needs, `Dense::input_grad` the gradient handed to the layer below
 //! — which the first layer of a network, having none, never calls.
 
-use crate::init;
-use crate::matrix::Matrix;
+use crate::nn::init;
+use crate::nn::matrix::Matrix;
 use rand::rngs::StdRng;
 
 /// Elementwise activation functions.
@@ -96,12 +96,12 @@ impl Dense {
     }
 
     /// Input width.
-    pub fn input_size(&self) -> usize {
+    pub(crate) fn input_size(&self) -> usize {
         self.w.rows()
     }
 
     /// Output width.
-    pub fn output_size(&self) -> usize {
+    pub(crate) fn output_size(&self) -> usize {
         self.w.cols()
     }
 

@@ -1,6 +1,6 @@
 //! Losses and policy heads.
 
-use crate::matrix::Matrix;
+use crate::nn::matrix::Matrix;
 
 /// Numerically-stable softmax over one logits row, restricted to the
 /// positions where `mask` is `true`. Masked positions get probability 0.
@@ -33,7 +33,7 @@ pub fn masked_softmax(logits: &[f32], mask: &[bool]) -> Vec<f32> {
 /// [`masked_softmax`] with every position valid, overwriting the logits
 /// with their probabilities: what a caller that has already gathered the
 /// valid logits uses. A degenerate row comes back uniform, as there.
-pub fn softmax_in_place(logits: &mut [f32]) {
+pub(crate) fn softmax_in_place(logits: &mut [f32]) {
     if logits.is_empty() {
         return;
     }
@@ -66,7 +66,7 @@ pub fn softmax_in_place(logits: &mut [f32]) {
 /// per-row masks. Row `r` of the result is bit-identical to
 /// `masked_softmax(logits.row(r), masks[r])` — the batched update path
 /// relies on this to preserve per-row parity.
-pub fn masked_softmax_batch(logits: &Matrix, masks: &[&[bool]]) -> Matrix {
+pub(crate) fn masked_softmax_batch(logits: &Matrix, masks: &[&[bool]]) -> Matrix {
     assert_eq!(
         logits.rows(),
         masks.len(),
@@ -86,14 +86,19 @@ pub fn masked_softmax_batch(logits: &Matrix, masks: &[&[bool]]) -> Matrix {
 /// Gradient of `-log π(action)` w.r.t. the logits row, scaled by
 /// `advantage`: the REINFORCE policy-gradient contribution
 /// `(π − onehot(action)) · advantage`, with masked positions zeroed.
-pub fn policy_gradient(logits: &[f32], mask: &[bool], action: usize, advantage: f32) -> Vec<f32> {
+pub(crate) fn policy_gradient(
+    logits: &[f32],
+    mask: &[bool],
+    action: usize,
+    advantage: f32,
+) -> Vec<f32> {
     policy_gradient_from_probs(&masked_softmax(logits, mask), mask, action, advantage)
 }
 
 /// [`policy_gradient`] from an already-computed probability row, for
 /// callers (an entropy bonus) that need the softmax anyway —
 /// the probabilities are not recomputed.
-pub fn policy_gradient_from_probs(
+pub(crate) fn policy_gradient_from_probs(
     probs: &[f32],
     mask: &[bool],
     action: usize,
@@ -111,56 +116,9 @@ pub fn policy_gradient_from_probs(
     grad
 }
 
-/// Cross-entropy loss and logits gradient against a target action
-/// (imitation learning): returns `(loss, grad)` where
-/// `loss = −log π(target)`.
-pub fn cross_entropy_grad(logits: &[f32], mask: &[bool], target: usize) -> (f32, Vec<f32>) {
-    let probs = masked_softmax(logits, mask);
-    let p = probs[target].max(1e-12);
-    let loss = -p.ln();
-    let mut grad = probs;
-    grad[target] -= 1.0;
-    for (g, &m) in grad.iter_mut().zip(mask) {
-        if !m {
-            *g = 0.0;
-        }
-    }
-    (loss, grad)
-}
-
-/// [`cross_entropy_grad`] over every row of a B×A logits matrix:
-/// returns the **summed** loss (accumulated in row order, exactly as a
-/// per-row loop would) and the B×A gradient matrix whose row `r` is
-/// bit-identical to the per-row call. Callers divide by B for the mean.
-pub fn cross_entropy_grad_batch(
-    logits: &Matrix,
-    masks: &[&[bool]],
-    targets: &[usize],
-) -> (f32, Matrix) {
-    assert_eq!(
-        logits.rows(),
-        masks.len(),
-        "cross_entropy_grad_batch: masks"
-    );
-    assert_eq!(
-        logits.rows(),
-        targets.len(),
-        "cross_entropy_grad_batch: targets"
-    );
-    let cols = logits.cols();
-    let mut out = Matrix::zeros(logits.rows(), cols);
-    let mut total_loss = 0.0f32;
-    for (r, mask) in masks.iter().enumerate() {
-        let (loss, grad) = cross_entropy_grad(logits.row(r), mask, targets[r]);
-        total_loss += loss;
-        out.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(&grad);
-    }
-    (total_loss, out)
-}
-
 /// Mean-squared-error loss and gradient for a batch of scalar predictions:
 /// returns `(loss, grad_matrix)` with `grad = 2 (pred − target) / n`.
-pub fn mse_grad(predictions: &Matrix, targets: &[f32]) -> (f32, Matrix) {
+pub(crate) fn mse_grad(predictions: &Matrix, targets: &[f32]) -> (f32, Matrix) {
     debug_assert_eq!(predictions.rows(), targets.len());
     debug_assert_eq!(predictions.cols(), 1);
     let n = targets.len().max(1) as f32;
@@ -177,7 +135,7 @@ pub fn mse_grad(predictions: &Matrix, targets: &[f32]) -> (f32, Matrix) {
 
 /// Entropy of a (masked) probability distribution, in nats. Used for
 /// exploration bonuses.
-pub fn entropy(probs: &[f32]) -> f32 {
+pub(crate) fn entropy(probs: &[f32]) -> f32 {
     probs
         .iter()
         .filter(|&&p| p > 0.0)
@@ -276,19 +234,12 @@ mod tests {
             vec![true, true, true, false],
         ];
         let masks: Vec<&[bool]> = masks_owned.iter().map(|m| m.as_slice()).collect();
-        let actions = [0usize, 3, 1];
 
         let probs = masked_softmax_batch(&logits, &masks);
-        let (ce_loss, ce) = cross_entropy_grad_batch(&logits, &masks, &actions);
-        let mut loss_sum = 0.0f32;
-        for r in 0..3 {
-            let row_probs = masked_softmax(logits.row(r), masks[r]);
+        for (r, mask) in masks.iter().enumerate() {
+            let row_probs = masked_softmax(logits.row(r), mask);
             assert_eq!(probs.row(r), &row_probs[..], "softmax row {r}");
-            let (l, row_ce) = cross_entropy_grad(logits.row(r), masks[r], actions[r]);
-            assert_eq!(ce.row(r), &row_ce[..], "cross-entropy grad row {r}");
-            loss_sum += l;
         }
-        assert_eq!(ce_loss, loss_sum, "summed loss must match row order");
     }
 
     #[test]
@@ -303,17 +254,6 @@ mod tests {
         // Negative advantage flips the direction.
         let g = policy_gradient(&logits, &mask, 1, -1.0);
         assert!(g[1] > 0.0);
-    }
-
-    #[test]
-    fn cross_entropy_decreases_with_confidence() {
-        let mask = vec![true, true];
-        let (hi_loss, _) = cross_entropy_grad(&[0.0, 0.0], &mask, 0);
-        let (lo_loss, _) = cross_entropy_grad(&[5.0, 0.0], &mask, 0);
-        assert!(lo_loss < hi_loss);
-        // Gradient pushes the target logit up.
-        let (_, g) = cross_entropy_grad(&[0.0, 0.0], &mask, 0);
-        assert!(g[0] < 0.0 && g[1] > 0.0);
     }
 
     #[test]

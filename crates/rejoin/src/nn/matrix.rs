@@ -113,7 +113,7 @@ impl Matrix {
 
     /// Mutable access to the underlying slice.
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 

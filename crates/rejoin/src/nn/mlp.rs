@@ -6,8 +6,8 @@
 //! respect to the network's input (the features) has no reader, and at
 //! ReJOIN's widths it was the largest product of the whole pass.
 
-use crate::layer::{Activation, Dense};
-use crate::matrix::Matrix;
+use crate::nn::layer::{Activation, Dense};
+use crate::nn::matrix::Matrix;
 use rand::rngs::StdRng;
 
 /// A feed-forward network: dense layers with a shared hidden activation
@@ -36,7 +36,7 @@ pub struct MlpGradients {
 
 impl MlpGradients {
     /// Zero gradients shaped like `mlp`.
-    pub fn zeros_like(mlp: &Mlp) -> Self {
+    pub(crate) fn zeros_like(mlp: &Mlp) -> Self {
         Self {
             layers: mlp
                 .layers
@@ -81,7 +81,7 @@ impl MlpGradients {
     }
 
     /// Clips the global norm to `max_norm` (no-op when already below).
-    pub fn clip_global_norm(&mut self, max_norm: f32) {
+    pub(crate) fn clip_global_norm(&mut self, max_norm: f32) {
         let norm = self.l2_norm();
         if norm > max_norm && norm > 0.0 {
             self.scale(max_norm / norm);
@@ -127,12 +127,12 @@ impl Mlp {
     }
 
     /// Input width.
-    pub fn input_size(&self) -> usize {
+    pub(crate) fn input_size(&self) -> usize {
         self.layers.first().expect("non-empty").input_size()
     }
 
     /// Output width.
-    pub fn output_size(&self) -> usize {
+    pub(crate) fn output_size(&self) -> usize {
         self.layers.last().expect("non-empty").output_size()
     }
 
@@ -142,7 +142,7 @@ impl Mlp {
     }
 
     /// Mutable layer access (used by optimizers).
-    pub fn layers_mut(&mut self) -> &mut [Dense] {
+    pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
     }
 
@@ -192,7 +192,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::tests::{bits, fill, reference_matmul_nt};
+    use crate::nn::matrix::tests::{bits, fill, reference_matmul_nt};
     use rand::SeedableRng;
 
     fn tiny() -> Mlp {

@@ -1,6 +1,6 @@
 //! Gradient-descent optimizers.
 
-use crate::mlp::{Mlp, MlpGradients};
+use crate::nn::mlp::{Mlp, MlpGradients};
 
 /// Panics unless `grads` is shaped exactly like `mlp`'s parameters.
 ///
@@ -103,20 +103,15 @@ impl Adam {
             update(&mut layer.b, gb, mb, vb);
         }
     }
-
-    /// The current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Activation;
-    use crate::loss::mse_grad;
-    use crate::matrix::tests::fill;
-    use crate::matrix::Matrix;
+    use crate::nn::layer::Activation;
+    use crate::nn::loss::mse_grad;
+    use crate::nn::matrix::tests::fill;
+    use crate::nn::matrix::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -153,7 +148,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut mlp = Mlp::new(&[2, 4, 3, 1], Activation::ReLU, &mut rng);
         let other = Mlp::new(&[2, 4, 1], Activation::ReLU, &mut rng);
-        let grads = crate::mlp::MlpGradients::zeros_like(&other);
+        let grads = crate::nn::mlp::MlpGradients::zeros_like(&other);
         Adam::new(0.1).step(&mut mlp, &grads);
     }
 
@@ -165,7 +160,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut mlp = Mlp::new(&[2, 4, 3], Activation::ReLU, &mut rng);
         let other = Mlp::new(&[2, 4, 5], Activation::ReLU, &mut rng);
-        let grads = crate::mlp::MlpGradients::zeros_like(&other);
+        let grads = crate::nn::mlp::MlpGradients::zeros_like(&other);
         Adam::new(0.01).step(&mut mlp, &grads);
     }
 
@@ -189,7 +184,7 @@ mod tests {
             .collect();
         let mut adam = Adam::new(lr);
         for t in 1..=3 {
-            let mut grads = crate::mlp::MlpGradients::zeros_like(&mlp);
+            let mut grads = crate::nn::mlp::MlpGradients::zeros_like(&mlp);
             for (l, (gw, gb)) in grads.layers.iter_mut().enumerate() {
                 *gw = fill(gw.rows(), gw.cols(), (t * 10 + l) as u32);
                 let row = fill(1, gb.len(), (t * 100 + l) as u32);
@@ -233,7 +228,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut mlp = Mlp::new(&[2, 3, 1], Activation::ReLU, &mut rng);
         let mut adam = Adam::new(0.01);
-        let grads = crate::mlp::MlpGradients::zeros_like(&mlp);
+        let grads = crate::nn::mlp::MlpGradients::zeros_like(&mlp);
         adam.step(&mut mlp, &grads);
         assert_eq!(adam.state.len(), 2);
         assert_eq!(adam.state[0].0.len(), 6);

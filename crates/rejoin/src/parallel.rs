@@ -9,7 +9,7 @@
 //! [`PolicySnapshot`] of the current policy, and stream
 //! `(Episode, EpisodeOutcome)` pairs over a channel to the learner
 //! thread, which applies policy updates synchronously (A2C-style
-//! rounds) through the existing [`ReJoinAgent`].
+//! rounds) through the existing [`ReinforceAgent`].
 //!
 //! # Determinism contract
 //!
@@ -30,11 +30,10 @@
 //!   count. `Shuffle` draws from each worker's own stream; `Fixed`
 //!   behaves as in the sequential loop.
 
-use crate::agent::ReJoinAgent;
 use crate::env::{EpisodeOutcome, PlanEnv, QueryOrder};
 use crate::metrics::TrainingLog;
+use crate::rl::{Episode, PolicySnapshot, ReinforceAgent};
 use crate::trainer::{record_from, train, TrainerConfig};
-use hfqo_rl::{Episode, PolicySnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::mpsc;
@@ -75,9 +74,10 @@ struct Collected {
 ///
 /// ```
 /// use hfqo_opt::test_support::{chain_query, TestDb};
+/// use hfqo_rejoin::rl::{ReinforceAgent, ReinforceConfig};
 /// use hfqo_rejoin::{
-///     train_parallel, EnvContext, Featurizer, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent,
-///     RewardMode, StageSet, TrainerConfig,
+///     train_parallel, EnvContext, Featurizer, PlanEnv, QueryOrder, RewardMode, StageSet,
+///     TrainerConfig,
 /// };
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
@@ -97,10 +97,10 @@ struct Collected {
 /// };
 /// let featurizer = Featurizer::new(3);
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let mut agent = ReJoinAgent::new(
+/// let mut agent = ReinforceAgent::new(
 ///     featurizer.state_dim(),
 ///     featurizer.action_dim(),
-///     PolicyKind::default_reinforce(),
+///     ReinforceConfig::default(),
 ///     &mut rng,
 /// );
 /// let config = TrainerConfig::new(8).with_workers(2);
@@ -109,7 +109,7 @@ struct Collected {
 /// ```
 pub fn train_parallel<'a, F>(
     mut make_env: F,
-    agent: &mut ReJoinAgent,
+    agent: &mut ReinforceAgent,
     config: TrainerConfig,
     rng: &mut StdRng,
 ) -> TrainingLog
@@ -119,7 +119,7 @@ where
     if config.workers <= 1 {
         // Exact legacy behavior: same env, same RNG stream, same loop.
         let mut env = make_env(0);
-        return train(&mut env, agent, config, rng);
+        return train(&mut env, agent, config.episodes, rng);
     }
     let workers = config.workers.min(config.episodes.max(1));
     // Per-worker seeded streams, derived from the caller's RNG so the
@@ -190,7 +190,7 @@ where
         }
         drop(cmd_txs); // hang up: workers exit their recv loop
     });
-    agent.flush();
+    agent.update();
     log
 }
 
@@ -211,13 +211,12 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::PolicyKind;
     use crate::env::EnvContext;
     use crate::incremental::StageSet;
     use crate::reward::RewardMode;
+    use crate::rl::{Environment, ReinforceConfig};
     use hfqo_opt::test_support::{chain_query, TestDb};
     use hfqo_query::QueryGraph;
-    use hfqo_rl::{Environment, ReinforceConfig};
 
     fn fixtures() -> (TestDb, Vec<QueryGraph>) {
         let db = TestDb::chain(4, 300);
@@ -228,15 +227,15 @@ mod tests {
         (db, queries)
     }
 
-    fn small_agent(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
-        ReJoinAgent::new(
+    fn small_agent(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReinforceAgent {
+        ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::Reinforce(ReinforceConfig {
+            ReinforceConfig {
                 hidden: vec![16],
                 batch_episodes: 4,
                 ..Default::default()
-            }),
+            },
             rng,
         )
     }

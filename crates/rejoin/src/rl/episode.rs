@@ -17,7 +17,7 @@ pub struct Transition {
 #[derive(Debug, Clone, Default)]
 pub struct Episode {
     /// Steps in order.
-    pub transitions: Vec<Transition>,
+    pub(crate) transitions: Vec<Transition>,
 }
 
 impl Episode {

@@ -1,9 +1,9 @@
 //! REINFORCE with a moving-average baseline.
 
-use crate::env::Environment;
-use crate::episode::{Episode, Transition};
-use crate::rollout::PolicySnapshot;
-use hfqo_nn::{loss, Activation, Adam, Matrix, Mlp, MlpGradients};
+use crate::nn::{loss, Activation, Adam, Matrix, Mlp, MlpGradients};
+use crate::rl::env::Environment;
+use crate::rl::episode::{Episode, Transition};
+use crate::rl::rollout::PolicySnapshot;
 use rand::rngs::StdRng;
 
 /// Which implementation applies the network update.
@@ -117,11 +117,6 @@ impl ReinforceAgent {
         }
     }
 
-    /// The active update implementation.
-    pub fn update_path(&self) -> UpdatePath {
-        self.update_path
-    }
-
     /// Selects the update implementation (the per-row path is retained
     /// for parity verification and benchmarking; results are
     /// bit-identical).
@@ -159,7 +154,7 @@ impl ReinforceAgent {
     }
 
     /// Rolls out one episode in `env` with the current policy.
-    pub fn run_episode<E: Environment>(
+    pub(crate) fn run_episode<E: Environment>(
         &self,
         env: &mut E,
         rng: &mut StdRng,
@@ -240,44 +235,6 @@ impl ReinforceAgent {
         }
     }
 
-    /// One supervised (cross-entropy) imitation step over demonstration
-    /// tuples `(features, mask, expert_action)`. Returns the mean loss.
-    /// This is the Phase-1 mechanism of learning from demonstration.
-    pub fn imitate_step(&mut self, batch: &[(Vec<f32>, Vec<bool>, usize)]) -> f32 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let (total_loss, mut grads) = match self.update_path {
-            UpdatePath::Batched => {
-                let x = stack_features(batch.iter().map(|(f, _, _)| f.as_slice()), batch.len());
-                let cache = self.policy.forward(&x);
-                let masks: Vec<&[bool]> = batch.iter().map(|(_, m, _)| m.as_slice()).collect();
-                let targets: Vec<usize> = batch.iter().map(|(_, _, a)| *a).collect();
-                let (l, grad_out) =
-                    loss::cross_entropy_grad_batch(cache.output(), &masks, &targets);
-                (l, self.policy.backward(&cache, grad_out))
-            }
-            UpdatePath::PerRow => {
-                let mut grads = MlpGradients::zeros_like(&self.policy);
-                let mut total_loss = 0.0f32;
-                for (features, mask, action) in batch {
-                    let x = Matrix::row_vector(features.clone());
-                    let cache = self.policy.forward(&x);
-                    let (l, grad_row) =
-                        loss::cross_entropy_grad(cache.output().row(0), mask, *action);
-                    total_loss += l;
-                    let g = self.policy.backward(&cache, Matrix::row_vector(grad_row));
-                    grads.add(&g);
-                }
-                (total_loss, grads)
-            }
-        };
-        grads.scale(1.0 / batch.len() as f32);
-        grads.clip_global_norm(GRAD_CLIP);
-        self.optimizer.step(&mut self.policy, &grads);
-        total_loss / batch.len() as f32
-    }
-
     /// REINFORCE gradients over a prepared `(transition, advantage)`
     /// batch via one fused forward/backward (the production path).
     fn policy_grads_batched(policy: &Mlp, all: &[(&Transition, f32)]) -> MlpGradients {
@@ -334,7 +291,7 @@ fn add_entropy_grad(grad_row: &mut [f32], probs: &[f32], mask: &[bool]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::toy::{Bandit, Corridor};
+    use crate::rl::env::toy::{Bandit, Corridor};
     use rand::SeedableRng;
 
     fn small_config() -> ReinforceConfig {
@@ -389,27 +346,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn imitation_converges_to_expert_action() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut agent = ReinforceAgent::new(2, 3, small_config(), &mut rng);
-        // Expert: state [1,0] → action 0; state [0,1] → action 2.
-        let batch = vec![
-            (vec![1.0, 0.0], vec![true; 3], 0usize),
-            (vec![0.0, 1.0], vec![true; 3], 2usize),
-        ];
-        let first_loss = agent.imitate_step(&batch);
-        for _ in 0..200 {
-            agent.imitate_step(&batch);
-        }
-        let last_loss = agent.imitate_step(&batch);
-        assert!(last_loss < first_loss * 0.2, "{first_loss} → {last_loss}");
-        let (a, _) = agent.select_action(&[1.0, 0.0], &[true; 3], &mut rng, true);
-        assert_eq!(a, 0);
-        let (a, _) = agent.select_action(&[0.0, 1.0], &[true; 3], &mut rng, true);
-        assert_eq!(a, 2);
-    }
-
     /// The tentpole parity contract: the batched update path (one B×F
     /// forward + one backward per minibatch) must be **bit-identical**
     /// to the per-row reference — same forward logits, same gradients,
@@ -449,32 +385,6 @@ mod tests {
                 );
             }
             assert!(updates >= 4, "parity test must exercise real updates");
-        }
-    }
-
-    /// Same contract for the supervised imitation step: identical mean
-    /// loss and identical post-step weights.
-    #[test]
-    fn batched_imitation_is_bit_identical_to_per_row() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut batched = ReinforceAgent::new(3, 4, small_config(), &mut rng);
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut per_row = ReinforceAgent::new(3, 4, small_config(), &mut rng);
-        per_row.set_update_path(UpdatePath::PerRow);
-        let batch = vec![
-            (vec![1.0, 0.2, -0.3], vec![true, true, false, true], 0usize),
-            (vec![0.0, 1.0, 0.5], vec![true; 4], 2usize),
-            (vec![-0.5, 0.1, 0.9], vec![false, true, true, true], 3usize),
-        ];
-        for step in 0..50 {
-            let la = batched.imitate_step(&batch);
-            let lb = per_row.imitate_step(&batch);
-            assert_eq!(la, lb, "losses diverged at step {step}");
-            assert_eq!(
-                batched.policy(),
-                per_row.policy(),
-                "weights diverged at step {step}"
-            );
         }
     }
 

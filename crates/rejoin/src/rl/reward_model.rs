@@ -6,8 +6,8 @@
 //! through this function and picks the one predicted to be cheapest, with
 //! a small ε-probability of exploring another valid action.
 
-use crate::reinforce::GRAD_CLIP;
-use hfqo_nn::{loss, Activation, Adam, Matrix, Mlp};
+use crate::nn::{loss, Activation, Adam, Matrix, Mlp};
+use crate::rl::reinforce::GRAD_CLIP;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -108,7 +108,7 @@ impl RewardModel {
     }
 
     /// ε-greedy minimum-prediction action selection.
-    pub fn select_min(
+    pub(crate) fn select_min(
         &self,
         features: &[f32],
         mask: &[bool],
@@ -139,7 +139,7 @@ impl RewardModel {
     /// batched gradients in row order, so the step is bit-identical to
     /// accumulating one forward/backward per sample (see the
     /// `batched_training_matches_per_row_reference` parity test).
-    pub fn train_batch(&mut self, samples: &[(Vec<f32>, usize, f32)]) -> f32 {
+    pub(crate) fn train_batch(&mut self, samples: &[(Vec<f32>, usize, f32)]) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
@@ -235,12 +235,12 @@ mod tests {
     /// gradients in sample order.
     #[test]
     fn batched_training_matches_per_row_reference() {
-        use hfqo_nn::MlpGradients;
+        use crate::nn::MlpGradients;
 
         let mut rng = StdRng::seed_from_u64(5);
         let mut model = RewardModel::new(2, 3, config(), &mut rng);
         let mut reference = model.net.clone();
-        let mut ref_opt = Adam::new(model.optimizer.learning_rate());
+        let mut ref_opt = Adam::new(config().lr);
         let samples: Vec<(Vec<f32>, usize, f32)> = vec![
             (vec![0.3, -0.7], 0, 4.0),
             (vec![1.0, 0.0], 2, 1.5),

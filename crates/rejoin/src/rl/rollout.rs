@@ -5,14 +5,14 @@
 //! learner thread keeps the mutable optimizer state. [`PolicySnapshot`]
 //! is that frozen copy: plain owned weights (`Send + Sync`), masked
 //! softmax action selection, and the episode rollout loop.
-//! [`ReinforceAgent`](crate::ReinforceAgent) delegates its own action
+//! [`ReinforceAgent`](crate::rl::ReinforceAgent) delegates its own action
 //! selection and rollouts here, so a snapshot consumes the RNG stream
 //! *identically* to the live agent — the property the `workers = 1`
 //! determinism-parity contract rests on.
 
-use crate::env::Environment;
-use crate::episode::{Episode, Transition};
-use hfqo_nn::{loss, InferScratch, Mlp};
+use crate::nn::{loss, InferScratch, Mlp};
+use crate::rl::env::Environment;
+use crate::rl::episode::{Episode, Transition};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -151,7 +151,7 @@ impl PolicySnapshot {
     }
 
     /// Rolls out one episode in `env` with the frozen policy.
-    pub fn run_episode<E: Environment>(
+    pub(crate) fn run_episode<E: Environment>(
         &self,
         env: &mut E,
         rng: &mut StdRng,
@@ -195,8 +195,8 @@ impl PolicySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::toy::Bandit;
-    use crate::{ReinforceAgent, ReinforceConfig};
+    use crate::rl::env::toy::Bandit;
+    use crate::rl::{ReinforceAgent, ReinforceConfig};
     use rand::SeedableRng;
 
     #[test]
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn nan_logits_fall_back_to_first_valid_action() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut policy = Mlp::new(&[2, 4, 4], hfqo_nn::Activation::ReLU, &mut rng);
+        let mut policy = Mlp::new(&[2, 4, 4], crate::nn::Activation::ReLU, &mut rng);
         // Poison the network: every logit becomes NaN for any input.
         for w in policy.layers_mut()[0].w.data_mut() {
             *w = f32::NAN;
@@ -289,7 +289,7 @@ mod tests {
             .iter()
             .position(|&m| m)
             .expect("action mask has no valid action");
-        let x = hfqo_nn::Matrix::row_vector(features.to_vec());
+        let x = crate::nn::Matrix::row_vector(features.to_vec());
         let logits = policy.predict(&x);
         let row = logits.row(0);
         let probs = loss::masked_softmax(row, mask);
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn selector_matches_full_row_selection() {
         let mut rng = StdRng::seed_from_u64(5);
-        let policy = Mlp::new(&[10, 16, 16, 25], hfqo_nn::Activation::ReLU, &mut rng);
+        let policy = Mlp::new(&[10, 16, 16, 25], crate::nn::Activation::ReLU, &mut rng);
         let mut selector = Selector::default();
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn greedy_tie_goes_to_the_later_action() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut policy = Mlp::new(&[2, 4, 5], hfqo_nn::Activation::ReLU, &mut rng);
+        let mut policy = Mlp::new(&[2, 4, 5], crate::nn::Activation::ReLU, &mut rng);
         // Zero weights: every logit is its bias.
         for layer in policy.layers_mut() {
             layer.w.data_mut().fill(0.0);

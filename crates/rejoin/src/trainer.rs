@@ -1,8 +1,8 @@
 //! The training loop and evaluation helpers.
 
-use crate::agent::ReJoinAgent;
 use crate::env::{EpisodeOutcome, PlanEnv, QueryOrder};
 use crate::metrics::{EpisodeRecord, TrainingLog};
+use crate::rl::ReinforceAgent;
 use rand::rngs::StdRng;
 
 /// Training-loop configuration.
@@ -51,16 +51,13 @@ pub(crate) fn record_from(outcome: &EpisodeOutcome, episode: usize) -> EpisodeRe
 /// policy, log its outcome, hand it to the agent. Returns the per-episode
 /// log (Figure 3a's raw data).
 ///
-/// This is the sequential path; `config.workers` is ignored here. Use
-/// [`crate::parallel::train_parallel`] to honor it.
+/// This is the sequential path. [`crate::parallel::train_parallel`]
+/// collects episodes on several workers.
 ///
 /// ```
 /// use hfqo_opt::test_support::{chain_query, TestDb};
-/// use hfqo_rejoin::{
-///     train, EnvContext, PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, StageSet,
-///     TrainerConfig,
-/// };
-/// use hfqo_rl::Environment as _;
+/// use hfqo_rejoin::rl::{Environment as _, ReinforceAgent, ReinforceConfig};
+/// use hfqo_rejoin::{train, EnvContext, PlanEnv, QueryOrder, RewardMode, StageSet};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
@@ -76,31 +73,31 @@ pub(crate) fn record_from(outcome: &EpisodeOutcome, episode: usize) -> EpisodeRe
 ///     StageSet::join_order_only(),
 /// );
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let mut agent = ReJoinAgent::new(
+/// let mut agent = ReinforceAgent::new(
 ///     env.state_dim(),
 ///     env.action_dim(),
-///     PolicyKind::default_reinforce(),
+///     ReinforceConfig::default(),
 ///     &mut rng,
 /// );
-/// let log = train(&mut env, &mut agent, TrainerConfig::new(10), &mut rng);
+/// let log = train(&mut env, &mut agent, 10, &mut rng);
 /// assert_eq!(log.len(), 10);
 /// assert_eq!(agent.episodes_seen(), 10);
 /// ```
 pub fn train(
     env: &mut PlanEnv<'_>,
-    agent: &mut ReJoinAgent,
-    config: TrainerConfig,
+    agent: &mut ReinforceAgent,
+    episodes: usize,
     rng: &mut StdRng,
 ) -> TrainingLog {
     let mut log = TrainingLog::new();
-    for episode in 0..config.episodes {
+    for episode in 0..episodes {
         let ep = agent.run_episode(env, rng, false);
         if let Some(outcome) = env.last_outcome() {
             log.push(record_from(outcome, episode));
         }
         agent.observe(ep);
     }
-    agent.flush();
+    agent.update();
     log
 }
 
@@ -109,7 +106,7 @@ pub fn train(
 /// given order afterwards.
 pub fn evaluate_per_query(
     env: &mut PlanEnv<'_>,
-    agent: &ReJoinAgent,
+    agent: &ReinforceAgent,
     restore_order: QueryOrder,
     rng: &mut StdRng,
 ) -> Vec<EpisodeRecord> {
@@ -128,14 +125,13 @@ pub fn evaluate_per_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::PolicyKind;
     use crate::env::EnvContext;
     use crate::incremental::StageSet;
     use crate::parallel::train_parallel;
     use crate::reward::RewardMode;
+    use crate::rl::{Environment as _, ReinforceConfig};
     use hfqo_opt::test_support::{chain_query, with_count, TestDb};
     use hfqo_query::QueryGraph;
-    use hfqo_rl::{Environment as _, ReinforceConfig};
     use rand::SeedableRng;
 
     fn fixtures() -> (TestDb, Vec<QueryGraph>) {
@@ -147,15 +143,15 @@ mod tests {
         (db, queries)
     }
 
-    fn small_agent(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReJoinAgent {
-        ReJoinAgent::new(
+    fn small_agent(env: &PlanEnv<'_>, rng: &mut StdRng) -> ReinforceAgent {
+        ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::Reinforce(ReinforceConfig {
+            ReinforceConfig {
                 hidden: vec![32],
                 lr: 0.005,
                 batch_episodes: 4,
-            }),
+            },
             rng,
         )
     }
@@ -174,7 +170,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(0);
         let mut agent = small_agent(&env, &mut rng);
-        let log = train(&mut env, &mut agent, TrainerConfig::new(20), &mut rng);
+        let log = train(&mut env, &mut agent, 20, &mut rng);
         assert_eq!(log.len(), 20);
         assert!(log.records.iter().all(|r| r.agent_cost > 0.0));
         // Cycle order alternates queries.
@@ -200,7 +196,7 @@ mod tests {
         env.require_connected = true;
         let mut rng = StdRng::seed_from_u64(1);
         let mut agent = small_agent(&env, &mut rng);
-        let log = train(&mut env, &mut agent, TrainerConfig::new(400), &mut rng);
+        let log = train(&mut env, &mut agent, 400, &mut rng);
         let early = log.initial_geo_ratio(50).expect("non-empty");
         let late = log.final_geo_ratio(50).expect("non-empty");
         assert!(

@@ -1,27 +1,4 @@
-//! # hfqo-rl
-//!
-//! Reinforcement-learning machinery: the [`Environment`] abstraction the
-//! query-optimization environment implements, episode rollouts, REINFORCE
-//! with a moving baseline (the policy-gradient family ReJOIN used), and
-//! an epsilon-greedy **reward prediction** learner (the function §5.1's
-//! learning-from-demonstration trains on expert histories). The few
-//! hyperparameters no caller varies — discount, entropy bonus, baseline
-//! decay, gradient clip, advantage normalisation — are constants in
-//! `reinforce`; [`ReinforceConfig`] keeps only the network shape, the
-//! learning rate and the batch size, [`RewardModelConfig`] the first
-//! two.
-//!
-//! Everything is driven by seeded RNGs and the pure-Rust `hfqo-nn`
-//! networks, so training runs are exactly reproducible.
-
-pub mod env;
-pub mod episode;
-pub mod reinforce;
-pub mod reward_model;
-pub mod rollout;
-
-pub use env::{Environment, StepResult};
-pub use episode::{Episode, Transition};
-pub use reinforce::{ReinforceAgent, ReinforceConfig, UpdatePath};
-pub use reward_model::{RewardModel, RewardModelConfig};
-pub use rollout::{PolicySnapshot, Selector};
+//! Compatibility shim: the reinforcement-learning code is the module
+//! `hfqo_rejoin::rl`. The repository benchmark (`perfbench/`) lists this
+//! crate in its manifest but imports nothing from it, so it re-exports
+//! nothing. Nothing in the workspace depends on it.

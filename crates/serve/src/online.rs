@@ -35,8 +35,9 @@
 use crate::experience::{ExperienceLog, EXPERIENCE_CAPACITY};
 use crate::session::QuerySession;
 use crate::swap::{HotSwapPlanner, PlannerHandle};
+use hfqo_rejoin::rl::ReinforceAgent;
 use hfqo_rejoin::{
-    episode_from_decisions, Featurizer, LearnedPlanner, ReJoinAgent, RewardMode, MS_PER_WORK_UNIT,
+    episode_from_decisions, Featurizer, LearnedPlanner, RewardMode, MS_PER_WORK_UNIT,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -105,7 +106,7 @@ pub struct OnlineMetrics {
 /// The background learner of the online serving loop. See the
 /// [module docs](self).
 pub struct OnlineTrainer {
-    agent: ReJoinAgent,
+    agent: ReinforceAgent,
     handle: Arc<PlannerHandle>,
     log: Arc<ExperienceLog>,
     config: OnlineConfig,
@@ -122,7 +123,7 @@ impl OnlineTrainer {
     /// executed query is recorded into a fresh [`ExperienceLog`].
     pub fn attach(
         session: &mut QuerySession,
-        agent: ReJoinAgent,
+        agent: ReinforceAgent,
         featurizer: Featurizer,
         require_connected: bool,
         mut config: OnlineConfig,
@@ -169,7 +170,7 @@ impl OnlineTrainer {
     }
 
     /// The learning agent (e.g. for `episodes_seen`).
-    pub fn agent(&self) -> &ReJoinAgent {
+    pub fn agent(&self) -> &ReinforceAgent {
         &self.agent
     }
 
@@ -230,7 +231,7 @@ impl OnlineTrainer {
     /// whose plans execute to identical results — or plans with the new
     /// one; it can never observe a torn policy.
     pub fn swap(&mut self, session: &QuerySession) -> u64 {
-        self.agent.flush();
+        self.agent.update();
         let next = self.handle.load().with_snapshot(self.agent.snapshot());
         let generation = self.handle.store(next);
         session.invalidate_cache();
@@ -262,7 +263,7 @@ mod tests {
     use super::*;
     use hfqo_opt::test_support::{chain_query, with_count, TestDb};
     use hfqo_query::QueryGraph;
-    use hfqo_rejoin::PolicyKind;
+    use hfqo_rejoin::rl::ReinforceConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -272,10 +273,10 @@ mod tests {
         let mut session = QuerySession::traditional(fixture.db, fixture.stats);
         let featurizer = Featurizer::new(n);
         let mut rng = StdRng::seed_from_u64(9);
-        let agent = ReJoinAgent::new(
+        let agent = ReinforceAgent::new(
             featurizer.state_dim(),
             featurizer.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         let trainer = OnlineTrainer::attach(

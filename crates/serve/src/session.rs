@@ -8,7 +8,7 @@
 //!   serve(sql)
 //!     ├─ statement  text → statement cache ──hit──────────┐
 //!     │               └──miss──→ prepare(sql):            │
-//!     │                   parse    hfqo_sql::parse_select │
+//!     │                   parse    sql::parse_select      │
 //!     │                   bind     hfqo_query::bind_select│
 //!     │                   key      (template, exact)      │
 //!     │                 → remembered                      ▼
@@ -89,12 +89,12 @@ use crate::cache::{
 };
 use crate::experience::{Experience, ExperienceLog};
 use crate::statement::{Prepared, StatementCache};
-use hfqo_catalog::Catalog;
 use hfqo_exec::{execute, ExecConfig, ExecError, ExecOutcome};
 use hfqo_opt::{OptError, PlannedQuery, Planner, PlannerContext, PlannerMethod};
+use hfqo_query::sql::{parse_select, ParseError};
 use hfqo_query::{bind_select, tree_to_actions, PhysicalPlan, QueryError, QueryGraph};
-use hfqo_sql::{parse_select, ParseError};
 use hfqo_stats::{database_table_stats, selection_selectivities, StatsCatalog};
+use hfqo_storage::catalog::Catalog;
 use hfqo_storage::Database;
 use std::fmt;
 use std::sync::Arc;
@@ -663,7 +663,7 @@ mod tests {
 
     #[test]
     fn refresh_after_mutation_rebuilds_indexes_stats_and_cache() {
-        use hfqo_catalog::TableId;
+        use hfqo_storage::catalog::TableId;
         use hfqo_storage::Value;
         let (mut session, graph) = session(2, 100);
         let _ = session.serve_graph(&graph).unwrap();
@@ -692,8 +692,8 @@ mod tests {
     /// invalidates the cache, once.
     #[test]
     fn refresh_rescans_only_tables_that_moved() {
-        use hfqo_catalog::TableId;
         use hfqo_stats::build_database_stats;
+        use hfqo_storage::catalog::TableId;
         use hfqo_storage::Value;
         let (mut session, _) = session(2, 100);
         let (t0, t1) = (TableId(0), TableId(1));
@@ -922,7 +922,7 @@ mod tests {
     /// id; a remembered graph would filter on `fk1`.
     #[test]
     fn db_mut_forgets_statements_and_the_next_serve_binds_afresh() {
-        use hfqo_catalog::ColumnId;
+        use hfqo_storage::catalog::ColumnId;
         const SQL: &str = "SELECT COUNT(*) FROM t0 a WHERE a.val < 20";
         let (mut session, _) = session(2, 150);
         let before = session.serve(SQL).unwrap();

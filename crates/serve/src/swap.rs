@@ -120,17 +120,18 @@ impl Planner for HotSwapPlanner {
 mod tests {
     use super::*;
     use hfqo_opt::test_support::{chain_query, TestDb};
-    use hfqo_rejoin::{Featurizer, PolicyKind, ReJoinAgent};
+    use hfqo_rejoin::rl::{ReinforceAgent, ReinforceConfig};
+    use hfqo_rejoin::Featurizer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn planner_with_seed(seed: u64) -> LearnedPlanner {
         let f = Featurizer::new(4);
         let mut rng = StdRng::seed_from_u64(seed);
-        let agent = ReJoinAgent::new(
+        let agent = ReinforceAgent::new(
             f.state_dim(),
             f.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         LearnedPlanner::freeze(&agent, f)

@@ -1,26 +1,6 @@
-//! # hfqo-sql
-//!
-//! A small SQL front-end: lexer, AST, and recursive-descent parser for the
-//! subset the workloads use —
-//!
-//! ```sql
-//! SELECT t.a, COUNT(*), MIN(s.b)
-//! FROM title AS t, cast_info AS ci, ...
-//! WHERE t.id = ci.movie_id AND t.production_year > 1990 AND ci.note = 'actor'
-//! GROUP BY t.a;
-//! ```
-//!
-//! The parser produces an *unbound* AST ([`ast::SelectStmt`]); name
-//! resolution against a catalog happens in `hfqo-query`'s binder. Keeping
-//! the front-end catalog-free lets the workload generators print SQL and
-//! round-trip it through the parser in tests.
+//! Compatibility shim: the SQL front-end is the module `hfqo_query::sql`.
+//! This crate re-exports the names the repository benchmark
+//! (`perfbench/`) imports from it, so that package builds unedited.
+//! Nothing in the workspace depends on it.
 
-pub mod ast;
-pub mod error;
-pub mod parser;
-pub mod token;
-
-pub use ast::{AggFunc, CompareOp, Literal, SelectItem, SelectStmt, TableRef, WherePred};
-pub use error::ParseError;
-pub use parser::parse_select;
-pub use token::{tokenize, Token};
+pub use hfqo_query::sql::{parse_select, CompareOp};

@@ -2,7 +2,7 @@
 
 use crate::column_stats::{ColumnStats, TableStats};
 use crate::histogram::Histogram;
-use hfqo_catalog::{ColumnId, ColumnStatsMeta, TableId};
+use hfqo_storage::catalog::{ColumnId, ColumnStatsMeta, TableId};
 use hfqo_storage::{Database, Table};
 use std::collections::HashMap;
 
@@ -79,7 +79,7 @@ pub(crate) fn build_table_stats(table: &Table, buckets: usize, mcv_k: usize) -> 
     }
     TableStats {
         row_count: rows as f64,
-        row_width: hfqo_catalog::stats::estimated_row_width(schema),
+        row_width: hfqo_storage::catalog::estimated_row_width(schema),
         columns,
     }
 }
@@ -106,7 +106,7 @@ pub fn database_table_stats(db: &Database, id: TableId) -> TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Catalog, Column, ColumnType, TableSchema};
+    use hfqo_storage::catalog::{Catalog, Column, ColumnType, TableSchema};
     use hfqo_storage::Value;
 
     fn table_with(values: Vec<Value>) -> Table {

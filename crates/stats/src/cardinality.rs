@@ -2,9 +2,9 @@
 
 use crate::column_stats::TableStats;
 use crate::selectivity::{selection_selectivity, DEFAULT_RANGE_SELECTIVITY};
-use hfqo_catalog::TableId;
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{QueryGraph, RelId, RelSet};
-use hfqo_sql::CompareOp;
+use hfqo_storage::catalog::TableId;
 
 /// Statistics for every table of a database, indexed by [`TableId`].
 #[derive(Debug, Clone, PartialEq)]
@@ -217,8 +217,8 @@ impl CardinalitySource for QueryCardinality {
 mod tests {
     use super::*;
     use crate::column_stats::{ColumnStats, TableStats};
-    use hfqo_catalog::{ColumnId, ColumnStatsMeta};
     use hfqo_query::{BoundColumn, JoinEdge, Lit, Relation, Selection};
+    use hfqo_storage::catalog::{ColumnId, ColumnStatsMeta};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

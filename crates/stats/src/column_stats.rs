@@ -1,7 +1,7 @@
 //! Per-column and per-table statistics.
 
 use crate::histogram::Histogram;
-use hfqo_catalog::{ColumnStatsMeta, PAGE_SIZE_BYTES};
+use hfqo_storage::catalog::{ColumnStatsMeta, PAGE_SIZE_BYTES};
 
 /// Full statistics for one column: summary metadata, an equi-depth
 /// histogram, and a most-common-values list.

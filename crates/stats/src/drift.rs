@@ -15,7 +15,7 @@
 
 use crate::cardinality::StatsCatalog;
 use crate::column_stats::ColumnStats;
-use hfqo_catalog::TableId;
+use hfqo_storage::catalog::TableId;
 
 /// Drift of one table between two snapshots.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +121,7 @@ pub fn stats_drift(old: &StatsCatalog, new: &StatsCatalog) -> DriftMagnitude {
 mod tests {
     use super::*;
     use crate::column_stats::TableStats;
-    use hfqo_catalog::ColumnStatsMeta;
+    use hfqo_storage::catalog::ColumnStatsMeta;
 
     fn col(ndv: f64, min: f64, max: f64, null_frac: f64) -> ColumnStats {
         ColumnStats {

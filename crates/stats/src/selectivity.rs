@@ -1,8 +1,8 @@
 //! Selection selectivity estimation.
 
 use crate::cardinality::StatsCatalog;
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{QueryGraph, Selection};
-use hfqo_sql::CompareOp;
 
 /// Fallback equality selectivity when no statistics exist (PostgreSQL uses
 /// 0.005 for `eqsel` defaults).
@@ -92,8 +92,8 @@ mod tests {
     use super::*;
     use crate::builder::build_table_stats;
     use crate::cardinality::StatsCatalog;
-    use hfqo_catalog::{Column, ColumnId, ColumnType, TableId, TableSchema};
     use hfqo_query::{BoundColumn, Lit, QueryGraph, RelId, Relation};
+    use hfqo_storage::catalog::{Column, ColumnId, ColumnType, TableId, TableSchema};
     use hfqo_storage::{Table, Value};
 
     fn setup() -> (StatsCatalog, QueryGraph) {

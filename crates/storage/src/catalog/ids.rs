@@ -4,11 +4,11 @@
 //! so lookups are O(1) and the ids can be used directly as array indexes in
 //! hot paths (the cost model and the RL featurizer do exactly that).
 //!
-//! [`Catalog`]: crate::Catalog
+//! [`Catalog`]: crate::catalog::Catalog
 
 use std::fmt;
 
-/// Identifies a table within a [`Catalog`](crate::Catalog).
+/// Identifies a table within a [`Catalog`](crate::catalog::Catalog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u32);
 
@@ -16,7 +16,7 @@ pub struct TableId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnId(pub u32);
 
-/// Identifies an index within a [`Catalog`](crate::Catalog).
+/// Identifies an index within a [`Catalog`](crate::catalog::Catalog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IndexId(pub u32);
 

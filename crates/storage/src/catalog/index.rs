@@ -1,6 +1,6 @@
 //! Index definitions.
 
-use crate::ids::{ColumnId, TableId};
+use crate::catalog::ids::{ColumnId, TableId};
 
 /// A single-column secondary (or primary) B-tree index definition: it
 /// serves equality and range predicates, never `<>`.
@@ -14,7 +14,7 @@ pub struct IndexDef {
 
 impl IndexDef {
     /// Creates an index definition. Prefer
-    /// [`Catalog::add_index`](crate::Catalog::add_index), which validates
+    /// [`Catalog::add_index`](crate::catalog::Catalog::add_index), which validates
     /// the target.
     pub fn new(name: impl Into<String>, table: TableId, column: ColumnId, unique: bool) -> Self {
         Self {

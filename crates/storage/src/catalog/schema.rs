@@ -1,8 +1,8 @@
 //! Tables, columns, and the catalog container.
 
-use crate::error::CatalogError;
-use crate::ids::{ColumnId, ColumnRef, IndexId, TableId};
-use crate::index::IndexDef;
+use crate::catalog::error::CatalogError;
+use crate::catalog::ids::{ColumnId, ColumnRef, IndexId, TableId};
+use crate::catalog::index::IndexDef;
 
 /// Logical type of a column.
 ///
@@ -70,7 +70,7 @@ impl Column {
     }
 
     /// Whether the column may hold NULLs.
-    pub fn is_nullable(&self) -> bool {
+    pub(crate) fn is_nullable(&self) -> bool {
         self.nullable
     }
 }
@@ -231,11 +231,6 @@ impl Catalog {
             .ok_or(CatalogError::UnknownIndexId(id.0))
     }
 
-    /// All indexes.
-    pub fn indexes(&self) -> &[IndexDef] {
-        &self.indexes
-    }
-
     /// All tables paired with their ids.
     pub fn tables(&self) -> impl Iterator<Item = (TableId, &TableSchema)> {
         self.tables
@@ -317,7 +312,7 @@ mod tests {
     fn unknown_ids_error() {
         let (c, _) = sample_catalog();
         assert!(c.table(TableId(42)).is_err());
-        assert!(c.index(crate::ids::IndexId(9)).is_err());
+        assert!(c.index(crate::catalog::ids::IndexId(9)).is_err());
         assert!(c.table_by_name("missing").is_err());
     }
 

@@ -4,7 +4,7 @@
 //! in the `hfqo-stats` crate; this module only defines the plain-old-data
 //! summaries that both the statistics builder and the cost model agree on.
 
-use crate::schema::{ColumnType, TableSchema};
+use crate::catalog::schema::{ColumnType, TableSchema};
 
 /// Assumed on-disk page size, matching PostgreSQL's 8 KiB blocks.
 pub const PAGE_SIZE_BYTES: f64 = 8192.0;
@@ -56,7 +56,7 @@ pub fn estimated_row_width(schema: &TableSchema) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
+    use crate::catalog::schema::Column;
 
     fn schema() -> TableSchema {
         TableSchema::new(

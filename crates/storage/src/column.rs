@@ -25,8 +25,8 @@
 //!   strings never are, so float bit patterns are never re-derived from a
 //!   run representative.
 
+use crate::catalog::ColumnType;
 use crate::value::Value;
-use hfqo_catalog::ColumnType;
 use std::sync::Arc;
 
 /// Columnar storage for one column.

@@ -12,10 +12,10 @@
 //! and the PostgreSQL dump convention that an *unquoted* empty field or
 //! `\N` is NULL while a *quoted* empty field is the empty string.
 
+use crate::catalog::ColumnType;
 use crate::column::ColumnVector;
 use crate::error::StorageError;
 use crate::table::Table;
-use hfqo_catalog::ColumnType;
 use std::borrow::Cow;
 use std::io::BufRead;
 
@@ -299,8 +299,8 @@ fn split_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{Column, ColumnType, TableSchema};
     use crate::value::Value;
-    use hfqo_catalog::{Column, ColumnType, TableSchema};
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -326,11 +326,14 @@ mod tests {
         assert_eq!(stats.rows, 3);
         assert_eq!(stats.bytes, input.len());
         assert_eq!(t.row_count(), 3);
-        assert_eq!(t.value_at(0, hfqo_catalog::ColumnId(1)), Value::Float(2.5));
-        assert!(t.value_at(1, hfqo_catalog::ColumnId(1)).is_null());
-        assert!(t.value_at(1, hfqo_catalog::ColumnId(2)).is_null());
         assert_eq!(
-            t.value_at(2, hfqo_catalog::ColumnId(2)),
+            t.value_at(0, crate::catalog::ColumnId(1)),
+            Value::Float(2.5)
+        );
+        assert!(t.value_at(1, crate::catalog::ColumnId(1)).is_null());
+        assert!(t.value_at(1, crate::catalog::ColumnId(2)).is_null());
+        assert_eq!(
+            t.value_at(2, crate::catalog::ColumnId(2)),
             Value::str("plain")
         );
     }
@@ -340,7 +343,7 @@ mod tests {
         let input = "1,1.0,\"a,b\"\n2,2.0,\"line\nbreak\"\n3,3.0,\"say \"\"hi\"\"\"\n4,4.0,\"\"\n";
         let (t, stats) = load(input, &CsvOptions::default()).unwrap();
         assert_eq!(stats.rows, 4);
-        let col = hfqo_catalog::ColumnId(2);
+        let col = crate::catalog::ColumnId(2);
         assert_eq!(t.value_at(0, col), Value::str("a,b"));
         assert_eq!(t.value_at(1, col), Value::str("line\nbreak"));
         assert_eq!(t.value_at(2, col), Value::str("say \"hi\""));
@@ -357,7 +360,7 @@ mod tests {
         };
         let (t, stats) = load(input, &opts).unwrap();
         assert_eq!(stats.rows, 2);
-        assert_eq!(t.value_at(1, hfqo_catalog::ColumnId(2)), Value::str("y"));
+        assert_eq!(t.value_at(1, crate::catalog::ColumnId(2)), Value::str("y"));
     }
 
     #[test]

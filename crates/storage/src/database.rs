@@ -16,9 +16,9 @@
 //! stay in step.
 
 use crate::btree::BTreeIndex;
+use crate::catalog::{Catalog, IndexId, TableId};
 use crate::error::StorageError;
 use crate::table::Table;
-use hfqo_catalog::{Catalog, IndexId, TableId};
 
 /// An in-memory database: one [`Table`] per catalog table, one
 /// [`BTreeIndex`] per catalog index.
@@ -144,8 +144,8 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{Column, ColumnId, ColumnType, TableSchema};
     use crate::value::Value;
-    use hfqo_catalog::{Column, ColumnId, ColumnType, TableSchema};
 
     fn db() -> (Database, TableId) {
         let mut c = Catalog::new();

@@ -8,10 +8,10 @@
 //! fine-tuning). Every generator takes a seeded RNG, so datasets are fully
 //! reproducible.
 
+use crate::catalog::TableSchema;
 use crate::error::StorageError;
 use crate::table::Table;
 use crate::value::Value;
-use hfqo_catalog::TableSchema;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -259,7 +259,7 @@ impl TableGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Column, ColumnId, ColumnType};
+    use crate::catalog::{Column, ColumnId, ColumnType};
     use rand::SeedableRng;
 
     fn rng() -> StdRng {

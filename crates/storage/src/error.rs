@@ -1,6 +1,6 @@
 //! Storage error types.
 
-use hfqo_catalog::CatalogError;
+use crate::catalog::CatalogError;
 use std::fmt;
 
 /// Errors raised by storage operations.

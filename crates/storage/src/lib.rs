@@ -11,7 +11,7 @@
 //! column values by row id.
 //!
 //! ```
-//! use hfqo_catalog::{Catalog, TableSchema, Column, ColumnType};
+//! use hfqo_storage::catalog::{Catalog, TableSchema, Column, ColumnType};
 //! use hfqo_storage::{Database, Value};
 //!
 //! let mut catalog = Catalog::new();
@@ -27,10 +27,11 @@
 //! ```
 
 pub mod btree;
+pub mod catalog;
 pub mod column;
 pub mod csv;
-pub mod database;
-pub mod datagen;
+mod database;
+mod datagen;
 pub mod error;
 pub mod table;
 pub mod value;

@@ -1,9 +1,9 @@
 //! In-memory tables.
 
+use crate::catalog::{ColumnId, TableSchema};
 use crate::column::{ColumnVector, Encoding};
 use crate::error::StorageError;
 use crate::value::Value;
-use hfqo_catalog::{ColumnId, TableSchema};
 
 /// An in-memory columnar table instance.
 #[derive(Debug, Clone)]
@@ -270,8 +270,8 @@ impl Table {
     }
 }
 
-fn type_matches(ty: hfqo_catalog::ColumnType, v: &Value) -> bool {
-    use hfqo_catalog::ColumnType::*;
+fn type_matches(ty: crate::catalog::ColumnType, v: &Value) -> bool {
+    use crate::catalog::ColumnType::*;
     matches!(
         (ty, v),
         (_, Value::Null)
@@ -284,7 +284,7 @@ fn type_matches(ty: hfqo_catalog::ColumnType, v: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfqo_catalog::{Column, ColumnType};
+    use crate::catalog::{Column, ColumnType};
 
     fn schema() -> TableSchema {
         TableSchema::new(

@@ -38,13 +38,14 @@
 //! expert's freshly-planned reference on *every* serve, before any
 //! latency is recorded.
 
-use hfqo_catalog::{ColumnId, TableId};
 use hfqo_exec::ExecConfig;
+use hfqo_query::sql::AggFunc;
 use hfqo_query::{AggExpr, QueryGraph};
-use hfqo_rejoin::{Featurizer, PolicyKind, ReJoinAgent};
+use hfqo_rejoin::rl::{ReinforceAgent, ReinforceConfig};
+use hfqo_rejoin::Featurizer;
 use hfqo_serve::{OnlineConfig, OnlineTrainer, QuerySession, ServedQuery};
-use hfqo_sql::AggFunc;
 use hfqo_stats::{stats_drift, DriftMagnitude, StatsCatalog};
+use hfqo_storage::catalog::{ColumnId, TableId};
 use hfqo_storage::{Database, StorageError, Value};
 use hfqo_sync::RwLock;
 use rand::rngs::StdRng;
@@ -728,10 +729,10 @@ impl DriftHarness {
         let mut learned = QuerySession::traditional(db, stats).with_exec_config(config.exec);
         let featurizer = Featurizer::new(config.max_rels);
         let mut rng = StdRng::seed_from_u64(config.agent_seed);
-        let agent = ReJoinAgent::new(
+        let agent = ReinforceAgent::new(
             featurizer.state_dim(),
             featurizer.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         let online = OnlineConfig {
@@ -946,7 +947,7 @@ mod tests {
         let mut full = db.clone();
         full.build_indexes().unwrap();
         for i in 0..db.catalog().index_count() {
-            let id = hfqo_catalog::IndexId(i as u32);
+            let id = hfqo_storage::catalog::IndexId(i as u32);
             assert!(db.index_storage(id).is_some(), "{context:?}: index {i}");
             assert_eq!(
                 db.index_storage(id),

@@ -14,8 +14,8 @@
 //! optimizer's independence assumption exactly where the paper needs the
 //! cost model to be wrong.
 
-use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableId};
 use hfqo_stats::{build_database_stats, StatsCatalog};
+use hfqo_storage::catalog::{Catalog, Column, ColumnId, ColumnType, TableId};
 use hfqo_storage::{ColumnGen, Database, Distribution, TableGen};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -193,8 +193,8 @@ pub fn build_catalog() -> Catalog {
         cols
     };
     for &name in TABLE_NAMES {
-        let schema =
-            hfqo_catalog::TableSchema::new(name, columns_for(name)).with_primary_key(ColumnId(0));
+        let schema = hfqo_storage::catalog::TableSchema::new(name, columns_for(name))
+            .with_primary_key(ColumnId(0));
         let t = cat.add_table(schema).expect("unique table names");
         cat.add_index(format!("{name}_pkey"), t, ColumnId(0), true)
             .expect("unique index names");

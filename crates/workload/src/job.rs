@@ -9,9 +9,9 @@
 //! the real parser + binder, so the suite also exercises the front-end.
 
 use crate::imdb::{alias_of, FK_EDGES};
-use hfqo_catalog::Catalog;
+use hfqo_query::sql::parse_select;
 use hfqo_query::{bind_select, QueryGraph};
-use hfqo_sql::parse_select;
+use hfqo_storage::catalog::Catalog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -5,10 +5,10 @@
 //! §5.3.2 relations curriculum (which needs 1-, 2-, 3-relation queries —
 //! rare in real workloads, as the paper notes), and property tests.
 
-use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableId};
+use hfqo_query::sql::CompareOp;
 use hfqo_query::{BoundColumn, JoinEdge, Lit, QueryGraph, RelId, Relation, Selection};
-use hfqo_sql::CompareOp;
 use hfqo_stats::{build_database_stats, StatsCatalog};
+use hfqo_storage::catalog::{Catalog, Column, ColumnId, ColumnType, TableId};
 use hfqo_storage::{ColumnGen, Database, Distribution, TableGen};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +62,7 @@ impl SynthDb {
         assert!(config.tables >= 1);
         let mut cat = Catalog::new();
         for i in 0..config.tables {
-            let schema = hfqo_catalog::TableSchema::new(
+            let schema = hfqo_storage::catalog::TableSchema::new(
                 format!("s{i}"),
                 vec![
                     Column::new("id", ColumnType::Int),

@@ -36,10 +36,10 @@ fn main() {
         StageSet::join_order_only(),
     );
     let mut rng = StdRng::seed_from_u64(0);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
     let config = BootstrapConfig {

@@ -67,10 +67,10 @@ fn main() {
     };
     let mut env = make_env(0);
     let mut rng = StdRng::seed_from_u64(3);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
     let config = TrainerConfig::new(episodes).with_workers(workers);

@@ -63,10 +63,10 @@ fn main() {
         RewardMode::LogRelative,
         StageSet::full(),
     );
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         probe.state_dim(),
         probe.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
     drop(probe);
@@ -92,12 +92,7 @@ fn main() {
             StageSet::full(),
         );
         env.set_stages(phase.stages);
-        let log = train(
-            &mut env,
-            &mut agent,
-            TrainerConfig::new(phase.episodes),
-            &mut rng,
-        );
+        let log = train(&mut env, &mut agent, phase.episodes, &mut rng);
         println!(
             "  phase {}: {} queries, {} stages → ratio {:.2}x",
             i + 1,

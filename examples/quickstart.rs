@@ -75,13 +75,13 @@ fn main() {
     );
     let featurizer = env.featurizer();
     let mut rng = StdRng::seed_from_u64(0);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
-    let log = train(&mut env, &mut agent, TrainerConfig::new(300), &mut rng);
+    let log = train(&mut env, &mut agent, 300, &mut rng);
     println!(
         "\nafter 300 episodes on this query: cost ratio vs expert {:.3} (started at {:.3})",
         log.final_geo_ratio(30).expect("non-empty"),

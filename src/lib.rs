@@ -42,58 +42,57 @@
 //!     StageSet::join_order_only(),
 //! );
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let mut agent = ReJoinAgent::new(
+//! let mut agent = ReinforceAgent::new(
 //!     env.state_dim(),
 //!     env.action_dim(),
-//!     PolicyKind::default_reinforce(),
+//!     ReinforceConfig::default(),
 //!     &mut rng,
 //! );
-//! let log = train(&mut env, &mut agent, TrainerConfig::new(10), &mut rng);
+//! let log = train(&mut env, &mut agent, 10, &mut rng);
 //! assert_eq!(log.len(), 10);
 //! ```
 
-pub use hfqo_catalog as catalog;
 pub use hfqo_exec as exec;
-pub use hfqo_nn as nn;
 pub use hfqo_opt as opt;
 pub use hfqo_opt::cost;
 pub use hfqo_query as query;
+pub use hfqo_query::sql;
 pub use hfqo_rejoin as rejoin;
-pub use hfqo_rl as rl;
+pub use hfqo_rejoin::nn;
+pub use hfqo_rejoin::rl;
 pub use hfqo_serve as serve;
-pub use hfqo_sql as sql;
 pub use hfqo_stats as stats;
 pub use hfqo_storage as storage;
+pub use hfqo_storage::catalog;
 pub use hfqo_workload as workload;
 
 /// The most commonly used types, in one import.
 pub mod prelude {
-    pub use hfqo_catalog::{Catalog, Column, ColumnType, TableSchema};
     pub use hfqo_exec::{execute, ExecConfig, TrueCardinality};
     pub use hfqo_opt::cost::{CostModel, CostParams};
     pub use hfqo_opt::{
         random_plan, Planner, PlannerContext, PlannerMethod, RandomPlanner, TraditionalPlanner,
     };
+    pub use hfqo_query::sql::parse_select;
     pub use hfqo_query::{
         bind_select, fingerprint, template_fingerprint, Forest, JoinTree, ParamVector,
         PhysicalPlan, PlanNode, QueryFingerprint, QueryGraph, RelSet, TemplateFingerprint,
     };
+    pub use hfqo_rejoin::rl::{Environment, ReinforceAgent, ReinforceConfig};
     pub use hfqo_rejoin::{
         cost_bootstrap, evaluate_per_query, learn_from_demonstration, train, train_parallel,
         BootstrapConfig, Curriculum, DemonstrationConfig, EnvContext, Featurizer, LearnedPlanner,
-        PlanEnv, PolicyKind, QueryOrder, ReJoinAgent, RewardMode, RewardScaler, StageSet,
-        TrainerConfig, TrainingLog,
+        PlanEnv, QueryOrder, RewardMode, RewardScaler, StageSet, TrainerConfig, TrainingLog,
     };
-    pub use hfqo_rl::Environment;
     pub use hfqo_serve::{
         CacheConfig, CacheMetrics, CacheOutcome, Experience, ExperienceLog, HotSwapPlanner,
         OnlineConfig, OnlineTrainer, PlanKey, PlannerHandle, Prepared, QuerySession, ServeError,
         ServedQuery,
     };
-    pub use hfqo_sql::parse_select;
     pub use hfqo_stats::{
         build_database_stats, selection_selectivities, CardinalitySource, EstimatedCardinality,
     };
+    pub use hfqo_storage::catalog::{Catalog, Column, ColumnType, TableSchema};
     pub use hfqo_storage::{Database, Value};
     pub use hfqo_workload::imdb::ImdbConfig;
     pub use hfqo_workload::{

@@ -30,7 +30,7 @@ use hfqo::prelude::*;
 use hfqo::query::{BoundColumn, Lit, RelId, Selection};
 use hfqo::sql::CompareOp;
 use hfqo::workload::synth::{Shape, SynthConfig, SynthDb};
-use hfqo_catalog::ColumnId;
+use hfqo_storage::catalog::ColumnId;
 use hfqo_storage::Encoding;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,7 +78,7 @@ fn synth() -> &'static SynthDb {
 fn all_cells(db: &Database) -> Vec<(u32, Vec<Vec<Value>>)> {
     let mut out = Vec::new();
     let mut tid = 0u32;
-    while let Ok(table) = db.table(hfqo_catalog::TableId(tid)) {
+    while let Ok(table) = db.table(hfqo_storage::catalog::TableId(tid)) {
         let rows = (0..table.row_count())
             .map(|r| {
                 (0..table.schema().arity())
@@ -95,7 +95,7 @@ fn all_cells(db: &Database) -> Vec<(u32, Vec<Vec<Value>>)> {
 fn table_encodings(db: &Database) -> Vec<Vec<Encoding>> {
     let mut out = Vec::new();
     let mut tid = 0u32;
-    while let Ok(table) = db.table(hfqo_catalog::TableId(tid)) {
+    while let Ok(table) = db.table(hfqo_storage::catalog::TableId(tid)) {
         out.push(table.encodings());
         tid += 1;
     }
@@ -116,7 +116,7 @@ proptest! {
         seed in 0u64..1_000_000_000,
         frac_pct in 0u8..=100,
     ) {
-        let tid = hfqo_catalog::TableId(table);
+        let tid = hfqo_storage::catalog::TableId(table);
         let fraction = f64::from(frac_pct) / 100.0;
         let mutation = match op {
             0 => Mutation::append(tid, (seed % 97) as usize, seed),
@@ -172,7 +172,7 @@ fn engines_agree(
 /// encoding invariants the vectorized kernels rely on.
 #[test]
 fn post_mutation_results_identical_across_engines_threads_encodings() {
-    use hfqo_catalog::TableId;
+    use hfqo_storage::catalog::TableId;
     let mut db = synth().db.clone();
     for m in [
         Mutation::append(TableId(0), 140, 6001),
@@ -332,7 +332,7 @@ fn rebuild_stats_drops_stale_selectivity_bands() {
 /// no sleeps, no wall-clock.
 #[test]
 fn concurrent_mutation_and_serving_matches_serial_replay() {
-    use hfqo_catalog::TableId;
+    use hfqo_storage::catalog::TableId;
     let gen = SynthDb::build(SynthConfig {
         tables: 4,
         rows: 200,

@@ -11,7 +11,7 @@ use hfqo::sql::{tokenize, Token};
 use hfqo::workload::imdb::build_imdb;
 use hfqo::workload::job::generate_job_suite;
 use hfqo::workload::synth::{SynthConfig, SynthDb};
-use hfqo_catalog::Catalog;
+use hfqo_storage::catalog::Catalog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -10,8 +10,8 @@ use hfqo::cost::{CostEstimate, CostModel};
 use hfqo::nn::{masked_softmax, Matrix, Mlp};
 use hfqo::opt::{Planner, PlannerContext, RandomPlanner, TraditionalPlanner};
 use hfqo::query::{Forest, JoinAlgo, PlanNode, QueryGraph};
-use hfqo::rejoin::{Featurizer, LearnedPlanner, PolicyKind, ReJoinAgent, RolloutState};
-use hfqo::rl::Selector;
+use hfqo::rejoin::{Featurizer, LearnedPlanner, RolloutState};
+use hfqo::rl::{ReinforceAgent, ReinforceConfig, Selector};
 use hfqo::sql::CompareOp;
 use hfqo::stats::{CardinalitySource, EstimatedCardinality, StatsCatalog};
 use hfqo::storage::Database;
@@ -44,10 +44,10 @@ fn fixture() -> &'static Fixture {
             .collect();
         assert_eq!(graphs.len(), 113);
         let featurizer = Featurizer::new(MAX_RELS);
-        let agent = ReJoinAgent::new(
+        let agent = ReinforceAgent::new(
             featurizer.state_dim(),
             featurizer.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut StdRng::seed_from_u64(21),
         );
         let planner = LearnedPlanner::freeze(&agent, featurizer).with_require_connected(true);

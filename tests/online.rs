@@ -60,12 +60,12 @@ fn job_fixture() -> (WorkloadBundle, Vec<QueryGraph>, usize) {
     (bundle, queries, max_rels)
 }
 
-fn fresh_agent(featurizer: &Featurizer, seed: u64) -> ReJoinAgent {
+fn fresh_agent(featurizer: &Featurizer, seed: u64) -> ReinforceAgent {
     let mut rng = StdRng::seed_from_u64(seed);
-    ReJoinAgent::new(
+    ReinforceAgent::new(
         featurizer.state_dim(),
         featurizer.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     )
 }

@@ -151,13 +151,13 @@ fn all_four_planners_serve_through_the_session() {
     );
     env.require_connected = true;
     let mut rng = StdRng::seed_from_u64(2);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
-    let _ = train(&mut env, &mut agent, TrainerConfig::new(40), &mut rng);
+    let _ = train(&mut env, &mut agent, 40, &mut rng);
     let learned = LearnedPlanner::freeze(&agent, env.featurizer());
 
     let mut session = QuerySession::traditional(synth.db, synth.stats);

@@ -11,7 +11,7 @@ use hfqo::sql::CompareOp;
 use hfqo::workload::imdb::build_catalog;
 use hfqo::workload::job::generate_job_suite;
 use hfqo::workload::synth::{Shape, SynthConfig, SynthDb};
-use hfqo_catalog::{ColumnId, TableId};
+use hfqo_storage::catalog::{ColumnId, TableId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -45,13 +45,13 @@ fn rejoin_training_beats_its_own_start() {
         RewardMode::LogRelative,
     );
     let mut rng = StdRng::seed_from_u64(2);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
-    let log = train(&mut env, &mut agent, TrainerConfig::new(500), &mut rng);
+    let log = train(&mut env, &mut agent, 500, &mut rng);
     let start = log.initial_geo_ratio(60).expect("non-empty");
     let end = log.final_geo_ratio(60).expect("non-empty");
     assert!(
@@ -126,10 +126,10 @@ fn bootstrap_through_facade() {
     let (bundle, queries) = small_workload();
     let mut env = join_env(&bundle, &queries, QueryOrder::Cycle, RewardMode::NegLogCost);
     let mut rng = StdRng::seed_from_u64(5);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
     let config = BootstrapConfig {
@@ -158,13 +158,13 @@ fn full_plan_env_trains_and_evaluates() {
         StageSet::full(),
     );
     let mut rng = StdRng::seed_from_u64(6);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
-    let log = train(&mut env, &mut agent, TrainerConfig::new(120), &mut rng);
+    let log = train(&mut env, &mut agent, 120, &mut rng);
     assert_eq!(log.len(), 120);
     let records = evaluate_per_query(&mut env, &agent, QueryOrder::Shuffle, &mut rng);
     assert_eq!(records.len(), queries.len());
@@ -204,10 +204,10 @@ fn parallel_run(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut agent = {
         let env = make_env(0);
-        ReJoinAgent::new(
+        ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         )
     };
@@ -232,13 +232,13 @@ fn parallel_workers1_is_bit_identical_to_sequential_train() {
             RewardMode::LogRelative,
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut agent = ReJoinAgent::new(
+        let mut agent = ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
-        train(&mut env, &mut agent, TrainerConfig::new(episodes), &mut rng)
+        train(&mut env, &mut agent, episodes, &mut rng)
     };
     let parallel = parallel_run(&bundle, &queries, 1, seed, episodes);
     assert_eq!(
@@ -304,13 +304,13 @@ fn golden_log_fixed_seed_synth_run() {
         StageSet::join_order_only(),
     );
     let mut rng = StdRng::seed_from_u64(7);
-    let mut agent = ReJoinAgent::new(
+    let mut agent = ReinforceAgent::new(
         env.state_dim(),
         env.action_dim(),
-        PolicyKind::default_reinforce(),
+        ReinforceConfig::default(),
         &mut rng,
     );
-    let log = train(&mut env, &mut agent, TrainerConfig::new(50), &mut rng);
+    let log = train(&mut env, &mut agent, 50, &mut rng);
     let actual: String = log
         .records
         .iter()
@@ -341,7 +341,7 @@ fn golden_log_fixed_seed_synth_run() {
 /// rollout consumes the RNG stream identically.
 #[test]
 fn per_row_update_path_reproduces_batched_training_bitwise() {
-    use hfqo_rl::UpdatePath;
+    use hfqo_rejoin::rl::UpdatePath;
 
     let (bundle, queries) = small_workload();
     let run = |path: UpdatePath| {
@@ -352,14 +352,14 @@ fn per_row_update_path_reproduces_batched_training_bitwise() {
             RewardMode::LogRelative,
         );
         let mut rng = StdRng::seed_from_u64(19);
-        let mut agent = ReJoinAgent::new(
+        let mut agent = ReinforceAgent::new(
             env.state_dim(),
             env.action_dim(),
-            PolicyKind::default_reinforce(),
+            ReinforceConfig::default(),
             &mut rng,
         );
         agent.set_update_path(path);
-        train(&mut env, &mut agent, TrainerConfig::new(48), &mut rng)
+        train(&mut env, &mut agent, 48, &mut rng)
     };
     let batched = run(UpdatePath::Batched);
     let per_row = run(UpdatePath::PerRow);
