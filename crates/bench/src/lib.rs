@@ -10,6 +10,8 @@
 //! sweep, which is the figure. Performance is measured by the repo
 //! benchmark, `perfbench/` under `BENCHMARK.json`.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod experiments;
 pub mod report;

@@ -9,6 +9,8 @@
 //! workload, short training; the default) or `--full` (paper-scale), and
 //! prints its table to stdout.
 
+#![forbid(unsafe_code)]
+
 use hfqo_bench::experiments::{
     bootstrap_exp, common, fig3a, fig3b, fig3c, incremental_exp, latency_overhead, lfd, naive,
     Scale,

@@ -3,4 +3,6 @@
 //! (`perfbench/`) imports from it, so that package builds unedited.
 //! Nothing in the workspace depends on it.
 
+#![forbid(unsafe_code)]
+
 pub use hfqo_storage::catalog::{Catalog, Column, ColumnId, ColumnType, IndexId, TableSchema};

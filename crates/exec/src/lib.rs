@@ -90,6 +90,8 @@
 //! as `exec.execute.us_per_op`). It is a test oracle: nothing on the
 //! serving or training path calls it.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod executor;
 pub mod ops;

@@ -50,6 +50,8 @@
 //! one for a repo-specific gate; rustc and clippy still backstop the
 //! rest.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -2,6 +2,8 @@
 //! Exits non-zero on any active violation, stale allowlist entry, or
 //! malformed allowlist. See the library docs for the rules (L1–L5, L7).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

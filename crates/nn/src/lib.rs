@@ -3,4 +3,6 @@
 //! benchmark (`perfbench/`) imports from it, so that package builds
 //! unedited. Nothing in the workspace depends on it.
 
+#![forbid(unsafe_code)]
+
 pub use hfqo_rejoin::nn::Matrix;

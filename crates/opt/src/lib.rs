@@ -31,6 +31,8 @@
 //!   behind one interface; the planned-query types live in
 //!   [`optimizer`].
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod dp;
 pub mod forest;

@@ -173,10 +173,25 @@ impl Fnv2 {
         }
     }
 
-    fn byte(&mut self, v: u8) {
-        self.a = (self.a ^ u64::from(v)).wrapping_mul(FNV_PRIME);
-        self.b = (self.b ^ u64::from(v)).wrapping_mul(FNV_PRIME);
+    /// Length-prefixed variable-size payload, so adjacent fields cannot
+    /// alias (`"ab" + "c"` vs `"a" + "bc"`).
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
     }
+
+    fn finish(self) -> u128 {
+        (u128::from(self.a) << 64) | u128::from(self.b)
+    }
+}
+
+/// What [`fold_graph`] folds a graph into: its content bytes, and each
+/// selection literal, the one thing the two fingerprints hash
+/// differently.
+trait Sink {
+    fn byte(&mut self, v: u8);
+
+    fn literal(&mut self, lit: &Lit);
 
     fn bytes(&mut self, vs: &[u8]) {
         for &v in vs {
@@ -191,25 +206,68 @@ impl Fnv2 {
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
+}
 
-    /// Length-prefixed variable-size payload, so adjacent fields cannot
-    /// alias (`"ab" + "c"` vs `"a" + "bc"`).
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
+/// The exact fingerprint: a literal's type tag and value.
+impl Sink for Fnv2 {
+    fn byte(&mut self, v: u8) {
+        self.a = (self.a ^ u64::from(v)).wrapping_mul(FNV_PRIME);
+        self.b = (self.b ^ u64::from(v)).wrapping_mul(FNV_PRIME);
     }
 
-    fn finish(self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
+    fn literal(&mut self, lit: &Lit) {
+        self.byte(lit_tag(lit));
+        match lit {
+            Lit::Int(v) => self.u64(*v as u64),
+            Lit::Float(v) => self.u64(v.to_bits()),
+            Lit::Str(s) => self.str(s),
+        }
     }
 }
 
-fn column(h: &mut Fnv2, c: BoundColumn) {
+/// The template fingerprint: a literal's type tag, its value kept
+/// aside, in slot order.
+struct Template {
+    h: Fnv2,
+    params: Vec<Lit>,
+}
+
+impl Sink for Template {
+    fn byte(&mut self, v: u8) {
+        self.h.byte(v);
+    }
+
+    fn literal(&mut self, lit: &Lit) {
+        self.h.byte(lit_tag(lit));
+        self.params.push(lit.clone());
+    }
+}
+
+/// Both fingerprints from one walk: two states fed the same bytes
+/// except at a literal, where the template state takes only the tag.
+struct Both {
+    template: Fnv2,
+    exact: Fnv2,
+}
+
+impl Sink for Both {
+    fn byte(&mut self, v: u8) {
+        self.template.byte(v);
+        self.exact.byte(v);
+    }
+
+    fn literal(&mut self, lit: &Lit) {
+        self.template.byte(lit_tag(lit));
+        self.exact.literal(lit);
+    }
+}
+
+fn column(h: &mut impl Sink, c: BoundColumn) {
     h.u32(c.rel.0);
     h.u32(c.column.0);
 }
 
-fn compare_op(h: &mut Fnv2, op: CompareOp) {
+fn compare_op(h: &mut impl Sink, op: CompareOp) {
     // Explicit discriminants: reordering the enum must not silently
     // change fingerprints.
     h.byte(match op {
@@ -231,16 +289,7 @@ fn lit_tag(lit: &Lit) -> u8 {
     }
 }
 
-fn literal(h: &mut Fnv2, lit: &Lit) {
-    h.byte(lit_tag(lit));
-    match lit {
-        Lit::Int(v) => h.u64(*v as u64),
-        Lit::Float(v) => h.u64(v.to_bits()),
-        Lit::Str(s) => h.str(s),
-    }
-}
-
-fn agg_func(h: &mut Fnv2, f: AggFunc) {
+fn agg_func(h: &mut impl Sink, f: AggFunc) {
     h.byte(match f {
         AggFunc::Count => 0,
         AggFunc::Sum => 1,
@@ -250,13 +299,10 @@ fn agg_func(h: &mut Fnv2, f: AggFunc) {
     });
 }
 
-/// Folds the graph's plan-relevant content into `h`. With
-/// `params: None` the selection literals are hashed by value (the exact
-/// fingerprint); with `Some`, only their type tags are hashed and the
-/// values are pushed, in slot order, into the vector (the template
-/// fingerprint). Everything else is byte-identical between the two
-/// modes.
-fn fold_graph(h: &mut Fnv2, graph: &QueryGraph, mut params: Option<&mut Vec<Lit>>) {
+/// Folds the graph's plan-relevant content into `h`. Each selection
+/// literal goes to [`Sink::literal`]; everything else is the same
+/// bytes whichever fingerprint `h` computes.
+fn fold_graph(h: &mut impl Sink, graph: &QueryGraph) {
     // Relations: catalog table per FROM slot. Aliases are presentation
     // only (see module docs) and are deliberately not hashed.
     h.u64(graph.relation_count() as u64);
@@ -271,20 +317,12 @@ fn fold_graph(h: &mut Fnv2, graph: &QueryGraph, mut params: Option<&mut Vec<Lit>
         compare_op(h, edge.op);
         column(h, edge.right);
     }
-    // Selections, in stored order. The exact fingerprint hashes the
-    // literal values; the template hashes only their type tags and
-    // extracts the values as the parameter vector.
+    // Selections, in stored order.
     h.u64(graph.selections().len() as u64);
     for sel in graph.selections() {
         column(h, sel.column);
         compare_op(h, sel.op);
-        match params.as_deref_mut() {
-            None => literal(h, &sel.value),
-            Some(out) => {
-                h.byte(lit_tag(&sel.value));
-                out.push(sel.value.clone());
-            }
-        }
+        h.literal(&sel.value);
     }
     // Output shape: aggregates and grouping decide the aggregate root.
     h.u64(graph.aggregates().len() as u64);
@@ -308,7 +346,7 @@ fn fold_graph(h: &mut Fnv2, graph: &QueryGraph, mut params: Option<&mut Vec<Lit>
 /// under the normalization rules in the [module docs](self).
 pub fn fingerprint(graph: &QueryGraph) -> QueryFingerprint {
     let mut h = Fnv2::new();
-    fold_graph(&mut h, graph, None);
+    fold_graph(&mut h, graph);
     QueryFingerprint(h.finish())
 }
 
@@ -316,10 +354,30 @@ pub fn fingerprint(graph: &QueryGraph) -> QueryFingerprint {
 /// to typed slots) and extracts the parameter vector, in slot order.
 /// See the [module docs](self).
 pub fn template_fingerprint(graph: &QueryGraph) -> (TemplateFingerprint, ParamVector) {
-    let mut h = Fnv2::new();
-    let mut params = Vec::with_capacity(graph.selections().len());
-    fold_graph(&mut h, graph, Some(&mut params));
-    (TemplateFingerprint(h.finish()), ParamVector::new(params))
+    let mut h = Template {
+        h: Fnv2::new(),
+        params: Vec::with_capacity(graph.selections().len()),
+    };
+    fold_graph(&mut h, graph);
+    (
+        TemplateFingerprint(h.h.finish()),
+        ParamVector::new(h.params),
+    )
+}
+
+/// Both fingerprints of `graph` from one walk over it:
+/// `(template_fingerprint(graph).0, fingerprint(graph))`, with no
+/// parameter vector built.
+pub fn fingerprints(graph: &QueryGraph) -> (TemplateFingerprint, QueryFingerprint) {
+    let mut h = Both {
+        template: Fnv2::new(),
+        exact: Fnv2::new(),
+    };
+    fold_graph(&mut h, graph);
+    (
+        TemplateFingerprint(h.template.finish()),
+        QueryFingerprint(h.exact.finish()),
+    )
 }
 
 #[cfg(test)]

@@ -27,6 +27,8 @@
 //! assert_eq!(graph.joins().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bind;
 pub mod display;
 pub mod error;
@@ -40,7 +42,8 @@ pub mod sql;
 pub use bind::bind_select;
 pub use error::QueryError;
 pub use fingerprint::{
-    fingerprint, template_fingerprint, ParamVector, QueryFingerprint, TemplateFingerprint,
+    fingerprint, fingerprints, template_fingerprint, ParamVector, QueryFingerprint,
+    TemplateFingerprint,
 };
 pub use graph::{QueryGraph, RelId, RelSet, Relation};
 pub use logical::{tree_to_actions, Forest, JoinTree};

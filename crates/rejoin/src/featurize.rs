@@ -213,8 +213,8 @@ fn size_feature(rows: f64) -> f32 {
 /// movement (both inputs removed, the join appended) and computes only
 /// the new slot. After any sequence of merges [`Self::features`] is, bit
 /// for bit, what [`Featurizer::featurize`] writes for the [`Forest`] the
-/// same merges build, and [`Self::mask`] what
-/// [`Featurizer::action_mask`] writes.
+/// same merges build, [`Self::mask`] what [`Featurizer::action_mask`]
+/// writes, and [`Self::legal_actions`] the positions that mask sets.
 #[derive(Debug, Clone)]
 pub struct RolloutState {
     featurizer: Featurizer,
@@ -280,19 +280,31 @@ impl RolloutState {
         &self.features
     }
 
+    /// Writes the legal action ids of the current forest into `out`
+    /// (cleared first), ascending: the ids [`Self::mask`] sets.
+    pub fn legal_actions(&self, require_connected: bool, out: &mut Vec<usize>) {
+        out.clear();
+        self.for_each_legal(require_connected, |action| out.push(action));
+    }
+
     /// Writes the valid-action mask of the current forest into `out`
     /// (cleared first; always `action_dim` long), under
     /// [`Featurizer::action_mask`]'s rules.
     pub fn mask(&self, require_connected: bool, out: &mut Vec<bool>) {
         out.clear();
         out.resize(self.featurizer.action_dim(), false);
+        self.for_each_legal(require_connected, |action| out[action] = true);
+    }
+
+    /// Calls `legal` with each legal action id, ascending.
+    fn for_each_legal(&self, require_connected: bool, mut legal: impl FnMut(usize)) {
         let len = self.slots.len();
         let mut any = false;
         if require_connected {
             for (x, left) in self.slots.iter().enumerate() {
                 for (y, right) in self.slots.iter().enumerate() {
                     if x != y && !left.adjacent.is_disjoint(right.covered) {
-                        out[self.featurizer.encode_pair(x, y)] = true;
+                        legal(self.featurizer.encode_pair(x, y));
                         any = true;
                     }
                 }
@@ -301,8 +313,8 @@ impl RolloutState {
         // Cross joins allowed, or nothing connected: every pair.
         if !any {
             for x in 0..len {
-                for y in 0..len {
-                    out[self.featurizer.encode_pair(x, y)] = x != y;
+                for y in (0..len).filter(|&y| y != x) {
+                    legal(self.featurizer.encode_pair(x, y));
                 }
             }
         }
@@ -506,8 +518,8 @@ mod tests {
     }
 
     /// `RolloutState` against the specification on `shadow`, the forest
-    /// the same merges build: feature bits, and the mask with and without
-    /// connected-only masking.
+    /// the same merges build: feature bits, and the mask and the legal
+    /// action list with and without connected-only masking.
     fn assert_state_matches_spec(
         state: &RolloutState,
         shadow: &Forest,
@@ -516,6 +528,7 @@ mod tests {
         est: &EstimatedCardinality<'_>,
     ) {
         let (mut features, mut mask, mut spec_mask) = (Vec::new(), Vec::new(), Vec::new());
+        let mut legal = Vec::new();
         f.featurize(graph, shadow, est, &mut features);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(state.features()), bits(&features), "{shadow:?}");
@@ -523,6 +536,12 @@ mod tests {
             state.mask(require_connected, &mut mask);
             f.action_mask(graph, shadow, require_connected, &mut spec_mask);
             assert_eq!(mask, spec_mask, "connected {require_connected}: {shadow:?}");
+            state.legal_actions(require_connected, &mut legal);
+            let spec_legal: Vec<usize> = (0..spec_mask.len()).filter(|&a| spec_mask[a]).collect();
+            assert_eq!(
+                legal, spec_legal,
+                "connected {require_connected}: {shadow:?}"
+            );
         }
     }
 
@@ -598,7 +617,8 @@ mod tests {
 
         /// The updated state equals the rebuilt one after every merge of
         /// a random legal merge sequence, the all-pairs fallback of a
-        /// disconnected remainder included; and a `PlanForest` stepped
+        /// disconnected remainder included, and its legal action list is
+        /// the spec mask's true positions; and a `PlanForest` stepped
         /// with the same pairs ends in the same tree, costed as
         /// `plan_cost` costs it.
         #[test]
@@ -619,11 +639,10 @@ mod tests {
                 .map(|rel| build_scan(&graph, rel, AccessPath::SeqScan, &model, &est));
             let mut forest = PlanForest::from_leaves(&graph, scans);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut mask = Vec::new();
+            let mut legal = Vec::new();
             assert_state_matches_spec(&state, &shadow, f, &graph, &est);
             while !state.is_terminal() {
-                state.mask(require_connected == 1, &mut mask);
-                let legal: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
+                state.legal_actions(require_connected == 1, &mut legal);
                 let (x, y) = f.decode_pair(legal[rng.gen_range(0..legal.len())]);
                 prop_assert!(state.merge(x, y));
                 prop_assert!(shadow.merge(x, y));

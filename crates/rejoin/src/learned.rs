@@ -147,17 +147,17 @@ impl Planner for LearnedPlanner {
         let model = ctx.cost_model();
         let mut state = RolloutState::new(self.featurizer, graph, &ctx.estimator());
         let mut forest = PlanForest::best_access_paths(graph, ctx.catalog, &model, state.cards());
-        let mut mask = Vec::with_capacity(self.featurizer.action_dim());
+        let mut legal = Vec::with_capacity(self.featurizer.action_dim());
         let mut selector = Selector::default();
         // Greedy selection never consults the RNG; the seed only
-        // satisfies the shared `select` signature.
+        // satisfies the shared `select_legal` signature.
         let mut rng = StdRng::seed_from_u64(0);
         while !forest.is_terminal() {
-            state.mask(self.require_connected, &mut mask);
-            let (action, _prob) = selector.select(
+            state.legal_actions(self.require_connected, &mut legal);
+            let (action, _prob) = selector.select_legal(
                 self.snapshot.policy(),
                 state.features(),
-                &mask,
+                &legal,
                 &mut rng,
                 true,
             );

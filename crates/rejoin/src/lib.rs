@@ -39,6 +39,12 @@
 //!   served query's recorded join decisions (plus its observed
 //!   execution) back into a training [`rl::Episode`].
 //! * [`demonstration`], `bootstrap`, [`incremental`] — the §5 methods.
+//!
+//! The crate's one `unsafe` operation is the call into the AVX2 build of
+//! the inference kernel (`nn::infer`); `deny` makes any other a build
+//! error.
+
+#![deny(unsafe_code)]
 
 mod bootstrap;
 pub mod demonstration;

@@ -13,6 +13,26 @@
 //! strictly ascending `p`, a term whose left factor is exactly `0.0`
 //! skipped. What differs from `matmul` is only which sums are taken and
 //! how sums of different outputs are interleaved.
+//!
+//! ## CPU vector width
+//!
+//! The kernel is compiled twice from one body: a portable build for the
+//! target's baseline (SSE2 on `x86_64`, 4 lanes) and, on `x86_64`, an
+//! AVX2 build (8 lanes). [`Mlp::logits_at`] runs the AVX2 build when
+//! the CPU reports AVX2, through the crate's one `unsafe` call. The
+//! vector width is therefore a property of the host, like the engine,
+//! thread count and column encoding, and like them it cannot move a bit,
+//! for two reasons:
+//! - lanes only ever hold *different outputs'* sums; each sum still
+//!   adds its terms one at a time, in ascending `p`, so a wider vector
+//!   changes how many sums advance together, never a sum's order;
+//! - AVX2 enables no fused multiply-add, and rustc never contracts
+//!   `a * w + s` into one on its own, so every product is rounded before
+//!   it is added, as in the portable build.
+//!
+//! No setting chooses the build. A global `-C target-cpu` would make
+//! every binary fail with an illegal instruction on older CPUs, and
+//! portable SIMD (`std::simd`) is not on stable Rust.
 
 use crate::nn::mlp::Mlp;
 
@@ -42,12 +62,84 @@ fn compact(row: &[f32], nonzero: &mut Vec<(usize, f32)>) -> usize {
     len
 }
 
+/// A compiled copy of [`Mlp::logits_kernel`]'s one body: for the
+/// target's baseline CPU, or for CPUs with AVX2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Build {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Build {
+    /// The widest build the running CPU can execute. `std` probes the
+    /// CPU once per process and caches the answer, so this is a load.
+    /// The only constructor of [`Build::Avx2`].
+    fn host() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Portable
+    }
+}
+
 impl Mlp {
     /// The logits of one input row `x` at the columns `outputs`:
     /// `logits[i]` is, bit for bit, `self.predict(x)` at column
     /// `outputs[i]`. `logits` is cleared first; nothing is allocated
     /// once `scratch` and `logits` have grown to the network's widths.
+    ///
+    /// Runs the widest build of the kernel the CPU supports; every
+    /// build returns the same bits (see the module docs).
     pub fn logits_at(
+        &self,
+        x: &[f32],
+        outputs: &[usize],
+        scratch: &mut InferScratch,
+        logits: &mut Vec<f32>,
+    ) {
+        self.logits_with(Build::host(), x, outputs, scratch, logits);
+    }
+
+    /// [`Self::logits_at`] through the given build.
+    #[allow(unsafe_code)]
+    fn logits_with(
+        &self,
+        build: Build,
+        x: &[f32],
+        outputs: &[usize],
+        scratch: &mut InferScratch,
+        logits: &mut Vec<f32>,
+    ) {
+        match build {
+            Build::Portable => self.logits_kernel(x, outputs, scratch, logits),
+            // SAFETY: `Build::Avx2` exists only where `Build::host` saw
+            // the CPU report AVX2, the one feature `logits_avx2` is
+            // compiled for; it has no other precondition.
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => unsafe { self.logits_avx2(x, outputs, scratch, logits) },
+        }
+    }
+
+    /// [`Self::logits_kernel`] compiled for AVX2: its loops run 8 lanes
+    /// wide instead of 4. AVX2 implies no FMA, and rustc never fuses a
+    /// multiply and an add on its own, so every lane rounds as before.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn logits_avx2(
+        &self,
+        x: &[f32],
+        outputs: &[usize],
+        scratch: &mut InferScratch,
+        logits: &mut Vec<f32>,
+    ) {
+        self.logits_kernel(x, outputs, scratch, logits);
+    }
+
+    /// The kernel's one body, inlined into each [`Build`].
+    #[inline(always)]
+    fn logits_kernel(
         &self,
         x: &[f32],
         outputs: &[usize],
@@ -150,15 +242,81 @@ mod tests {
         }
     }
 
+    /// The builds this host can run: the portable one, and the AVX2 one
+    /// where the CPU reports AVX2.
+    fn builds() -> Vec<Build> {
+        let mut builds = vec![Build::Portable];
+        if Build::host() != Build::Portable {
+            builds.push(Build::host());
+        }
+        builds
+    }
+
+    /// Each build, called directly, has `predict`'s bits: at the
+    /// planner's 646→128→128→289 widths through ReLU, Tanh and Linear,
+    /// on a sparse state-like row, a dense one and an all-zero one, and
+    /// with a NaN and an ∞ among the weights — there and in the small
+    /// net of `non_finite_weights_propagate_as_in_predict`.
+    #[test]
+    fn every_build_has_predicts_bits() {
+        let mut scratch = InferScratch::default();
+        let mut logits = Vec::new();
+        let sizes = [646usize, 128, 128, 289];
+        let dense = fill(1, sizes[0], 5);
+        let mut sparse = dense.clone();
+        for (p, v) in sparse.data_mut().iter_mut().enumerate() {
+            if p % 23 != 0 {
+                *v = 0.0;
+            }
+        }
+        let zero = vec![0.0; sizes[0]];
+        let all: Vec<usize> = (0..sizes[3]).collect();
+        let few = [288, 0, 144, 17, 0];
+        let mut nets = Vec::new();
+        for (seed, activation) in [Activation::ReLU, Activation::Tanh, Activation::Linear]
+            .into_iter()
+            .enumerate()
+        {
+            let mut mlp = Mlp::new(&sizes, activation, &mut StdRng::seed_from_u64(seed as u64));
+            nets.push(mlp.clone());
+            mlp.layers_mut()[1].w.data_mut()[300] = f32::NAN;
+            mlp.layers_mut()[2].w.data_mut()[1000] = f32::INFINITY;
+            nets.push(mlp);
+        }
+        for build in builds() {
+            for (i, mlp) in nets.iter().enumerate() {
+                for x in [dense.data(), sparse.data(), &zero[..]] {
+                    for outputs in [&all[..], &few[..]] {
+                        mlp.logits_with(build, x, outputs, &mut scratch, &mut logits);
+                        let want = predicted(mlp, x, outputs);
+                        assert_eq!(bits(&logits), bits(&want), "{build:?}, net {i}");
+                    }
+                }
+            }
+            let (mlp, x, outputs) = non_finite_net();
+            mlp.logits_with(build, &x, &outputs, &mut scratch, &mut logits);
+            assert_eq!(
+                bits(&logits),
+                bits(&predicted(&mlp, &x, &outputs)),
+                "{build:?}"
+            );
+        }
+    }
+
+    /// A small net with a NaN and an ∞ weight, an input row, and every
+    /// output column.
+    fn non_finite_net() -> (Mlp, [f32; 6], [usize; 5]) {
+        let mut mlp = Mlp::new(&[6, 4, 5], Activation::ReLU, &mut StdRng::seed_from_u64(9));
+        mlp.layers_mut()[1].w.data_mut()[7] = f32::NAN;
+        mlp.layers_mut()[1].w.data_mut()[3] = f32::INFINITY;
+        (mlp, [0.5, -0.25, 0.0, 1.5, 0.0, -2.0], [0, 1, 2, 3, 4])
+    }
+
     /// A NaN weight reaches the logits it reaches in `predict` and no
     /// others: the kernel skips exactly the terms `matmul` skips.
     #[test]
     fn non_finite_weights_propagate_as_in_predict() {
-        let mut mlp = Mlp::new(&[6, 4, 5], Activation::ReLU, &mut StdRng::seed_from_u64(9));
-        mlp.layers_mut()[1].w.data_mut()[7] = f32::NAN;
-        mlp.layers_mut()[1].w.data_mut()[3] = f32::INFINITY;
-        let x = [0.5, -0.25, 0.0, 1.5, 0.0, -2.0];
-        let outputs = [0, 1, 2, 3, 4];
+        let (mlp, x, outputs) = non_finite_net();
         let mut logits = Vec::new();
         mlp.logits_at(&x, &outputs, &mut InferScratch::default(), &mut logits);
         assert_eq!(bits(&logits), bits(&predicted(&mlp, &x, &outputs)));

@@ -63,13 +63,30 @@ impl Selector {
         rng: &mut StdRng,
         greedy: bool,
     ) -> (usize, f32) {
-        let Self {
-            legal,
-            probs,
-            scratch,
-        } = self;
+        let mut legal = std::mem::take(&mut self.legal);
         legal.clear();
         legal.extend(mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i));
+        let chosen = self.select_legal(policy, features, &legal, rng, greedy);
+        self.legal = legal;
+        chosen
+    }
+
+    /// [`Self::select`] over the actions a mask allows, given as their
+    /// ids in ascending order (as
+    /// [`RolloutState::legal_actions`](crate::RolloutState::legal_actions)
+    /// writes them) instead of as the mask.
+    ///
+    /// Panics when `legal` is empty.
+    pub fn select_legal(
+        &mut self,
+        policy: &Mlp,
+        features: &[f32],
+        legal: &[usize],
+        rng: &mut StdRng,
+        greedy: bool,
+    ) -> (usize, f32) {
+        debug_assert!(legal.is_sorted_by(|a, b| a < b), "legal actions ascend");
+        let Self { probs, scratch, .. } = self;
         // Fail at the root cause: an all-masked row used to crawl
         // through the softmax as zeros and only blow up in the sampling
         // fallback below.

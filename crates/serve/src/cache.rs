@@ -97,13 +97,10 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// Computes both fingerprints of `graph`.
+    /// Computes both fingerprints of `graph`, in one walk over it.
     pub fn of(graph: &hfqo_query::QueryGraph) -> Self {
-        let (template, _) = hfqo_query::template_fingerprint(graph);
-        Self {
-            template,
-            exact: hfqo_query::fingerprint(graph),
-        }
+        let (template, exact) = hfqo_query::fingerprints(graph);
+        Self { template, exact }
     }
 }
 

@@ -48,6 +48,8 @@
 //! # Ok::<(), hfqo_serve::ServeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod experience;
 pub mod online;

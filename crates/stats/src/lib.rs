@@ -12,6 +12,8 @@
 //! cardinalities are exposed through the [`CardinalitySource`] trait, whose
 //! execution-backed implementation lives in `hfqo-exec`.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cardinality;
 pub mod column_stats;

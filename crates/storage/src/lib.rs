@@ -26,6 +26,8 @@
 //! assert_eq!(db.table(t).unwrap().row_count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod catalog;
 pub mod column;

@@ -43,6 +43,8 @@
 //! given run. Use distinct site labels per logical lock; labels are the
 //! graph's nodes.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 #[cfg(debug_assertions)]

@@ -22,6 +22,8 @@
 //!   shock→recovery harness that proves the online loop stays
 //!   hands-free while the data underneath it moves.
 
+#![forbid(unsafe_code)]
+
 pub mod drift;
 pub mod imdb;
 pub mod job;

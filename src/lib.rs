@@ -52,6 +52,8 @@
 //! assert_eq!(log.len(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use hfqo_exec as exec;
 pub use hfqo_opt as opt;
 pub use hfqo_opt::cost;

@@ -81,7 +81,8 @@ fn full_row_greedy(policy: &Mlp, features: &[f32], mask: &[bool]) -> (usize, f32
 /// On every state of the policy's own greedy rollout of every query:
 /// the updated state is the one rebuilt from a forest merged with the
 /// same pairs (features bit for bit, the mask
-/// under both masking rules), the legal actions' logits are `predict`'s
+/// under both masking rules, the legal action list the planner selects
+/// from), the legal actions' logits are `predict`'s
 /// bit for bit, and the action and probability are the full-row
 /// selection's.
 #[test]
@@ -93,6 +94,7 @@ fn every_rollout_state_matches_the_from_scratch_functions() {
     let mut selector = Selector::default();
     let mut rng = StdRng::seed_from_u64(0);
     let (mut rebuilt, mut mask, mut rebuilt_mask) = (Vec::new(), Vec::new(), Vec::new());
+    let mut legal = Vec::new();
     let mut scratch = hfqo::nn::InferScratch::default();
     let mut logits = Vec::new();
     let mut states = 0;
@@ -114,12 +116,15 @@ fn every_rollout_state_matches_the_from_scratch_functions() {
                 break;
             }
             states += 1;
-            let legal: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
+            state.legal_actions(true, &mut legal);
+            let masked_in: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
+            assert_eq!(legal, masked_in, "query {q}");
             let full = policy.predict(&Matrix::row_vector(rebuilt.clone()));
             let predicted: Vec<f32> = legal.iter().map(|&a| full.get(0, a)).collect();
             policy.logits_at(state.features(), &legal, &mut scratch, &mut logits);
             assert_eq!(bits(&logits), bits(&predicted), "query {q}");
-            let (action, p) = selector.select(policy, state.features(), &mask, &mut rng, true);
+            let (action, p) =
+                selector.select_legal(policy, state.features(), &legal, &mut rng, true);
             let (want, want_p) = full_row_greedy(policy, &rebuilt, &mask);
             assert_eq!((action, p.to_bits()), (want, want_p.to_bits()), "query {q}");
             let (x, y) = featurizer.decode_pair(action);

@@ -5,9 +5,9 @@
 //! fingerprints spread over the cache's shards and fill its capacity.
 
 use hfqo::prelude::*;
-use hfqo::query::{AccessPath, BoundColumn, JoinEdge, Lit, RelId, Relation, Selection};
-use hfqo::serve::{CachedPlan, PlanCache, MAX_CACHE_SHARDS, SELECTIVITY_BAND};
-use hfqo::sql::CompareOp;
+use hfqo::query::{AccessPath, AggExpr, BoundColumn, JoinEdge, Lit, RelId, Relation, Selection};
+use hfqo::serve::{CachedPlan, PlanCache, PlanKey, MAX_CACHE_SHARDS, SELECTIVITY_BAND};
+use hfqo::sql::{AggFunc, CompareOp};
 use hfqo::workload::imdb::build_catalog;
 use hfqo::workload::job::generate_job_suite;
 use hfqo::workload::synth::{Shape, SynthConfig, SynthDb};
@@ -51,8 +51,79 @@ fn with_selections(graph: &QueryGraph, selections: Vec<Selection>) -> QueryGraph
     )
 }
 
+/// A random graph built field by field rather than bound from SQL: up
+/// to six relations over random tables, random join edges, selections
+/// with `Int`, `Float` and `Str` literals, aggregates with and without
+/// a column, and GROUP BY columns.
+fn random_graph(seed: u64) -> QueryGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(1..=6u32);
+    let column = |rng: &mut StdRng| {
+        BoundColumn::new(RelId(rng.gen_range(0..n)), ColumnId(rng.gen_range(0..4)))
+    };
+    let ops = [
+        CompareOp::Eq,
+        CompareOp::Neq,
+        CompareOp::Lt,
+        CompareOp::Le,
+        CompareOp::Gt,
+        CompareOp::Ge,
+    ];
+    let funcs = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+    let relations = (0..n)
+        .map(|i| Relation {
+            table: TableId(rng.gen_range(0..8)),
+            alias: format!("t{i}"),
+        })
+        .collect();
+    let joins = (0..rng.gen_range(0..=n + 1))
+        .map(|_| JoinEdge {
+            left: column(&mut rng),
+            op: ops[rng.gen_range(0..ops.len())],
+            right: column(&mut rng),
+        })
+        .collect();
+    let selections = (0..rng.gen_range(0..=4))
+        .map(|_| Selection {
+            column: column(&mut rng),
+            op: ops[rng.gen_range(0..ops.len())],
+            value: match rng.gen_range(0..3) {
+                0 => Lit::Int(rng.gen_range(-1000..1000i64)),
+                1 => Lit::Float(rng.gen::<f64>() * 100.0),
+                _ => Lit::Str(format!("s{}", rng.gen_range(0..50))),
+            },
+        })
+        .collect();
+    let aggregates = (0..rng.gen_range(0..=2))
+        .map(|_| AggExpr {
+            func: funcs[rng.gen_range(0..funcs.len())],
+            column: rng.gen_bool(0.5).then(|| column(&mut rng)),
+        })
+        .collect();
+    let group_by = (0..rng.gen_range(0..=2))
+        .map(|_| column(&mut rng))
+        .collect();
+    QueryGraph::new(relations, joins, selections, aggregates, group_by)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `PlanKey::of` folds the graph once into both fingerprints; each
+    /// is what its own walk computes.
+    #[test]
+    fn plan_key_is_both_fingerprints_from_one_walk(seed in 0u64..1_000_000) {
+        let graph = random_graph(seed);
+        let key = PlanKey::of(&graph);
+        prop_assert_eq!(key.template, template_fingerprint(&graph).0);
+        prop_assert_eq!(key.exact, fingerprint(&graph));
+    }
 
     /// The templated-workload fix, property form: queries differing
     /// only in their literal constants share one template fingerprint
