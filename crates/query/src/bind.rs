@@ -5,46 +5,46 @@ use crate::graph::{QueryGraph, RelId, Relation};
 use crate::predicate::{AggExpr, BoundColumn, JoinEdge, Lit, Selection};
 use crate::sql::{ColumnName, SelectItem, SelectStmt, WherePred};
 use hfqo_storage::catalog::{Catalog, ColumnType};
-use std::collections::HashMap;
 
 /// Binds a parsed SELECT against a catalog, producing a [`QueryGraph`].
 ///
 /// Performs alias resolution, column resolution, and comparison type
-/// checking (numeric with numeric, text with text).
-pub fn bind_select(stmt: &SelectStmt, catalog: &Catalog) -> Result<QueryGraph, QueryError> {
+/// checking (numeric with numeric, text with text). An alias is found
+/// by a scan of the FROM list (at most 64 entries, usually under 20),
+/// and the only strings copied out of the statement are the graph's
+/// own: each relation's alias and each string literal.
+pub fn bind_select(stmt: &SelectStmt<'_>, catalog: &Catalog) -> Result<QueryGraph, QueryError> {
     if stmt.from.len() > 64 {
         return Err(QueryError::TooManyRelations(stmt.from.len()));
     }
 
     // Resolve FROM.
     let mut relations = Vec::with_capacity(stmt.from.len());
-    let mut by_alias: HashMap<&str, RelId> = HashMap::with_capacity(stmt.from.len());
     for (i, tref) in stmt.from.iter().enumerate() {
-        let table = catalog.table_by_name(&tref.table)?;
-        if by_alias
-            .insert(tref.alias.as_str(), RelId(i as u32))
-            .is_some()
-        {
-            return Err(QueryError::DuplicateAlias(tref.alias.clone()));
+        let table = catalog.table_by_name(tref.table)?;
+        if stmt.from[..i].iter().any(|t| t.alias == tref.alias) {
+            return Err(QueryError::DuplicateAlias(tref.alias.to_string()));
         }
         relations.push(Relation {
             table,
-            alias: tref.alias.clone(),
+            alias: tref.alias.to_string(),
         });
     }
 
-    let resolve = |name: &ColumnName| -> Result<(BoundColumn, ColumnType), QueryError> {
-        let rel = *by_alias
-            .get(name.qualifier.as_str())
-            .ok_or_else(|| QueryError::UnknownAlias(name.qualifier.clone()))?;
-        let table = relations[rel.index()].table;
-        let column = catalog.resolve_column(table, &name.column)?;
+    let resolve = |name: &ColumnName<'_>| -> Result<(BoundColumn, ColumnType), QueryError> {
+        let rel = stmt
+            .from
+            .iter()
+            .position(|t| t.alias == name.qualifier)
+            .ok_or_else(|| QueryError::UnknownAlias(name.qualifier.to_string()))?;
+        let table = relations[rel].table;
+        let column = catalog.resolve_column(table, name.column)?;
         let ty = catalog
             .table(table)?
             .column(column)
             .expect("resolved column exists")
             .ty();
-        Ok((BoundColumn::new(rel, column), ty))
+        Ok((BoundColumn::new(RelId(rel as u32), column), ty))
     };
 
     // Resolve WHERE.
@@ -81,7 +81,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &Catalog) -> Result<QueryGraph, Q
             }
             WherePred::ColLit { left, op, lit } => {
                 let (col, ty) = resolve(left)?;
-                let lit: Lit = lit.clone().into();
+                let lit = Lit::from(lit);
                 let lit_ty = match lit {
                     Lit::Int(_) => ColumnType::Int,
                     Lit::Float(_) => ColumnType::Float,

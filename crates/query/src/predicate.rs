@@ -37,12 +37,14 @@ impl Lit {
     }
 }
 
-impl From<crate::sql::Literal> for Lit {
-    fn from(l: crate::sql::Literal) -> Self {
+/// The bound value of a parsed literal: a string is copied out of the
+/// statement text here, into the graph that owns it.
+impl From<&crate::sql::Literal<'_>> for Lit {
+    fn from(l: &crate::sql::Literal<'_>) -> Self {
         match l {
-            crate::sql::Literal::Int(v) => Lit::Int(v),
-            crate::sql::Literal::Float(v) => Lit::Float(v),
-            crate::sql::Literal::Str(s) => Lit::Str(s),
+            crate::sql::Literal::Int(v) => Lit::Int(*v),
+            crate::sql::Literal::Float(v) => Lit::Float(*v),
+            crate::sql::Literal::Str(s) => Lit::Str(s.to_string()),
         }
     }
 }
@@ -148,9 +150,9 @@ mod tests {
 
     #[test]
     fn lit_from_sql() {
-        assert_eq!(Lit::from(crate::sql::Literal::Int(3)), Lit::Int(3));
+        assert_eq!(Lit::from(&crate::sql::Literal::Int(3)), Lit::Int(3));
         assert_eq!(
-            Lit::from(crate::sql::Literal::Str("x".into())),
+            Lit::from(&crate::sql::Literal::Str("x".into())),
             Lit::Str("x".into())
         );
     }

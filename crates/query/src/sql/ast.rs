@@ -1,5 +1,7 @@
-//! Unbound SQL AST.
+//! Unbound SQL AST. It borrows its names and string literals from the
+//! statement text it was parsed from.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A comparison operator.
@@ -47,19 +49,23 @@ impl CompareOp {
 
 /// A literal value in a predicate.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Literal {
+pub enum Literal<'a> {
     /// Integer.
     Int(i64),
     /// Float.
     Float(f64),
     /// String.
-    Str(String),
+    Str(Cow<'a, str>),
 }
 
-impl fmt::Display for Literal {
+impl fmt::Display for Literal<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Int(v) => write!(f, "{v}"),
+            // `f64`'s `Display` writes no exponent and the shortest
+            // digits that read back as the same value, but drops the
+            // point of a whole number — which would re-lex as an integer.
+            Self::Float(v) if v.fract() == 0.0 && v.is_finite() => write!(f, "{v}.0"),
             Self::Float(v) => write!(f, "{v}"),
             Self::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
         }
@@ -68,14 +74,14 @@ impl fmt::Display for Literal {
 
 /// An unbound `alias.column` reference.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ColumnName {
+pub struct ColumnName<'a> {
     /// Table alias (or table name when no alias was given).
-    pub(crate) qualifier: String,
+    pub(crate) qualifier: &'a str,
     /// Column name.
-    pub column: String,
+    pub column: &'a str,
 }
 
-impl fmt::Display for ColumnName {
+impl fmt::Display for ColumnName<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{}", self.qualifier, self.column)
     }
@@ -111,66 +117,66 @@ impl AggFunc {
 
 /// One item in the select list.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
+pub enum SelectItem<'a> {
     /// `*`
     Wildcard,
     /// A plain column.
-    Column(ColumnName),
+    Column(ColumnName<'a>),
     /// An aggregate over a column, or `COUNT(*)` when `column` is `None`.
     Aggregate {
         /// The aggregate function.
         func: AggFunc,
         /// Aggregated column; `None` only for `COUNT(*)`.
-        column: Option<ColumnName>,
+        column: Option<ColumnName<'a>>,
     },
 }
 
 /// A table in the FROM clause.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableRef {
+pub struct TableRef<'a> {
     /// Catalog table name.
-    pub table: String,
+    pub table: &'a str,
     /// Alias; defaults to the table name.
-    pub alias: String,
+    pub alias: &'a str,
 }
 
 /// One conjunct of the WHERE clause.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WherePred {
+pub enum WherePred<'a> {
     /// `a.x <op> b.y` — a join predicate once bound.
     ColCol {
         /// Left column.
-        left: ColumnName,
+        left: ColumnName<'a>,
         /// Operator.
         op: CompareOp,
         /// Right column.
-        right: ColumnName,
+        right: ColumnName<'a>,
     },
     /// `a.x <op> literal` — a selection predicate.
     ColLit {
         /// Column.
-        left: ColumnName,
+        left: ColumnName<'a>,
         /// Operator.
         op: CompareOp,
         /// Literal.
-        lit: Literal,
+        lit: Literal<'a>,
     },
 }
 
-/// A parsed (unbound) SELECT statement.
+/// A parsed (unbound) SELECT statement, borrowing from its text.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectStmt {
+pub struct SelectStmt<'a> {
     /// Select list.
-    pub items: Vec<SelectItem>,
+    pub items: Vec<SelectItem<'a>>,
     /// FROM clause, in declaration order.
-    pub from: Vec<TableRef>,
+    pub from: Vec<TableRef<'a>>,
     /// WHERE conjuncts.
-    pub(crate) predicates: Vec<WherePred>,
+    pub(crate) predicates: Vec<WherePred<'a>>,
     /// GROUP BY columns.
-    pub group_by: Vec<ColumnName>,
+    pub group_by: Vec<ColumnName<'a>>,
 }
 
-impl fmt::Display for SelectStmt {
+impl fmt::Display for SelectStmt<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SELECT ")?;
         if self.items.is_empty() {
@@ -245,6 +251,32 @@ mod tests {
         assert_eq!(Literal::Int(-3).to_string(), "-3");
     }
 
+    /// A float prints with a decimal point, whole or not, and without an
+    /// exponent, so it re-lexes as the same float — never as an integer
+    /// and never as a malformed number.
+    #[test]
+    fn float_literals_print_with_a_point() {
+        for (v, printed) in [
+            (2.0, "2.0"),
+            (-0.0, "-0.0"),
+            (-3.0, "-3.0"),
+            (2.5, "2.5"),
+            (1e20, "100000000000000000000.0"),
+            (0.1, "0.1"),
+            (1.5e-7, "0.00000015"),
+        ] {
+            let lit = Literal::Float(v);
+            assert_eq!(lit.to_string(), printed);
+            let tokens = crate::sql::tokenize(printed).unwrap();
+            assert_eq!(tokens, [crate::sql::Token::Float(v)], "{printed}");
+        }
+        let max = Literal::Float(f64::MAX).to_string();
+        assert_eq!(
+            crate::sql::tokenize(&max),
+            Ok(vec![crate::sql::Token::Float(f64::MAX)])
+        );
+    }
+
     #[test]
     fn stmt_display() {
         let stmt = SelectStmt {
@@ -254,30 +286,30 @@ mod tests {
             }],
             from: vec![
                 TableRef {
-                    table: "title".into(),
-                    alias: "t".into(),
+                    table: "title",
+                    alias: "t",
                 },
                 TableRef {
-                    table: "cast_info".into(),
-                    alias: "cast_info".into(),
+                    table: "cast_info",
+                    alias: "cast_info",
                 },
             ],
             predicates: vec![
                 WherePred::ColCol {
                     left: ColumnName {
-                        qualifier: "t".into(),
-                        column: "id".into(),
+                        qualifier: "t",
+                        column: "id",
                     },
                     op: CompareOp::Eq,
                     right: ColumnName {
-                        qualifier: "cast_info".into(),
-                        column: "movie_id".into(),
+                        qualifier: "cast_info",
+                        column: "movie_id",
                     },
                 },
                 WherePred::ColLit {
                     left: ColumnName {
-                        qualifier: "t".into(),
-                        column: "year".into(),
+                        qualifier: "t",
+                        column: "year",
                     },
                     op: CompareOp::Gt,
                     lit: Literal::Int(1990),

@@ -4,37 +4,71 @@ use crate::sql::ast::{
     AggFunc, ColumnName, CompareOp, Literal, SelectItem, SelectStmt, TableRef, WherePred,
 };
 use crate::sql::error::ParseError;
-use crate::sql::token::{tokenize, Token};
+use crate::sql::token::{Lexer, Token};
 
-/// Parses one SELECT statement (with optional trailing `;`).
-pub fn parse_select(input: &str) -> Result<SelectStmt, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser {
-        tokens: tokens.into_iter(),
-    };
-    let stmt = p.select_stmt()?;
-    p.accept(&Token::Semicolon);
-    p.expect_end()?;
-    Ok(stmt)
+/// Parses one SELECT statement (with optional trailing `;`). The
+/// statement borrows its names and string literals from `input`.
+///
+/// A malformed token anywhere in `input` is the error, even when the
+/// grammar goes wrong before it: the statement is rejected as if it
+/// were tokenized whole before parsing.
+pub fn parse_select(input: &str) -> Result<SelectStmt<'_>, ParseError> {
+    let mut p = Parser::new(input);
+    let parsed = p.select_stmt().and_then(|stmt| {
+        p.accept(&Token::Semicolon);
+        p.expect_end()?;
+        Ok(stmt)
+    });
+    if parsed.is_err() {
+        while p.lex_error.is_none() && p.bump().is_some() {}
+    }
+    match p.lex_error {
+        Some(e) => Err(e),
+        None => parsed,
+    }
 }
 
-/// The token stream is consumed front to back and never revisited, so
-/// the parser owns it as an iterator: a token that carries a `String`
-/// (identifier, string literal) is moved into the AST, not cloned.
-struct Parser {
-    tokens: std::vec::IntoIter<Token>,
+/// The parser pulls tokens from the lexer one at a time and keeps one
+/// of lookahead, so no token list is built.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token; `None` at the end of the input or at a lex error.
+    peeked: Option<Token<'a>>,
+    /// The first lex error; nothing is lexed past it.
+    lex_error: Option<ParseError>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.as_slice().first()
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        let mut p = Self {
+            lexer: Lexer::new(input),
+            peeked: None,
+            lex_error: None,
+        };
+        p.advance();
+        p
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        self.tokens.next()
+    fn advance(&mut self) {
+        if self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(token) => self.peeked = token,
+                Err(e) => self.lex_error = Some(e),
+            }
+        }
     }
 
-    fn accept(&mut self, tok: &Token) -> bool {
+    fn peek(&self) -> Option<&Token<'a>> {
+        self.peeked.as_ref()
+    }
+
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let token = self.peeked.take();
+        self.advance();
+        token
+    }
+
+    fn accept(&mut self, tok: &Token<'_>) -> bool {
         if self.peek() == Some(tok) {
             self.bump();
             true
@@ -43,7 +77,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: &Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, tok: &Token<'_>, what: &str) -> Result<(), ParseError> {
         if self.accept(tok) {
             Ok(())
         } else {
@@ -86,17 +120,17 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(Token::Ident(_)) => match self.bump() {
-                Some(Token::Ident(s)) => Ok(s),
-                _ => unreachable!("peeked Ident"),
-            },
+            Some(&Token::Ident(s)) => {
+                self.bump();
+                Ok(s)
+            }
             _ => Err(self.unexpected(what)),
         }
     }
 
-    fn select_stmt(&mut self) -> Result<SelectStmt, ParseError> {
+    fn select_stmt(&mut self) -> Result<SelectStmt<'a>, ParseError> {
         self.expect_keyword("SELECT")?;
         let items = self.select_list()?;
         self.expect_keyword("FROM")?;
@@ -120,7 +154,7 @@ impl Parser {
         })
     }
 
-    fn select_list(&mut self) -> Result<Vec<SelectItem>, ParseError> {
+    fn select_list(&mut self) -> Result<Vec<SelectItem<'a>>, ParseError> {
         let mut items = vec![self.select_item()?];
         while self.accept(&Token::Comma) {
             items.push(self.select_item()?);
@@ -128,7 +162,7 @@ impl Parser {
         Ok(items)
     }
 
-    fn select_item(&mut self) -> Result<SelectItem, ParseError> {
+    fn select_item(&mut self) -> Result<SelectItem<'a>, ParseError> {
         if self.accept(&Token::Star) {
             return Ok(SelectItem::Wildcard);
         }
@@ -162,14 +196,14 @@ impl Parser {
         Ok(SelectItem::Column(self.column_name()?))
     }
 
-    fn column_name(&mut self) -> Result<ColumnName, ParseError> {
+    fn column_name(&mut self) -> Result<ColumnName<'a>, ParseError> {
         let qualifier = self.ident("a qualified column (alias.column)")?;
         self.expect(&Token::Dot, ".")?;
         let column = self.ident("a column name")?;
         Ok(ColumnName { qualifier, column })
     }
 
-    fn column_list(&mut self) -> Result<Vec<ColumnName>, ParseError> {
+    fn column_list(&mut self) -> Result<Vec<ColumnName<'a>>, ParseError> {
         let mut cols = vec![self.column_name()?];
         while self.accept(&Token::Comma) {
             cols.push(self.column_name()?);
@@ -180,7 +214,7 @@ impl Parser {
     // `from_list` parses the FROM clause; the `from_*` naming lint does
     // not apply to this domain name.
     #[allow(clippy::wrong_self_convention)]
-    fn from_list(&mut self) -> Result<Vec<TableRef>, ParseError> {
+    fn from_list(&mut self) -> Result<Vec<TableRef<'a>>, ParseError> {
         let mut tables = vec![self.table_ref()?];
         while self.accept(&Token::Comma) {
             tables.push(self.table_ref()?);
@@ -188,7 +222,7 @@ impl Parser {
         Ok(tables)
     }
 
-    fn table_ref(&mut self) -> Result<TableRef, ParseError> {
+    fn table_ref(&mut self) -> Result<TableRef<'a>, ParseError> {
         let table = self.ident("a table name")?;
         let alias = if self.keyword("AS") {
             self.ident("an alias")?
@@ -196,12 +230,12 @@ impl Parser {
             // Implicit alias: `FROM title t`.
             self.ident("an alias")?
         } else {
-            table.clone()
+            table
         };
         Ok(TableRef { table, alias })
     }
 
-    fn predicate_list(&mut self) -> Result<Vec<WherePred>, ParseError> {
+    fn predicate_list(&mut self) -> Result<Vec<WherePred<'a>>, ParseError> {
         let mut preds = vec![self.predicate()?];
         while self.keyword("AND") {
             preds.push(self.predicate()?);
@@ -209,24 +243,21 @@ impl Parser {
         Ok(preds)
     }
 
-    fn predicate(&mut self) -> Result<WherePred, ParseError> {
+    fn predicate(&mut self) -> Result<WherePred<'a>, ParseError> {
         let left = self.column_name()?;
         let op = self.compare_op()?;
-        match self.peek() {
-            Some(Token::Int(_)) | Some(Token::Float(_)) | Some(Token::Str(_)) => {
-                let lit = match self.bump() {
-                    Some(Token::Int(v)) => Literal::Int(v),
-                    Some(Token::Float(v)) => Literal::Float(v),
-                    Some(Token::Str(s)) => Literal::Str(s),
-                    _ => unreachable!("peeked literal"),
-                };
-                Ok(WherePred::ColLit { left, op, lit })
-            }
-            _ => {
+        let lit = match self.peeked.take() {
+            Some(Token::Int(v)) => Literal::Int(v),
+            Some(Token::Float(v)) => Literal::Float(v),
+            Some(Token::Str(s)) => Literal::Str(s),
+            other => {
+                self.peeked = other;
                 let right = self.column_name()?;
-                Ok(WherePred::ColCol { left, op, right })
+                return Ok(WherePred::ColCol { left, op, right });
             }
-        }
+        };
+        self.advance();
+        Ok(WherePred::ColLit { left, op, lit })
     }
 
     fn compare_op(&mut self) -> Result<CompareOp, ParseError> {
@@ -333,6 +364,45 @@ mod tests {
         let printed = s.to_string();
         let reparsed = parse_select(&printed).unwrap();
         assert_eq!(s, reparsed);
+    }
+
+    /// The parser pulls tokens as it goes, but a malformed token still
+    /// wins over a grammar error before it, and over a statement that is
+    /// complete before it — as when the whole text was tokenized first.
+    #[test]
+    fn lex_errors_win_wherever_they_are() {
+        for sql in [
+            "SELECT * FROM t #",
+            "SELECT * FROM t WHERE t.a = 1 'open",
+            "FROM SELECT # t",
+            "SELECT * FROM t extra.token é",
+        ] {
+            let err = parse_select(sql).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ParseError::UnexpectedChar(..) | ParseError::UnterminatedString(_)
+                ),
+                "{sql}: {err}"
+            );
+        }
+        assert!(matches!(
+            parse_select("FROM SELECT t"),
+            Err(ParseError::Unexpected { .. })
+        ));
+    }
+
+    /// Whole floats print with their point and re-parse as floats.
+    #[test]
+    fn float_predicates_round_trip() {
+        let s = parse_select("SELECT * FROM t WHERE t.a = 2.0 AND t.b < 100000000000000000000.5")
+            .unwrap();
+        let printed = s.to_string();
+        assert_eq!(
+            printed,
+            "SELECT * FROM t WHERE t.a = 2.0 AND t.b < 100000000000000000000.0;"
+        );
+        assert_eq!(parse_select(&printed), Ok(s));
     }
 
     #[test]

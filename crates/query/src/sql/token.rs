@@ -1,32 +1,34 @@
 //! SQL lexer.
 //!
 //! The lexer runs once per statement a session has not seen before (and
-//! on every op of the cold-planning paths), so it allocates only what
-//! the parser goes on to own: a keyword is matched in place against
-//! the keyword table and carried as that table's `&'static str`, an
-//! identifier or string literal is copied out of the input exactly once
-//! (the parser moves that `String` into the AST), and every other token
-//! is a plain value.
+//! on every op of the cold-planning paths), so it copies nothing out of
+//! the statement: a keyword is matched in place against the keyword
+//! table and carried as that table's `&'static str`, an identifier is a
+//! slice of the input, a string literal is a slice of the input too
+//! unless it contains a `''` escape (only then is the unescaped text
+//! allocated), and every other token is a plain value. The tokens, and
+//! the AST the parser builds from them, borrow the statement text.
 
 use crate::sql::error::ParseError;
+use std::borrow::Cow;
 
-/// A lexical token. Keywords are recognised case-insensitively and carried
-/// as the upper-case spelling in the keyword table; identifiers preserve
-/// their original case.
+/// A lexical token, borrowing from the statement text. Keywords are
+/// recognised case-insensitively and carried as the upper-case spelling
+/// in the keyword table; identifiers preserve their original case.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Reserved word, as spelled (upper-case) in the keyword table:
     /// SELECT, FROM, WHERE, AND, AS, GROUP, BY, COUNT, SUM, MIN, MAX,
     /// AVG.
     Keyword(&'static str),
     /// Identifier (table, alias, or column name).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
-    /// Float literal.
+    /// Float literal (finite).
     Float(f64),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// `,`
     Comma,
     /// `.`
@@ -57,166 +59,165 @@ const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "WHERE", "AND", "AS", "GROUP", "BY", "COUNT", "SUM", "MIN", "MAX", "AVG",
 ];
 
+/// The longest keyword's length: a longer word is an identifier.
+const KEYWORD_MAX_LEN: usize = 6;
+
+/// The keyword table's spelling of `word`, in any case, if it is one.
+/// A word is compared only with the keywords of its length, upper-cased
+/// once on the stack.
+fn keyword(word: &str) -> Option<&'static str> {
+    if word.len() > KEYWORD_MAX_LEN {
+        return None;
+    }
+    let mut upper = [0u8; KEYWORD_MAX_LEN];
+    let upper = &mut upper[..word.len()];
+    upper.copy_from_slice(word.as_bytes());
+    upper.make_ascii_uppercase();
+    KEYWORDS
+        .iter()
+        .find(|k| k.as_bytes() == &upper[..])
+        .copied()
+}
+
 /// Tokenizes a SQL string.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
-    let bytes = input.as_bytes();
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
+    let mut lexer = Lexer::new(input);
     let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token::Semicolon);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Neq);
-                    i += 2;
-                } else {
-                    return Err(ParseError::UnexpectedChar('!', i));
-                }
-            }
-            '<' => match bytes.get(i + 1) {
-                Some(&b'=') => {
-                    tokens.push(Token::Le);
-                    i += 2;
-                }
-                Some(&b'>') => {
-                    tokens.push(Token::Neq);
-                    i += 2;
-                }
-                _ => {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Ge);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '\'' => {
-                let (s, next) = lex_string(input, i)?;
-                tokens.push(Token::Str(s));
-                i = next;
-            }
-            c if c.is_ascii_digit() || (c == '-' && starts_number(bytes, i)) => {
-                let (tok, next) = lex_number(input, i)?;
-                tokens.push(tok);
-                i = next;
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                let word = &input[start..i];
-                tokens.push(
-                    match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
-                        Some(&keyword) => Token::Keyword(keyword),
-                        None => Token::Ident(word.to_string()),
-                    },
-                );
-            }
-            other => return Err(ParseError::UnexpectedChar(other, i)),
-        }
+    while let Some(token) = lexer.next_token()? {
+        tokens.push(token);
     }
     Ok(tokens)
 }
 
-fn starts_number(bytes: &[u8], i: usize) -> bool {
-    bytes
-        .get(i + 1)
-        .is_some_and(|b| (*b as char).is_ascii_digit())
+/// The lexer's position in a statement: the parser pulls tokens from it
+/// one at a time, and [`tokenize`] collects them.
+pub(crate) struct Lexer<'a> {
+    input: &'a str,
+    /// Byte offset of the next unread character (always a character
+    /// boundary: the lexer steps over ASCII bytes and whole characters).
+    at: usize,
 }
 
-fn lex_string(input: &str, start: usize) -> Result<(String, usize), ParseError> {
-    let bytes = input.as_bytes();
-    let mut s = String::new();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        if bytes[i] == b'\'' {
-            // `''` escapes a single quote.
-            if bytes.get(i + 1) == Some(&b'\'') {
-                s.push('\'');
-                i += 2;
-            } else {
-                return Ok((s, i + 1));
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub(crate) fn new(input: &'a str) -> Self {
+        Self { input, at: 0 }
+    }
+
+    /// The next token, or `None` at the end of the input.
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+        let bytes = self.input.as_bytes();
+        while bytes
+            .get(self.at)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        {
+            self.at += 1;
+        }
+        let i = self.at;
+        let Some(&b) = bytes.get(i) else {
+            return Ok(None);
+        };
+        let next = bytes.get(i + 1).copied();
+        let (token, len) = match b {
+            b',' => (Token::Comma, 1),
+            b'.' => (Token::Dot, 1),
+            b'*' => (Token::Star, 1),
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            b';' => (Token::Semicolon, 1),
+            b'=' => (Token::Eq, 1),
+            b'!' if next == Some(b'=') => (Token::Neq, 2),
+            b'<' => match next {
+                Some(b'=') => (Token::Le, 2),
+                Some(b'>') => (Token::Neq, 2),
+                _ => (Token::Lt, 1),
+            },
+            b'>' if next == Some(b'=') => (Token::Ge, 2),
+            b'>' => (Token::Gt, 1),
+            b'\'' => {
+                let (s, end) = lex_string(self.input, i)?;
+                (Token::Str(s), end - i)
             }
+            b if b.is_ascii_digit() || (b == b'-' && next.is_some_and(|n| n.is_ascii_digit())) => {
+                let (token, end) = lex_number(self.input, i)?;
+                (token, end - i)
+            }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+                    .unwrap_or(bytes.len() - i);
+                let word = &self.input[i..i + len];
+                let token = match keyword(word) {
+                    Some(keyword) => Token::Keyword(keyword),
+                    None => Token::Ident(word),
+                };
+                (token, len)
+            }
+            _ => {
+                // The character that starts here, not its first byte:
+                // `at` is always a character boundary.
+                let c = self.input[i..].chars().next().unwrap_or('\u{FFFD}');
+                return Err(ParseError::UnexpectedChar(c, i));
+            }
+        };
+        self.at = i + len;
+        Ok(Some(token))
+    }
+}
+
+/// The string literal whose opening quote is at `start`, and the offset
+/// just past its closing quote. Borrowed unless it contains `''`.
+fn lex_string(input: &str, start: usize) -> Result<(Cow<'_, str>, usize), ParseError> {
+    let bytes = input.as_bytes();
+    let body = start + 1;
+    let mut i = body;
+    let mut escaped = false;
+    // Quotes are ASCII, so a byte scan never stops inside a character.
+    while let Some(q) = bytes[i..].iter().position(|&b| b == b'\'') {
+        i += q;
+        if bytes.get(i + 1) == Some(&b'\'') {
+            // `''` escapes a single quote.
+            escaped = true;
+            i += 2;
         } else {
-            // Push the whole UTF-8 character, not just the byte.
-            let ch = input[i..]
-                .chars()
-                .next()
-                .ok_or(ParseError::UnterminatedString(start))?;
-            s.push(ch);
-            i += ch.len_utf8();
+            let text = &input[body..i];
+            let text = if escaped {
+                Cow::Owned(text.replace("''", "'"))
+            } else {
+                Cow::Borrowed(text)
+            };
+            return Ok((text, i + 1));
         }
     }
     Err(ParseError::UnterminatedString(start))
 }
 
-fn lex_number(input: &str, start: usize) -> Result<(Token, usize), ParseError> {
+fn lex_number(input: &str, start: usize) -> Result<(Token<'_>, usize), ParseError> {
     let bytes = input.as_bytes();
-    let mut i = start;
-    if bytes[i] == b'-' {
-        i += 1;
-    }
-    let mut is_float = false;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_digit() {
-            i += 1;
-        } else if c == '.' && !is_float && starts_number(bytes, i) {
-            is_float = true;
-            i += 1;
-        } else {
-            break;
-        }
+    let digits_from = |i: usize| {
+        i + bytes[i..]
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .unwrap_or(bytes.len() - i)
+    };
+    let mut i = digits_from(start + usize::from(bytes[start] == b'-'));
+    let is_float = bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit);
+    if is_float {
+        i = digits_from(i + 1);
     }
     let text = &input[start..i];
+    let bad = || ParseError::BadNumber(text.to_string());
     let tok = if is_float {
-        Token::Float(
-            text.parse()
-                .map_err(|_| ParseError::BadNumber(text.to_string()))?,
-        )
+        // A literal too long for `f64` parses to infinity, which no
+        // literal can spell: refused, like an `i64` overflow.
+        let v: f64 = text.parse().map_err(|_| bad())?;
+        if !v.is_finite() {
+            return Err(bad());
+        }
+        Token::Float(v)
     } else {
-        Token::Int(
-            text.parse()
-                .map_err(|_| ParseError::BadNumber(text.to_string()))?,
-        )
+        Token::Int(text.parse().map_err(|_| bad())?)
     };
     Ok((tok, i))
 }
@@ -234,11 +235,11 @@ mod tests {
                 Token::Keyword("SELECT"),
                 Token::Star,
                 Token::Keyword("FROM"),
-                Token::Ident("t".into()),
+                Token::Ident("t"),
                 Token::Keyword("WHERE"),
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Dot,
-                Token::Ident("x".into()),
+                Token::Ident("x"),
                 Token::Eq,
                 Token::Int(3),
                 Token::Semicolon,
@@ -315,15 +316,53 @@ mod tests {
         ));
     }
 
+    /// A non-ASCII character is reported as itself, at the byte where
+    /// it starts — not as its first byte read as a Latin-1 character.
+    #[test]
+    fn unexpected_non_ascii_char_is_reported_whole() {
+        let err = tokenize("SELECT é FROM t").unwrap_err();
+        assert_eq!(err, ParseError::UnexpectedChar('é', 7));
+        assert_eq!(err.to_string(), "unexpected character `é` at byte 7");
+        assert_eq!(
+            tokenize("'ü' 🦀").unwrap_err(),
+            ParseError::UnexpectedChar('🦀', 5)
+        );
+    }
+
+    /// Identifiers and plain string literals are slices of the input;
+    /// only a literal with a `''` escape owns its text.
+    #[test]
+    fn tokens_borrow_the_input() {
+        let sql = String::from("t 'plain' 'it''s' 'ünï'");
+        let toks = tokenize(&sql).unwrap();
+        let Token::Ident(ident) = toks[0] else {
+            panic!("an identifier: {:?}", toks[0]);
+        };
+        assert!(std::ptr::eq(ident, &sql[0..1]));
+        assert!(matches!(&toks[1], Token::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&toks[2], Token::Str(Cow::Owned(s)) if s == "it's"));
+        assert!(matches!(&toks[3], Token::Str(Cow::Borrowed("ünï"))));
+    }
+
+    /// A float literal that overflows `f64` is malformed, like an `i64`
+    /// overflow; one that only loses precision is not.
+    #[test]
+    fn overflowing_numbers_are_malformed() {
+        let huge = format!("{}.5", "9".repeat(400));
+        assert_eq!(tokenize(&huge), Err(ParseError::BadNumber(huge.clone())));
+        assert!(matches!(
+            tokenize("99999999999999999999"),
+            Err(ParseError::BadNumber(_))
+        ));
+        assert_eq!(
+            tokenize("100000000000000000000.5").unwrap(),
+            vec![Token::Float(1e20)]
+        );
+    }
+
     #[test]
     fn identifiers_preserve_case() {
         let toks = tokenize("Movie_Info mi2").unwrap();
-        assert_eq!(
-            toks,
-            vec![
-                Token::Ident("Movie_Info".into()),
-                Token::Ident("mi2".into())
-            ]
-        );
+        assert_eq!(toks, vec![Token::Ident("Movie_Info"), Token::Ident("mi2")]);
     }
 }

@@ -214,7 +214,8 @@ fn size_feature(rows: f64) -> f32 {
 /// the new slot. After any sequence of merges [`Self::features`] is, bit
 /// for bit, what [`Featurizer::featurize`] writes for the [`Forest`] the
 /// same merges build, [`Self::mask`] what [`Featurizer::action_mask`]
-/// writes, and [`Self::legal_actions`] the positions that mask sets.
+/// writes, [`Self::legal_actions`] the positions that mask sets, and
+/// [`Self::nonzeros`] the features' non-zeros.
 #[derive(Debug, Clone)]
 pub struct RolloutState {
     featurizer: Featurizer,
@@ -223,6 +224,13 @@ pub struct RolloutState {
     slots: Vec<Slot>,
     /// The tree-structure row of a slot being built.
     row: Vec<f32>,
+    /// The non-zeros of the sections a merge never changes, as
+    /// `(p, value)` pairs in ascending `p`: adjacency and selections
+    /// (the first `statics_before_sizes`), then raw relation sizes.
+    statics: Vec<(usize, f32)>,
+    statics_before_sizes: usize,
+    /// The non-zeros of `features`, in ascending `p`.
+    nonzero: Vec<(usize, f32)>,
 }
 
 /// What a [`RolloutState`] keeps per forest slot beside its features.
@@ -244,8 +252,18 @@ impl RolloutState {
         assert!(n <= m, "{n} relations exceed featurizer capacity {m}");
         let mut features = vec![0.0; featurizer.state_dim()];
         featurizer.write_static(graph, est, &mut features);
-        let cards = QueryCardinality::new(graph, est);
         let size_base = featurizer.size_base();
+        // The static sections have entries for the query's `n`
+        // relations only: adjacency rows, selection pairs, raw sizes.
+        let (adj_base, sel_base, raw_base) = (m * m, 2 * m * m, size_base + m);
+        let entry = |p: usize| (features[p] != 0.0).then(|| (p, features[p]));
+        let mut statics: Vec<(usize, f32)> = (adj_base..adj_base + n * m)
+            .chain(sel_base..sel_base + 2 * n)
+            .filter_map(entry)
+            .collect();
+        let statics_before_sizes = statics.len();
+        statics.extend((raw_base..raw_base + n).filter_map(entry));
+        let cards = QueryCardinality::new(graph, est);
         let neighbors = graph.neighbor_masks();
         let mut slots = Vec::with_capacity(n);
         for rel in graph.all_rels().iter() {
@@ -255,13 +273,45 @@ impl RolloutState {
             let adjacent = neighbors[slot];
             slots.push(Slot { covered, adjacent });
         }
-        Self {
+        let mut state = Self {
             featurizer,
             features,
             cards,
             slots,
             row: vec![0.0; m],
-        }
+            nonzero: Vec::with_capacity(2 * n + statics.len()),
+            statics,
+            statics_before_sizes,
+        };
+        state.list_nonzeros();
+        state
+    }
+
+    /// Rebuilds [`Self::nonzeros`] from the slots without reading a
+    /// zero: a live slot's tree row is non-zero exactly at the relations
+    /// it covers, and only live slots have a size entry.
+    fn list_nonzeros(&mut self) {
+        let m = self.featurizer.max_rels;
+        let size_base = self.featurizer.size_base();
+        let Self {
+            features,
+            slots,
+            statics,
+            statics_before_sizes,
+            nonzero,
+            ..
+        } = self;
+        let (before_sizes, after_sizes) = statics.split_at(*statics_before_sizes);
+        let entry = |p: usize| (features[p] != 0.0).then(|| (p, features[p]));
+        let tree = slots
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, s)| s.covered.iter().map(move |rel| slot * m + rel.index()));
+        nonzero.clear();
+        nonzero.extend(tree.filter_map(entry));
+        nonzero.extend_from_slice(before_sizes);
+        nonzero.extend((size_base..size_base + slots.len()).filter_map(entry));
+        nonzero.extend_from_slice(after_sizes);
     }
 
     /// The query's cardinality memo: what the state's size features are
@@ -278,6 +328,13 @@ impl RolloutState {
     /// The state vector of the current forest (`state_dim` long).
     pub fn features(&self) -> &[f32] {
         &self.features
+    }
+
+    /// The non-zeros of [`Self::features`] as `(p, value)` pairs in
+    /// ascending `p`: what the policy's inference kernel reads, about 59
+    /// of the 646 entries at 17 relations.
+    pub fn nonzeros(&self) -> &[(usize, f32)] {
+        &self.nonzero
     }
 
     /// Writes the legal action ids of the current forest into `out`
@@ -357,6 +414,7 @@ impl RolloutState {
         self.features[(dst + 1) * m..(dst + 2) * m].fill(0.0);
         self.features[size_base + dst] = size_feature(self.cards.rows(joined.covered));
         self.features[size_base + dst + 1] = 0.0;
+        self.list_nonzeros();
         true
     }
 }
@@ -518,7 +576,8 @@ mod tests {
     }
 
     /// `RolloutState` against the specification on `shadow`, the forest
-    /// the same merges build: feature bits, and the mask and the legal
+    /// the same merges build: feature bits, the non-zero list (the
+    /// specification's features compacted), and the mask and the legal
     /// action list with and without connected-only masking.
     fn assert_state_matches_spec(
         state: &RolloutState,
@@ -532,6 +591,11 @@ mod tests {
         f.featurize(graph, shadow, est, &mut features);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(state.features()), bits(&features), "{shadow:?}");
+        let pair_bits = |v: &[(usize, f32)]| v.iter().map(|&(p, x)| (p, x.to_bits())).collect();
+        let mut compacted = Vec::new();
+        crate::nn::infer::compact(&features, &mut compacted);
+        let listed: Vec<(usize, u32)> = pair_bits(state.nonzeros());
+        assert_eq!(listed, pair_bits(&compacted), "{shadow:?}");
         for require_connected in [false, true] {
             state.mask(require_connected, &mut mask);
             f.action_mask(graph, shadow, require_connected, &mut spec_mask);

@@ -154,13 +154,8 @@ impl Planner for LearnedPlanner {
         let mut rng = StdRng::seed_from_u64(0);
         while !forest.is_terminal() {
             state.legal_actions(self.require_connected, &mut legal);
-            let (action, _prob) = selector.select_legal(
-                self.snapshot.policy(),
-                state.features(),
-                &legal,
-                &mut rng,
-                true,
-            );
+            let (action, _prob) =
+                selector.select_legal(&self.snapshot, state.nonzeros(), &legal, &mut rng, true);
             let (x, y) = self.merge_chosen(&mut state, n - forest.len(), action)?;
             let price = forest.price(x, y, false, &model, state.cards());
             forest.merge(x, y, price);

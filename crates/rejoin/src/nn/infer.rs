@@ -1,12 +1,20 @@
-//! Batch-1 inference: one input row through a frozen network, for the
-//! logits of a few outputs.
+//! Batch-1 inference: one sparse input row through a frozen network,
+//! for the logits of a few outputs.
 //!
 //! Acting with a policy is `n − 1` of these per plan, and of a wide
-//! action layer only the legal actions' logits are ever read.
-//! [`Mlp::logits_at`] therefore computes nothing else and allocates
-//! nothing: the activations live in an [`InferScratch`] the caller
-//! keeps across calls, and the output layer is evaluated at the
-//! requested columns only.
+//! action layer only the legal actions' logits are ever read. The
+//! kernel ([`Mlp::logits_at`]) therefore computes nothing else and
+//! allocates nothing, and it never reads an input's zeros:
+//! - the input arrives as its non-zeros, `(p, value)` pairs in ascending
+//!   `p` — a rollout state keeps that list as it merges (about 59 of a
+//!   646-wide state at 17 relations), and a dense row is compacted once;
+//! - each hidden layer runs over the previous layer's non-zeros and
+//!   accumulates [`HIDDEN_LANES`] outputs at a time in registers, the
+//!   activations living in an [`InferScratch`] the caller keeps across
+//!   calls;
+//! - the output layer is read transposed (see [`transposed_head`]): one
+//!   contiguous row per requested output, [`HEAD_LANES`] rows advanced
+//!   together. A frozen network builds that layout once, not per call.
 //!
 //! Every value is [`Mlp::predict`]'s, bit for bit, because every sum is
 //! taken under [`crate::nn::matrix`]'s ordering rule: from `+0.0`, in
@@ -34,32 +42,59 @@
 //! every binary fail with an illegal instruction on older CPUs, and
 //! portable SIMD (`std::simd`) is not on stable Rust.
 
+use crate::nn::layer::Dense;
 use crate::nn::mlp::Mlp;
 
-/// The buffers [`Mlp::logits_at`] reuses from call to call.
+/// Outputs of a hidden layer accumulated side by side: 64 sums are
+/// eight AVX2 registers, so a row of weights streams through while the
+/// sums stay put.
+const HIDDEN_LANES: usize = 64;
+
+/// Output-layer logits accumulated side by side: enough independent
+/// add chains to cover the latency of one. A last group of at most half
+/// as many runs half as wide.
+const HEAD_LANES: usize = 8;
+
+/// The buffers the inference kernel
+/// ([`PolicySnapshot::logits_at`](crate::rl::PolicySnapshot::logits_at))
+/// reuses from call to call.
 #[derive(Debug, Clone, Default)]
 pub struct InferScratch {
-    /// The current layer's input as `(p, value)` pairs.
+    /// The current hidden layer's non-zero outputs as `(p, value)` pairs.
     nonzero: Vec<(usize, f32)>,
     /// The current hidden layer's output.
     activation: Vec<f32>,
 }
 
-/// Writes the non-zeros of `row` to the front of `nonzero` as
-/// `(p, row[p])` pairs in ascending `p` and returns how many there are.
-/// Compacted without a branch — a zero is overwritten by the next
-/// element, or left beyond the returned length — because where the zeros
+/// Sets `nonzero` to the non-zeros of `row` as `(p, row[p])` pairs in
+/// ascending `p`. Compacted without a branch — a zero is overwritten by
+/// the next element, or cut off at the end — because where the zeros
 /// fall is data.
-fn compact(row: &[f32], nonzero: &mut Vec<(usize, f32)>) -> usize {
-    if nonzero.len() < row.len() {
-        nonzero.resize(row.len(), (0, 0.0));
-    }
+pub(crate) fn compact(row: &[f32], nonzero: &mut Vec<(usize, f32)>) {
+    nonzero.resize(row.len(), (0, 0.0));
     let mut len = 0;
     for (p, &a) in row.iter().enumerate() {
         nonzero[len] = (p, a);
         len += usize::from(a != 0.0);
     }
-    len
+    nonzero.truncate(len);
+}
+
+/// The output layer's weights of `mlp`, transposed: row `j` holds output
+/// `j`'s weight for each input `p`, contiguously. What
+/// [`Mlp::logits_at`] reads the output layer from; a frozen network
+/// builds it once, so each call reads only the requested rows.
+pub(crate) fn transposed_head(mlp: &Mlp) -> Vec<f32> {
+    let head = mlp.layers().last().expect("non-empty");
+    let (k, n) = (head.input_size(), head.output_size());
+    let w = head.w.data();
+    let mut t = vec![0.0; k * n];
+    for (p, row) in w.chunks_exact(n).enumerate() {
+        for (j, &weight) in row.iter().enumerate() {
+            t[j * k + p] = weight;
+        }
+    }
+    t
 }
 
 /// A compiled copy of [`Mlp::logits_kernel`]'s one body: for the
@@ -85,21 +120,24 @@ impl Build {
 }
 
 impl Mlp {
-    /// The logits of one input row `x` at the columns `outputs`:
-    /// `logits[i]` is, bit for bit, `self.predict(x)` at column
+    /// The logits of one input row at the columns `outputs`, the row
+    /// given as its non-zeros `x`, `(p, value)` pairs in ascending `p`,
+    /// and the output layer as [`transposed_head`] of `self`:
+    /// `logits[i]` is, bit for bit, `self.predict(row)` at column
     /// `outputs[i]`. `logits` is cleared first; nothing is allocated
     /// once `scratch` and `logits` have grown to the network's widths.
     ///
     /// Runs the widest build of the kernel the CPU supports; every
     /// build returns the same bits (see the module docs).
-    pub fn logits_at(
+    pub(crate) fn logits_at(
         &self,
-        x: &[f32],
+        head_t: &[f32],
+        x: &[(usize, f32)],
         outputs: &[usize],
         scratch: &mut InferScratch,
         logits: &mut Vec<f32>,
     ) {
-        self.logits_with(Build::host(), x, outputs, scratch, logits);
+        self.logits_with(Build::host(), head_t, x, outputs, scratch, logits);
     }
 
     /// [`Self::logits_at`] through the given build.
@@ -107,18 +145,19 @@ impl Mlp {
     fn logits_with(
         &self,
         build: Build,
-        x: &[f32],
+        head_t: &[f32],
+        x: &[(usize, f32)],
         outputs: &[usize],
         scratch: &mut InferScratch,
         logits: &mut Vec<f32>,
     ) {
         match build {
-            Build::Portable => self.logits_kernel(x, outputs, scratch, logits),
+            Build::Portable => self.logits_kernel(head_t, x, outputs, scratch, logits),
             // SAFETY: `Build::Avx2` exists only where `Build::host` saw
             // the CPU report AVX2, the one feature `logits_avx2` is
             // compiled for; it has no other precondition.
             #[cfg(target_arch = "x86_64")]
-            Build::Avx2 => unsafe { self.logits_avx2(x, outputs, scratch, logits) },
+            Build::Avx2 => unsafe { self.logits_avx2(head_t, x, outputs, scratch, logits) },
         }
     }
 
@@ -129,63 +168,123 @@ impl Mlp {
     #[target_feature(enable = "avx2")]
     fn logits_avx2(
         &self,
-        x: &[f32],
+        head_t: &[f32],
+        x: &[(usize, f32)],
         outputs: &[usize],
         scratch: &mut InferScratch,
         logits: &mut Vec<f32>,
     ) {
-        self.logits_kernel(x, outputs, scratch, logits);
+        self.logits_kernel(head_t, x, outputs, scratch, logits);
     }
 
     /// The kernel's one body, inlined into each [`Build`].
     #[inline(always)]
     fn logits_kernel(
         &self,
-        x: &[f32],
+        head_t: &[f32],
+        x: &[(usize, f32)],
         outputs: &[usize],
         scratch: &mut InferScratch,
         logits: &mut Vec<f32>,
     ) {
-        assert_eq!(x.len(), self.input_size(), "input width mismatch");
+        debug_assert!(x.is_sorted_by(|a, b| a.0 < b.0), "non-zeros ascend");
+        assert!(
+            x.last().is_none_or(|&(p, _)| p < self.input_size()),
+            "input index beyond the input width"
+        );
+        let (head, hidden) = self.layers().split_last().expect("non-empty");
+        let k = head.input_size();
+        assert_eq!(head_t.len(), k * head.output_size(), "head shape mismatch");
         let InferScratch {
             nonzero,
             activation,
         } = scratch;
-        let (head, hidden) = self.layers().split_last().expect("non-empty");
-        let mut live = compact(x, nonzero);
+        let mut compacted = false;
         for layer in hidden {
-            let n = layer.output_size();
-            let w = layer.w.data();
-            activation.clear();
-            activation.resize(n, 0.0);
-            for &(p, a) in &nonzero[..live] {
-                let row = &w[p * n..(p + 1) * n];
-                for (sum, &weight) in activation.iter_mut().zip(row) {
-                    *sum += a * weight;
-                }
-            }
-            for (sum, &bias) in activation.iter_mut().zip(&layer.b) {
-                *sum += bias;
-            }
+            let input = if compacted { &nonzero[..] } else { x };
+            hidden_sums(layer, input, activation);
             self.hidden_activation.apply(activation);
-            live = compact(activation, nonzero);
+            compact(activation, nonzero);
+            compacted = true;
         }
-        // Only the requested columns of the output layer: one running
-        // sum each, advanced together row by row, so no add waits on
-        // another output's chain.
-        let n = head.output_size();
-        let w = head.w.data();
+        let input = if compacted { &nonzero[..] } else { x };
         logits.clear();
-        logits.resize(outputs.len(), 0.0);
-        for &(p, a) in &nonzero[..live] {
-            let row = &w[p * n..(p + 1) * n];
-            for (sum, &j) in logits.iter_mut().zip(outputs) {
-                *sum += a * row[j];
+        let mut groups = outputs.chunks_exact(HEAD_LANES);
+        for group in &mut groups {
+            head_logits::<HEAD_LANES>(head, head_t, input, group, logits);
+        }
+        // The rest in half as many lanes when they fit.
+        match groups.remainder() {
+            [] => {}
+            rest if rest.len() <= HEAD_LANES / 2 => {
+                head_logits::<{ HEAD_LANES / 2 }>(head, head_t, input, rest, logits)
+            }
+            rest => head_logits::<HEAD_LANES>(head, head_t, input, rest, logits),
+        }
+    }
+}
+
+/// Appends to `logits` the output layer's logits at the (at most `L`)
+/// columns `outputs`, `L` sums advancing together over `input`, each
+/// read from its row of the transposed head `head_t`. A group shorter
+/// than `L` repeats its last output to fill the lanes; the repeats are
+/// computed and dropped.
+#[inline(always)]
+fn head_logits<const L: usize>(
+    head: &Dense,
+    head_t: &[f32],
+    input: &[(usize, f32)],
+    outputs: &[usize],
+    logits: &mut Vec<f32>,
+) {
+    let k = head.input_size();
+    let rows: [&[f32]; L] = std::array::from_fn(|l| {
+        let j = outputs[l.min(outputs.len() - 1)];
+        &head_t[j * k..(j + 1) * k]
+    });
+    let mut acc = [0.0f32; L];
+    for &(p, a) in input {
+        for (sum, row) in acc.iter_mut().zip(&rows) {
+            *sum += a * row[p];
+        }
+    }
+    logits.extend(acc.iter().zip(outputs).map(|(sum, &j)| sum + head.b[j]));
+}
+
+/// `out = input · layer.w + layer.b` before the activation, `input`
+/// given as its non-zeros in ascending `p`: [`HIDDEN_LANES`] outputs at
+/// a time accumulate in registers over the whole input, each in
+/// ascending `p`, then the rest together.
+#[inline(always)]
+fn hidden_sums(layer: &Dense, input: &[(usize, f32)], out: &mut Vec<f32>) {
+    let n = layer.output_size();
+    let w = layer.w.data();
+    out.clear();
+    out.resize(n, 0.0);
+    let mut blocks = out.chunks_exact_mut(HIDDEN_LANES);
+    for (c, block) in (&mut blocks).enumerate() {
+        let base = c * HIDDEN_LANES;
+        let mut acc = [0.0f32; HIDDEN_LANES];
+        for &(p, a) in input {
+            let row = &w[p * n + base..][..HIDDEN_LANES];
+            for (sum, &weight) in acc.iter_mut().zip(row) {
+                *sum += a * weight;
             }
         }
-        for (sum, &j) in logits.iter_mut().zip(outputs) {
-            *sum += head.b[j];
+        block.copy_from_slice(&acc);
+    }
+    let rest = blocks.into_remainder();
+    if !rest.is_empty() {
+        let base = n - rest.len();
+        for &(p, a) in input {
+            let row = &w[p * n + base..(p + 1) * n];
+            for (sum, &weight) in rest.iter_mut().zip(row) {
+                *sum += a * weight;
+            }
         }
+    }
+    for (sum, &bias) in out.iter_mut().zip(&layer.b) {
+        *sum += bias;
     }
 }
 
@@ -204,10 +303,43 @@ mod tests {
         outputs.iter().map(|&j| full.get(0, j)).collect()
     }
 
+    /// The non-zeros of `x`.
+    fn sparse(x: &[f32]) -> Vec<(usize, f32)> {
+        let mut nonzero = Vec::new();
+        compact(x, &mut nonzero);
+        nonzero
+    }
+
+    /// The compacted row is the row's non-zeros in order, whatever the
+    /// buffer held before.
+    #[test]
+    fn compact_keeps_the_non_zeros_in_order() {
+        let mut nonzero = vec![(9, 9.0); 12];
+        compact(&[0.0, 1.5, -0.0, 0.0, -2.0, f32::NAN], &mut nonzero);
+        assert_eq!(nonzero.len(), 3);
+        assert_eq!(nonzero[..2], [(1, 1.5), (4, -2.0)]);
+        assert!(nonzero[2].0 == 5 && nonzero[2].1.is_nan());
+        compact(&[0.0; 4], &mut nonzero);
+        assert!(nonzero.is_empty());
+    }
+
+    #[test]
+    fn transposed_head_rows_are_output_columns() {
+        let mlp = Mlp::new(&[3, 4, 5], Activation::ReLU, &mut StdRng::seed_from_u64(8));
+        let t = transposed_head(&mlp);
+        let w = &mlp.layers()[1].w;
+        for j in 0..5 {
+            for p in 0..4 {
+                assert_eq!(t[j * 4 + p].to_bits(), w.get(p, j).to_bits());
+            }
+        }
+    }
+
     /// Every requested logit has `predict`'s bits: at the planner's
     /// widths on a state-like sparse row, on a dense row, through tanh,
     /// with no hidden layer, for a few outputs, all of them, none, and a
-    /// repeated one — one scratch serving networks of different widths.
+    /// repeated one — one scratch serving networks of different widths,
+    /// some of them not a multiple of the lane counts.
     #[test]
     fn logits_have_predicts_bits() {
         let mut scratch = InferScratch::default();
@@ -217,21 +349,23 @@ mod tests {
             (&[40, 9, 70], Activation::Tanh, 2),
             (&[5, 3], Activation::ReLU, 3),
             (&[12, 8, 8, 8, 4], Activation::Linear, 4),
+            (&[30, 100, 65, 11], Activation::ReLU, 5),
         ] {
             let mlp = Mlp::new(sizes, activation, &mut StdRng::seed_from_u64(seed));
+            let head = transposed_head(&mlp);
             let (k, n) = (sizes[0], *sizes.last().unwrap());
             let dense = fill(1, k, seed as u32);
-            let mut sparse = dense.clone();
-            for (p, v) in sparse.data_mut().iter_mut().enumerate() {
+            let mut sparse_row = dense.clone();
+            for (p, v) in sparse_row.data_mut().iter_mut().enumerate() {
                 if p % 11 != 0 {
                     *v = 0.0;
                 }
             }
             let all: Vec<usize> = (0..n).collect();
             let few = [n - 1, 0, n / 2, 0];
-            for x in [dense.data(), sparse.data(), &vec![0.0; k][..]] {
+            for x in [dense.data(), sparse_row.data(), &vec![0.0; k][..]] {
                 for outputs in [&all[..], &few[..], &[][..]] {
-                    mlp.logits_at(x, outputs, &mut scratch, &mut logits);
+                    mlp.logits_at(&head, &sparse(x), outputs, &mut scratch, &mut logits);
                     assert_eq!(
                         bits(&logits),
                         bits(&predicted(&mlp, x, outputs)),
@@ -252,19 +386,20 @@ mod tests {
         builds
     }
 
-    /// Each build, called directly, has `predict`'s bits: at the
-    /// planner's 646→128→128→289 widths through ReLU, Tanh and Linear,
-    /// on a sparse state-like row, a dense one and an all-zero one, and
-    /// with a NaN and an ∞ among the weights — there and in the small
-    /// net of `non_finite_weights_propagate_as_in_predict`.
+    /// Each build, called directly with a sparse input and the
+    /// transposed head, has `predict`'s bits: at the planner's
+    /// 646→128→128→289 widths through ReLU, Tanh and Linear, on a sparse
+    /// state-like row, a dense one and an all-zero one, and with a NaN
+    /// and an ∞ among the weights of each layer — there and in the
+    /// small net of `non_finite_weights_propagate_as_in_predict`.
     #[test]
     fn every_build_has_predicts_bits() {
         let mut scratch = InferScratch::default();
         let mut logits = Vec::new();
         let sizes = [646usize, 128, 128, 289];
         let dense = fill(1, sizes[0], 5);
-        let mut sparse = dense.clone();
-        for (p, v) in sparse.data_mut().iter_mut().enumerate() {
+        let mut sparse_row = dense.clone();
+        for (p, v) in sparse_row.data_mut().iter_mut().enumerate() {
             if p % 23 != 0 {
                 *v = 0.0;
             }
@@ -283,18 +418,39 @@ mod tests {
             mlp.layers_mut()[2].w.data_mut()[1000] = f32::INFINITY;
             nets.push(mlp);
         }
+        // A −∞ in the first layer at an input the sparse row leaves zero:
+        // skipped there, reached by the dense row.
+        let mut mlp = nets[0].clone();
+        mlp.layers_mut()[0].w.data_mut()[24 * 128 + 5] = f32::NEG_INFINITY;
+        nets.push(mlp);
         for build in builds() {
             for (i, mlp) in nets.iter().enumerate() {
-                for x in [dense.data(), sparse.data(), &zero[..]] {
+                let head = transposed_head(mlp);
+                for x in [dense.data(), sparse_row.data(), &zero[..]] {
                     for outputs in [&all[..], &few[..]] {
-                        mlp.logits_with(build, x, outputs, &mut scratch, &mut logits);
+                        mlp.logits_with(
+                            build,
+                            &head,
+                            &sparse(x),
+                            outputs,
+                            &mut scratch,
+                            &mut logits,
+                        );
                         let want = predicted(mlp, x, outputs);
                         assert_eq!(bits(&logits), bits(&want), "{build:?}, net {i}");
                     }
                 }
             }
             let (mlp, x, outputs) = non_finite_net();
-            mlp.logits_with(build, &x, &outputs, &mut scratch, &mut logits);
+            let head = transposed_head(&mlp);
+            mlp.logits_with(
+                build,
+                &head,
+                &sparse(&x),
+                &outputs,
+                &mut scratch,
+                &mut logits,
+            );
             assert_eq!(
                 bits(&logits),
                 bits(&predicted(&mlp, &x, &outputs)),
@@ -318,14 +474,28 @@ mod tests {
     fn non_finite_weights_propagate_as_in_predict() {
         let (mlp, x, outputs) = non_finite_net();
         let mut logits = Vec::new();
-        mlp.logits_at(&x, &outputs, &mut InferScratch::default(), &mut logits);
+        let head = transposed_head(&mlp);
+        let mut scratch = InferScratch::default();
+        mlp.logits_at(&head, &sparse(&x), &outputs, &mut scratch, &mut logits);
         assert_eq!(bits(&logits), bits(&predicted(&mlp, &x, &outputs)));
     }
 
     #[test]
-    #[should_panic(expected = "input width mismatch")]
-    fn wrong_input_width_panics() {
+    #[should_panic(expected = "input index beyond the input width")]
+    fn input_beyond_the_width_panics() {
         let mlp = Mlp::new(&[3, 2], Activation::ReLU, &mut StdRng::seed_from_u64(0));
-        mlp.logits_at(&[1.0], &[0], &mut InferScratch::default(), &mut Vec::new());
+        let head = transposed_head(&mlp);
+        let mut scratch = InferScratch::default();
+        mlp.logits_at(&head, &[(3, 1.0)], &[0], &mut scratch, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "head shape mismatch")]
+    fn another_nets_head_panics() {
+        let mlp = Mlp::new(&[3, 2], Activation::ReLU, &mut StdRng::seed_from_u64(0));
+        let other = Mlp::new(&[3, 4, 3], Activation::ReLU, &mut StdRng::seed_from_u64(0));
+        let head = transposed_head(&other);
+        let mut scratch = InferScratch::default();
+        mlp.logits_at(&head, &[(0, 1.0)], &[0], &mut scratch, &mut Vec::new());
     }
 }

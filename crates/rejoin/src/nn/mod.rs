@@ -8,7 +8,7 @@
 //! gradient-checked dense math that runs deterministically from a seed,
 //! which is what makes the experiments in `hfqo_bench` reproducible.
 
-mod infer;
+pub(crate) mod infer;
 mod init;
 mod layer;
 pub(crate) mod loss;

@@ -82,7 +82,10 @@ impl Default for ReinforceConfig {
 /// A policy-gradient agent: MLP policy over a masked discrete action
 /// space, trained by REINFORCE with an EMA baseline.
 pub struct ReinforceAgent {
-    policy: Mlp,
+    /// The policy, kept as the snapshot the agent acts through: every
+    /// update re-lays its output layer out for inference once, and
+    /// [`Self::snapshot`] is a clone.
+    policy: PolicySnapshot,
     optimizer: Adam,
     config: ReinforceConfig,
     update_path: UpdatePath,
@@ -103,7 +106,7 @@ impl ReinforceAgent {
         let mut sizes = vec![state_dim];
         sizes.extend_from_slice(&config.hidden);
         sizes.push(action_dim);
-        let policy = Mlp::new(&sizes, Activation::ReLU, rng);
+        let policy = PolicySnapshot::new(Mlp::new(&sizes, Activation::ReLU, rng));
         let optimizer = Adam::new(config.lr);
         Self {
             policy,
@@ -126,7 +129,7 @@ impl ReinforceAgent {
 
     /// The policy network.
     pub fn policy(&self) -> &Mlp {
-        &self.policy
+        self.policy.policy()
     }
 
     /// Episodes observed so far.
@@ -138,7 +141,7 @@ impl ReinforceAgent {
     /// workers. The snapshot's action selection consumes the RNG stream
     /// exactly as the live agent does.
     pub fn snapshot(&self) -> PolicySnapshot {
-        PolicySnapshot::new(self.policy.clone())
+        self.policy.clone()
     }
 
     /// Samples an action (or takes the mode when `greedy`). Returns the
@@ -150,7 +153,7 @@ impl ReinforceAgent {
         rng: &mut StdRng,
         greedy: bool,
     ) -> (usize, f32) {
-        PolicySnapshot::select_with(&self.policy, features, mask, rng, greedy)
+        self.policy.select_action(features, mask, rng, greedy)
     }
 
     /// Rolls out one episode in `env` with the current policy.
@@ -160,7 +163,7 @@ impl ReinforceAgent {
         rng: &mut StdRng,
         greedy: bool,
     ) -> Episode {
-        PolicySnapshot::rollout_with(&self.policy, env, rng, greedy)
+        self.policy.run_episode(env, rng, greedy)
     }
 
     /// Buffers a finished episode; triggers an update every
@@ -213,17 +216,18 @@ impl ReinforceAgent {
         }
         let mut grads = match self.update_path {
             UpdatePath::Batched if !all.is_empty() => {
-                Self::policy_grads_batched(&self.policy, &all)
+                Self::policy_grads_batched(self.policy(), &all)
             }
             // The per-row loop also covers the degenerate all-empty
             // case (every episode had zero transitions): it yields zero
             // gradients, preserving the historical zero-grad optimizer
             // step instead of panicking on a 0×0 forward.
-            _ => Self::policy_grads_per_row(&self.policy, &all),
+            _ => Self::policy_grads_per_row(self.policy(), &all),
         };
         grads.scale(1.0 / all.len().max(1) as f32);
         grads.clip_global_norm(GRAD_CLIP);
-        self.optimizer.step(&mut self.policy, &grads);
+        let optimizer = &mut self.optimizer;
+        self.policy.retrain(|policy| optimizer.step(policy, &grads));
         // Refresh the baseline from each episode's return from its start.
         for g0 in first_returns {
             if self.baseline_ready {

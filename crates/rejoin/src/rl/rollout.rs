@@ -3,13 +3,14 @@
 //! Parallel episode collection (Balsa-style simultaneous agents) needs
 //! worker threads that *act* with a frozen copy of the policy while the
 //! learner thread keeps the mutable optimizer state. [`PolicySnapshot`]
-//! is that frozen copy: plain owned weights (`Send + Sync`), masked
-//! softmax action selection, and the episode rollout loop.
-//! [`ReinforceAgent`](crate::rl::ReinforceAgent) delegates its own action
-//! selection and rollouts here, so a snapshot consumes the RNG stream
-//! *identically* to the live agent — the property the `workers = 1`
-//! determinism-parity contract rests on.
+//! is that frozen copy: plain owned weights (`Send + Sync`) laid out for
+//! batch-1 inference, masked softmax action selection, and the episode
+//! rollout loop. [`ReinforceAgent`](crate::rl::ReinforceAgent) keeps its
+//! policy *as* a snapshot and acts through it, so a snapshot consumes
+//! the RNG stream *identically* to the live agent — the property the
+//! `workers = 1` determinism-parity contract rests on.
 
+use crate::nn::infer::{compact, transposed_head};
 use crate::nn::{loss, InferScratch, Mlp};
 use crate::rl::env::Environment;
 use crate::rl::episode::{Episode, Transition};
@@ -19,11 +20,15 @@ use std::cmp::Ordering;
 
 /// A frozen, shareable copy of a policy network.
 ///
-/// Cloning the weights is the only cost; everything else is read-only,
-/// so one snapshot can be shared across worker threads behind an `Arc`.
+/// Beside the weights it keeps the output layer transposed, the layout
+/// batch-1 inference reads it in, built once per set of weights. Cloning
+/// is the only cost; everything else is read-only, so one snapshot can
+/// be shared across worker threads behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct PolicySnapshot {
     policy: Mlp,
+    /// `policy`'s output layer transposed ([`transposed_head`]).
+    head: Vec<f32>,
 }
 
 // Snapshots cross thread boundaries by design; `Mlp` is plain owned
@@ -35,15 +40,16 @@ const _: () = {
 };
 
 /// Action selection with the buffers it reuses from step to step: the
-/// legal actions of the current mask, their logits, and the network's
-/// activations. Only the legal actions' logits are computed
-/// ([`Mlp::logits_at`]), and each is bit for bit [`Mlp::predict`]'s, so
-/// the action and probability are what a masked softmax over the full
-/// logits row gives — masked entries carry probability zero there and
-/// can neither win the argmax nor be sampled.
+/// legal actions of the current mask, the state's non-zeros, their
+/// logits, and the network's activations. Only the legal actions'
+/// logits are computed ([`PolicySnapshot::logits_at`]), and each is bit
+/// for bit [`Mlp::predict`]'s, so the action and probability are what a
+/// masked softmax over the full logits row gives — masked entries carry
+/// probability zero there and can neither win the argmax nor be sampled.
 #[derive(Debug, Clone, Default)]
 pub struct Selector {
     legal: Vec<usize>,
+    nonzero: Vec<(usize, f32)>,
     /// The legal actions' logits, then their probabilities.
     probs: Vec<f32>,
     scratch: InferScratch,
@@ -51,36 +57,48 @@ pub struct Selector {
 
 impl Selector {
     /// Samples an action from the masked softmax over `policy`'s logits
-    /// for `features` (or takes the mode when `greedy`; of equal modes,
-    /// the last). Returns the action and its probability.
+    /// for the dense state row `features` (or takes the mode when
+    /// `greedy`; of equal modes, the last). Returns the action and its
+    /// probability.
     ///
     /// Panics when `mask` allows no action.
     pub fn select(
         &mut self,
-        policy: &Mlp,
+        policy: &PolicySnapshot,
         features: &[f32],
         mask: &[bool],
         rng: &mut StdRng,
         greedy: bool,
     ) -> (usize, f32) {
+        assert_eq!(
+            features.len(),
+            policy.policy.input_size(),
+            "input width mismatch"
+        );
         let mut legal = std::mem::take(&mut self.legal);
+        let mut nonzero = std::mem::take(&mut self.nonzero);
         legal.clear();
         legal.extend(mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i));
-        let chosen = self.select_legal(policy, features, &legal, rng, greedy);
+        compact(features, &mut nonzero);
+        let chosen = self.select_legal(policy, &nonzero, &legal, rng, greedy);
         self.legal = legal;
+        self.nonzero = nonzero;
         chosen
     }
 
-    /// [`Self::select`] over the actions a mask allows, given as their
-    /// ids in ascending order (as
+    /// [`Self::select`] for a state given as its non-zeros, `(p, value)`
+    /// pairs in ascending `p` (as
+    /// [`RolloutState::nonzeros`](crate::RolloutState::nonzeros) keeps
+    /// them), over the actions a mask allows, given as their ids in
+    /// ascending order (as
     /// [`RolloutState::legal_actions`](crate::RolloutState::legal_actions)
-    /// writes them) instead of as the mask.
+    /// writes them).
     ///
     /// Panics when `legal` is empty.
     pub fn select_legal(
         &mut self,
-        policy: &Mlp,
-        features: &[f32],
+        policy: &PolicySnapshot,
+        nonzeros: &[(usize, f32)],
         legal: &[usize],
         rng: &mut StdRng,
         greedy: bool,
@@ -91,7 +109,7 @@ impl Selector {
         // through the softmax as zeros and only blow up in the sampling
         // fallback below.
         let first_valid = *legal.first().expect("action mask has no valid action");
-        policy.logits_at(features, legal, scratch, probs);
+        policy.logits_at(nonzeros, legal, scratch, probs);
         // A NaN logit would poison every comparison below and silently
         // pick an arbitrary action. Detect it and fall back
         // deterministically to the first valid action (whose uniform
@@ -130,9 +148,10 @@ impl Selector {
 }
 
 impl PolicySnapshot {
-    /// Wraps a copy of `policy`.
+    /// Wraps `policy`, laying its output layer out for inference.
     pub fn new(policy: Mlp) -> Self {
-        Self { policy }
+        let head = transposed_head(&policy);
+        Self { policy, head }
     }
 
     /// The frozen policy network.
@@ -140,9 +159,34 @@ impl PolicySnapshot {
         &self.policy
     }
 
+    /// Changes the weights through `train` (an optimizer step), then
+    /// lays the new output layer out again: the snapshot never serves
+    /// one generation's head with another's weights.
+    pub(crate) fn retrain(&mut self, train: impl FnOnce(&mut Mlp)) {
+        train(&mut self.policy);
+        self.head = transposed_head(&self.policy);
+    }
+
+    /// The policy's logits at the columns `outputs` for a state given
+    /// as its non-zeros, `(p, value)` pairs in ascending `p`: bit for
+    /// bit [`Mlp::predict`]'s at those columns. `logits` is cleared
+    /// first; nothing is allocated once `scratch` and `logits` have
+    /// grown to the network's widths.
+    pub fn logits_at(
+        &self,
+        nonzeros: &[(usize, f32)],
+        outputs: &[usize],
+        scratch: &mut InferScratch,
+        logits: &mut Vec<f32>,
+    ) {
+        self.policy
+            .logits_at(&self.head, nonzeros, outputs, scratch, logits);
+    }
+
     /// Samples an action from the masked softmax over the policy's
     /// logits (or takes the mode when `greedy`). Returns the action and
-    /// its probability under the policy.
+    /// its probability under the policy. One-off: a rollout keeps a
+    /// [`Selector`] across its steps instead.
     pub fn select_action(
         &self,
         features: &[f32],
@@ -150,37 +194,12 @@ impl PolicySnapshot {
         rng: &mut StdRng,
         greedy: bool,
     ) -> (usize, f32) {
-        Self::select_with(&self.policy, features, mask, rng, greedy)
-    }
-
-    /// Action selection against a borrowed policy — the shared
-    /// implementation the live agent delegates to, so live and snapshot
-    /// action streams cannot drift. One-off: a rollout keeps a
-    /// [`Selector`] across its steps instead.
-    pub(crate) fn select_with(
-        policy: &Mlp,
-        features: &[f32],
-        mask: &[bool],
-        rng: &mut StdRng,
-        greedy: bool,
-    ) -> (usize, f32) {
-        Selector::default().select(policy, features, mask, rng, greedy)
+        Selector::default().select(self, features, mask, rng, greedy)
     }
 
     /// Rolls out one episode in `env` with the frozen policy.
     pub(crate) fn run_episode<E: Environment>(
         &self,
-        env: &mut E,
-        rng: &mut StdRng,
-        greedy: bool,
-    ) -> Episode {
-        Self::rollout_with(&self.policy, env, rng, greedy)
-    }
-
-    /// Episode rollout against a borrowed policy (shared by the live
-    /// agent and snapshots).
-    pub(crate) fn rollout_with<E: Environment>(
-        policy: &Mlp,
         env: &mut E,
         rng: &mut StdRng,
         greedy: bool,
@@ -193,7 +212,7 @@ impl PolicySnapshot {
         while !env.is_terminal() {
             env.state_features(&mut features);
             env.action_mask(&mut mask);
-            let (action, _prob) = selector.select(policy, &features, &mask, rng, greedy);
+            let (action, _prob) = selector.select(self, &features, &mask, rng, greedy);
             let result = env.step(action, rng);
             episode.transitions.push(Transition {
                 features: features.clone(),
@@ -279,11 +298,11 @@ mod tests {
         for w in policy.layers_mut()[0].w.data_mut() {
             *w = f32::NAN;
         }
+        let snapshot = PolicySnapshot::new(policy);
         let mask = [false, true, true, false];
         for greedy in [false, true] {
             for _ in 0..10 {
-                let (a, p) =
-                    PolicySnapshot::select_with(&policy, &[0.5, -0.5], &mask, &mut rng, greedy);
+                let (a, p) = snapshot.select_action(&[0.5, -0.5], &mask, &mut rng, greedy);
                 assert_eq!(a, 1, "greedy={greedy}: must pick the first valid action");
                 assert!(mask[a], "greedy={greedy}: picked a masked action");
                 assert_eq!(p, 0.5, "uniform-over-valid probability");
@@ -346,6 +365,7 @@ mod tests {
     fn selector_matches_full_row_selection() {
         let mut rng = StdRng::seed_from_u64(5);
         let policy = Mlp::new(&[10, 16, 16, 25], crate::nn::Activation::ReLU, &mut rng);
+        let snapshot = PolicySnapshot::new(policy.clone());
         let mut selector = Selector::default();
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
@@ -363,7 +383,7 @@ mod tests {
             let mut mask: Vec<bool> = (0..25).map(|_| rng.gen_range(0..25usize) < keep).collect();
             mask[case % 25] = true;
             let greedy = case % 2 == 0;
-            let got = selector.select(&policy, &features, &mask, &mut rng_a, greedy);
+            let got = selector.select(&snapshot, &features, &mask, &mut rng_a, greedy);
             let want = reference_select(&policy, &features, &mask, &mut rng_b, greedy);
             assert_eq!(
                 (got.0, got.1.to_bits()),
@@ -390,7 +410,8 @@ mod tests {
         }
         policy.layers_mut()[1].b = vec![9.0, 1.0, 3.0, 3.0, 2.0];
         let mask = [false, true, true, true, true];
-        let got = PolicySnapshot::select_with(&policy, &[0.5, -0.5], &mask, &mut rng, true);
+        let snapshot = PolicySnapshot::new(policy.clone());
+        let got = snapshot.select_action(&[0.5, -0.5], &mask, &mut rng, true);
         let want = reference_select(&policy, &[0.5, -0.5], &mask, &mut rng, true);
         assert_eq!(
             got.0, 3,

@@ -7,11 +7,13 @@
 //! plan-cache key.
 
 use hfqo::prelude::*;
+use hfqo::query::BoundColumn;
 use hfqo::sql::{tokenize, Token};
 use hfqo::workload::imdb::build_imdb;
 use hfqo::workload::job::generate_job_suite;
 use hfqo::workload::synth::{SynthConfig, SynthDb};
 use hfqo_storage::catalog::Catalog;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -168,7 +170,7 @@ fn identifiers_keep_their_case_and_keywords_lose_theirs() {
     let idents: Vec<&str> = tokens
         .iter()
         .filter_map(|t| match t {
-            Token::Ident(s) => Some(s.as_str()),
+            Token::Ident(s) => Some(*s),
             _ => None,
         })
         .collect();
@@ -197,4 +199,261 @@ fn identifiers_keep_their_case_and_keywords_lose_theirs() {
     assert_eq!(stmt.from[0].table, "Title");
     assert_eq!(stmt.from[1].alias, "Cast_Info");
     assert_eq!(parse_select(&stmt.to_string()), Ok(stmt));
+}
+
+/// One line per bound graph: relations as `table:alias`, joins and
+/// selections as `rel.column op rel.column|literal`, aggregates and
+/// grouping columns. Literals print with their type, so `Int(2)` and
+/// `Float(2.0)` differ.
+fn graph_line(g: &QueryGraph) -> String {
+    let col = |c: &BoundColumn| format!("{}.{}", c.rel.0, c.column.0);
+    let list = |items: Vec<String>| items.join(" ");
+    format!(
+        "from [{}] join [{}] where [{}] agg [{}] group [{}]",
+        list(
+            g.relations()
+                .iter()
+                .map(|r| format!("{}:{}", r.table.0, r.alias))
+                .collect()
+        ),
+        list(
+            g.joins()
+                .iter()
+                .map(|j| format!("{}{}{}", col(&j.left), j.op.sql(), col(&j.right)))
+                .collect()
+        ),
+        list(
+            g.selections()
+                .iter()
+                .map(|s| format!("{}{}{:?}", col(&s.column), s.op.sql(), s.value))
+                .collect()
+        ),
+        list(
+            g.aggregates()
+                .iter()
+                .map(|a| {
+                    let arg = a.column.as_ref().map_or("*".to_string(), col);
+                    format!("{}({arg})", a.func.sql())
+                })
+                .collect()
+        ),
+        list(g.group_by().iter().map(col).collect()),
+    )
+}
+
+/// Every JOB-like text binds to the graph the front end bound it to
+/// before tokens and the AST borrowed from the text: the golden was cut
+/// from that front end, one line per query in suite order.
+#[test]
+fn job_suite_graphs_equal_the_golden() {
+    let (catalog, texts) = job_texts();
+    let golden = include_str!("golden/frontend_graphs_job_seed21.txt");
+    let want: Vec<&str> = golden.lines().collect();
+    assert_eq!(want.len(), texts.len());
+    for (i, (sql, want)) in texts.iter().zip(want).enumerate() {
+        let graph = bind_select(&parse_select(sql).unwrap(), &catalog).unwrap();
+        assert_eq!(graph_line(&graph), want, "query {i}: {sql}");
+    }
+}
+
+/// Pieces of SQL-like text: keywords, IMDB table, alias and column
+/// names, qualified columns, operators and punctuation, numbers (whole,
+/// fractional, negative, overflowing), quotes and string literals, and
+/// whitespace and non-ASCII characters.
+const FRAGMENTS: &[&str] = &[
+    "SELECT ",
+    "select ",
+    " FROM ",
+    " WHERE ",
+    " AND ",
+    " AS ",
+    " GROUP BY ",
+    "COUNT(*)",
+    "MIN(",
+    "SUM(*)",
+    "(",
+    ")",
+    ", ",
+    ",",
+    ".",
+    "*",
+    ";",
+    " = ",
+    "=",
+    "<>",
+    "!=",
+    "!",
+    " < ",
+    "<=",
+    ">",
+    ">=",
+    "'",
+    "''",
+    "'x'",
+    "'it''s'",
+    "'é'",
+    "-",
+    "0",
+    "7",
+    "-3",
+    "12.5",
+    "2.0",
+    "1.",
+    ".5",
+    "99999999999999999999",
+    "100000000000000000000.5",
+    "title",
+    "movie_companies",
+    "cast_info",
+    " t",
+    " mc",
+    " ci",
+    "t",
+    "mc",
+    "t.id",
+    "t.kind_id",
+    "mc.movie_id",
+    "mc.note",
+    "ci.note",
+    "ci.movie_id",
+    "t.production_year",
+    "id",
+    " ",
+    "\t",
+    "\n",
+    "é",
+    "ü",
+    "🦀",
+    "ß",
+    "#",
+    "_",
+    "a1",
+    "\u{0}",
+];
+
+/// Arbitrary text: a mix of [`FRAGMENTS`] and arbitrary characters.
+fn arbitrary_text(pieces: &[(u8, &str, u32)]) -> String {
+    pieces
+        .iter()
+        .map(|&(kind, fragment, c)| match kind {
+            0 => char::from_u32(c).unwrap_or('\u{FFFD}').to_string(),
+            _ => fragment.to_string(),
+        })
+        .collect()
+}
+
+fn imdb_catalog() -> &'static Catalog {
+    static CATALOG: std::sync::OnceLock<Catalog> = std::sync::OnceLock::new();
+    CATALOG.get_or_init(|| job_texts().0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// On arbitrary text the lexer, the parser and the binder return
+    /// `Ok` or `Err`, never panic; and whatever parses prints back to a
+    /// text that parses to the same statement.
+    #[test]
+    fn front_end_never_panics_on_arbitrary_text(
+        head in prop::sample::select(&[
+            "",
+            "SELECT * FROM title t WHERE t.",
+            "SELECT COUNT(*) FROM title t, movie_companies mc WHERE ",
+        ][..]),
+        pieces in prop::collection::vec(
+            (0u8..4, prop::sample::select(FRAGMENTS), 0u32..0x1_1000),
+            0..40,
+        ),
+    ) {
+        let sql = format!("{head}{}", arbitrary_text(&pieces));
+        let tokens = tokenize(&sql);
+        if let Ok(stmt) = parse_select(&sql) {
+            prop_assert!(tokens.is_ok(), "{sql:?}");
+            let printed = stmt.to_string();
+            prop_assert_eq!(parse_select(&printed).as_ref(), Ok(&stmt), "{sql:?}");
+            let _ = bind_select(&stmt, imdb_catalog());
+        }
+    }
+}
+
+/// `whole.fraction` as SQL spells it.
+fn float_text(whole: i64, power: u8, fraction: &str) -> String {
+    if power > 0 {
+        let sign = if whole < 0 { "-" } else { "" };
+        format!("{sign}1{}.{fraction}", "0".repeat(power as usize))
+    } else {
+        format!("{whole}.{fraction}")
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// A generated statement — one to four aliased IMDB tables, integer,
+    /// float and string predicates under every operator, an aggregate
+    /// or a column list, and an optional GROUP BY — prints to a text that
+    /// parses to the same statement and binds to the same graph. Floats
+    /// include whole values and ones too large for an `i64`.
+    #[test]
+    fn printed_statements_parse_to_themselves(
+        tables in prop::collection::vec(0usize..4, 1..5),
+        predicates in prop::collection::vec(
+            (0u8..3, prop::sample::select(&["=", "<>", "!=", "<", "<=", ">", ">="][..]),
+             (-1_000_000i64..1_000_000, 0u8..30), prop::sample::select(&["0", "5", "25", "0001"][..])),
+            0..6,
+        ),
+        shape in (0u8..4, 0usize..4),
+    ) {
+        const TABLES: [(&str, &str, &str); 4] = [
+            ("title", "production_year", "id"),
+            ("movie_companies", "company_id", "movie_id"),
+            ("cast_info", "person_id", "movie_id"),
+            ("keyword", "phonetic_code", "id"),
+        ];
+        let from: Vec<String> = tables
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| match i % 3 {
+                0 => format!("{} AS a{i}", TABLES[t].0),
+                1 => format!("{} a{i}", TABLES[t].0),
+                _ => format!("{} AS A_{i}", TABLES[t].0),
+            })
+            .collect();
+        let alias = |i: usize| if i % 3 == 2 { format!("A_{i}") } else { format!("a{i}") };
+        let mut wheres: Vec<String> = (1..tables.len())
+            .map(|i| format!("{}.{} = {}.id", alias(i), TABLES[tables[i]].2, alias(i - 1)))
+            .collect();
+        for (k, &(kind, op, (whole, power), fraction)) in predicates.iter().enumerate() {
+            let i = k % tables.len();
+            let (t, a) = (TABLES[tables[i]], alias(i));
+            wheres.push(match kind {
+                0 => format!("{a}.{} {op} {whole}", t.1),
+                1 => format!("{a}.{} {op} {}", t.1, float_text(whole, power, fraction)),
+                _ if t.0 == "cast_info" => format!("{a}.note {op} 'n''{whole} é'"),
+                _ => format!("{a}.{} {op} {}", t.2, -whole.abs()),
+            });
+        }
+        let (items, group) = shape;
+        let g = alias(group % tables.len());
+        let select = match items {
+            0 => "*".to_string(),
+            1 => "COUNT(*)".to_string(),
+            2 => format!("MIN({g}.id), COUNT({g}.id)"),
+            _ => format!("{g}.id, MAX({g}.id)"),
+        };
+        let mut sql = format!("SELECT {select} FROM {}", from.join(", "));
+        if !wheres.is_empty() {
+            sql += &format!(" WHERE {}", wheres.join(" AND "));
+        }
+        if items == 3 {
+            sql += &format!(" GROUP BY {g}.id");
+        }
+        let stmt = parse_select(&sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
+        let printed = stmt.to_string();
+        prop_assert_eq!(parse_select(&printed).as_ref(), Ok(&stmt), "{sql}");
+        let catalog = imdb_catalog();
+        let graph = bind_select(&stmt, catalog).unwrap_or_else(|e| panic!("{e}: {sql}"));
+        let reprinted = bind_select(&parse_select(&printed).unwrap(), catalog).unwrap();
+        prop_assert_eq!(graph_line(&reprinted), graph_line(&graph), "{sql}");
+    }
 }

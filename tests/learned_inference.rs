@@ -82,14 +82,15 @@ fn full_row_greedy(policy: &Mlp, features: &[f32], mask: &[bool]) -> (usize, f32
 /// the updated state is the one rebuilt from a forest merged with the
 /// same pairs (features bit for bit, the mask
 /// under both masking rules, the legal action list the planner selects
-/// from), the legal actions' logits are `predict`'s
-/// bit for bit, and the action and probability are the full-row
-/// selection's.
+/// from, the non-zero list the kernel reads), the legal actions' logits
+/// are `predict`'s bit for bit, and the action and probability are the
+/// full-row selection's.
 #[test]
 fn every_rollout_state_matches_the_from_scratch_functions() {
     let fx = fixture();
     let featurizer = fx.planner.featurizer();
-    let policy = fx.planner.snapshot().policy();
+    let snapshot = fx.planner.snapshot();
+    let policy = snapshot.policy();
     let est = EstimatedCardinality::new(&fx.stats);
     let mut selector = Selector::default();
     let mut rng = StdRng::seed_from_u64(0);
@@ -119,12 +120,20 @@ fn every_rollout_state_matches_the_from_scratch_functions() {
             state.legal_actions(true, &mut legal);
             let masked_in: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
             assert_eq!(legal, masked_in, "query {q}");
+            let compacted: Vec<(usize, u32)> = (rebuilt.iter().enumerate())
+                .filter(|(_, &v)| v != 0.0)
+                .map(|(p, v)| (p, v.to_bits()))
+                .collect();
+            let listed: Vec<(usize, u32)> = (state.nonzeros().iter())
+                .map(|&(p, v)| (p, v.to_bits()))
+                .collect();
+            assert_eq!(listed, compacted, "query {q}");
             let full = policy.predict(&Matrix::row_vector(rebuilt.clone()));
             let predicted: Vec<f32> = legal.iter().map(|&a| full.get(0, a)).collect();
-            policy.logits_at(state.features(), &legal, &mut scratch, &mut logits);
+            snapshot.logits_at(state.nonzeros(), &legal, &mut scratch, &mut logits);
             assert_eq!(bits(&logits), bits(&predicted), "query {q}");
             let (action, p) =
-                selector.select_legal(policy, state.features(), &legal, &mut rng, true);
+                selector.select_legal(snapshot, state.nonzeros(), &legal, &mut rng, true);
             let (want, want_p) = full_row_greedy(policy, &rebuilt, &mask);
             assert_eq!((action, p.to_bits()), (want, want_p.to_bits()), "query {q}");
             let (x, y) = featurizer.decode_pair(action);
