@@ -59,26 +59,6 @@ const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "WHERE", "AND", "AS", "GROUP", "BY", "COUNT", "SUM", "MIN", "MAX", "AVG",
 ];
 
-/// The longest keyword's length: a longer word is an identifier.
-const KEYWORD_MAX_LEN: usize = 6;
-
-/// The keyword table's spelling of `word`, in any case, if it is one.
-/// A word is compared only with the keywords of its length, upper-cased
-/// once on the stack.
-fn keyword(word: &str) -> Option<&'static str> {
-    if word.len() > KEYWORD_MAX_LEN {
-        return None;
-    }
-    let mut upper = [0u8; KEYWORD_MAX_LEN];
-    let upper = &mut upper[..word.len()];
-    upper.copy_from_slice(word.as_bytes());
-    upper.make_ascii_uppercase();
-    KEYWORDS
-        .iter()
-        .find(|k| k.as_bytes() == &upper[..])
-        .copied()
-}
-
 /// Tokenizes a SQL string.
 pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
     let mut lexer = Lexer::new(input);
@@ -148,8 +128,8 @@ impl<'a> Lexer<'a> {
                     .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
                     .unwrap_or(bytes.len() - i);
                 let word = &self.input[i..i + len];
-                let token = match keyword(word) {
-                    Some(keyword) => Token::Keyword(keyword),
+                let token = match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
+                    Some(&keyword) => Token::Keyword(keyword),
                     None => Token::Ident(word),
                 };
                 (token, len)

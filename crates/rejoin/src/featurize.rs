@@ -194,6 +194,11 @@ impl Featurizer {
     }
 }
 
+/// `(p, features[p])` when that entry is not zero.
+fn nonzero_at(features: &[f32], p: usize) -> Option<(usize, f32)> {
+    (features[p] != 0.0).then(|| (p, features[p]))
+}
+
 /// The subtree-size feature: estimated rows, log-scaled into [0, 1].
 fn size_feature(rows: f64) -> f32 {
     ((rows.max(1.0).ln() / 20.0) as f32).clamp(0.0, 1.0)
@@ -256,7 +261,7 @@ impl RolloutState {
         // The static sections have entries for the query's `n`
         // relations only: adjacency rows, selection pairs, raw sizes.
         let (adj_base, sel_base, raw_base) = (m * m, 2 * m * m, size_base + m);
-        let entry = |p: usize| (features[p] != 0.0).then(|| (p, features[p]));
+        let entry = |p| nonzero_at(&features, p);
         let mut statics: Vec<(usize, f32)> = (adj_base..adj_base + n * m)
             .chain(sel_base..sel_base + 2 * n)
             .filter_map(entry)
@@ -302,7 +307,7 @@ impl RolloutState {
             ..
         } = self;
         let (before_sizes, after_sizes) = statics.split_at(*statics_before_sizes);
-        let entry = |p: usize| (features[p] != 0.0).then(|| (p, features[p]));
+        let entry = |p| nonzero_at(features, p);
         let tree = slots
             .iter()
             .enumerate()

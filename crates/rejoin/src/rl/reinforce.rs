@@ -338,6 +338,43 @@ mod tests {
         assert!(ep.total_reward() > 0.9);
     }
 
+    /// The agent acts through its policy laid out for inference; every
+    /// update lays it out again, so after each one the agent's logits
+    /// and action stream are those of a snapshot frozen from its current
+    /// weights.
+    #[test]
+    fn updates_refresh_the_acting_policy() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut env = Corridor::new(4);
+        let mut agent = ReinforceAgent::new(5, 2, small_config(), &mut rng);
+        let mut updates = 0;
+        let (mut live, mut frozen) = (Vec::new(), Vec::new());
+        let mut scratch = crate::nn::InferScratch::default();
+        for _ in 0..40 {
+            let ep = agent.run_episode(&mut env, &mut rng, false);
+            if !agent.observe(ep) {
+                continue;
+            }
+            updates += 1;
+            let fresh = PolicySnapshot::new(agent.policy().clone());
+            let x = [(0, 1.0), (3, -0.5)];
+            agent
+                .snapshot()
+                .logits_at(&x, &[0, 1], &mut scratch, &mut live);
+            fresh.logits_at(&x, &[0, 1], &mut scratch, &mut frozen);
+            let bits = |v: &[f32]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&live), bits(&frozen), "after update {updates}");
+            let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            let features = [1.0, 0.0, 0.0, -0.5, 0.0];
+            for _ in 0..10 {
+                let a = agent.select_action(&features, &[true, true], &mut rng_a, false);
+                let b = fresh.select_action(&features, &[true, true], &mut rng_b, false);
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+            }
+        }
+        assert!(updates >= 4, "the test must exercise real updates");
+    }
+
     #[test]
     fn respects_action_masks() {
         let mut rng = StdRng::seed_from_u64(2);

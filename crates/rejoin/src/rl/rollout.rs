@@ -440,6 +440,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "input width mismatch")]
+    fn wrong_input_width_panics() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let policy = Mlp::new(&[3, 2], crate::nn::Activation::ReLU, &mut rng);
+        let _ = PolicySnapshot::new(policy).select_action(&[1.0], &[true, true], &mut rng, true);
+    }
+
+    #[test]
     fn greedy_selection_is_the_mode() {
         let mut rng = StdRng::seed_from_u64(2);
         let agent = ReinforceAgent::new(2, 4, ReinforceConfig::default(), &mut rng);
