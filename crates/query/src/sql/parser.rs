@@ -4,68 +4,35 @@ use crate::sql::ast::{
     AggFunc, ColumnName, CompareOp, Literal, SelectItem, SelectStmt, TableRef, WherePred,
 };
 use crate::sql::error::ParseError;
-use crate::sql::token::{Lexer, Token};
+use crate::sql::token::{tokenize, Token};
 
 /// Parses one SELECT statement (with optional trailing `;`). The
 /// statement borrows its names and string literals from `input`.
-///
-/// A malformed token anywhere in `input` is the error, even when the
-/// grammar goes wrong before it: the statement is rejected as if it
-/// were tokenized whole before parsing.
 pub fn parse_select(input: &str) -> Result<SelectStmt<'_>, ParseError> {
-    let mut p = Parser::new(input);
-    let parsed = p.select_stmt().and_then(|stmt| {
-        p.accept(&Token::Semicolon);
-        p.expect_end()?;
-        Ok(stmt)
-    });
-    if parsed.is_err() {
-        while p.lex_error.is_none() && p.bump().is_some() {}
-    }
-    match p.lex_error {
-        Some(e) => Err(e),
-        None => parsed,
-    }
+    let tokens = tokenize(input)?;
+    let mut p = Parser {
+        tokens: tokens.into_iter(),
+    };
+    let stmt = p.select_stmt()?;
+    p.accept(&Token::Semicolon);
+    p.expect_end()?;
+    Ok(stmt)
 }
 
-/// The parser pulls tokens from the lexer one at a time and keeps one
-/// of lookahead, so no token list is built.
+/// The token stream is consumed front to back and never revisited, so
+/// the parser owns it as an iterator: a string literal that had to be
+/// unescaped is moved into the AST, not cloned.
 struct Parser<'a> {
-    lexer: Lexer<'a>,
-    /// The next token; `None` at the end of the input or at a lex error.
-    peeked: Option<Token<'a>>,
-    /// The first lex error; nothing is lexed past it.
-    lex_error: Option<ParseError>,
+    tokens: std::vec::IntoIter<Token<'a>>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        let mut p = Self {
-            lexer: Lexer::new(input),
-            peeked: None,
-            lex_error: None,
-        };
-        p.advance();
-        p
-    }
-
-    fn advance(&mut self) {
-        if self.lex_error.is_none() {
-            match self.lexer.next_token() {
-                Ok(token) => self.peeked = token,
-                Err(e) => self.lex_error = Some(e),
-            }
-        }
-    }
-
     fn peek(&self) -> Option<&Token<'a>> {
-        self.peeked.as_ref()
+        self.tokens.as_slice().first()
     }
 
     fn bump(&mut self) -> Option<Token<'a>> {
-        let token = self.peeked.take();
-        self.advance();
-        token
+        self.tokens.next()
     }
 
     fn accept(&mut self, tok: &Token<'_>) -> bool {
@@ -246,18 +213,21 @@ impl<'a> Parser<'a> {
     fn predicate(&mut self) -> Result<WherePred<'a>, ParseError> {
         let left = self.column_name()?;
         let op = self.compare_op()?;
-        let lit = match self.peeked.take() {
-            Some(Token::Int(v)) => Literal::Int(v),
-            Some(Token::Float(v)) => Literal::Float(v),
-            Some(Token::Str(s)) => Literal::Str(s),
-            other => {
-                self.peeked = other;
-                let right = self.column_name()?;
-                return Ok(WherePred::ColCol { left, op, right });
+        match self.peek() {
+            Some(Token::Int(_)) | Some(Token::Float(_)) | Some(Token::Str(_)) => {
+                let lit = match self.bump() {
+                    Some(Token::Int(v)) => Literal::Int(v),
+                    Some(Token::Float(v)) => Literal::Float(v),
+                    Some(Token::Str(s)) => Literal::Str(s),
+                    _ => unreachable!("peeked literal"),
+                };
+                Ok(WherePred::ColLit { left, op, lit })
             }
-        };
-        self.advance();
-        Ok(WherePred::ColLit { left, op, lit })
+            _ => {
+                let right = self.column_name()?;
+                Ok(WherePred::ColCol { left, op, right })
+            }
+        }
     }
 
     fn compare_op(&mut self) -> Result<CompareOp, ParseError> {
@@ -369,32 +339,6 @@ mod tests {
             let reparsed = parse_select(&printed).unwrap();
             assert_eq!(s, reparsed, "{printed}");
         }
-    }
-
-    /// The parser pulls tokens as it goes, but a malformed token still
-    /// wins over a grammar error before it, and over a statement that is
-    /// complete before it — as when the whole text was tokenized first.
-    #[test]
-    fn lex_errors_win_wherever_they_are() {
-        for sql in [
-            "SELECT * FROM t #",
-            "SELECT * FROM t WHERE t.a = 1 'open",
-            "FROM SELECT # t",
-            "SELECT * FROM t extra.token é",
-        ] {
-            let err = parse_select(sql).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ParseError::UnexpectedChar(..) | ParseError::UnterminatedString(_)
-                ),
-                "{sql}: {err}"
-            );
-        }
-        assert!(matches!(
-            parse_select("FROM SELECT t"),
-            Err(ParseError::Unexpected { .. })
-        ));
     }
 
     #[test]

@@ -61,44 +61,18 @@ const KEYWORDS: &[&str] = &[
 
 /// Tokenizes a SQL string.
 pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
-    let mut lexer = Lexer::new(input);
+    let bytes = input.as_bytes();
     let mut tokens = Vec::new();
-    while let Some(token) = lexer.next_token()? {
-        tokens.push(token);
-    }
-    Ok(tokens)
-}
-
-/// The lexer's position in a statement: the parser pulls tokens from it
-/// one at a time, and [`tokenize`] collects them.
-pub(crate) struct Lexer<'a> {
-    input: &'a str,
-    /// Byte offset of the next unread character (always a character
-    /// boundary: the lexer steps over ASCII bytes and whole characters).
-    at: usize,
-}
-
-impl<'a> Lexer<'a> {
-    /// A lexer at the start of `input`.
-    pub(crate) fn new(input: &'a str) -> Self {
-        Self { input, at: 0 }
-    }
-
-    /// The next token, or `None` at the end of the input.
-    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
-        let bytes = self.input.as_bytes();
-        while bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.at += 1;
-        }
-        let i = self.at;
-        let Some(&b) = bytes.get(i) else {
-            return Ok(None);
-        };
+    // Always a character boundary: the loop steps over ASCII bytes and
+    // whole characters.
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
         let next = bytes.get(i + 1).copied();
         let (token, len) = match b {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                i += 1;
+                continue;
+            }
             b',' => (Token::Comma, 1),
             b'.' => (Token::Dot, 1),
             b'*' => (Token::Star, 1),
@@ -115,11 +89,11 @@ impl<'a> Lexer<'a> {
             b'>' if next == Some(b'=') => (Token::Ge, 2),
             b'>' => (Token::Gt, 1),
             b'\'' => {
-                let (s, end) = lex_string(self.input, i)?;
+                let (s, end) = lex_string(input, i)?;
                 (Token::Str(s), end - i)
             }
             b if b.is_ascii_digit() || (b == b'-' && next.is_some_and(|n| n.is_ascii_digit())) => {
-                let (token, end) = lex_number(self.input, i)?;
+                let (token, end) = lex_number(input, i)?;
                 (token, end - i)
             }
             b if b.is_ascii_alphabetic() || b == b'_' => {
@@ -127,7 +101,7 @@ impl<'a> Lexer<'a> {
                     .iter()
                     .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
                     .unwrap_or(bytes.len() - i);
-                let word = &self.input[i..i + len];
+                let word = &input[i..i + len];
                 let token = match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
                     Some(&keyword) => Token::Keyword(keyword),
                     None => Token::Ident(word),
@@ -135,15 +109,15 @@ impl<'a> Lexer<'a> {
                 (token, len)
             }
             _ => {
-                // The character that starts here, not its first byte:
-                // `at` is always a character boundary.
-                let c = self.input[i..].chars().next().unwrap_or('\u{FFFD}');
+                // The character that starts here, not its first byte.
+                let c = input[i..].chars().next().unwrap_or('\u{FFFD}');
                 return Err(ParseError::UnexpectedChar(c, i));
             }
         };
-        self.at = i + len;
-        Ok(Some(token))
+        tokens.push(token);
+        i += len;
     }
+    Ok(tokens)
 }
 
 /// The string literal whose opening quote is at `start`, and the offset

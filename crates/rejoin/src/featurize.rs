@@ -598,7 +598,7 @@ mod tests {
         assert_eq!(bits(state.features()), bits(&features), "{shadow:?}");
         let pair_bits = |v: &[(usize, f32)]| v.iter().map(|&(p, x)| (p, x.to_bits())).collect();
         let mut compacted = Vec::new();
-        crate::nn::infer::compact(&features, &mut compacted);
+        crate::nn::matrix::compact(&features, &mut compacted);
         let listed: Vec<(usize, u32)> = pair_bits(state.nonzeros());
         assert_eq!(listed, pair_bits(&compacted), "{shadow:?}");
         for require_connected in [false, true] {

@@ -43,6 +43,7 @@
 //! portable SIMD (`std::simd`) is not on stable Rust.
 
 use crate::nn::layer::Dense;
+use crate::nn::matrix::{compact, dot_rows};
 use crate::nn::mlp::Mlp;
 
 /// Outputs of a hidden layer accumulated side by side: 64 sums are
@@ -64,20 +65,6 @@ pub struct InferScratch {
     nonzero: Vec<(usize, f32)>,
     /// The current hidden layer's output.
     activation: Vec<f32>,
-}
-
-/// Sets `nonzero` to the non-zeros of `row` as `(p, row[p])` pairs in
-/// ascending `p`. Compacted without a branch — a zero is overwritten by
-/// the next element, or cut off at the end — because where the zeros
-/// fall is data.
-pub(crate) fn compact(row: &[f32], nonzero: &mut Vec<(usize, f32)>) {
-    nonzero.resize(row.len(), (0, 0.0));
-    let mut len = 0;
-    for (p, &a) in row.iter().enumerate() {
-        nonzero[len] = (p, a);
-        len += usize::from(a != 0.0);
-    }
-    nonzero.truncate(len);
 }
 
 /// The output layer's weights of `mlp`, transposed: row `j` holds output
@@ -238,17 +225,12 @@ fn head_logits<const L: usize>(
     logits: &mut Vec<f32>,
 ) {
     let k = head.input_size();
-    let rows: [&[f32]; L] = std::array::from_fn(|l| {
+    let rows = std::array::from_fn(|l| {
         let j = outputs[l.min(outputs.len() - 1)];
         &head_t[j * k..(j + 1) * k]
     });
-    let mut acc = [0.0f32; L];
-    for &(p, a) in input {
-        for (sum, row) in acc.iter_mut().zip(&rows) {
-            *sum += a * row[p];
-        }
-    }
-    logits.extend(acc.iter().zip(outputs).map(|(sum, &j)| sum + head.b[j]));
+    let sums = dot_rows::<L>(input, rows);
+    logits.extend(sums.iter().zip(outputs).map(|(sum, &j)| sum + head.b[j]));
 }
 
 /// `out = input · layer.w + layer.b` before the activation, `input`
@@ -308,19 +290,6 @@ mod tests {
         let mut nonzero = Vec::new();
         compact(x, &mut nonzero);
         nonzero
-    }
-
-    /// The compacted row is the row's non-zeros in order, whatever the
-    /// buffer held before.
-    #[test]
-    fn compact_keeps_the_non_zeros_in_order() {
-        let mut nonzero = vec![(9, 9.0); 12];
-        compact(&[0.0, 1.5, -0.0, 0.0, -2.0, f32::NAN], &mut nonzero);
-        assert_eq!(nonzero.len(), 3);
-        assert_eq!(nonzero[..2], [(1, 1.5), (4, -2.0)]);
-        assert!(nonzero[2].0 == 5 && nonzero[2].1.is_nan());
-        compact(&[0.0; 4], &mut nonzero);
-        assert!(nonzero.is_empty());
     }
 
     #[test]
@@ -386,11 +355,12 @@ mod tests {
         builds
     }
 
-    /// Each build, called directly with a sparse input and the
+    /// Each build, called directly with a row's non-zeros and the
     /// transposed head, has `predict`'s bits: at the planner's
     /// 646→128→128→289 widths through ReLU, Tanh and Linear, on a sparse
-    /// state-like row, a dense one and an all-zero one, and with a NaN
-    /// and an ∞ among the weights of each layer — there and in the
+    /// state-like row, a dense one and an all-zero one, with a NaN in
+    /// the second layer's weights and an ∞ in the head's, with a −∞ in
+    /// the first layer's at an input only the dense row sets, and in the
     /// small net of `non_finite_weights_propagate_as_in_predict`.
     #[test]
     fn every_build_has_predicts_bits() {

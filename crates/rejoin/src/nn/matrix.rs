@@ -42,18 +42,34 @@ const BLOCK_DEPTH: usize = 64;
 /// independent add chains to cover the latency of one.
 const NT_LANES: usize = 8;
 
-/// `out[l] = a · rows[l]` for `L` rows of `k` elements laid end to end,
-/// `a` given as its non-zero `(p, a[p])` pairs in ascending `p`: `L`
-/// running sums advance together, each in the order it would alone.
-fn dot_rows<const L: usize>(a: &[(usize, f32)], k: usize, rows: &[f32], out: &mut [f32]) {
-    let rows: [&[f32]; L] = std::array::from_fn(|l| &rows[l * k..(l + 1) * k]);
+/// `a · rows[l]` for each of `L` rows, `a` given as its non-zero
+/// `(p, a[p])` pairs in ascending `p`: `L` running sums advance
+/// together, each in the order it would alone. Inlined, so the
+/// inference kernel's AVX2 build compiles it for AVX2 too.
+#[inline(always)]
+pub(crate) fn dot_rows<const L: usize>(a: &[(usize, f32)], rows: [&[f32]; L]) -> [f32; L] {
     let mut acc = [0.0f32; L];
     for &(p, x) in a {
         for (sum, row) in acc.iter_mut().zip(&rows) {
             *sum += x * row[p];
         }
     }
-    out.copy_from_slice(&acc);
+    acc
+}
+
+/// Sets `nonzero` to the non-zeros of `row` as `(p, row[p])` pairs in
+/// ascending `p`. Compacted without a branch — a zero is overwritten by
+/// the next element, or cut off at the end — because where the zeros
+/// fall is data.
+#[inline(always)]
+pub(crate) fn compact(row: &[f32], nonzero: &mut Vec<(usize, f32)>) {
+    nonzero.resize(row.len(), (0, 0.0));
+    let mut len = 0;
+    for (p, &a) in row.iter().enumerate() {
+        nonzero[len] = (p, a);
+        len += usize::from(a != 0.0);
+    }
+    nonzero.truncate(len);
 }
 
 /// A dense row-major matrix.
@@ -227,25 +243,18 @@ impl Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
-        let mut nonzero = vec![(0, 0.0); k];
+        let mut self_row = Vec::with_capacity(k);
+        let row = |j: usize| &other.data[j * k..(j + 1) * k];
         for i in 0..m {
-            // Compacted without a branch: a zero is overwritten by the
-            // next element, or left beyond `len`.
-            let mut len = 0;
-            for (p, &a) in self.data[i * k..(i + 1) * k].iter().enumerate() {
-                nonzero[len] = (p, a);
-                len += usize::from(a != 0.0);
-            }
-            let self_row = &nonzero[..len];
+            compact(&self.data[i * k..(i + 1) * k], &mut self_row);
             let out_row = &mut out.data[i * n..(i + 1) * n];
             let full = n - n % NT_LANES;
             for j in (0..full).step_by(NT_LANES) {
-                let rows = &other.data[j * k..(j + NT_LANES) * k];
-                dot_rows::<NT_LANES>(self_row, k, rows, &mut out_row[j..j + NT_LANES]);
+                let rows = std::array::from_fn(|l| row(j + l));
+                out_row[j..j + NT_LANES].copy_from_slice(&dot_rows::<NT_LANES>(&self_row, rows));
             }
-            for j in full..n {
-                let row = &other.data[j * k..(j + 1) * k];
-                dot_rows::<1>(self_row, k, row, &mut out_row[j..=j]);
+            for (j, out) in out_row.iter_mut().enumerate().skip(full) {
+                *out = dot_rows::<1>(&self_row, [row(j)])[0];
             }
         }
         out
@@ -301,6 +310,19 @@ pub(crate) mod tests {
         let nt = a.matmul_nt(&c);
         let ct = Matrix::from_vec(2, 4, vec![0., 2., 4., 6., 1., 3., 5., 7.]);
         assert_eq!(nt, a.matmul(&ct));
+    }
+
+    /// The compacted row is the row's non-zeros in order, whatever the
+    /// buffer held before.
+    #[test]
+    fn compact_keeps_the_non_zeros_in_order() {
+        let mut nonzero = vec![(9, 9.0); 12];
+        compact(&[0.0, 1.5, -0.0, 0.0, -2.0, f32::NAN], &mut nonzero);
+        assert_eq!(nonzero.len(), 3);
+        assert_eq!(nonzero[..2], [(1, 1.5), (4, -2.0)]);
+        assert!(nonzero[2].0 == 5 && nonzero[2].1.is_nan());
+        compact(&[0.0; 4], &mut nonzero);
+        assert!(nonzero.is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub(crate) mod infer;
 mod init;
 mod layer;
 pub(crate) mod loss;
-mod matrix;
+pub(crate) mod matrix;
 mod mlp;
 mod optim;
 

@@ -10,7 +10,8 @@
 //! the RNG stream *identically* to the live agent — the property the
 //! `workers = 1` determinism-parity contract rests on.
 
-use crate::nn::infer::{compact, transposed_head};
+use crate::nn::infer::transposed_head;
+use crate::nn::matrix::compact;
 use crate::nn::{loss, InferScratch, Mlp};
 use crate::rl::env::Environment;
 use crate::rl::episode::{Episode, Transition};
