@@ -249,6 +249,16 @@ mod tests {
         ));
     }
 
+    /// A whole float literal reads as a float in the mismatch message,
+    /// not as the integer of the same value.
+    #[test]
+    fn type_mismatch_prints_a_whole_float_as_a_float() {
+        let err = bind("SELECT * FROM title t WHERE t.name = 2.0").unwrap_err();
+        assert!(err.to_string().contains("literal 2.0)"), "{err}");
+        let err = bind("SELECT * FROM title t WHERE t.name = 2").unwrap_err();
+        assert!(err.to_string().contains("literal 2)"), "{err}");
+    }
+
     #[test]
     fn same_relation_comparison_rejected() {
         assert!(bind("SELECT * FROM title t WHERE t.id = t.year").is_err());

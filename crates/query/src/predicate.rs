@@ -53,6 +53,9 @@ impl fmt::Display for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Lit::Int(v) => write!(f, "{v}"),
+            // A whole float keeps its point, as `sql::Literal` prints
+            // it: `2.0` is not the integer `2`.
+            Lit::Float(v) if v.fract() == 0.0 && v.is_finite() => write!(f, "{v}.0"),
             Lit::Float(v) => write!(f, "{v}"),
             Lit::Str(s) => write!(f, "'{s}'"),
         }
@@ -155,6 +158,16 @@ mod tests {
             Lit::from(&crate::sql::Literal::Str("x".into())),
             Lit::Str("x".into())
         );
+    }
+
+    /// A whole float reads as a float, not as the integer of the same
+    /// value; a fractional one is unchanged.
+    #[test]
+    fn whole_floats_keep_their_point() {
+        assert_eq!(Lit::Float(2.0).to_string(), "2.0");
+        assert_eq!(Lit::Int(2).to_string(), "2");
+        assert_eq!(Lit::Float(-3.0).to_string(), "-3.0");
+        assert_eq!(Lit::Float(2.5).to_string(), "2.5");
     }
 
     #[test]

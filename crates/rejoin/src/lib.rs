@@ -41,8 +41,9 @@
 //! * [`demonstration`], `bootstrap`, [`incremental`] — the §5 methods.
 //!
 //! The crate's one `unsafe` operation is the call into the AVX2 build of
-//! the inference kernel (`nn::infer`); `deny` makes any other a build
-//! error.
+//! a network kernel (`nn::build`: inference, the forward and backward
+//! passes, gradient scaling and Adam all run through it); `deny` makes
+//! any other a build error.
 
 #![deny(unsafe_code)]
 

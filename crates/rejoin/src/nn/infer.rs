@@ -8,10 +8,10 @@
 //! - the input arrives as its non-zeros, `(p, value)` pairs in ascending
 //!   `p` — a rollout state keeps that list as it merges (about 59 of a
 //!   646-wide state at 17 relations), and a dense row is compacted once;
-//! - each hidden layer runs over the previous layer's non-zeros and
-//!   accumulates [`HIDDEN_LANES`] outputs at a time in registers, the
-//!   activations living in an [`InferScratch`] the caller keeps across
-//!   calls;
+//! - each hidden layer is [`sum_rows`] over the previous layer's
+//!   non-zeros, [`LANES`](crate::nn::matrix::LANES) outputs at a time
+//!   in registers, the activations living in an [`InferScratch`] the
+//!   caller keeps across calls;
 //! - the output layer is read transposed (see [`transposed_head`]): one
 //!   contiguous row per requested output, [`HEAD_LANES`] rows advanced
 //!   together. A frozen network builds that layout once, not per call.
@@ -20,36 +20,17 @@
 //! taken under [`crate::nn::matrix`]'s ordering rule: from `+0.0`, in
 //! strictly ascending `p`, a term whose left factor is exactly `0.0`
 //! skipped. What differs from `matmul` is only which sums are taken and
-//! how sums of different outputs are interleaved.
+//! how sums of different outputs are interleaved. The rule's one
+//! exception holds here too: where two different NaNs meet in one sum,
+//! the result is NaN in both, but which NaN is not fixed.
 //!
-//! ## CPU vector width
-//!
-//! The kernel is compiled twice from one body: a portable build for the
-//! target's baseline (SSE2 on `x86_64`, 4 lanes) and, on `x86_64`, an
-//! AVX2 build (8 lanes). [`Mlp::logits_at`] runs the AVX2 build when
-//! the CPU reports AVX2, through the crate's one `unsafe` call. The
-//! vector width is therefore a property of the host, like the engine,
-//! thread count and column encoding, and like them it cannot move a bit,
-//! for two reasons:
-//! - lanes only ever hold *different outputs'* sums; each sum still
-//!   adds its terms one at a time, in ascending `p`, so a wider vector
-//!   changes how many sums advance together, never a sum's order;
-//! - AVX2 enables no fused multiply-add, and rustc never contracts
-//!   `a * w + s` into one on its own, so every product is rounded before
-//!   it is added, as in the portable build.
-//!
-//! No setting chooses the build. A global `-C target-cpu` would make
-//! every binary fail with an illegal instruction on older CPUs, and
-//! portable SIMD (`std::simd`) is not on stable Rust.
+//! [`Mlp::logits_at`] runs the kernel's one body through [`Build::host`],
+//! at the CPU's vector width (see `nn::build`).
 
+use crate::nn::build::Build;
 use crate::nn::layer::Dense;
-use crate::nn::matrix::{compact, dot_rows};
+use crate::nn::matrix::{compact, dot_rows, sum_rows, Matrix};
 use crate::nn::mlp::Mlp;
-
-/// Outputs of a hidden layer accumulated side by side: 64 sums are
-/// eight AVX2 registers, so a row of weights streams through while the
-/// sums stay put.
-const HIDDEN_LANES: usize = 64;
 
 /// Output-layer logits accumulated side by side: enough independent
 /// add chains to cover the latency of one. A last group of at most half
@@ -69,41 +50,15 @@ pub struct InferScratch {
 
 /// The output layer's weights of `mlp`, transposed: row `j` holds output
 /// `j`'s weight for each input `p`, contiguously. What
-/// [`Mlp::logits_at`] reads the output layer from; a frozen network
+/// [`Mlp::logits_at`] reads the output layer from, and what the
+/// backward pass multiplies the output gradient by; a frozen network
 /// builds it once, so each call reads only the requested rows.
-pub(crate) fn transposed_head(mlp: &Mlp) -> Vec<f32> {
+pub(crate) fn transposed_head(mlp: &Mlp, build: Build) -> Matrix {
     let head = mlp.layers().last().expect("non-empty");
-    let (k, n) = (head.input_size(), head.output_size());
-    let w = head.w.data();
-    let mut t = vec![0.0; k * n];
-    for (p, row) in w.chunks_exact(n).enumerate() {
-        for (j, &weight) in row.iter().enumerate() {
-            t[j * k + p] = weight;
-        }
-    }
-    t
-}
-
-/// A compiled copy of [`Mlp::logits_kernel`]'s one body: for the
-/// target's baseline CPU, or for CPUs with AVX2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Build {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Build {
-    /// The widest build the running CPU can execute. `std` probes the
-    /// CPU once per process and caches the answer, so this is a load.
-    /// The only constructor of [`Build::Avx2`].
-    fn host() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
-        }
-        Self::Portable
-    }
+    build.run(
+        #[inline(always)]
+        || head.w.transpose(),
+    )
 }
 
 impl Mlp {
@@ -128,7 +83,6 @@ impl Mlp {
     }
 
     /// [`Self::logits_at`] through the given build.
-    #[allow(unsafe_code)]
     fn logits_with(
         &self,
         build: Build,
@@ -138,30 +92,10 @@ impl Mlp {
         scratch: &mut InferScratch,
         logits: &mut Vec<f32>,
     ) {
-        match build {
-            Build::Portable => self.logits_kernel(head_t, x, outputs, scratch, logits),
-            // SAFETY: `Build::Avx2` exists only where `Build::host` saw
-            // the CPU report AVX2, the one feature `logits_avx2` is
-            // compiled for; it has no other precondition.
-            #[cfg(target_arch = "x86_64")]
-            Build::Avx2 => unsafe { self.logits_avx2(head_t, x, outputs, scratch, logits) },
-        }
-    }
-
-    /// [`Self::logits_kernel`] compiled for AVX2: its loops run 8 lanes
-    /// wide instead of 4. AVX2 implies no FMA, and rustc never fuses a
-    /// multiply and an add on its own, so every lane rounds as before.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn logits_avx2(
-        &self,
-        head_t: &[f32],
-        x: &[(usize, f32)],
-        outputs: &[usize],
-        scratch: &mut InferScratch,
-        logits: &mut Vec<f32>,
-    ) {
-        self.logits_kernel(head_t, x, outputs, scratch, logits);
+        build.run(
+            #[inline(always)]
+            || self.logits_kernel(head_t, x, outputs, scratch, logits),
+        );
     }
 
     /// The kernel's one body, inlined into each [`Build`].
@@ -234,37 +168,11 @@ fn head_logits<const L: usize>(
 }
 
 /// `out = input · layer.w + layer.b` before the activation, `input`
-/// given as its non-zeros in ascending `p`: [`HIDDEN_LANES`] outputs at
-/// a time accumulate in registers over the whole input, each in
-/// ascending `p`, then the rest together.
+/// given as its non-zeros in ascending `p`.
 #[inline(always)]
 fn hidden_sums(layer: &Dense, input: &[(usize, f32)], out: &mut Vec<f32>) {
-    let n = layer.output_size();
-    let w = layer.w.data();
-    out.clear();
-    out.resize(n, 0.0);
-    let mut blocks = out.chunks_exact_mut(HIDDEN_LANES);
-    for (c, block) in (&mut blocks).enumerate() {
-        let base = c * HIDDEN_LANES;
-        let mut acc = [0.0f32; HIDDEN_LANES];
-        for &(p, a) in input {
-            let row = &w[p * n + base..][..HIDDEN_LANES];
-            for (sum, &weight) in acc.iter_mut().zip(row) {
-                *sum += a * weight;
-            }
-        }
-        block.copy_from_slice(&acc);
-    }
-    let rest = blocks.into_remainder();
-    if !rest.is_empty() {
-        let base = n - rest.len();
-        for &(p, a) in input {
-            let row = &w[p * n + base..(p + 1) * n];
-            for (sum, &weight) in rest.iter_mut().zip(row) {
-                *sum += a * weight;
-            }
-        }
-    }
+    out.resize(layer.output_size(), 0.0);
+    sum_rows(input, layer.w.data(), out);
     for (sum, &bias) in out.iter_mut().zip(&layer.b) {
         *sum += bias;
     }
@@ -273,6 +181,7 @@ fn hidden_sums(layer: &Dense, input: &[(usize, f32)], out: &mut Vec<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nn::build::tests::builds;
     use crate::nn::layer::Activation;
     use crate::nn::matrix::tests::{bits, fill};
     use crate::nn::matrix::Matrix;
@@ -295,11 +204,11 @@ mod tests {
     #[test]
     fn transposed_head_rows_are_output_columns() {
         let mlp = Mlp::new(&[3, 4, 5], Activation::ReLU, &mut StdRng::seed_from_u64(8));
-        let t = transposed_head(&mlp);
+        let t = transposed_head(&mlp, Build::host());
         let w = &mlp.layers()[1].w;
         for j in 0..5 {
             for p in 0..4 {
-                assert_eq!(t[j * 4 + p].to_bits(), w.get(p, j).to_bits());
+                assert_eq!(t.get(j, p).to_bits(), w.get(p, j).to_bits());
             }
         }
     }
@@ -321,7 +230,7 @@ mod tests {
             (&[30, 100, 65, 11], Activation::ReLU, 5),
         ] {
             let mlp = Mlp::new(sizes, activation, &mut StdRng::seed_from_u64(seed));
-            let head = transposed_head(&mlp);
+            let head = transposed_head(&mlp, Build::host());
             let (k, n) = (sizes[0], *sizes.last().unwrap());
             let dense = fill(1, k, seed as u32);
             let mut sparse_row = dense.clone();
@@ -334,7 +243,7 @@ mod tests {
             let few = [n - 1, 0, n / 2, 0];
             for x in [dense.data(), sparse_row.data(), &vec![0.0; k][..]] {
                 for outputs in [&all[..], &few[..], &[][..]] {
-                    mlp.logits_at(&head, &sparse(x), outputs, &mut scratch, &mut logits);
+                    mlp.logits_at(head.data(), &sparse(x), outputs, &mut scratch, &mut logits);
                     assert_eq!(
                         bits(&logits),
                         bits(&predicted(&mlp, x, outputs)),
@@ -343,16 +252,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The builds this host can run: the portable one, and the AVX2 one
-    /// where the CPU reports AVX2.
-    fn builds() -> Vec<Build> {
-        let mut builds = vec![Build::Portable];
-        if Build::host() != Build::Portable {
-            builds.push(Build::host());
-        }
-        builds
     }
 
     /// Each build, called directly with a row's non-zeros and the
@@ -395,12 +294,12 @@ mod tests {
         nets.push(mlp);
         for build in builds() {
             for (i, mlp) in nets.iter().enumerate() {
-                let head = transposed_head(mlp);
+                let head = transposed_head(mlp, Build::host());
                 for x in [dense.data(), sparse_row.data(), &zero[..]] {
                     for outputs in [&all[..], &few[..]] {
                         mlp.logits_with(
                             build,
-                            &head,
+                            head.data(),
                             &sparse(x),
                             outputs,
                             &mut scratch,
@@ -412,10 +311,10 @@ mod tests {
                 }
             }
             let (mlp, x, outputs) = non_finite_net();
-            let head = transposed_head(&mlp);
+            let head = transposed_head(&mlp, Build::host());
             mlp.logits_with(
                 build,
-                &head,
+                head.data(),
                 &sparse(&x),
                 &outputs,
                 &mut scratch,
@@ -426,6 +325,32 @@ mod tests {
                 bits(&predicted(&mlp, &x, &outputs)),
                 "{build:?}"
             );
+        }
+    }
+
+    /// Where two differently signed NaNs meet in one sum — the NaN/∞
+    /// net of `every_build_has_predicts_bits` with a −∞ first-layer
+    /// weight its dense row reaches, so a `−∞ + ∞` default NaN meets the
+    /// NaN weight's `+NaN` — each build's logit is NaN where
+    /// `predict`'s is, and has `predict`'s bits everywhere else.
+    #[test]
+    fn differently_signed_nans_are_nan_in_every_build() {
+        use crate::nn::matrix::tests::assert_bits_nan_as_class;
+        let sizes = [646usize, 128, 128, 289];
+        let mut mlp = Mlp::new(&sizes, Activation::ReLU, &mut StdRng::seed_from_u64(0));
+        mlp.layers_mut()[1].w.data_mut()[300] = f32::NAN;
+        mlp.layers_mut()[2].w.data_mut()[1000] = f32::INFINITY;
+        mlp.layers_mut()[0].w.data_mut()[24 * 128 + 5] = f32::NEG_INFINITY;
+        let dense = fill(1, sizes[0], 5);
+        let all: Vec<usize> = (0..sizes[3]).collect();
+        let want = predicted(&mlp, dense.data(), &all);
+        let (mut scratch, mut logits) = (InferScratch::default(), Vec::new());
+        for build in builds() {
+            let head = transposed_head(&mlp, build);
+            let x = sparse(dense.data());
+            mlp.logits_with(build, head.data(), &x, &all, &mut scratch, &mut logits);
+            let nans = assert_bits_nan_as_class(&logits, &want, &format!("{build:?}"));
+            assert!(nans > 0, "the net must meet NaNs");
         }
     }
 
@@ -444,9 +369,15 @@ mod tests {
     fn non_finite_weights_propagate_as_in_predict() {
         let (mlp, x, outputs) = non_finite_net();
         let mut logits = Vec::new();
-        let head = transposed_head(&mlp);
+        let head = transposed_head(&mlp, Build::host());
         let mut scratch = InferScratch::default();
-        mlp.logits_at(&head, &sparse(&x), &outputs, &mut scratch, &mut logits);
+        mlp.logits_at(
+            head.data(),
+            &sparse(&x),
+            &outputs,
+            &mut scratch,
+            &mut logits,
+        );
         assert_eq!(bits(&logits), bits(&predicted(&mlp, &x, &outputs)));
     }
 
@@ -454,9 +385,15 @@ mod tests {
     #[should_panic(expected = "input index beyond the input width")]
     fn input_beyond_the_width_panics() {
         let mlp = Mlp::new(&[3, 2], Activation::ReLU, &mut StdRng::seed_from_u64(0));
-        let head = transposed_head(&mlp);
+        let head = transposed_head(&mlp, Build::host());
         let mut scratch = InferScratch::default();
-        mlp.logits_at(&head, &[(3, 1.0)], &[0], &mut scratch, &mut Vec::new());
+        mlp.logits_at(
+            head.data(),
+            &[(3, 1.0)],
+            &[0],
+            &mut scratch,
+            &mut Vec::new(),
+        );
     }
 
     #[test]
@@ -464,8 +401,14 @@ mod tests {
     fn another_nets_head_panics() {
         let mlp = Mlp::new(&[3, 2], Activation::ReLU, &mut StdRng::seed_from_u64(0));
         let other = Mlp::new(&[3, 4, 3], Activation::ReLU, &mut StdRng::seed_from_u64(0));
-        let head = transposed_head(&other);
+        let head = transposed_head(&other, Build::host());
         let mut scratch = InferScratch::default();
-        mlp.logits_at(&head, &[(0, 1.0)], &[0], &mut scratch, &mut Vec::new());
+        mlp.logits_at(
+            head.data(),
+            &[(0, 1.0)],
+            &[0],
+            &mut scratch,
+            &mut Vec::new(),
+        );
     }
 }

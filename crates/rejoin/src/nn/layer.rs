@@ -4,6 +4,9 @@
 //! [`Dense::backward`] yields the parameter gradients every layer
 //! needs, `Dense::input_grad` the gradient handed to the layer below
 //! — which the first layer of a network, having none, never calls.
+//!
+//! Every pass is `#[inline(always)]`, so the network's passes compile
+//! it into each CPU build (see `nn::build`).
 
 use crate::nn::init;
 use crate::nn::matrix::Matrix;
@@ -22,11 +25,13 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation in place.
+    #[inline(always)]
     pub fn forward(&self, m: &mut Matrix) {
         self.apply(m.data_mut());
     }
 
     /// Applies the activation to each value in place.
+    #[inline(always)]
     pub(crate) fn apply(&self, values: &mut [f32]) {
         match self {
             Activation::ReLU => {
@@ -48,6 +53,7 @@ impl Activation {
     /// Multiplies `grad` by the activation derivative, evaluated from the
     /// activation *output* (both ReLU and tanh derivatives are functions
     /// of the output, which avoids caching pre-activations).
+    #[inline(always)]
     pub fn backward(&self, output: &Matrix, grad: &mut Matrix) {
         debug_assert_eq!(output.rows(), grad.rows());
         debug_assert_eq!(output.cols(), grad.cols());
@@ -106,6 +112,7 @@ impl Dense {
     }
 
     /// Forward pass: `x @ W + b`.
+    #[inline(always)]
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = x.matmul(&self.w);
         out.add_row_bias(&self.b);
@@ -118,9 +125,24 @@ impl Dense {
         (x.matmul_tn(grad_out), grad_out.col_sums())
     }
 
+    /// [`Self::backward`] into `grads`, shaped like the layer's
+    /// parameters: the weight gradient holds zeros on entry (see
+    /// `Matrix::matmul_tn_into`), the bias gradient is overwritten.
+    #[inline(always)]
+    pub(crate) fn backward_into(
+        &self,
+        x: &Matrix,
+        grad_out: &Matrix,
+        grads: &mut (Matrix, Vec<f32>),
+    ) {
+        x.matmul_tn_into(grad_out, &mut grads.0);
+        grad_out.col_sums_into(&mut grads.1);
+    }
+
     /// Backward pass, input half: the loss gradient w.r.t. the layer
     /// input, `grad_out @ Wᵀ`. Only a layer with a layer below it needs
     /// this — nothing trains on the gradient of the network's input.
+    #[inline(always)]
     pub(crate) fn input_grad(&self, grad_out: &Matrix) -> Matrix {
         grad_out.matmul_nt(&self.w)
     }

@@ -1,51 +1,84 @@
-//! Row-major `f32` matrices.
+//! Row-major `f32` matrices, and the kernels training runs on them.
+//!
+//! ## One ordering rule
 //!
 //! Three matmul kernels carry the training hot path — `matmul` for
 //! forward passes, `matmul_tn` for weight gradients (`Xᵀ @ grad`) and
-//! `matmul_nt` for input gradients (`grad @ Wᵀ`) — under **one ordering
-//! rule**: every output element is the sum of its products taken
-//! strictly in ascending `p` (the depth / batch-row index), starting
-//! from `+0.0`. That is the order the per-row update path produces when
-//! it sums one rank-1 gradient per transition, so a batched gradient is
+//! `matmul_nt` for input gradients (`grad @ Wᵀ`) — and every sum they
+//! take, like every sum of the inference kernel (`nn::infer`), follows
+//! **one ordering rule**: an output element is the sum of its products
+//! taken strictly in ascending `p` (the depth / batch-row index),
+//! starting from `+0.0`, a product whose left factor is exactly `0.0`
+//! skipped. That is the order the per-row update path produces when it
+//! sums one rank-1 gradient per transition, so a batched gradient is
 //! **bit-identical** to the sum of the per-row gradients it replaces.
 //! The RL parity tests and both golden logs rest on that guarantee; do
 //! not reorder a reduction.
 //!
-//! What the kernels are free to choose is how *different* output
-//! elements are scheduled. `matmul` and `matmul_tn` are cache-blocked:
-//! the batched update multiplies B×F activations against F×H weights,
-//! and tiling keeps the streamed operand resident across a tile of
-//! output rows. `matmul_nt` runs a block of output columns side by side
-//! so that no element waits on another's add chain.
-//!
-//! All three skip a left-operand element that is exactly `0.0` (masked
-//! logits and dead ReLUs make gradients mostly zeros). The skipped term
-//! is `±0.0`, and adding `±0.0` cannot change a bit of the sum: a
-//! non-zero sum absorbs it, and a sum that is zero is `+0.0` — it
+//! Skipping a zero left factor moves no bit of a finite sum. The
+//! skipped term is `±0.0`, and adding `±0.0` cannot change a bit of the
+//! sum: a non-zero sum absorbs it, and a sum that is zero is `+0.0` — it
 //! started there, exact cancellation rounds to `+0.0`, and `-0.0` can
-//! only come from adding two `-0.0`s — so `+0.0 + ±0.0 = +0.0`. (A
-//! non-finite right operand would turn the term into NaN; weights that
-//! far gone are already lost.)
+//! only come from adding two `-0.0`s — so `+0.0 + ±0.0 = +0.0`. Against
+//! a non-finite right operand the term would be NaN, so the rule names
+//! the skip: every kernel skips exactly the terms `matmul` skips.
+//!
+//! **The one exception is which NaN.** Where two NaNs of different
+//! sign or payload meet in one sum (a `−∞` product added to a `+∞`
+//! one, say, beside a NaN weight), the NaN the sum returns is the one
+//! the CPU's add picks from its operand order — and rustc and LLVM may
+//! swap the operands of an add, which is commutative for every other
+//! value. So a NaN result is NaN in every kernel and build, but its
+//! sign and payload are not part of the rule; every other bit is.
+//!
+//! ## One register-blocked body
+//!
+//! What the kernels are free to choose is how *different* output
+//! elements are scheduled, and they all choose [`sum_rows`]: [`LANES`]
+//! outputs accumulate in registers over the left operand's non-zeros,
+//! one row of the right operand streaming through per non-zero, and
+//! each output is written once. The kernels differ only in what they
+//! list as the non-zeros:
+//! - `matmul` lists each row of the left operand;
+//! - `matmul_tn` lists each *column* of the left operand over the batch
+//!   (a column with none leaves its output row zero);
+//! - `matmul_nt` multiplies by the right operand's transpose: the
+//!   caller's, when it keeps one (a policy snapshot keeps its output
+//!   layer's), or one built per call in [`TILE`]-square tiles. A
+//!   gradient too sparse to pay for that copy (a single row, say)
+//!   takes [`dot_rows`] with the right operand's rows instead.
+//!
+//! Masked logits and dead ReLUs make gradients mostly zeros, so listing
+//! the non-zeros once per row skips most of the work, without a branch
+//! per term. The kernels are `#[inline(always)]`: a caller runs them
+//! through a [`Build`](crate::nn::build::Build), which compiles them
+//! for the CPU's vector width (see `nn::build`).
 
-/// Output-row tile: how many rows of the result are accumulated
-/// together, so a tile of `out` stays hot while the depth dimension
-/// streams through.
-const BLOCK_ROWS: usize = 16;
+/// Outputs [`sum_rows`] accumulates side by side: 64 sums are eight
+/// AVX2 registers, so a row of the right operand streams through while
+/// the sums stay put.
+pub(crate) const LANES: usize = 64;
 
-/// Depth tile: how many `p` (inner-dimension) steps are applied per
-/// tile. At ReJOIN scale (F = 646, H = 128) one depth tile of the
-/// weight matrix is 64 × 128 × 4 B = 32 KiB — L1/L2-resident while it
-/// is reused across a whole row tile.
-const BLOCK_DEPTH: usize = 64;
+/// Edge of the square tiles [`Matrix::transpose`] copies: a tile's
+/// eight rows are read, and its eight columns written, as whole runs.
+const TILE: usize = 8;
 
-/// Output columns `matmul_nt` accumulates side by side: enough
-/// independent add chains to cover the latency of one.
-const NT_LANES: usize = 8;
+/// Dot products [`Matrix::matmul_nt`] advances side by side on a sparse
+/// gradient: enough independent add chains to cover the latency of
+/// one.
+const DOT_LANES: usize = 8;
+
+/// A gradient with more non-zeros per column than this is multiplied by
+/// a transposed copy of the weights in [`Matrix::matmul_nt`]: a copy
+/// costs about as much per weight as two of [`dot_rows`]' one-at-a-time
+/// multiply-adds save over [`sum_rows`]' lanes.
+const TRANSPOSE_AT: usize = 2;
 
 /// `a · rows[l]` for each of `L` rows, `a` given as its non-zero
 /// `(p, a[p])` pairs in ascending `p`: `L` running sums advance
-/// together, each in the order it would alone. Inlined, so the
-/// inference kernel's AVX2 build compiles it for AVX2 too.
+/// together, each in the order it would alone. The form for a sparse
+/// row against a matrix read by rows: the inference kernel's output
+/// layer, and [`Matrix::matmul_nt`] on a sparse gradient.
 #[inline(always)]
 pub(crate) fn dot_rows<const L: usize>(a: &[(usize, f32)], rows: [&[f32]; L]) -> [f32; L] {
     let mut acc = [0.0f32; L];
@@ -57,15 +90,56 @@ pub(crate) fn dot_rows<const L: usize>(a: &[(usize, f32)], rows: [&[f32]; L]) ->
     acc
 }
 
+/// `out = Σ a · rhs[p]` over `input`'s `(p, a)` pairs, in ascending
+/// `p`, where `rhs[p]` is row `p` of the row-major `rhs`, `out.len()`
+/// wide. [`LANES`] outputs at a time accumulate in registers over the
+/// whole input, then the rest together; `out` is overwritten. The one
+/// body of every matmul kernel and of the inference kernel's hidden
+/// layers.
+#[inline(always)]
+pub(crate) fn sum_rows(input: &[(usize, f32)], rhs: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for (c, block) in (&mut blocks).enumerate() {
+        let base = c * LANES;
+        let mut acc = [0.0f32; LANES];
+        for &(p, a) in input {
+            let row = &rhs[p * n + base..][..LANES];
+            for (sum, &x) in acc.iter_mut().zip(row) {
+                *sum += a * x;
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    let rest = blocks.into_remainder();
+    if !rest.is_empty() {
+        let base = n - rest.len();
+        rest.fill(0.0);
+        for &(p, a) in input {
+            let row = &rhs[p * n + base..(p + 1) * n];
+            for (sum, &x) in rest.iter_mut().zip(row) {
+                *sum += a * x;
+            }
+        }
+    }
+}
+
 /// Sets `nonzero` to the non-zeros of `row` as `(p, row[p])` pairs in
+/// ascending `p`.
+#[inline(always)]
+pub(crate) fn compact(row: &[f32], nonzero: &mut Vec<(usize, f32)>) {
+    compact_from(row.iter().copied(), nonzero);
+}
+
+/// Sets `nonzero` to the non-zeros of `values` as `(p, value)` pairs in
 /// ascending `p`. Compacted without a branch — a zero is overwritten by
 /// the next element, or cut off at the end — because where the zeros
 /// fall is data.
 #[inline(always)]
-pub(crate) fn compact(row: &[f32], nonzero: &mut Vec<(usize, f32)>) {
-    nonzero.resize(row.len(), (0, 0.0));
+fn compact_from(values: impl ExactSizeIterator<Item = f32>, nonzero: &mut Vec<(usize, f32)>) {
+    nonzero.resize(values.len(), (0, 0.0));
     let mut len = 0;
-    for (p, &a) in row.iter().enumerate() {
+    for (p, a) in values.enumerate() {
         nonzero[len] = (p, a);
         len += usize::from(a != 0.0);
     }
@@ -153,114 +227,130 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self @ other` (`[m×k] @ [k×n] → [m×n]`).
-    ///
-    /// Cache-blocked ikj kernel: the inner loop walks both `other` and
-    /// `out` contiguously, and tiles of `BLOCK_ROWS` output rows ×
-    /// `BLOCK_DEPTH` depth steps keep the reused `other` slab resident.
-    /// Each `out[i, j]` accumulates in strictly ascending `p` order
-    /// (tiles ascend, `p` ascends within a tile), so the result is
-    /// bit-identical to the unblocked kernel — and a batched forward row
-    /// is bit-identical to the same row pushed through alone.
+    /// `self @ other` (`[m×k] @ [k×n] → [m×n]`): [`sum_rows`] over each
+    /// row's non-zeros. A batched forward row is bit-identical to the
+    /// same row pushed through alone.
+    #[inline(always)]
     pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        for i0 in (0..m).step_by(BLOCK_ROWS) {
-            let i1 = (i0 + BLOCK_ROWS).min(m);
-            for p0 in (0..k).step_by(BLOCK_DEPTH) {
-                let p1 = (p0 + BLOCK_DEPTH).min(k);
-                for i in i0..i1 {
-                    let self_row = &self.data[i * k..(i + 1) * k];
-                    let out_row = &mut out.data[i * n..(i + 1) * n];
-                    #[allow(clippy::needless_range_loop)] // p offsets other too
-                    for p in p0..p1 {
-                        let a = self_row[p];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let other_row = &other.data[p * n..(p + 1) * n];
-                        for j in 0..n {
-                            out_row[j] += a * other_row[j];
-                        }
-                    }
-                }
-            }
+        let mut nonzero = Vec::with_capacity(k);
+        for i in 0..m {
+            compact(&self.data[i * k..(i + 1) * k], &mut nonzero);
+            sum_rows(&nonzero, &other.data, &mut out.data[i * n..(i + 1) * n]);
         }
         out
     }
 
     /// `selfᵀ @ other` (`[k×m]ᵀ @ [k×n] → [m×n]`) without materialising
     /// the transpose.
+    #[inline(always)]
+    pub(crate) fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        self.matmul_tn_into(other, &mut out);
+        out
+    }
+
+    /// [`Self::matmul_tn`] into `out`, which holds zeros on entry.
     ///
     /// This is the weight-gradient kernel (`Xᵀ @ grad`): `k` is the
     /// batch dimension, and every `out[i, j]` accumulates its `k`
     /// rank-1 contributions in ascending row order — exactly the order
     /// `MlpGradients::add` applies per-transition gradients — which is
-    /// what makes batched and per-row updates bit-identical. Blocking
-    /// tiles `BLOCK_ROWS` output rows so the accumulator slab stays hot
-    /// while the batch streams through.
-    pub(crate) fn matmul_tn(&self, other: &Matrix) -> Matrix {
+    /// what makes batched and per-row updates bit-identical. Output row
+    /// `i` is [`sum_rows`] over column `i`'s non-zeros; a column with
+    /// none (a feature no row sets) leaves its row untouched, so a
+    /// sparse input writes a fraction of `out`.
+    #[inline(always)]
+    pub(crate) fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
+        assert!(
+            out.rows == m && out.cols == n,
+            "matmul_tn output shape mismatch"
+        );
+        debug_assert!(out.data.iter().all(|&x| x == 0.0), "output holds zeros");
+        let mut nonzero = Vec::with_capacity(k);
+        for i in 0..m {
+            compact_from(self.data[i..].iter().step_by(m).copied(), &mut nonzero);
+            if !nonzero.is_empty() {
+                sum_rows(&nonzero, &other.data, &mut out.data[i * n..(i + 1) * n]);
+            }
+        }
+    }
+
+    /// `self @ otherᵀ` (`[m×k] @ [n×k]ᵀ → [m×n]`), the input-gradient
+    /// kernel (`grad_out @ Wᵀ`). A gradient with more than
+    /// [`TRANSPOSE_AT`] non-zeros per column is [`Self::matmul`]
+    /// against [`Self::transpose`] of `other`; a sparser one (a single
+    /// row, say) takes [`dot_rows`] with `other`'s rows, for which
+    /// a copy of `other` would cost more than it saves. A caller that
+    /// keeps the transpose calls `matmul` with it instead.
+    #[inline(always)]
+    pub(crate) fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
+        let nonzeros = self.data.iter().filter(|&&x| x != 0.0).count();
+        if nonzeros > TRANSPOSE_AT * self.cols {
+            return self.matmul(&other.transpose());
+        }
+        let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
-        for i0 in (0..m).step_by(BLOCK_ROWS) {
-            let i1 = (i0 + BLOCK_ROWS).min(m);
-            for p0 in (0..k).step_by(BLOCK_DEPTH) {
-                let p1 = (p0 + BLOCK_DEPTH).min(k);
-                for p in p0..p1 {
-                    let self_row = &self.data[p * m..(p + 1) * m];
-                    let other_row = &other.data[p * n..(p + 1) * n];
-                    #[allow(clippy::needless_range_loop)] // i also offsets out
-                    for i in i0..i1 {
-                        let a = self_row[i];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let out_row = &mut out.data[i * n..(i + 1) * n];
-                        for j in 0..n {
-                            out_row[j] += a * other_row[j];
-                        }
-                    }
+        let mut nonzero = Vec::with_capacity(k);
+        let row = |j: usize| &other.data[j * k..(j + 1) * k];
+        for i in 0..m {
+            compact(&self.data[i * k..(i + 1) * k], &mut nonzero);
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            let full = n - n % DOT_LANES;
+            for j in (0..full).step_by(DOT_LANES) {
+                let rows = std::array::from_fn(|l| row(j + l));
+                out_row[j..j + DOT_LANES].copy_from_slice(&dot_rows::<DOT_LANES>(&nonzero, rows));
+            }
+            for (j, out) in out_row.iter_mut().enumerate().skip(full) {
+                *out = dot_rows::<1>(&nonzero, [row(j)])[0];
+            }
+        }
+        out
+    }
+
+    /// The transpose, copied in [`TILE`]-square tiles: a tile's rows are
+    /// read and its columns written as whole runs, so neither side
+    /// strides through memory one element at a time.
+    #[inline(always)]
+    pub(crate) fn transpose(&self) -> Matrix {
+        let (k, n) = (self.rows, self.cols);
+        let mut t = Matrix::zeros(n, k);
+        let (k_tiles, n_tiles) = (k - k % TILE, n - n % TILE);
+        for p0 in (0..k_tiles).step_by(TILE) {
+            for j0 in (0..n_tiles).step_by(TILE) {
+                let rows: [&[f32; TILE]; TILE] = std::array::from_fn(|r| {
+                    let start = (p0 + r) * n + j0;
+                    self.data[start..start + TILE]
+                        .try_into()
+                        .expect("a whole tile")
+                });
+                #[allow(clippy::needless_range_loop)] // c picks a column of every row
+                for c in 0..TILE {
+                    let start = (j0 + c) * k + p0;
+                    let column: &mut [f32; TILE] = (&mut t.data[start..start + TILE])
+                        .try_into()
+                        .expect("a whole tile");
+                    *column = std::array::from_fn(|r| rows[r][c]);
                 }
             }
         }
-        out
-    }
-
-    /// `self @ otherᵀ` (`[m×k] @ [n×k]ᵀ → [m×n]`) without materialising
-    /// the transpose.
-    ///
-    /// This is the input-gradient kernel (`grad_out @ Wᵀ`). Every
-    /// `out[i, j]` is a dot product of two rows, summed in ascending
-    /// `p`; a single running sum would make each add wait for the one
-    /// before it, so a block of output columns is accumulated side by
-    /// side — independent chains, each in the same order as alone. The
-    /// zeros of a `self` row are dropped once per row, not tested once
-    /// per block: where they fall is data, so a branch on them
-    /// mispredicts.
-    pub(crate) fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        let mut self_row = Vec::with_capacity(k);
-        let row = |j: usize| &other.data[j * k..(j + 1) * k];
-        for i in 0..m {
-            compact(&self.data[i * k..(i + 1) * k], &mut self_row);
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let full = n - n % NT_LANES;
-            for j in (0..full).step_by(NT_LANES) {
-                let rows = std::array::from_fn(|l| row(j + l));
-                out_row[j..j + NT_LANES].copy_from_slice(&dot_rows::<NT_LANES>(&self_row, rows));
-            }
-            for (j, out) in out_row.iter_mut().enumerate().skip(full) {
-                *out = dot_rows::<1>(&self_row, [row(j)])[0];
+        // The edges: the columns past the last whole tile, then the rows.
+        for p in 0..k {
+            let columns = if p < k_tiles { n_tiles } else { 0 };
+            for j in columns..n {
+                t.data[j * k + p] = self.data[p * n + j];
             }
         }
-        out
+        t
     }
 
     /// Adds a bias row vector to every row in place.
+    #[inline(always)]
     pub(crate) fn add_row_bias(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
         for r in 0..self.rows {
@@ -274,18 +364,27 @@ impl Matrix {
     /// Column sums (used for bias gradients).
     pub(crate) fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
+        self.col_sums_into(&mut out);
+        out
+    }
+
+    /// [`Self::col_sums`] into `out`.
+    #[inline(always)]
+    pub(crate) fn col_sums_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols, "column sums length mismatch");
+        out.fill(0.0);
         for r in 0..self.rows {
             for (o, x) in out.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
-        out
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::nn::build::tests::builds;
 
     #[test]
     fn matmul_known_result() {
@@ -335,7 +434,7 @@ pub(crate) mod tests {
 
     /// Unblocked ikj reference: the pre-blocking `matmul` kernel,
     /// accumulating each output element in ascending `p` order.
-    fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    pub(crate) fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols, b.rows);
         let (m, k, n) = (a.rows, a.cols, b.cols);
         let mut out = Matrix::zeros(m, n);
@@ -354,7 +453,7 @@ pub(crate) mod tests {
     }
 
     /// Unblocked reference for `aᵀ @ b`, ascending-`p` accumulation.
-    fn reference_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    pub(crate) fn reference_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.rows, b.rows);
         let (k, m, n) = (a.rows, a.cols, b.cols);
         let mut out = Matrix::zeros(m, n);
@@ -390,8 +489,47 @@ pub(crate) mod tests {
         out
     }
 
+    /// `a @ bᵀ` under the ordering rule: one running sum per output
+    /// element, from `+0.0`, ascending `p`, a zero left factor skipped.
+    pub(crate) fn serial_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.cols);
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    let x = a.data[i * k + p];
+                    if x != 0.0 {
+                        acc += x * b.data[j * k + p];
+                    }
+                }
+                out.data[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
     pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `got` has `want`'s bits, except that where `want` is a NaN, `got`
+    /// need only be a NaN: which NaN a sum returns is the ordering
+    /// rule's one exception (see the module docs). Returns how many
+    /// NaNs `want` holds.
+    pub(crate) fn assert_bits_nan_as_class(got: &[f32], want: &[f32], what: &str) -> usize {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        let mut nans = 0;
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{what}[{i}]: {g} where a NaN is due");
+                nans += 1;
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+            }
+        }
+        nans
     }
 
     /// Deterministic pseudo-random fill with irrational-ish values (so
@@ -412,52 +550,81 @@ pub(crate) mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
-    /// The kernels must be *bit-identical* to the unblocked references
-    /// on shapes that straddle every tile boundary: the
-    /// batched-vs-per-row training parity contract (and both golden
-    /// logs) depends on the accumulation order being unchanged.
+    /// The kernels must be *bit-identical* to the serial references on
+    /// every build, on shapes below, at and past every lane count
+    /// (`LANES` 64, `DOT_LANES` 8, `TILE` 8): the batched-vs-per-row
+    /// training parity contract (and both golden logs) depends on the
+    /// accumulation order being unchanged. `matmul_nt` is checked on
+    /// both of its forms: a dense gradient multiplies by the transpose,
+    /// a gradient with one row at most takes the dot products.
     #[test]
-    fn blocked_kernels_are_bit_exact_across_tile_boundaries() {
-        // (m, k, n) spanning below, at, and beyond BLOCK_ROWS (16) and
-        // BLOCK_DEPTH (64), including non-multiples; the last five put
-        // `n` below, at and one past NT_LANES (8) and at the widest
-        // action layer.
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (1, 646, 128),
-            (3, 63, 5),
-            (16, 64, 16),
-            (17, 65, 9),
-            (33, 130, 21),
-            (40, 7, 70),
-            (2, 19, 1),
-            (18, 64, 7),
-            (18, 64, 8),
-            (5, 128, 9),
-            (1, 128, 289),
-        ] {
-            let a = fill(m, k, (m * 1000 + k) as u32);
-            let b = fill(k, n, (k * 1000 + n) as u32);
-            assert_eq!(
-                a.matmul(&b).data(),
-                reference_matmul(&a, &b).data(),
-                "matmul {m}x{k}x{n} drifted from the unblocked kernel"
-            );
-            let at = fill(k, m, (m * 31 + n) as u32);
-            assert_eq!(
-                at.matmul_tn(&b).data(),
-                reference_matmul_tn(&at, &b).data(),
-                "matmul_tn {m}x{k}x{n} drifted from the unblocked kernel"
-            );
-            // `a` already holds exact zeros; one all-zero row on top.
-            let mut a = a;
-            a.data[..k].fill(0.0);
-            let bt = fill(n, k, (n * 77 + k) as u32);
-            assert_eq!(
-                bits(a.matmul_nt(&bt).data()),
-                bits(reference_matmul_nt(&a, &bt).data()),
-                "matmul_nt {m}x{k}x{n} drifted from the serial kernel"
-            );
+    fn kernels_are_bit_exact_on_every_build() {
+        for build in builds() {
+            for &(m, k, n) in &[
+                (1usize, 1usize, 1usize),
+                (1, 646, 128),
+                (3, 63, 5),
+                (16, 64, 16),
+                (17, 65, 9),
+                (33, 130, 21),
+                (40, 7, 70),
+                (2, 19, 1),
+                (18, 64, 7),
+                (18, 64, 8),
+                (5, 128, 9),
+                (1, 128, 289),
+                (15, 128, 129),
+            ] {
+                let a = fill(m, k, (m * 1000 + k) as u32);
+                let b = fill(k, n, (k * 1000 + n) as u32);
+                assert_eq!(
+                    build
+                        .run(
+                            #[inline(always)]
+                            || a.matmul(&b)
+                        )
+                        .data(),
+                    reference_matmul(&a, &b).data(),
+                    "{build:?}: matmul {m}x{k}x{n} drifted from the serial kernel"
+                );
+                let at = fill(k, m, (m * 31 + n) as u32);
+                assert_eq!(
+                    build
+                        .run(
+                            #[inline(always)]
+                            || at.matmul_tn(&b)
+                        )
+                        .data(),
+                    reference_matmul_tn(&at, &b).data(),
+                    "{build:?}: matmul_tn {m}x{k}x{n} drifted from the serial kernel"
+                );
+                // `a` already holds exact zeros; one all-zero row on top.
+                let mut a = a;
+                a.data[..k].fill(0.0);
+                let bt = fill(n, k, (n * 77 + k) as u32);
+                assert_eq!(
+                    bits(
+                        build
+                            .run(
+                                #[inline(always)]
+                                || a.matmul_nt(&bt)
+                            )
+                            .data()
+                    ),
+                    bits(reference_matmul_nt(&a, &bt).data()),
+                    "{build:?}: matmul_nt {m}x{k}x{n} drifted from the serial kernel"
+                );
+                let t = build.run(
+                    #[inline(always)]
+                    || b.transpose(),
+                );
+                assert_eq!((t.rows(), t.cols()), (n, k));
+                for p in 0..k {
+                    for j in 0..n {
+                        assert_eq!(t.get(j, p).to_bits(), b.get(p, j).to_bits());
+                    }
+                }
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Gradient-descent optimizers.
 
+use crate::nn::build::Build;
 use crate::nn::mlp::{Mlp, MlpGradients};
 
 /// Panics unless `grads` is shaped exactly like `mlp`'s parameters.
@@ -77,31 +78,44 @@ impl Adam {
     }
 
     /// Applies one update step (gradient *descent*: parameters move
-    /// against the gradient).
+    /// against the gradient), at the CPU's vector width (see
+    /// `nn::build`).
     pub fn step(&mut self, mlp: &mut Mlp, grads: &MlpGradients) {
+        self.step_with(Build::host(), mlp, grads);
+    }
+
+    /// [`Self::step`] through the given build.
+    pub(crate) fn step_with(&mut self, build: Build, mlp: &mut Mlp, grads: &MlpGradients) {
         assert_grad_shapes(mlp, grads);
         self.ensure_state(mlp);
         self.t += 1;
         let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let bc1 = 1.0 - beta1.powi(self.t as i32);
         let bc2 = 1.0 - beta2.powi(self.t as i32);
-        // Zipped slices, no index: without bounds checks the loop
-        // vectorises, and every multiply, divide and `sqrt` is the same
-        // IEEE operation at any width, so the bits do not depend on it.
-        let update = |params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]| {
-            for (((w, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
-                *m = beta1 * *m + (1.0 - beta1) * g;
-                *v = beta2 * *v + (1.0 - beta2) * g * g;
-                let m_hat = *m / bc1;
-                let v_hat = *v / bc2;
-                *w -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-        };
-        let layers = mlp.layers_mut().iter_mut().zip(&grads.layers);
-        for ((layer, (gw, gb)), (mw, vw, mb, vb)) in layers.zip(&mut self.state) {
-            update(layer.w.data_mut(), gw.data(), mw, vw);
-            update(&mut layer.b, gb, mb, vb);
-        }
+        let state = &mut self.state;
+        build.run(
+            #[inline(always)]
+            || {
+                let layers = mlp.layers_mut().iter_mut().zip(&grads.layers);
+                for ((layer, (gw, gb)), (mw, vw, mb, vb)) in layers.zip(state) {
+                    let weights = (layer.w.data_mut(), gw.data(), &mut mw[..], &mut vw[..]);
+                    let biases = (&mut layer.b[..], &gb[..], &mut mb[..], &mut vb[..]);
+                    for (params, grads, m, v) in [weights, biases] {
+                        // Zipped slices, no index: without bounds checks
+                        // the loop vectorises, and every multiply,
+                        // divide and `sqrt` is the same IEEE operation
+                        // at any width, so the bits do not depend on it.
+                        for (((w, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+                            *m = beta1 * *m + (1.0 - beta1) * g;
+                            *v = beta2 * *v + (1.0 - beta2) * g * g;
+                            let m_hat = *m / bc1;
+                            let v_hat = *v / bc2;
+                            *w -= lr * m_hat / (v_hat.sqrt() + eps);
+                        }
+                    }
+                }
+            },
+        );
     }
 }
 
@@ -167,9 +181,15 @@ mod tests {
     /// The zipped-slice step equals, bit for bit, the indexed scalar
     /// loop it replaced — three steps (so the moments and both bias
     /// corrections are live) over a few thousand weights and biases,
-    /// exact-zero gradients among them.
+    /// exact-zero gradients among them — on every build.
     #[test]
     fn adam_step_is_bit_identical_to_the_indexed_scalar_loop() {
+        for build in crate::nn::build::tests::builds() {
+            adam_step_matches_the_scalar_loop(build);
+        }
+    }
+
+    fn adam_step_matches_the_scalar_loop(build: Build) {
         let (lr, beta1, beta2, eps) = (3e-4f32, 0.9f32, 0.999f32, 1e-8f32);
         let mut rng = StdRng::seed_from_u64(13);
         let mut mlp = Mlp::new(&[37, 61, 19], Activation::ReLU, &mut rng);
@@ -191,7 +211,7 @@ mod tests {
                 gb.copy_from_slice(row.data());
             }
             assert!(grads.layers[0].0.data().contains(&0.0), "zeros among them");
-            adam.step(&mut mlp, &grads);
+            adam.step_with(build, &mut mlp, &grads);
 
             let bc1 = 1.0 - beta1.powi(t as i32);
             let bc2 = 1.0 - beta2.powi(t as i32);
@@ -218,7 +238,7 @@ mod tests {
                 stepped
                     .map(|x| x.to_bits())
                     .eq(expected.map(|x| x.to_bits())),
-                "step {t} drifted from the scalar loop"
+                "{build:?}: step {t} drifted from the scalar loop"
             );
         }
     }

@@ -1,5 +1,6 @@
 //! REINFORCE with a moving-average baseline.
 
+use crate::nn::build::Build;
 use crate::nn::{loss, Activation, Adam, Matrix, Mlp, MlpGradients};
 use crate::rl::env::Environment;
 use crate::rl::episode::{Episode, Transition};
@@ -93,6 +94,9 @@ pub struct ReinforceAgent {
     baseline_ready: bool,
     pending: Vec<Episode>,
     episodes_seen: usize,
+    /// The policy gradient, kept from update to update so that each
+    /// update clears it instead of allocating it.
+    grads: MlpGradients,
 }
 
 impl ReinforceAgent {
@@ -106,7 +110,9 @@ impl ReinforceAgent {
         let mut sizes = vec![state_dim];
         sizes.extend_from_slice(&config.hidden);
         sizes.push(action_dim);
-        let policy = PolicySnapshot::new(Mlp::new(&sizes, Activation::ReLU, rng));
+        let policy = Mlp::new(&sizes, Activation::ReLU, rng);
+        let grads = MlpGradients::zeros_like(&policy);
+        let policy = PolicySnapshot::new(policy);
         let optimizer = Adam::new(config.lr);
         Self {
             policy,
@@ -117,6 +123,7 @@ impl ReinforceAgent {
             baseline_ready: false,
             pending: Vec::new(),
             episodes_seen: 0,
+            grads,
         }
     }
 
@@ -179,8 +186,15 @@ impl ReinforceAgent {
         }
     }
 
-    /// Applies one REINFORCE update over the buffered episodes.
+    /// Applies one REINFORCE update over the buffered episodes, its
+    /// network passes and optimizer step at the CPU's vector width (see
+    /// `nn::build`).
     pub fn update(&mut self) {
+        self.update_with(Build::host());
+    }
+
+    /// [`Self::update`] through the given build.
+    fn update_with(&mut self, build: Build) {
         if self.pending.is_empty() {
             return;
         }
@@ -214,20 +228,23 @@ impl ReinforceAgent {
                 *a = (*a - mean) / std;
             }
         }
-        let mut grads = match self.update_path {
+        let grads = &mut self.grads;
+        match self.update_path {
             UpdatePath::Batched if !all.is_empty() => {
-                Self::policy_grads_batched(self.policy(), &all)
+                grads.clear();
+                Self::policy_grads_batched(build, &self.policy, &all, grads)
             }
             // The per-row loop also covers the degenerate all-empty
             // case (every episode had zero transitions): it yields zero
             // gradients, preserving the historical zero-grad optimizer
             // step instead of panicking on a 0×0 forward.
-            _ => Self::policy_grads_per_row(self.policy(), &all),
-        };
-        grads.scale(1.0 / all.len().max(1) as f32);
-        grads.clip_global_norm(GRAD_CLIP);
+            _ => *grads = Self::policy_grads_per_row(self.policy.policy(), &all),
+        }
+        grads.scale_with(build, 1.0 / all.len().max(1) as f32);
+        grads.clip_global_norm_with(build, GRAD_CLIP);
         let optimizer = &mut self.optimizer;
-        self.policy.retrain(|policy| optimizer.step(policy, &grads));
+        self.policy
+            .retrain(build, |policy| optimizer.step_with(build, policy, grads));
         // Refresh the baseline from each episode's return from its start.
         for g0 in first_returns {
             if self.baseline_ready {
@@ -240,10 +257,18 @@ impl ReinforceAgent {
     }
 
     /// REINFORCE gradients over a prepared `(transition, advantage)`
-    /// batch via one fused forward/backward (the production path).
-    fn policy_grads_batched(policy: &Mlp, all: &[(&Transition, f32)]) -> MlpGradients {
+    /// batch via one fused forward/backward (the production path), the
+    /// output layer's input gradient read from the snapshot's
+    /// transposed head.
+    fn policy_grads_batched(
+        build: Build,
+        snapshot: &PolicySnapshot,
+        all: &[(&Transition, f32)],
+        grads: &mut MlpGradients,
+    ) {
+        let policy = snapshot.policy();
         let x = stack_features(all.iter().map(|(t, _)| t.features.as_slice()), all.len());
-        let cache = policy.forward(&x);
+        let cache = policy.forward_with(build, &x);
         let logits = cache.output();
         let masks: Vec<&[bool]> = all.iter().map(|(t, _)| t.mask.as_slice()).collect();
         // One shared softmax per batch feeds both the policy gradient and
@@ -257,7 +282,7 @@ impl ReinforceAgent {
             add_entropy_grad(&mut grad_row, probs.row(r), &t.mask);
             grad_out.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(&grad_row);
         }
-        policy.backward(&cache, grad_out)
+        policy.backward_into(build, &cache, grad_out, Some(snapshot.head()), grads);
     }
 
     /// The per-transition reference implementation: one forward and one
@@ -427,6 +452,87 @@ mod tests {
             }
             assert!(updates >= 4, "parity test must exercise real updates");
         }
+    }
+
+    /// One update through each build leaves the same weights, bit for
+    /// bit: at the drift scenario's widths (160 features, 64 actions,
+    /// two 128-unit layers), three updates of 15 sparse transitions, so
+    /// Adam's moments and the snapshot's transposed head are live.
+    #[test]
+    fn every_build_updates_to_the_same_bits() {
+        use crate::nn::build::tests::builds;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(17);
+        let rounds: Vec<Vec<Episode>> = (0..3)
+            .map(|_| {
+                (0..3)
+                    .map(|_| {
+                        let mut episode = Episode::new();
+                        for _ in 0..5 {
+                            let features = (0..160)
+                                .map(|_| {
+                                    if rng.gen::<f32>() < 0.2 {
+                                        rng.gen::<f32>()
+                                    } else {
+                                        0.0
+                                    }
+                                })
+                                .collect();
+                            let mut mask: Vec<bool> =
+                                (0..64).map(|_| rng.gen::<f32>() < 0.3).collect();
+                            let action = rng.gen_range(0..64);
+                            mask[action] = true;
+                            let reward = rng.gen::<f32>() - 0.5;
+                            episode.transitions.push(Transition {
+                                features,
+                                mask,
+                                action,
+                                reward,
+                            });
+                        }
+                        episode
+                    })
+                    .collect()
+            })
+            .collect();
+        let agents: Vec<ReinforceAgent> = builds()
+            .into_iter()
+            .map(|build| {
+                let mut agent = ReinforceAgent::new(
+                    160,
+                    64,
+                    ReinforceConfig::default(),
+                    &mut StdRng::seed_from_u64(23),
+                );
+                for episodes in &rounds {
+                    agent.pending = episodes.clone();
+                    agent.update_with(build);
+                }
+                agent
+            })
+            .collect();
+        let weights = |agent: &ReinforceAgent| -> Vec<u32> {
+            let policy = agent.policy().layers().iter();
+            let params = policy.flat_map(|l| l.w.data().iter().chain(&l.b));
+            params
+                .chain(agent.policy.head().data())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        for agent in &agents[1..] {
+            assert_eq!(weights(agent), weights(&agents[0]));
+        }
+        assert_ne!(
+            agents[0].policy(),
+            ReinforceAgent::new(
+                160,
+                64,
+                ReinforceConfig::default(),
+                &mut StdRng::seed_from_u64(23)
+            )
+            .policy(),
+            "the updates must move the weights"
+        );
     }
 
     /// Regression: an update whose episodes carry zero transitions

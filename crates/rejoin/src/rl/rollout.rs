@@ -10,8 +10,9 @@
 //! the RNG stream *identically* to the live agent — the property the
 //! `workers = 1` determinism-parity contract rests on.
 
+use crate::nn::build::Build;
 use crate::nn::infer::transposed_head;
-use crate::nn::matrix::compact;
+use crate::nn::matrix::{compact, Matrix};
 use crate::nn::{loss, InferScratch, Mlp};
 use crate::rl::env::Environment;
 use crate::rl::episode::{Episode, Transition};
@@ -22,14 +23,16 @@ use std::cmp::Ordering;
 /// A frozen, shareable copy of a policy network.
 ///
 /// Beside the weights it keeps the output layer transposed, the layout
-/// batch-1 inference reads it in, built once per set of weights. Cloning
+/// batch-1 inference reads it in — and the one the backward pass
+/// multiplies the output gradient by — built once per set of weights.
+/// Cloning
 /// is the only cost; everything else is read-only, so one snapshot can
 /// be shared across worker threads behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct PolicySnapshot {
     policy: Mlp,
     /// `policy`'s output layer transposed ([`transposed_head`]).
-    head: Vec<f32>,
+    head: Matrix,
 }
 
 // Snapshots cross thread boundaries by design; `Mlp` is plain owned
@@ -151,7 +154,7 @@ impl Selector {
 impl PolicySnapshot {
     /// Wraps `policy`, laying its output layer out for inference.
     pub fn new(policy: Mlp) -> Self {
-        let head = transposed_head(&policy);
+        let head = transposed_head(&policy, Build::host());
         Self { policy, head }
     }
 
@@ -160,12 +163,18 @@ impl PolicySnapshot {
         &self.policy
     }
 
+    /// The policy's output layer transposed ([`transposed_head`]).
+    pub(crate) fn head(&self) -> &Matrix {
+        &self.head
+    }
+
     /// Changes the weights through `train` (an optimizer step), then
-    /// lays the new output layer out again: the snapshot never serves
-    /// one generation's head with another's weights.
-    pub(crate) fn retrain(&mut self, train: impl FnOnce(&mut Mlp)) {
+    /// lays the new output layer out again through `build`: the
+    /// snapshot never serves one generation's head with another's
+    /// weights.
+    pub(crate) fn retrain(&mut self, build: Build, train: impl FnOnce(&mut Mlp)) {
         train(&mut self.policy);
-        self.head = transposed_head(&self.policy);
+        self.head = transposed_head(&self.policy, build);
     }
 
     /// The policy's logits at the columns `outputs` for a state given
@@ -181,7 +190,7 @@ impl PolicySnapshot {
         logits: &mut Vec<f32>,
     ) {
         self.policy
-            .logits_at(&self.head, nonzeros, outputs, scratch, logits);
+            .logits_at(self.head.data(), nonzeros, outputs, scratch, logits);
     }
 
     /// Samples an action from the masked softmax over the policy's
