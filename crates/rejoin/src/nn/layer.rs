@@ -122,7 +122,12 @@ impl Dense {
     /// Backward pass, parameter half. Given the layer input `x` and the
     /// loss gradient w.r.t. the layer output, returns `(grad_w, grad_b)`.
     pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> (Matrix, Vec<f32>) {
-        (x.matmul_tn(grad_out), grad_out.col_sums())
+        let mut grads = (
+            Matrix::zeros(self.w.rows(), self.w.cols()),
+            vec![0.0; self.b.len()],
+        );
+        self.backward_into(x, grad_out, &mut grads);
+        grads
     }
 
     /// [`Self::backward`] into `grads`, shaped like the layer's

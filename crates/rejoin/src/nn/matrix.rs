@@ -3,7 +3,7 @@
 //! ## One ordering rule
 //!
 //! Three matmul kernels carry the training hot path — `matmul` for
-//! forward passes, `matmul_tn` for weight gradients (`Xᵀ @ grad`) and
+//! forward passes, `matmul_tn_into` for weight gradients (`Xᵀ @ grad`) and
 //! `matmul_nt` for input gradients (`grad @ Wᵀ`) — and every sum they
 //! take, like every sum of the inference kernel (`nn::infer`), follows
 //! **one ordering rule**: an output element is the sum of its products
@@ -40,7 +40,7 @@
 //! each output is written once. The kernels differ only in what they
 //! list as the non-zeros:
 //! - `matmul` lists each row of the left operand;
-//! - `matmul_tn` lists each *column* of the left operand over the batch
+//! - `matmul_tn_into` lists each *column* of the left operand over the batch
 //!   (a column with none leaves its output row zero);
 //! - `matmul_nt` multiplies by the right operand's transpose: the
 //!   caller's, when it keeps one (a policy snapshot keeps its output
@@ -243,16 +243,8 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ @ other` (`[k×m]ᵀ @ [k×n] → [m×n]`) without materialising
-    /// the transpose.
-    #[inline(always)]
-    pub(crate) fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_tn_into(other, &mut out);
-        out
-    }
-
-    /// [`Self::matmul_tn`] into `out`, which holds zeros on entry.
+    /// `selfᵀ @ other` (`[k×m]ᵀ @ [k×n] → [m×n]`) into `out`, which
+    /// holds zeros on entry, without materialising the transpose.
     ///
     /// This is the weight-gradient kernel (`Xᵀ @ grad`): `k` is the
     /// batch dimension, and every `out[i, j]` accumulates its `k`
@@ -361,14 +353,7 @@ impl Matrix {
         }
     }
 
-    /// Column sums (used for bias gradients).
-    pub(crate) fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
-        self.col_sums_into(&mut out);
-        out
-    }
-
-    /// [`Self::col_sums`] into `out`.
+    /// Column sums into `out` (bias gradients).
     #[inline(always)]
     pub(crate) fn col_sums_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.cols, "column sums length mismatch");
@@ -399,7 +384,7 @@ pub(crate) mod tests {
         let a = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 4, (0..12).map(|i| i as f32).collect());
         // aᵀ @ b via matmul_tn.
-        let tn = a.matmul_tn(&b);
+        let tn = tn(&a, &b);
         // Explicit transpose for reference.
         let at = Matrix::from_vec(2, 3, vec![1., 3., 5., 2., 4., 6.]);
         assert_eq!(tn, at.matmul(&b));
@@ -429,7 +414,9 @@ pub(crate) mod tests {
         let mut m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         m.add_row_bias(&[10., 20.]);
         assert_eq!(m.data(), &[11., 22., 13., 24.]);
-        assert_eq!(m.col_sums(), vec![24., 46.]);
+        let mut sums = vec![7.0; 2];
+        m.col_sums_into(&mut sums);
+        assert_eq!(sums, vec![24., 46.]);
     }
 
     /// Unblocked ikj reference: the pre-blocking `matmul` kernel,
@@ -507,6 +494,14 @@ pub(crate) mod tests {
                 out.data[i * n + j] = acc;
             }
         }
+        out
+    }
+
+    /// `aᵀ @ b` through `Matrix::matmul_tn_into`.
+    #[inline(always)]
+    fn tn(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        a.matmul_tn_into(b, &mut out);
         out
     }
 
@@ -592,7 +587,7 @@ pub(crate) mod tests {
                     build
                         .run(
                             #[inline(always)]
-                            || at.matmul_tn(&b)
+                            || tn(&at, &b)
                         )
                         .data(),
                     reference_matmul_tn(&at, &b).data(),
