@@ -131,8 +131,7 @@ impl Dense {
     }
 
     /// [`Self::backward`] into `grads`, shaped like the layer's
-    /// parameters: the weight gradient holds zeros on entry (see
-    /// `Matrix::matmul_tn_into`), the bias gradient is overwritten.
+    /// parameters, which it overwrites.
     #[inline(always)]
     pub(crate) fn backward_into(
         &self,

@@ -41,12 +41,10 @@
 //! list as the non-zeros:
 //! - `matmul` lists each row of the left operand;
 //! - `matmul_tn_into` lists each *column* of the left operand over the batch
-//!   (a column with none leaves its output row zero);
-//! - `matmul_nt` multiplies by the right operand's transpose: the
+//!   (a column with none zeroes its output row);
+//! - `matmul_nt` is `matmul` by the right operand's transpose: the
 //!   caller's, when it keeps one (a policy snapshot keeps its output
-//!   layer's), or one built per call in [`TILE`]-square tiles. A
-//!   gradient too sparse to pay for that copy (a single row, say)
-//!   takes [`dot_rows`] with the right operand's rows instead.
+//!   layer's), or one built per call, [`LANES`] columns at a time.
 //!
 //! Masked logits and dead ReLUs make gradients mostly zeros, so listing
 //! the non-zeros once per row skips most of the work, without a branch
@@ -63,22 +61,11 @@ pub(crate) const LANES: usize = 64;
 /// eight rows are read, and its eight columns written, as whole runs.
 const TILE: usize = 8;
 
-/// Dot products [`Matrix::matmul_nt`] advances side by side on a sparse
-/// gradient: enough independent add chains to cover the latency of
-/// one.
-const DOT_LANES: usize = 8;
-
-/// A gradient with more non-zeros per column than this is multiplied by
-/// a transposed copy of the weights in [`Matrix::matmul_nt`]: a copy
-/// costs about as much per weight as two of [`dot_rows`]' one-at-a-time
-/// multiply-adds save over [`sum_rows`]' lanes.
-const TRANSPOSE_AT: usize = 2;
-
 /// `a · rows[l]` for each of `L` rows, `a` given as its non-zero
 /// `(p, a[p])` pairs in ascending `p`: `L` running sums advance
 /// together, each in the order it would alone. The form for a sparse
 /// row against a matrix read by rows: the inference kernel's output
-/// layer, and [`Matrix::matmul_nt`] on a sparse gradient.
+/// layer.
 #[inline(always)]
 pub(crate) fn dot_rows<const L: usize>(a: &[(usize, f32)], rows: [&[f32]; L]) -> [f32; L] {
     let mut acc = [0.0f32; L];
@@ -144,6 +131,42 @@ fn compact_from(values: impl ExactSizeIterator<Item = f32>, nonzero: &mut Vec<(u
         len += usize::from(a != 0.0);
     }
     nonzero.truncate(len);
+}
+
+/// Writes the transpose of the row-major `src` (`k × n`) into `dst`
+/// (`n × k`), copied in [`TILE`]-square tiles: a tile's rows are read
+/// and its columns written as whole runs, so neither side strides
+/// through memory one element at a time.
+#[inline(always)]
+fn transpose_into(src: &[f32], (k, n): (usize, usize), dst: &mut [f32]) {
+    assert!(
+        src.len() == k * n && dst.len() == k * n,
+        "transpose shape mismatch"
+    );
+    let (k_tiles, n_tiles) = (k - k % TILE, n - n % TILE);
+    for p0 in (0..k_tiles).step_by(TILE) {
+        for j0 in (0..n_tiles).step_by(TILE) {
+            let tile: [&[f32; TILE]; TILE] = std::array::from_fn(|r| {
+                let start = (p0 + r) * n + j0;
+                src[start..start + TILE].try_into().expect("a whole tile")
+            });
+            #[allow(clippy::needless_range_loop)] // c picks a column of every row
+            for c in 0..TILE {
+                let start = (j0 + c) * k + p0;
+                let column: &mut [f32; TILE] = (&mut dst[start..start + TILE])
+                    .try_into()
+                    .expect("a whole tile");
+                *column = std::array::from_fn(|r| tile[r][c]);
+            }
+        }
+    }
+    // The edges: the columns past the last whole tile, then the rows.
+    for p in 0..k {
+        let columns = if p < k_tiles { n_tiles } else { 0 };
+        for j in columns..n {
+            dst[j * k + p] = src[p * n + j];
+        }
+    }
 }
 
 /// A dense row-major matrix.
@@ -243,8 +266,8 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ @ other` (`[k×m]ᵀ @ [k×n] → [m×n]`) into `out`, which
-    /// holds zeros on entry, without materialising the transpose.
+    /// `selfᵀ @ other` (`[k×m]ᵀ @ [k×n] → [m×n]`) into `out`, without
+    /// materialising the transpose; `out` is overwritten.
     ///
     /// This is the weight-gradient kernel (`Xᵀ @ grad`): `k` is the
     /// batch dimension, and every `out[i, j]` accumulates its `k`
@@ -252,8 +275,7 @@ impl Matrix {
     /// `MlpGradients::add` applies per-transition gradients — which is
     /// what makes batched and per-row updates bit-identical. Output row
     /// `i` is [`sum_rows`] over column `i`'s non-zeros; a column with
-    /// none (a feature no row sets) leaves its row untouched, so a
-    /// sparse input writes a fraction of `out`.
+    /// none (a feature no row sets) zeroes its row.
     #[inline(always)]
     pub(crate) fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
@@ -262,82 +284,50 @@ impl Matrix {
             out.rows == m && out.cols == n,
             "matmul_tn output shape mismatch"
         );
-        debug_assert!(out.data.iter().all(|&x| x == 0.0), "output holds zeros");
         let mut nonzero = Vec::with_capacity(k);
         for i in 0..m {
-            compact_from(self.data[i..].iter().step_by(m).copied(), &mut nonzero);
-            if !nonzero.is_empty() {
-                sum_rows(&nonzero, &other.data, &mut out.data[i * n..(i + 1) * n]);
+            compact_from((0..k).map(|p| self.data[p * m + i]), &mut nonzero);
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            if nonzero.is_empty() {
+                out_row.fill(0.0);
+            } else {
+                sum_rows(&nonzero, &other.data, out_row);
             }
         }
     }
 
     /// `self @ otherᵀ` (`[m×k] @ [n×k]ᵀ → [m×n]`), the input-gradient
-    /// kernel (`grad_out @ Wᵀ`). A gradient with more than
-    /// [`TRANSPOSE_AT`] non-zeros per column is [`Self::matmul`]
-    /// against [`Self::transpose`] of `other`; a sparser one (a single
-    /// row, say) takes [`dot_rows`] with `other`'s rows, for which
-    /// a copy of `other` would cost more than it saves. A caller that
-    /// keeps the transpose calls `matmul` with it instead.
+    /// kernel (`grad_out @ Wᵀ`): [`Self::matmul`] against `otherᵀ`,
+    /// which is copied [`LANES`] rows of `other` at a time into one
+    /// `k × LANES` panel rather than whole. The panel stays in cache and
+    /// is small enough for the allocator to reuse; a whole 128 × 289
+    /// copy, allocated afresh per call, page-faulted on every call. A
+    /// caller that keeps the whole transpose calls `matmul` with it
+    /// instead.
     #[inline(always)]
     pub(crate) fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let nonzeros = self.data.iter().filter(|&&x| x != 0.0).count();
-        if nonzeros > TRANSPOSE_AT * self.cols {
-            return self.matmul(&other.transpose());
-        }
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
+        let mut panel = vec![0.0; k * LANES.min(n)];
         let mut nonzero = Vec::with_capacity(k);
-        let row = |j: usize| &other.data[j * k..(j + 1) * k];
-        for i in 0..m {
-            compact(&self.data[i * k..(i + 1) * k], &mut nonzero);
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let full = n - n % DOT_LANES;
-            for j in (0..full).step_by(DOT_LANES) {
-                let rows = std::array::from_fn(|l| row(j + l));
-                out_row[j..j + DOT_LANES].copy_from_slice(&dot_rows::<DOT_LANES>(&nonzero, rows));
-            }
-            for (j, out) in out_row.iter_mut().enumerate().skip(full) {
-                *out = dot_rows::<1>(&nonzero, [row(j)])[0];
+        for (c, rows) in other.data.chunks((LANES * k).max(1)).enumerate() {
+            let width = rows.len() / k;
+            let panel = &mut panel[..k * width];
+            transpose_into(rows, (width, k), panel);
+            for i in 0..m {
+                compact(&self.data[i * k..(i + 1) * k], &mut nonzero);
+                sum_rows(&nonzero, panel, &mut out.data[i * n + c * LANES..][..width]);
             }
         }
         out
     }
 
-    /// The transpose, copied in [`TILE`]-square tiles: a tile's rows are
-    /// read and its columns written as whole runs, so neither side
-    /// strides through memory one element at a time.
+    /// The transpose (see [`transpose_into`]).
     #[inline(always)]
     pub(crate) fn transpose(&self) -> Matrix {
-        let (k, n) = (self.rows, self.cols);
-        let mut t = Matrix::zeros(n, k);
-        let (k_tiles, n_tiles) = (k - k % TILE, n - n % TILE);
-        for p0 in (0..k_tiles).step_by(TILE) {
-            for j0 in (0..n_tiles).step_by(TILE) {
-                let rows: [&[f32; TILE]; TILE] = std::array::from_fn(|r| {
-                    let start = (p0 + r) * n + j0;
-                    self.data[start..start + TILE]
-                        .try_into()
-                        .expect("a whole tile")
-                });
-                #[allow(clippy::needless_range_loop)] // c picks a column of every row
-                for c in 0..TILE {
-                    let start = (j0 + c) * k + p0;
-                    let column: &mut [f32; TILE] = (&mut t.data[start..start + TILE])
-                        .try_into()
-                        .expect("a whole tile");
-                    *column = std::array::from_fn(|r| rows[r][c]);
-                }
-            }
-        }
-        // The edges: the columns past the last whole tile, then the rows.
-        for p in 0..k {
-            let columns = if p < k_tiles { n_tiles } else { 0 };
-            for j in columns..n {
-                t.data[j * k + p] = self.data[p * n + j];
-            }
-        }
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        transpose_into(&self.data, (self.rows, self.cols), &mut t.data);
         t
     }
 
@@ -497,10 +487,10 @@ pub(crate) mod tests {
         out
     }
 
-    /// `aᵀ @ b` through `Matrix::matmul_tn_into`.
+    /// `aᵀ @ b` through `Matrix::matmul_tn_into`, into a buffer of NaNs.
     #[inline(always)]
     fn tn(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.cols, b.cols);
+        let mut out = Matrix::from_vec(a.cols, b.cols, vec![f32::NAN; a.cols * b.cols]);
         a.matmul_tn_into(b, &mut out);
         out
     }
@@ -547,11 +537,10 @@ pub(crate) mod tests {
 
     /// The kernels must be *bit-identical* to the serial references on
     /// every build, on shapes below, at and past every lane count
-    /// (`LANES` 64, `DOT_LANES` 8, `TILE` 8): the batched-vs-per-row
-    /// training parity contract (and both golden logs) depends on the
-    /// accumulation order being unchanged. `matmul_nt` is checked on
-    /// both of its forms: a dense gradient multiplies by the transpose,
-    /// a gradient with one row at most takes the dot products.
+    /// (`LANES` 64, `TILE` 8): the batched-vs-per-row training parity
+    /// contract (and both golden logs) depends on the accumulation order
+    /// being unchanged. `matmul_tn_into` writes into a buffer of NaNs,
+    /// so a row it left alone would show.
     #[test]
     fn kernels_are_bit_exact_on_every_build() {
         for build in builds() {
@@ -582,7 +571,11 @@ pub(crate) mod tests {
                     reference_matmul(&a, &b).data(),
                     "{build:?}: matmul {m}x{k}x{n} drifted from the serial kernel"
                 );
-                let at = fill(k, m, (m * 31 + n) as u32);
+                // One all-zero column: a feature no batch row sets.
+                let mut at = fill(k, m, (m * 31 + n) as u32);
+                for p in 0..k {
+                    at.set(p, 0, 0.0);
+                }
                 assert_eq!(
                     build
                         .run(

@@ -56,14 +56,6 @@ impl MlpGradients {
         }
     }
 
-    /// Sets every gradient to zero.
-    pub(crate) fn clear(&mut self) {
-        for (w, b) in &mut self.layers {
-            w.data_mut().fill(0.0);
-            b.fill(0.0);
-        }
-    }
-
     /// Accumulates another gradient set (for minibatch averaging).
     pub fn add(&mut self, other: &MlpGradients) {
         for ((w, b), (ow, ob)) in self.layers.iter_mut().zip(&other.layers) {
@@ -230,12 +222,11 @@ impl Mlp {
     }
 
     /// [`Self::backward`] through the given build, into `grads`, shaped
-    /// like `self` and holding zeros on entry: a trainer keeps one set
-    /// across steps and clears it ([`MlpGradients::clear`]), which
-    /// costs less than allocating it per step. The output layer's input
-    /// gradient is read from `head_t` when given: the output layer's
-    /// weights transposed, as a policy snapshot keeps them. Every other
-    /// layer's weights are transposed here.
+    /// like `self`, which it overwrites: a trainer keeps one set across
+    /// steps, which costs less than allocating it per step. The output
+    /// layer's input gradient is read from `head_t` when given: the
+    /// output layer's weights transposed, as a policy snapshot keeps
+    /// them. Every other layer's weights are transposed here.
     pub(crate) fn backward_into(
         &self,
         build: Build,

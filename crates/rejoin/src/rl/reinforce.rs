@@ -95,7 +95,7 @@ pub struct ReinforceAgent {
     pending: Vec<Episode>,
     episodes_seen: usize,
     /// The policy gradient, kept from update to update so that each
-    /// update clears it instead of allocating it.
+    /// update overwrites it instead of allocating it.
     grads: MlpGradients,
 }
 
@@ -231,7 +231,6 @@ impl ReinforceAgent {
         let grads = &mut self.grads;
         match self.update_path {
             UpdatePath::Batched if !all.is_empty() => {
-                grads.clear();
                 Self::policy_grads_batched(build, &self.policy, &all, grads)
             }
             // The per-row loop also covers the degenerate all-empty
