@@ -25,9 +25,8 @@ use std::cmp::Ordering;
 /// Beside the weights it keeps the output layer transposed, the layout
 /// batch-1 inference reads it in — and the one the backward pass
 /// multiplies the output gradient by — built once per set of weights.
-/// Cloning
-/// is the only cost; everything else is read-only, so one snapshot can
-/// be shared across worker threads behind an `Arc`.
+/// Cloning is the only cost; everything else is read-only, so one
+/// snapshot can be shared across worker threads behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct PolicySnapshot {
     policy: Mlp,
