@@ -311,13 +311,13 @@ impl Matrix {
         let mut out = Matrix::zeros(m, n);
         let mut panel = vec![0.0; k * LANES.min(n)];
         let mut nonzero = Vec::with_capacity(k);
-        for (c, rows) in other.data.chunks((LANES * k).max(1)).enumerate() {
-            let width = rows.len() / k;
+        for j0 in (0..n).step_by(LANES) {
+            let width = LANES.min(n - j0);
             let panel = &mut panel[..k * width];
-            transpose_into(rows, (width, k), panel);
+            transpose_into(&other.data[j0 * k..(j0 + width) * k], (width, k), panel);
             for i in 0..m {
                 compact(&self.data[i * k..(i + 1) * k], &mut nonzero);
-                sum_rows(&nonzero, panel, &mut out.data[i * n + c * LANES..][..width]);
+                sum_rows(&nonzero, panel, &mut out.data[i * n + j0..][..width]);
             }
         }
         out
