@@ -38,6 +38,7 @@ mod logical;
 pub mod physical;
 mod predicate;
 pub mod sql;
+mod substitute;
 
 pub use bind::bind_select;
 pub use error::QueryError;
@@ -49,3 +50,4 @@ pub use graph::{QueryGraph, RelId, RelSet, Relation};
 pub use logical::{tree_to_actions, Forest, JoinTree};
 pub use physical::{AccessPath, AggAlgo, JoinAlgo, PhysicalPlan, PlanNode};
 pub use predicate::{AggExpr, BoundColumn, JoinEdge, Lit, Selection};
+pub use substitute::substitute;

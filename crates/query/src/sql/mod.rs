@@ -23,5 +23,5 @@ pub use ast::{
     AggFunc, ColumnName, CompareOp, Literal, SelectItem, SelectStmt, TableRef, WherePred,
 };
 pub use error::ParseError;
-pub use parser::parse_select;
-pub use token::{tokenize, Token};
+pub use parser::{parse_select, parse_tokens};
+pub use token::{blank_literals, tokenize, tokenize_with_shape, Token};

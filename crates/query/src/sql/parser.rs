@@ -9,7 +9,14 @@ use crate::sql::token::{tokenize, Token};
 /// Parses one SELECT statement (with optional trailing `;`). The
 /// statement borrows its names and string literals from `input`.
 pub fn parse_select(input: &str) -> Result<SelectStmt<'_>, ParseError> {
-    let tokens = tokenize(input)?;
+    parse_tokens(tokenize(input)?)
+}
+
+/// [`parse_select`] from the tokens [`tokenize`] made of a text, for a
+/// caller that has already lexed it. The parser branches on a literal
+/// token's kind, never on its value, so two token streams that differ
+/// only in literal values parse to statements that differ only there.
+pub fn parse_tokens(tokens: Vec<Token<'_>>) -> Result<SelectStmt<'_>, ParseError> {
     let mut p = Parser {
         tokens: tokens.into_iter(),
     };

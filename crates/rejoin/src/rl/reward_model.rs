@@ -6,7 +6,8 @@
 //! through this function and picks the one predicted to be cheapest, with
 //! a small ε-probability of exploring another valid action.
 
-use crate::nn::{loss, Activation, Adam, Matrix, Mlp};
+use crate::nn::build::Build;
+use crate::nn::{loss, Activation, Adam, Matrix, Mlp, MlpGradients};
 use crate::rl::reinforce::GRAD_CLIP;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -36,6 +37,9 @@ impl Default for RewardModelConfig {
 pub struct RewardModel {
     net: Mlp,
     optimizer: Adam,
+    /// The gradients of the last step, kept so a step overwrites them
+    /// instead of allocating a set.
+    grads: MlpGradients,
     state_dim: usize,
     action_dim: usize,
 }
@@ -51,8 +55,10 @@ impl RewardModel {
         let mut sizes = vec![state_dim + action_dim];
         sizes.extend_from_slice(&config.hidden);
         sizes.push(1);
+        let net = Mlp::new(&sizes, Activation::ReLU, rng);
         Self {
-            net: Mlp::new(&sizes, Activation::ReLU, rng),
+            grads: MlpGradients::zeros_like(&net),
+            net,
             optimizer: Adam::new(config.lr),
             state_dim,
             action_dim,
@@ -152,9 +158,10 @@ impl RewardModel {
         let x = Matrix::from_vec(samples.len(), self.state_dim + self.action_dim, data);
         let cache = self.net.forward(&x);
         let (l, grad) = loss::mse_grad(cache.output(), &targets);
-        let mut grads = self.net.backward(&cache, grad);
-        grads.clip_global_norm(GRAD_CLIP);
-        self.optimizer.step(&mut self.net, &grads);
+        self.net
+            .backward_into(Build::host(), &cache, grad, None, &mut self.grads);
+        self.grads.clip_global_norm(GRAD_CLIP);
+        self.optimizer.step(&mut self.net, &self.grads);
         l
     }
 }
@@ -235,8 +242,6 @@ mod tests {
     /// gradients in sample order.
     #[test]
     fn batched_training_matches_per_row_reference() {
-        use crate::nn::MlpGradients;
-
         let mut rng = StdRng::seed_from_u64(5);
         let mut model = RewardModel::new(2, 3, config(), &mut rng);
         let mut reference = model.net.clone();

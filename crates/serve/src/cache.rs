@@ -132,7 +132,7 @@ impl CacheOutcome {
 /// over the cache's lifetime and carried across capacity rebuilds).
 ///
 /// One struct for both of a session's caches: the `statement_*` fields
-/// describe the text-keyed statement cache in front of the plan cache
+/// describe the template-keyed statement cache in front of the plan cache
 /// (see [`crate::statement`]) and are filled by
 /// `QuerySession::cache_metrics`; a bare [`PlanCache`] has no
 /// statements and reports them as zero.
@@ -185,16 +185,17 @@ pub struct CacheMetrics {
     /// Template entries in the fullest shard (≤ `capacity / shards`,
     /// rounded up).
     pub largest_shard: usize,
-    /// `serve(sql)` calls whose exact text was remembered: no lex,
-    /// parse, bind or fingerprint ran. Graph and `Prepared` entry
-    /// points count as neither hit nor miss.
+    /// `serve(sql)` calls whose template was remembered: no parse,
+    /// bind or template fingerprint ran, only the text's constants were
+    /// substituted. Graph and `Prepared` entry points count as neither
+    /// hit nor miss.
     pub statement_hits: u64,
-    /// `serve(sql)` calls whose text was not remembered — first sight,
-    /// evicted by the bound, forgotten by `db_mut()`, or a text that
-    /// fails to parse or bind (which is never remembered, so it misses
-    /// every time).
+    /// `serve(sql)` calls whose template was not remembered — first
+    /// sight, evicted by the bound, forgotten by `db_mut()`, or a text
+    /// that fails to parse or bind (which is never remembered, so it
+    /// misses every time). A text that does not lex counts as neither.
     pub statement_misses: u64,
-    /// Statements currently remembered (≤ `capacity`: the statement
+    /// Templates currently remembered (≤ `capacity`: the statement
     /// cache is one LRU bounded at the plan cache's capacity).
     pub statements: usize,
 }

@@ -22,8 +22,9 @@
 //!
 //! In front of the plan cache sits the statement cache ([`statement`]):
 //! the session serves a [`Prepared`] statement, not a string, and a
-//! text it has served before — still among the last `capacity` distinct
-//! texts — is not lexed, parsed, bound or fingerprinted again.
+//! text whose template it has served before — still among the last
+//! `capacity` distinct templates — is not parsed or bound again: its
+//! constants are put into the remembered graph.
 //!
 //! Since PR 5 the layer also **closes the hands-free loop** the paper
 //! is named for: a session can record every executed query into an

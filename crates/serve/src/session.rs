@@ -6,13 +6,19 @@
 //!
 //! ```text
 //!   serve(sql)
-//!     ├─ statement  text → statement cache ──hit──────────┐
-//!     │               └──miss──→ prepare(sql):            │
-//!     │                   parse    sql::parse_select      │
-//!     │                   bind     hfqo_query::bind_select│
-//!     │                   key      (template, exact)      │
-//!     │                 → remembered                      ▼
-//!     │                                  Prepared { graph, key }
+//!     ├─ statement  spelling  sql::blank_literals (literals blanked)
+//!     │               → statement cache ──hit──────────────────────────┐
+//!     │               └──miss──→ lex    sql::tokenize_with_shape:      │
+//!     │                                 tokens, and the shape (each    │
+//!     │                                 literal reduced to its kind)   │
+//!     │                           → statement cache ──hit──────────────┤
+//!     │                           └──miss──→ parse  sql::parse_tokens  │
+//!     │                                      bind   bind_select        │
+//!     │                                      key    (template, exact)  │
+//!     │                                    → remembered ───────────┐   │
+//!     │                   hit: the text's literals substituted,    │   │
+//!     │                        exact fingerprint recomputed ◄──────┼───┘
+//!     │                                          Prepared { graph, key }
 //!     └─ serve_prepared
 //!         ├─ plan       selectivity signature
 //!         │               → PlanCache::probe ──hit───────→ PhysicalPlan
@@ -26,17 +32,24 @@
 //! serve produces and all the back half consumes.
 //! [`QuerySession::prepare`] is the front half,
 //! [`QuerySession::serve_prepared`] the back half, and
-//! [`QuerySession::serve`] is *look the text up; on a miss prepare and
-//! remember it; serve the statement* — there is no route around the
-//! statement cache and nothing that turns it off. A text served before
-//! (and still among the last [`CacheConfig::capacity`] distinct texts)
-//! is not lexed, parsed, bound or fingerprinted again; what a statement
-//! hit still pays is the signature, the probe, the hit's plan-tree
-//! clone and the execution. The graph entry points
-//! ([`QuerySession::serve_shared`], [`QuerySession::serve_graph`]) wrap
-//! their graph in a `Prepared` and take the same back half. The cache's
-//! rules — exact text as the key, one global LRU, a leaf lock, emptied
-//! by [`QuerySession::db_mut`] and by nothing else — are in
+//! [`QuerySession::serve`] is *look the text's template up; on a miss
+//! parse, bind and remember it; serve the statement with the text's
+//! constants* — there is no route around the statement cache and
+//! nothing that turns it off. A text whose template was served before
+//! (and is still among the last [`CacheConfig::capacity`] distinct
+//! templates) is not parsed or bound again: its literals are
+//! substituted into the remembered graph and only its exact fingerprint
+//! is computed, and a text repeating the remembered constants is served
+//! the remembered statement as it is. A text spelled as the last one
+//! that reached its template is not even lexed. What a statement hit
+//! still pays is the spelling scan (and the lex, for a new spelling),
+//! the signature, the probe, the hit's plan-tree clone and the
+//! execution. The graph entry points ([`QuerySession::serve_shared`],
+//! [`QuerySession::serve_graph`]) wrap their graph in a `Prepared` and
+//! take the same back half. The cache's rules — the text's shape (its
+//! tokens with each literal reduced to its kind) as the key, the
+//! spelling as a second way in, one global LRU, a leaf lock, emptied by
+//! [`QuerySession::db_mut`] and by nothing else — are in
 //! [`crate::statement`].
 //!
 //! Planning is cached under the **two-part key** of
@@ -59,7 +72,8 @@
 //! misses are single-flighted per exact fingerprint: threads racing on
 //! the same cold query run the planner exactly once, the rest wait and
 //! hit. The statement cache's one lock is held for a hash-slot lookup
-//! and a text comparison only (the text is hashed before it is taken).
+//! and a key comparison only (the key is built and hashed before it is
+//! taken).
 //!
 //! Mutation is explicit and exclusive. The session remembers, per
 //! table, the data version ([`Database::table_versions`]) its
@@ -91,7 +105,9 @@ use crate::experience::{Experience, ExperienceLog};
 use crate::statement::{Prepared, StatementCache};
 use hfqo_exec::{execute, ExecConfig, ExecError, ExecOutcome};
 use hfqo_opt::{OptError, PlannedQuery, Planner, PlannerContext, PlannerMethod};
-use hfqo_query::sql::{parse_select, ParseError};
+use hfqo_query::sql::{
+    blank_literals, parse_tokens, tokenize, tokenize_with_shape, ParseError, Token,
+};
 use hfqo_query::{bind_select, tree_to_actions, PhysicalPlan, QueryError, QueryGraph};
 use hfqo_stats::{database_table_stats, selection_selectivities, StatsCatalog};
 use hfqo_storage::catalog::Catalog;
@@ -156,8 +172,9 @@ impl From<ExecError> for ServeError {
 pub struct ServedQuery {
     /// The bound query graph (shared with the experience log when one
     /// is attached, and with the statement cache when the query came in
-    /// as text; callers going through [`QuerySession::serve_shared`]
-    /// share their own `Arc` — no deep clone on the serve path).
+    /// as text with the remembered constants; callers going through
+    /// [`QuerySession::serve_shared`] share their own `Arc` — no deep
+    /// clone on the serve path).
     pub graph: Arc<QueryGraph>,
     /// The physical plan that executed.
     pub plan: PhysicalPlan,
@@ -172,10 +189,13 @@ pub struct ServedQuery {
     /// How the cache answered: exact hit, intra-template (band) hit,
     /// out-of-band re-plan, or cold miss.
     pub cache: CacheOutcome,
-    /// Whether the text was found in the statement cache, so that this
-    /// serve did not parse, bind or fingerprint. Always `false` on the
-    /// entry points that take a graph or a [`Prepared`] rather than
-    /// text.
+    /// The plan-cache key the graph was served under: always
+    /// `PlanKey::of(&graph)`, however the statement was reached.
+    pub key: PlanKey,
+    /// Whether the text's template was found in the statement cache, so
+    /// that this serve did not parse, bind or compute a template
+    /// fingerprint. Always `false` on the entry points that take a graph
+    /// or a [`Prepared`] rather than text.
     pub statement_hit: bool,
     /// Planning wall-clock: the cache lookup on a hit, the planner run
     /// on a miss.
@@ -194,8 +214,8 @@ pub struct QuerySession {
     planner: Box<dyn Planner>,
     /// Internally sharded and synchronized; see [`crate::cache`].
     cache: PlanCache,
-    /// SQL text → prepared statement, bounded at the plan cache's
-    /// capacity; see [`crate::statement`].
+    /// Statement template → prepared statement, bounded at the plan
+    /// cache's capacity; see [`crate::statement`].
     statements: StatementCache,
     exec_config: ExecConfig,
     /// When attached, every executed query is recorded for online
@@ -273,8 +293,8 @@ impl QuerySession {
     /// The catalog is reachable through this reference, and a bound
     /// graph holds the table and column ids that catalog gave it, so
     /// handing it out forgets every remembered statement: the next
-    /// serve of each text binds afresh. This is the statement cache's
-    /// one invalidation rule.
+    /// serve of each template binds afresh. This is the statement
+    /// cache's one invalidation rule.
     pub fn db_mut(&mut self) -> &mut Database {
         self.statements.clear();
         &mut self.db
@@ -415,12 +435,17 @@ impl QuerySession {
         }
     }
 
-    /// The front half of a serve: parse, bind against the catalog, and
-    /// compute the plan-cache key. Nothing is planned, executed or
+    /// The front half of a serve: lex, parse, bind against the catalog,
+    /// and compute the plan-cache key. Nothing is planned, executed or
     /// remembered; [`Self::serve`] is what consults and fills the
     /// statement cache.
     pub fn prepare(&self, sql: &str) -> Result<Prepared, ServeError> {
-        let stmt = parse_select(sql)?;
+        self.prepare_tokens(tokenize(sql)?)
+    }
+
+    /// [`Self::prepare`] from the text's tokens.
+    fn prepare_tokens(&self, tokens: Vec<Token<'_>>) -> Result<Prepared, ServeError> {
+        let stmt = parse_tokens(tokens)?;
         let graph = bind_select(&stmt, self.db.catalog())?;
         Ok(Prepared::new(Arc::new(graph)))
     }
@@ -454,6 +479,7 @@ impl QuerySession {
             method: planned.method,
             cache_hit: cache.is_hit(),
             cache,
+            key: prepared.key(),
             statement_hit: false,
             planning_time: planned.planning_time,
             outcome,
@@ -476,25 +502,42 @@ impl QuerySession {
         self.serve_shared(Arc::new(graph.clone()))
     }
 
-    /// Serves SQL text: the statement remembered for exactly this text,
-    /// or — the first time, and after eviction or [`Self::db_mut`] —
-    /// [`Self::prepare`]d now and remembered; then
-    /// [`Self::serve_prepared`]. A text that fails to parse or bind is
-    /// not remembered and fails the same way next time. The statement
-    /// lock is not held while preparing: threads that miss one text at
-    /// once each prepare it, and the last insert wins.
+    /// Serves SQL text: the statement remembered for the text's template
+    /// takes the text's literals; or — the first time, and after
+    /// eviction or [`Self::db_mut`] — the text is parsed and bound now
+    /// and the statement remembered. Then [`Self::serve_prepared`]. A
+    /// text that fails to lex, parse or bind is not remembered and fails
+    /// the same way next time. The statement lock is not held while
+    /// preparing: threads that miss one template at once each prepare
+    /// it, and the last insert wins.
     pub fn serve(&self, sql: &str) -> Result<ServedQuery, ServeError> {
-        let (prepared, statement_hit) = match self.statements.get(sql) {
-            Some(prepared) => (prepared, true),
-            None => {
-                let prepared = self.prepare(sql)?;
-                self.statements.insert(sql, prepared.clone());
-                (prepared, false)
-            }
-        };
+        let (prepared, statement_hit) = self.statement(sql)?;
         let mut served = self.serve_prepared(&prepared)?;
         served.statement_hit = statement_hit;
         Ok(served)
+    }
+
+    /// The statement `sql` binds to, and whether its template was
+    /// remembered: found by the text's spelling, else lexed and found by
+    /// its shape, else parsed, bound and remembered.
+    fn statement(&self, sql: &str) -> Result<(Prepared, bool), ServeError> {
+        let spelled = blank_literals(sql)
+            .map(|(spelling, literals)| (self.statements.key(spelling), literals));
+        if let Ok((spelling, literals)) = &spelled {
+            if let Some(template) = self.statements.get_spelled(spelling) {
+                return Ok((template.with_literals_of(literals), true));
+            }
+        }
+        let (tokens, shape) = tokenize_with_shape(sql)?;
+        // A text that lexes has a spelling: its literals are the lexer's.
+        let (spelling, _) = spelled?;
+        let shape = self.statements.key(shape);
+        if let Some(template) = self.statements.get(&shape, &spelling) {
+            return Ok((template.with_literals_of(&tokens), true));
+        }
+        let prepared = self.prepare_tokens(tokens)?;
+        self.statements.insert(shape, spelling, prepared.clone());
+        Ok((prepared, false))
     }
 }
 
@@ -503,6 +546,7 @@ mod tests {
     use super::*;
     use hfqo_opt::test_support::{chain_query, with_count, TestDb};
     use hfqo_opt::{RandomPlanner, TraditionalPlanner};
+    use hfqo_query::sql::parse_select;
 
     fn session(n: usize, rows: usize) -> (QuerySession, QueryGraph) {
         let fixture = TestDb::chain(n, rows);
@@ -806,18 +850,18 @@ mod tests {
         let again = session.serve(TEXT).unwrap();
         assert!(!first.statement_hit);
         assert!(again.statement_hit);
-        assert!(Arc::ptr_eq(&first.graph, &again.graph), "bound once");
+        assert_eq!(*first.graph, *again.graph, "bound once");
         assert_eq!(
             (first.cache, again.cache),
             (CacheOutcome::Miss, CacheOutcome::ExactHit)
         );
         assert_same_serve(&first, &again);
         assert_eq!(statement_counts(&session), (1, 1, 1));
-        // Both experience records share that one graph.
+        // Both experience records carry that one graph.
         let records = log.drain(8);
         assert_eq!(records.len(), 2);
-        assert!(Arc::ptr_eq(&records[0].graph, &records[1].graph));
-        assert!(Arc::ptr_eq(&records[0].graph, &first.graph));
+        assert_eq!(*records[0].graph, *records[1].graph);
+        assert_eq!(*records[0].graph, *first.graph);
     }
 
     /// Text, prepared statement and shared graph are three ways into
@@ -852,24 +896,64 @@ mod tests {
         );
     }
 
+    /// Keyword case and spacing never reach the key, so those spellings
+    /// are statement hits; an alias is part of it, so renaming one is a
+    /// statement miss — and all of them are one query to the plan
+    /// cache.
     #[test]
-    fn another_spelling_is_a_statement_miss_and_a_plan_cache_exact_hit() {
+    fn other_spellings_are_a_statement_hit_and_an_alias_change_a_miss() {
         let (session, _) = session(2, 150);
         let first = session.serve(TEXT).unwrap();
         let spellings = [
-            TEXT.to_lowercase().replace("count", "COUNT"),
-            TEXT.replace(' ', "  "),
-            TEXT.replace("a.", "x.").replace("t0 a", "t0 x"),
+            (TEXT.to_lowercase().replace("count", "COUNT"), true),
+            (TEXT.replace(' ', "  "), true),
+            (TEXT.replace("a.", "x.").replace("t0 a", "t0 x"), false),
         ];
-        for (i, sql) in spellings.iter().enumerate() {
+        let mut counts = (0, 1, 1);
+        for (sql, hit) in &spellings {
             assert_ne!(sql, TEXT);
             let served = session.serve(sql).unwrap();
-            assert!(!served.statement_hit, "{sql}");
+            assert_eq!(served.statement_hit, *hit, "{sql}");
             assert_eq!(served.cache, CacheOutcome::ExactHit, "{sql}");
-            assert!(!Arc::ptr_eq(&served.graph, &first.graph));
+            let fresh = bind_select(&parse_select(sql).unwrap(), session.catalog()).unwrap();
+            assert_eq!(*served.graph, fresh, "{sql}");
+            assert_eq!(served.key, PlanKey::of(&fresh), "{sql}");
             assert_same_serve(&served, &first);
-            assert_eq!(statement_counts(&session), (0, 2 + i as u64, 2 + i));
+            if *hit {
+                counts.0 += 1;
+            } else {
+                (counts.1, counts.2) = (counts.1 + 1, counts.2 + 1);
+            }
+            assert_eq!(statement_counts(&session), counts, "{sql}");
         }
+    }
+
+    /// A constant changed is the template's statement with that
+    /// constant: a statement hit whose graph and key are the ones
+    /// binding the text gives, served as the plan cache serves those
+    /// constants.
+    #[test]
+    fn another_constant_is_a_statement_hit_on_a_substituted_graph() {
+        let (session, _) = session(2, 150);
+        let first = session.serve(TEXT).unwrap();
+        let other = TEXT.replace("< 20", "< 21");
+        let served = session.serve(&other).unwrap();
+        assert!(served.statement_hit);
+        let fresh = bind_select(&parse_select(&other).unwrap(), session.catalog()).unwrap();
+        assert_eq!(*served.graph, fresh);
+        assert_eq!(served.key, PlanKey::of(&fresh));
+        assert_eq!(served.key.template, first.key.template);
+        assert_ne!(*served.graph, *first.graph);
+        assert_eq!(served.cache, CacheOutcome::TemplateHit);
+        let reference = {
+            let (fresh_session, _) = self::session(2, 150);
+            fresh_session.serve(TEXT).unwrap();
+            fresh_session.serve_prepared(&fresh_session.prepare(&other).unwrap())
+        };
+        let reference = reference.unwrap();
+        assert_same_serve(&served, &reference);
+        assert_eq!(served.cache, reference.cache);
+        assert_eq!(statement_counts(&session), (1, 1, 1));
     }
 
     #[test]
@@ -884,17 +968,26 @@ mod tests {
         assert_eq!(statement_counts(&session), (0, 4, 0));
     }
 
+    /// Three templates: `TEXT` with its selection on another column of
+    /// `b`, or under another comparison.
+    fn templates() -> [String; 3] {
+        [
+            TEXT.to_string(),
+            TEXT.replace("a.val < 20", "b.val < 20"),
+            TEXT.replace("a.val < 20", "a.val > 20"),
+        ]
+    }
+
     #[test]
     fn the_statement_bound_is_the_cache_capacity() {
         let (session, _) = session(2, 150);
         let session = session.with_cache_capacity(2);
-        let texts: Vec<String> = (20..23)
-            .map(|v| TEXT.replace("20", &v.to_string()))
-            .collect();
+        let texts = templates();
         let mut reference: Vec<Option<ServedQuery>> = vec![None; texts.len()];
-        // Round-robin through one text more than fits: the text about
-        // to be served is always the one evicted last, so every serve
-        // prepares again — and must come out as it did the first time.
+        // Round-robin through one template more than fits: the template
+        // about to be served is always the one evicted last, so every
+        // serve prepares again — and must come out as it did the first
+        // time.
         for round in 0..3 {
             for (sql, reference) in texts.iter().zip(&mut reference) {
                 let served = session.serve(sql).unwrap();
@@ -910,10 +1003,12 @@ mod tests {
             }
         }
         assert_eq!(statement_counts(&session), (0, 9, 2));
-        // The two most recent texts are the two remembered.
-        assert!(session.serve(&texts[2]).unwrap().statement_hit);
-        assert!(session.serve(&texts[1]).unwrap().statement_hit);
-        assert!(!session.serve(&texts[0]).unwrap().statement_hit);
+        // The two most recent templates are the two remembered, whatever
+        // the constants.
+        let at = |sql: &str, v: &str| sql.replace("20", v);
+        assert!(session.serve(&at(&texts[2], "7")).unwrap().statement_hit);
+        assert!(session.serve(&at(&texts[1], "8")).unwrap().statement_hit);
+        assert!(!session.serve(&at(&texts[0], "9")).unwrap().statement_hit);
     }
 
     /// The one invalidation rule: a remembered graph holds the ids the
@@ -977,9 +1072,8 @@ mod tests {
     #[test]
     fn statement_counters_carry_across_cache_rebuilds_and_the_bound_follows() {
         let (session, _) = session(2, 150);
-        let texts: Vec<String> = (20..24)
-            .map(|v| TEXT.replace("20", &v.to_string()))
-            .collect();
+        let mut texts = templates().to_vec();
+        texts.push(TEXT.replace("a.val < 20", "b.val >= 20"));
         session.serve(&texts[0]).unwrap();
         session.serve(&texts[0]).unwrap();
         assert_eq!(statement_counts(&session), (1, 1, 1));

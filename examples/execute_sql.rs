@@ -1,8 +1,10 @@
 //! End-to-end SQL serving on the IMDB-like database through
 //! [`QuerySession`]: parse → bind → plan (fingerprint-keyed plan cache)
-//! → execute, with EXPLAIN output, runtime statistics, and the
-//! cache-warm second round showing the front end (text → statement
-//! hit) and planning (plan-cache hit) amortised away.
+//! → execute, with EXPLAIN output, runtime statistics, the cache-warm
+//! second round showing the front end (text → statement hit) and
+//! planning (plan-cache hit) amortised away, and a third round with one
+//! constant changed in each text: still a statement hit, since the
+//! statement cache remembers templates, not texts.
 //!
 //! ```sh
 //! cargo run --release --example execute_sql
@@ -80,8 +82,8 @@ fn main() {
     }
 
     // Serve the workload again: every text is a remembered statement
-    // (no lex, parse, bind or fingerprint) and every plan comes from
-    // the cache, so what is left of a serve is the execution.
+    // (no parse, bind or fingerprint) and every plan comes from the
+    // cache, so what is left of a serve is the execution.
     println!("─────────────────────────────────────────────");
     println!("second round (cache-warm):");
     for sql in queries {
@@ -92,6 +94,24 @@ fn main() {
             "  {} … statement hit, cache hit, planned in {:?}, {} work units",
             &sql[..40.min(sql.len())],
             served.planning_time,
+            served.outcome.stats.work
+        );
+    }
+    // And once more with one constant changed in each text: the
+    // template is remembered, so the new constant is put into its bound
+    // graph, and the plan cache decides whether its plan still fits.
+    println!("third round (one constant changed):");
+    for sql in queries {
+        let other = next_constant(sql);
+        let served = session.serve(&other).expect("serves");
+        assert!(
+            served.statement_hit,
+            "a remembered template with another constant"
+        );
+        println!(
+            "  {} … statement hit, cache {:?}, {} work units",
+            &other[..40.min(other.len())],
+            served.cache,
             served.outcome.stats.work
         );
     }
@@ -106,7 +126,32 @@ fn main() {
     );
     assert_eq!(
         (m.statement_hits, m.statement_misses, m.statements),
-        (3, 3, 3),
-        "each text prepared once, then served from the statement cache"
+        (6, 3, 3),
+        "each template prepared once, then served from the statement cache"
     );
+}
+
+/// `sql` with its last integer constant one higher: the last run of
+/// digits that does not end a name.
+fn next_constant(sql: &str) -> String {
+    let bytes = sql.as_bytes();
+    let mut end = bytes.len();
+    loop {
+        end = bytes[..end]
+            .iter()
+            .rposition(u8::is_ascii_digit)
+            .expect("an integer constant")
+            + 1;
+        let start = bytes[..end]
+            .iter()
+            .rposition(|b| !b.is_ascii_digit())
+            .map_or(0, |i| i + 1);
+        let named =
+            start > 0 && (bytes[start - 1].is_ascii_alphabetic() || bytes[start - 1] == b'_');
+        if !named {
+            let value: i64 = sql[start..end].parse().expect("an integer");
+            return format!("{}{}{}", &sql[..start], value + 1, &sql[end..]);
+        }
+        end = start;
+    }
 }

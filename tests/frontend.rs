@@ -8,7 +8,7 @@
 
 use hfqo::prelude::*;
 use hfqo::query::BoundColumn;
-use hfqo::sql::{tokenize, Token};
+use hfqo::sql::{blank_literals, tokenize, tokenize_with_shape, Literal, Token};
 use hfqo::workload::imdb::build_imdb;
 use hfqo::workload::job::generate_job_suite;
 use hfqo::workload::synth::{SynthConfig, SynthDb};
@@ -256,6 +256,174 @@ fn job_suite_graphs_equal_the_golden() {
     }
 }
 
+/// `tokens` printed back to SQL, one space between tokens. With
+/// `respell`, keyword case and the whitespace between tokens are drawn
+/// (none where a dot or a comma allows it), and with `redraw` every
+/// literal is drawn afresh in its own kind: ints down to negatives,
+/// floats whole and fractional, and strings that quote `'`.
+fn print(tokens: &[Token<'_>], rng: &mut StdRng, respell: bool, redraw: bool) -> String {
+    const PIECES: [&str; 6] = ["a", "'", "é", " ", "x'y", "0"];
+    let mut out = String::new();
+    let mut prev: Option<&Token<'_>> = None;
+    for token in tokens {
+        if let Some(prev) = prev {
+            let tight = matches!((prev, token), (Token::Ident(_), Token::Dot))
+                || matches!((prev, token), (Token::Dot, Token::Ident(_)))
+                || matches!(token, Token::Comma);
+            out += match respell {
+                false => " ",
+                true if tight => "",
+                true => [" ", "  ", "\n", "\t", " \t\n "][rng.gen_range(0..5usize)],
+            };
+        }
+        let text = match token {
+            Token::Keyword(k) if respell => k
+                .chars()
+                .map(|c| {
+                    if rng.gen_range(0..2u8) == 0 {
+                        c.to_ascii_lowercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect(),
+            Token::Keyword(k) => k.to_string(),
+            Token::Ident(s) => s.to_string(),
+            Token::Int(_) if redraw => rng.gen_range(-1_000_000..1_000_000i64).to_string(),
+            Token::Int(v) => v.to_string(),
+            Token::Float(_) if redraw => {
+                Literal::Float(rng.gen_range(-80_000..80_000i64) as f64 / 8.0).to_string()
+            }
+            Token::Float(v) => Literal::Float(*v).to_string(),
+            Token::Str(_) if redraw => {
+                let s: String = (0..rng.gen_range(0..5usize))
+                    .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+                    .collect();
+                Literal::Str(s.into()).to_string()
+            }
+            Token::Str(s) => Literal::Str(s.clone()).to_string(),
+            Token::Comma => ",".into(),
+            Token::Dot => ".".into(),
+            Token::Star => "*".into(),
+            Token::LParen => "(".into(),
+            Token::RParen => ")".into(),
+            Token::Semicolon => ";".into(),
+            Token::Eq => "=".into(),
+            Token::Neq => "<>".into(),
+            Token::Lt => "<".into(),
+            Token::Le => "<=".into(),
+            Token::Gt => ">".into(),
+            Token::Ge => ">=".into(),
+        };
+        out += &text;
+        prev = Some(token);
+    }
+    out
+}
+
+/// The texts a statement-cache key must tell from `tokens`'s: an alias
+/// renamed, a predicate's column changed, and one literal of another
+/// kind (`3` → `3.0`) — whether or not they still bind.
+fn other_templates(tokens: &[Token<'_>], rng: &mut StdRng) -> Vec<String> {
+    let mut others = Vec::new();
+    let qualifier = tokens
+        .windows(2)
+        .find_map(|w| matches!(w[1], Token::Dot).then_some(&w[0]));
+    if let Some(alias) = qualifier.cloned() {
+        let renamed: Vec<Token<'_>> = tokens
+            .iter()
+            .map(|t| {
+                if *t == alias {
+                    Token::Ident("zz_alias")
+                } else {
+                    t.clone()
+                }
+            })
+            .collect();
+        others.push(print(&renamed, rng, false, false));
+    }
+    let mut column = tokens.to_vec();
+    let after_where = tokens.iter().position(|t| *t == Token::Keyword("WHERE"));
+    if let Some(at) = after_where
+        .and_then(|w| (w..tokens.len() - 2).find(|&i| matches!(tokens[i + 1], Token::Dot) && i > w))
+    {
+        let Token::Ident(old) = tokens[at + 2] else {
+            panic!("a column after the dot")
+        };
+        column[at + 2] = Token::Ident(if old == "id" { "kind_id" } else { "id" });
+        others.push(print(&column, rng, false, false));
+    }
+    let mut kind = tokens.to_vec();
+    if let Some(lit) = kind
+        .iter_mut()
+        .find(|t| matches!(t, Token::Int(_) | Token::Float(_) | Token::Str(_)))
+    {
+        *lit = match lit {
+            Token::Int(v) => Token::Float(*v as f64),
+            Token::Float(v) => Token::Int(*v as i64),
+            _ => Token::Int(0),
+        };
+        others.push(print(&kind, rng, false, false));
+    }
+    others
+}
+
+/// The statement cache keys a text by its template: over every JOB-like
+/// and synthetic text, a copy with every literal drawn afresh — keyword
+/// case and whitespace re-spelled, or spelled one way twice, so that
+/// the second is found by its spelling — is a statement hit on a
+/// session warmed with the original, bound to the graph and plan-cache
+/// key binding the copy gives; a renamed alias, another column or a
+/// literal of another kind is a statement miss.
+#[test]
+fn other_constants_and_spellings_of_a_template_are_one_statement() {
+    let (db, stats) = build_imdb(ImdbConfig {
+        base_rows: 20,
+        seed: 21,
+    });
+    let job: Vec<String> = job_texts().1;
+    let synth = SynthDb::build(SynthConfig {
+        tables: 12,
+        rows: 20,
+        seed: 31,
+    });
+    let mut rng = StdRng::seed_from_u64(46);
+    let worlds = [
+        (db, stats, job),
+        (synth.db, synth.stats, synth_texts(120).1),
+    ];
+    for (db, stats, texts) in worlds {
+        for sql in &texts {
+            let tokens = tokenize(sql).unwrap();
+            let session = QuerySession::traditional(db.clone(), stats.clone());
+            session.serve(sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
+            for respell in [true, false, false] {
+                let variant = print(&tokens, &mut rng, respell, true);
+                let served = session
+                    .serve(&variant)
+                    .unwrap_or_else(|e| panic!("{e}: {variant}"));
+                assert!(served.statement_hit, "{variant}");
+                let fresh = bind_select(&parse_select(&variant).unwrap(), session.catalog());
+                let fresh = fresh.unwrap();
+                assert_eq!(*served.graph, fresh, "{variant}");
+                assert_eq!(served.key, PlanKey::of(&fresh), "{variant}");
+            }
+            let others = other_templates(&tokens, &mut rng);
+            assert!(others.len() >= 2, "{sql}");
+            for other in others {
+                let misses = session.cache_metrics().statement_misses;
+                let served = session.serve(&other);
+                assert!(served.is_err() || !served.unwrap().statement_hit, "{other}");
+                assert_eq!(
+                    session.cache_metrics().statement_misses,
+                    misses + 1,
+                    "{other}"
+                );
+            }
+        }
+    }
+}
+
 /// Pieces of SQL-like text: keywords, IMDB table, alias and column
 /// names, qualified columns, operators and punctuation, numbers (whole,
 /// fractional, negative, overflowing), quotes and string literals, and
@@ -367,6 +535,19 @@ proptest! {
     ) {
         let sql = format!("{head}{}", arbitrary_text(&pieces));
         let tokens = tokenize(&sql);
+        // On any text that lexes, the shape comes with the same tokens
+        // and the spelling scan finds exactly the lexer's literals.
+        if let Ok(tokens) = &tokens {
+            prop_assert_eq!(&tokenize_with_shape(&sql).unwrap().0, tokens);
+            let literals: Vec<&Token<'_>> = tokens
+                .iter()
+                .filter(|t| matches!(t, Token::Int(_) | Token::Float(_) | Token::Str(_)))
+                .collect();
+            let spelled = blank_literals(&sql);
+            prop_assert!(spelled.is_ok(), "{sql:?}");
+            let spelled = spelled.unwrap().1;
+            prop_assert_eq!(spelled.iter().collect::<Vec<_>>(), literals, "{sql:?}");
+        }
         if let Ok(stmt) = parse_select(&sql) {
             prop_assert!(tokens.is_ok(), "{sql:?}");
             let printed = stmt.to_string();
