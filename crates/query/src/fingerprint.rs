@@ -78,13 +78,6 @@
 //! bucket index — must mix first (multiply one lane by an odd 64-bit
 //! constant and take high bits, as the plan cache's shard choice does),
 //! never mask raw bits or fold the lanes together.
-//!
-//! All three fingerprints fold a graph's relations and join edges into
-//! the same hash state before its first literal. That state is folded
-//! once per graph frame — what a clone, or
-//! [`substitute`](crate::substitute), shares with the graph it came
-//! from — and kept there, so a graph built from a template by new
-//! constants hashes only its selections and output shape.
 
 use crate::graph::QueryGraph;
 use crate::predicate::{BoundColumn, Lit};
@@ -160,7 +153,6 @@ impl fmt::Display for ParamVector {
 }
 
 /// Two chained FNV-1a-64 streams with distinct offset bases.
-#[derive(Clone, Copy)]
 struct Fnv2 {
     a: u64,
     b: u64,
@@ -193,7 +185,7 @@ impl Fnv2 {
     }
 }
 
-/// What [`fold_rest`] folds a graph into: its content bytes, and each
+/// What [`fold_graph`] folds a graph into: its content bytes, and each
 /// selection literal, the one thing the two fingerprints hash
 /// differently.
 trait Sink {
@@ -307,39 +299,24 @@ fn agg_func(h: &mut impl Sink, f: AggFunc) {
     });
 }
 
-/// Every fingerprint's hash state after `graph`'s relations and join
-/// edges, the content before its first literal, which all three
-/// fingerprints fold alike. It is folded once per shared part of a
-/// graph — the part a clone, or [`substitute`](crate::substitute),
-/// shares — and kept there.
-fn prefix(graph: &QueryGraph) -> Fnv2 {
-    let (a, b) = graph.frame_fingerprint(|| {
-        let mut h = Fnv2::new();
-        // Relations: catalog table per FROM slot. Aliases are
-        // presentation only (see module docs) and are deliberately not
-        // hashed.
-        h.u64(graph.relation_count() as u64);
-        for rel in graph.relations() {
-            let TableId(t) = rel.table;
-            h.u32(t);
-        }
-        // Join edges, in stored order (plans index into this list).
-        h.u64(graph.joins().len() as u64);
-        for edge in graph.joins() {
-            column(&mut h, edge.left);
-            compare_op(&mut h, edge.op);
-            column(&mut h, edge.right);
-        }
-        (h.a, h.b)
-    });
-    Fnv2 { a, b }
-}
-
-/// Folds the rest of the graph's plan-relevant content into `h`, which
-/// holds its [`prefix`]. Each selection literal goes to
-/// [`Sink::literal`]; everything else is the same bytes whichever
-/// fingerprint `h` computes.
-fn fold_rest(h: &mut impl Sink, graph: &QueryGraph) {
+/// Folds the graph's plan-relevant content into `h`. Each selection
+/// literal goes to [`Sink::literal`]; everything else is the same
+/// bytes whichever fingerprint `h` computes.
+fn fold_graph(h: &mut impl Sink, graph: &QueryGraph) {
+    // Relations: catalog table per FROM slot. Aliases are presentation
+    // only (see module docs) and are deliberately not hashed.
+    h.u64(graph.relation_count() as u64);
+    for rel in graph.relations() {
+        let TableId(t) = rel.table;
+        h.u32(t);
+    }
+    // Join edges, in stored order (plans index into this list).
+    h.u64(graph.joins().len() as u64);
+    for edge in graph.joins() {
+        column(h, edge.left);
+        compare_op(h, edge.op);
+        column(h, edge.right);
+    }
     // Selections, in stored order.
     h.u64(graph.selections().len() as u64);
     for sel in graph.selections() {
@@ -368,8 +345,8 @@ fn fold_rest(h: &mut impl Sink, graph: &QueryGraph) {
 /// Computes the exact fingerprint of `graph` (literal values included)
 /// under the normalization rules in the [module docs](self).
 pub fn fingerprint(graph: &QueryGraph) -> QueryFingerprint {
-    let mut h = prefix(graph);
-    fold_rest(&mut h, graph);
+    let mut h = Fnv2::new();
+    fold_graph(&mut h, graph);
     QueryFingerprint(h.finish())
 }
 
@@ -378,10 +355,10 @@ pub fn fingerprint(graph: &QueryGraph) -> QueryFingerprint {
 /// See the [module docs](self).
 pub fn template_fingerprint(graph: &QueryGraph) -> (TemplateFingerprint, ParamVector) {
     let mut h = Template {
-        h: prefix(graph),
+        h: Fnv2::new(),
         params: Vec::with_capacity(graph.selections().len()),
     };
-    fold_rest(&mut h, graph);
+    fold_graph(&mut h, graph);
     (
         TemplateFingerprint(h.h.finish()),
         ParamVector::new(h.params),
@@ -392,12 +369,11 @@ pub fn template_fingerprint(graph: &QueryGraph) -> (TemplateFingerprint, ParamVe
 /// `(template_fingerprint(graph).0, fingerprint(graph))`, with no
 /// parameter vector built.
 pub fn fingerprints(graph: &QueryGraph) -> (TemplateFingerprint, QueryFingerprint) {
-    let prefix = prefix(graph);
     let mut h = Both {
-        template: prefix,
-        exact: prefix,
+        template: Fnv2::new(),
+        exact: Fnv2::new(),
     };
-    fold_rest(&mut h, graph);
+    fold_graph(&mut h, graph);
     (
         TemplateFingerprint(h.template.finish()),
         QueryFingerprint(h.exact.finish()),

@@ -3,7 +3,6 @@
 use crate::predicate::{AggExpr, BoundColumn, JoinEdge, Selection};
 use hfqo_storage::catalog::TableId;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// Index of a relation within a query's FROM clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -132,38 +131,15 @@ pub struct Relation {
 ///
 /// This is the single structure both the traditional optimizer and the RL
 /// environments search over. Plans reference its predicates by index.
-///
-/// Everything but the selections and the label sits behind one `Arc`,
-/// so a clone, or a graph [`substitute`](crate::substitute) makes from
-/// this one, shares it rather than copying every alias.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryGraph {
-    frame: Arc<Frame>,
-    selections: Vec<Selection>,
-    /// Optional label (e.g. the JOB-style query name "8c").
-    pub label: Option<String>,
-}
-
-/// The part of a graph the constants of a template do not change.
-#[derive(Debug)]
-struct Frame {
     relations: Vec<Relation>,
     joins: Vec<JoinEdge>,
+    selections: Vec<Selection>,
     aggregates: Vec<AggExpr>,
     group_by: Vec<BoundColumn>,
-    /// The fingerprints' hash state after the relations and joins,
-    /// folded on first use (see `fingerprint::prefix`).
-    fingerprint: OnceLock<(u64, u64)>,
-}
-
-/// The graph's content: a kept fingerprint state is not part of it.
-impl PartialEq for Frame {
-    fn eq(&self, other: &Self) -> bool {
-        self.relations == other.relations
-            && self.joins == other.joins
-            && self.aggregates == other.aggregates
-            && self.group_by == other.group_by
-    }
+    /// Optional label (e.g. the JOB-style query name "8c").
+    pub label: Option<String>,
 }
 
 impl QueryGraph {
@@ -177,31 +153,12 @@ impl QueryGraph {
         group_by: Vec<BoundColumn>,
     ) -> Self {
         Self {
-            frame: Arc::new(Frame {
-                relations,
-                joins,
-                aggregates,
-                group_by,
-                fingerprint: OnceLock::new(),
-            }),
+            relations,
+            joins,
             selections,
+            aggregates,
+            group_by,
             label: None,
-        }
-    }
-
-    /// The fingerprints' hash state after the relations and joins:
-    /// `fold`'s, the first time any graph sharing this one's frame asks.
-    pub(crate) fn frame_fingerprint(&self, fold: impl FnOnce() -> (u64, u64)) -> (u64, u64) {
-        *self.frame.fingerprint.get_or_init(fold)
-    }
-
-    /// This graph with `selections` in place of its own: the other
-    /// parts are shared, not copied.
-    pub(crate) fn with_selections(&self, selections: Vec<Selection>) -> Self {
-        Self {
-            frame: Arc::clone(&self.frame),
-            selections,
-            label: self.label.clone(),
         }
     }
 
@@ -213,22 +170,22 @@ impl QueryGraph {
 
     /// Number of relations.
     pub fn relation_count(&self) -> usize {
-        self.frame.relations.len()
+        self.relations.len()
     }
 
     /// All relations in FROM order.
     pub fn relations(&self) -> &[Relation] {
-        &self.frame.relations
+        &self.relations
     }
 
     /// The relation with the given id.
     pub fn relation(&self, rel: RelId) -> &Relation {
-        &self.frame.relations[rel.index()]
+        &self.relations[rel.index()]
     }
 
     /// All join edges.
     pub fn joins(&self) -> &[JoinEdge] {
-        &self.frame.joins
+        &self.joins
     }
 
     /// All selection predicates.
@@ -238,17 +195,17 @@ impl QueryGraph {
 
     /// Aggregate outputs.
     pub fn aggregates(&self) -> &[AggExpr] {
-        &self.frame.aggregates
+        &self.aggregates
     }
 
     /// GROUP BY columns.
     pub fn group_by(&self) -> &[BoundColumn] {
-        &self.frame.group_by
+        &self.group_by
     }
 
     /// The full relation set of the query.
     pub fn all_rels(&self) -> RelSet {
-        RelSet::full(self.frame.relations.len())
+        RelSet::full(self.relations.len())
     }
 
     /// Indices of selection predicates on `rel`.
@@ -267,7 +224,7 @@ impl QueryGraph {
         left: RelSet,
         right: RelSet,
     ) -> impl Iterator<Item = (usize, &JoinEdge)> + '_ {
-        self.frame.joins.iter().enumerate().filter(move |(_, e)| {
+        self.joins.iter().enumerate().filter(move |(_, e)| {
             let (l, r) = (e.left.rel, e.right.rel);
             (left.contains(l) && right.contains(r)) || (left.contains(r) && right.contains(l))
         })
@@ -292,7 +249,7 @@ impl QueryGraph {
         let mut reached = RelSet::single(first);
         loop {
             let mut grew = false;
-            for e in &self.frame.joins {
+            for e in &self.joins {
                 let l = e.left.rel;
                 let r = e.right.rel;
                 if set.contains(l) && set.contains(r) {
@@ -317,7 +274,7 @@ impl QueryGraph {
     /// [`RelSet`] holds at most 64 relations).
     pub fn neighbor_masks(&self) -> [RelSet; 64] {
         let mut masks = [RelSet::EMPTY; 64];
-        for e in &self.frame.joins {
+        for e in &self.joins {
             masks[e.left.rel.index()].insert(e.right.rel);
             masks[e.right.rel.index()].insert(e.left.rel);
         }

@@ -20,8 +20,7 @@ use std::mem::discriminant;
 /// Everything else — relations and aliases, joins, columns, operators,
 /// aggregates, grouping and the label — is `template`'s, so the result
 /// has `template`'s [`TemplateFingerprint`](crate::TemplateFingerprint);
-/// its exact fingerprint is its own. Those parts are shared with
-/// `template`, not copied: only the selections are new.
+/// its exact fingerprint is its own.
 ///
 /// # Panics
 ///
@@ -43,7 +42,15 @@ pub fn substitute(template: &QueryGraph, params: impl IntoIterator<Item = Lit>) 
         })
         .collect();
     assert!(params.next().is_none(), "more literals than slots");
-    template.with_selections(selections)
+    let mut graph = QueryGraph::new(
+        template.relations().to_vec(),
+        template.joins().to_vec(),
+        selections,
+        template.aggregates().to_vec(),
+        template.group_by().to_vec(),
+    );
+    graph.label.clone_from(&template.label);
+    graph
 }
 
 #[cfg(test)]
