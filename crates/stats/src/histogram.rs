@@ -20,21 +20,35 @@ impl Histogram {
     /// Builds an equi-depth histogram with up to `buckets` buckets from a
     /// slice of non-null proxies. Returns `None` for empty input.
     pub fn build(mut values: Vec<f64>, buckets: usize) -> Option<Self> {
-        if values.is_empty() || buckets == 0 {
+        values.sort_unstable_by(f64::total_cmp);
+        Self::from_sorted_counts(&bit_runs(values.into_iter().map(|v| (v, 1))), buckets)
+    }
+
+    /// [`Histogram::build`] over proxies already sorted and counted:
+    /// `sorted` holds each distinct proxy once, ascending by
+    /// [`f64::total_cmp`], with its (non-zero) number of rows, as
+    /// [`bit_runs`] leaves them. Returns `None` when there are no rows.
+    pub(crate) fn from_sorted_counts(sorted: &[(f64, usize)], buckets: usize) -> Option<Self> {
+        let n: usize = sorted.iter().map(|&(_, count)| count).sum();
+        if n == 0 || buckets == 0 {
             return None;
         }
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = values.len();
         let buckets = buckets.min(n);
-        let mut bounds = vec![values[0]];
+        let mut bounds = vec![sorted[0].0];
         let mut cums = vec![0.0f64];
+        // `sorted[k]` covers sorted rows `end - sorted[k].1 .. end`.
+        let (mut k, mut end) = (0, sorted[0].1);
         for b in 1..=buckets {
             let (idx, cum) = if b == buckets {
                 (n - 1, 1.0)
             } else {
                 ((b * n) / buckets, b as f64 / buckets as f64)
             };
-            let v = values[idx.min(n - 1)];
+            while idx >= end {
+                k += 1;
+                end += sorted[k].1;
+            }
+            let v = sorted[k].0;
             let last = bounds.len() - 1;
             if v > bounds[last] {
                 bounds.push(v);
@@ -111,13 +125,98 @@ impl Histogram {
     }
 }
 
+/// Merges `(proxy, count)` pairs sorted by [`f64::total_cmp`] into one
+/// entry per distinct bit pattern, summing the counts. `total_cmp`
+/// equality is bit equality, so equal proxies are adjacent; comparing
+/// bits, not values, keeps `-0.0` apart from `0.0` and each NaN pattern
+/// one value.
+pub(crate) fn bit_runs(sorted: impl IntoIterator<Item = (f64, usize)>) -> Vec<(f64, usize)> {
+    let mut runs: Vec<(f64, usize)> = Vec::new();
+    for (v, count) in sorted {
+        match runs.last_mut() {
+            Some(last) if last.0.to_bits() == v.to_bits() => last.1 += count,
+            _ => runs.push((v, count)),
+        }
+    }
+    runs
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The stored `(bounds, cumulative fractions)`.
+    pub(crate) fn parts(h: &Histogram) -> (&[f64], &[f64]) {
+        (&h.bounds, &h.cums)
+    }
+
+    /// The histogram as it was built before proxies were sorted by
+    /// `f64::total_cmp` and counted: the per-row reference
+    /// `Histogram::from_sorted_counts` must reproduce bit for bit on
+    /// data without NaN or `-0.0`.
+    pub(crate) fn reference_build(mut values: Vec<f64>, buckets: usize) -> Option<Histogram> {
+        if values.is_empty() || buckets == 0 {
+            return None;
+        }
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let n = values.len();
+        let buckets = buckets.min(n);
+        let mut bounds = vec![values[0]];
+        let mut cums = vec![0.0f64];
+        for b in 1..=buckets {
+            let (idx, cum) = if b == buckets {
+                (n - 1, 1.0)
+            } else {
+                ((b * n) / buckets, b as f64 / buckets as f64)
+            };
+            let v = values[idx.min(n - 1)];
+            let last = bounds.len() - 1;
+            if v > bounds[last] {
+                bounds.push(v);
+                cums.push(cum);
+            } else {
+                cums[last] = cums[last].max(cum);
+            }
+        }
+        if bounds.len() == 1 {
+            bounds.push(bounds[0]);
+            cums = vec![0.0, 1.0];
+        }
+        Some(Histogram { bounds, cums })
+    }
 
     fn uniform_hist() -> Histogram {
         let values: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         Histogram::build(values, 10).expect("non-empty")
+    }
+
+    /// On data without NaN or `-0.0`, the one-sort build reproduces the
+    /// per-row reference bit for bit; with a NaN it sorts without
+    /// panicking.
+    #[test]
+    fn build_matches_the_reference() {
+        let bits = |h: Option<Histogram>| {
+            h.map(|h| {
+                let (b, c) = parts(&h);
+                b.iter().chain(c).map(|v| v.to_bits()).collect::<Vec<_>>()
+            })
+        };
+        let skewed: Vec<f64> = (0..500)
+            .map(|i| ((i * 37) % 23) as f64 * 0.5 - 3.0)
+            .collect();
+        for values in [vec![], vec![2.0], vec![5.0, 1.0, 5.0, 5.0, 3.0], skewed] {
+            for buckets in [0, 1, 3, 10, 100] {
+                assert_eq!(
+                    bits(Histogram::build(values.clone(), buckets)),
+                    bits(reference_build(values.clone(), buckets)),
+                );
+            }
+        }
+        let nan = crate::builder::tests::nan_column();
+        assert_eq!(
+            bits(Histogram::build(nan.clone(), 10)),
+            bits(Histogram::build(nan, 10))
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::catalog::ColumnType;
 use crate::value::Value;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Columnar storage for one column.
 ///
@@ -132,7 +132,7 @@ impl RleColumn {
 
     /// First row of run `k`.
     #[inline]
-    pub(crate) fn run_start(&self, k: usize) -> usize {
+    pub fn run_start(&self, k: usize) -> usize {
         if k == 0 {
             0
         } else {
@@ -295,7 +295,7 @@ impl ColumnVector {
                 n.push(true);
             }
             (Self::Str(v, n), Value::Null) => {
-                v.push(Arc::from(""));
+                v.push(null_str());
                 n.push(false);
             }
             (Self::Dict(codes, n, values), Value::Str(s)) => {
@@ -578,7 +578,7 @@ impl ColumnVector {
                     v.push(Arc::clone(&values[codes[row] as usize]));
                     n.push(true);
                 } else {
-                    v.push(Arc::from(""));
+                    v.push(null_str());
                     n.push(false);
                 }
             }
@@ -599,7 +599,7 @@ impl ColumnVector {
                     v.push(Arc::clone(&dict[codes[k] as usize]));
                     n.push(true);
                 } else {
-                    v.push(Arc::from(""));
+                    v.push(null_str());
                     n.push(false);
                 }
             }
@@ -700,7 +700,7 @@ impl ColumnVector {
                             if valid {
                                 Arc::clone(&values[code as usize])
                             } else {
-                                Arc::from("")
+                                null_str()
                             }
                         }),
                 );
@@ -733,7 +733,7 @@ impl ColumnVector {
                     let s: Arc<str> = if r.valid[k] {
                         Arc::clone(&dict[codes[k] as usize])
                     } else {
-                        Arc::from("")
+                        null_str()
                     };
                     v.extend((row..stop).map(|_| Arc::clone(&s)));
                     n.extend(std::iter::repeat_n(r.valid[k], stop - row));
@@ -775,7 +775,7 @@ impl ColumnVector {
                     if sn[r as usize] {
                         Arc::clone(&values[codes[r as usize] as usize])
                     } else {
-                        Arc::from("")
+                        null_str()
                     }
                 }));
                 n.extend(rows.iter().map(|&r| sn[r as usize]));
@@ -804,7 +804,7 @@ impl ColumnVector {
                         v.push(Arc::clone(&dict[codes[k] as usize]));
                         n.push(true);
                     } else {
-                        v.push(Arc::from(""));
+                        v.push(null_str());
                         n.push(false);
                     }
                 }
@@ -988,6 +988,14 @@ impl ColumnVector {
             None => self.gather_into(sel, out),
         }
     }
+}
+
+/// The payload of a NULL text row: one shared empty string, so a NULL
+/// costs a reference-count bump rather than an allocation. Accessors
+/// check validity first and never read it.
+fn null_str() -> Arc<str> {
+    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::from("")))
 }
 
 /// Splits an ascending selection vector into contiguous `(start, len)`

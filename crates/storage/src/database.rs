@@ -15,18 +15,18 @@
 //! a clone carries them, so two copies of one database mutated alike
 //! stay in step.
 
-use crate::btree::BTreeIndex;
 use crate::catalog::{Catalog, IndexId, TableId};
 use crate::error::StorageError;
+use crate::index::SortedIndex;
 use crate::table::Table;
 
 /// An in-memory database: one [`Table`] per catalog table, one
-/// [`BTreeIndex`] per catalog index.
+/// [`SortedIndex`] per catalog index.
 #[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,
     tables: Vec<Table>,
-    indexes: Vec<Option<BTreeIndex>>,
+    indexes: Vec<Option<SortedIndex>>,
     /// Data version per table; see the [module docs](self).
     versions: Vec<u64>,
     /// The data version each table's indexes were built at (`None`:
@@ -119,8 +119,7 @@ impl Database {
             let col = table
                 .column(def.column())
                 .ok_or_else(|| StorageError::SchemaMismatch(format!("index `{}`", def.name())))?;
-            let pairs = (0..table.row_count()).map(|r| (r, col.get(r)));
-            self.indexes[i] = Some(BTreeIndex::build(pairs));
+            self.indexes[i] = Some(SortedIndex::build(col));
         }
         for (at, version) in self.indexed_at.iter_mut().zip(&self.versions) {
             *at = Some(*version);
@@ -131,7 +130,7 @@ impl Database {
     /// The built data structure for an index, if [`build_indexes`] ran.
     ///
     /// [`build_indexes`]: Self::build_indexes
-    pub fn index_storage(&self, id: IndexId) -> Option<&BTreeIndex> {
+    pub fn index_storage(&self, id: IndexId) -> Option<&SortedIndex> {
         self.indexes.get(id.index()).and_then(|s| s.as_ref())
     }
 
@@ -209,7 +208,7 @@ mod tests {
         assert_eq!(db.table_versions()[b.index()], before[b.index()]);
         // A stale marker in the untouched table's slot: a rebuild of
         // that table would overwrite it.
-        let marker = BTreeIndex::new();
+        let marker = SortedIndex::default();
         db.indexes[1] = Some(marker.clone());
         db.refresh_indexes().unwrap();
         assert_eq!(db.index_storage(IndexId(1)), Some(&marker));

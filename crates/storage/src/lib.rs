@@ -1,14 +1,14 @@
 //! # hfqo-storage
 //!
 //! In-memory columnar storage for the hands-free query optimizer: typed
-//! column vectors, tables, B-tree indexes, the [`Database`]
+//! column vectors, tables, sorted-array indexes, the [`Database`]
 //! container binding them to a catalog, and a deterministic synthetic data
 //! generator (uniform, zipfian, correlated, and foreign-key distributions).
 //!
 //! The executor (`hfqo-exec`) reads these structures directly; the
-//! statistics builder (`hfqo-stats`) scans them to build histograms. Both
-//! need the same property from this crate: cheap, allocation-free access to
-//! column values by row id.
+//! statistics builder (`hfqo-stats`) scans the typed columns to build
+//! histograms. Both need the same property from this crate: cheap,
+//! allocation-free access to column values.
 //!
 //! ```
 //! use hfqo_storage::catalog::{Catalog, TableSchema, Column, ColumnType};
@@ -28,22 +28,22 @@
 
 #![forbid(unsafe_code)]
 
-pub mod btree;
 pub mod catalog;
 pub mod column;
 pub mod csv;
 mod database;
 mod datagen;
 pub mod error;
+pub mod index;
 pub mod table;
 pub mod value;
 
-pub use btree::BTreeIndex;
 pub use column::{coalesce_spans, ColumnVector, Encoding, RleColumn, RleValues};
 pub use csv::{read_csv_into, CsvLoadStats, CsvOptions};
 pub use database::Database;
 pub use datagen::{ColumnGen, Distribution, TableGen};
 pub use error::StorageError;
+pub use index::SortedIndex;
 pub use table::Table;
 pub use value::Value;
 

@@ -105,8 +105,9 @@ impl Value {
 }
 
 /// Maps a string to a stable f64 ordinal consistent with a prefix of its
-/// byte ordering, so histograms over text columns are meaningful.
-fn string_ordinal(s: &str) -> f64 {
+/// byte ordering, so histograms over text columns are meaningful: the
+/// numeric proxy of [`Value::Str`].
+pub fn string_ordinal(s: &str) -> f64 {
     let mut acc = 0.0f64;
     let mut scale = 1.0f64;
     for &b in s.as_bytes().iter().take(6) {
