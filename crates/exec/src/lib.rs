@@ -38,9 +38,14 @@
 //! only counted); a comparison between two integer columns is resolved
 //! once per join to typed slices, so the nested loop scans an `&[i64]`
 //! per probe key, the hash probe does not re-check the key it hashed
-//! on, and the remaining conditions narrow a probe row's candidates a
-//! run at a time. Charges are made per probe row with the row oracle's
-//! totals. **Global aggregates** fold an accumulator at a time over a
+//! on, and the remaining conditions narrow a probe row's matches a run
+//! at a time. A hash join's table holds what its probe reads: with a
+//! second integer `=` it files rows per key pair beside a count per
+//! first key, and under a zero-width output with nothing left to check
+//! it holds only counts; an empty probe side builds nothing. Charges
+//! are made per probe row with the row oracle's totals — a probe row is
+//! charged every build row sharing its first key, however few it
+//! walks. **Global aggregates** fold an accumulator at a time over a
 //! whole column, in row order; `COUNT(*)` is the input's row count.
 //!
 //! **Intermediate format.** A stage's output is one

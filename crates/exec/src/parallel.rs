@@ -73,13 +73,20 @@
 //! join's build fills `JoinTable`s: each key's rows are one ascending
 //! slice of a single array. A build makes a handful of allocations
 //! however many keys it holds, and does one map look-up per run of equal
-//! keys. An integer-keyed nested loop builds the same table over its
-//! inner side when `looks_up` says its two row counts favour it, and
-//! reads each probe key's matches from the table. Otherwise it scans the
-//! inner key slice. Either way it finds the same rows in the same order
-//! under the same charges, so nothing a plan's `work` or a test can
-//! observe depends on the choice. An empty inner side or an empty
-//! table is paid for without touching a row.
+//! keys. A hash join's table holds what its probe reads, chosen from its
+//! conditions and its output width (`TableForm`): a probe row is charged
+//! the build rows that share its first `=` key, as the row oracle
+//! charges them, but walks only the rows it can emit. With a second `=`
+//! between integer columns the rows are filed per key pair beside a
+//! count per first key; under a zero-width output with nothing left to
+//! check the table holds counts and no row. An empty probe side pays
+//! for the build and builds nothing. An integer-keyed nested loop builds
+//! a `JoinTable` over its inner side when `looks_up` says its two row
+//! counts favour it, and reads each probe key's matches from the table.
+//! Otherwise it scans the inner key slice. Either way it finds the same
+//! rows in the same order under the same charges, so nothing a plan's
+//! `work` or a test can observe depends on the choice. An empty inner
+//! side or an empty table is paid for without touching a row.
 //!
 //! [`ExecConfig::threads`]: crate::ExecConfig::threads
 
@@ -549,6 +556,12 @@ impl<'a> PairEmitter<'a> {
         }
     }
 
+    /// Counts `n` pairs of a zero-width output.
+    fn count(&mut self, n: usize) {
+        debug_assert!(self.out_map.is_empty());
+        self.chunk.rows += n;
+    }
+
     fn flush(&mut self) {
         debug_assert!(self.l_rows.len() <= PAIR_BATCH && self.l_rows.len() == self.r_rows.len());
         for (dst, side) in self.chunk.cols.iter_mut().zip(self.out_map) {
@@ -652,18 +665,18 @@ enum Cond<'a> {
 struct Conds<'a>(Vec<Cond<'a>>);
 
 impl<'a> Conds<'a> {
-    /// Every condition of `conds` but `conds[except]` — the one a join
-    /// has already applied as its typed key.
+    /// Every condition of `conds` but those at `applied` — the ones a
+    /// join has already applied as typed keys.
     fn resolve(
         conds: &[SlotCond],
-        except: Option<usize>,
+        applied: &[Option<usize>],
         left: &'a NodeOut,
         right: &'a NodeOut,
     ) -> Self {
         let kept = conds
             .iter()
             .enumerate()
-            .filter(|&(at, _)| Some(at) != except);
+            .filter(|&(at, _)| !applied.contains(&Some(at)));
         Self(
             kept.map(|(_, &c)| match IntCond::resolve(c, left, right) {
                 Some(int) => Cond::Int(int),
@@ -853,19 +866,19 @@ impl<K: Hash + Eq, S: BuildHasher> JoinTable<K, S> {
     }
 }
 
-/// One partition's join table over raw `i64` keys — the fast path when
-/// both key columns are integer-typed: no `Value` per probe, and
-/// [`KeyHasher`] in place of SipHash. A nested loop builds one over its
-/// inner side when [`looks_up`] says so.
-type IntTable = JoinTable<i64, BuildHasherDefault<KeyHasher>>;
+/// The hasher of tables over raw `i64` keys — the fast path when both
+/// key columns are integer-typed: no `Value` per probe, and
+/// [`KeyHasher`] in place of SipHash. Tables over [`Value`] keys
+/// (everything else) keep the standard library's keyed hasher: text keys
+/// come from outside the program. Cross-type numeric keys never match in
+/// either representation, exactly like the row engine's
+/// `HashMap<&Value>` (`Int` and `Float` hash differently by design; the
+/// binder type-checks join keys).
+type IntHasher = BuildHasherDefault<KeyHasher>;
 
-/// One partition's join table over [`Value`] keys (everything else),
-/// under the standard library's keyed hasher: text keys come from
-/// outside the program. Cross-type numeric keys never match in either
-/// representation, exactly like the row engine's `HashMap<&Value>`
-/// (`Int` and `Float` hash differently by design; the binder
-/// type-checks join keys).
-type AnyTable = JoinTable<Value, RandomState>;
+/// A join table over `i64` keys. A nested loop builds one over its inner
+/// side when [`looks_up`] says so.
+type IntTable = JoinTable<i64, IntHasher>;
 
 /// A key a [`JoinTable`] files its rows under. [`JoinKey::same`] only
 /// has to be sound: `true` must mean the table's map files both keys
@@ -891,6 +904,15 @@ impl JoinKey for Value {
             (Value::Str(a), Value::Str(b)) => a == b,
             _ => false,
         }
+    }
+}
+
+/// A two-key table's key: the first `=`'s, then the second integer
+/// `=`'s.
+impl<K: JoinKey> JoinKey for (K, i64) {
+    #[inline]
+    fn same(&self, other: &Self) -> bool {
+        self.1 == other.1 && self.0.same(&other.0)
     }
 }
 
@@ -984,18 +1006,165 @@ where
     JoinTable { spans, rows: out }
 }
 
-/// A hash join's build: one table per partition, radix-partitioned when
-/// the team has more than one worker. Build rows cost one unit each
-/// (NULL keys charged but excluded). With partitions, build rows are
-/// split by key hash in parallel and each partition's table is built by
-/// one worker from a row list that preserves build order; a team of one
+/// How many of `rows` of the build side file under each key, skipping
+/// NULL keys: a counting table's whole content. One map look-up per run
+/// of consecutive equal keys, as in [`table_over`], and no row array.
+fn count_over<K, S>(
+    key_at: impl Fn(usize) -> Option<K>,
+    rows: impl ExactSizeIterator<Item = u32>,
+) -> HashMap<K, u32, S>
+where
+    K: JoinKey,
+    S: BuildHasher + Default,
+{
+    let presize = rows.len().min(PRESIZE_KEYS);
+    let mut counts: HashMap<K, u32, S> = HashMap::with_capacity_and_hasher(presize, S::default());
+    let mut run: Option<(K, u32)> = None;
+    for row in rows {
+        let Some(key) = key_at(row as usize) else {
+            continue;
+        };
+        if let Some((k, n)) = &mut run {
+            if k.same(&key) {
+                *n += 1;
+                continue;
+            }
+        }
+        if let Some((k, n)) = run.replace((key, 1)) {
+            *counts.entry(k).or_insert(0) += n;
+        }
+    }
+    if let Some((k, n)) = run {
+        *counts.entry(k).or_insert(0) += n;
+    }
+    counts
+}
+
+/// What a hash join's table must hold, read off its conditions and its
+/// output width.
+#[derive(Clone, Copy)]
+struct TableForm<'a> {
+    /// A second `=`, between plain integer columns: the table is keyed
+    /// on both keys, beside a count per first key that carries the
+    /// charge.
+    second: Option<IntCond<'a>>,
+    /// The output is zero-width and no condition is left to check after
+    /// the key or keys: the table keeps a count per key and no row.
+    counting: bool,
+}
+
+/// One partition of a hash join's build, in the form its probe reads.
+/// Every form is partitioned by the first key, so a probe row finds
+/// everything it reads in one partition.
+enum HashTable<K, S> {
+    /// Each first key's build rows.
+    Rows(JoinTable<K, S>),
+    /// Each first key's build-row count.
+    Counts(HashMap<K, u32, S>),
+    /// Each first key's build-row count, and each key pair's build rows.
+    PairRows {
+        firsts: HashMap<K, u32, S>,
+        pairs: JoinTable<(K, i64), S>,
+    },
+    /// Each first key's build-row count, and each key pair's.
+    PairCounts {
+        firsts: HashMap<K, u32, S>,
+        pairs: HashMap<(K, i64), u32, S>,
+    },
+}
+
+/// What a probe row finds in a [`HashTable`]: the rows or the count of
+/// the build rows that match its key or keys.
+enum Matches<'t> {
+    Rows(&'t [u32]),
+    Count(u32),
+}
+
+impl<K: JoinKey, S: BuildHasher + Default> HashTable<K, S> {
+    /// The table of `form` over `rows` of the build side, whose first
+    /// key is `first` (`None` for NULL). `rows` ascends, so each key's
+    /// rows do. A row with a NULL second key counts under its first key
+    /// and files under no pair.
+    fn build(
+        form: TableForm<'_>,
+        first: impl Fn(usize) -> Option<K>,
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+    ) -> Self {
+        let Some(second) = form.second else {
+            return if form.counting {
+                Self::Counts(count_over(first, rows))
+            } else {
+                Self::Rows(table_over(first, rows))
+            };
+        };
+        let firsts = count_over(&first, rows.clone());
+        let pair = |row| Some((first(row)?, second.right(row)?));
+        if form.counting {
+            Self::PairCounts {
+                firsts,
+                pairs: count_over(pair, rows),
+            }
+        } else {
+            Self::PairRows {
+                firsts,
+                pairs: table_over(pair, rows),
+            }
+        }
+    }
+
+    /// Whether no build row filed under a key.
+    fn is_empty(&self) -> bool {
+        match self {
+            Self::Rows(table) => table.is_empty(),
+            Self::Counts(firsts)
+            | Self::PairRows { firsts, .. }
+            | Self::PairCounts { firsts, .. } => firsts.is_empty(),
+        }
+    }
+
+    /// For a probe row with first key `k1` and second key `k2` (read
+    /// only by the two-key forms; `None` for NULL): how many build rows
+    /// share `k1` — the row oracle's candidates, which it charges — and
+    /// which of them match. `None` when no build row shares `k1`.
+    #[inline]
+    fn look(&self, k1: K, k2: impl FnOnce() -> Option<i64>) -> Option<(u32, Matches<'_>)> {
+        match self {
+            Self::Rows(table) => {
+                let rows = table.get(&k1)?;
+                Some((rows.len() as u32, Matches::Rows(rows)))
+            }
+            Self::Counts(firsts) => {
+                let n = *firsts.get(&k1)?;
+                Some((n, Matches::Count(n)))
+            }
+            Self::PairRows { firsts, pairs } => {
+                let n = *firsts.get(&k1)?;
+                let rows = k2().and_then(|k2| pairs.get(&(k1, k2)));
+                Some((n, Matches::Rows(rows.unwrap_or_default())))
+            }
+            Self::PairCounts { firsts, pairs } => {
+                let n = *firsts.get(&k1)?;
+                let pair = k2().and_then(|k2| pairs.get(&(k1, k2)));
+                Some((n, Matches::Count(pair.copied().unwrap_or(0))))
+            }
+        }
+    }
+}
+
+/// A hash join's build: one [`HashTable`] of `form` per partition,
+/// radix-partitioned by first key (`first`; `None` for NULL) when the
+/// team has more than one worker. Build rows cost one unit each (NULL
+/// keys charged but excluded). With partitions, build rows are split by
+/// key hash in parallel and each partition's table is built by one
+/// worker from a row list that preserves build order; a team of one
 /// builds a single table straight off the build side. Either way every
-/// key's candidate list is in ascending build-row order.
+/// key's rows are in ascending build-row order.
 fn build_tables<K, S, F>(
     ctx: &Ctx<'_>,
     build_rows: usize,
-    key_at: F,
-) -> Result<Vec<JoinTable<K, S>>, ExecError>
+    form: TableForm<'_>,
+    first: F,
+) -> Result<Vec<HashTable<K, S>>, ExecError>
 where
     K: JoinKey + Send,
     S: BuildHasher + Default + Send,
@@ -1004,31 +1173,36 @@ where
     let parts = ctx.partitions();
     if parts == 1 {
         ctx.budget.add(build_rows as u64)?;
-        return Ok(vec![table_over(&key_at, 0..build_rows as u32)]);
+        return Ok(vec![HashTable::build(form, &first, 0..build_rows as u32)]);
     }
     let mask = parts - 1;
     let partitions = partition_rows(ctx, build_rows, parts, |row| {
-        key_at(row).map(|k| partition_of(&k, mask))
+        first(row).map(|k| partition_of(&k, mask))
     })?;
     // Charge-free (the partition pass charged the build), and sized
     // from the build side: a small build does not pay a team spawn.
     per_partition(ctx.team_for(build_rows), parts, |p| {
-        Ok(table_over(&key_at, partitions[p].iter().copied()))
+        Ok(HashTable::build(
+            form,
+            &first,
+            partitions[p].iter().copied(),
+        ))
     })
 }
 
-/// A hash join's probe pass: probe morsels look their key (`probe_key`;
-/// `None` for NULL) up in its partition's table without touching
-/// shared state and emit in probe order. One unit per probe row, one
-/// per candidate, one per emitted row. `residual` is what a candidate
-/// must still satisfy: a probe row's candidate list is charged,
-/// narrowed by it (when it is anything) and appended as one run.
-/// Against tables with no row the probe rows are charged in one add and
-/// nothing is looked up.
+/// A hash join's probe pass: probe morsels look their first key
+/// (`probe_key`; `None` for NULL) up in its partition's table without
+/// touching shared state and emit in probe order. One unit per probe
+/// row, one per candidate — a build row sharing the first key — and one
+/// per emitted row. A probe row's matches are narrowed by `residual`
+/// (when it is anything) and appended as one run, or, in a counting
+/// table, added as a count. Against tables with no row the probe rows
+/// are charged in one add and nothing is looked up.
 #[allow(clippy::too_many_arguments)]
 fn probe_tables<K, S>(
     ctx: &Ctx<'_>,
-    tables: &[JoinTable<K, S>],
+    tables: &[HashTable<K, S>],
+    form: TableForm<'_>,
     residual: &Conds<'_>,
     out_map: &[Side],
     types: &[ColumnType],
@@ -1037,17 +1211,18 @@ fn probe_tables<K, S>(
     probe_key: impl Fn(usize) -> Option<K> + Sync,
 ) -> Result<Chunk, ExecError>
 where
-    K: Hash + Eq + Sync,
-    S: BuildHasher + Sync,
+    K: JoinKey + Sync,
+    S: BuildHasher + Default + Sync,
 {
-    if tables.iter().all(JoinTable::is_empty) {
+    if tables.iter().all(HashTable::is_empty) {
         ctx.budget.add(left.data.rows as u64)?;
         return Ok(Chunk::empty(types));
     }
     let mask = tables.len() - 1;
-    let candidates = |row| {
-        let k = probe_key(row)?;
-        tables[partition_of(&k, mask)].get(&k)
+    let look = |row| {
+        let k1 = probe_key(row)?;
+        let k2 = || form.second.and_then(|k2| k2.left(row));
+        tables[partition_of(&k1, mask)].look(k1, k2)
     };
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
     let chunks = run_workers(morsels.team(ctx.threads), |_w| {
@@ -1058,13 +1233,21 @@ where
         while let Some((idx, range)) = morsels.claim() {
             charger.charge(range.len() as u64)?;
             for row in range {
-                let Some(candidates) = candidates(row) else {
+                let Some((candidates, matches)) = look(row) else {
                     continue;
                 };
-                charger.charge(candidates.len() as u64)?;
-                let matches = residual.narrow(row, candidates, &mut sel);
-                charger.charge(matches.len() as u64)?;
-                emitter.push_run(row as u32, matches);
+                charger.charge(u64::from(candidates))?;
+                match matches {
+                    Matches::Rows(rows) => {
+                        let matches = residual.narrow(row, rows, &mut sel);
+                        charger.charge(matches.len() as u64)?;
+                        emitter.push_run(row as u32, matches);
+                    }
+                    Matches::Count(n) => {
+                        charger.charge(u64::from(n))?;
+                        emitter.count(n as usize);
+                    }
+                }
             }
             out.push((idx, emitter.take()));
         }
@@ -1080,10 +1263,13 @@ where
 /// Hash join on the first `=` condition (the row oracle's key, so the
 /// candidate counts agree): [`build_tables`] over the right input, then
 /// [`probe_tables`] with the left. Two plain integer key columns take
-/// the typed form — `i64` keys off the slices, and candidates, which
-/// matched by `i64` equality, narrowed only by the *other* conditions;
-/// any other key goes through [`Value`]s and its candidates through
-/// every condition.
+/// the typed form — `i64` keys off the slices, and matches, which met
+/// the key by `i64` equality, narrowed only by the *other* conditions;
+/// any other key goes through [`Value`]s and its matches through every
+/// condition. A second `=` between plain integer columns keys the table
+/// on both ([`TableForm::second`]), and a zero-width output with nothing
+/// left to check keeps counts ([`TableForm::counting`]). An empty probe
+/// side pays for the build and builds nothing.
 fn hash_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -1099,13 +1285,27 @@ fn hash_join(
             QueryError::InvalidPlan("hash join requires an equality condition".into())
         })?;
     let build_rows = right.data.rows;
+    if left.data.rows == 0 {
+        ctx.budget.add(build_rows as u64)?;
+        return Ok(Chunk::empty(types));
+    }
     let int_key = IntCond::resolve(conds[at], left, right);
-    let residual = Conds::resolve(conds, int_key.map(|_| at), left, right);
+    let second = (0..conds.len())
+        .filter(|&i| i != at && conds[i].op == CompareOp::Eq)
+        .find_map(|i| Some((i, IntCond::resolve(conds[i], left, right)?)));
+    let applied = [int_key.map(|_| at), second.map(|(i, _)| i)];
+    let residual = Conds::resolve(conds, &applied, left, right);
+    let form = TableForm {
+        second: second.map(|(_, key)| key),
+        counting: out_map.is_empty() && residual.0.is_empty(),
+    };
     if let Some(key) = int_key {
-        let tables: Vec<IntTable> = build_tables(ctx, build_rows, |row| key.right(row))?;
+        let tables: Vec<HashTable<i64, IntHasher>> =
+            build_tables(ctx, build_rows, form, |row| key.right(row))?;
         probe_tables(
             ctx,
             &tables,
+            form,
             &residual,
             out_map,
             types,
@@ -1120,10 +1320,12 @@ fn hash_join(
         };
         let build_col = &right.data.cols[conds[at].r_slot];
         let probe_col = &left.data.cols[conds[at].l_slot];
-        let tables: Vec<AnyTable> = build_tables(ctx, build_rows, |row| non_null(build_col, row))?;
+        let tables: Vec<HashTable<Value, RandomState>> =
+            build_tables(ctx, build_rows, form, |row| non_null(build_col, row))?;
         probe_tables(
             ctx,
             &tables,
+            form,
             &residual,
             out_map,
             types,
@@ -1187,7 +1389,7 @@ fn nested_join(
         let key = IntCond::resolve(c, left, right)?;
         (key.op == CompareOp::Eq).then_some((at, key))
     });
-    let rest = Conds::resolve(conds, int_key.map(|(at, _)| at), left, right);
+    let rest = Conds::resolve(conds, &[int_key.map(|(at, _)| at)], left, right);
     let int_key = int_key.map(|(_, key)| key);
     let table: Option<IntTable> = int_key
         .filter(|_| looks_up(left.data.rows, inner_rows))
@@ -1290,7 +1492,7 @@ fn merge_join(
 
     // An equal block of two integer columns has already met the key.
     let int_key = IntCond::resolve(key, left, right).map(|_| at);
-    let rest = Conds::resolve(conds, int_key, left, right);
+    let rest = Conds::resolve(conds, &[int_key], left, right);
     let mut sel: Vec<u32> = Vec::new();
     let mut emitter = PairEmitter::new(out_map, types, left, right);
     let mut charger = Charger::new(ctx.budget);
@@ -1764,6 +1966,10 @@ mod tests {
             // `=` on Float, then on Text: no typed key to resolve.
             assert_eq!(assert_matches_oracle(&world, join_of(algo, &[2])), 50);
             assert_eq!(assert_matches_oracle(&world, join_of(algo, &[3])), 50);
+            // A Float key beside an integer `=`: a two-key table over
+            // `Value` first keys.
+            let rows = assert_matches_oracle(&world, join_of(algo, &[2, 4]));
+            assert!(0 < rows && rows < 50, "{algo:?}: {rows}");
         }
         // Only a `<`, and no condition at all (6 × 52 rows).
         let rows = assert_matches_oracle(&world, join_of(JoinAlgo::NestedLoop, &[1]));
@@ -1815,14 +2021,34 @@ mod tests {
     #[test]
     fn budget_aborts_exactly_when_the_oracle_does() {
         let world = fan_fixture(3, 40);
-        let (db, graph) = &world;
-        for node in [
-            join_of(JoinAlgo::NestedLoop, &[0]),
-            join_of(JoinAlgo::NestedLoop, &[0, 1]),
-            join_of(JoinAlgo::Hash, &[0]),
-            join_of(JoinAlgo::Hash, &[0, 1]),
-            join_of(JoinAlgo::Hash, &[0, 4]),
-        ] {
+        // The same tables with no probe row: a hash join pays for its
+        // build and builds nothing.
+        let no_probe = Selection {
+            column: BoundColumn::new(RelId(0), ColumnId(0)),
+            op: CompareOp::Lt,
+            value: hfqo_query::Lit::Int(-100),
+        };
+        let (rels, joins) = (world.1.relations().to_vec(), world.1.joins().to_vec());
+        let empty_probe = (
+            world.0.clone(),
+            QueryGraph::new(rels, joins, vec![no_probe], vec![], vec![]),
+        );
+        let hash = |conds: &[usize]| join_of(JoinAlgo::Hash, conds);
+        for conds in [&[0][..], &[0, 4]] {
+            assert_eq!(assert_matches_oracle(&empty_probe, hash(conds)), 0);
+        }
+        let cases = [
+            (&world, join_of(JoinAlgo::NestedLoop, &[0])),
+            (&world, join_of(JoinAlgo::NestedLoop, &[0, 1])),
+            (&world, hash(&[0])),
+            (&world, hash(&[0, 1])),
+            (&world, hash(&[0, 4])),
+            (&world, hash(&[0, 4, 1])),
+            (&empty_probe, hash(&[0])),
+            (&empty_probe, hash(&[0, 4])),
+        ];
+        for (world, node) in cases {
+            let (db, graph) = world;
             let plan = hfqo_query::PhysicalPlan::new(node);
             let total = crate::execute_rows(db, graph, &plan, ExecConfig::default())
                 .unwrap()
@@ -1839,14 +2065,7 @@ mod tests {
                     let required = all_columns(graph, db);
                     for err in [
                         crate::execute(db, graph, &plan, cfg).err(),
-                        run(
-                            &world,
-                            &plan.root,
-                            &required,
-                            (threads, morsel_rows),
-                            budget,
-                        )
-                        .err(),
+                        run(world, &plan.root, &required, (threads, morsel_rows), budget).err(),
                     ] {
                         match err {
                             None => assert!(oracle.is_ok(), "{tag}"),
@@ -2157,38 +2376,119 @@ mod tests {
         table
     }
 
-    /// Builds `keys` into tables at teams of 1, 2 and 4 (one table, then
-    /// 8 and 16 partitions) and holds every key's slice to the reference
-    /// table, `absent` to `None`, and the build's charge to one unit a row.
+    /// Builds `keys` into tables of every form at teams of 1, 2 and 4
+    /// (one table, then 8 and 16 partitions) and holds them to tables
+    /// built row by row: a `Vec` per first key, and a `Vec` per key pair
+    /// whose second key is `row % 3`, NULL on every fifth row. A probe
+    /// row is charged its first key's rows and finds the rows, or in a
+    /// counting form the count, of its key or keys; `absent` finds
+    /// nothing, and the build charges one unit a row.
     fn assert_tables_match_reference<K, S>(keys: &[Option<K>], absent: &K)
     where
         K: JoinKey + Clone + Send + Sync + std::fmt::Debug,
         S: BuildHasher + Default + Send,
     {
-        let reference = reference_table(keys);
+        let seconds: Vec<Option<i64>> = (0..keys.len())
+            .map(|row| (row % 5 != 4).then_some((row % 3) as i64))
+            .collect();
+        let s_vals: Vec<i64> = seconds.iter().map(|k| k.unwrap_or(0)).collect();
+        let s_valid: Vec<bool> = seconds.iter().map(Option::is_some).collect();
+        let second = IntCond {
+            op: CompareOp::Eq,
+            l_vals: &s_vals,
+            l_valid: &s_valid,
+            r_vals: &s_vals,
+            r_valid: &s_valid,
+        };
+        let firsts = reference_table(keys);
+        let pair_keys: Vec<Option<(K, i64)>> = keys
+            .iter()
+            .zip(&seconds)
+            .map(|(k1, k2)| Some((k1.clone()?, (*k2)?)))
+            .collect();
+        let pairs = reference_table(&pair_keys);
         let (db, graph) = setup();
         for (threads, morsel_rows) in [(1, 4096), (2, 64), (4, 4096)] {
-            let budget = SharedBudget::new(u64::MAX);
-            let ctx = Ctx {
-                db: &db,
-                graph: &graph,
-                threads,
-                morsel_rows,
-                budget: &budget,
-            };
-            let tables: Vec<JoinTable<K, S>> =
-                build_tables(&ctx, keys.len(), |row| keys[row].clone()).unwrap();
-            assert_eq!(budget.used(), keys.len() as u64);
-            let mask = tables.len() - 1;
-            let get = |k: &K| tables[partition_of(k, mask)].get(k);
-            for (k, rows) in &reference {
-                let got = get(k).unwrap_or_else(|| panic!("{k:?} missing at t={threads}"));
-                assert_eq!(got, &rows[..], "{k:?} at t={threads}");
-                assert!(got.windows(2).all(|w| w[0] < w[1]));
+            for (second, counting) in [
+                (None, false),
+                (None, true),
+                (Some(second), false),
+                (Some(second), true),
+            ] {
+                let form = TableForm { second, counting };
+                let tag = format!(
+                    "t={threads} two keys {} counting {counting}",
+                    second.is_some()
+                );
+                let budget = SharedBudget::new(u64::MAX);
+                let ctx = Ctx {
+                    db: &db,
+                    graph: &graph,
+                    threads,
+                    morsel_rows,
+                    budget: &budget,
+                };
+                let tables: Vec<HashTable<K, S>> =
+                    build_tables(&ctx, keys.len(), form, |row| keys[row].clone()).unwrap();
+                assert_eq!(budget.used(), keys.len() as u64, "{tag}");
+                let mask = tables.len() - 1;
+                let look = |k1: &K, k2: Option<i64>| {
+                    let (charged, found) =
+                        tables[partition_of(k1, mask)].look(k1.clone(), || k2)?;
+                    let found = match found {
+                        Matches::Rows(rows) => {
+                            assert!(!counting && rows.windows(2).all(|w| w[0] < w[1]), "{tag}");
+                            rows.to_vec()
+                        }
+                        Matches::Count(n) => {
+                            assert!(counting, "{tag}");
+                            vec![u32::MAX; n as usize]
+                        }
+                    };
+                    Some((charged as usize, found))
+                };
+                // What `want` must read as: itself, or in a counting
+                // form only its length.
+                let read = |want: &[u32]| {
+                    if counting {
+                        vec![u32::MAX; want.len()]
+                    } else {
+                        want.to_vec()
+                    }
+                };
+                for (k1, rows) in &firsts {
+                    let (charged, found) =
+                        look(k1, None).unwrap_or_else(|| panic!("{k1:?} missing, {tag}"));
+                    assert_eq!(charged, rows.len(), "{k1:?}, {tag}");
+                    let want = if second.is_some() { &[][..] } else { rows };
+                    assert_eq!(found, read(want), "{k1:?}, {tag}");
+                }
+                if second.is_some() {
+                    for ((k1, k2), rows) in &pairs {
+                        let (charged, found) = look(k1, Some(*k2)).unwrap();
+                        assert_eq!(charged, firsts[k1].len(), "{k1:?}, {tag}");
+                        assert_eq!(found, read(rows), "({k1:?}, {k2}), {tag}");
+                        assert_eq!(look(k1, Some(3)).unwrap().1, read(&[]), "{tag}");
+                    }
+                }
+                assert_eq!(look(absent, Some(0)), None, "{tag}");
+                let filed: usize = tables
+                    .iter()
+                    .map(|t| match t {
+                        HashTable::Rows(t) => t.rows.len(),
+                        HashTable::PairRows { pairs, .. } => pairs.rows.len(),
+                        HashTable::Counts(counts)
+                        | HashTable::PairCounts { firsts: counts, .. } => {
+                            counts.values().sum::<u32>() as usize
+                        }
+                    })
+                    .sum();
+                let want = match (second, counting) {
+                    (Some(_), false) => pair_keys.iter().flatten().count(),
+                    _ => keys.iter().flatten().count(),
+                };
+                assert_eq!(filed, want, "{tag}");
             }
-            let filed: usize = tables.iter().map(|t| t.rows.len()).sum();
-            assert_eq!(filed, keys.iter().flatten().count(), "t={threads}");
-            assert_eq!(get(absent), None, "t={threads}");
         }
     }
 
@@ -2201,7 +2501,7 @@ mod tests {
         for layout in 0..3 {
             for counts in [&skewed[..], &unique[..]] {
                 let keys = build_keys(counts, layout);
-                assert_tables_match_reference::<i64, BuildHasherDefault<KeyHasher>>(&keys, &-1);
+                assert_tables_match_reference::<i64, IntHasher>(&keys, &-1);
                 let text: Vec<Option<Value>> = keys
                     .iter()
                     .map(|k| k.map(|k| Value::str(format!("k{k}"))))

@@ -675,9 +675,11 @@ mod join_paths {
         (4, 4096),
     ];
 
-    /// Join conditions: the key alone, the key and a second `=`, the key
-    /// and a `<` (edges 0, 1, 2 of [`world`]).
-    const CONDS: [&[usize]; 3] = [&[0], &[0, 1], &[0, 2]];
+    /// Join conditions (edges 0, 1, 2 of [`world`]): the key alone, the
+    /// key and a second `=`, the key and a `<`, both `=`s and the `<`,
+    /// and both `=`s with the low-cardinality `r` first, so that a hash
+    /// join charges the candidates of `r` and matches on both.
+    const CONDS: [&[usize]; 5] = [&[0], &[0, 1], &[0, 2], &[0, 1, 2], &[1, 0]];
 
     /// The probe side `a(k, r)` and the inner (build) side `b(k, r)`
     /// holding `a_keys` and `b_keys`, `r` in `0..4` or NULL; edges 0
