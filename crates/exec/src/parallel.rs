@@ -860,10 +860,6 @@ impl<K: Hash + Eq, S: BuildHasher> JoinTable<K, S> {
         let start = span.start as usize;
         Some(&self.rows[start..start + span.len as usize])
     }
-
-    fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 /// The hasher of tables over raw `i64` keys — the fast path when both
@@ -1053,24 +1049,32 @@ struct TableForm<'a> {
     counting: bool,
 }
 
-/// One partition of a hash join's build, in the form its probe reads.
-/// Every form is partitioned by the first key, so a probe row finds
-/// everything it reads in one partition.
-enum HashTable<K, S> {
-    /// Each first key's build rows.
-    Rows(JoinTable<K, S>),
-    /// Each first key's build-row count.
-    Counts(HashMap<K, u32, S>),
-    /// Each first key's build-row count, and each key pair's build rows.
-    PairRows {
-        firsts: HashMap<K, u32, S>,
-        pairs: JoinTable<(K, i64), S>,
-    },
-    /// Each first key's build-row count, and each key pair's.
-    PairCounts {
-        firsts: HashMap<K, u32, S>,
-        pairs: HashMap<(K, i64), u32, S>,
-    },
+/// One partition of a hash join's build, in the form its probe reads
+/// ([`TableForm`]). Every form is partitioned by the first key, so a
+/// probe row finds everything it reads in one partition. Each form is a
+/// type of its own, so each gets a probe loop of its own, with no branch
+/// on the form per probe row (one such branch cost `template_zipf`'s
+/// 300 × 13-row probes 8–9 % of `execute`).
+trait HashTable<K>: Sized + Send + Sync {
+    /// What a probe row matches when no build row shares both its keys.
+    const NOTHING: Matches<'static>;
+
+    /// The table over `rows` of the build side, whose first key is
+    /// `first` (`None` for NULL). `rows` ascends, so each key's rows do.
+    fn build(
+        form: TableForm<'_>,
+        first: impl Fn(usize) -> Option<K>,
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+    ) -> Self;
+
+    /// Whether no build row filed under a key.
+    fn is_empty(&self) -> bool;
+
+    /// For a probe row with first key `k1` and second key `k2` (read
+    /// only by two-key tables; `None` for NULL): how many build rows
+    /// share `k1` — the row oracle's candidates, which it charges — and
+    /// which of them match. `None` when no build row shares `k1`.
+    fn look(&self, k1: K, k2: impl FnOnce() -> Option<i64>) -> Option<(u32, Matches<'_>)>;
 }
 
 /// What a probe row finds in a [`HashTable`]: the rows or the count of
@@ -1080,78 +1084,107 @@ enum Matches<'t> {
     Count(u32),
 }
 
-impl<K: JoinKey, S: BuildHasher + Default> HashTable<K, S> {
-    /// The table of `form` over `rows` of the build side, whose first
-    /// key is `first` (`None` for NULL). `rows` ascends, so each key's
-    /// rows do. A row with a NULL second key counts under its first key
-    /// and files under no pair.
+/// Each first key's build rows.
+impl<K, S> HashTable<K> for JoinTable<K, S>
+where
+    K: JoinKey + Send + Sync,
+    S: BuildHasher + Default + Send + Sync,
+{
+    const NOTHING: Matches<'static> = Matches::Rows(&[]);
+
+    fn build(
+        _: TableForm<'_>,
+        first: impl Fn(usize) -> Option<K>,
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+    ) -> Self {
+        table_over(first, rows)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    #[inline]
+    fn look(&self, k1: K, _: impl FnOnce() -> Option<i64>) -> Option<(u32, Matches<'_>)> {
+        let rows = self.get(&k1)?;
+        Some((rows.len() as u32, Matches::Rows(rows)))
+    }
+}
+
+/// Each first key's build-row count: a counting table.
+impl<K, S> HashTable<K> for HashMap<K, u32, S>
+where
+    K: JoinKey + Send + Sync,
+    S: BuildHasher + Default + Send + Sync,
+{
+    const NOTHING: Matches<'static> = Matches::Count(0);
+
+    fn build(
+        _: TableForm<'_>,
+        first: impl Fn(usize) -> Option<K>,
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+    ) -> Self {
+        count_over(first, rows)
+    }
+
+    fn is_empty(&self) -> bool {
+        HashMap::is_empty(self)
+    }
+
+    #[inline]
+    fn look(&self, k1: K, _: impl FnOnce() -> Option<i64>) -> Option<(u32, Matches<'_>)> {
+        let n = *self.get(&k1)?;
+        Some((n, Matches::Count(n)))
+    }
+}
+
+/// A two-key table: each first key's build-row count, which carries the
+/// charge, beside `pairs`, the rows or counts of each key pair. A build
+/// row with a NULL second key counts under its first key and files
+/// under no pair.
+struct Paired<K, S, T> {
+    firsts: HashMap<K, u32, S>,
+    pairs: T,
+}
+
+/// A two-key table that files rows per key pair.
+type PairRows<K, S> = Paired<K, S, JoinTable<(K, i64), S>>;
+
+/// A two-key table that counts rows per key pair.
+type PairCounts<K, S> = Paired<K, S, HashMap<(K, i64), u32, S>>;
+
+impl<K, S, T> HashTable<K> for Paired<K, S, T>
+where
+    K: JoinKey + Send + Sync,
+    S: BuildHasher + Default + Send + Sync,
+    T: HashTable<(K, i64)>,
+{
+    const NOTHING: Matches<'static> = T::NOTHING;
+
     fn build(
         form: TableForm<'_>,
         first: impl Fn(usize) -> Option<K>,
         rows: impl ExactSizeIterator<Item = u32> + Clone,
     ) -> Self {
-        let Some(second) = form.second else {
-            return if form.counting {
-                Self::Counts(count_over(first, rows))
-            } else {
-                Self::Rows(table_over(first, rows))
-            };
-        };
         let firsts = count_over(&first, rows.clone());
-        let pair = |row| Some((first(row)?, second.right(row)?));
-        if form.counting {
-            Self::PairCounts {
-                firsts,
-                pairs: count_over(pair, rows),
-            }
-        } else {
-            Self::PairRows {
-                firsts,
-                pairs: table_over(pair, rows),
-            }
-        }
+        let pair = |row| Some((first(row)?, form.second?.right(row)?));
+        let pairs = T::build(form, pair, rows);
+        Self { firsts, pairs }
     }
 
-    /// Whether no build row filed under a key.
     fn is_empty(&self) -> bool {
-        match self {
-            Self::Rows(table) => table.is_empty(),
-            Self::Counts(firsts)
-            | Self::PairRows { firsts, .. }
-            | Self::PairCounts { firsts, .. } => firsts.is_empty(),
-        }
+        self.firsts.is_empty()
     }
 
-    /// For a probe row with first key `k1` and second key `k2` (read
-    /// only by the two-key forms; `None` for NULL): how many build rows
-    /// share `k1` — the row oracle's candidates, which it charges — and
-    /// which of them match. `None` when no build row shares `k1`.
     #[inline]
     fn look(&self, k1: K, k2: impl FnOnce() -> Option<i64>) -> Option<(u32, Matches<'_>)> {
-        match self {
-            Self::Rows(table) => {
-                let rows = table.get(&k1)?;
-                Some((rows.len() as u32, Matches::Rows(rows)))
-            }
-            Self::Counts(firsts) => {
-                let n = *firsts.get(&k1)?;
-                Some((n, Matches::Count(n)))
-            }
-            Self::PairRows { firsts, pairs } => {
-                let n = *firsts.get(&k1)?;
-                let rows = k2().and_then(|k2| pairs.get(&(k1, k2)));
-                Some((n, Matches::Rows(rows.unwrap_or_default())))
-            }
-            Self::PairCounts { firsts, pairs } => {
-                let n = *firsts.get(&k1)?;
-                let pair = k2().and_then(|k2| pairs.get(&(k1, k2)));
-                Some((n, Matches::Count(pair.copied().unwrap_or(0))))
-            }
-        }
+        let n = *self.firsts.get(&k1)?;
+        let found = k2().and_then(|k2| self.pairs.look((k1, k2), || None));
+        Some((n, found.map_or(T::NOTHING, |(_, matches)| matches)))
     }
 }
 
-/// A hash join's build: one [`HashTable`] of `form` per partition,
+/// A hash join's build: one [`HashTable`] per partition,
 /// radix-partitioned by first key (`first`; `None` for NULL) when the
 /// team has more than one worker. Build rows cost one unit each (NULL
 /// keys charged but excluded). With partitions, build rows are split by
@@ -1159,21 +1192,21 @@ impl<K: JoinKey, S: BuildHasher + Default> HashTable<K, S> {
 /// worker from a row list that preserves build order; a team of one
 /// builds a single table straight off the build side. Either way every
 /// key's rows are in ascending build-row order.
-fn build_tables<K, S, F>(
+fn build_tables<K, T, F>(
     ctx: &Ctx<'_>,
     build_rows: usize,
     form: TableForm<'_>,
     first: F,
-) -> Result<Vec<HashTable<K, S>>, ExecError>
+) -> Result<Vec<T>, ExecError>
 where
-    K: JoinKey + Send,
-    S: BuildHasher + Default + Send,
+    K: Hash,
+    T: HashTable<K>,
     F: Fn(usize) -> Option<K> + Sync,
 {
     let parts = ctx.partitions();
     if parts == 1 {
         ctx.budget.add(build_rows as u64)?;
-        return Ok(vec![HashTable::build(form, &first, 0..build_rows as u32)]);
+        return Ok(vec![T::build(form, &first, 0..build_rows as u32)]);
     }
     let mask = parts - 1;
     let partitions = partition_rows(ctx, build_rows, parts, |row| {
@@ -1182,11 +1215,7 @@ where
     // Charge-free (the partition pass charged the build), and sized
     // from the build side: a small build does not pay a team spawn.
     per_partition(ctx.team_for(build_rows), parts, |p| {
-        Ok(HashTable::build(
-            form,
-            &first,
-            partitions[p].iter().copied(),
-        ))
+        Ok(T::build(form, &first, partitions[p].iter().copied()))
     })
 }
 
@@ -1194,27 +1223,29 @@ where
 /// (`probe_key`; `None` for NULL) up in its partition's table without
 /// touching shared state and emit in probe order. One unit per probe
 /// row, one per candidate — a build row sharing the first key — and one
-/// per emitted row. A probe row's matches are narrowed by `residual`
-/// (when it is anything) and appended as one run, or, in a counting
-/// table, added as a count. Against tables with no row the probe rows
-/// are charged in one add and nothing is looked up.
-#[allow(clippy::too_many_arguments)]
-fn probe_tables<K, S>(
+/// per emitted row. A probe row's matches are narrowed by the join's
+/// residual conditions (when there are any) and appended as one run,
+/// or, in a counting table, added as a count. Against tables with no row
+/// the probe rows are charged in one add and nothing is looked up.
+fn probe_tables<K, T>(
     ctx: &Ctx<'_>,
-    tables: &[HashTable<K, S>],
-    form: TableForm<'_>,
-    residual: &Conds<'_>,
-    out_map: &[Side],
-    types: &[ColumnType],
-    left: &NodeOut,
-    right: &NodeOut,
+    join: &HashJoin<'_>,
+    tables: &[T],
     probe_key: impl Fn(usize) -> Option<K> + Sync,
 ) -> Result<Chunk, ExecError>
 where
-    K: JoinKey + Sync,
-    S: BuildHasher + Default + Sync,
+    K: Hash,
+    T: HashTable<K>,
 {
-    if tables.iter().all(HashTable::is_empty) {
+    let HashJoin {
+        form,
+        residual,
+        out_map,
+        types,
+        left,
+        right,
+    } = join;
+    if tables.iter().all(T::is_empty) {
         ctx.budget.add(left.data.rows as u64)?;
         return Ok(Chunk::empty(types));
     }
@@ -1260,16 +1291,61 @@ where
     ))
 }
 
+/// A hash join's inputs and what it read off them, once per join.
+struct HashJoin<'a> {
+    form: TableForm<'a>,
+    /// The conditions a match must still satisfy after its key or keys.
+    residual: Conds<'a>,
+    out_map: &'a [Side],
+    types: &'a [ColumnType],
+    left: &'a NodeOut,
+    right: &'a NodeOut,
+}
+
+impl HashJoin<'_> {
+    /// [`build_tables`] over the right input, then [`probe_tables`] with
+    /// the left, in the [`HashTable`] type that the join's form names:
+    /// keys `K` hashed by `S`, read off the right side by `build_key` and
+    /// the left by `probe_key`.
+    fn run<K, S>(
+        &self,
+        ctx: &Ctx<'_>,
+        build_key: impl Fn(usize) -> Option<K> + Sync,
+        probe_key: impl Fn(usize) -> Option<K> + Sync,
+    ) -> Result<Chunk, ExecError>
+    where
+        K: JoinKey + Send + Sync,
+        S: BuildHasher + Default + Send + Sync,
+    {
+        match (self.form.second.is_some(), self.form.counting) {
+            (false, false) => self.run_as::<K, JoinTable<K, S>>(ctx, build_key, probe_key),
+            (false, true) => self.run_as::<K, HashMap<K, u32, S>>(ctx, build_key, probe_key),
+            (true, false) => self.run_as::<K, PairRows<K, S>>(ctx, build_key, probe_key),
+            (true, true) => self.run_as::<K, PairCounts<K, S>>(ctx, build_key, probe_key),
+        }
+    }
+
+    fn run_as<K: Hash, T: HashTable<K>>(
+        &self,
+        ctx: &Ctx<'_>,
+        build_key: impl Fn(usize) -> Option<K> + Sync,
+        probe_key: impl Fn(usize) -> Option<K> + Sync,
+    ) -> Result<Chunk, ExecError> {
+        let tables: Vec<T> = build_tables(ctx, self.right.data.rows, self.form, build_key)?;
+        probe_tables(ctx, self, &tables, probe_key)
+    }
+}
+
 /// Hash join on the first `=` condition (the row oracle's key, so the
-/// candidate counts agree): [`build_tables`] over the right input, then
-/// [`probe_tables`] with the left. Two plain integer key columns take
-/// the typed form — `i64` keys off the slices, and matches, which met
-/// the key by `i64` equality, narrowed only by the *other* conditions;
-/// any other key goes through [`Value`]s and its matches through every
-/// condition. A second `=` between plain integer columns keys the table
-/// on both ([`TableForm::second`]), and a zero-width output with nothing
-/// left to check keeps counts ([`TableForm::counting`]). An empty probe
-/// side pays for the build and builds nothing.
+/// candidate counts agree), through [`HashJoin::run`]. Two plain integer
+/// key columns take the typed form — `i64` keys off the slices, and
+/// matches, which met the key by `i64` equality, narrowed only by the
+/// *other* conditions; any other key goes through [`Value`]s and its
+/// matches through every condition. A second `=` between plain integer
+/// columns keys the table on both ([`TableForm::second`]), and a
+/// zero-width output with nothing left to check keeps counts
+/// ([`TableForm::counting`]). An empty probe side pays for the build
+/// and builds nothing.
 fn hash_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -1284,9 +1360,8 @@ fn hash_join(
         .ok_or_else(|| {
             QueryError::InvalidPlan("hash join requires an equality condition".into())
         })?;
-    let build_rows = right.data.rows;
     if left.data.rows == 0 {
-        ctx.budget.add(build_rows as u64)?;
+        ctx.budget.add(right.data.rows as u64)?;
         return Ok(Chunk::empty(types));
     }
     let int_key = IntCond::resolve(conds[at], left, right);
@@ -1295,24 +1370,19 @@ fn hash_join(
         .find_map(|i| Some((i, IntCond::resolve(conds[i], left, right)?)));
     let applied = [int_key.map(|_| at), second.map(|(i, _)| i)];
     let residual = Conds::resolve(conds, &applied, left, right);
-    let form = TableForm {
-        second: second.map(|(_, key)| key),
-        counting: out_map.is_empty() && residual.0.is_empty(),
+    let join = HashJoin {
+        form: TableForm {
+            second: second.map(|(_, key)| key),
+            counting: out_map.is_empty() && residual.0.is_empty(),
+        },
+        residual,
+        out_map,
+        types,
+        left,
+        right,
     };
     if let Some(key) = int_key {
-        let tables: Vec<HashTable<i64, IntHasher>> =
-            build_tables(ctx, build_rows, form, |row| key.right(row))?;
-        probe_tables(
-            ctx,
-            &tables,
-            form,
-            &residual,
-            out_map,
-            types,
-            left,
-            right,
-            |row| key.left(row),
-        )
+        join.run::<i64, IntHasher>(ctx, |row| key.right(row), |row| key.left(row))
     } else {
         let non_null = |col: &ColumnVector, row| {
             let k = col.get(row);
@@ -1320,17 +1390,9 @@ fn hash_join(
         };
         let build_col = &right.data.cols[conds[at].r_slot];
         let probe_col = &left.data.cols[conds[at].l_slot];
-        let tables: Vec<HashTable<Value, RandomState>> =
-            build_tables(ctx, build_rows, form, |row| non_null(build_col, row))?;
-        probe_tables(
+        join.run::<Value, RandomState>(
             ctx,
-            &tables,
-            form,
-            &residual,
-            out_map,
-            types,
-            left,
-            right,
+            |row| non_null(build_col, row),
             |row| non_null(probe_col, row),
         )
     }
@@ -2379,14 +2441,12 @@ mod tests {
     /// Builds `keys` into tables of every form at teams of 1, 2 and 4
     /// (one table, then 8 and 16 partitions) and holds them to tables
     /// built row by row: a `Vec` per first key, and a `Vec` per key pair
-    /// whose second key is `row % 3`, NULL on every fifth row. A probe
-    /// row is charged its first key's rows and finds the rows, or in a
-    /// counting form the count, of its key or keys; `absent` finds
-    /// nothing, and the build charges one unit a row.
+    /// whose second key is `row % 3`, NULL on every fifth row. Every
+    /// first key's and every pair's build rows are filed once.
     fn assert_tables_match_reference<K, S>(keys: &[Option<K>], absent: &K)
     where
         K: JoinKey + Clone + Send + Sync + std::fmt::Debug,
-        S: BuildHasher + Default + Send,
+        S: BuildHasher + Default + Send + Sync,
     {
         let seconds: Vec<Option<i64>> = (0..keys.len())
             .map(|row| (row % 5 != 4).then_some((row % 3) as i64))
@@ -2400,96 +2460,126 @@ mod tests {
             r_vals: &s_vals,
             r_valid: &s_valid,
         };
-        let firsts = reference_table(keys);
         let pair_keys: Vec<Option<(K, i64)>> = keys
             .iter()
             .zip(&seconds)
             .map(|(k1, k2)| Some((k1.clone()?, (*k2)?)))
             .collect();
-        let pairs = reference_table(&pair_keys);
+        let (firsts, pairs) = (reference_table(keys), reference_table(&pair_keys));
+        let (n_keys, n_pairs) = (
+            keys.iter().flatten().count(),
+            pair_keys.iter().flatten().count(),
+        );
+        let form = |second, counting| TableForm { second, counting };
+        for geometry in [(1, 4096), (2, 64), (4, 4096)] {
+            let tag = format!("at {geometry:?}");
+            let rows: Vec<JoinTable<K, S>> =
+                assert_form_matches(keys, form(None, false), geometry, &firsts, &pairs, absent);
+            let filed: usize = rows.iter().map(|t| t.rows.len()).sum();
+            assert_eq!(filed, n_keys, "{tag}");
+            let counts: Vec<HashMap<K, u32, S>> =
+                assert_form_matches(keys, form(None, true), geometry, &firsts, &pairs, absent);
+            let filed: u32 = counts.iter().flat_map(HashMap::values).sum();
+            assert_eq!(filed as usize, n_keys, "{tag}");
+            let pair_rows: Vec<PairRows<K, S>> = assert_form_matches(
+                keys,
+                form(Some(second), false),
+                geometry,
+                &firsts,
+                &pairs,
+                absent,
+            );
+            let filed: usize = pair_rows.iter().map(|t| t.pairs.rows.len()).sum();
+            assert_eq!(filed, n_pairs, "{tag}");
+            let pair_counts: Vec<PairCounts<K, S>> = assert_form_matches(
+                keys,
+                form(Some(second), true),
+                geometry,
+                &firsts,
+                &pairs,
+                absent,
+            );
+            let filed: u32 = pair_counts.iter().flat_map(|t| t.pairs.values()).sum();
+            assert_eq!(filed as usize, n_pairs, "{tag}");
+            let counted: u32 = pair_counts.iter().flat_map(|t| t.firsts.values()).sum();
+            assert_eq!(counted as usize, n_keys, "{tag}");
+        }
+    }
+
+    /// Builds `keys` into `T` tables of `form` at `geometry` and probes
+    /// them: every first key of `firsts` is charged its rows and, in a
+    /// one-key form, finds them (or their count); every pair of `pairs`
+    /// finds its rows (or their count) in a two-key form; `absent`
+    /// finds nothing, and the build charges one unit a row.
+    fn assert_form_matches<K, T>(
+        keys: &[Option<K>],
+        form: TableForm<'_>,
+        (threads, morsel_rows): (usize, usize),
+        firsts: &HashMap<K, Vec<u32>>,
+        pairs: &HashMap<(K, i64), Vec<u32>>,
+        absent: &K,
+    ) -> Vec<T>
+    where
+        K: JoinKey + Clone + Send + Sync + std::fmt::Debug,
+        T: HashTable<K>,
+    {
+        let counting = form.counting;
+        let tag = format!(
+            "t={threads} two keys {} counting {counting}",
+            form.second.is_some()
+        );
         let (db, graph) = setup();
-        for (threads, morsel_rows) in [(1, 4096), (2, 64), (4, 4096)] {
-            for (second, counting) in [
-                (None, false),
-                (None, true),
-                (Some(second), false),
-                (Some(second), true),
-            ] {
-                let form = TableForm { second, counting };
-                let tag = format!(
-                    "t={threads} two keys {} counting {counting}",
-                    second.is_some()
-                );
-                let budget = SharedBudget::new(u64::MAX);
-                let ctx = Ctx {
-                    db: &db,
-                    graph: &graph,
-                    threads,
-                    morsel_rows,
-                    budget: &budget,
-                };
-                let tables: Vec<HashTable<K, S>> =
-                    build_tables(&ctx, keys.len(), form, |row| keys[row].clone()).unwrap();
-                assert_eq!(budget.used(), keys.len() as u64, "{tag}");
-                let mask = tables.len() - 1;
-                let look = |k1: &K, k2: Option<i64>| {
-                    let (charged, found) =
-                        tables[partition_of(k1, mask)].look(k1.clone(), || k2)?;
-                    let found = match found {
-                        Matches::Rows(rows) => {
-                            assert!(!counting && rows.windows(2).all(|w| w[0] < w[1]), "{tag}");
-                            rows.to_vec()
-                        }
-                        Matches::Count(n) => {
-                            assert!(counting, "{tag}");
-                            vec![u32::MAX; n as usize]
-                        }
-                    };
-                    Some((charged as usize, found))
-                };
-                // What `want` must read as: itself, or in a counting
-                // form only its length.
-                let read = |want: &[u32]| {
-                    if counting {
-                        vec![u32::MAX; want.len()]
-                    } else {
-                        want.to_vec()
-                    }
-                };
-                for (k1, rows) in &firsts {
-                    let (charged, found) =
-                        look(k1, None).unwrap_or_else(|| panic!("{k1:?} missing, {tag}"));
-                    assert_eq!(charged, rows.len(), "{k1:?}, {tag}");
-                    let want = if second.is_some() { &[][..] } else { rows };
-                    assert_eq!(found, read(want), "{k1:?}, {tag}");
+        let budget = SharedBudget::new(u64::MAX);
+        let ctx = Ctx {
+            db: &db,
+            graph: &graph,
+            threads,
+            morsel_rows,
+            budget: &budget,
+        };
+        let tables: Vec<T> = build_tables(&ctx, keys.len(), form, |row| keys[row].clone()).unwrap();
+        assert_eq!(budget.used(), keys.len() as u64, "{tag}");
+        let mask = tables.len() - 1;
+        // What a probe finds, as rows; a count reads as that many
+        // `u32::MAX`es, and so does what it is held to.
+        let look = |k1: &K, k2: Option<i64>| {
+            let (charged, found) = tables[partition_of(k1, mask)].look(k1.clone(), || k2)?;
+            let found = match found {
+                Matches::Rows(rows) => {
+                    assert!(!counting && rows.windows(2).all(|w| w[0] < w[1]), "{tag}");
+                    rows.to_vec()
                 }
-                if second.is_some() {
-                    for ((k1, k2), rows) in &pairs {
-                        let (charged, found) = look(k1, Some(*k2)).unwrap();
-                        assert_eq!(charged, firsts[k1].len(), "{k1:?}, {tag}");
-                        assert_eq!(found, read(rows), "({k1:?}, {k2}), {tag}");
-                        assert_eq!(look(k1, Some(3)).unwrap().1, read(&[]), "{tag}");
-                    }
+                Matches::Count(n) => {
+                    assert!(counting, "{tag}");
+                    vec![u32::MAX; n as usize]
                 }
-                assert_eq!(look(absent, Some(0)), None, "{tag}");
-                let filed: usize = tables
-                    .iter()
-                    .map(|t| match t {
-                        HashTable::Rows(t) => t.rows.len(),
-                        HashTable::PairRows { pairs, .. } => pairs.rows.len(),
-                        HashTable::Counts(counts)
-                        | HashTable::PairCounts { firsts: counts, .. } => {
-                            counts.values().sum::<u32>() as usize
-                        }
-                    })
-                    .sum();
-                let want = match (second, counting) {
-                    (Some(_), false) => pair_keys.iter().flatten().count(),
-                    _ => keys.iter().flatten().count(),
-                };
-                assert_eq!(filed, want, "{tag}");
+            };
+            Some((charged as usize, found))
+        };
+        let read = |want: &[u32]| {
+            if counting {
+                vec![u32::MAX; want.len()]
+            } else {
+                want.to_vec()
+            }
+        };
+        for (k1, rows) in firsts {
+            let (charged, found) =
+                look(k1, None).unwrap_or_else(|| panic!("{k1:?} missing, {tag}"));
+            assert_eq!(charged, rows.len(), "{k1:?}, {tag}");
+            let want = if form.second.is_some() { &[][..] } else { rows };
+            assert_eq!(found, read(want), "{k1:?}, {tag}");
+        }
+        if form.second.is_some() {
+            for ((k1, k2), rows) in pairs {
+                let (charged, found) = look(k1, Some(*k2)).unwrap();
+                assert_eq!(charged, firsts[k1].len(), "{k1:?}, {tag}");
+                assert_eq!(found, read(rows), "({k1:?}, {k2}), {tag}");
+                assert_eq!(look(k1, Some(3)).unwrap().1, read(&[]), "{tag}");
             }
         }
+        assert_eq!(look(absent, Some(0)), None, "{tag}");
+        tables
     }
 
     #[test]
