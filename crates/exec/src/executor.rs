@@ -8,9 +8,9 @@
 
 use crate::error::ExecError;
 use crate::ops::agg::agg_output_type;
-use crate::parallel::evaluate;
-use crate::projection::{aggregate_inputs, all_columns, ColSet};
+use crate::parallel::{evaluate, Chunk};
 use crate::row::{Layout, Row};
+use crate::stages::Carry;
 use hfqo_query::sql::AggFunc;
 use hfqo_query::{BoundColumn, PhysicalPlan, PlanNode, QueryGraph};
 use hfqo_storage::catalog::{Catalog, ColumnType};
@@ -253,17 +253,13 @@ pub fn execute(
     plan: &PhysicalPlan,
     config: ExecConfig,
 ) -> Result<ExecOutcome, ExecError> {
-    plan.validate(graph)?;
     let start = Instant::now();
-
-    let required: ColSet = match &plan.root {
-        PlanNode::Aggregate { .. } => aggregate_inputs(graph),
-        _ => all_columns(graph, db),
-    };
-    let (out, work) = evaluate(db, graph, &plan.root, &required, config)?;
+    // The evaluator's derivation pass makes `validate`'s checks.
+    let carry = (Carry::Everything, true);
+    let (rows, work) = evaluate(db, graph, &plan.root, carry, config, Chunk::to_rows)?;
 
     Ok(ExecOutcome {
-        rows: out.into_rows(),
+        rows,
         layout: Layout::for_node(&plan.root, graph, db.catalog()),
         schema: OutputSchema::for_plan(graph, db.catalog(), plan),
         stats: ExecStats {
@@ -285,25 +281,21 @@ pub fn execute_for_stats(
     plan: &PhysicalPlan,
     config: ExecConfig,
 ) -> Result<(usize, u64), ExecError> {
-    plan.validate(graph)?;
-    count_rows_unvalidated(db, graph, plan, config)
+    let carry = (Carry::Nothing, true);
+    evaluate(db, graph, &plan.root, carry, config, |out| out.rows)
 }
 
-/// [`execute_for_stats`] without plan validation: the true-cardinality
-/// oracle builds structurally-valid subset plans that do not cover the
-/// whole graph.
-pub(crate) fn count_rows_unvalidated(
+/// [`execute_for_stats`] without the check that the plan covers the
+/// whole graph: the true-cardinality oracle builds structurally-valid
+/// subset plans. Every other check of `validate` is still made.
+pub(crate) fn count_subplan_rows(
     db: &hfqo_storage::Database,
     graph: &QueryGraph,
     plan: &PhysicalPlan,
     config: ExecConfig,
 ) -> Result<(usize, u64), ExecError> {
-    let required = match &plan.root {
-        PlanNode::Aggregate { .. } => aggregate_inputs(graph),
-        _ => ColSet::new(),
-    };
-    let (out, work) = evaluate(db, graph, &plan.root, &required, config)?;
-    Ok((out.rows, work))
+    let carry = (Carry::Nothing, false);
+    evaluate(db, graph, &plan.root, carry, config, |out| out.rows)
 }
 
 #[cfg(test)]

@@ -12,17 +12,27 @@
 //!
 //! ```text
 //!  execute / execute_for_stats / TrueCardinality   ── facade (executor.rs, truecard.rs)
-//!    └─ evaluate(root, required columns, config)   ── the evaluator (parallel.rs)
-//!         ├─ scan       ScanSpec + filter kernels (ops/scan.rs, ops/filter.rs)
-//!         ├─ join       hash / nested-loop / sort-merge stages
-//!         └─ aggregate  AggSpec + Acc (ops/agg.rs)
-//!              ⇅ one materialised column chunk per stage
+//!    └─ evaluate(root, what the root carries, config) ── the evaluator (parallel.rs)
+//!         ├─ derive     checks + a flat stage list, once (stages.rs)
+//!         └─ run        the list over an operand stack, from a per-thread arena
+//!              ├─ scan       ScanSpec + filter kernels (ops/scan.rs, ops/filter.rs)
+//!              ├─ join       hash / nested-loop / sort-merge stages
+//!              └─ aggregate  AggSpec + Acc (ops/agg.rs)
+//!                   ⇅ one materialised column chunk per stage
 //!  execute_rows                                     ── row oracle (rowexec.rs)
 //! ```
 //!
-//! **Stages** ([`parallel`]). The plan tree is evaluated bottom-up, one
-//! stage at a time: a scan, a join's build and probe, the root
-//! aggregation. Each stage fans out over a team of up to
+//! **One derivation, then a flat stage list** ([`stages`]). An execute
+//! pays for its plan's shape once: one post-order pass makes the plan
+//! checks of `PhysicalPlan::validate` and works out every node's output
+//! columns and types, every join's condition slots, output map and key
+//! form, into a flat list of stages. The list holds no literal, so two
+//! constants of one template derive the same list; the scans read the
+//! selections when they run.
+//!
+//! **Stages** ([`parallel`]). The list runs bottom-up over an explicit
+//! operand stack, one stage at a time: a scan, a join's build and probe,
+//! the root aggregation. Each stage fans out over a team of up to
 //! [`ExecConfig::threads`] workers that claim fixed-size row ranges
 //! (**morsels**, [`ExecConfig::morsel_rows`]) from a shared atomic
 //! dispenser; hash-join builds and grouped aggregation are
@@ -32,6 +42,14 @@
 //! bit-identical at any thread count. A team of one runs inline on the
 //! calling thread, without partitioning: the default `threads = 1` is
 //! the degenerate case of the same code, not a second engine.
+//!
+//! **A scratch arena per thread.** Stages draw their chunk columns,
+//! selection vectors, pair buffers and join tables from a thread-local
+//! arena, reused across the stages and the executes on one thread, and
+//! give them back; what the arena keeps between executes is bounded, so
+//! a large plan's buffers are freed rather than held. A
+//! `template_zipf`-shaped execute allocates a handful of times, for its
+//! output rows and schema.
 //!
 //! **Joins** emit `(left row, right row)` id pairs, gathered into the
 //! output columns a bounded vector at a time (a zero-width output is
@@ -56,7 +74,7 @@
 //! Storage encodings (dictionary, RLE) stop at the scan: intermediates
 //! are plain.
 //!
-//! **Projection rules** ([`projection`]). Each node's output carries
+//! **Projection rules** ([`stages`]). Each node's output carries
 //! only the columns *required above it*: the facade requires every
 //! column for plain queries (so results are column-identical to the row
 //! engine), only `GROUP BY` keys + aggregate inputs for aggregated
@@ -101,9 +119,9 @@ pub mod error;
 pub mod executor;
 pub mod ops;
 pub mod parallel;
-pub mod projection;
 pub mod row;
 pub mod rowexec;
+pub mod stages;
 pub mod truecard;
 
 pub use error::ExecError;

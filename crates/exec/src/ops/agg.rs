@@ -7,10 +7,9 @@
 //! Output rows are *group keys followed by aggregate values*.
 
 use crate::error::ExecError;
-use crate::projection::Projection;
 use hfqo_query::sql::AggFunc;
-use hfqo_query::{QueryError, QueryGraph};
-use hfqo_storage::catalog::{Catalog, ColumnType};
+use hfqo_query::{BoundColumn, QueryError, QueryGraph};
+use hfqo_storage::catalog::ColumnType;
 use hfqo_storage::{ColumnVector, Value};
 
 /// One aggregate accumulator.
@@ -129,9 +128,10 @@ pub(crate) fn agg_output_type(func: AggFunc, input: Option<ColumnType>) -> Colum
     }
 }
 
-/// The graph's aggregation resolved against an input projection: where
+/// The graph's aggregation resolved against its input's columns: where
 /// the `GROUP BY` keys and aggregate inputs live in the input's slots,
 /// and the output column types (keys first, then aggregate values).
+#[derive(Default)]
 pub(crate) struct AggSpec {
     pub(crate) key_slots: Vec<usize>,
     pub(crate) agg_slots: Vec<Option<usize>>,
@@ -141,48 +141,39 @@ pub(crate) struct AggSpec {
 
 impl AggSpec {
     /// Resolves the graph's `GROUP BY` keys and aggregate input columns
-    /// against `proj`, which must carry all of them.
+    /// against an input whose columns are `input`, of types `types`,
+    /// which must carry all of them. Refills `self`.
     pub(crate) fn resolve(
+        &mut self,
         graph: &QueryGraph,
-        catalog: &Catalog,
-        proj: &Projection,
-    ) -> Result<Self, ExecError> {
-        let key_slots: Vec<usize> = graph
-            .group_by()
-            .iter()
-            .map(|c| {
-                proj.slot(*c).ok_or_else(|| {
-                    QueryError::InvalidPlan(format!("group-by column {c} not in input")).into()
-                })
-            })
-            .collect::<Result<_, ExecError>>()?;
-        let agg_slots: Vec<Option<usize>> = graph
-            .aggregates()
-            .iter()
-            .map(|a| match a.column {
-                None => Ok(None),
-                Some(c) => proj.slot(c).map(Some).ok_or_else(|| -> ExecError {
-                    QueryError::InvalidPlan(format!("aggregate column {c} not in input")).into()
-                }),
-            })
-            .collect::<Result<_, ExecError>>()?;
-        let agg_funcs: Vec<AggFunc> = graph.aggregates().iter().map(|a| a.func).collect();
-
-        let input_types = proj.column_types(graph, catalog);
-        let mut out_types: Vec<ColumnType> = key_slots.iter().map(|&s| input_types[s]).collect();
-        out_types.extend(
-            agg_funcs
-                .iter()
-                .zip(&agg_slots)
-                .map(|(&f, &slot)| agg_output_type(f, slot.map(|s| input_types[s]))),
-        );
-
-        Ok(Self {
-            key_slots,
-            agg_slots,
-            agg_funcs,
-            out_types,
-        })
+        input: &[BoundColumn],
+        types: &[ColumnType],
+    ) -> Result<(), ExecError> {
+        let slot = |c: BoundColumn| input.iter().position(|&x| x == c);
+        self.key_slots.clear();
+        self.agg_slots.clear();
+        self.agg_funcs.clear();
+        self.out_types.clear();
+        for &c in graph.group_by() {
+            let s = slot(c).ok_or_else(|| {
+                QueryError::InvalidPlan(format!("group-by column {c} not in input"))
+            })?;
+            self.key_slots.push(s);
+            self.out_types.push(types[s]);
+        }
+        for a in graph.aggregates() {
+            let s = match a.column {
+                None => None,
+                Some(c) => Some(slot(c).ok_or_else(|| {
+                    QueryError::InvalidPlan(format!("aggregate column {c} not in input"))
+                })?),
+            };
+            self.agg_slots.push(s);
+            self.agg_funcs.push(a.func);
+            self.out_types
+                .push(agg_output_type(a.func, s.map(|s| types[s])));
+        }
+        Ok(())
     }
 
     /// A fresh accumulator row, one per aggregate expression.

@@ -11,7 +11,6 @@
 
 pub(crate) mod agg;
 pub(crate) mod filter;
-pub(crate) mod join;
 pub(crate) mod scan;
 
 use crate::error::ExecError;
@@ -71,45 +70,46 @@ pub(crate) struct SlotCond {
 }
 
 /// Resolves plan-level join-condition indices to input slots, flipping
-/// edges whose endpoints sit on opposite inputs. Generic over the slot
-/// resolver so the evaluator (`Projection::slot`) and the reference
-/// row engine (`Layout::slot`) share one implementation — the engines
-/// must resolve conditions identically for the equivalence contract to
-/// hold.
+/// edges whose endpoints sit on opposite inputs, and appends them to
+/// `out`. Generic over the slot resolver so the evaluator's derivation
+/// pass ([`crate::stages`]) and the reference row engine
+/// (`Layout::slot`) share one implementation — the engines must resolve
+/// conditions identically for the equivalence contract to hold.
 pub(crate) fn resolve_conds(
     graph: &hfqo_query::QueryGraph,
     conds: &[usize],
     left_slot: impl Fn(hfqo_query::BoundColumn) -> Option<usize>,
     right_slot: impl Fn(hfqo_query::BoundColumn) -> Option<usize>,
-) -> Result<Vec<SlotCond>, ExecError> {
+    out: &mut Vec<SlotCond>,
+) -> Result<(), ExecError> {
     use hfqo_query::QueryError;
-    conds
-        .iter()
-        .map(|&c| {
-            let edge = graph
-                .joins()
-                .get(c)
-                .ok_or_else(|| QueryError::InvalidPlan(format!("join cond #{c} out of range")))?;
+    for &c in conds {
+        let edge = graph
+            .joins()
+            .get(c)
+            .ok_or_else(|| QueryError::InvalidPlan(format!("join cond #{c} out of range")))?;
+        out.push(
             if let (Some(l), Some(r)) = (left_slot(edge.left), right_slot(edge.right)) {
-                Ok(SlotCond {
+                SlotCond {
                     l_slot: l,
                     r_slot: r,
                     op: edge.op,
-                })
+                }
             } else if let (Some(l), Some(r)) = (left_slot(edge.right), right_slot(edge.left)) {
-                Ok(SlotCond {
+                SlotCond {
                     l_slot: l,
                     r_slot: r,
                     op: edge.op.flipped(),
-                })
+                }
             } else {
-                Err(
-                    QueryError::InvalidPlan(format!("join cond #{c} does not span the two inputs"))
-                        .into(),
-                )
-            }
-        })
-        .collect()
+                return Err(QueryError::InvalidPlan(format!(
+                    "join cond #{c} does not span the two inputs"
+                ))
+                .into());
+            },
+        );
+    }
+    Ok(())
 }
 
 /// The first equality condition, if any (hash/merge join key).
@@ -118,16 +118,17 @@ pub(crate) fn first_eq(conds: &[SlotCond]) -> Option<SlotCond> {
 }
 
 /// Validates an index-scan access path against the graph and catalog,
-/// probes the index with the driving predicate, and returns the
-/// matching row ids. Shared by both engines so their index behaviour
-/// (and error surface) cannot drift.
+/// probes the index with the driving predicate, and appends the
+/// matching row ids to `row_ids`. Shared by both engines so their index
+/// behaviour (and error surface) cannot drift.
 pub(crate) fn index_row_ids(
     db: &hfqo_storage::Database,
     graph: &hfqo_query::QueryGraph,
     rel: hfqo_query::RelId,
     index: hfqo_storage::catalog::IndexId,
     driving_selection: usize,
-) -> Result<Vec<u32>, ExecError> {
+    row_ids: &mut Vec<u32>,
+) -> Result<(), ExecError> {
     use hfqo_query::QueryError;
     let table_id = graph.relation(rel).table;
     let driving = graph.selections().get(driving_selection).ok_or_else(|| {
@@ -147,15 +148,14 @@ pub(crate) fn index_row_ids(
         .index_storage(index)
         .ok_or_else(|| ExecError::IndexNotBuilt(def.name().to_string()))?;
     let key = crate::row::lit_to_value(&driving.value);
-    let mut row_ids: Vec<u32> = Vec::new();
     match driving.op {
         CompareOp::Eq => {
             row_ids.extend_from_slice(btree.lookup_eq(&key));
         }
-        CompareOp::Lt => btree.lookup_range(None, true, Some(&key), false, &mut row_ids),
-        CompareOp::Le => btree.lookup_range(None, true, Some(&key), true, &mut row_ids),
-        CompareOp::Gt => btree.lookup_range(Some(&key), false, None, true, &mut row_ids),
-        CompareOp::Ge => btree.lookup_range(Some(&key), true, None, true, &mut row_ids),
+        CompareOp::Lt => btree.lookup_range(None, true, Some(&key), false, row_ids),
+        CompareOp::Le => btree.lookup_range(None, true, Some(&key), true, row_ids),
+        CompareOp::Gt => btree.lookup_range(Some(&key), false, None, true, row_ids),
+        CompareOp::Ge => btree.lookup_range(Some(&key), true, None, true, row_ids),
         op @ CompareOp::Neq => {
             return Err(QueryError::InvalidPlan(format!(
                 "index `{}` cannot serve operator {}",
@@ -165,7 +165,7 @@ pub(crate) fn index_row_ids(
             .into());
         }
     }
-    Ok(row_ids)
+    Ok(())
 }
 
 /// Serial work-budget accountant (the row engine's; the evaluator

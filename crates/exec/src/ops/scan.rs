@@ -14,9 +14,8 @@
 
 use crate::error::ExecError;
 use crate::ops::filter::Pred;
-use crate::projection::Projection;
 use crate::row::lit_to_value;
-use hfqo_query::{AccessPath, QueryGraph, RelId};
+use hfqo_query::{AccessPath, BoundColumn, QueryGraph, RelId};
 use hfqo_storage::{ColumnVector, Database, Table};
 
 #[derive(Debug)]
@@ -27,12 +26,12 @@ enum Source {
     Index(Vec<u32>),
 }
 
-/// A fully-resolved scan: the table, the projected storage columns, the
+/// A fully-resolved scan: the table, the projected columns, the
 /// residual filters, and the visit order.
 pub(crate) struct ScanSpec<'a> {
     table: &'a Table,
-    /// Table column index per output slot.
-    col_idx: Vec<usize>,
+    /// The output columns, in slot order: each names its table column.
+    columns: &'a [BoundColumn],
     /// Predicates evaluated during the scan (for index scans: the
     /// residual predicates, the driving one being consumed by the
     /// probe), compiled once against the table's column encodings (see
@@ -42,58 +41,64 @@ pub(crate) struct ScanSpec<'a> {
 }
 
 impl<'a> ScanSpec<'a> {
-    /// Resolves a scan of `rel` via `path` producing `projection`. Index
+    /// Resolves a scan of `rel` via `path` producing `columns`. Index
     /// probes run here (plan-shape errors surface at build time; the
     /// probe itself is charge-free in the row engine too — only row
-    /// visits cost work).
+    /// visits cost work). The literals are read here, on every run.
+    /// `filters` and `visits` are spare buffers the spec fills;
+    /// [`Self::into_buffers`] hands them back.
     pub(crate) fn new(
         db: &'a Database,
         graph: &QueryGraph,
         rel: RelId,
         path: &AccessPath,
-        projection: &Projection,
+        columns: &'a [BoundColumn],
+        (mut filters, mut visits): (Vec<Pred>, Vec<u32>),
     ) -> Result<Self, ExecError> {
         let table_id = graph.relation(rel).table;
         let table = db.table(table_id)?;
-        let col_idx = projection
-            .columns()
-            .iter()
-            .map(|c| c.column.index())
-            .collect();
-
-        let sel_indices: Vec<usize> = graph.selections_on(rel).collect();
         let cols = table.columns();
         let resolve = |i: usize| {
             let sel = &graph.selections()[i];
             let col = sel.column.column.index();
             Pred::compile(col, sel.op, lit_to_value(&sel.value), &cols[col])
         };
-
-        let (filters, source) = match path {
-            AccessPath::SeqScan => (
-                sel_indices.iter().map(|&i| resolve(i)).collect(),
-                Source::Seq,
-            ),
+        filters.clear();
+        let source = match path {
+            AccessPath::SeqScan => {
+                filters.extend(graph.selections_on(rel).map(resolve));
+                Source::Seq
+            }
             AccessPath::IndexScan {
                 index,
                 driving_selection,
             } => {
-                let row_ids = super::index_row_ids(db, graph, rel, *index, *driving_selection)?;
-                let residual = sel_indices
-                    .iter()
-                    .filter(|&&i| i != *driving_selection)
-                    .map(|&i| resolve(i))
-                    .collect();
-                (residual, Source::Index(row_ids))
+                visits.clear();
+                super::index_row_ids(db, graph, rel, *index, *driving_selection, &mut visits)?;
+                let residual = graph
+                    .selections_on(rel)
+                    .filter(|&i| i != *driving_selection);
+                filters.extend(residual.map(resolve));
+                Source::Index(visits)
             }
         };
-
         Ok(Self {
             table,
-            col_idx,
+            columns,
             filters,
             source,
         })
+    }
+
+    /// The spec's buffers, for the next scan: its filters, cleared, and
+    /// its visit list, if it had one.
+    pub(crate) fn into_buffers(self) -> (Vec<Pred>, Option<Vec<u32>>) {
+        let mut filters = self.filters;
+        filters.clear();
+        match self.source {
+            Source::Seq => (filters, None),
+            Source::Index(visits) => (filters, Some(visits)),
+        }
     }
 
     /// Number of rows the scan visits (each one costs a unit of work).
@@ -149,6 +154,6 @@ impl<'a> ScanSpec<'a> {
     #[inline]
     pub(crate) fn projected_columns(&self) -> impl Iterator<Item = &ColumnVector> {
         let cols = self.table.columns();
-        self.col_idx.iter().map(move |&c| &cols[c])
+        self.columns.iter().map(move |c| &cols[c.column.index()])
     }
 }

@@ -1,15 +1,37 @@
-//! The plan evaluator: morsel-driven, stage by stage.
+//! The plan evaluator: a flat stage list, run morsel by morsel.
 //!
 //! Every vectorized execution — [`crate::execute`],
 //! [`crate::execute_for_stats`], the [`crate::TrueCardinality`] oracle —
-//! runs here. The plan tree is evaluated stage by stage — scans, join
-//! builds and probes, and aggregation each fan out over a team of up to
-//! [`ExecConfig::threads`] workers pulling fixed-size **morsels** (row
-//! ranges) from a shared atomic dispenser — and every stage's output is
-//! reassembled in morsel order before the next stage starts. A team of
-//! one runs inline on the calling thread (no spawn), so `threads = 1`
-//! is the same code, not a second engine; it also needs no hash
-//! partitioning, so it builds one join table and folds one group map.
+//! runs here. An execute pays for its plan's shape once: one derivation
+//! pass ([`crate::stages`]) checks the plan and turns it into a flat
+//! list of stages in post-order, each with its output columns and
+//! types, its join slots, output map and key form worked out. The list
+//! then runs over an explicit operand stack: a scan pushes its output,
+//! a join pops its two inputs and pushes its own, the root aggregate
+//! pops its input. Scans, join builds and probes, and aggregation each
+//! fan out over a team of up to [`ExecConfig::threads`] workers pulling
+//! fixed-size **morsels** (row ranges) from a shared atomic dispenser,
+//! and every stage's output is reassembled in morsel order before the
+//! next stage starts. A team of one runs inline on the calling thread
+//! (no spawn), so `threads = 1` is the same code, not a second engine;
+//! it also needs no hash partitioning, so it builds one join table and
+//! folds one group map.
+//!
+//! ## The scratch arena
+//!
+//! Each thread that executes keeps one `Arena`: the stage list's
+//! buffers, the operand stack, and one `Scratch` per worker — spare
+//! chunk columns by type, the selection vector, the span list, the
+//! pair buffers of `PairEmitter`, the scan's filter and visit lists,
+//! and spare join tables by type. Stages take from it and give back to
+//! it, so an execute at steady state allocates little beyond its output
+//! rows, and a stage's hash map is the previous stage's, cleared. What
+//! is taken is always cleared before use, so an execute that aborts
+//! (a `BudgetExceeded`, say) leaves nothing the next one can see; its
+//! buffers are simply not given back. What an arena keeps between
+//! executes is bounded (`RETAIN_BYTES`, `SPARE_BYTES`,
+//! `SPARE_ROWS`), so a large plan's buffers are freed, not held by the
+//! thread.
 //!
 //! ## Determinism contract
 //!
@@ -29,12 +51,13 @@
 //!   fixed-constant hash (`KeyHasher`: no per-process key, so a key
 //!   lands in the same partition on every run and every host); the
 //!   integer-keyed join tables hash with it too. Nothing observable
-//!   depends on a table's iteration order, only on look-ups.
-//!   Each partition is built and folded by exactly one worker, with
-//!   partition-local row lists that preserve global input order — a
-//!   group's accumulator folds its rows in input order at every team
-//!   size, so even float `SUM`/`AVG` bits match. No worker ever writes
-//!   state another worker reads.
+//!   depends on a table's iteration order, only on look-ups — which is
+//!   also why a table reused from the arena, with more buckets than a
+//!   fresh one, answers alike. Each partition is built and folded by
+//!   exactly one worker, with partition-local row lists that preserve
+//!   global input order — a group's accumulator folds its rows in input
+//!   order at every team size, so even float `SUM`/`AVG` bits match. No
+//!   worker ever writes state another worker reads.
 //! * **Charge-total equality.** Workers accumulate work charges locally
 //!   and flush them to one shared atomic counter (every
 //!   `FLUSH_EVERY` units and at worker exit), so the final total
@@ -56,32 +79,35 @@
 //!
 //! ## No `Value` per row
 //!
-//! A join resolves its column operands once: a condition between
-//! integer columns becomes an `IntCond` over typed slices. Conditions
-//! are applied a probe row at a time — the rows it could pair with are
-//! gathered, `Conds::retain` narrows them one condition after another,
-//! and the survivors are emitted as one run — so the comparison operator
-//! is chosen once per run, not per pair. Which form runs is read off the
-//! column types; anything without a typed form (floats, text, mixed
-//! numerics) goes through `eval_cmp_cols`. Aggregates other than
-//! `COUNT(*)` still build a `Value` per row (`Acc::update`).
+//! A join reads its column operands as the stage list resolved them: a
+//! condition between integer columns becomes an `IntCond` over typed
+//! slices. Conditions are applied a probe row at a time — the rows it
+//! could pair with are gathered, `Conds::retain` narrows them one
+//! condition after another, and the survivors are emitted as one run —
+//! so the comparison operator is chosen once per run, not per pair.
+//! Which form runs is read off the column types; anything without a
+//! typed form (floats, text, mixed numerics) goes through
+//! `eval_cmp_cols`. Aggregates other than `COUNT(*)` still build a
+//! `Value` per row (`Acc::update`).
 //!
 //! ## Joins pay per row
 //!
 //! A plan node's `JoinAlgo` fixes what a join means and what it
 //! charges; row counts choose how the evaluator finds the pairs. A hash
 //! join's build fills `JoinTable`s: each key's rows are one ascending
-//! slice of a single array. A build makes a handful of allocations
-//! however many keys it holds, and does one map look-up per run of equal
-//! keys. A hash join's table holds what its probe reads, chosen from its
-//! conditions and its output width (`TableForm`): a probe row is charged
-//! the build rows that share its first `=` key, as the row oracle
-//! charges them, but walks only the rows it can emit. With a second `=`
-//! between integer columns the rows are filed per key pair beside a
-//! count per first key; under a zero-width output with nothing left to
-//! check the table holds counts and no row. An empty probe side pays
-//! for the build and builds nothing. An integer-keyed nested loop builds
-//! a `JoinTable` over its inner side when `looks_up` says its two row
+//! slice of a single array. A build reuses its map and row arrays from
+//! the arena, and does one map look-up per run of equal keys. A hash
+//! join's table holds what its probe reads, chosen from its conditions
+//! and its output width (`TableForm`): a probe row is charged the build
+//! rows that share its first `=` key, as the row oracle charges them,
+//! but walks only the rows it can emit. With a second `=` between
+//! integer columns the rows are filed per key pair beside a count per
+//! first key; under a zero-width output with nothing left to check the
+//! table holds counts and no row. Each form has a probe loop of its own;
+//! the partition pass, the morsel driver and the `PairEmitter` are
+//! shared by every form of one key type. An empty probe side pays for
+//! the build and builds nothing. An integer-keyed nested loop builds a
+//! `JoinTable` over its inner side when `looks_up` says its two row
 //! counts favour it, and reads each probe key's matches from the table.
 //! Otherwise it scans the inner key slice. Either way it finds the same
 //! rows in the same order under the same charges, so nothing a plan's
@@ -93,15 +119,17 @@
 use crate::error::ExecError;
 use crate::executor::ExecConfig;
 use crate::ops::agg::{fold_column, Acc, AggSpec};
-use crate::ops::join::{join_output, Side};
+use crate::ops::filter::Pred;
 use crate::ops::scan::ScanSpec;
-use crate::ops::{eval_cmp_cols, resolve_conds, SlotCond};
-use crate::projection::{scan_projection, ColSet, Projection};
+use crate::ops::{eval_cmp_cols, SlotCond};
 use crate::row::Row;
+use crate::stages::{Carry, Keys, Op, Side, StageList};
 use hfqo_query::sql::CompareOp;
-use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryError, QueryGraph, RelId};
+use hfqo_query::{AccessPath, AggAlgo, BoundColumn, JoinAlgo, PlanNode, QueryGraph, RelId};
 use hfqo_storage::catalog::ColumnType;
 use hfqo_storage::{ColumnVector, Database, Value};
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::ops::Range;
@@ -226,10 +254,27 @@ impl Morsels {
     }
 }
 
+/// Runs every job on a scoped thread of its own and collects the
+/// results in job order; the lowest-indexed failure wins, a panicked
+/// job counting as [`ExecError::WorkerPanicked`].
+fn spawn_all<T, J>(jobs: impl Iterator<Item = J>) -> Result<Vec<T>, ExecError>
+where
+    T: Send,
+    J: FnOnce() -> Result<T, ExecError> + Send,
+{
+    std::thread::scope(|s| {
+        let handles: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
+        let results: Vec<Result<T, ExecError>> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or(Err(ExecError::WorkerPanicked)))
+            .collect();
+        results.into_iter().collect()
+    })
+}
+
 /// Runs `work` on `threads` scoped workers and collects their results
-/// in worker order; the lowest-indexed failure wins, a panicked worker
-/// counting as [`ExecError::WorkerPanicked`]. A team of one runs inline
-/// on the calling thread.
+/// in worker order ([`spawn_all`]). A team of one runs inline on the
+/// calling thread.
 fn run_workers<T, F>(threads: usize, work: F) -> Result<Vec<T>, ExecError>
 where
     T: Send,
@@ -238,41 +283,23 @@ where
     if threads <= 1 {
         return Ok(vec![work(0)?]);
     }
-    let results: Vec<Result<T, ExecError>> = std::thread::scope(|s| {
-        let work = &work;
-        let handles: Vec<_> = (0..threads).map(|w| s.spawn(move || work(w))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(Err(ExecError::WorkerPanicked)))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
+    let work = &work;
+    spawn_all((0..threads).map(|w| move || work(w)))
 }
 
-/// Rows produced by one unit of parallel work — a morsel's output, or a
-/// whole stage's after reassembly. The row count is tracked separately
-/// because zero-width outputs (pure counting runs) exist.
+/// Rows produced by one unit of parallel work — a morsel's output, or
+/// a whole stage's after reassembly. The row count is tracked
+/// separately because zero-width outputs (pure counting runs) exist.
 pub(crate) struct Chunk {
     cols: Vec<ColumnVector>,
     pub(crate) rows: usize,
 }
 
 impl Chunk {
-    fn empty(types: &[ColumnType]) -> Self {
-        Self {
-            cols: types.iter().map(|&t| ColumnVector::new(t)).collect(),
-            rows: 0,
-        }
-    }
-
     /// Materialises the chunk as rows, column-wise: each column's values
     /// are exported in one monomorphic pass
     /// ([`ColumnVector::values_onto`]) instead of a per-cell dispatch.
-    pub(crate) fn into_rows(self) -> Vec<Row> {
+    pub(crate) fn to_rows(&self) -> Vec<Row> {
         let mut rows: Vec<Row> = Vec::new();
         rows.resize_with(self.rows, || Vec::with_capacity(self.cols.len()));
         for col in &self.cols {
@@ -282,28 +309,214 @@ impl Chunk {
     }
 }
 
-/// Concatenates indexed chunks in index order — the reassembly step
-/// that makes every stage order-preserving. A stage that produced one
-/// chunk hands it on without a copy.
-fn concat_indexed(types: &[ColumnType], mut chunks: Vec<(usize, Chunk)>) -> Chunk {
-    if chunks.len() == 1 {
-        return chunks.remove(0).1;
-    }
-    chunks.sort_by_key(|&(idx, _)| idx);
-    let mut out = Chunk::empty(types);
-    for (_, ch) in chunks {
-        out.rows += ch.rows;
-        for (dst, src) in out.cols.iter_mut().zip(&ch.cols) {
-            dst.append_column(src);
-        }
-    }
-    out
+/// Bytes of spare chunk columns and join tables one [`Scratch`] keeps
+/// between stages and executes, at most. Every chunk and table of a
+/// `template_zipf` execute (300-row tables) fits, so those executes
+/// allocate nothing for them. A `job_warm` plan's larger ones do not and
+/// are freed. Measured on `job_warm` (seed 21, 2 vCPUs): keeping up to
+/// 256 KiB read `peak_rss_mb` ≈ 0.9 MiB higher than keeping nothing —
+/// spares pin heap that larger buffers would reuse — and 64 KiB read
+/// the same as nothing.
+const RETAIN_BYTES: usize = 64 << 10;
+
+/// The largest spare column or join table a [`Scratch`] keeps (a
+/// column of 1 820 integer rows), and how many spare columns of a type
+/// or spare column lists it keeps.
+const SPARE_BYTES: usize = 16 << 10;
+const SPARE_COLUMNS: usize = 64;
+
+/// Selection, span and pair buffers grown past this many entries (a
+/// morsel's worth) are freed at the end of an execute rather than kept.
+const SPARE_ROWS: usize = 4096;
+
+/// The buffers one worker's stages draw from. See the module docs.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Spare plain columns, cleared: ints, floats, text.
+    spare: [Vec<ColumnVector>; 3],
+    /// Bytes the spare columns and tables hold.
+    retained: usize,
+    /// Spare chunk column lists, empty.
+    lists: Vec<Vec<ColumnVector>>,
+    /// A scan's selection vector; a join's narrowed candidates.
+    sel: Vec<u32>,
+    /// A dense selection's spans.
+    spans: Vec<(usize, usize)>,
+    /// [`PairEmitter`]'s pair buffers.
+    l_rows: Vec<u32>,
+    r_rows: Vec<u32>,
+    /// A scan's compiled filters and index-scan visits.
+    filters: Vec<Pred>,
+    visits: Vec<u32>,
+    /// A stage's morsel outputs, tagged with their morsel index.
+    outs: Vec<(usize, Chunk)>,
+    tables: Tables,
 }
 
-/// A fully-evaluated plan node: its projection and materialised rows.
-struct NodeOut {
-    proj: Projection,
-    data: Chunk,
+/// The slot of a plain column type in [`Scratch::spare`].
+fn spare_slot(ty: ColumnType) -> usize {
+    match ty {
+        ColumnType::Int => 0,
+        ColumnType::Float => 1,
+        ColumnType::Text => 2,
+    }
+}
+
+/// The bytes a plain column's buffers hold; `None` for encodings a
+/// chunk never carries.
+fn column_bytes(col: &ColumnVector) -> Option<usize> {
+    match col {
+        ColumnVector::Int(v, n) => Some(v.capacity() * 8 + n.capacity()),
+        ColumnVector::Float(v, n) => Some(v.capacity() * 8 + n.capacity()),
+        ColumnVector::Str(v, n) => Some(v.capacity() * 16 + n.capacity()),
+        _ => None,
+    }
+}
+
+impl Scratch {
+    /// An empty chunk of `types`, from spare columns where there are any.
+    fn chunk(&mut self, types: &[ColumnType]) -> Chunk {
+        let mut cols = self.lists.pop().unwrap_or_default();
+        for &ty in types {
+            let col = match self.spare[spare_slot(ty)].pop() {
+                Some(col) => {
+                    self.retained -= column_bytes(&col).unwrap_or(0);
+                    col
+                }
+                None => ColumnVector::new(ty),
+            };
+            cols.push(col);
+        }
+        Chunk { cols, rows: 0 }
+    }
+
+    /// Concatenates indexed chunks, in order, into one: the reassembly
+    /// step that makes every stage order-preserving. A stage that
+    /// produced one chunk hands it on without a copy; more are copied
+    /// into columns of exactly their total length, and recycled.
+    fn concat(&mut self, types: &[ColumnType], chunks: &mut Vec<(usize, Chunk)>) -> Chunk {
+        if chunks.len() <= 1 {
+            return match chunks.pop() {
+                Some((_, chunk)) => chunk,
+                None => self.chunk(types),
+            };
+        }
+        let rows = chunks.iter().map(|(_, c)| c.rows).sum();
+        let mut cols = self.lists.pop().unwrap_or_default();
+        cols.extend(
+            types
+                .iter()
+                .map(|&ty| ColumnVector::with_capacity(ty, rows)),
+        );
+        for (_, chunk) in chunks.drain(..) {
+            for (dst, src) in cols.iter_mut().zip(&chunk.cols) {
+                dst.append_column(src);
+            }
+            self.recycle(chunk);
+        }
+        Chunk { cols, rows }
+    }
+
+    /// Takes `chunk`'s columns back, cleared, as far as the bounds allow.
+    fn recycle(&mut self, chunk: Chunk) {
+        let mut cols = chunk.cols;
+        for mut col in cols.drain(..) {
+            let Some(bytes) = column_bytes(&col) else {
+                continue;
+            };
+            let spare = &mut self.spare[spare_slot(col.ty())];
+            let fits = bytes <= SPARE_BYTES && self.retained + bytes <= RETAIN_BYTES;
+            if fits && spare.len() < SPARE_COLUMNS {
+                col.clear();
+                self.retained += bytes;
+                spare.push(col);
+            }
+        }
+        if self.lists.len() < SPARE_COLUMNS {
+            self.lists.push(cols);
+        }
+    }
+
+    /// A spare table of type `T`, or a new one. Its content is whatever
+    /// it held last: the caller refills it.
+    fn table<K, T: HashTable<K>>(&mut self) -> T {
+        match self.tables.spare::<T>().and_then(Vec::pop) {
+            Some(table) => {
+                self.retained -= table.bytes();
+                table
+            }
+            None => T::default(),
+        }
+    }
+
+    /// Keeps `table` for a later [`Self::table`], as far as the bounds
+    /// allow: one spare of each table type.
+    fn give_table<K, T: HashTable<K>>(&mut self, table: T) {
+        let bytes = table.bytes();
+        if bytes > SPARE_BYTES || self.retained + bytes > RETAIN_BYTES {
+            return;
+        }
+        let spares = self.tables.spares::<T>();
+        if spares.is_empty() {
+            spares.push(table);
+            self.retained += bytes;
+        }
+    }
+
+    /// Frees the row buffers an execute grew past [`SPARE_ROWS`].
+    fn trim(&mut self) {
+        for buf in [
+            &mut self.sel,
+            &mut self.l_rows,
+            &mut self.r_rows,
+            &mut self.visits,
+        ] {
+            if buf.capacity() > SPARE_ROWS {
+                *buf = Vec::new();
+            }
+        }
+        if self.spans.capacity() > SPARE_ROWS {
+            self.spans = Vec::new();
+        }
+    }
+}
+
+/// Spare join tables and table lists, by type: one `Vec<T>` of spares
+/// per type `T` met so far.
+#[derive(Default)]
+struct Tables {
+    spare: Vec<Box<dyn Any + Send>>,
+}
+
+impl Tables {
+    /// The spares of type `T`, if any type `T` was kept.
+    fn spare<T: Send + 'static>(&mut self) -> Option<&mut Vec<T>> {
+        self.spare
+            .iter_mut()
+            .find_map(|s| s.downcast_mut::<Vec<T>>())
+    }
+
+    /// The spares of type `T`.
+    fn spares<T: Send + 'static>(&mut self) -> &mut Vec<T> {
+        if self.spare::<T>().is_none() {
+            self.spare.push(Box::new(Vec::<T>::new()));
+        }
+        self.spare().expect("pushed above")
+    }
+}
+
+/// One thread's evaluator state, reused by every execute on it: the
+/// stage list, the operand stack and the workers' scratch.
+#[derive(Default)]
+struct Arena {
+    stages: StageList,
+    stack: Vec<Chunk>,
+    /// One per worker; the first is the calling thread's.
+    workers: Vec<Scratch>,
+}
+
+thread_local! {
+    static ARENA: RefCell<Arena> = RefCell::default();
 }
 
 struct Ctx<'a> {
@@ -343,18 +556,19 @@ fn hardware_threads() -> usize {
     })
 }
 
-/// Evaluates `root` and returns its output with the work total.
-/// `required` is what the root's output must carry — for an aggregated
-/// root, what its *input* must carry. Results, row order, and the work
-/// total are identical at every `config.threads`.
-pub(crate) fn evaluate(
+/// Derives `root`'s stage list ([`StageList::derive`]; `cover` asks for
+/// the whole-graph check), runs it, and returns what `finish` reads off
+/// the root's output, with the work total. `carry` is what a
+/// non-aggregated root's output carries. Results, row order, and the
+/// work total are identical at every `config.threads`.
+pub(crate) fn evaluate<R>(
     db: &Database,
     graph: &QueryGraph,
     root: &PlanNode,
-    required: &ColSet,
+    (carry, cover): (Carry, bool),
     config: ExecConfig,
-) -> Result<(Chunk, u64), ExecError> {
-    let budget = SharedBudget::new(config.work_budget);
+    finish: impl FnOnce(&Chunk) -> R,
+) -> Result<(R, u64), ExecError> {
     // Worker teams never exceed the machine's parallelism: extra
     // threads on an oversubscribed core only add scheduling overhead,
     // and results are identical at any team size by construction.
@@ -363,137 +577,260 @@ pub(crate) fn evaluate(
     } else {
         1
     };
+    let geometry = (threads, config.morsel_rows.max(1));
+    run_plan(
+        db,
+        graph,
+        root,
+        (carry, cover),
+        geometry,
+        config.work_budget,
+        finish,
+    )
+}
+
+/// [`evaluate`] on a team of exactly `threads` workers claiming morsels
+/// of `morsel_rows`, under a budget of `budget` units.
+fn run_plan<R>(
+    db: &Database,
+    graph: &QueryGraph,
+    root: &PlanNode,
+    (carry, cover): (Carry, bool),
+    (threads, morsel_rows): (usize, usize),
+    budget: u64,
+    finish: impl FnOnce(&Chunk) -> R,
+) -> Result<(R, u64), ExecError> {
+    let budget = SharedBudget::new(budget);
     let ctx = Ctx {
         db,
         graph,
         threads,
-        morsel_rows: config.morsel_rows.max(1),
+        morsel_rows,
         budget: &budget,
     };
-    let out = eval_root(&ctx, root, required)?;
-    Ok((out, budget.used()))
+    let run = |arena: &mut Arena| {
+        arena
+            .stages
+            .derive(db.catalog(), graph, root, carry, cover)?;
+        let out = arena.run(&ctx);
+        for scratch in &mut arena.workers {
+            scratch.trim();
+        }
+        let out = out?;
+        let read = finish(&out);
+        arena.workers[0].recycle(out);
+        Ok((read, budget.used()))
+    };
+    // An execute nested in another on the same thread (none is, today)
+    // would find the arena taken, and gets one of its own.
+    ARENA.with(|arena| match arena.try_borrow_mut() {
+        Ok(mut arena) => run(&mut arena),
+        Err(_) => run(&mut Arena::default()),
+    })
 }
 
-/// The plan root: an aggregate over its input, or a bare node.
-fn eval_root(ctx: &Ctx<'_>, root: &PlanNode, required: &ColSet) -> Result<Chunk, ExecError> {
-    match root {
-        PlanNode::Aggregate { algo, input } => {
-            let child = eval_node(ctx, input, required)?;
-            eval_aggregate(ctx, *algo, &child)
+impl Arena {
+    /// Runs the derived stage list over the operand stack.
+    fn run(&mut self, ctx: &Ctx<'_>) -> Result<Chunk, ExecError> {
+        let Arena {
+            stages,
+            stack,
+            workers,
+        } = self;
+        if workers.len() < ctx.threads {
+            workers.resize_with(ctx.threads, Scratch::default);
         }
-        node => Ok(eval_node(ctx, node, required)?.data),
+        // An aborted execute leaves its operands behind.
+        for chunk in stack.drain(..) {
+            workers[0].recycle(chunk);
+        }
+        let pop = |stack: &mut Vec<Chunk>| stack.pop().expect("stages run in post-order");
+        for stage in stages.stages() {
+            let types = stages.types(stage);
+            let out = match &stage.op {
+                Op::Scan { rel, path } => {
+                    eval_scan(ctx, workers, *rel, path, stages.columns(stage), types)?
+                }
+                Op::Join {
+                    algo,
+                    conds,
+                    out_map,
+                    keys,
+                } => {
+                    let right = pop(stack);
+                    let left = pop(stack);
+                    let join = JoinInputs {
+                        conds: stages.conds(conds),
+                        keys,
+                        residual: stages.residual(keys),
+                        out_map: stages.out_map(out_map),
+                        types,
+                        left: &left,
+                        right: &right,
+                    };
+                    let out = match algo {
+                        JoinAlgo::Hash => hash_join(ctx, workers, &join)?,
+                        JoinAlgo::NestedLoop => nested_join(ctx, workers, &join)?,
+                        JoinAlgo::Merge => merge_join(ctx, workers, &join)?,
+                    };
+                    workers[0].recycle(left);
+                    workers[0].recycle(right);
+                    out
+                }
+                Op::Aggregate { algo } => {
+                    let input = pop(stack);
+                    let out = eval_aggregate(ctx, workers, *algo, stages.aggregate(), &input)?;
+                    workers[0].recycle(input);
+                    out
+                }
+            };
+            stack.push(out);
+        }
+        Ok(pop(stack))
     }
 }
 
-fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOut, ExecError> {
-    match node {
-        PlanNode::Scan { rel, path } => eval_scan(ctx, *rel, path, required),
-        PlanNode::Join {
-            algo,
-            conds,
-            left,
-            right,
-        } => {
-            // Children must additionally carry this join's condition
-            // columns; they are dropped again from this node's output
-            // unless an ancestor requires them.
-            let mut cond_cols = Vec::new();
-            for &c in conds.iter() {
-                let edge = ctx.graph.joins().get(c).ok_or_else(|| {
-                    QueryError::InvalidPlan(format!("join cond #{c} out of range"))
-                })?;
-                cond_cols.push(edge.left);
-                cond_cols.push(edge.right);
+/// What a morsel stage does with one morsel: charges it and appends its
+/// output rows to the chunk, using the worker's scratch.
+type MorselFn<'a> = dyn Fn(&mut Scratch, &mut Charger<'_>, Range<usize>, &mut Chunk) -> Result<(), ExecError>
+    + Sync
+    + 'a;
+
+/// Runs `morsel` over every morsel of `rows` input rows, each into a
+/// chunk of its own, and returns the stage's output in morsel order. A
+/// team of one runs inline and its morsels come in order; a larger
+/// team's are put in order by their morsel index.
+fn run_morsels(
+    ctx: &Ctx<'_>,
+    workers: &mut [Scratch],
+    rows: usize,
+    types: &[ColumnType],
+    morsel: &MorselFn<'_>,
+) -> Result<Chunk, ExecError> {
+    let morsels = Morsels::new(rows, ctx.morsel_rows);
+    let team = morsels.team(ctx.threads);
+    let mut outs = std::mem::take(&mut workers[0].outs);
+    outs.clear();
+    if team <= 1 {
+        let scratch = &mut workers[0];
+        let mut charger = Charger::new(ctx.budget);
+        while let Some((idx, range)) = morsels.claim() {
+            let mut chunk = scratch.chunk(types);
+            morsel(scratch, &mut charger, range, &mut chunk)?;
+            outs.push((idx, chunk));
+        }
+        charger.flush()?;
+    } else {
+        let morsels = &morsels;
+        let done = spawn_all(workers[..team].iter_mut().map(|scratch| {
+            move || {
+                let mut charger = Charger::new(ctx.budget);
+                let mut outs: Vec<(usize, Chunk)> = Vec::new();
+                while let Some((idx, range)) = morsels.claim() {
+                    let mut chunk = scratch.chunk(types);
+                    morsel(scratch, &mut charger, range, &mut chunk)?;
+                    outs.push((idx, chunk));
+                }
+                charger.flush()?;
+                Ok(outs)
             }
-            let child_required = required.with(cond_cols);
-            let left = eval_node(ctx, left, &child_required)?;
-            let right = eval_node(ctx, right, &child_required)?;
-            eval_join(ctx, *algo, conds, &left, &right, required)
-        }
-        PlanNode::Aggregate { .. } => {
-            Err(QueryError::InvalidPlan("aggregate below the plan root".into()).into())
-        }
+        }))?;
+        outs.extend(done.into_iter().flatten());
+        outs.sort_by_key(|&(idx, _)| idx);
     }
+    let out = workers[0].concat(types, &mut outs);
+    workers[0].outs = outs;
+    Ok(out)
 }
 
 /// Scan: workers claim morsels of the visit range, filter and gather
-/// locally, and the outputs reassemble in morsel order (= table order).
-/// Charges one unit per visited row plus one per emitted row.
+/// into their chunk, and the outputs reassemble in morsel order (=
+/// table order). Charges one unit per visited row plus one per emitted
+/// row.
 fn eval_scan(
     ctx: &Ctx<'_>,
+    workers: &mut [Scratch],
     rel: RelId,
     path: &AccessPath,
-    required: &ColSet,
-) -> Result<NodeOut, ExecError> {
-    let proj = scan_projection(ctx.graph, ctx.db, rel, required);
-    let spec = ScanSpec::new(ctx.db, ctx.graph, rel, path, &proj)?;
-    let types = proj.column_types(ctx.graph, ctx.db.catalog());
-    let morsels = Morsels::new(spec.visit_count(), ctx.morsel_rows);
-    let chunks = run_workers(morsels.team(ctx.threads), |_w| {
-        let mut charger = Charger::new(ctx.budget);
-        let mut out: Vec<(usize, Chunk)> = Vec::new();
-        let mut rid_buf: Vec<u32> = Vec::new();
-        while let Some((idx, range)) = morsels.claim() {
+    columns: &[BoundColumn],
+    types: &[ColumnType],
+) -> Result<Chunk, ExecError> {
+    let buffers = (
+        std::mem::take(&mut workers[0].filters),
+        std::mem::take(&mut workers[0].visits),
+    );
+    let spec = ScanSpec::new(ctx.db, ctx.graph, rel, path, columns, buffers)?;
+    let plain = spec.is_plain_seq();
+    let out = run_morsels(
+        ctx,
+        workers,
+        spec.visit_count(),
+        types,
+        &|scratch, charger, range, chunk| {
             charger.charge(range.len() as u64)?; // visited rows
-            let mut chunk = Chunk::empty(&types);
-            if spec.is_plain_seq() {
+            let before = chunk.rows;
+            if plain {
                 // Unfiltered sequential morsels copy contiguous column
                 // ranges — no row-id gather.
-                chunk.rows = range.len();
+                chunk.rows += range.len();
                 for (dst, src) in chunk.cols.iter_mut().zip(spec.projected_columns()) {
                     dst.append_range(src, range.start, range.len());
                 }
             } else {
-                // One selection vector per morsel, then a column-wise
-                // bulk gather: dense selections (long contiguous spans
-                // of survivors) copy spans, sparse ones gather per row.
-                rid_buf.clear();
-                spec.filter_visits(range.start, range.len(), &mut rid_buf);
-                chunk.rows = rid_buf.len();
-                let spans = hfqo_storage::coalesce_spans(&rid_buf);
+                // One selection vector per morsel, then a column-wise bulk
+                // gather: dense selections (long contiguous spans of
+                // survivors) copy spans, sparse ones gather per row.
+                let Scratch { sel, spans, .. } = scratch;
+                sel.clear();
+                spec.filter_visits(range.start, range.len(), sel);
+                chunk.rows += sel.len();
+                let dense = hfqo_storage::coalesce_spans(sel, spans);
                 for (dst, src) in chunk.cols.iter_mut().zip(spec.projected_columns()) {
-                    match &spans {
-                        Some(spans) => {
-                            for &(start, len) in spans {
-                                dst.append_range(src, start, len);
-                            }
+                    if dense {
+                        for &(start, len) in spans.iter() {
+                            dst.append_range(src, start, len);
                         }
-                        None => src.gather_into(&rid_buf, dst),
+                    } else {
+                        src.gather_into(sel, dst);
                     }
                 }
             }
-            charger.charge(chunk.rows as u64)?; // emitted rows
-            out.push((idx, chunk));
-        }
-        charger.flush()?;
-        Ok(out)
-    })?;
-    let data = concat_indexed(&types, chunks.into_iter().flatten().collect());
-    Ok(NodeOut { proj, data })
+            charger.charge((chunk.rows - before) as u64) // emitted rows
+        },
+    );
+    let (filters, visits) = spec.into_buffers();
+    workers[0].filters = filters;
+    if let Some(visits) = visits {
+        workers[0].visits = visits;
+    }
+    out
 }
 
-fn eval_join(
-    ctx: &Ctx<'_>,
-    algo: JoinAlgo,
-    conds: &[usize],
-    left: &NodeOut,
-    right: &NodeOut,
-    required: &ColSet,
-) -> Result<NodeOut, ExecError> {
-    let slot_conds = resolve_conds(
-        ctx.graph,
-        conds,
-        |c| left.proj.slot(c),
-        |c| right.proj.slot(c),
-    )?;
-    let (proj, out_map) = join_output(&left.proj, &right.proj, required);
-    let types = proj.column_types(ctx.graph, ctx.db.catalog());
-    let data = match algo {
-        JoinAlgo::Hash => hash_join(ctx, &slot_conds, &out_map, &types, left, right)?,
-        JoinAlgo::NestedLoop => nested_join(ctx, &slot_conds, &out_map, &types, left, right)?,
-        JoinAlgo::Merge => merge_join(ctx, &slot_conds, &out_map, &types, left, right)?,
-    };
-    Ok(NodeOut { proj, data })
+/// A join stage's inputs, as the stage list resolved them.
+struct JoinInputs<'a> {
+    conds: &'a [SlotCond],
+    keys: &'a Keys,
+    /// The conditions a match must still satisfy after its typed key or
+    /// keys ([`Keys::residual`]).
+    residual: &'a [SlotCond],
+    out_map: &'a [Side],
+    types: &'a [ColumnType],
+    left: &'a Chunk,
+    right: &'a Chunk,
+}
+
+impl<'a> JoinInputs<'a> {
+    /// The stage list's typed form of condition `at`: both its columns
+    /// are integer-typed, so both are integer columns.
+    fn int_cond(&self, at: usize) -> IntCond<'a> {
+        IntCond::resolve(self.conds[at], self.left, self.right)
+            .expect("an integer-typed slot holds an integer column")
+    }
+
+    /// A hash or merge join's key: the stage list checked it has one.
+    fn key(&self) -> usize {
+        self.keys.key.expect("a hash or merge join keys on an `=`")
+    }
 }
 
 /// The `(left row, right row)` matches a join buffers before it gathers
@@ -505,37 +842,37 @@ fn eval_join(
 const PAIR_BATCH: usize = 2048;
 
 /// A join's output side: matches go in as row-id pairs and leave as
-/// column-wise gathers ([`ColumnVector::gather_into`]), one batch of at
-/// most [`PAIR_BATCH`] at a time, in the order they were pushed. A
-/// zero-width output (an empty `out_map`: the join under a `COUNT(*)`)
-/// has nothing to gather, so its matches are counted, never buffered,
-/// and its buffers are never allocated.
-struct PairEmitter<'a> {
-    out_map: &'a [Side],
-    types: &'a [ColumnType],
-    left: &'a [ColumnVector],
-    right: &'a [ColumnVector],
-    l_rows: Vec<u32>,
-    r_rows: Vec<u32>,
-    chunk: Chunk,
+/// column-wise gathers ([`ColumnVector::gather_into`]) into the chunk,
+/// one batch of at most [`PAIR_BATCH`] at a time, in the order they
+/// were pushed. A zero-width output (an empty `out_map`: the join under
+/// a `COUNT(*)`) has nothing to gather, so its matches are counted,
+/// never buffered. The pair buffers are the worker's scratch; whatever
+/// is pushed must be [`Self::flush`]ed before the emitter is dropped.
+struct PairEmitter<'i, 's> {
+    out_map: &'i [Side],
+    left: &'i [ColumnVector],
+    right: &'i [ColumnVector],
+    l_rows: &'s mut Vec<u32>,
+    r_rows: &'s mut Vec<u32>,
+    chunk: &'s mut Chunk,
 }
 
-impl<'a> PairEmitter<'a> {
+impl<'i, 's> PairEmitter<'i, 's> {
     fn new(
-        out_map: &'a [Side],
-        types: &'a [ColumnType],
-        left: &'a NodeOut,
-        right: &'a NodeOut,
+        join: &JoinInputs<'i>,
+        l_rows: &'s mut Vec<u32>,
+        r_rows: &'s mut Vec<u32>,
+        chunk: &'s mut Chunk,
     ) -> Self {
-        let batch = if out_map.is_empty() { 0 } else { PAIR_BATCH };
+        l_rows.clear();
+        r_rows.clear();
         Self {
-            out_map,
-            types,
-            left: &left.data.cols,
-            right: &right.data.cols,
-            l_rows: Vec::with_capacity(batch),
-            r_rows: Vec::with_capacity(batch),
-            chunk: Chunk::empty(types),
+            out_map: join.out_map,
+            left: &join.left.cols,
+            right: &join.right.cols,
+            l_rows,
+            r_rows,
+            chunk,
         }
     }
 
@@ -562,23 +899,21 @@ impl<'a> PairEmitter<'a> {
         self.chunk.rows += n;
     }
 
+    /// Gathers the buffered pairs into the chunk.
     fn flush(&mut self) {
         debug_assert!(self.l_rows.len() <= PAIR_BATCH && self.l_rows.len() == self.r_rows.len());
+        if self.l_rows.is_empty() {
+            return;
+        }
         for (dst, side) in self.chunk.cols.iter_mut().zip(self.out_map) {
             match side {
-                Side::Left(s) => self.left[*s].gather_into(&self.l_rows, dst),
-                Side::Right(s) => self.right[*s].gather_into(&self.r_rows, dst),
+                Side::Left(s) => self.left[*s].gather_into(self.l_rows, dst),
+                Side::Right(s) => self.right[*s].gather_into(self.r_rows, dst),
             }
         }
         self.chunk.rows += self.l_rows.len();
         self.l_rows.clear();
         self.r_rows.clear();
-    }
-
-    /// Everything pushed since the last `take`, as one chunk.
-    fn take(&mut self) -> Chunk {
-        self.flush();
-        std::mem::replace(&mut self.chunk, Chunk::empty(self.types))
     }
 }
 
@@ -598,8 +933,8 @@ struct IntCond<'a> {
 
 impl<'a> IntCond<'a> {
     /// `cond` over typed slices, if both its columns are plain integers.
-    fn resolve(cond: SlotCond, left: &'a NodeOut, right: &'a NodeOut) -> Option<Self> {
-        match (&left.data.cols[cond.l_slot], &right.data.cols[cond.r_slot]) {
+    fn resolve(cond: SlotCond, left: &'a Chunk, right: &'a Chunk) -> Option<Self> {
+        match (&left.cols[cond.l_slot], &right.cols[cond.r_slot]) {
             (ColumnVector::Int(l_vals, l_valid), ColumnVector::Int(r_vals, r_valid)) => {
                 Some(Self {
                     op: cond.op,
@@ -665,24 +1000,17 @@ enum Cond<'a> {
 struct Conds<'a>(Vec<Cond<'a>>);
 
 impl<'a> Conds<'a> {
-    /// Every condition of `conds` but those at `applied` — the ones a
-    /// join has already applied as typed keys.
-    fn resolve(
-        conds: &[SlotCond],
-        applied: &[Option<usize>],
-        left: &'a NodeOut,
-        right: &'a NodeOut,
-    ) -> Self {
-        let kept = conds
-            .iter()
-            .enumerate()
-            .filter(|&(at, _)| !applied.contains(&Some(at)));
+    /// The join's residual conditions over its two inputs.
+    fn resolve(join: &JoinInputs<'a>) -> Self {
+        let (left, right) = (join.left, join.right);
         Self(
-            kept.map(|(_, &c)| match IntCond::resolve(c, left, right) {
-                Some(int) => Cond::Int(int),
-                None => Cond::Other(c.op, &left.data.cols[c.l_slot], &right.data.cols[c.r_slot]),
-            })
-            .collect(),
+            join.residual
+                .iter()
+                .map(|&c| match IntCond::resolve(c, left, right) {
+                    Some(int) => Cond::Int(int),
+                    None => Cond::Other(c.op, &left.cols[c.l_slot], &right.cols[c.r_slot]),
+                })
+                .collect(),
         )
     }
 
@@ -712,7 +1040,6 @@ impl<'a> Conds<'a> {
         sel
     }
 }
-
 /// The one hash function of partitioned state and integer join tables:
 /// a multiply by a fixed odd constant per 64-bit word, xor-folded on
 /// `finish` so the well-mixed high half of the product reaches the low
@@ -837,12 +1164,31 @@ where
 
 /// A join table: every key's build rows, ascending, as one slice of a
 /// single row array (CSR form). A table costs a handful of allocations
-/// however many keys it holds. A `Vec` per key cost an allocation per
-/// key: 38–50 ns a build row on `job_warm`'s 60–600-row unique-key
-/// builds in place, against 8–11 for this form.
+/// however many keys it holds, and none when it is refilled from the
+/// arena. A `Vec` per key cost an allocation per key: 38–50 ns a build
+/// row on `job_warm`'s 60–600-row unique-key builds in place, against
+/// 8–11 for this form.
 struct JoinTable<K, S> {
     spans: HashMap<K, Span, S>,
     rows: Vec<u32>,
+    /// [`Self::fill`]'s own buffers: each run's `(where its key's first
+    /// run started, length)`, the regroup cursors, and the regrouped
+    /// row array.
+    runs: Vec<(u32, u32)>,
+    cursor: Vec<u32>,
+    regrouped: Vec<u32>,
+}
+
+impl<K, S: Default> Default for JoinTable<K, S> {
+    fn default() -> Self {
+        Self {
+            spans: HashMap::default(),
+            rows: Vec::new(),
+            runs: Vec::new(),
+            cursor: Vec::new(),
+            regrouped: Vec::new(),
+        }
+    }
 }
 
 /// Where one key's candidates sit in [`JoinTable::rows`].
@@ -852,13 +1198,108 @@ struct Span {
     len: u32,
 }
 
-impl<K: Hash + Eq, S: BuildHasher> JoinTable<K, S> {
+impl<K: JoinKey, S: BuildHasher> JoinTable<K, S> {
     /// `key`'s build rows in ascending order; `None` for an absent key.
     #[inline]
     fn get(&self, key: &K) -> Option<&[u32]> {
         let span = self.spans.get(key)?;
         let start = span.start as usize;
         Some(&self.rows[start..start + span.len as usize])
+    }
+
+    /// Refills the table with `rows` of the build side, skipping NULL
+    /// keys (`key_at` gives `None`). `rows` ascends, so every key's
+    /// slice is in build-row order.
+    ///
+    /// One pass appends the non-NULL rows in order and files them a run
+    /// of consecutive equal keys at a time — one map look-up per run, so
+    /// the three 106 361-row builds of a `job_warm` pass, 95 runs each,
+    /// cost 95 look-ups apiece. Each key's span starts where its first
+    /// run did. When no key comes back after another key's run (unique
+    /// keys, and keys already grouped) that layout is the table.
+    /// Otherwise the spans are laid out afresh in map order and every
+    /// run is copied to its key's place, indexed by where the key's
+    /// first run started.
+    ///
+    /// Kept out of line: inlined into the hash join, the same loop read
+    /// 15–24 ns a build row on `job_warm`'s unique-key builds in place,
+    /// against 8–13 out of line.
+    #[inline(never)]
+    fn fill(
+        &mut self,
+        key_at: impl Fn(usize) -> Option<K>,
+        rows: impl ExactSizeIterator<Item = u32>,
+    ) {
+        let JoinTable {
+            spans,
+            rows: filed,
+            runs,
+            cursor,
+            regrouped: out,
+        } = self;
+        let presize = rows.len().min(PRESIZE_KEYS);
+        spans.clear();
+        spans.reserve(presize);
+        filed.clear();
+        filed.reserve(rows.len());
+        runs.clear();
+        let mut regrouped = false;
+        let mut close = |key: K, from: usize, to: usize| {
+            let len = (to - from) as u32;
+            let span = spans.entry(key).or_insert(Span {
+                start: from as u32,
+                len: 0,
+            });
+            regrouped |= span.len != 0;
+            span.len += len;
+            runs.push((span.start, len));
+        };
+        // The open run: its key and where it starts in `filed`.
+        let mut run: Option<(K, usize)> = None;
+        for row in rows {
+            let Some(key) = key_at(row as usize) else {
+                continue;
+            };
+            if !run.as_ref().is_some_and(|(k, _)| k.same(&key)) {
+                if let Some((k, from)) = run.replace((key, filed.len())) {
+                    close(k, from, filed.len());
+                }
+            }
+            filed.push(row);
+        }
+        if let Some((k, from)) = run {
+            close(k, from, filed.len());
+        }
+        if !regrouped {
+            return;
+        }
+        // `cursor[s]`: the next free slot of the key whose first run
+        // started at `s`.
+        cursor.clear();
+        cursor.resize(filed.len(), 0);
+        let mut end = 0u32;
+        for span in spans.values_mut() {
+            cursor[span.start as usize] = end;
+            span.start = end;
+            end += span.len;
+        }
+        out.clear();
+        out.resize(filed.len(), 0);
+        let mut from = 0usize;
+        for &(first, len) in runs.iter() {
+            let (at, len) = (&mut cursor[first as usize], len as usize);
+            let to = *at as usize;
+            out[to..to + len].copy_from_slice(&filed[from..from + len]);
+            *at += len as u32;
+            from += len;
+        }
+        std::mem::swap(filed, out);
+        // The regroup's buffers outlive the build only while they are
+        // small: a large build's would double what its table holds
+        // through the probe.
+        if out.capacity() > SPARE_ROWS {
+            (*runs, *cursor, *out) = Default::default();
+        }
     }
 }
 
@@ -881,7 +1322,7 @@ type IntTable = JoinTable<i64, IntHasher>;
 /// under one entry (same hash, equal), so a run of such rows may share
 /// one lookup. `Value`'s `==` is not that — `0.0 == -0.0` and
 /// `Int(2) == Float(2.0)`, each pair hashing apart.
-trait JoinKey: Hash + Eq {
+trait JoinKey: Hash + Eq + Send + Sync + 'static {
     fn same(&self, other: &Self) -> bool;
 }
 
@@ -921,100 +1362,20 @@ impl<K: JoinKey> JoinKey for (K, i64) {
 /// 2.3–2.5, 4096 7.9–9.2 / 2.3–2.7.
 const PRESIZE_KEYS: usize = 1024;
 
-/// The table over `rows` of the build side, skipping NULL keys
-/// (`key_at` gives `None`). `rows` ascends, so every key's slice is in
-/// build-row order.
-///
-/// One pass appends the non-NULL rows in order and files them a run of
-/// consecutive equal keys at a time — one map look-up per run, so the
-/// three 106 361-row builds of a `job_warm` pass, 95 runs each, cost 95
-/// look-ups apiece. Each key's span starts where its first run did.
-/// When no key comes back after another key's run (unique keys, and
-/// keys already grouped) that layout is the table. Otherwise the spans
-/// are laid out afresh in map order and every run is copied to its
-/// key's place, indexed by where the key's first run started.
-///
-/// Kept out of line: inlined into `hash_join`, the same loop read 15–24
-/// ns a build row on `job_warm`'s unique-key builds in place, against
-/// 8–13 out of line.
-#[inline(never)]
-fn table_over<K, S>(
-    key_at: impl Fn(usize) -> Option<K>,
-    rows: impl ExactSizeIterator<Item = u32>,
-) -> JoinTable<K, S>
-where
-    K: JoinKey,
-    S: BuildHasher + Default,
-{
-    let presize = rows.len().min(PRESIZE_KEYS);
-    let mut spans: HashMap<K, Span, S> = HashMap::with_capacity_and_hasher(presize, S::default());
-    let mut filed: Vec<u32> = Vec::with_capacity(rows.len());
-    // `(where the run's key started, run length)`, in row order.
-    let mut runs: Vec<(u32, u32)> = Vec::with_capacity(presize);
-    let mut regrouped = false;
-    let mut close = |key: K, from: usize, to: usize| {
-        let len = (to - from) as u32;
-        let span = spans.entry(key).or_insert(Span {
-            start: from as u32,
-            len: 0,
-        });
-        regrouped |= span.len != 0;
-        span.len += len;
-        runs.push((span.start, len));
-    };
-    // The open run: its key and where it starts in `filed`.
-    let mut run: Option<(K, usize)> = None;
-    for row in rows {
-        let Some(key) = key_at(row as usize) else {
-            continue;
-        };
-        if !run.as_ref().is_some_and(|(k, _)| k.same(&key)) {
-            if let Some((k, from)) = run.replace((key, filed.len())) {
-                close(k, from, filed.len());
-            }
-        }
-        filed.push(row);
-    }
-    if let Some((k, from)) = run {
-        close(k, from, filed.len());
-    }
-    if !regrouped {
-        return JoinTable { spans, rows: filed };
-    }
-    // `cursor[s]`: the next free slot of the key whose first run
-    // started at `s`.
-    let mut cursor = vec![0u32; filed.len()];
-    let mut end = 0u32;
-    for span in spans.values_mut() {
-        cursor[span.start as usize] = end;
-        span.start = end;
-        end += span.len;
-    }
-    let mut out = vec![0u32; filed.len()];
-    let mut from = 0usize;
-    for (first, len) in runs {
-        let (at, len) = (&mut cursor[first as usize], len as usize);
-        let to = *at as usize;
-        out[to..to + len].copy_from_slice(&filed[from..from + len]);
-        *at += len as u32;
-        from += len;
-    }
-    JoinTable { spans, rows: out }
-}
-
-/// How many of `rows` of the build side file under each key, skipping
-/// NULL keys: a counting table's whole content. One map look-up per run
-/// of consecutive equal keys, as in [`table_over`], and no row array.
+/// Refills `counts` with how many of `rows` of the build side file
+/// under each key, skipping NULL keys: a counting table's whole
+/// content. One map look-up per run of consecutive equal keys, as in
+/// [`JoinTable::fill`], and no row array.
 fn count_over<K, S>(
+    counts: &mut HashMap<K, u32, S>,
     key_at: impl Fn(usize) -> Option<K>,
     rows: impl ExactSizeIterator<Item = u32>,
-) -> HashMap<K, u32, S>
-where
+) where
     K: JoinKey,
-    S: BuildHasher + Default,
+    S: BuildHasher,
 {
-    let presize = rows.len().min(PRESIZE_KEYS);
-    let mut counts: HashMap<K, u32, S> = HashMap::with_capacity_and_hasher(presize, S::default());
+    counts.clear();
+    counts.reserve(rows.len().min(PRESIZE_KEYS));
     let mut run: Option<(K, u32)> = None;
     for row in rows {
         let Some(key) = key_at(row as usize) else {
@@ -1033,7 +1394,11 @@ where
     if let Some((k, n)) = run {
         *counts.entry(k).or_insert(0) += n;
     }
-    counts
+}
+
+/// The bytes a map's buckets hold, roughly.
+fn map_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
 
 /// What a hash join's table must hold, read off its conditions and its
@@ -1055,20 +1420,25 @@ struct TableForm<'a> {
 /// type of its own, so each gets a probe loop of its own, with no branch
 /// on the form per probe row (one such branch cost `template_zipf`'s
 /// 300 × 13-row probes 8–9 % of `execute`).
-trait HashTable<K>: Sized + Send + Sync {
+trait HashTable<K>: Default + Sized + Send + Sync + 'static {
     /// What a probe row matches when no build row shares both its keys.
     const NOTHING: Matches<'static>;
 
-    /// The table over `rows` of the build side, whose first key is
-    /// `first` (`None` for NULL). `rows` ascends, so each key's rows do.
-    fn build(
+    /// Refills the table with `rows` of the build side, whose first key
+    /// is `first` (`None` for NULL). `rows` ascends, so each key's rows
+    /// do.
+    fn fill(
+        &mut self,
         form: TableForm<'_>,
         first: impl Fn(usize) -> Option<K>,
         rows: impl ExactSizeIterator<Item = u32> + Clone,
-    ) -> Self;
+    );
 
     /// Whether no build row filed under a key.
     fn is_empty(&self) -> bool;
+
+    /// The bytes the table's buffers hold, roughly.
+    fn bytes(&self) -> usize;
 
     /// For a probe row with first key `k1` and second key `k2` (read
     /// only by two-key tables; `None` for NULL): how many build rows
@@ -1087,21 +1457,27 @@ enum Matches<'t> {
 /// Each first key's build rows.
 impl<K, S> HashTable<K> for JoinTable<K, S>
 where
-    K: JoinKey + Send + Sync,
-    S: BuildHasher + Default + Send + Sync,
+    K: JoinKey,
+    S: BuildHasher + Default + Send + Sync + 'static,
 {
     const NOTHING: Matches<'static> = Matches::Rows(&[]);
 
-    fn build(
+    fn fill(
+        &mut self,
         _: TableForm<'_>,
         first: impl Fn(usize) -> Option<K>,
         rows: impl ExactSizeIterator<Item = u32> + Clone,
-    ) -> Self {
-        table_over(first, rows)
+    ) {
+        JoinTable::fill(self, first, rows)
     }
 
     fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    fn bytes(&self) -> usize {
+        let rows = self.rows.capacity() + self.cursor.capacity() + self.regrouped.capacity();
+        map_bytes(&self.spans) + 4 * rows + 8 * self.runs.capacity()
     }
 
     #[inline]
@@ -1114,21 +1490,26 @@ where
 /// Each first key's build-row count: a counting table.
 impl<K, S> HashTable<K> for HashMap<K, u32, S>
 where
-    K: JoinKey + Send + Sync,
-    S: BuildHasher + Default + Send + Sync,
+    K: JoinKey,
+    S: BuildHasher + Default + Send + Sync + 'static,
 {
     const NOTHING: Matches<'static> = Matches::Count(0);
 
-    fn build(
+    fn fill(
+        &mut self,
         _: TableForm<'_>,
         first: impl Fn(usize) -> Option<K>,
         rows: impl ExactSizeIterator<Item = u32> + Clone,
-    ) -> Self {
-        count_over(first, rows)
+    ) {
+        count_over(self, first, rows)
     }
 
     fn is_empty(&self) -> bool {
         HashMap::is_empty(self)
+    }
+
+    fn bytes(&self) -> usize {
+        map_bytes(self)
     }
 
     #[inline]
@@ -1147,6 +1528,15 @@ struct Paired<K, S, T> {
     pairs: T,
 }
 
+impl<K, S: Default, T: Default> Default for Paired<K, S, T> {
+    fn default() -> Self {
+        Self {
+            firsts: HashMap::default(),
+            pairs: T::default(),
+        }
+    }
+}
+
 /// A two-key table that files rows per key pair.
 type PairRows<K, S> = Paired<K, S, JoinTable<(K, i64), S>>;
 
@@ -1155,25 +1545,29 @@ type PairCounts<K, S> = Paired<K, S, HashMap<(K, i64), u32, S>>;
 
 impl<K, S, T> HashTable<K> for Paired<K, S, T>
 where
-    K: JoinKey + Send + Sync,
-    S: BuildHasher + Default + Send + Sync,
+    K: JoinKey,
+    S: BuildHasher + Default + Send + Sync + 'static,
     T: HashTable<(K, i64)>,
 {
     const NOTHING: Matches<'static> = T::NOTHING;
 
-    fn build(
+    fn fill(
+        &mut self,
         form: TableForm<'_>,
         first: impl Fn(usize) -> Option<K>,
         rows: impl ExactSizeIterator<Item = u32> + Clone,
-    ) -> Self {
-        let firsts = count_over(&first, rows.clone());
+    ) {
+        count_over(&mut self.firsts, &first, rows.clone());
         let pair = |row| Some((first(row)?, form.second?.right(row)?));
-        let pairs = T::build(form, pair, rows);
-        Self { firsts, pairs }
+        self.pairs.fill(form, pair, rows);
     }
 
     fn is_empty(&self) -> bool {
         self.firsts.is_empty()
+    }
+
+    fn bytes(&self) -> usize {
+        map_bytes(&self.firsts) + self.pairs.bytes()
     }
 
     #[inline]
@@ -1184,111 +1578,80 @@ where
     }
 }
 
-/// A hash join's build: one [`HashTable`] per partition,
-/// radix-partitioned by first key (`first`; `None` for NULL) when the
-/// team has more than one worker. Build rows cost one unit each (NULL
-/// keys charged but excluded). With partitions, build rows are split by
-/// key hash in parallel and each partition's table is built by one
-/// worker from a row list that preserves build order; a team of one
-/// builds a single table straight off the build side. Either way every
-/// key's rows are in ascending build-row order.
-fn build_tables<K, T, F>(
+/// Charges a hash join's `build_rows` build rows and, with more than
+/// one worker, splits them by the hash of their first key
+/// (`build_key`; NULL keys are dropped) into the partitions
+/// [`build_tables`] reads, each ascending. `None` for a team of one,
+/// which builds one table.
+fn partition_build<K: Hash>(
     ctx: &Ctx<'_>,
     build_rows: usize,
-    form: TableForm<'_>,
-    first: F,
-) -> Result<Vec<T>, ExecError>
-where
-    K: Hash,
-    T: HashTable<K>,
-    F: Fn(usize) -> Option<K> + Sync,
-{
+    build_key: &(impl Fn(usize) -> Option<K> + Sync),
+) -> Result<Option<Vec<Vec<u32>>>, ExecError> {
     let parts = ctx.partitions();
     if parts == 1 {
         ctx.budget.add(build_rows as u64)?;
-        return Ok(vec![T::build(form, &first, 0..build_rows as u32)]);
+        return Ok(None);
     }
     let mask = parts - 1;
     let partitions = partition_rows(ctx, build_rows, parts, |row| {
-        first(row).map(|k| partition_of(&k, mask))
+        build_key(row).map(|k| partition_of(&k, mask))
     })?;
-    // Charge-free (the partition pass charged the build), and sized
-    // from the build side: a small build does not pay a team spawn.
-    per_partition(ctx.team_for(build_rows), parts, |p| {
-        Ok(T::build(form, &first, partitions[p].iter().copied()))
-    })
+    Ok(Some(partitions))
 }
 
-/// A hash join's probe pass: probe morsels look their first key
-/// (`probe_key`; `None` for NULL) up in its partition's table without
-/// touching shared state and emit in probe order. One unit per probe
-/// row, one per candidate — a build row sharing the first key — and one
-/// per emitted row. A probe row's matches are narrowed by the join's
-/// residual conditions (when there are any) and appended as one run,
-/// or, in a counting table, added as a count. Against tables with no row
-/// the probe rows are charged in one add and nothing is looked up.
-fn probe_tables<K, T>(
+/// A hash join's build: one [`HashTable`] per partition of
+/// `partitions`, or a single table straight off the build side's
+/// `build_rows` rows when there is none (a team of one). Tables and
+/// their list come from the arena; [`give_tables`] hands them back.
+/// Charge-free: the caller charged the build.
+fn build_tables<K, T>(
     ctx: &Ctx<'_>,
-    join: &HashJoin<'_>,
-    tables: &[T],
-    probe_key: impl Fn(usize) -> Option<K> + Sync,
-) -> Result<Chunk, ExecError>
+    scratch: &mut Scratch,
+    build_rows: usize,
+    partitions: Option<&[Vec<u32>]>,
+    form: TableForm<'_>,
+    first: &(impl Fn(usize) -> Option<K> + Sync),
+) -> Result<Vec<T>, ExecError>
 where
-    K: Hash,
+    K: JoinKey,
     T: HashTable<K>,
 {
-    let HashJoin {
-        form,
-        residual,
-        out_map,
-        types,
-        left,
-        right,
-    } = join;
-    if tables.iter().all(T::is_empty) {
-        ctx.budget.add(left.data.rows as u64)?;
-        return Ok(Chunk::empty(types));
-    }
-    let mask = tables.len() - 1;
-    let look = |row| {
-        let k1 = probe_key(row)?;
-        let k2 = || form.second.and_then(|k2| k2.left(row));
-        tables[partition_of(&k1, mask)].look(k1, k2)
-    };
-    let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
-    let chunks = run_workers(morsels.team(ctx.threads), |_w| {
-        let mut charger = Charger::new(ctx.budget);
-        let mut emitter = PairEmitter::new(out_map, types, left, right);
-        let mut out: Vec<(usize, Chunk)> = Vec::new();
-        let mut sel: Vec<u32> = Vec::new();
-        while let Some((idx, range)) = morsels.claim() {
-            charger.charge(range.len() as u64)?;
-            for row in range {
-                let Some((candidates, matches)) = look(row) else {
-                    continue;
-                };
-                charger.charge(u64::from(candidates))?;
-                match matches {
-                    Matches::Rows(rows) => {
-                        let matches = residual.narrow(row, rows, &mut sel);
-                        charger.charge(matches.len() as u64)?;
-                        emitter.push_run(row as u32, matches);
-                    }
-                    Matches::Count(n) => {
-                        charger.charge(u64::from(n))?;
-                        emitter.count(n as usize);
-                    }
-                }
-            }
-            out.push((idx, emitter.take()));
+    let mut tables: Vec<T> = scratch
+        .tables
+        .spare()
+        .and_then(Vec::pop)
+        .unwrap_or_default();
+    match partitions {
+        None => {
+            let mut table: T = scratch.table();
+            table.fill(form, first, 0..build_rows as u32);
+            tables.push(table);
         }
-        charger.flush()?;
-        Ok(out)
-    })?;
-    Ok(concat_indexed(
-        types,
-        chunks.into_iter().flatten().collect(),
-    ))
+        // Sized from the build side: a small build does not pay a team
+        // spawn.
+        Some(partitions) => tables.extend(per_partition(
+            ctx.team_for(build_rows),
+            partitions.len(),
+            |p| {
+                let mut table = T::default();
+                table.fill(form, first, partitions[p].iter().copied());
+                Ok(table)
+            },
+        )?),
+    }
+    Ok(tables)
+}
+
+/// Hands a build's tables, and their list, back to the arena.
+fn give_tables<K, T: HashTable<K>>(scratch: &mut Scratch, mut tables: Vec<T>) {
+    for table in tables.drain(..) {
+        scratch.give_table(table);
+    }
+    let lists = scratch.tables.spares::<Vec<T>>();
+    if lists.is_empty() {
+        lists.push(tables);
+    }
 }
 
 /// A hash join's inputs and what it read off them, once per join.
@@ -1296,43 +1659,122 @@ struct HashJoin<'a> {
     form: TableForm<'a>,
     /// The conditions a match must still satisfy after its key or keys.
     residual: Conds<'a>,
-    out_map: &'a [Side],
-    types: &'a [ColumnType],
-    left: &'a NodeOut,
-    right: &'a NodeOut,
+    join: &'a JoinInputs<'a>,
 }
 
 impl HashJoin<'_> {
-    /// [`build_tables`] over the right input, then [`probe_tables`] with
-    /// the left, in the [`HashTable`] type that the join's form names:
-    /// keys `K` hashed by `S`, read off the right side by `build_key` and
-    /// the left by `probe_key`.
+    /// The build over the right input, then the probe with the left, in
+    /// the [`HashTable`] type that the join's form names: keys `K`
+    /// hashed by `S`, read off the right side by `build_key` and the
+    /// left by `probe_key`. Build rows cost one unit each (NULL keys
+    /// charged but excluded). With more than one worker the build rows
+    /// are first split by key hash in parallel ([`partition_rows`]) —
+    /// once per key type, whatever the form — and each partition's table
+    /// is built by one worker from a row list that preserves build
+    /// order; a team of one builds a single table straight off the build
+    /// side. Either way every key's rows are in ascending build-row
+    /// order.
     fn run<K, S>(
         &self,
         ctx: &Ctx<'_>,
+        workers: &mut [Scratch],
         build_key: impl Fn(usize) -> Option<K> + Sync,
         probe_key: impl Fn(usize) -> Option<K> + Sync,
     ) -> Result<Chunk, ExecError>
     where
-        K: JoinKey + Send + Sync,
-        S: BuildHasher + Default + Send + Sync,
+        K: JoinKey,
+        S: BuildHasher + Default + Send + Sync + 'static,
     {
+        let partitions = partition_build(ctx, self.join.right.rows, &build_key)?;
+        let (parts, build, probe) = (partitions.as_deref(), &build_key, &probe_key);
         match (self.form.second.is_some(), self.form.counting) {
-            (false, false) => self.run_as::<K, JoinTable<K, S>>(ctx, build_key, probe_key),
-            (false, true) => self.run_as::<K, HashMap<K, u32, S>>(ctx, build_key, probe_key),
-            (true, false) => self.run_as::<K, PairRows<K, S>>(ctx, build_key, probe_key),
-            (true, true) => self.run_as::<K, PairCounts<K, S>>(ctx, build_key, probe_key),
+            (false, false) => self.run_as::<K, JoinTable<K, S>>(ctx, workers, parts, build, probe),
+            (false, true) => {
+                self.run_as::<K, HashMap<K, u32, S>>(ctx, workers, parts, build, probe)
+            }
+            (true, false) => self.run_as::<K, PairRows<K, S>>(ctx, workers, parts, build, probe),
+            (true, true) => self.run_as::<K, PairCounts<K, S>>(ctx, workers, parts, build, probe),
         }
     }
 
-    fn run_as<K: Hash, T: HashTable<K>>(
+    /// Builds `T` tables and probes them: the probe morsels look their
+    /// first key (`probe_key`; `None` for NULL) up in its partition's
+    /// table without touching shared state and emit in probe order. One
+    /// unit per probe row, one per candidate — a build row sharing the
+    /// first key — and one per emitted row. A probe row's matches are
+    /// narrowed by the join's residual conditions (when there are any)
+    /// and appended as one run, or, in a counting table, added as a
+    /// count. Against tables with no row the probe rows are charged in
+    /// one add and nothing is looked up. Only this loop is compiled per
+    /// form.
+    fn run_as<K: JoinKey, T: HashTable<K>>(
         &self,
         ctx: &Ctx<'_>,
-        build_key: impl Fn(usize) -> Option<K> + Sync,
-        probe_key: impl Fn(usize) -> Option<K> + Sync,
+        workers: &mut [Scratch],
+        partitions: Option<&[Vec<u32>]>,
+        build_key: &(impl Fn(usize) -> Option<K> + Sync),
+        probe_key: &(impl Fn(usize) -> Option<K> + Sync),
     ) -> Result<Chunk, ExecError> {
-        let tables: Vec<T> = build_tables(ctx, self.right.data.rows, self.form, build_key)?;
-        probe_tables(ctx, self, &tables, probe_key)
+        let (join, form, residual) = (self.join, self.form, &self.residual);
+        let build_rows = join.right.rows;
+        let tables: Vec<T> = build_tables(
+            ctx,
+            &mut workers[0],
+            build_rows,
+            partitions,
+            form,
+            build_key,
+        )?;
+        let out = if tables.iter().all(T::is_empty) {
+            ctx.budget
+                .add(join.left.rows as u64)
+                .map(|()| workers[0].chunk(join.types))
+        } else {
+            let mask = tables.len() - 1;
+            let tables = &tables;
+            let look = |row| {
+                let k1 = probe_key(row)?;
+                let k2 = || form.second.and_then(|k2| k2.left(row));
+                tables[partition_of(&k1, mask)].look(k1, k2)
+            };
+            run_morsels(
+                ctx,
+                workers,
+                join.left.rows,
+                join.types,
+                &|scratch, charger, range, chunk| {
+                    charger.charge(range.len() as u64)?;
+                    let Scratch {
+                        sel,
+                        l_rows,
+                        r_rows,
+                        ..
+                    } = scratch;
+                    let mut emitter = PairEmitter::new(join, l_rows, r_rows, chunk);
+                    for row in range {
+                        let Some((candidates, matches)) = look(row) else {
+                            continue;
+                        };
+                        charger.charge(u64::from(candidates))?;
+                        match matches {
+                            Matches::Rows(rows) => {
+                                let matches = residual.narrow(row, rows, sel);
+                                charger.charge(matches.len() as u64)?;
+                                emitter.push_run(row as u32, matches);
+                            }
+                            Matches::Count(n) => {
+                                charger.charge(u64::from(n))?;
+                                emitter.count(n as usize);
+                            }
+                        }
+                    }
+                    emitter.flush();
+                    Ok(())
+                },
+            )
+        };
+        give_tables::<K, T>(&mut workers[0], tables);
+        out
     }
 }
 
@@ -1344,54 +1786,39 @@ impl HashJoin<'_> {
 /// matches through every condition. A second `=` between plain integer
 /// columns keys the table on both ([`TableForm::second`]), and a
 /// zero-width output with nothing left to check keeps counts
-/// ([`TableForm::counting`]). An empty probe side pays for the build
-/// and builds nothing.
+/// ([`TableForm::counting`]); the stage list says which. An empty probe
+/// side pays for the build and builds nothing.
 fn hash_join(
     ctx: &Ctx<'_>,
-    conds: &[SlotCond],
-    out_map: &[Side],
-    types: &[ColumnType],
-    left: &NodeOut,
-    right: &NodeOut,
+    workers: &mut [Scratch],
+    join: &JoinInputs<'_>,
 ) -> Result<Chunk, ExecError> {
-    let at = conds
-        .iter()
-        .position(|c| c.op == CompareOp::Eq)
-        .ok_or_else(|| {
-            QueryError::InvalidPlan("hash join requires an equality condition".into())
-        })?;
-    if left.data.rows == 0 {
-        ctx.budget.add(right.data.rows as u64)?;
-        return Ok(Chunk::empty(types));
+    let at = join.key();
+    if join.left.rows == 0 {
+        ctx.budget.add(join.right.rows as u64)?;
+        return Ok(workers[0].chunk(join.types));
     }
-    let int_key = IntCond::resolve(conds[at], left, right);
-    let second = (0..conds.len())
-        .filter(|&i| i != at && conds[i].op == CompareOp::Eq)
-        .find_map(|i| Some((i, IntCond::resolve(conds[i], left, right)?)));
-    let applied = [int_key.map(|_| at), second.map(|(i, _)| i)];
-    let residual = Conds::resolve(conds, &applied, left, right);
-    let join = HashJoin {
+    let hash = HashJoin {
         form: TableForm {
-            second: second.map(|(_, key)| key),
-            counting: out_map.is_empty() && residual.0.is_empty(),
+            second: join.keys.second.map(|i| join.int_cond(i)),
+            counting: join.keys.counting,
         },
-        residual,
-        out_map,
-        types,
-        left,
-        right,
+        residual: Conds::resolve(join),
+        join,
     };
-    if let Some(key) = int_key {
-        join.run::<i64, IntHasher>(ctx, |row| key.right(row), |row| key.left(row))
+    if join.keys.int_key {
+        let key = join.int_cond(at);
+        hash.run::<i64, IntHasher>(ctx, workers, |row| key.right(row), |row| key.left(row))
     } else {
         let non_null = |col: &ColumnVector, row| {
             let k = col.get(row);
             (!k.is_null()).then_some(k)
         };
-        let build_col = &right.data.cols[conds[at].r_slot];
-        let probe_col = &left.data.cols[conds[at].l_slot];
-        join.run::<Value, RandomState>(
+        let build_col = &join.right.cols[join.conds[at].r_slot];
+        let probe_col = &join.left.cols[join.conds[at].l_slot];
+        hash.run::<Value, RandomState>(
             ctx,
+            workers,
             |row| non_null(build_col, row),
             |row| non_null(probe_col, row),
         )
@@ -1437,38 +1864,42 @@ fn looks_up(probe: usize, inner: usize) -> bool {
 /// nothing, so it returns at once.
 fn nested_join(
     ctx: &Ctx<'_>,
-    conds: &[SlotCond],
-    out_map: &[Side],
-    types: &[ColumnType],
-    left: &NodeOut,
-    right: &NodeOut,
+    workers: &mut [Scratch],
+    join: &JoinInputs<'_>,
 ) -> Result<Chunk, ExecError> {
-    let inner_rows = right.data.rows;
+    let (left, right) = (join.left, join.right);
+    let inner_rows = right.rows;
     if inner_rows == 0 {
-        return Ok(Chunk::empty(types));
+        return Ok(workers[0].chunk(join.types));
     }
-    let int_key = conds.iter().enumerate().find_map(|(at, &c)| {
-        let key = IntCond::resolve(c, left, right)?;
-        (key.op == CompareOp::Eq).then_some((at, key))
-    });
-    let rest = Conds::resolve(conds, &[int_key.map(|(at, _)| at)], left, right);
-    let int_key = int_key.map(|(_, key)| key);
+    let rest = Conds::resolve(join);
+    let int_key = join.keys.key.map(|at| join.int_cond(at));
     let table: Option<IntTable> = int_key
-        .filter(|_| looks_up(left.data.rows, inner_rows))
-        .map(|key| table_over(|row| key.right(row), 0..inner_rows as u32));
-    let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
-    let chunks = run_workers(morsels.team(ctx.threads), |_w| {
-        let mut charger = Charger::new(ctx.budget);
-        let mut emitter = PairEmitter::new(out_map, types, left, right);
-        let mut out: Vec<(usize, Chunk)> = Vec::new();
-        let mut sel: Vec<u32> = Vec::new();
-        while let Some((idx, range)) = morsels.claim() {
+        .filter(|_| looks_up(left.rows, inner_rows))
+        .map(|key| {
+            let mut table: IntTable = workers[0].table();
+            table.fill(|row| key.right(row), 0..inner_rows as u32);
+            table
+        });
+    let out = run_morsels(
+        ctx,
+        workers,
+        left.rows,
+        join.types,
+        &|scratch, charger, range, chunk| {
+            let Scratch {
+                sel,
+                l_rows,
+                r_rows,
+                ..
+            } = scratch;
+            let mut emitter = PairEmitter::new(join, l_rows, r_rows, chunk);
             for row in range {
                 charger.charge(inner_rows as u64)?;
                 let matches = match (&int_key, &table) {
                     (Some(key), Some(table)) => {
                         let found = key.left(row).and_then(|k| table.get(&k));
-                        rest.narrow(row, found.unwrap_or_default(), &mut sel)
+                        rest.narrow(row, found.unwrap_or_default(), sel)
                     }
                     (Some(key), None) => {
                         sel.clear();
@@ -1481,28 +1912,27 @@ fn nested_join(
                                 }
                             }
                         }
-                        rest.retain(row, &mut sel);
-                        &sel
+                        rest.retain(row, sel);
+                        &sel[..]
                     }
                     (None, _) => {
                         sel.clear();
                         sel.extend(0..inner_rows as u32);
-                        rest.retain(row, &mut sel);
-                        &sel
+                        rest.retain(row, sel);
+                        &sel[..]
                     }
                 };
                 charger.charge(matches.len() as u64)?;
                 emitter.push_run(row as u32, matches);
             }
-            out.push((idx, emitter.take()));
-        }
-        charger.flush()?;
-        Ok(out)
-    })?;
-    Ok(concat_indexed(
-        types,
-        chunks.into_iter().flatten().collect(),
-    ))
+            emitter.flush();
+            Ok(())
+        },
+    );
+    if let Some(table) = table {
+        workers[0].give_table(table);
+    }
+    out
 }
 
 /// Sort-merge join: the two key sorts run concurrently (a stable sort,
@@ -1513,25 +1943,17 @@ fn nested_join(
 /// a hash probe's candidates are: all of them, or all but an integer key.
 fn merge_join(
     ctx: &Ctx<'_>,
-    conds: &[SlotCond],
-    out_map: &[Side],
-    types: &[ColumnType],
-    left: &NodeOut,
-    right: &NodeOut,
+    workers: &mut [Scratch],
+    join: &JoinInputs<'_>,
 ) -> Result<Chunk, ExecError> {
-    let at = conds
-        .iter()
-        .position(|c| c.op == CompareOp::Eq)
-        .ok_or_else(|| {
-            QueryError::InvalidPlan("merge join requires an equality condition".into())
-        })?;
-    let key = conds[at];
-    let lcol = &left.data.cols[key.l_slot];
-    let rcol = &right.data.cols[key.r_slot];
-    let mut li: Vec<u32> = (0..left.data.rows as u32)
+    let (left, right) = (join.left, join.right);
+    let key = join.conds[join.key()];
+    let lcol = &left.cols[key.l_slot];
+    let rcol = &right.cols[key.r_slot];
+    let mut li: Vec<u32> = (0..left.rows as u32)
         .filter(|&r| !lcol.is_null(r as usize))
         .collect();
-    let mut ri: Vec<u32> = (0..right.data.rows as u32)
+    let mut ri: Vec<u32> = (0..right.rows as u32)
         .filter(|&r| !rcol.is_null(r as usize))
         .collect();
     ctx.budget.add(((li.len() + ri.len()) as u64).max(1))?;
@@ -1553,10 +1975,16 @@ fn merge_join(
     }
 
     // An equal block of two integer columns has already met the key.
-    let int_key = IntCond::resolve(key, left, right).map(|_| at);
-    let rest = Conds::resolve(conds, &[int_key], left, right);
-    let mut sel: Vec<u32> = Vec::new();
-    let mut emitter = PairEmitter::new(out_map, types, left, right);
+    let rest = Conds::resolve(join);
+    let scratch = &mut workers[0];
+    let mut out = scratch.chunk(join.types);
+    let Scratch {
+        sel,
+        l_rows,
+        r_rows,
+        ..
+    } = scratch;
+    let mut emitter = PairEmitter::new(join, l_rows, r_rows, &mut out);
     let mut charger = Charger::new(ctx.budget);
     let (mut i, mut j) = (0usize, 0usize);
     while i < li.len() && j < ri.len() {
@@ -1578,7 +2006,7 @@ fn merge_join(
                     + 1;
                 for &lx in &li[i..i_end] {
                     charger.charge((j_end - j) as u64)?;
-                    let matches = rest.narrow(lx as usize, &ri[j..j_end], &mut sel);
+                    let matches = rest.narrow(lx as usize, &ri[j..j_end], sel);
                     charger.charge(matches.len() as u64)?;
                     emitter.push_run(lx, matches);
                 }
@@ -1587,8 +2015,9 @@ fn merge_join(
             }
         }
     }
+    emitter.flush();
     charger.flush()?;
-    Ok(emitter.take())
+    Ok(out)
 }
 
 /// Folds `rows` of the input into per-group accumulators and returns one
@@ -1623,23 +2052,40 @@ fn fold_groups(
 /// partition-by-partition — a group's rows land wholly in one partition,
 /// so every accumulator folds in global input order and float sums are
 /// bit-identical at every team size. Global aggregates fold on one
-/// thread for the same reason, an accumulator at a time ([`fold_column`]).
-fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk, ExecError> {
-    let spec = AggSpec::resolve(ctx.graph, ctx.db.catalog(), &child.proj)?;
-    let input_rows = child.data.rows;
-    let cols = &child.data.cols;
-    let parts = ctx.partitions();
-
-    let mut out_rows: Vec<Vec<Value>> = if spec.key_slots.is_empty() {
-        ctx.budget.add(input_rows as u64)?;
+/// thread for the same reason, an accumulator at a time ([`fold_column`]),
+/// straight into the output row.
+fn eval_aggregate(
+    ctx: &Ctx<'_>,
+    workers: &mut [Scratch],
+    algo: AggAlgo,
+    spec: &AggSpec,
+    input: &Chunk,
+) -> Result<Chunk, ExecError> {
+    let input_rows = input.rows;
+    let cols = &input.cols;
+    let mut out = workers[0].chunk(&spec.out_types);
+    if spec.key_slots.is_empty() {
         // An aggregate over zero rows with no GROUP BY still yields one
         // row (SQL semantics: COUNT(*) = 0) — an empty fold covers it.
-        let aggs = spec.agg_funcs.iter().zip(&spec.agg_slots);
-        let row = aggs.map(|(&func, slot)| fold_column(func, slot.map(|s| &cols[s]), input_rows));
-        vec![row.collect::<Result<_, _>>()?]
-    } else if parts == 1 {
         ctx.budget.add(input_rows as u64)?;
-        fold_groups(&spec, cols, 0..input_rows)?
+        let aggs = spec.agg_funcs.iter().zip(&spec.agg_slots);
+        for (col, (&func, slot)) in out.cols.iter_mut().zip(aggs) {
+            let value = fold_column(func, slot.map(|s| &cols[s]), input_rows)?;
+            let ok = col.push(&value);
+            debug_assert!(ok, "aggregate output value fits its column type");
+        }
+        if algo == AggAlgo::Sort {
+            // The sort's cost, charged on the input size.
+            ctx.budget.add(input_rows as u64)?;
+        }
+        ctx.budget.add(1)?;
+        out.rows = 1;
+        return Ok(out);
+    }
+    let parts = ctx.partitions();
+    let mut out_rows: Vec<Vec<Value>> = if parts == 1 {
+        ctx.budget.add(input_rows as u64)?;
+        fold_groups(spec, cols, 0..input_rows)?
     } else {
         let mask = parts - 1;
         let partitions = partition_rows(ctx, input_rows, parts, |row| {
@@ -1653,7 +2099,7 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
         // charge-free (the partition pass charged the input rows), and
         // sized from the input: a small fold does not pay a team spawn.
         per_partition(ctx.team_for(input_rows), parts, |p| {
-            fold_groups(&spec, cols, partitions[p].iter().map(|&r| r as usize))
+            fold_groups(spec, cols, partitions[p].iter().map(|&r| r as usize))
         })?
         .into_iter()
         .flatten()
@@ -1666,21 +2112,20 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
         out_rows.sort();
     }
     ctx.budget.add(out_rows.len() as u64)?;
-    let mut chunk = Chunk::empty(&spec.out_types);
     for row in &out_rows {
-        for (col, v) in chunk.cols.iter_mut().zip(row) {
+        for (col, v) in out.cols.iter_mut().zip(row) {
             let ok = col.push(v);
             debug_assert!(ok, "aggregate output value fits its column type");
         }
-        chunk.rows += 1;
+        out.rows += 1;
     }
-    Ok(chunk)
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::projection::{aggregate_inputs, all_columns};
+    use crate::stages::Stage;
     use hfqo_query::sql::{AggFunc, CompareOp};
     use hfqo_query::{AggExpr, BoundColumn, JoinEdge, Relation, Selection};
     use hfqo_storage::catalog::{Catalog, Column, ColumnId, TableSchema};
@@ -1770,46 +2215,63 @@ mod tests {
         }
     }
 
-    /// The `(rel, column)` pairs the join's output carries under
-    /// `required`, and its row count.
-    fn join_output_under(required: &ColSet, threads: usize) -> (Vec<(u32, u32)>, usize) {
+    /// The `(rel, column)` pairs the hash join of `setup` outputs, bare
+    /// under `carry` or under the graph's aggregate, and the plan's
+    /// output row count and width.
+    fn join_output_under(
+        aggregated: bool,
+        carry: Carry,
+        threads: usize,
+    ) -> (Vec<(u32, u32)>, (usize, usize)) {
         let (db, graph) = setup();
-        let budget = SharedBudget::new(1_000_000);
-        let ctx = Ctx {
-            db: &db,
-            graph: &graph,
-            threads,
-            morsel_rows: 4,
-            budget: &budget,
-        };
-        let out = eval_node(&ctx, &join_of(JoinAlgo::Hash, &[0]), required).unwrap();
-        assert_eq!(out.data.cols.len(), out.proj.width());
-        assert!(budget.used() > 0);
-        let cols = out
-            .proj
-            .columns()
-            .iter()
-            .map(|c| (c.rel.0, c.column.0))
-            .collect();
-        (cols, out.data.rows)
+        let mut root = join_of(JoinAlgo::Hash, &[0]);
+        if aggregated {
+            root = PlanNode::Aggregate {
+                algo: AggAlgo::Hash,
+                input: Box::new(root),
+            };
+        }
+        let mut stages = StageList::default();
+        stages
+            .derive(db.catalog(), &graph, &root, carry, true)
+            .unwrap();
+        let is_join = |s: &&Stage| matches!(s.op, Op::Join { .. });
+        let join = stages.stages().iter().find(is_join).unwrap();
+        let cols = stages.columns(join).iter().map(|c| (c.rel.0, c.column.0));
+        let geometry = (threads, 4);
+        let shape = |out: &Chunk| (out.rows, out.cols.len());
+        let (shape, work) = run_plan(
+            &db,
+            &graph,
+            &root,
+            (carry, true),
+            geometry,
+            1_000_000,
+            shape,
+        )
+        .unwrap();
+        assert!(work > 0);
+        (cols.collect(), shape)
     }
 
     #[test]
     fn full_requirement_matches_row_layout_order() {
-        let (db, graph) = setup();
-        let (cols, _) = join_output_under(&all_columns(&graph, &db), 1);
+        let (cols, (_, width)) = join_output_under(false, Carry::Everything, 1);
         // Leaf order (a then b), column-id order within each leaf — the
         // row engine's layout.
         assert_eq!(cols, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]);
+        assert_eq!(width, cols.len());
     }
 
     #[test]
     fn aggregate_requirement_prunes_unreferenced_columns() {
-        let (_, graph) = setup();
         // Only b.w survives above the join: a.k/b.k are consumed by the
         // join itself, a.v by the scan filter, a.pad by nothing.
-        let (cols, _) = join_output_under(&aggregate_inputs(&graph), 1);
-        assert_eq!(cols, vec![(1, 1)]);
+        for carry in [Carry::Everything, Carry::Nothing] {
+            let (cols, (rows, width)) = join_output_under(true, carry, 1);
+            assert_eq!(cols, vec![(1, 1)]);
+            assert_eq!((rows, width), (1, 2));
+        }
     }
 
     #[test]
@@ -1818,9 +2280,9 @@ mod tests {
         // key in 0..5 → ids 0 and 3 match 2 rows each, 6/9 none. The
         // count survives with no column to carry it, at any team size.
         for threads in [1, 2] {
-            let (cols, rows) = join_output_under(&ColSet::new(), threads);
+            let (cols, shape) = join_output_under(false, Carry::Nothing, threads);
             assert!(cols.is_empty());
-            assert_eq!(rows, 4);
+            assert_eq!(shape, (4, 0));
         }
     }
 
@@ -1911,20 +2373,19 @@ mod tests {
     fn run(
         (db, graph): &(Database, QueryGraph),
         node: &PlanNode,
-        required: &ColSet,
-        (threads, morsel_rows): (usize, usize),
+        carry: Carry,
+        geometry: (usize, usize),
         budget: u64,
     ) -> Result<(Vec<Row>, u64), ExecError> {
-        let budget = SharedBudget::new(budget);
-        let ctx = Ctx {
+        run_plan(
             db,
             graph,
-            threads,
-            morsel_rows,
-            budget: &budget,
-        };
-        let out = eval_root(&ctx, node, required)?;
-        Ok((out.into_rows(), budget.used()))
+            node,
+            (carry, true),
+            geometry,
+            budget,
+            Chunk::to_rows,
+        )
     }
 
     const GEOMETRIES: [(usize, usize); 9] = [
@@ -1953,14 +2414,8 @@ mod tests {
         let mut order: Option<Vec<Row>> = None;
         for geometry in GEOMETRIES {
             let tag = format!("{:?} at {geometry:?}", plan.root);
-            let (rows, work) = run(
-                world,
-                &plan.root,
-                &all_columns(graph, db),
-                geometry,
-                u64::MAX,
-            )
-            .unwrap();
+            let (rows, work) =
+                run(world, &plan.root, Carry::Everything, geometry, u64::MAX).unwrap();
             assert_eq!(work, oracle.stats.work, "{tag}");
             let mut sorted = rows.clone();
             sorted.sort();
@@ -1968,7 +2423,7 @@ mod tests {
             let first = order.get_or_insert_with(|| rows.clone());
             assert!(rows == *first, "{tag}: row order moved");
             let (counted, work) =
-                run(world, &plan.root, &ColSet::new(), geometry, u64::MAX).unwrap();
+                run(world, &plan.root, Carry::Nothing, geometry, u64::MAX).unwrap();
             assert!(counted.iter().all(Vec::is_empty), "{tag}");
             assert_eq!(
                 (counted.len(), work),
@@ -2011,9 +2466,7 @@ mod tests {
         for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash] {
             let node = join_of(algo, &[0]);
             assert_eq!(assert_matches_oracle(&world, node.clone()), 7);
-            let (db, graph) = &world;
-            let (rows, _) =
-                run(&world, &node, &all_columns(graph, db), (1, 4096), u64::MAX).unwrap();
+            let (rows, _) = run(&world, &node, Carry::Everything, (1, 4096), u64::MAX).unwrap();
             assert!(rows.iter().all(|r| !r[0].is_null() && r[0] == r[5]));
         }
     }
@@ -2048,7 +2501,6 @@ mod tests {
         // low-cardinality key whose candidates the residual mostly
         // rejects. Rows of `a` carry `r` = 0, 1, 2, NULL, 4, 5.
         let world = fan_fixture(4, 400);
-        let (db, graph) = &world;
         for algo in [JoinAlgo::Hash, JoinAlgo::NestedLoop, JoinAlgo::Merge] {
             // A second `=`: of 100 candidates per probe row, those whose
             // `r` is the probe row's, about one in nine.
@@ -2057,14 +2509,7 @@ mod tests {
             assert!(0 < rows && rows < 400 / 6, "{algo:?}: {rows}");
             // A NULL on either side of the residual pairs with nothing,
             // though both sides hold NULLs under matching keys.
-            let (out, _) = run(
-                &world,
-                &two_eq,
-                &all_columns(graph, db),
-                (1, 4096),
-                u64::MAX,
-            )
-            .unwrap();
+            let (out, _) = run(&world, &two_eq, Carry::Everything, (1, 4096), u64::MAX).unwrap();
             assert!(out.iter().all(|r| !r[4].is_null() && r[4] == r[9]));
             // Integer inequalities, a mixed Int/Float pair (no typed
             // form: the generic comparison), and three conditions.
@@ -2124,10 +2569,10 @@ mod tests {
                     let cfg = ExecConfig::with_budget(budget)
                         .threads(threads)
                         .morsel_rows(morsel_rows);
-                    let required = all_columns(graph, db);
+                    let geometry = (threads, morsel_rows);
                     for err in [
                         crate::execute(db, graph, &plan, cfg).err(),
-                        run(world, &plan.root, &required, (threads, morsel_rows), budget).err(),
+                        run(world, &plan.root, Carry::Everything, geometry, budget).err(),
                     ] {
                         match err {
                             None => assert!(oracle.is_ok(), "{tag}"),
@@ -2267,8 +2712,7 @@ mod tests {
             let oracle = crate::execute_rows(db, graph, &plan, ExecConfig::with_budget(u64::MAX));
             for geometry in GEOMETRIES {
                 let tag = format!("{algo:?} at {geometry:?}");
-                let required = aggregate_inputs(graph);
-                let got = run(world, &plan.root, &required, geometry, u64::MAX);
+                let got = run(world, &plan.root, Carry::Nothing, geometry, u64::MAX);
                 match (&oracle, got) {
                     (Ok(want), Ok((rows, work))) => {
                         assert_eq!(work, want.stats.work, "{tag}");
@@ -2445,8 +2889,8 @@ mod tests {
     /// first key's and every pair's build rows are filed once.
     fn assert_tables_match_reference<K, S>(keys: &[Option<K>], absent: &K)
     where
-        K: JoinKey + Clone + Send + Sync + std::fmt::Debug,
-        S: BuildHasher + Default + Send + Sync,
+        K: JoinKey + Clone + std::fmt::Debug,
+        S: BuildHasher + Default + Send + Sync + 'static,
     {
         let seconds: Vec<Option<i64>> = (0..keys.len())
             .map(|row| (row % 5 != 4).then_some((row % 3) as i64))
@@ -2520,7 +2964,7 @@ mod tests {
         absent: &K,
     ) -> Vec<T>
     where
-        K: JoinKey + Clone + Send + Sync + std::fmt::Debug,
+        K: JoinKey + Clone + std::fmt::Debug,
         T: HashTable<K>,
     {
         let counting = form.counting;
@@ -2537,7 +2981,18 @@ mod tests {
             morsel_rows,
             budget: &budget,
         };
-        let tables: Vec<T> = build_tables(&ctx, keys.len(), form, |row| keys[row].clone()).unwrap();
+        let first = |row: usize| keys[row].clone();
+        let parts = partition_build(&ctx, keys.len(), &first).unwrap();
+        let mut scratch = Scratch::default();
+        let tables: Vec<T> = build_tables(
+            &ctx,
+            &mut scratch,
+            keys.len(),
+            parts.as_deref(),
+            form,
+            &first,
+        )
+        .unwrap();
         assert_eq!(budget.used(), keys.len() as u64, "{tag}");
         let mask = tables.len() - 1;
         // What a probe finds, as rows; a count reads as that many
@@ -2609,8 +3064,8 @@ mod tests {
             .iter()
             .map(|&f| Some(Value::Float(f)))
             .collect();
-        let table: JoinTable<Value, BuildHasherDefault<KeyHasher>> =
-            table_over(|row| keys[row].clone(), 0..keys.len() as u32);
+        let mut table: JoinTable<Value, BuildHasherDefault<KeyHasher>> = JoinTable::default();
+        table.fill(|row| keys[row].clone(), 0..keys.len() as u32);
         assert_eq!(table.get(&Value::Float(0.0)), Some(&[0, 3, 5][..]));
         assert_eq!(table.get(&Value::Float(-0.0)), Some(&[1, 2][..]));
         assert_eq!(table.get(&Value::Float(2.0)), None);

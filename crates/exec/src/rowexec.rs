@@ -114,7 +114,8 @@ pub(crate) fn scan_rows(
             index,
             driving_selection,
         } => {
-            let row_ids = crate::ops::index_row_ids(db, graph, rel, *index, *driving_selection)?;
+            let mut row_ids = Vec::new();
+            crate::ops::index_row_ids(db, graph, rel, *index, *driving_selection, &mut row_ids)?;
             // Residual predicates: everything except the driving one.
             let residual: Vec<&Selection> = sel_indices
                 .iter()
@@ -156,11 +157,13 @@ pub(crate) fn join_rows(
     budget: &mut Budget,
 ) -> Result<(Vec<Row>, Layout), ExecError> {
     let out_layout = left_layout.concat(right_layout);
-    let slot_conds = resolve_conds(
+    let mut slot_conds = Vec::with_capacity(conds.len());
+    resolve_conds(
         graph,
         conds,
         |c| left_layout.slot(c),
         |c| right_layout.slot(c),
+        &mut slot_conds,
     )?;
     let mut out: Vec<Row> = Vec::new();
 

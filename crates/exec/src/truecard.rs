@@ -125,8 +125,7 @@ impl<'a> TrueCardinality<'a> {
         // through the same evaluator with an *empty* required column
         // set: only join-condition columns flow, and no output is ever
         // materialised — the oracle just reads the root's row count.
-        let (rows, _work) =
-            crate::executor::count_rows_unvalidated(self.db, graph, plan, self.config)?;
+        let (rows, _work) = crate::executor::count_subplan_rows(self.db, graph, plan, self.config)?;
         Ok(rows as f64)
     }
 }

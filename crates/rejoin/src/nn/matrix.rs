@@ -220,7 +220,7 @@ impl Matrix {
 
     /// The underlying row-major slice.
     #[inline]
-    pub fn data(&self) -> &[f32] {
+    pub(crate) fn data(&self) -> &[f32] {
         &self.data
     }
 

@@ -979,13 +979,13 @@ impl ColumnVector {
     /// (average contiguous span of 4+ rows) take the `append_range`
     /// copy path per span; sparse ones fall back to the per-row gather.
     pub(crate) fn append_selected(&self, sel: &[u32], out: &mut ColumnVector) {
-        match coalesce_spans(sel) {
-            Some(spans) => {
-                for &(start, len) in &spans {
-                    out.append_range(self, start, len);
-                }
+        let mut spans = Vec::new();
+        if coalesce_spans(sel, &mut spans) {
+            for &(start, len) in &spans {
+                out.append_range(self, start, len);
             }
-            None => self.gather_into(sel, out),
+        } else {
+            self.gather_into(sel, out);
         }
     }
 }
@@ -999,31 +999,27 @@ fn null_str() -> Arc<str> {
 }
 
 /// Splits an ascending selection vector into contiguous `(start, len)`
-/// spans when doing so pays off — `None` when the selection is sparse
-/// (average span below 4 rows) and a per-row gather is cheaper than the
-/// span bookkeeping.
-pub fn coalesce_spans(sel: &[u32]) -> Option<Vec<(usize, usize)>> {
+/// spans, written to `spans`, when doing so pays off — `false` when the
+/// selection is sparse (average span below 4 rows) and a per-row gather
+/// is cheaper than the span bookkeeping. `spans` is cleared first, so a
+/// caller can keep one buffer for every selection.
+pub fn coalesce_spans(sel: &[u32], spans: &mut Vec<(usize, usize)>) -> bool {
+    spans.clear();
     if sel.is_empty() {
-        return None;
+        return false;
     }
-    let mut spans = 1usize;
-    for w in sel.windows(2) {
-        if w[1] != w[0] + 1 {
-            spans += 1;
-        }
+    let breaks = sel.windows(2).filter(|w| w[1] != w[0] + 1).count();
+    if sel.len() < (breaks + 1) * 4 {
+        return false;
     }
-    if sel.len() < spans * 4 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(spans);
     let mut start = 0usize;
     for i in 1..=sel.len() {
         if i == sel.len() || sel[i] != sel[i - 1] + 1 {
-            out.push((sel[start] as usize, i - start));
+            spans.push((sel[start] as usize, i - start));
             start = i;
         }
     }
-    Some(out)
+    true
 }
 
 /// Looks up `s` in a dictionary, appending it when absent. Linear scan:
@@ -1460,12 +1456,11 @@ mod tests {
 
     #[test]
     fn selection_span_coalescing() {
-        assert!(coalesce_spans(&[]).is_none());
-        assert!(coalesce_spans(&[1, 5, 9]).is_none());
-        assert_eq!(
-            coalesce_spans(&[2, 3, 4, 5, 10, 11, 12, 13]),
-            Some(vec![(2, 4), (10, 4)])
-        );
+        let mut spans = vec![(7, 7)];
+        assert!(!coalesce_spans(&[], &mut spans) && spans.is_empty());
+        assert!(!coalesce_spans(&[1, 5, 9], &mut spans));
+        assert!(coalesce_spans(&[2, 3, 4, 5, 10, 11, 12, 13], &mut spans));
+        assert_eq!(spans, vec![(2, 4), (10, 4)]);
         let plain = sample_runs_int_column();
         let mut dense = ColumnVector::new(ColumnType::Int);
         plain.append_selected(&[1, 2, 3, 4, 5, 6, 7], &mut dense);

@@ -923,3 +923,259 @@ fn true_cardinality_oracle_matches_row_counts() {
         assert_eq!(counted, executed, "{:?}", graph.label);
     }
 }
+
+mod arena_reuse {
+    //! The evaluator keeps one scratch arena per thread — the stage
+    //! list's buffers, spare chunk columns, selection and pair buffers,
+    //! spare join tables — and every execute on that thread takes from
+    //! it and gives back to it. Nothing an execute returns may depend on
+    //! what ran before it on the thread: not on another plan's buffers,
+    //! not on a plan that aborted half-way through a stage, and not on
+    //! the constants an earlier run of the same plan read.
+
+    use super::*;
+    use hfqo::exec::Row;
+    use hfqo_query::{bind_select, substitute, AggAlgo, Lit};
+    use rand::Rng;
+
+    /// `template_zipf`'s database: twelve `s{i}(id, fk, val)` tables of
+    /// 300 rows.
+    fn zipf_db() -> &'static SynthDb {
+        static DB: OnceLock<SynthDb> = OnceLock::new();
+        DB.get_or_init(|| {
+            SynthDb::build(SynthConfig {
+                tables: 12,
+                rows: 300,
+                seed: 31,
+            })
+        })
+    }
+
+    /// `count` `template_zipf`-shaped templates: `COUNT(*)` over a chain
+    /// of 6–8 distinct tables joined `id = fk`, with an equality
+    /// selection on the first table's `val` at constant `constant`.
+    fn zipf_chains(count: usize, constant: i64) -> Vec<QueryGraph> {
+        let catalog = zipf_db().db.catalog();
+        let mut rng = StdRng::seed_from_u64(0x7E3);
+        (0..count)
+            .map(|_| {
+                let n = rng.gen_range(6..=8usize);
+                let mut picked: Vec<usize> = Vec::with_capacity(n);
+                while picked.len() < n {
+                    let t = rng.gen_range(0..12usize);
+                    if !picked.contains(&t) {
+                        picked.push(t);
+                    }
+                }
+                let from: Vec<String> = picked
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| format!("s{t} a{i}"))
+                    .collect();
+                let joins: Vec<String> =
+                    (1..n).map(|i| format!("a{}.id = a{i}.fk", i - 1)).collect();
+                let sql = format!(
+                    "SELECT COUNT(*) FROM {} WHERE {} AND a0.val = {constant}",
+                    from.join(", "),
+                    joins.join(" AND ")
+                );
+                let stmt = parse_select(&sql).expect("generated SQL parses");
+                bind_select(&stmt, catalog).expect("generated SQL binds")
+            })
+            .collect()
+    }
+
+    /// The thread counts to run at: one, and every `HFQO_EXEC_THREADS`
+    /// count.
+    fn team_sizes() -> Vec<usize> {
+        let mut sizes = vec![1];
+        sizes.extend(exec_threads().iter().filter(|&&t| t != 1));
+        sizes
+    }
+
+    /// Whether `plan`'s rows come in one fixed order: all but a hash
+    /// aggregate's groups do.
+    fn order_stable(graph: &QueryGraph, plan: &PhysicalPlan) -> bool {
+        let hashed = matches!(
+            plan.root,
+            PlanNode::Aggregate {
+                algo: AggAlgo::Hash,
+                ..
+            }
+        );
+        !hashed || graph.group_by().is_empty()
+    }
+
+    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+        rows.sort();
+        rows
+    }
+
+    /// One plan to run again and again, with what its first execute
+    /// returned.
+    struct Case<'a> {
+        db: &'a Database,
+        graph: QueryGraph,
+        plan: PhysicalPlan,
+        what: String,
+    }
+
+    /// Every JOB-suite query whose expert plan serves within the default
+    /// budget, and 24 `template_zipf`-shaped chains; and, apart, the
+    /// JOB-suite plans that exceed the budget.
+    fn cases() -> (Vec<Case<'static>>, Vec<Case<'static>>) {
+        let (mut servable, mut aborting) = (Vec::new(), Vec::new());
+        let expert = TraditionalPlanner::new();
+        let bundle = imdb();
+        let ctx = PlannerContext::new(bundle.db.catalog(), &bundle.stats);
+        for (i, graph) in bundle.queries.iter().enumerate() {
+            let plan = expert.plan(&ctx, graph).expect("plannable").plan;
+            let case = Case {
+                db: &bundle.db,
+                graph: graph.clone(),
+                plan,
+                what: format!("job q{i} ({:?})", graph.label),
+            };
+            match hfqo::exec::execute(case.db, &case.graph, &case.plan, ExecConfig::default()) {
+                Ok(_) => servable.push(case),
+                Err(ExecError::BudgetExceeded { .. }) => aborting.push(case),
+                Err(e) => panic!("{}: {e}", case.what),
+            }
+        }
+        let zipf = zipf_db();
+        let ctx = PlannerContext::new(zipf.db.catalog(), &zipf.stats);
+        for (i, graph) in zipf_chains(24, 1).into_iter().enumerate() {
+            let plan = expert.plan(&ctx, &graph).expect("plannable").plan;
+            servable.push(Case {
+                db: &zipf.db,
+                graph,
+                plan,
+                what: format!("chain {i}"),
+            });
+        }
+        (servable, aborting)
+    }
+
+    #[test]
+    fn reused_arenas_return_the_first_executes_rows_and_work() {
+        let (cases, aborting) = cases();
+        assert!(cases.len() > 100, "{} servable plans", cases.len());
+        let n = cases.len();
+        // Front to back; and from both ends inwards, so every plan
+        // follows other plans than it did the first time.
+        let forward: Vec<usize> = (0..n).collect();
+        let inward: Vec<usize> = (0..n)
+            .map(|k| if k % 2 == 0 { k / 2 } else { n - 1 - k / 2 })
+            .collect();
+        let mut reference: Vec<Option<(Vec<Row>, u64)>> = vec![None; n];
+        for threads in team_sizes() {
+            let config = ExecConfig::default().threads(threads);
+            let first: Vec<(Vec<Row>, u64)> = cases
+                .iter()
+                .map(|c| {
+                    let out = hfqo::exec::execute(c.db, &c.graph, &c.plan, config)
+                        .unwrap_or_else(|e| panic!("{}: {e}", c.what));
+                    (out.rows, out.stats.work)
+                })
+                .collect();
+            for (at, (case, (rows, work))) in cases.iter().zip(&first).enumerate() {
+                let want = reference[at].get_or_insert_with(|| {
+                    let oracle = execute_rows(case.db, &case.graph, &case.plan, config)
+                        .unwrap_or_else(|e| panic!("{}: {e}", case.what));
+                    let rows = sorted(oracle.rows);
+                    (rows, oracle.stats.work)
+                });
+                assert_eq!(
+                    *work, want.1,
+                    "{} t={threads}: work against the oracle",
+                    case.what
+                );
+                assert!(
+                    sorted(rows.clone()) == want.0,
+                    "{} t={threads}: rows differ from the oracle's",
+                    case.what
+                );
+            }
+            for (round, order) in [&forward, &inward, &forward, &inward]
+                .into_iter()
+                .enumerate()
+            {
+                for (k, &at) in order.iter().enumerate() {
+                    let case = &cases[at];
+                    // Every so often a plan aborts half-way: over the
+                    // budget, or, when the suite has no such plan, a
+                    // servable one under a budget it runs out of.
+                    if k % 7 == 3 {
+                        let (abort, budget) = match aborting.get(k % aborting.len().max(1)) {
+                            Some(a) => (a, ExecConfig::default().work_budget),
+                            None => (case, first[at].1 / 2),
+                        };
+                        let cfg = ExecConfig::with_budget(budget).threads(threads);
+                        let got = hfqo::exec::execute(abort.db, &abort.graph, &abort.plan, cfg);
+                        assert!(
+                            matches!(got, Err(ExecError::BudgetExceeded { .. })),
+                            "{} t={threads}: expected an abort",
+                            abort.what
+                        );
+                    }
+                    let tag = format!("{} t={threads} round {round}", case.what);
+                    let out = hfqo::exec::execute(case.db, &case.graph, &case.plan, config)
+                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    let (rows, work) = &first[at];
+                    assert_eq!(out.stats.work, *work, "{tag}: work");
+                    if order_stable(&case.graph, &case.plan) {
+                        assert!(
+                            out.rows == *rows,
+                            "{tag}: rows differ from the first execute's"
+                        );
+                    } else {
+                        assert!(
+                            sorted(out.rows) == sorted(rows.clone()),
+                            "{tag}: rows differ"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_plan_serves_its_template_at_every_constant() {
+        // One plan per template, planned at constant 1 and run at every
+        // other constant the way a template hit runs it: the template's
+        // graph with the constant substituted into its slot.
+        let zipf = zipf_db();
+        let expert = TraditionalPlanner::new();
+        let ctx = PlannerContext::new(zipf.db.catalog(), &zipf.stats);
+        let mut matched = 0usize;
+        for (i, template) in zipf_chains(6, 1).into_iter().enumerate() {
+            let plan = expert.plan(&ctx, &template).expect("plannable").plan;
+            for threads in team_sizes() {
+                let config = ExecConfig::default().threads(threads);
+                for constant in (0..=210).rev() {
+                    let graph = substitute(&template, [Lit::Int(constant)]);
+                    let tag = format!("chain {i} at {constant} t={threads}");
+                    let got = hfqo::exec::execute(&zipf.db, &graph, &plan, config);
+                    let want = execute_rows(&zipf.db, &graph, &plan, config);
+                    match (got, want) {
+                        (Ok(got), Ok(want)) => {
+                            assert_eq!(got.stats.work, want.stats.work, "{tag}: work");
+                            assert_eq!(got.rows, want.rows, "{tag}: rows");
+                            matched += usize::from(got.rows[0][0] != Value::Int(0));
+                        }
+                        (
+                            Err(ExecError::BudgetExceeded { budget: a, .. }),
+                            Err(ExecError::BudgetExceeded { budget: b, .. }),
+                        ) => assert_eq!(a, b, "{tag}"),
+                        (got, want) => panic!(
+                            "{tag}: {:?} against the oracle's {:?}",
+                            got.map(|o| o.rows),
+                            want.map(|o| o.rows)
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(matched > 0, "some constant selects rows");
+    }
+}
