@@ -104,11 +104,12 @@
 //! integer columns the rows are filed per key pair beside a count per
 //! first key; under a zero-width output with nothing left to check the
 //! table holds counts and no row. Each form has a probe loop of its own;
-//! the partition pass, the morsel driver and the `PairEmitter` are
-//! shared by every form of one key type. An empty probe side pays for
-//! the build and builds nothing. An integer-keyed nested loop builds a
-//! `JoinTable` over its inner side when `looks_up` says its two row
-//! counts favour it, and reads each probe key's matches from the table.
+//! the partition pass, the morsel loop (`run_morsels`) and the
+//! `PairEmitter` are shared by every form of one key type. An empty
+//! probe side pays for the build and builds nothing. An integer-keyed
+//! nested loop builds a `JoinTable` over its inner side when `looks_up`
+//! says its two row counts favour it, and reads each probe key's
+//! matches from the table.
 //! Otherwise it scans the inner key slice. Either way it finds the same
 //! rows in the same order under the same charges, so nothing a plan's
 //! `work` or a test can observe depends on the choice. An empty inner
