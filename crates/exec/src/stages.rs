@@ -208,7 +208,8 @@ impl StageList {
         &self.stages
     }
 
-    /// A stage's output columns.
+    /// A scan's or a join's output columns (an aggregate's outputs are
+    /// values, not columns: only its [`Self::types`] are kept).
     pub(crate) fn columns(&self, stage: &Stage) -> &[BoundColumn] {
         &self.columns[stage.out.clone()]
     }
