@@ -60,10 +60,17 @@
 //! at a time. A hash join's table holds what its probe reads: with a
 //! second integer `=` it files rows per key pair beside a count per
 //! first key, and under a zero-width output with nothing left to check
-//! it holds only counts; an empty probe side builds nothing. Charges
-//! are made per probe row with the row oracle's totals — a probe row is
-//! charged every build row sharing its first key, however few it
-//! walks. **Global aggregates** fold an accumulator at a time over a
+//! it holds only counts; an empty probe side builds nothing. An output
+//! column that asks for the build side's integer `=` key of a hash join
+//! or a nested loop is read from the probe side's key, which equals it
+//! on every emitted pair, so a key-only output reads no build column: a
+//! probe row's matches become copies of that row, filled column by
+//! column when there are many. A probe morsel whose integer keys come
+//! in runs of equal keys is worked a run at a time — one look-up or
+//! inner scan and one charge per run — and a build over the whole
+//! build side follows long runs a block of rows at a time. Charges
+//! are made with the row oracle's totals — a probe row is charged
+//! every build row sharing its first key, however few it walks. **Global aggregates** fold an accumulator at a time over a
 //! whole column, in row order; `COUNT(*)` is the input's row count.
 //!
 //! **Intermediate format.** A stage's output is one

@@ -115,6 +115,19 @@
 //! `work` or a test can observe depends on the choice. An empty inner
 //! side or an empty table is paid for without touching a row.
 //!
+//! ## Runs of equal keys
+//!
+//! Every pair an integer `=` key emits holds one value on both sides,
+//! so the stage list serves an output's build key from the probe key;
+//! an output that then reads no build column emits a probe row's
+//! matches as copies of it (`PairEmitter::repeat`), filled column by
+//! column from `FILL_ROWS` copies on. A probe morsel whose integer keys
+//! sample as runs (`KeyColumn::in_runs`, a few compares a morsel) is
+//! worked a run at a time (`probe_runs`, `nested_runs`): one look-up or
+//! inner scan per run, its candidates and pairs charged in one add, the
+//! residual conditions still checked a probe row at a time. Charges
+//! only add, so a plan aborts exactly when the row oracle does.
+//!
 //! [`ExecConfig::threads`]: crate::ExecConfig::threads
 
 use crate::error::ExecError;
@@ -341,6 +354,8 @@ pub(crate) struct Scratch {
     lists: Vec<Vec<ColumnVector>>,
     /// A scan's selection vector; a join's narrowed candidates.
     sel: Vec<u32>,
+    /// A nested loop's key matches, shared by a run of probe rows.
+    keyed: Vec<u32>,
     /// A dense selection's spans.
     spans: Vec<(usize, usize)>,
     /// [`PairEmitter`]'s pair buffers.
@@ -440,7 +455,7 @@ impl Scratch {
 
     /// A spare table of type `T`, or a new one. Its content is whatever
     /// it held last: the caller refills it.
-    fn table<K, T: HashTable<K>>(&mut self) -> T {
+    fn table<K: JoinKey, T: HashTable<K>>(&mut self) -> T {
         match self.tables.spare::<T>().and_then(Vec::pop) {
             Some(table) => {
                 self.retained -= table.bytes();
@@ -452,7 +467,7 @@ impl Scratch {
 
     /// Keeps `table` for a later [`Self::table`], as far as the bounds
     /// allow: one spare of each table type.
-    fn give_table<K, T: HashTable<K>>(&mut self, table: T) {
+    fn give_table<K: JoinKey, T: HashTable<K>>(&mut self, table: T) {
         let bytes = table.bytes();
         if bytes > SPARE_BYTES || self.retained + bytes > RETAIN_BYTES {
             return;
@@ -468,6 +483,7 @@ impl Scratch {
     fn trim(&mut self) {
         for buf in [
             &mut self.sel,
+            &mut self.keyed,
             &mut self.l_rows,
             &mut self.r_rows,
             &mut self.visits,
@@ -828,6 +844,12 @@ impl<'a> JoinInputs<'a> {
             .expect("an integer-typed slot holds an integer column")
     }
 
+    /// Whether an output column comes from the build side: if none
+    /// does, a probe row's matches only count.
+    fn reads_build(&self) -> bool {
+        self.out_map.iter().any(|s| matches!(s, Side::Right(_)))
+    }
+
     /// A hash or merge join's key: the stage list checked it has one.
     fn key(&self) -> usize {
         self.keys.key.expect("a hash or merge join keys on an `=`")
@@ -842,15 +864,31 @@ impl<'a> JoinInputs<'a> {
 /// cannot pile up millions of pairs first.
 const PAIR_BATCH: usize = 2048;
 
+/// Copies of one probe row that are filled into the output, column by
+/// column, rather than buffered and gathered: a probe row emitted at
+/// least this many times, by a join whose output reads no build column
+/// ([`PairEmitter::repeat`]). A fill pays a call and a type dispatch per
+/// column, so short runs keep the gather. In per-op minima over
+/// `job_warm` (seed 21, 2 vCPUs), 16 read the half of the ops below the
+/// median ≈ 3 % slower than 64, and 256 read the ops whose key-only
+/// joins emit 177 copies a probe row 4–7 % slower.
+const FILL_ROWS: usize = 64;
+const _: () = assert!(FILL_ROWS <= PAIR_BATCH);
+
 /// A join's output side: matches go in as row-id pairs and leave as
 /// column-wise gathers ([`ColumnVector::gather_into`]) into the chunk,
 /// one batch of at most [`PAIR_BATCH`] at a time, in the order they
-/// were pushed. A zero-width output (an empty `out_map`: the join under
-/// a `COUNT(*)`) has nothing to gather, so its matches are counted,
-/// never buffered. The pair buffers are the worker's scratch; whatever
-/// is pushed must be [`Self::flush`]ed before the emitter is dropped.
+/// were pushed. An output that reads no build column only needs how
+/// many times each probe row is emitted: a zero-width output (an empty
+/// `out_map`: the join under a `COUNT(*)`) counts them, and a
+/// probe-side output fills a long run of one probe row
+/// ([`FILL_ROWS`]) and buffers only the probe rows of a short one. The
+/// pair buffers are the worker's scratch; whatever is pushed must be
+/// [`Self::flush`]ed before the emitter is dropped.
 struct PairEmitter<'i, 's> {
     out_map: &'i [Side],
+    /// Whether an output column comes from the build side.
+    reads_build: bool,
     left: &'i [ColumnVector],
     right: &'i [ColumnVector],
     l_rows: &'s mut Vec<u32>,
@@ -869,6 +907,7 @@ impl<'i, 's> PairEmitter<'i, 's> {
         r_rows.clear();
         Self {
             out_map: join.out_map,
+            reads_build: join.reads_build(),
             left: &join.left.cols,
             right: &join.right.cols,
             l_rows,
@@ -878,9 +917,10 @@ impl<'i, 's> PairEmitter<'i, 's> {
     }
 
     /// Pushes `(l_row, r)` for every `r` of `r_rows`, in order.
+    #[inline]
     fn push_run(&mut self, l_row: u32, mut r_rows: &[u32]) {
-        if self.out_map.is_empty() {
-            self.chunk.rows += r_rows.len();
+        if !self.reads_build {
+            self.repeat(l_row, r_rows.len());
             return;
         }
         while !r_rows.is_empty() {
@@ -894,15 +934,66 @@ impl<'i, 's> PairEmitter<'i, 's> {
         }
     }
 
-    /// Counts `n` pairs of a zero-width output.
-    fn count(&mut self, n: usize) {
-        debug_assert!(self.out_map.is_empty());
+    /// Pushes `(l, r)` for every `l` of `l_rows` and every `r` of
+    /// `r_rows`, in that order.
+    fn push_runs(&mut self, l_rows: Range<usize>, r_rows: &[u32]) {
+        if self.reads_build {
+            for l_row in l_rows {
+                self.push_run(l_row as u32, r_rows);
+            }
+        } else {
+            self.repeat_run(l_rows, r_rows.len());
+        }
+    }
+
+    /// Emits probe row `l_row` `n` times, for an output that reads no
+    /// build column: counted, filled ([`FILL_ROWS`]) or buffered.
+    /// Inlined into the probe loops, with the fill out of line.
+    #[inline]
+    fn repeat(&mut self, l_row: u32, n: usize) {
+        debug_assert!(!self.reads_build);
+        if self.out_map.is_empty() {
+            self.chunk.rows += n;
+        } else if n >= FILL_ROWS {
+            self.fill(l_row, n);
+        } else if n > 0 {
+            if self.l_rows.len() + n > PAIR_BATCH {
+                self.flush();
+            }
+            self.l_rows.resize(self.l_rows.len() + n, l_row);
+        }
+    }
+
+    /// Fills `n` copies of probe row `l_row` into the chunk, after what
+    /// is buffered.
+    #[inline(never)]
+    fn fill(&mut self, l_row: u32, n: usize) {
+        self.flush();
+        for (dst, side) in self.chunk.cols.iter_mut().zip(self.out_map) {
+            if let Side::Left(s) = side {
+                dst.append_copies(&self.left[*s], l_row as usize, n);
+            }
+        }
         self.chunk.rows += n;
+    }
+
+    /// Emits every probe row of `run` `n` times, for an output that
+    /// reads no build column: a zero-width output counts them in one
+    /// add.
+    fn repeat_run(&mut self, run: Range<usize>, n: usize) {
+        if self.out_map.is_empty() {
+            self.chunk.rows += run.len() * n;
+        } else {
+            for row in run {
+                self.repeat(row as u32, n);
+            }
+        }
     }
 
     /// Gathers the buffered pairs into the chunk.
     fn flush(&mut self) {
-        debug_assert!(self.l_rows.len() <= PAIR_BATCH && self.l_rows.len() == self.r_rows.len());
+        debug_assert!(self.l_rows.len() <= PAIR_BATCH);
+        debug_assert!(!self.reads_build || self.l_rows.len() == self.r_rows.len());
         if self.l_rows.is_empty() {
             return;
         }
@@ -926,50 +1017,30 @@ impl<'i, 's> PairEmitter<'i, 's> {
 #[derive(Clone, Copy)]
 struct IntCond<'a> {
     op: CompareOp,
-    l_vals: &'a [i64],
-    l_valid: &'a [bool],
-    r_vals: &'a [i64],
-    r_valid: &'a [bool],
+    /// The left (probe) column.
+    l: IntSide<'a>,
+    /// The right (build) column.
+    r: IntSide<'a>,
 }
 
 impl<'a> IntCond<'a> {
     /// `cond` over typed slices, if both its columns are plain integers.
     fn resolve(cond: SlotCond, left: &'a Chunk, right: &'a Chunk) -> Option<Self> {
-        match (&left.cols[cond.l_slot], &right.cols[cond.r_slot]) {
-            (ColumnVector::Int(l_vals, l_valid), ColumnVector::Int(r_vals, r_valid)) => {
-                Some(Self {
-                    op: cond.op,
-                    l_vals,
-                    l_valid,
-                    r_vals,
-                    r_valid,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The left value at `row`; `None` for NULL.
-    #[inline]
-    fn left(&self, row: usize) -> Option<i64> {
-        self.l_valid[row].then(|| self.l_vals[row])
-    }
-
-    /// The right value at `row`; `None` for NULL.
-    #[inline]
-    fn right(&self, row: usize) -> Option<i64> {
-        self.r_valid[row].then(|| self.r_vals[row])
+        Some(Self {
+            op: cond.op,
+            l: IntSide::of(&left.cols[cond.l_slot])?,
+            r: IntSide::of(&right.cols[cond.r_slot])?,
+        })
     }
 
     /// Keeps the rows of `r_rows` that pair with `l_row` under this
     /// condition. The left value is read and the operator chosen once
     /// per call, so each arm is one loop of `i64` compares.
     fn retain(&self, l_row: usize, r_rows: &mut Vec<u32>) {
-        if !self.l_valid[l_row] {
+        let Some(l) = self.l.at(l_row) else {
             r_rows.clear();
             return;
-        }
-        let l = self.l_vals[l_row];
+        };
         match self.op {
             CompareOp::Eq => self.retain_by(r_rows, |r| l == r),
             CompareOp::Neq => self.retain_by(r_rows, |r| l != r),
@@ -982,7 +1053,153 @@ impl<'a> IntCond<'a> {
 
     #[inline]
     fn retain_by(&self, r_rows: &mut Vec<u32>, pairs_with: impl Fn(i64) -> bool) {
-        r_rows.retain(|&r| self.r_valid[r as usize] && pairs_with(self.r_vals[r as usize]));
+        let IntSide { vals, valid } = self.r;
+        r_rows.retain(|&r| valid[r as usize] && pairs_with(vals[r as usize]));
+    }
+}
+
+/// One plain integer column of a join input, as typed slices.
+#[derive(Clone, Copy)]
+struct IntSide<'a> {
+    vals: &'a [i64],
+    valid: &'a [bool],
+}
+
+impl<'a> IntSide<'a> {
+    /// `col`'s slices, if it is a plain integer column.
+    fn of(col: &'a ColumnVector) -> Option<Self> {
+        match col {
+            ColumnVector::Int(vals, valid) => Some(Self { vals, valid }),
+            _ => None,
+        }
+    }
+
+    /// Whether rows `row` and `other` hold one key: the same validity
+    /// and, unless NULL, the same value.
+    #[inline]
+    fn same(&self, row: usize, other: usize) -> bool {
+        self.valid[row] == self.valid[other]
+            && (!self.valid[row] || self.vals[row] == self.vals[other])
+    }
+}
+
+/// One column of a join's key, read a row or a run of rows at a time.
+trait KeyColumn<K: JoinKey>: Sync {
+    /// The key at `row`; `None` for NULL.
+    fn at(&self, row: usize) -> Option<K>;
+
+    /// Where the run of rows from `start` whose keys are `start`'s ends,
+    /// at `end` at most: every row of `start..run_end` holds the same
+    /// key, or every one is NULL. A sound end short of the longest run
+    /// is allowed.
+    fn run_end(&self, start: usize, end: usize) -> usize {
+        let key = self.at(start);
+        let same = |row| match (&key, self.at(row)) {
+            (Some(a), Some(b)) => a.same(&b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        (start + 1..end).find(|&row| !same(row)).unwrap_or(end)
+    }
+
+    /// Whether the keys of `rows` come in runs long enough that a probe
+    /// looks a run up once, not each row ([`RUN_ROWS`]). A column with
+    /// no cheap way to find its runs says no.
+    fn in_runs(&self, _rows: Range<usize>) -> bool {
+        false
+    }
+}
+
+/// Rows compared at once when [`IntSide`] looks for the end of a run:
+/// one compare per row and one branch per block.
+const RUN_BLOCK: usize = 16;
+
+/// The average run length from which a probe morsel is worked a run of
+/// equal keys at a time: a run pays for finding its end, and each of
+/// its rows saves a table look-up.
+const RUN_ROWS: usize = 4;
+
+/// Rows [`IntSide::in_runs`] compares with the row before, spread
+/// evenly over a morsel.
+const SAMPLES: usize = 16;
+
+impl KeyColumn<i64> for IntSide<'_> {
+    #[inline]
+    fn at(&self, row: usize) -> Option<i64> {
+        self.valid[row].then(|| self.vals[row])
+    }
+
+    fn run_end(&self, start: usize, end: usize) -> usize {
+        let mut at = start + 1;
+        if at >= end || !self.same(at, start) {
+            return at;
+        }
+        if self.valid[start] {
+            let key = self.vals[start];
+            let (vals, valid) = (&self.vals[..end], &self.valid[..end]);
+            while at + RUN_BLOCK <= end {
+                let block = vals[at..at + RUN_BLOCK]
+                    .iter()
+                    .zip(&valid[at..at + RUN_BLOCK]);
+                if !block.fold(true, |all, (&v, &ok)| all & ok & (v == key)) {
+                    break;
+                }
+                at += RUN_BLOCK;
+            }
+        }
+        while at < end && self.same(at, start) {
+            at += 1;
+        }
+        at
+    }
+
+    /// Estimates the share of rows whose value differs from the row
+    /// before's from [`SAMPLES`] of them spread evenly over `rows` (a
+    /// change of validity alone is not counted: this only chooses a
+    /// way), so a probe side without runs pays a few compares a morsel.
+    fn in_runs(&self, rows: Range<usize>) -> bool {
+        rows.len() >= RUN_ROWS && self.sampled_breaks(rows) * RUN_ROWS <= SAMPLES
+    }
+}
+
+impl IntSide<'_> {
+    /// How many of [`SAMPLES`] rows spread evenly over `rows` (at least
+    /// two) hold another value than the row before.
+    fn sampled_breaks(&self, rows: Range<usize>) -> usize {
+        let step = rows.len() - 1;
+        (0..SAMPLES)
+            .map(|i| rows.start + 1 + i * step / SAMPLES)
+            .filter(|&row| self.vals[row] != self.vals[row - 1])
+            .count()
+    }
+
+    /// Whether none of [`SAMPLES`] rows spread evenly over `rows` breaks
+    /// a run: the keys come in runs of about `rows.len() / SAMPLES` rows
+    /// or more.
+    fn long_runs(&self, rows: Range<usize>) -> bool {
+        rows.len() >= SAMPLES && self.sampled_breaks(rows) == 0
+    }
+}
+
+/// A key column of any type, read as [`Value`]s.
+struct ValueSide<'a>(&'a ColumnVector);
+
+impl KeyColumn<Value> for ValueSide<'_> {
+    fn at(&self, row: usize) -> Option<Value> {
+        let key = self.0.get(row);
+        (!key.is_null()).then_some(key)
+    }
+}
+
+/// A two-key table's key over the build side: the first key's column,
+/// then the second `=`'s.
+struct PairKey<'a, C> {
+    first: &'a C,
+    second: IntSide<'a>,
+}
+
+impl<K: JoinKey, C: KeyColumn<K>> KeyColumn<(K, i64)> for PairKey<'_, C> {
+    fn at(&self, row: usize) -> Option<(K, i64)> {
+        Some((self.first.at(row)?, self.second.at(row)?))
     }
 }
 
@@ -1026,6 +1243,10 @@ impl<'a> Conds<'a> {
                 }
             }
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 
     /// The rows of `r_rows` that [`Self::retain`] keeps for `l_row`:
@@ -1209,15 +1430,15 @@ impl<K: JoinKey, S: BuildHasher> JoinTable<K, S> {
     }
 
     /// Refills the table with `rows` of the build side, skipping NULL
-    /// keys (`key_at` gives `None`). `rows` ascends, so every key's
-    /// slice is in build-row order.
+    /// keys. `rows` ascends, so every key's slice is in build-row order.
     ///
     /// One pass appends the non-NULL rows in order and files them a run
-    /// of consecutive equal keys at a time — one map look-up per run, so
-    /// the three 106 361-row builds of a `job_warm` pass, 95 runs each,
-    /// cost 95 look-ups apiece. Each key's span starts where its first
-    /// run did. When no key comes back after another key's run (unique
-    /// keys, and keys already grouped) that layout is the table.
+    /// of consecutive equal keys at a time — one map look-up per run;
+    /// over the whole build side, a run past [`RUN_BLOCK`] rows is
+    /// followed by [`KeyColumn::run_end`] and appended as a range. Each
+    /// key's span starts where its first run did. When no key comes back
+    /// after another key's run (unique keys, and keys already grouped)
+    /// that layout is the table.
     /// Otherwise the spans are laid out afresh in map order and every
     /// run is copied to its key's place, indexed by where the key's
     /// first run started.
@@ -1226,11 +1447,7 @@ impl<K: JoinKey, S: BuildHasher> JoinTable<K, S> {
     /// 15–24 ns a build row on `job_warm`'s unique-key builds in place,
     /// against 8–13 out of line.
     #[inline(never)]
-    fn fill(
-        &mut self,
-        key_at: impl Fn(usize) -> Option<K>,
-        rows: impl ExactSizeIterator<Item = u32>,
-    ) {
+    fn fill(&mut self, keys: &impl KeyColumn<K>, rows: BuildRows<'_>) {
         let JoinTable {
             spans,
             rows: filed,
@@ -1257,16 +1474,31 @@ impl<K: JoinKey, S: BuildHasher> JoinTable<K, S> {
         };
         // The open run: its key and where it starts in `filed`.
         let mut run: Option<(K, usize)> = None;
-        for row in rows {
-            let Some(key) = key_at(row as usize) else {
+        let (n, whole) = (rows.len(), rows.is_whole());
+        let mut at = 0;
+        while at < n {
+            let row = rows.row(at);
+            let Some(key) = keys.at(row) else {
+                at += 1;
                 continue;
             };
-            if !run.as_ref().is_some_and(|(k, _)| k.same(&key)) {
-                if let Some((k, from)) = run.replace((key, filed.len())) {
-                    close(k, from, filed.len());
+            match &run {
+                Some((k, from)) if k.same(&key) => {
+                    if whole && filed.len() + 1 - from >= RUN_BLOCK {
+                        let end = keys.run_end(at, n);
+                        filed.extend(at as u32..end as u32);
+                        at = end;
+                        continue;
+                    }
+                }
+                _ => {
+                    if let Some((k, from)) = run.replace((key, filed.len())) {
+                        close(k, from, filed.len());
+                    }
                 }
             }
-            filed.push(row);
+            filed.push(row as u32);
+            at += 1;
         }
         if let Some((k, from)) = run {
             close(k, from, filed.len());
@@ -1366,34 +1598,79 @@ const PRESIZE_KEYS: usize = 1024;
 /// Refills `counts` with how many of `rows` of the build side file
 /// under each key, skipping NULL keys: a counting table's whole
 /// content. One map look-up per run of consecutive equal keys, as in
-/// [`JoinTable::fill`], and no row array.
-fn count_over<K, S>(
-    counts: &mut HashMap<K, u32, S>,
-    key_at: impl Fn(usize) -> Option<K>,
-    rows: impl ExactSizeIterator<Item = u32>,
-) where
+/// [`JoinTable::fill`], and no row array: the three 106 361-row builds
+/// of a `job_warm` pass, 95 runs each, cost 95 look-ups apiece. Over
+/// the whole build side (a team of one), a run past [`RUN_BLOCK`] rows
+/// is followed by [`KeyColumn::run_end`] — over an integer key, a
+/// compare of [`RUN_BLOCK`] rows at a time — not a key read per row.
+fn count_over<K, S>(counts: &mut HashMap<K, u32, S>, keys: &impl KeyColumn<K>, rows: BuildRows<'_>)
+where
     K: JoinKey,
     S: BuildHasher,
 {
     counts.clear();
     counts.reserve(rows.len().min(PRESIZE_KEYS));
-    let mut run: Option<(K, u32)> = None;
-    for row in rows {
-        let Some(key) = key_at(row as usize) else {
+    // The open run: its key and its length.
+    let mut run: Option<(K, usize)> = None;
+    let (n, whole) = (rows.len(), rows.is_whole());
+    let mut at = 0;
+    while at < n {
+        let Some(key) = keys.at(rows.row(at)) else {
+            at += 1;
             continue;
         };
-        if let Some((k, n)) = &mut run {
-            if k.same(&key) {
-                *n += 1;
-                continue;
+        match &mut run {
+            Some((k, len)) if k.same(&key) => {
+                *len += 1;
+                if whole && *len >= RUN_BLOCK {
+                    let end = keys.run_end(at, n);
+                    *len += end - at - 1;
+                    at = end;
+                    continue;
+                }
+            }
+            _ => {
+                if let Some((k, len)) = run.replace((key, 1)) {
+                    *counts.entry(k).or_insert(0) += len as u32;
+                }
             }
         }
-        if let Some((k, n)) = run.replace((key, 1)) {
-            *counts.entry(k).or_insert(0) += n;
+        at += 1;
+    }
+    if let Some((k, len)) = run {
+        *counts.entry(k).or_insert(0) += len as u32;
+    }
+}
+
+/// The build rows a table files, ascending: all of the build side (a
+/// team of one), or one partition's list.
+#[derive(Clone, Copy)]
+enum BuildRows<'a> {
+    All(usize),
+    Part(&'a [u32]),
+}
+
+impl BuildRows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            BuildRows::All(n) => *n,
+            BuildRows::Part(rows) => rows.len(),
         }
     }
-    if let Some((k, n)) = run {
-        *counts.entry(k).or_insert(0) += n;
+
+    /// The build row at position `at`.
+    #[inline]
+    fn row(&self, at: usize) -> usize {
+        match self {
+            BuildRows::All(_) => at,
+            BuildRows::Part(rows) => rows[at] as usize,
+        }
+    }
+
+    /// Whether the rows are the whole build side, so that a run of
+    /// positions is a run of rows.
+    fn is_whole(&self) -> bool {
+        matches!(self, BuildRows::All(_))
     }
 }
 
@@ -1421,19 +1698,13 @@ struct TableForm<'a> {
 /// type of its own, so each gets a probe loop of its own, with no branch
 /// on the form per probe row (one such branch cost `template_zipf`'s
 /// 300 × 13-row probes 8–9 % of `execute`).
-trait HashTable<K>: Default + Sized + Send + Sync + 'static {
+trait HashTable<K: JoinKey>: Default + Sized + Send + Sync + 'static {
     /// What a probe row matches when no build row shares both its keys.
     const NOTHING: Matches<'static>;
 
     /// Refills the table with `rows` of the build side, whose first key
-    /// is `first` (`None` for NULL). `rows` ascends, so each key's rows
-    /// do.
-    fn fill(
-        &mut self,
-        form: TableForm<'_>,
-        first: impl Fn(usize) -> Option<K>,
-        rows: impl ExactSizeIterator<Item = u32> + Clone,
-    );
+    /// is `first`. `rows` ascends, so each key's rows do.
+    fn fill(&mut self, form: TableForm<'_>, first: &impl KeyColumn<K>, rows: BuildRows<'_>);
 
     /// Whether no build row filed under a key.
     fn is_empty(&self) -> bool;
@@ -1463,12 +1734,7 @@ where
 {
     const NOTHING: Matches<'static> = Matches::Rows(&[]);
 
-    fn fill(
-        &mut self,
-        _: TableForm<'_>,
-        first: impl Fn(usize) -> Option<K>,
-        rows: impl ExactSizeIterator<Item = u32> + Clone,
-    ) {
+    fn fill(&mut self, _: TableForm<'_>, first: &impl KeyColumn<K>, rows: BuildRows<'_>) {
         JoinTable::fill(self, first, rows)
     }
 
@@ -1496,12 +1762,7 @@ where
 {
     const NOTHING: Matches<'static> = Matches::Count(0);
 
-    fn fill(
-        &mut self,
-        _: TableForm<'_>,
-        first: impl Fn(usize) -> Option<K>,
-        rows: impl ExactSizeIterator<Item = u32> + Clone,
-    ) {
+    fn fill(&mut self, _: TableForm<'_>, first: &impl KeyColumn<K>, rows: BuildRows<'_>) {
         count_over(self, first, rows)
     }
 
@@ -1552,15 +1813,10 @@ where
 {
     const NOTHING: Matches<'static> = T::NOTHING;
 
-    fn fill(
-        &mut self,
-        form: TableForm<'_>,
-        first: impl Fn(usize) -> Option<K>,
-        rows: impl ExactSizeIterator<Item = u32> + Clone,
-    ) {
-        count_over(&mut self.firsts, &first, rows.clone());
-        let pair = |row| Some((first(row)?, form.second?.right(row)?));
-        self.pairs.fill(form, pair, rows);
+    fn fill(&mut self, form: TableForm<'_>, first: &impl KeyColumn<K>, rows: BuildRows<'_>) {
+        count_over(&mut self.firsts, first, rows);
+        let second = form.second.expect("a two-key table has a second key").r;
+        self.pairs.fill(form, &PairKey { first, second }, rows);
     }
 
     fn is_empty(&self) -> bool {
@@ -1584,10 +1840,10 @@ where
 /// (`build_key`; NULL keys are dropped) into the partitions
 /// [`build_tables`] reads, each ascending. `None` for a team of one,
 /// which builds one table.
-fn partition_build<K: Hash>(
+fn partition_build<K: JoinKey>(
     ctx: &Ctx<'_>,
     build_rows: usize,
-    build_key: &(impl Fn(usize) -> Option<K> + Sync),
+    build_key: &impl KeyColumn<K>,
 ) -> Result<Option<Vec<Vec<u32>>>, ExecError> {
     let parts = ctx.partitions();
     if parts == 1 {
@@ -1596,7 +1852,7 @@ fn partition_build<K: Hash>(
     }
     let mask = parts - 1;
     let partitions = partition_rows(ctx, build_rows, parts, |row| {
-        build_key(row).map(|k| partition_of(&k, mask))
+        build_key.at(row).map(|k| partition_of(&k, mask))
     })?;
     Ok(Some(partitions))
 }
@@ -1612,7 +1868,7 @@ fn build_tables<K, T>(
     build_rows: usize,
     partitions: Option<&[Vec<u32>]>,
     form: TableForm<'_>,
-    first: &(impl Fn(usize) -> Option<K> + Sync),
+    first: &impl KeyColumn<K>,
 ) -> Result<Vec<T>, ExecError>
 where
     K: JoinKey,
@@ -1626,7 +1882,7 @@ where
     match partitions {
         None => {
             let mut table: T = scratch.table();
-            table.fill(form, first, 0..build_rows as u32);
+            table.fill(form, first, BuildRows::All(build_rows));
             tables.push(table);
         }
         // Sized from the build side: a small build does not pay a team
@@ -1636,7 +1892,7 @@ where
             partitions.len(),
             |p| {
                 let mut table = T::default();
-                table.fill(form, first, partitions[p].iter().copied());
+                table.fill(form, first, BuildRows::Part(&partitions[p]));
                 Ok(table)
             },
         )?),
@@ -1645,7 +1901,7 @@ where
 }
 
 /// Hands a build's tables, and their list, back to the arena.
-fn give_tables<K, T: HashTable<K>>(scratch: &mut Scratch, mut tables: Vec<T>) {
+fn give_tables<K: JoinKey, T: HashTable<K>>(scratch: &mut Scratch, mut tables: Vec<T>) {
     for table in tables.drain(..) {
         scratch.give_table(table);
     }
@@ -1679,8 +1935,8 @@ impl HashJoin<'_> {
         &self,
         ctx: &Ctx<'_>,
         workers: &mut [Scratch],
-        build_key: impl Fn(usize) -> Option<K> + Sync,
-        probe_key: impl Fn(usize) -> Option<K> + Sync,
+        build_key: impl KeyColumn<K>,
+        probe_key: impl KeyColumn<K>,
     ) -> Result<Chunk, ExecError>
     where
         K: JoinKey,
@@ -1713,8 +1969,8 @@ impl HashJoin<'_> {
         ctx: &Ctx<'_>,
         workers: &mut [Scratch],
         partitions: Option<&[Vec<u32>]>,
-        build_key: &(impl Fn(usize) -> Option<K> + Sync),
-        probe_key: &(impl Fn(usize) -> Option<K> + Sync),
+        build_key: &impl KeyColumn<K>,
+        probe_key: &impl KeyColumn<K>,
     ) -> Result<Chunk, ExecError> {
         let (join, form, residual) = (self.join, self.form, &self.residual);
         let build_rows = join.right.rows;
@@ -1734,8 +1990,8 @@ impl HashJoin<'_> {
             let mask = tables.len() - 1;
             let tables = &tables;
             let look = |row| {
-                let k1 = probe_key(row)?;
-                let k2 = || form.second.and_then(|k2| k2.left(row));
+                let k1 = probe_key.at(row)?;
+                let k2 = || form.second.and_then(|k2| k2.l.at(row));
                 tables[partition_of(&k1, mask)].look(k1, k2)
             };
             run_morsels(
@@ -1752,20 +2008,30 @@ impl HashJoin<'_> {
                         ..
                     } = scratch;
                     let mut emitter = PairEmitter::new(join, l_rows, r_rows, chunk);
-                    for row in range {
-                        let Some((candidates, matches)) = look(row) else {
-                            continue;
-                        };
-                        charger.charge(u64::from(candidates))?;
-                        match matches {
-                            Matches::Rows(rows) => {
-                                let matches = residual.narrow(row, rows, sel);
-                                charger.charge(matches.len() as u64)?;
-                                emitter.push_run(row as u32, matches);
-                            }
-                            Matches::Count(n) => {
-                                charger.charge(u64::from(n))?;
-                                emitter.count(n as usize);
+                    let second = form.second.map(|k2| k2.l);
+                    if probe_key.in_runs(range.clone())
+                        && second.is_none_or(|k2| k2.in_runs(range.clone()))
+                    {
+                        let end = range.end;
+                        let run_end = |start| runs_end(probe_key, second, start, end);
+                        let out = &mut emitter;
+                        probe_runs(range, run_end, &look, residual, sel, charger, out)?;
+                    } else {
+                        for row in range {
+                            let Some((candidates, matches)) = look(row) else {
+                                continue;
+                            };
+                            charger.charge(u64::from(candidates))?;
+                            match matches {
+                                Matches::Rows(rows) => {
+                                    let matches = residual.narrow(row, rows, sel);
+                                    charger.charge(matches.len() as u64)?;
+                                    emitter.push_run(row as u32, matches);
+                                }
+                                Matches::Count(n) => {
+                                    charger.charge(u64::from(n))?;
+                                    emitter.repeat(row as u32, n as usize);
+                                }
                             }
                         }
                     }
@@ -1777,6 +2043,92 @@ impl HashJoin<'_> {
         give_tables::<K, T>(&mut workers[0], tables);
         out
     }
+}
+
+/// A hash probe over `rows` a run of equal keys at a time (`run_end`
+/// finds where each ends): one look-up per run, the run's candidates
+/// charged in one add, then [`emit_run`]. Kept out of line, so that the
+/// row-at-a-time loop beside it compiles as it would alone.
+#[inline(never)]
+fn probe_runs<'t>(
+    rows: Range<usize>,
+    run_end: impl Fn(usize) -> usize,
+    look: &impl Fn(usize) -> Option<(u32, Matches<'t>)>,
+    residual: &Conds<'_>,
+    sel: &mut Vec<u32>,
+    charger: &mut Charger<'_>,
+    emitter: &mut PairEmitter<'_, '_>,
+) -> Result<(), ExecError> {
+    let mut start = rows.start;
+    while start < rows.end {
+        let end = run_end(start);
+        if let Some((candidates, matches)) = look(start) {
+            charger.charge((end - start) as u64 * u64::from(candidates))?;
+            emit_run(start..end, matches, residual, sel, charger, emitter)?;
+        }
+        start = end;
+    }
+    Ok(())
+}
+
+/// Where the run of probe rows from `start` that hold `first`'s key
+/// and, in a two-key join, `second`'s ends, at `end` at most. The two
+/// are followed together a doubling block at a time, so that neither is
+/// read far past the shorter run.
+fn runs_end<K: JoinKey>(
+    first: &impl KeyColumn<K>,
+    second: Option<IntSide<'_>>,
+    start: usize,
+    end: usize,
+) -> usize {
+    let Some(second) = second else {
+        return first.run_end(start, end);
+    };
+    let mut block = RUN_BLOCK;
+    loop {
+        let bound = (start + block).min(end);
+        let at = second.run_end(start, first.run_end(start, bound));
+        if at < bound || bound == end {
+            return at;
+        }
+        block *= 2;
+    }
+}
+
+/// Emits the matches of a run of probe rows that share one key (a run
+/// may be one row): the build rows or the count that a look-up or a
+/// nested loop's scan found, the rows narrowed a probe row at a time by
+/// the residual conditions when there are any — they read the probe
+/// row. Without any, every row of the run keeps them all, and the run's
+/// matches are charged in one add. A count is only found where no
+/// condition is left.
+#[inline]
+fn emit_run(
+    run: Range<usize>,
+    matches: Matches<'_>,
+    residual: &Conds<'_>,
+    sel: &mut Vec<u32>,
+    charger: &mut Charger<'_>,
+    emitter: &mut PairEmitter<'_, '_>,
+) -> Result<(), ExecError> {
+    match matches {
+        Matches::Rows(rows) if residual.is_empty() => {
+            charger.charge(run.len() as u64 * rows.len() as u64)?;
+            emitter.push_runs(run, rows);
+        }
+        Matches::Rows(rows) => {
+            for row in run {
+                let matches = residual.narrow(row, rows, sel);
+                charger.charge(matches.len() as u64)?;
+                emitter.push_run(row as u32, matches);
+            }
+        }
+        Matches::Count(n) => {
+            charger.charge(run.len() as u64 * u64::from(n))?;
+            emitter.repeat_run(run, n as usize);
+        }
+    }
+    Ok(())
 }
 
 /// Hash join on the first `=` condition (the row oracle's key, so the
@@ -1809,20 +2161,12 @@ fn hash_join(
     };
     if join.keys.int_key {
         let key = join.int_cond(at);
-        hash.run::<i64, IntHasher>(ctx, workers, |row| key.right(row), |row| key.left(row))
+        hash.run::<i64, IntHasher>(ctx, workers, key.r, key.l)
     } else {
-        let non_null = |col: &ColumnVector, row| {
-            let k = col.get(row);
-            (!k.is_null()).then_some(k)
-        };
-        let build_col = &join.right.cols[join.conds[at].r_slot];
-        let probe_col = &join.left.cols[join.conds[at].l_slot];
-        hash.run::<Value, RandomState>(
-            ctx,
-            workers,
-            |row| non_null(build_col, row),
-            |row| non_null(probe_col, row),
-        )
+        let cond = join.conds[at];
+        let build = ValueSide(&join.right.cols[cond.r_slot]);
+        let probe = ValueSide(&join.left.cols[cond.l_slot]);
+        hash.run::<Value, RandomState>(ctx, workers, build, probe)
     }
 }
 
@@ -1842,14 +2186,26 @@ fn hash_join(
 /// op in all.
 const LOOKUP_PAIRS: u64 = 32;
 
+/// Scanned pairs that one table row is worth when the inner keys come
+/// in long runs ([`IntSide::long_runs`]): [`JoinTable::fill`] files
+/// such a build a block of rows at a time, so it costs about as much as
+/// two scanned pairs a row. With it, the 3 × 47 441-row nested loop of a
+/// `job_warm` op looks up, and that op's minimum time fell 223 → 159 µs.
+const RUN_BUILD_PAIRS: u64 = 2;
+
 /// Whether an integer-keyed nested loop of `probe` × `inner` rows finds
 /// its pairs through a table over the inner side rather than by
-/// scanning the inner key slice per probe row (see [`LOOKUP_PAIRS`]).
-/// Row counts alone decide; both ways find the same pairs in the same
-/// order.
-fn looks_up(probe: usize, inner: usize) -> bool {
+/// scanning the inner key slice per probe row (see [`LOOKUP_PAIRS`];
+/// [`RUN_BUILD_PAIRS`] when `long_runs`, the inner keys come in long
+/// runs). Both ways find the same pairs in the same order.
+fn looks_up(probe: usize, inner: usize, long_runs: bool) -> bool {
+    let build = if long_runs {
+        RUN_BUILD_PAIRS
+    } else {
+        LOOKUP_PAIRS
+    };
     let (probe, inner) = (probe as u64, inner as u64);
-    probe * inner > LOOKUP_PAIRS * (probe + inner)
+    probe * inner > LOOKUP_PAIRS * probe + build * inner
 }
 
 /// Nested-loop join: probe morsels against the fully materialised
@@ -1876,10 +2232,10 @@ fn nested_join(
     let rest = Conds::resolve(join);
     let int_key = join.keys.key.map(|at| join.int_cond(at));
     let table: Option<IntTable> = int_key
-        .filter(|_| looks_up(left.rows, inner_rows))
+        .filter(|key| looks_up(left.rows, inner_rows, key.r.long_runs(0..inner_rows)))
         .map(|key| {
             let mut table: IntTable = workers[0].table();
-            table.fill(|row| key.right(row), 0..inner_rows as u32);
+            table.fill(&key.r, BuildRows::All(inner_rows));
             table
         });
     let out = run_morsels(
@@ -1890,41 +2246,44 @@ fn nested_join(
         &|scratch, charger, range, chunk| {
             let Scratch {
                 sel,
+                keyed,
                 l_rows,
                 r_rows,
                 ..
             } = scratch;
             let mut emitter = PairEmitter::new(join, l_rows, r_rows, chunk);
-            for row in range {
-                charger.charge(inner_rows as u64)?;
-                let matches = match (&int_key, &table) {
-                    (Some(key), Some(table)) => {
-                        let found = key.left(row).and_then(|k| table.get(&k));
-                        rest.narrow(row, found.unwrap_or_default(), sel)
-                    }
-                    (Some(key), None) => {
-                        sel.clear();
-                        if let Some(k) = key.left(row) {
-                            for (b_row, (&b_key, &valid)) in
-                                key.r_vals.iter().zip(key.r_valid).enumerate()
-                            {
-                                if b_key == k && valid {
-                                    sel.push(b_row as u32);
-                                }
-                            }
-                        }
-                        rest.retain(row, sel);
-                        &sel[..]
-                    }
-                    (None, _) => {
-                        sel.clear();
-                        sel.extend(0..inner_rows as u32);
-                        rest.retain(row, sel);
-                        &sel[..]
-                    }
+            if let Some(key) = int_key.filter(|key| key.l.in_runs(range.clone())) {
+                let inner = InnerKey {
+                    key,
+                    table: table.as_ref(),
                 };
-                charger.charge(matches.len() as u64)?;
-                emitter.push_run(row as u32, matches);
+                nested_runs(range, inner, &rest, keyed, sel, charger, &mut emitter)?;
+            } else {
+                for row in range {
+                    charger.charge(inner_rows as u64)?;
+                    let matches = match (&int_key, &table) {
+                        (Some(key), Some(table)) => {
+                            let found = key.l.at(row).and_then(|k| table.get(&k));
+                            rest.narrow(row, found.unwrap_or_default(), sel)
+                        }
+                        (Some(key), None) => {
+                            sel.clear();
+                            if let Some(k) = key.l.at(row) {
+                                scan_key(key.r, k, sel);
+                            }
+                            rest.retain(row, sel);
+                            &sel[..]
+                        }
+                        (None, _) => {
+                            sel.clear();
+                            sel.extend(0..inner_rows as u32);
+                            rest.retain(row, sel);
+                            &sel[..]
+                        }
+                    };
+                    charger.charge(matches.len() as u64)?;
+                    emitter.push_run(row as u32, matches);
+                }
             }
             emitter.flush();
             Ok(())
@@ -1934,6 +2293,70 @@ fn nested_join(
         workers[0].give_table(table);
     }
     out
+}
+
+/// A nested loop over `rows` a run of equal probe keys at a time: each
+/// run is charged its pairs in one add, finds its key's inner rows
+/// once ([`InnerKey::find`], into `keyed`) and goes to [`emit_run`].
+/// Kept out of line, as [`probe_runs`] is.
+#[inline(never)]
+fn nested_runs(
+    rows: Range<usize>,
+    inner: InnerKey<'_>,
+    residual: &Conds<'_>,
+    keyed: &mut Vec<u32>,
+    sel: &mut Vec<u32>,
+    charger: &mut Charger<'_>,
+    emitter: &mut PairEmitter<'_, '_>,
+) -> Result<(), ExecError> {
+    let (probe, inner_rows) = (inner.key.l, inner.key.r.vals.len() as u64);
+    let mut start = rows.start;
+    while start < rows.end {
+        let end = probe.run_end(start, rows.end);
+        charger.charge((end - start) as u64 * inner_rows)?;
+        let matches = probe.at(start).map_or(&[][..], |k| inner.find(k, keyed));
+        let matches = Matches::Rows(matches);
+        emit_run(start..end, matches, residual, sel, charger, emitter)?;
+        start = end;
+    }
+    Ok(())
+}
+
+/// How an integer-keyed nested loop finds a probe key's inner rows: in
+/// a table over the inner side, or by scanning its key column.
+#[derive(Clone, Copy)]
+struct InnerKey<'a> {
+    key: IntCond<'a>,
+    table: Option<&'a IntTable>,
+}
+
+impl InnerKey<'_> {
+    /// The inner rows whose key is `k`, ascending: the table's slice,
+    /// or the scanned rows, in `buf`.
+    fn find<'b>(&'b self, k: i64, buf: &'b mut Vec<u32>) -> &'b [u32] {
+        match self.table {
+            Some(table) => table.get(&k).unwrap_or_default(),
+            None => {
+                buf.clear();
+                scan_key(self.key.r, k, buf);
+                buf
+            }
+        }
+    }
+}
+
+/// Appends the rows of `inner` whose key is `k`, in order: one compare
+/// and one branch a row. Matches are rare on the scanned shapes, so the
+/// branch predicts well; a branch-free form that wrote every row and
+/// advanced by the compare read 94.5 against 46.0 µs on a 3 × 47 441-row
+/// scan.
+#[inline]
+fn scan_key(inner: IntSide<'_>, k: i64, out: &mut Vec<u32>) {
+    for (row, (&key, &valid)) in inner.vals.iter().zip(inner.valid).enumerate() {
+        if key == k && valid {
+            out.push(row as u32);
+        }
+    }
 }
 
 /// Sort-merge join: the two key sorts run concurrently (a stable sort,
@@ -2823,10 +3246,16 @@ mod tests {
     #[test]
     fn lookup_rule_on_the_measured_shapes() {
         for (probe, inner) in [(124, 9_726), (853, 2_640), (32_064, 38), (105, 9_726)] {
-            assert!(looks_up(probe, inner), "{probe} × {inner} should look up");
+            assert!(
+                looks_up(probe, inner, false),
+                "{probe} × {inner} should look up"
+            );
         }
         for (probe, inner) in [(3, 47_441), (1, 66_840), (600, 0), (0, 600), (64, 64)] {
-            assert!(!looks_up(probe, inner), "{probe} × {inner} should scan");
+            assert!(
+                !looks_up(probe, inner, false),
+                "{probe} × {inner} should scan"
+            );
         }
     }
 
@@ -2871,6 +3300,15 @@ mod tests {
         out
     }
 
+    /// A build side's key column, read off a list of keys.
+    struct Listed<'a, K>(&'a [Option<K>]);
+
+    impl<K: JoinKey + Clone> KeyColumn<K> for Listed<'_, K> {
+        fn at(&self, row: usize) -> Option<K> {
+            self.0[row].clone()
+        }
+    }
+
     /// The reference a join table must equal: a `Vec` per key, pushed
     /// in row order.
     fn reference_table<K: Hash + Eq + Clone>(keys: &[Option<K>]) -> HashMap<K, Vec<u32>> {
@@ -2898,12 +3336,14 @@ mod tests {
             .collect();
         let s_vals: Vec<i64> = seconds.iter().map(|k| k.unwrap_or(0)).collect();
         let s_valid: Vec<bool> = seconds.iter().map(Option::is_some).collect();
+        let side = IntSide {
+            vals: &s_vals,
+            valid: &s_valid,
+        };
         let second = IntCond {
             op: CompareOp::Eq,
-            l_vals: &s_vals,
-            l_valid: &s_valid,
-            r_vals: &s_vals,
-            r_valid: &s_valid,
+            l: side,
+            r: side,
         };
         let pair_keys: Vec<Option<(K, i64)>> = keys
             .iter()
@@ -2982,7 +3422,7 @@ mod tests {
             morsel_rows,
             budget: &budget,
         };
-        let first = |row: usize| keys[row].clone();
+        let first = Listed(keys);
         let parts = partition_build(&ctx, keys.len(), &first).unwrap();
         let mut scratch = Scratch::default();
         let tables: Vec<T> = build_tables(
@@ -3066,7 +3506,7 @@ mod tests {
             .map(|&f| Some(Value::Float(f)))
             .collect();
         let mut table: JoinTable<Value, BuildHasherDefault<KeyHasher>> = JoinTable::default();
-        table.fill(|row| keys[row].clone(), 0..keys.len() as u32);
+        table.fill(&Listed(&keys), BuildRows::All(keys.len()));
         assert_eq!(table.get(&Value::Float(0.0)), Some(&[0, 3, 5][..]));
         assert_eq!(table.get(&Value::Float(-0.0)), Some(&[1, 2][..]));
         assert_eq!(table.get(&Value::Float(2.0)), None);

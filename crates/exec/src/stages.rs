@@ -57,7 +57,7 @@ pub(crate) enum Carry {
 
 /// Where a join output column is gathered from: a slot of the left
 /// (probe) input or a slot of the right (build) input.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Side {
     Left(usize),
     Right(usize),
@@ -378,6 +378,17 @@ impl StageList {
         }
         let out_map = map_start..self.out_map.len();
         let keys = self.keys(algo, cond_range.clone(), left, right, out_map.is_empty());
+        // Every pair a typed integer `=` key emits holds one value on both
+        // sides of it, so the build's key column is served from the
+        // probe's. A merge join's or a `Value` key keeps its build column.
+        if let Some(at) = keys.key.filter(|_| keys.int_key && algo != JoinAlgo::Merge) {
+            let key = self.conds[cond_range.start + at];
+            for side in &mut self.out_map[out_map.clone()] {
+                if matches!(*side, Side::Right(slot) if slot == key.r_slot) {
+                    *side = Side::Left(key.l_slot);
+                }
+            }
+        }
         self.stages.push(Stage {
             op: Op::Join {
                 algo,
@@ -509,4 +520,164 @@ fn check_join(
         )));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::row::Layout;
+    use hfqo_query::{JoinEdge, Relation};
+    use hfqo_storage::catalog::{Column, TableSchema};
+
+    /// Relations `l` and `r` (and `s`) of one table `(i, f, t, j)` — an
+    /// integer, a float, a text and a second integer column — and edges
+    /// 0 `l.i = r.i`, 1 `l.f = r.f`, 2 `l.t = r.t`, 3 `l.i < r.i`, 4
+    /// `l.j = r.i`, 5 `r.i = s.i`, 6 `r.f = s.f`, 7 `r.t = s.t`.
+    fn world() -> (Catalog, QueryGraph) {
+        let mut catalog = Catalog::new();
+        let cols = [
+            ("i", ColumnType::Int),
+            ("f", ColumnType::Float),
+            ("t", ColumnType::Text),
+            ("j", ColumnType::Int),
+        ];
+        let schema = cols.map(|(name, ty)| Column::new(name, ty)).to_vec();
+        let table = catalog.add_table(TableSchema::new("x", schema)).unwrap();
+        let col = |rel, c| BoundColumn::new(RelId(rel), ColumnId(c));
+        let edge = |l, lc, op, r, rc| JoinEdge {
+            left: col(l, lc),
+            op,
+            right: col(r, rc),
+        };
+        let relations = ["l", "r", "s"].map(|alias| Relation {
+            table,
+            alias: alias.into(),
+        });
+        let graph = QueryGraph::new(
+            relations.to_vec(),
+            vec![
+                edge(0, 0, CompareOp::Eq, 1, 0),
+                edge(0, 1, CompareOp::Eq, 1, 1),
+                edge(0, 2, CompareOp::Eq, 1, 2),
+                edge(0, 0, CompareOp::Lt, 1, 0),
+                edge(0, 3, CompareOp::Eq, 1, 0),
+                edge(1, 0, CompareOp::Eq, 2, 0),
+                edge(1, 1, CompareOp::Eq, 2, 1),
+                edge(1, 2, CompareOp::Eq, 2, 2),
+            ],
+            vec![],
+            vec![],
+            vec![],
+        );
+        (catalog, graph)
+    }
+
+    fn scan(rel: u32) -> Box<PlanNode> {
+        Box::new(PlanNode::Scan {
+            rel: RelId(rel),
+            path: AccessPath::SeqScan,
+        })
+    }
+
+    /// The output map of `l ⋈ r` by `algo` on `conds`, of which the root
+    /// `⋈ s` on edge `above` asks one column of `r` and nothing else.
+    fn out_map(algo: JoinAlgo, conds: &[usize], above: usize) -> Vec<Side> {
+        let (catalog, graph) = world();
+        let lower = PlanNode::Join {
+            algo,
+            conds: conds.to_vec(),
+            left: scan(0),
+            right: scan(1),
+        };
+        let root = PlanNode::Join {
+            algo: JoinAlgo::Hash,
+            conds: vec![above],
+            left: Box::new(lower),
+            right: scan(2),
+        };
+        let mut list = StageList::default();
+        list.derive(&catalog, &graph, &root, Carry::Nothing, false)
+            .expect("a valid plan");
+        let Op::Join { out_map, .. } = &list.stages()[2].op else {
+            panic!("the lower join is the third stage");
+        };
+        list.out_map(out_map).to_vec()
+    }
+
+    #[test]
+    fn only_a_typed_integer_key_serves_the_build_key_from_the_probe_side() {
+        // The root asks for `r.i` (edge 5), `r.f` (6) or `r.t` (7). Each
+        // side carries the columns of the conditions in column order, so
+        // with one condition the key is slot 0 on both sides.
+        let (hash, nested, merge) = (JoinAlgo::Hash, JoinAlgo::NestedLoop, JoinAlgo::Merge);
+        assert_eq!(out_map(hash, &[0], 5), [Side::Left(0)]);
+        assert_eq!(out_map(nested, &[0], 5), [Side::Left(0)]);
+        assert_eq!(out_map(hash, &[0, 3], 5), [Side::Left(0)]);
+        // Another integer `=` on `r.i`: served from `l.j`.
+        assert_eq!(out_map(hash, &[4], 5), [Side::Left(0)]);
+        // A merge join keeps its build column.
+        assert_eq!(out_map(merge, &[0], 5), [Side::Right(0)]);
+        // Float and text keys keep theirs.
+        assert_eq!(out_map(hash, &[1], 6), [Side::Right(0)]);
+        assert_eq!(out_map(hash, &[2], 7), [Side::Right(0)]);
+        assert_eq!(out_map(nested, &[0, 1], 6), [Side::Right(1)]);
+        // A float key with a second, integer `=`: only the key is served,
+        // and it is no typed key.
+        assert_eq!(out_map(hash, &[1, 0], 5), [Side::Right(0)]);
+        assert_eq!(out_map(hash, &[1, 0], 6), [Side::Right(1)]);
+        // A nested loop with no `=` has no key.
+        assert_eq!(out_map(nested, &[3], 5), [Side::Right(0)]);
+    }
+
+    #[test]
+    fn build_columns_other_than_the_key_keep_the_build_side() {
+        // Everything carried: the build key `r.i` (output slot 4) comes
+        // from the probe's `l.i`, the other build columns from the build.
+        let (catalog, graph) = world();
+        let root = PlanNode::Join {
+            algo: JoinAlgo::Hash,
+            conds: vec![0],
+            left: scan(0),
+            right: scan(1),
+        };
+        let mut list = StageList::default();
+        list.derive(&catalog, &graph, &root, Carry::Everything, false)
+            .expect("a valid plan");
+        let join = &list.stages()[2];
+        let Op::Join { out_map, .. } = &join.op else {
+            panic!("the join is the third stage");
+        };
+        let expected: Vec<Side> = (0..4)
+            .map(Side::Left)
+            .chain([Side::Left(0)])
+            .chain((1..4).map(Side::Right))
+            .collect();
+        assert_eq!(list.out_map(out_map), expected);
+    }
+
+    #[test]
+    fn an_everything_root_is_column_identical_to_the_row_layout() {
+        let (catalog, graph) = world();
+        let lower = PlanNode::Join {
+            algo: JoinAlgo::NestedLoop,
+            conds: vec![0, 4],
+            left: scan(0),
+            right: scan(1),
+        };
+        let root = PlanNode::Join {
+            algo: JoinAlgo::Hash,
+            conds: vec![5],
+            left: scan(2),
+            right: Box::new(lower),
+        };
+        let mut list = StageList::default();
+        list.derive(&catalog, &graph, &root, Carry::Everything, true)
+            .expect("a valid plan");
+        let columns = list.columns(list.stages().last().expect("a stage"));
+        let layout = Layout::for_node(&root, &graph, &catalog);
+        assert_eq!(columns.len(), layout.width());
+        for (slot, &col) in columns.iter().enumerate() {
+            assert_eq!(layout.slot(col), Some(slot), "{col:?}");
+        }
+    }
 }

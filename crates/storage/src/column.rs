@@ -754,6 +754,35 @@ impl ColumnVector {
         }
     }
 
+    /// Appends `n` copies of `src[row]` — a fill, where a gather of the
+    /// same row `n` times would read it `n` times. A column that must
+    /// grow grows to a power of two, the capacity that gathers of a
+    /// power-of-two batch reach, not to twice its length: over many
+    /// fills of one odd size, doubling compounds the overshoot (fills of
+    /// 177 rows left a 106 361-row column with room for 181 248).
+    /// Panics on type mismatch, like `ColumnVector::push_from`.
+    pub fn append_copies(&mut self, src: &ColumnVector, row: usize, n: usize) {
+        match (self, src) {
+            (Self::Int(v, valid), Self::Int(sv, sn)) => {
+                fill(v, n, sv[row]);
+                fill(valid, n, sn[row]);
+            }
+            (Self::Float(v, valid), Self::Float(sv, sn)) => {
+                fill(v, n, sv[row]);
+                fill(valid, n, sn[row]);
+            }
+            (Self::Str(v, valid), Self::Str(sv, sn)) => {
+                fill(v, n, Arc::clone(&sv[row]));
+                fill(valid, n, sn[row]);
+            }
+            (dst, src) => {
+                for _ in 0..n {
+                    dst.push_from(src, row);
+                }
+            }
+        }
+    }
+
     /// Appends `src[row]` for every row id in `rows` — a gather. The
     /// typed match happens once per call instead of once per value.
     pub fn gather_into(&self, rows: &[u32], out: &mut ColumnVector) {
@@ -1036,6 +1065,16 @@ fn dict_code(values: &mut Vec<Arc<str>>, s: &str) -> u32 {
     }
 }
 
+/// Appends `n` copies of `x` to `v`, growing it to a power of two when
+/// it must grow ([`ColumnVector::append_copies`]).
+fn fill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    let len = v.len() + n;
+    if len > v.capacity() {
+        v.reserve_exact(len.next_power_of_two() - v.len());
+    }
+    v.resize(len, x);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1261,6 +1300,37 @@ mod tests {
         assert_eq!(dst.get(1), Value::Int(3));
         dst.append_range(&src, 0, 0);
         assert_eq!(dst.len(), 2);
+    }
+
+    #[test]
+    fn append_copies_equals_a_gather_of_one_row() {
+        let ints = [Value::Int(-4), Value::Null];
+        let floats = [Value::Float(-0.0), Value::Null];
+        let texts = [Value::str("kiwi"), Value::Null];
+        use ColumnType::{Float, Int, Text};
+        for (ty, values) in [(Int, &ints), (Float, &floats), (Text, &texts)] {
+            let mut src = ColumnVector::new(ty);
+            for v in values {
+                src.push(v);
+            }
+            let mut sources = vec![src.clone()];
+            sources.extend(src.dictionary_encoded(4));
+            for src in &sources {
+                for (row, n) in [(0, 0), (0, 5), (1, 3)] {
+                    let (mut filled, mut gathered) = (src.decoded(), src.decoded());
+                    filled.append_copies(src, row, n);
+                    src.gather_into(&vec![row as u32; n], &mut gathered);
+                    assert_eq!(filled.len(), 2 + n);
+                    for at in 0..filled.len() {
+                        assert_eq!(filled.is_null(at), gathered.is_null(at));
+                        assert_eq!(
+                            format!("{:?}", filled.get(at)),
+                            format!("{:?}", gathered.get(at))
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn sample_runs_int_column() -> ColumnVector {

@@ -689,18 +689,37 @@ mod join_paths {
         b_keys: &[Option<i64>],
         rng: &mut StdRng,
     ) -> (Database, QueryGraph) {
+        let edges = [
+            (0, 0, CompareOp::Eq, 1, 0),
+            (0, 1, CompareOp::Eq, 1, 1),
+            (0, 1, CompareOp::Lt, 1, 1),
+        ];
+        tables(&[a_keys, b_keys], &edges, rng)
+    }
+
+    /// Relations `a`, `b`, `c`, … of shape `(k, r)`, the `i`th holding
+    /// `keys[i]` and `r` in `0..4` or NULL, and a graph over them whose
+    /// edges are `(relation, column, op, relation, column)`.
+    fn tables(
+        keys: &[&[Option<i64>]],
+        edges: &[(u32, u32, CompareOp, u32, u32)],
+        rng: &mut StdRng,
+    ) -> (Database, QueryGraph) {
         let cols = || {
             vec![
                 Column::nullable("k", ColumnType::Int),
                 Column::nullable("r", ColumnType::Int),
             ]
         };
+        let names = ["a", "b", "c"];
         let mut cat = Catalog::new();
-        let a = cat.add_table(TableSchema::new("a", cols())).unwrap();
-        let b = cat.add_table(TableSchema::new("b", cols())).unwrap();
+        let ids: Vec<_> = names[..keys.len()]
+            .iter()
+            .map(|name| cat.add_table(TableSchema::new(*name, cols())).unwrap())
+            .collect();
         let mut db = Database::new(cat);
-        for (table, keys) in [(a, a_keys), (b, b_keys)] {
-            for &k in keys {
+        for (&table, keys) in ids.iter().zip(keys) {
+            for &k in keys.iter() {
                 let r = match rng.gen_range(0..8u32) {
                     0 => Value::Null,
                     r => Value::Int(i64::from(r % 4)),
@@ -709,26 +728,24 @@ mod join_paths {
                 db.table_mut(table).unwrap().append_row(&row).unwrap();
             }
         }
-        let edge = |col: u32, op| JoinEdge {
-            left: BoundColumn::new(RelId(0), ColumnId(col)),
-            op,
-            right: BoundColumn::new(RelId(1), ColumnId(col)),
-        };
-        let relation = |table, alias: &str| Relation {
-            table,
-            alias: alias.into(),
-        };
-        let graph = QueryGraph::new(
-            vec![relation(a, "a"), relation(b, "b")],
-            vec![
-                edge(0, CompareOp::Eq),
-                edge(1, CompareOp::Eq),
-                edge(1, CompareOp::Lt),
-            ],
-            vec![],
-            vec![],
-            vec![],
-        );
+        let column = |rel: u32, col: u32| BoundColumn::new(RelId(rel), ColumnId(col));
+        let joins = edges
+            .iter()
+            .map(|&(l_rel, l_col, op, r_rel, r_col)| JoinEdge {
+                left: column(l_rel, l_col),
+                op,
+                right: column(r_rel, r_col),
+            })
+            .collect();
+        let relations = ids
+            .iter()
+            .zip(names)
+            .map(|(&table, alias)| Relation {
+                table,
+                alias: alias.into(),
+            })
+            .collect();
+        let graph = QueryGraph::new(relations, joins, vec![], vec![], vec![]);
         (db, graph)
     }
 
@@ -773,19 +790,24 @@ mod join_paths {
         (keys, distinct)
     }
 
-    fn join(algo: JoinAlgo, conds: &[usize]) -> PlanNode {
-        let scan = |rel| {
-            Box::new(PlanNode::Scan {
-                rel: RelId(rel),
-                path: AccessPath::SeqScan,
-            })
-        };
+    fn scan(rel: u32) -> PlanNode {
+        PlanNode::Scan {
+            rel: RelId(rel),
+            path: AccessPath::SeqScan,
+        }
+    }
+
+    fn join_of(algo: JoinAlgo, conds: &[usize], left: PlanNode, right: PlanNode) -> PlanNode {
         PlanNode::Join {
             algo,
             conds: conds.to_vec(),
-            left: scan(0),
-            right: scan(1),
+            left: Box::new(left),
+            right: Box::new(right),
         }
+    }
+
+    fn join(algo: JoinAlgo, conds: &[usize]) -> PlanNode {
+        join_of(algo, conds, scan(0), scan(1))
     }
 
     /// `plan` at every geometry against the row oracle: the same rows in
@@ -872,31 +894,219 @@ mod join_paths {
                 .collect();
             let (db, graph) = world(&a_keys, &b_keys, &mut rng);
             let plan = PhysicalPlan::new(join(JoinAlgo::NestedLoop, &[0, 2]));
-            let total = execute_rows(&db, &graph, &plan, ExecConfig::with_budget(u64::MAX))
-                .expect("oracle executes")
-                .stats
-                .work;
-            for budget in 0..=total + 1 {
-                let oracle_aborts =
-                    execute_rows(&db, &graph, &plan, ExecConfig::with_budget(budget)).is_err();
-                assert_eq!(oracle_aborts, budget < total);
-                for (threads, morsel_rows) in [(1, 1), (2, 64), (4, 4096)] {
-                    let config = ExecConfig::with_budget(budget)
-                        .threads(threads)
-                        .morsel_rows(morsel_rows);
-                    let tag = format!("{probe}×66 budget {budget} t={threads} m={morsel_rows}");
-                    match hfqo::exec::execute(&db, &graph, &plan, config) {
-                        Ok(_) => assert!(!oracle_aborts, "{tag}: ran, the oracle aborts"),
-                        Err(ExecError::BudgetExceeded { budget: b, .. }) => {
-                            assert!(
-                                oracle_aborts && b == budget,
-                                "{tag}: aborted, the oracle runs"
-                            )
-                        }
-                        Err(other) => panic!("{tag}: {other}"),
+            let geometries = [(1, 1), (2, 64), (4, 4096)];
+            assert_aborts_match(&db, &graph, &plan, &geometries, &format!("{probe}×66"));
+        }
+    }
+
+    /// `plan` under every budget from 0 to one past its `work`, at each
+    /// of `geometries`: it aborts exactly when the row oracle does, and
+    /// reports the budget it was given.
+    fn assert_aborts_match(
+        db: &Database,
+        graph: &QueryGraph,
+        plan: &PhysicalPlan,
+        geometries: &[(usize, usize)],
+        what: &str,
+    ) {
+        let total = execute_rows(db, graph, plan, ExecConfig::with_budget(u64::MAX))
+            .expect("oracle executes")
+            .stats
+            .work;
+        for budget in 0..=total + 1 {
+            let oracle_aborts =
+                execute_rows(db, graph, plan, ExecConfig::with_budget(budget)).is_err();
+            assert_eq!(oracle_aborts, budget < total);
+            for &(threads, morsel_rows) in geometries {
+                let config = ExecConfig::with_budget(budget)
+                    .threads(threads)
+                    .morsel_rows(morsel_rows);
+                let tag = format!("{what} budget {budget} t={threads} m={morsel_rows}");
+                match hfqo::exec::execute(db, graph, plan, config) {
+                    Ok(_) => assert!(!oracle_aborts, "{tag}: ran, the oracle aborts"),
+                    Err(ExecError::BudgetExceeded { budget: b, .. }) => {
+                        assert!(
+                            oracle_aborts && b == budget,
+                            "{tag}: aborted, the oracle runs"
+                        )
+                    }
+                    Err(other) => panic!("{tag}: {other}"),
+                }
+            }
+        }
+    }
+
+    /// `rows` probe keys drawn as runs of 1, 2, 3 or 4–300 equal keys —
+    /// one run in eight NULL, one in six of a key `b` lacks, the rest
+    /// from `0..keys` — so that long runs cross 64-row morsel edges.
+    fn run_keys(rows: usize, keys: i64, rng: &mut StdRng) -> Vec<Option<i64>> {
+        let mut out = Vec::with_capacity(rows);
+        while out.len() < rows {
+            let len = [1, 2, 3, rng.gen_range(4..=300)][rng.gen_range(0..4usize)];
+            let key = match rng.gen_range(0..24u32) {
+                0..=2 => None,
+                3..=6 => Some(-1 - rng.gen_range(0..3i64)),
+                _ => Some(rng.gen_range(0..keys)),
+            };
+            out.extend(std::iter::repeat_n(key, len.min(rows - out.len())));
+        }
+        out
+    }
+
+    /// Three relations whose lower join `a ⋈ b` is asked only for its
+    /// build side's key `b.k` by the upper join with `c`: edges 0
+    /// `a.k = b.k`, 1 `a.r = b.r`, 2 `a.r < b.r` (the lower join's), 3
+    /// `c.k = b.k`, 4 `c.r = b.k`, 5 `c.r < b.k` (the upper join's).
+    fn key_only_world(
+        a_keys: &[Option<i64>],
+        b_keys: &[Option<i64>],
+        c_keys: &[Option<i64>],
+        rng: &mut StdRng,
+    ) -> (Database, QueryGraph) {
+        let edges = [
+            (0, 0, CompareOp::Eq, 1, 0),
+            (0, 1, CompareOp::Eq, 1, 1),
+            (0, 1, CompareOp::Lt, 1, 1),
+            (2, 0, CompareOp::Eq, 1, 0),
+            (2, 1, CompareOp::Eq, 1, 0),
+            (2, 1, CompareOp::Lt, 1, 0),
+        ];
+        tables(&[a_keys, b_keys, c_keys], &edges, rng)
+    }
+
+    /// The lower join's conditions in [`key_only_world`]: its key alone,
+    /// with a `<` left to check a probe row at a time, and with a second
+    /// `=` (a two-key table).
+    const LOWER: [&[usize]; 3] = [&[0], &[0, 2], &[0, 1]];
+
+    /// The upper join's: its key alone (a counting table under
+    /// `COUNT(*)`), with a second `=` (two-key), and with a `<` (a
+    /// table of rows under `COUNT(*)`).
+    const UPPER: [&[usize]; 3] = [&[3], &[3, 4], &[3, 5]];
+
+    /// `b`'s keys: `0..keys`, one to `per` rows each, one row in ten
+    /// NULL, grouped by key or shuffled.
+    fn build_keys(keys: i64, per: usize, grouped: bool, rng: &mut StdRng) -> Vec<Option<i64>> {
+        let mut out: Vec<Option<i64>> = Vec::new();
+        for k in 0..keys {
+            for _ in 0..rng.gen_range(1..=per) {
+                out.push((rng.gen_range(0..10u32) != 0).then_some(k));
+            }
+        }
+        if !grouped {
+            for i in (1..out.len()).rev() {
+                out.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+        /// Property: joins that work a run of equal probe keys at a time,
+        /// and key-only outputs served from the probe side, equal the row
+        /// oracle — rows, row order and `work`. Probe keys come in runs
+        /// (NULL runs, runs across morsel edges); the lower join, hash or
+        /// nested loop, outputs only the key the upper join asks of its
+        /// build side; the upper join is a hash join of rows, counts or
+        /// two keys, or a nested loop that looks up or scans, with the
+        /// lower join as its probe side or its build side; full,
+        /// `COUNT(*)` and `GROUP BY c.r` outputs (the last fills a `c`
+        /// row's copies when `c` probes); teams of 1, 2 and 4 × morsels
+        /// of 1, 64 and 4096 rows.
+        #[test]
+        fn key_only_joins_over_runs_equal_the_row_oracle(
+            seed in 0u64..1_000_000,
+            a_rows in 1usize..400,
+            per in 1usize..4,
+            c_rows in 1usize..120,
+            small_c in 0usize..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keys = rng.gen_range(2..=12i64);
+            let a_keys = run_keys(a_rows, keys, &mut rng);
+            let b_keys = build_keys(keys, per, seed % 2 == 0, &mut rng);
+            // A `c` of one to six rows leaves a nested loop over it
+            // scanning; a larger one has it look up.
+            let c_rows = if small_c == 1 { c_rows % 6 + 1 } else { c_rows };
+            let c_keys = run_keys(c_rows, keys, &mut rng);
+            let (db, graph) = key_only_world(&a_keys, &b_keys, &c_keys, &mut rng);
+            let counted = hfqo::opt::test_support::with_count(graph.clone());
+            // `GROUP BY c.r`: a join with `c` as its probe side outputs
+            // only `c.r`, so a `c` row's matches fill its copies.
+            let grouped = QueryGraph::new(
+                graph.relations().to_vec(),
+                graph.joins().to_vec(),
+                vec![],
+                counted.aggregates().to_vec(),
+                vec![BoundColumn::new(RelId(2), ColumnId(1))],
+            );
+            let algos = [JoinAlgo::Hash, JoinAlgo::NestedLoop];
+            for (lower_algo, lower) in algos.into_iter().flat_map(|a| LOWER.map(|c| (a, c))) {
+                for (upper_algo, upper) in algos.into_iter().flat_map(|a| UPPER.map(|c| (a, c))) {
+                    for lower_probes in [true, false] {
+                        let low = join_of(lower_algo, lower, scan(0), scan(1));
+                        let root = if lower_probes {
+                            join_of(upper_algo, upper, low, scan(2))
+                        } else {
+                            join_of(upper_algo, upper, scan(2), low)
+                        };
+                        let what = format!(
+                            "{upper_algo:?} {upper:?} over {lower_algo:?} {lower:?} \
+                             (lower probes: {lower_probes}) {a_rows}×{}×{c_rows}",
+                            b_keys.len()
+                        );
+                        let plan = PhysicalPlan::new(root);
+                        assert_paths_match(&db, &graph, &plan, &what);
+                        let count = PhysicalPlan::new(PlanNode::Aggregate {
+                            algo: AggAlgo::Hash,
+                            input: Box::new(plan.root.clone()),
+                        });
+                        assert_paths_match(&db, &counted, &count, &format!("COUNT(*) {what}"));
+                        let group = PhysicalPlan::new(PlanNode::Aggregate {
+                            algo: AggAlgo::Sort,
+                            input: Box::new(plan.root.clone()),
+                        });
+                        assert_paths_match(&db, &grouped, &group, &format!("GROUP BY {what}"));
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn budget_aborts_match_the_oracle_through_the_run_path() {
+        // `a`'s keys come in runs of 9–40 rows, so each lower join finds a
+        // run's matches once and emits only `b.k`; the upper join then
+        // counts over those runs or probes with them, a run at a time.
+        let mut rng = StdRng::seed_from_u64(53);
+        let runs = [(0, 23), (1, 40), (4, 1), (2, 17), (0, 35), (9, 12), (3, 30)];
+        let a_keys: Vec<Option<i64>> = runs
+            .iter()
+            .flat_map(|&(k, len)| std::iter::repeat_n((k != 9).then_some(k), len))
+            .collect();
+        let b_keys = build_keys(4, 2, true, &mut rng);
+        let c_keys = run_keys(9, 4, &mut rng);
+        let (db, graph) = key_only_world(&a_keys, &b_keys, &c_keys, &mut rng);
+        let graph = hfqo::opt::test_support::with_count(graph);
+        let geometries = [(1, 1), (1, 64), (2, 64), (4, 4096)];
+        for (lower_algo, upper_algo, lower_probes) in [
+            (JoinAlgo::Hash, JoinAlgo::Hash, false),
+            (JoinAlgo::NestedLoop, JoinAlgo::NestedLoop, true),
+            (JoinAlgo::Hash, JoinAlgo::NestedLoop, true),
+        ] {
+            let low = join_of(lower_algo, &[0, 2], scan(0), scan(1));
+            let root = if lower_probes {
+                join_of(upper_algo, &[3], low, scan(2))
+            } else {
+                join_of(upper_algo, &[3], scan(2), low)
+            };
+            let plan = PhysicalPlan::new(PlanNode::Aggregate {
+                algo: AggAlgo::Hash,
+                input: Box::new(root),
+            });
+            let what = format!("{upper_algo:?} over {lower_algo:?} (lower probes: {lower_probes})");
+            assert_aborts_match(&db, &graph, &plan, &geometries, &what);
         }
     }
 }
