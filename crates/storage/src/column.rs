@@ -754,26 +754,42 @@ impl ColumnVector {
         }
     }
 
+    /// Makes room for `additional` more rows and no more, in a plain
+    /// column; a no-op on an encoded one.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        match self {
+            Self::Int(v, n) => {
+                v.reserve_exact(additional);
+                n.reserve_exact(additional);
+            }
+            Self::Float(v, n) => {
+                v.reserve_exact(additional);
+                n.reserve_exact(additional);
+            }
+            Self::Str(v, n) => {
+                v.reserve_exact(additional);
+                n.reserve_exact(additional);
+            }
+            _ => {}
+        }
+    }
+
     /// Appends `n` copies of `src[row]` — a fill, where a gather of the
-    /// same row `n` times would read it `n` times. A column that must
-    /// grow grows to a power of two, the capacity that gathers of a
-    /// power-of-two batch reach, not to twice its length: over many
-    /// fills of one odd size, doubling compounds the overshoot (fills of
-    /// 177 rows left a 106 361-row column with room for 181 248).
-    /// Panics on type mismatch, like `ColumnVector::push_from`.
+    /// same row `n` times would read it `n` times. Panics on type
+    /// mismatch, like `ColumnVector::push_from`.
     pub fn append_copies(&mut self, src: &ColumnVector, row: usize, n: usize) {
         match (self, src) {
             (Self::Int(v, valid), Self::Int(sv, sn)) => {
-                fill(v, n, sv[row]);
-                fill(valid, n, sn[row]);
+                v.resize(v.len() + n, sv[row]);
+                valid.resize(valid.len() + n, sn[row]);
             }
             (Self::Float(v, valid), Self::Float(sv, sn)) => {
-                fill(v, n, sv[row]);
-                fill(valid, n, sn[row]);
+                v.resize(v.len() + n, sv[row]);
+                valid.resize(valid.len() + n, sn[row]);
             }
             (Self::Str(v, valid), Self::Str(sv, sn)) => {
-                fill(v, n, Arc::clone(&sv[row]));
-                fill(valid, n, sn[row]);
+                v.resize(v.len() + n, Arc::clone(&sv[row]));
+                valid.resize(valid.len() + n, sn[row]);
             }
             (dst, src) => {
                 for _ in 0..n {
@@ -1063,16 +1079,6 @@ fn dict_code(values: &mut Vec<Arc<str>>, s: &str) -> u32 {
             (values.len() - 1) as u32
         }
     }
-}
-
-/// Appends `n` copies of `x` to `v`, growing it to a power of two when
-/// it must grow ([`ColumnVector::append_copies`]).
-fn fill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
-    let len = v.len() + n;
-    if len > v.capacity() {
-        v.reserve_exact(len.next_power_of_two() - v.len());
-    }
-    v.resize(len, x);
 }
 
 #[cfg(test)]
